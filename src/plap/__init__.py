@@ -22,7 +22,6 @@ from .errors import (
     DomainError,
     HypothesisViolated,
     NoZeroFound,
-    NotApplicable,
     OutOfRange,
     PlapError,
     QuadratureFailure,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .nonlinearity import Nonlinearity, areas
+from .nonlinearity import Nonlinearity, areas, reflected
 from .quadrature import tanh_sinh
 from .solver import (
     SolutionClass,
@@ -31,6 +31,7 @@ from .timemap import (
     Problem,
     _integral_many,
     _level_many,
+    endpoint_integrals,
     endpoint_levels,
     integral_I,
     integral_J,
@@ -113,25 +114,35 @@ def find_minimizers(nl: Nonlinearity, p: float, tol: float = 1e-11, scan: int = 
     a_plus, a_minus = areas(nl)
     rho_star = min(a_plus, a_minus)
 
-    grid_a = _interior_grid(0.0, nl.z_plus, scan)
-    vals_a = _integral_many(nl, p, grid_a, True, max(1e-9, tol))
-    a_star, i_a = _golden_refine(lambda a: integral_I(nl, p, a, tol), grid_a, vals_a)
+    # the negative side is the positive side of the reflection; an odd f is
+    # its own reflection, so there the negative side repeats the positive one
+    mirror = reflected(nl)
+    tol_scan = max(1e-9, tol)
 
-    grid_b = _interior_grid(nl.z_minus, 0.0, scan)
-    vals_b = _integral_many(nl, p, grid_b, False, max(1e-9, tol))
-    b_star, j_b = _golden_refine(lambda b: integral_J(nl, p, b, tol), grid_b, vals_b)
+    def argmin_I(side: Nonlinearity) -> tuple[float, float]:
+        grid = _interior_grid(0.0, side.z_plus, scan)
+        vals = _integral_many(side, p, grid, tol_scan)
+        return _golden_refine(lambda a: integral_I(side, p, a, tol), grid, vals)
+
+    a_star, i_a = argmin_I(nl)
+    b_mirror, j_b = (a_star, i_a) if nl.odd else argmin_I(mirror)
+    b_star = -b_mirror
 
     # level-curve parametrization: rho -> (z(rho), S(rho)) is lambda-free
     rho_grid = _interior_grid(0.0, rho_star, scan)
-    z_grid = _level_many(nl, rho_grid, positive=True)
-    s_grid = _level_many(nl, rho_grid, positive=False)
-    i_vals = _integral_many(nl, p, z_grid, True, max(1e-9, tol))
-    j_vals = _integral_many(nl, p, s_grid, False, max(1e-9, tol))
+    i_vals = _integral_many(nl, p, _level_many(nl, rho_grid), tol_scan)
+    if nl.odd:
+        j_vals = i_vals
+    else:
+        j_vals = _integral_many(mirror, p, _level_many(mirror, rho_grid), tol_scan)
+
+    def I_and_J(rho: float) -> tuple[float, float]:
+        i = integral_I(nl, p, level_pos(nl, rho), tol)
+        return i, (i if nl.odd else integral_J(nl, p, level_neg(nl, rho), tol))
 
     def even_objective(rho: float) -> float:
-        return integral_I(nl, p, level_pos(nl, rho), tol) + integral_J(
-            nl, p, level_neg(nl, rho), tol
-        )
+        i, j = I_and_J(rho)
+        return i + j
 
     rho_e, i_e = _golden_refine(even_objective, rho_grid, i_vals + j_vals)
     r_e = (rho_e * p / (p - 1.0)) ** (1.0 / p)  # slope at reference lambda = 1
@@ -139,14 +150,19 @@ def find_minimizers(nl: Nonlinearity, p: float, tol: float = 1e-11, scan: int = 
     kappa1 = ((p - 1.0) / p) ** (1.0 / p)  # kappa at lambda = 1
 
     def odd_objective(rho: float, plus: bool) -> float:
-        th = kappa1 * integral_I(nl, p, level_pos(nl, rho), tol)
-        al = kappa1 * integral_J(nl, p, level_neg(nl, rho), tol)
+        i, j = I_and_J(rho)
+        th, al = kappa1 * i, kappa1 * j
         return (2.0 * th + 2.0 * al) / (1.0 + 2.0 * (al if plus else th))
 
     ratio_plus = (2.0 * kappa1 * (i_vals + j_vals)) / (1.0 + 2.0 * kappa1 * j_vals)
     rho_op, _ = _golden_refine(lambda r: odd_objective(r, True), rho_grid, ratio_plus)
-    ratio_minus = (2.0 * kappa1 * (i_vals + j_vals)) / (1.0 + 2.0 * kappa1 * i_vals)
-    rho_om, _ = _golden_refine(lambda r: odd_objective(r, False), rho_grid, ratio_minus)
+    if nl.odd:  # the two odd-class objectives coincide
+        rho_om = rho_op
+    else:
+        ratio_minus = (2.0 * kappa1 * (i_vals + j_vals)) / (1.0 + 2.0 * kappa1 * i_vals)
+        rho_om, _ = _golden_refine(lambda r: odd_objective(r, False), rho_grid, ratio_minus)
+    i_op, j_op = I_and_J(rho_op)
+    i_om, j_om = I_and_J(rho_om)
 
     def slope(rho: float) -> float:
         return (rho * p / (p - 1.0)) ** (1.0 / p)
@@ -160,11 +176,11 @@ def find_minimizers(nl: Nonlinearity, p: float, tol: float = 1e-11, scan: int = 
         r_e=r_e,
         I_e=i_e,
         r_o_plus=slope(rho_op),
-        I_o_plus=integral_I(nl, p, level_pos(nl, rho_op), tol),
-        J_o_plus=integral_J(nl, p, level_neg(nl, rho_op), tol),
+        I_o_plus=i_op,
+        J_o_plus=j_op,
         r_o_minus=slope(rho_om),
-        I_o_minus=integral_I(nl, p, level_pos(nl, rho_om), tol),
-        J_o_minus=integral_J(nl, p, level_neg(nl, rho_om), tol),
+        I_o_minus=i_om,
+        J_o_minus=j_om,
     )
 
 
@@ -220,10 +236,7 @@ def bifurcation_table(
     idx = list(range(1, N + 1))
 
     if p > 2.0:
-        i_zp = integral_I(nl, p, nl.z_plus, tol)
-        j_zm = integral_J(nl, p, nl.z_minus, tol)
-        i_hat = i_zp if lv.z_hat == nl.z_plus else integral_I(nl, p, lv.z_hat, tol)
-        j_hat = j_zm if lv.s_hat == nl.z_minus else integral_J(nl, p, lv.s_hat, tol)
+        i_hat, j_hat, i_zp, j_zm = endpoint_integrals(nl, p, lv, tol)
         tilde_plus, tilde_minus = [], []
         for n in idx:
             if n == 1:

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-    plap <command> --config spec.json [--out path] [--format csv|json]
-                   [--n N] [--jmax J] [--id ID] [--cores a1,a2,...]
+    plap <command> --config spec.json [--out path] [--n N]
+                   [--jmax J] [--id ID] [--cores a1,a2,...]
 
 Commands: validate, diagram, solve, profile, verify, structure, regularity.
 Exit codes: 0 ok, 1 usage/config error, 2 hypothesis failure, 3 verification
@@ -296,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("command", choices=sorted(_COMMANDS))
     ap.add_argument("--config", required=True, help="problem spec JSON")
     ap.add_argument("--out", default=None, help="output path (default stdout)")
-    ap.add_argument("--format", choices=("csv", "json"), default=None)
     ap.add_argument("--n", type=int, default=None, help="table/report depth")
     ap.add_argument("--jmax", type=int, default=None, help="largest class index")
     ap.add_argument("--id", default=None, help="descriptor id from a solve run")

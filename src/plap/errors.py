@@ -33,10 +33,6 @@ class QuadratureFailure(PlapError):
     """Adaptive refinement stalled before reaching the tolerance."""
 
 
-class NotApplicable(PlapError):
-    """Operation undefined in this exponent regime."""
-
-
 class BudgetMismatch(PlapError):
     """Flat-interval lengths do not sum to the available core budget."""
 

@@ -256,6 +256,22 @@ def build_nonlinearity(kind: str, q: float, params: dict) -> Nonlinearity:
     return nl
 
 
+def reflected(nl: Nonlinearity) -> Nonlinearity:
+    """The nonlinearity ``f~(s) = -f(-s)``, which maps the negative side onto
+    the positive one.
+
+    ``F~(s) = F(-s)`` and ``m~(s) = -m(-s)``, so the zeros map to
+    ``(-z_minus, -z_plus)`` and the areas swap.  The hypotheses are
+    symmetric under the reflection, so the result is not validated again.
+    """
+    if nl.kind == KIND_POWER_ASYM:
+        params = dict(nl.params, b_plus=nl.params["b_minus"], b_minus=nl.params["b_plus"])
+    else:
+        coeffs = nl.params["coeffs"]
+        params = {"coeffs": [-c if k % 2 == 0 else c for k, c in enumerate(coeffs, start=1)]}
+    return Nonlinearity(kind=nl.kind, q=nl.q, params=params, z_plus=-nl.z_minus, z_minus=-nl.z_plus)
+
+
 def areas(nl: Nonlinearity) -> tuple[float, float]:
     """Areas ``A(z^+) = (z^+)^q/q - F(z^+)`` and ``A(z^-) = |z^-|^q/q - F(z^-)``."""
     a_plus = nl.z_plus**nl.q / nl.q - eval_F(nl, nl.z_plus)

@@ -18,15 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Blowup, BudgetMismatch, ShapeError
-from .nonlinearity import Nonlinearity, eval_F, eval_m
+from .nonlinearity import Nonlinearity, eval_F, eval_m, reflected
 from .solver import SIGN_POS, SolutionDescriptor
 from .timemap import (
     Problem,
     arch_tail_cumulative,
     endpoint_levels,
     invert_arch_distance,
-    radicand_neg,
-    radicand_pos,
+    radicand,
     s_of_r,
     z_of_r,
 )
@@ -51,20 +50,26 @@ class Profile:
     descriptor: SolutionDescriptor | None = None
 
 
+def _upright(nl: Nonlinearity, level: float) -> tuple[Nonlinearity, float]:
+    """A negative extremum as the positive one of the reflected nonlinearity."""
+    return (nl, level) if level > 0 else (reflected(nl), -level)
+
+
 def _arch_half(problem: Problem, level: float, double: bool, m_half: int):
     """Rise of one arch: x offsets (from the arch start), phi, |dphi|, half width."""
-    nl, p = problem.nl, problem.p
+    p = problem.p
+    nl, top = _upright(problem.nl, level)
     beta = p / (p - 2.0) if double else p / (p - 1.0)
     u = np.linspace(0.0, 1.0, m_half)
-    s = level * np.sin(0.5 * np.pi * u)
-    w_grid = np.abs(level - s)[::-1] ** (1.0 / beta)
-    cum = arch_tail_cumulative(nl, p, level, double, w_grid)
+    s = top * np.sin(0.5 * np.pi * u)
+    w_grid = (top - s)[::-1] ** (1.0 / beta)
+    cum = arch_tail_cumulative(nl, p, top, double, w_grid)
     half_width = problem.kappa * cum[-1]
     x = problem.kappa * (cum[-1] - cum[::-1])
-    G = radicand_pos(nl, level, s) if level > 0 else radicand_neg(nl, level, s)
+    G = radicand(nl, top, s)
     mag = (problem.lam * p / (p - 1.0) * np.clip(G, 0.0, None)) ** (1.0 / p)
     mag[-1] = 0.0
-    return x, s, mag, half_width
+    return x, np.copysign(s, level), mag, half_width
 
 
 def _plateau_arches(descriptor: SolutionDescriptor) -> list[bool]:
@@ -395,15 +400,15 @@ def classify_regularity(problem: Problem, prof: Profile, quad_tol: float = 1e-11
 
         double = tp["double"]
         hw = tp["half_width"]
+        side, top = _upright(nl, v)
         if tp["kind"] == "arch_top" and not in_z:
             predicted = abs(hval) ** (1.0 / (p - 1.0))
             fac = min(1.0, 0.25 * hw / 1e-2)
             for delta in (1e-2, 1e-3, 1e-4):
                 d_eff = delta * fac
-                w = invert_arch_distance(nl, p, v, double, d_eff / kappa, quad_tol)
+                w = invert_arch_distance(side, p, top, double, d_eff / kappa, quad_tol)
                 beta = p / (p - 1.0)
-                s = v - w**beta if v > 0 else v + w**beta
-                G = radicand_pos(nl, v, s) if v > 0 else radicand_neg(nl, v, s)
+                G = radicand(side, top, top - w**beta)
                 mag = (lam * p / (p - 1.0) * float(G)) ** (1.0 / p)
                 measured = mag / d_eff ** (1.0 / (p - 1.0))
                 limit_checks.append(
@@ -419,11 +424,11 @@ def classify_regularity(problem: Problem, prof: Profile, quad_tol: float = 1e-11
         elif tp["kind"] == "plateau_edge" and p > 2.0:
             beta = p / (p - 2.0)
             for delta in (1e-3, 1e-4):
-                w = invert_arch_distance(nl, p, v, True, delta / kappa, quad_tol)
-                s = v - w**beta if v > 0 else v + w**beta
-                G = radicand_pos(nl, v, s) if v > 0 else radicand_neg(nl, v, s)
+                w = invert_arch_distance(side, p, top, True, delta / kappa, quad_tol)
+                s = top - w**beta
+                G = radicand(side, top, s)
                 mag = (lam * p / (p - 1.0) * float(G)) ** (1.0 / p)
-                h_near = lam * float(eval_m(nl, s))
+                h_near = lam * float(eval_m(side, s))
                 psi_xx = abs(h_near) * mag ** (2.0 - p) / (p - 1.0)
                 n_here = order if order is not None else 1
                 second_checks.append(

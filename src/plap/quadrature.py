@@ -14,7 +14,7 @@ import numpy as np
 from .errors import QuadratureFailure
 
 _Y_MAX = 40.0  # truncate nodes once pi/2*sinh(kh) exceeds this
-_MIN_LEVEL = 2
+_MIN_LEVEL = 3  # level 2 would only feed level 3, which may not accept
 _CHECK_LEVEL = 4  # first level at which the convergence test may accept
 _MAX_LEVEL = 16  # 2*(asinh(2*_Y_MAX/pi)/2^-16) stays below 2^20 nodes
 _NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}

@@ -27,9 +27,8 @@ from .errors import OutOfRange
 from .nonlinearity import areas
 from .timemap import (
     Problem,
+    endpoint_integrals,
     endpoint_levels,
-    integral_I,
-    integral_J,
     slope_bounds,
     theta,
     alpha,
@@ -150,27 +149,15 @@ class _ProblemCache:
         self.scan_points = scan_points
         self.bounds = slope_bounds(problem)
         self.relation = area_relation(problem.nl)
-        self._levels = None
         self._endpoint_integrals = None
-        self._grids: dict[str, tuple] = {}
-
-    @property
-    def levels(self):
-        if self._levels is None:
-            self._levels = endpoint_levels(self.problem.nl, self.problem.p)
-        return self._levels
+        self._grids: dict[tuple[float, str], np.ndarray] = {}
 
     def endpoint_integrals(self):
         """(I at z_hat, J at s_hat, I at z_plus, J at z_minus); p > 2 only."""
         if self._endpoint_integrals is None:
-            nl = self.problem.nl
-            p = self.problem.p
-            lv = self.levels
-            i_zp = integral_I(nl, p, nl.z_plus, self.quad_tol)
-            j_zm = integral_J(nl, p, nl.z_minus, self.quad_tol)
-            i_hat = i_zp if lv.z_hat == nl.z_plus else integral_I(nl, p, lv.z_hat, self.quad_tol)
-            j_hat = j_zm if lv.s_hat == nl.z_minus else integral_J(nl, p, lv.s_hat, self.quad_tol)
-            self._endpoint_integrals = (i_hat, j_hat, i_zp, j_zm)
+            nl, p = self.problem.nl, self.problem.p
+            levels = endpoint_levels(nl, p)
+            self._endpoint_integrals = endpoint_integrals(nl, p, levels, self.quad_tol)
         return self._endpoint_integrals
 
     def bound_for(self, sclass: SolutionClass) -> float:
@@ -179,22 +166,31 @@ class _ProblemCache:
         return self.bounds.r_star
 
     def grid_maps(self, sclass: SolutionClass):
-        """(r grid, theta grid, alpha grid) on the class's admissible interval."""
-        key = "pos" if sclass.j == 1 and sclass.sign == SIGN_POS else (
-            "neg" if sclass.j == 1 and sclass.sign == SIGN_NEG else "star"
-        )
+        """(r grid, theta grid, alpha grid) on the class's admissible interval;
+        a half the class does not use is None.  Classes with the same bound
+        share its grids."""
+        bound = self.bound_for(sclass)
+        half = np.geomspace(_SCAN_EPS, 0.5, self.scan_points // 2)
+        grid = bound * np.unique(np.concatenate([half, 1.0 - half[::-1]]))
+        th = self._half_periods(bound, grid, SIGN_POS) if sclass.n_pos else None
+        al = self._half_periods(bound, grid, SIGN_NEG) if sclass.n_neg else None
+        return grid, th, al
+
+    def _half_periods(self, bound: float, grid: np.ndarray, arch_sign: str) -> np.ndarray:
+        """Half-periods of the arches of one sign (theta for '+', alpha for '-')."""
+        # an odd f is its own reflection, so its alpha grid is its theta grid
+        if self.problem.nl.odd:
+            arch_sign = SIGN_POS
+        key = (bound, arch_sign)
         if key not in self._grids:
-            bound = self.bound_for(sclass)
-            half = np.geomspace(_SCAN_EPS, 0.5, self.scan_points // 2)
-            grid = bound * np.unique(np.concatenate([half, 1.0 - half[::-1]]))
             th, al = theta_alpha_grids(
                 self.problem,
                 grid,
                 tol=max(1e-8, self.quad_tol),
-                need_theta=key != "neg",
-                need_alpha=key != "pos",
+                need_theta=arch_sign == SIGN_POS,
+                need_alpha=arch_sign == SIGN_NEG,
             )
-            self._grids[key] = (grid, th, al)
+            self._grids[key] = th if arch_sign == SIGN_POS else al
         return self._grids[key]
 
     def arch_total_at_bound(self, sclass: SolutionClass) -> float:
@@ -215,10 +211,13 @@ def matching_residual(problem: Problem, sclass: SolutionClass, r: float, tol: fl
     if not 0.0 < r < upper:
         raise OutOfRange(f"r = {r} outside (0, {upper}) for class {sclass}")
     total = 0.0
+    th = theta(problem, r, tol) if sclass.n_pos else None
     if sclass.n_pos:
-        total += 2.0 * sclass.n_pos * theta(problem, r, tol)
+        total += 2.0 * sclass.n_pos * th
     if sclass.n_neg:
-        total += 2.0 * sclass.n_neg * alpha(problem, r, tol)
+        # an odd f is its own reflection, so there alpha(r) = theta(r) exactly
+        al = th if th is not None and problem.nl.odd else alpha(problem, r, tol)
+        total += 2.0 * sclass.n_neg * al
     return total - 1.0
 
 

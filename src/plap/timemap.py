@@ -11,15 +11,18 @@ Everything here reduces to two ingredients:
 
 whose integrand has a simple zero at the moving endpoint for interior levels
 and a double zero when the level sits exactly at ``z_plus``/``z_minus``.  The
-substitution ``t = a -/+ w^beta`` with ``beta = p/(p-1)`` (simple zero) or
+substitution ``t = a - w^beta`` with ``beta = p/(p-1)`` (simple zero) or
 ``beta = p/(p-2)`` (double zero, requires ``p > 2``) turns the integrand into
 a bounded function of ``w``, which the tanh-sinh rule then resolves.
+
+Only the positive side is implemented.  The negative side is the positive
+side of the reflected nonlinearity ``f~(s) = -f(-s)``: ``F~(s) = F(-s)``, so
+``J_f(a) = I_f~(-a)`` and ``S_f(rho) = -z_f~(rho)``.
 
 The half-period of one monotone arch launched with slope ``r`` is
 ``theta(r) = kappa * I(z(r))`` with ``kappa = ((p-1)/(lambda p))^(1/p)``; the
 mirrored arch gives ``alpha(r) = kappa * J(S(r))``.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -28,7 +31,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import Divergent, DomainError, OutOfRange
-from .nonlinearity import Nonlinearity, areas, eval_F, eval_df, eval_m
+from .nonlinearity import Nonlinearity, areas, eval_F, eval_df, eval_m, reflected
 from .quadrature import tanh_sinh, tanh_sinh_batch
 
 _TAIL_FRAC = 1e-2  # switch from the direct formula to the tail integral
@@ -91,23 +94,19 @@ def slope_bounds(problem: Problem) -> SlopeBounds:
 # ---------------------------------------------------------------------------
 
 
-def _area_pos(nl: Nonlinearity, z):
+def _area(nl: Nonlinearity, z):
     return np.asarray(z) ** nl.q / nl.q - eval_F(nl, z)
-
-
-def _area_neg(nl: Nonlinearity, s):
-    return np.abs(np.asarray(s)) ** nl.q / nl.q - eval_F(nl, s)
 
 
 def level_pos(nl: Nonlinearity, rho: float) -> float:
     """The level z in (0, z_plus] with z^q/q - F(z) = rho."""
     a_plus, _ = areas(nl)
     if rho <= 0.0 or rho > a_plus * (1.0 + 1e-12):
-        raise OutOfRange(f"rho = {rho} outside (0, A+ = {a_plus}]")
+        raise OutOfRange(f"rho = {rho} outside (0, {a_plus}]")
     if rho >= a_plus:
         return nl.z_plus
     return brentq(
-        lambda z: float(_area_pos(nl, z)) - rho,
+        lambda z: float(_area(nl, z)) - rho,
         0.0,
         nl.z_plus,
         xtol=1e-17 + 1e-16 * nl.z_plus,
@@ -117,33 +116,16 @@ def level_pos(nl: Nonlinearity, rho: float) -> float:
 
 def level_neg(nl: Nonlinearity, rho: float) -> float:
     """The level S in [z_minus, 0) with |S|^q/q - F(S) = rho."""
-    _, a_minus = areas(nl)
-    if rho <= 0.0 or rho > a_minus * (1.0 + 1e-12):
-        raise OutOfRange(f"rho = {rho} outside (0, A- = {a_minus}]")
-    if rho >= a_minus:
-        return nl.z_minus
-    return brentq(
-        lambda s: float(_area_neg(nl, s)) - rho,
-        nl.z_minus,
-        0.0,
-        xtol=1e-17 + 1e-16 * abs(nl.z_minus),
-        rtol=8.9e-16,
-    )
+    return -level_pos(reflected(nl), rho)
 
 
-def _level_many(nl: Nonlinearity, rho: np.ndarray, positive: bool) -> np.ndarray:
-    """Vectorized bisection of the level map (80 halvings)."""
-    if positive:
-        lo = np.zeros_like(rho)
-        hi = np.full_like(rho, nl.z_plus)
-        fun = lambda z: _area_pos(nl, z) - rho
-    else:
-        lo = np.full_like(rho, nl.z_minus)
-        hi = np.zeros_like(rho)
-        fun = lambda s: -(_area_neg(nl, s) - rho)
+def _level_many(nl: Nonlinearity, rho: np.ndarray) -> np.ndarray:
+    """Vectorized bisection of the positive level map (80 halvings)."""
+    lo = np.zeros_like(rho)
+    hi = np.full_like(rho, nl.z_plus)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        high = fun(mid) > 0.0
+        high = _area(nl, mid) - rho > 0.0
         hi = np.where(high, mid, hi)
         lo = np.where(high, lo, mid)
     return 0.5 * (lo + hi)
@@ -196,19 +178,22 @@ def _dm(nl: Nonlinearity, s: float) -> float:
     return (nl.q - 1.0) * abs(s) ** (nl.q - 2.0) - float(eval_df(nl, s))
 
 
-def _tail_mean_pos(nl: Nonlinearity, a, h):
+def _tail_mean(nl: Nonlinearity, a, h):
     """Mean of m over [a-h, a]; G = h * mean, free of cancellation."""
-    pts = a[..., None] - h[..., None] * _GL4_SIGMA
+    pts = np.asarray(a)[..., None] - h[..., None] * _GL4_SIGMA
     return eval_m(nl, pts) @ _GL4_WBAR
 
 
-def _tail_mean_neg(nl: Nonlinearity, b, h):
-    """Mean of -m over [b, b+h] for the negative side."""
-    pts = b[..., None] + h[..., None] * _GL4_SIGMA
-    return -(eval_m(nl, pts) @ _GL4_WBAR)
+def _direct(nl: Nonlinearity, t, F_a, a_q):
+    """The direct formula for G at t, given F(a) and a^q.
+
+    It cancels catastrophically as t -> a.  ``|t|`` keeps it real where
+    t = a - h rounds just below 0.
+    """
+    return eval_F(nl, t) - F_a + (a_q - np.abs(t) ** nl.q) / nl.q
 
 
-def radicand_pos(nl: Nonlinearity, a, t):
+def radicand(nl: Nonlinearity, a, t):
     """G(t) = F(t) - F(a) + (a^q - t^q)/q for t in [0, a], a in (0, z_plus].
 
     Near t = a the direct formula cancels catastrophically, so the tail is
@@ -219,26 +204,8 @@ def radicand_pos(nl: Nonlinearity, a, t):
     out = np.empty_like(h)
     tail = h < _TAIL_FRAC * a_b
     d = ~tail
-    out[d] = (
-        eval_F(nl, t_b[d]) - eval_F(nl, a_b[d]) + (a_b[d] ** nl.q - t_b[d] ** nl.q) / nl.q
-    )
-    out[tail] = h[tail] * _tail_mean_pos(nl, a_b[tail], h[tail])
-    return out if out.ndim else float(out)
-
-
-def radicand_neg(nl: Nonlinearity, b, t):
-    """G(t) = F(t) - F(b) + (|b|^q - |t|^q)/q for t in [b, 0], b in [z_minus, 0)."""
-    b_b, t_b = np.broadcast_arrays(np.asarray(b, float), np.asarray(t, float))
-    h = t_b - b_b
-    out = np.empty_like(h)
-    tail = h < _TAIL_FRAC * np.abs(b_b)
-    d = ~tail
-    out[d] = (
-        eval_F(nl, t_b[d])
-        - eval_F(nl, b_b[d])
-        + (np.abs(b_b[d]) ** nl.q - np.abs(t_b[d]) ** nl.q) / nl.q
-    )
-    out[tail] = h[tail] * _tail_mean_neg(nl, b_b[tail], h[tail])
+    out[d] = _direct(nl, t_b[d], eval_F(nl, a_b[d]), a_b[d] ** nl.q)
+    out[tail] = h[tail] * _tail_mean(nl, a_b[tail], h[tail])
     return out if out.ndim else float(out)
 
 
@@ -246,58 +213,45 @@ def _beta(p: float, double: bool) -> float:
     return p / (p - 2.0) if double else p / (p - 1.0)
 
 
-def psi_transformed(nl: Nonlinearity, p: float, a: float, double: bool, positive: bool):
-    """Integrand of I/J after the substitution t = a -/+ w^beta.
+def _psi(nl: Nonlinearity, p: float, a, w: np.ndarray, double: bool) -> np.ndarray:
+    """Integrand of I after the substitution t = a - w^beta, at abscissae w.
 
-    Returns a vectorized function of w on (0, a^(1/beta)).  The simple-zero
-    exponent makes the w-prefactor cancel exactly in the tail region, so the
-    returned function is bounded all the way to w = 0.
+    ``a`` is one level (a float, for the scalar driver) or a column of
+    levels broadcasting against ``w`` (the batched driver); F(a) and a^q
+    are evaluated once per level.  The simple-zero exponent makes the
+    w-prefactor cancel exactly in the tail region, so the integrand is
+    bounded all the way to w = 0.
     """
     beta = _beta(p, double)
-    scale = abs(a)
-    mean = _tail_mean_pos if positive else _tail_mean_neg
-    exp_tail = 1.0 / (p - 2.0) if double else 0.0
-    if double:
-        dm_end = abs(_dm(nl, a))
+    with np.errstate(under="ignore"):
+        h = w**beta
+    out = np.empty_like(h)
+    tail = h < _TAIL_FRAC * a
+    d = ~tail
 
-    def psi(w):
-        w = np.asarray(w, float)
-        with np.errstate(under="ignore"):
-            h = w**beta
-        out = np.empty_like(w)
-        tail = h < _TAIL_FRAC * scale
-        d = ~tail
-        if np.any(d):
-            t = a - h[d] if positive else a + h[d]
-            if positive:
-                G = eval_F(nl, t) - eval_F(nl, a) + (a**nl.q - t**nl.q) / nl.q
-            else:
-                G = (
-                    eval_F(nl, t)
-                    - eval_F(nl, a)
-                    + (abs(a) ** nl.q - np.abs(t) ** nl.q) / nl.q
-                )
-            out[d] = G ** (-1.0 / p) * beta * w[d] ** (beta - 1.0)
-        if np.any(tail):
-            ht = h[tail]
-            wt = w[tail]
+    def at(level_values, mask):
+        """Per-level values at the masked nodes (a scalar stays a scalar)."""
+        if not isinstance(level_values, np.ndarray):
+            return level_values
+        return np.broadcast_to(level_values, h.shape)[mask]
+
+    if np.any(d):
+        G = _direct(nl, at(a, d) - h[d], at(eval_F(nl, a), d), at(a**nl.q, d))
+        out[d] = G ** (-1.0 / p) * beta * w[d] ** (beta - 1.0)
+    if np.any(tail):
+        ht = h[tail]
+        if double:
             res = np.empty_like(ht)
-            if double:
-                model = ht < _MODEL_FRAC * scale
-                res[model] = beta * (0.5 * dm_end) ** (-1.0 / p)
-                rest = ~model
-                if np.any(rest):
-                    anchor = np.full(rest.sum(), a)
-                    S = mean(nl, anchor, ht[rest])
-                    res[rest] = beta * S ** (-1.0 / p) * wt[rest] ** exp_tail
-            else:
-                anchor = np.full(ht.size, a)
-                S = mean(nl, anchor, ht)
-                res = beta * S ** (-1.0 / p)
-            out[tail] = res
-        return out
-
-    return psi
+            model = ht < _MODEL_FRAC * a
+            res[model] = beta * (0.5 * abs(_dm(nl, a))) ** (-1.0 / p)
+            rest = ~model
+            if np.any(rest):
+                S = _tail_mean(nl, a, ht[rest])
+                res[rest] = beta * S ** (-1.0 / p) * w[tail][rest] ** (1.0 / (p - 2.0))
+        else:
+            res = beta * _tail_mean(nl, at(a, tail), ht) ** (-1.0 / p)
+        out[tail] = res
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -309,60 +263,26 @@ def integral_I(nl: Nonlinearity, p: float, a: float, tol: float = 1e-10) -> floa
     """I(a) for a in (0, z_plus]; the endpoint needs p > 2."""
     zp = nl.z_plus
     if not 0.0 < a <= zp * (1.0 + 1e-12):
-        raise DomainError(f"a = {a} outside (0, z+ = {zp}]")
+        raise DomainError(f"level {a} outside (0, {zp}]")
     double = a >= zp * (1.0 - _ENDPOINT_SNAP)
     if double:
         a = zp
         if p <= 2.0:
-            raise Divergent("I(z+) diverges for p <= 2")
+            raise Divergent("the endpoint integral diverges for p <= 2")
     beta = _beta(p, double)
-    psi = psi_transformed(nl, p, a, double, positive=True)
-    return tanh_sinh(psi, a ** (1.0 / beta), tol)
+    return tanh_sinh(lambda w: _psi(nl, p, a, w, double), a ** (1.0 / beta), tol)
 
 
 def integral_J(nl: Nonlinearity, p: float, a: float, tol: float = 1e-10) -> float:
-    """J(a) for a in [z_minus, 0); the endpoint needs p > 2."""
-    zm = nl.z_minus
-    if not zm * (1.0 + 1e-12) <= a < 0.0:
-        raise DomainError(f"a = {a} outside [z- = {zm}, 0)")
-    double = a <= zm * (1.0 - _ENDPOINT_SNAP)
-    if double:
-        a = zm
-        if p <= 2.0:
-            raise Divergent("J(z-) diverges for p <= 2")
-    beta = _beta(p, double)
-    psi = psi_transformed(nl, p, a, double, positive=False)
-    return tanh_sinh(psi, abs(a) ** (1.0 / beta), tol)
+    """J(a) for a in [z_minus, 0): I of the reflected nonlinearity at -a."""
+    return integral_I(reflected(nl), p, -a, tol)
 
 
-def _integral_many(nl: Nonlinearity, p: float, levels: np.ndarray, positive: bool, tol: float):
-    """Batched I (positive=True) or J over interior levels."""
+def _integral_many(nl: Nonlinearity, p: float, levels: np.ndarray, tol: float):
+    """Batched I over interior levels."""
     levels = np.asarray(levels, dtype=float)
-    beta = p / (p - 1.0)
-    mean = _tail_mean_pos if positive else _tail_mean_neg
-    q = nl.q
-
-    def rows(w, idx):
-        a = levels[idx][:, None]
-        scale = np.abs(a)
-        with np.errstate(under="ignore"):
-            h = w**beta
-        out = np.empty_like(w)
-        tail = h < _TAIL_FRAC * scale
-        d = ~tail
-        a_mat = np.broadcast_to(a, w.shape)
-        if np.any(d):
-            am = a_mat[d]
-            t = am - h[d] if positive else am + h[d]
-            G = eval_F(nl, t) - eval_F(nl, am) + (np.abs(am) ** q - np.abs(t) ** q) / q
-            out[d] = G ** (-1.0 / p) * beta * w[d] ** (beta - 1.0)
-        if np.any(tail):
-            S = mean(nl, a_mat[tail], h[tail])
-            out[tail] = beta * S ** (-1.0 / p)
-        return out
-
-    uppers = np.abs(levels) ** (1.0 / beta)
-    return tanh_sinh_batch(rows, uppers, tol)
+    uppers = levels ** (1.0 / _beta(p, False))
+    return tanh_sinh_batch(lambda w, idx: _psi(nl, p, levels[idx][:, None], w, False), uppers, tol)
 
 
 def theta(problem: Problem, r: float, tol: float = 1e-10) -> float:
@@ -389,13 +309,12 @@ def theta_alpha_grids(
     tolerance.
     """
     rho = _rho_of_r(problem, np.asarray(r_grid, dtype=float))
-    th = al = None
-    if need_theta:
-        z = _level_many(problem.nl, rho, positive=True)
-        th = problem.kappa * _integral_many(problem.nl, problem.p, z, True, tol)
-    if need_alpha:
-        s = _level_many(problem.nl, rho, positive=False)
-        al = problem.kappa * _integral_many(problem.nl, problem.p, s, False, tol)
+
+    def half_periods(nl):
+        return problem.kappa * _integral_many(nl, problem.p, _level_many(nl, rho), tol)
+
+    th = half_periods(problem.nl) if need_theta else None
+    al = half_periods(reflected(problem.nl)) if need_alpha else None
     return th, al
 
 
@@ -409,9 +328,23 @@ def flat_core_half_widths(problem: Problem, tol: float = 1e-10) -> tuple[float, 
     return x_lam, y_lam
 
 
+def endpoint_integrals(
+    nl: Nonlinearity, p: float, levels: EndpointLevels, tol: float
+) -> tuple[float, float, float, float]:
+    """(I(z_hat), J(s_hat), I(z_plus), J(z_minus)) for the levels at r_star; p > 2."""
+    i_zp = integral_I(nl, p, nl.z_plus, tol)
+    j_zm = integral_J(nl, p, nl.z_minus, tol)
+    i_hat = i_zp if levels.z_hat == nl.z_plus else integral_I(nl, p, levels.z_hat, tol)
+    j_hat = j_zm if levels.s_hat == nl.z_minus else integral_J(nl, p, levels.s_hat, tol)
+    return i_hat, j_hat, i_zp, j_zm
+
+
 # ---------------------------------------------------------------------------
 # incomplete arch integrals (used by profile reconstruction and regularity)
 # ---------------------------------------------------------------------------
+#
+# These work on a positive arch top ``level`` in (0, z_plus]; a negative arch
+# is the positive arch of ``reflected(nl)`` at ``-level``.
 
 
 def arch_tail_cumulative(
@@ -421,12 +354,11 @@ def arch_tail_cumulative(
 
     ``w_grid`` must ascend from 0; entry i is the x-distance (in G-space,
     i.e. before the kappa prefactor) between the arch extremum and the point
-    at ``|level - t| = w_grid[i]^beta``.
+    at ``level - t = w_grid[i]^beta``.
     """
     from .quadrature import cumulative_gl
 
-    psi = psi_transformed(nl, p, level, double, positive=level > 0.0)
-    return cumulative_gl(psi, np.asarray(w_grid, dtype=float))
+    return cumulative_gl(lambda w: _psi(nl, p, level, w, double), np.asarray(w_grid, dtype=float))
 
 
 def arch_tail_distance(
@@ -435,8 +367,7 @@ def arch_tail_distance(
     """Scalar version: G-space distance from the arch extremum to offset w."""
     if w == 0.0:
         return 0.0
-    psi = psi_transformed(nl, p, level, double, positive=level > 0.0)
-    return tanh_sinh(psi, w, tol)
+    return tanh_sinh(lambda ws: _psi(nl, p, level, ws, double), w, tol)
 
 
 def invert_arch_distance(
@@ -444,7 +375,7 @@ def invert_arch_distance(
 ) -> float:
     """Solve arch_tail_distance(w) = target for w (target in G-space)."""
     beta = _beta(p, double)
-    w_max = abs(level) ** (1.0 / beta)
+    w_max = level ** (1.0 / beta)
     fun = lambda w: arch_tail_distance(nl, p, level, double, w, tol) - target
     hi = w_max * (1.0 - 1e-13)
     if fun(hi) < 0.0:

@@ -148,6 +148,15 @@ class TestStructure:
         assert rep.entry(1, "+").tag == "pair"
         assert rep.entry(1, "+").advisory
 
+    @pytest.mark.parametrize("lam", [100.0, 1000.0])
+    def test_q_above_p_non_integer_q(self, lam):
+        nl = build_nonlinearity("power_asym", 2.5, {"b_plus": 1.0, "b_minus": 1.0, "r_exp": 4.5})
+        rep = structure(Problem(p=1.5, nl=nl, lam=lam), 6)
+        assert rep.regime == "q>p" and len(rep.entries) == 12
+        assert rep.entry(1, "+").tag == "pair"
+        for j in range(1, 7):  # f is odd
+            assert rep.entry(j, "+").tag == rep.entry(j, "-").tag
+
     def test_boundary_inclusive_upper(self, cubic_odd):
         # lambda exactly at a classical eigenvalue leaves the class empty
         prob = Problem(p=2.0, nl=cubic_odd, lam=4 * np.pi**2)

@@ -12,6 +12,7 @@ from plap.nonlinearity import (
     eval_f,
     eval_g,
     eval_m,
+    reflected,
     validate_hypotheses,
 )
 
@@ -158,3 +159,24 @@ class TestOddSymmetry:
         s = np.linspace(1e-6, asym.z_plus * (1 - 1e-9), 256)
         g = eval_g(asym, s)
         assert np.all(np.diff(g) > 0)
+
+
+class TestReflected:
+    @pytest.mark.parametrize(
+        "kind, q, params",
+        [
+            ("power_asym", 2.5, {"b_plus": 1.5, "b_minus": 0.7, "r_exp": 4.0}),
+            ("polynomial", 2.0, {"coeffs": [0.0, 0.0, 1.0, -0.3]}),
+        ],
+    )
+    def test_reflection_identities(self, kind, q, params):
+        # f~(s) = -f(-s): F~(u) = F(-u), m~(u) = -m(-u), exactly in floating point
+        nl = build_nonlinearity(kind, q, params)
+        nr = reflected(nl)
+        u = np.linspace(-1.2, 1.2, 97) * max(nl.z_plus, -nl.z_minus)
+        assert np.array_equal(eval_F(nr, u), eval_F(nl, -u))
+        assert np.array_equal(eval_m(nr, u), -eval_m(nl, -u))
+        assert areas(nr) == areas(nl)[::-1]
+        assert (nr.z_plus, nr.z_minus) == (-nl.z_minus, -nl.z_plus)
+        assert validate_hypotheses(nr).passed
+        assert reflected(nr) == nl

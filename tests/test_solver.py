@@ -170,6 +170,15 @@ class TestEnumerate:
             enumerate_solutions(prob, 0)
 
 
+    @pytest.mark.parametrize("lam", [100.0, 1000.0])
+    def test_non_integer_q(self, lam):
+        nl = build_nonlinearity("power_asym", 2.5, {"b_plus": 1.0, "b_minus": 2.0, "r_exp": 4.0})
+        descs = enumerate_solutions(Problem(p=4.0, nl=nl, lam=lam), j_max=6)
+        regular = [d for d in descs if d.kind == "regular"]
+        assert regular
+        assert all(abs(d.residual) <= 1e-9 for d in regular)
+
+
 class TestStructureConsistency:
     def test_counts_match_report(self, cubic_odd):
         lam = 6.5 * np.pi**2

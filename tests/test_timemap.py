@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plap.errors import Divergent, DomainError, OutOfRange
-from plap.nonlinearity import build_nonlinearity
+from plap.nonlinearity import areas, build_nonlinearity, reflected
 from plap.timemap import (
     Problem,
     alpha,
@@ -12,6 +12,8 @@ from plap.timemap import (
     flat_core_half_widths,
     integral_I,
     integral_J,
+    level_neg,
+    level_pos,
     s_of_r,
     slope_bounds,
     theta,
@@ -123,6 +125,12 @@ class TestIntegralI:
         val = integral_I(quintic_q3, 3.0, quintic_q3.z_plus)
         assert np.isfinite(val) and val > 0
 
+    def test_non_integer_q(self):
+        # q = 2.5: t = a - w^beta rounds below 0 at the top of the w-range
+        nl = build_nonlinearity("power_asym", 2.5, {"b_plus": 1, "b_minus": 1, "r_exp": 4.5})
+        a = 0.5 * nl.z_plus
+        assert integral_I(nl, 2.0, a) == pytest.approx(brute_force_I(nl, 2.0, a), abs=1e-8)
+
     def test_oracle_random_levels(self, asym):
         rng = np.random.default_rng(42)
         for a in rng.uniform(0.05, 0.95, 6) * asym.z_plus:
@@ -142,9 +150,46 @@ class TestIntegralJ:
         expected = 2.0**0.5 * sine_integral_closed_form(2.0)
         assert integral_J(cubic_odd, 2.0, -1e-4) == pytest.approx(expected, rel=1e-6)
 
+    def test_odd_f_is_exact_mirror(self, quintic_q3):
+        # an odd f is its own reflection, so the negative side repeats the
+        # positive one bit for bit (the solver reuses theta as alpha there)
+        nl = quintic_q3
+        assert reflected(nl) == nl
+        a_plus, _ = areas(nl)
+        for rho in np.linspace(0.02, 0.98, 49) * a_plus:
+            z = level_pos(nl, float(rho))
+            assert level_neg(nl, float(rho)) == -z
+            assert integral_J(nl, 3.0, -z) == integral_I(nl, 3.0, z)
+
     def test_against_oracle(self, asym):
         val = integral_J(asym, 3.0, -0.5, tol=1e-12)
         assert val == pytest.approx(brute_force_J(asym, 3.0, -0.5), rel=1e-8)
+
+
+class TestOracleProperty:
+    @given(
+        q=st.floats(1.2, 6.0),
+        dr=st.floats(0.3, 3.0),
+        b_plus=st.floats(0.5, 2.0),
+        b_minus=st.floats(0.5, 2.0),
+        p=st.floats(1.5, 4.0),
+        frac=st.floats(0.05, 0.95),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_I_and_J_match_oracle(self, q, dr, b_plus, b_minus, p, frac):
+        nl = build_nonlinearity(
+            "power_asym", q, {"b_plus": b_plus, "b_minus": b_minus, "r_exp": q + dr}
+        )
+        # the oracle's trapezoid converges slowly for p < 2: against a 30-digit
+        # quadrature it was off by 4.5e-8 at p = 1.6 and 3e-7 at p = 1.5
+        rel = 1e-8 if p >= 2.0 else 1e-6
+        a, b = frac * nl.z_plus, frac * nl.z_minus
+        assert integral_I(nl, p, a, tol=1e-12) == pytest.approx(
+            brute_force_I(nl, p, a, panels=100_000), rel=rel
+        )
+        assert integral_J(nl, p, b, tol=1e-12) == pytest.approx(
+            brute_force_J(nl, p, b, panels=100_000), rel=rel
+        )
 
 
 class TestTimeMaps:
