@@ -7,11 +7,9 @@ independent verification, and sharp regularity classification.
 
 from .bifurcation import (
     BifurcationTable,
-    Minimizers,
     StructureReport,
     bifurcation_table,
     eigenvalue_base,
-    find_minimizers,
     structure,
 )
 from .errors import (

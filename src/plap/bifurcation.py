@@ -1,31 +1,38 @@
-"""Bifurcation sequences, time-map minimizers, and the structure report.
+"""Bifurcation sequences and the structure report.
 
 Two sequences organize the solution set as lambda grows.  The primary one
 (``lambda_n`` here, "tilde" thresholds) marks where a class's solutions
 broaden into flat-core continua; its entries follow from the arch totals at
 the slope bound and are finite only for p > 2.  For q > p a second sequence
-(``lambda_star_n``) marks where solution pairs are born at a tangency of the
-matching condition; its entries come from minimizers of the integrals I and
-J.  Both sequences are lambda-free because the levels entering them solve
-equations in which lambda cancels.
+(``lambda_star_n``) marks where solution pairs are born at a fold of the
+class's own time map: star_n^± is the minimum over rho in (0, A_class) of
+``(p-1)/p * (2 W(rho))^p`` with ``W = n_pos I(z(rho)) + n_neg J(S(rho))``,
+``A_class`` being A(z+) for S_1^+, A(z-) for S_1^- and the smaller area
+otherwise.  f need not be odd.  Both sequences are lambda-free because the
+levels entering them solve equations in which lambda cancels.
+
+For q > p the structure report tags each class from the solver's
+descriptors and computes no threshold.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .nonlinearity import Nonlinearity, areas, reflected
 from .quadrature import tanh_sinh
 from .solver import (
     SolutionClass,
-    _ProblemCache,
+    _class_bound,
+    _golden_min,
+    _weight_at_bound,
     area_relation,
     continuum_dimension,
+    enumerate_solutions,
     flat_core_side,
-    solve_class,
 )
 from .timemap import (
     Problem,
@@ -34,8 +41,6 @@ from .timemap import (
     endpoint_integrals,
     endpoint_levels,
     integral_I,
-    integral_J,
-    level_neg,
     level_pos,
 )
 
@@ -64,129 +69,65 @@ def eigenvalue_base(p: float, tol: float = 1e-12) -> float:
     return (p - 1.0) * (2.0 * integral) ** p
 
 
-@dataclass(frozen=True)
-class Minimizers:
-    """Minimizers of I, J, and the combined time-map objectives (q > p).
-
-    ``I_e`` is the minimum of ``I(z) + J(S)`` along the one-parameter level
-    curve; the odd-class pairs ``(I_o, J_o)`` evaluate I and J at the
-    minimizer of the corresponding ratio objective at reference lambda = 1.
-    """
-
-    applicable: bool
-    a_star: float | None = None
-    I_a_star: float | None = None
-    b_star: float | None = None
-    J_b_star: float | None = None
-    r_e: float | None = None
-    I_e: float | None = None
-    r_o_plus: float | None = None
-    I_o_plus: float | None = None
-    J_o_plus: float | None = None
-    r_o_minus: float | None = None
-    I_o_minus: float | None = None
-    J_o_minus: float | None = None
-
-
 def _interior_grid(lo: float, hi: float, n: int) -> np.ndarray:
     width = hi - lo
     half = np.geomspace(1e-7, 0.5, n // 2)
     return np.unique(np.concatenate([lo + width * half, hi - width * half[::-1]]))
 
 
-def _golden_refine(fun, grid: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    i = int(np.argmin(values))
-    i = min(max(i, 1), values.size - 2)
-    opt = minimize_scalar(
-        fun,
-        bracket=(float(grid[i - 1]), float(grid[i]), float(grid[i + 1])),
-        method="golden",
-        options={"xtol": 1e-12},
-    )
-    return float(opt.x), float(opt.fun)
+def _threshold(p: float, weight: float) -> float:
+    """lambda at which arches of total weight n_pos I + n_neg J fill [0, 1]."""
+    return (p - 1.0) / p * (2.0 * weight) ** p
 
 
-def find_minimizers(nl: Nonlinearity, p: float, tol: float = 1e-11, scan: int = 512) -> Minimizers:
-    """Golden-section minimizers seeded from a 512-point scan; q > p only."""
-    if nl.q <= p:
-        return Minimizers(applicable=False)
+def _fold_weights(nl: Nonlinearity, p: float, classes: list[SolutionClass], tol: float) -> list[float]:
+    """Per class, the minimum over rho in (0, A_class) of
+    ``W(rho) = n_pos I(z(rho)) + n_neg J(S(rho))`` (q > p).
 
+    ``A_class`` is the area bound matching the class's slope bound.  W depends
+    on the class only through its area and the ratio n_pos : n_neg, so there is
+    one scan per side and area and one golden search per reduced ratio.
+    """
     a_plus, a_minus = areas(nl)
-    rho_star = min(a_plus, a_minus)
-
-    # the negative side is the positive side of the reflection; an odd f is
-    # its own reflection, so there the negative side repeats the positive one
-    mirror = reflected(nl)
+    # the negative side is the positive side of the reflection; an odd f is its
+    # own reflection, so there W = (n_pos + n_neg) I and one search serves all
+    sides = (nl, reflected(nl))
     tol_scan = max(1e-9, tol)
+    scans: dict[tuple[int, float], np.ndarray] = {}
+    minima: dict[tuple[int, int, float], float] = {}
 
-    def argmin_I(side: Nonlinearity) -> tuple[float, float]:
-        grid = _interior_grid(0.0, side.z_plus, scan)
-        vals = _integral_many(side, p, grid, tol_scan)
-        return _golden_refine(lambda a: integral_I(side, p, a, tol), grid, vals)
+    def scanned(k: int, area: float, grid: np.ndarray) -> np.ndarray:
+        if (k, area) not in scans:
+            side = sides[k]
+            scans[k, area] = _integral_many(side, p, _level_many(side, grid), tol_scan)
+        return scans[k, area]
 
-    a_star, i_a = argmin_I(nl)
-    b_mirror, j_b = (a_star, i_a) if nl.odd else argmin_I(mirror)
-    b_star = -b_mirror
+    def minimum(w_pos: int, w_neg: int, area: float) -> float:
+        if (w_pos, w_neg, area) not in minima:
+            terms = [(w, k) for k, w in enumerate((w_pos, w_neg)) if w]
+            grid = _interior_grid(0.0, area, 512)
+            vals = sum(w * scanned(k, area, grid) for w, k in terms)
 
-    # level-curve parametrization: rho -> (z(rho), S(rho)) is lambda-free
-    rho_grid = _interior_grid(0.0, rho_star, scan)
-    i_vals = _integral_many(nl, p, _level_many(nl, rho_grid), tol_scan)
-    if nl.odd:
-        j_vals = i_vals
-    else:
-        j_vals = _integral_many(mirror, p, _level_many(mirror, rho_grid), tol_scan)
+            def weight(rho: float) -> float:
+                return sum(
+                    w * integral_I(sides[k], p, level_pos(sides[k], rho), tol) for w, k in terms
+                )
 
-    def I_and_J(rho: float) -> tuple[float, float]:
-        i = integral_I(nl, p, level_pos(nl, rho), tol)
-        return i, (i if nl.odd else integral_J(nl, p, level_neg(nl, rho), tol))
+            i = min(max(int(np.argmin(vals)), 1), vals.size - 2)
+            minima[w_pos, w_neg, area] = _golden_min(weight, grid, i)[1]
+        return minima[w_pos, w_neg, area]
 
-    def even_objective(rho: float) -> float:
-        i, j = I_and_J(rho)
-        return i + j
-
-    rho_e, i_e = _golden_refine(even_objective, rho_grid, i_vals + j_vals)
-    r_e = (rho_e * p / (p - 1.0)) ** (1.0 / p)  # slope at reference lambda = 1
-
-    kappa1 = ((p - 1.0) / p) ** (1.0 / p)  # kappa at lambda = 1
-
-    def odd_objective(rho: float, plus: bool) -> float:
-        i, j = I_and_J(rho)
-        th, al = kappa1 * i, kappa1 * j
-        return (2.0 * th + 2.0 * al) / (1.0 + 2.0 * (al if plus else th))
-
-    ratio_plus = (2.0 * kappa1 * (i_vals + j_vals)) / (1.0 + 2.0 * kappa1 * j_vals)
-    rho_op, _ = _golden_refine(lambda r: odd_objective(r, True), rho_grid, ratio_plus)
-    if nl.odd:  # the two odd-class objectives coincide
-        rho_om = rho_op
-    else:
-        ratio_minus = (2.0 * kappa1 * (i_vals + j_vals)) / (1.0 + 2.0 * kappa1 * i_vals)
-        rho_om, _ = _golden_refine(lambda r: odd_objective(r, False), rho_grid, ratio_minus)
-    i_op, j_op = I_and_J(rho_op)
-    i_om, j_om = I_and_J(rho_om)
-
-    def slope(rho: float) -> float:
-        return (rho * p / (p - 1.0)) ** (1.0 / p)
-
-    return Minimizers(
-        applicable=True,
-        a_star=a_star,
-        I_a_star=i_a,
-        b_star=b_star,
-        J_b_star=j_b,
-        r_e=r_e,
-        I_e=i_e,
-        r_o_plus=slope(rho_op),
-        I_o_plus=i_op,
-        J_o_plus=j_op,
-        r_o_minus=slope(rho_om),
-        I_o_minus=i_om,
-        J_o_minus=j_om,
-    )
+    out = []
+    for sc in classes:
+        n_pos, n_neg = (sc.j, 0) if nl.odd else (sc.n_pos, sc.n_neg)
+        g = math.gcd(n_pos, n_neg)
+        out.append(g * minimum(n_pos // g, n_neg // g, _class_bound(sc, a_plus, a_minus)))
+    return out
 
 
 @dataclass
 class BifurcationTable:
-    """Both threshold sequences up to index N, plus the levels behind them."""
+    """Both threshold sequences up to index N."""
 
     n: list[int]
     tilde_plus: list[float]
@@ -194,84 +135,36 @@ class BifurcationTable:
     star_plus: list[float] | None
     star_minus: list[float] | None
     classical: list[float] | None  # n^p * lambda_1, only for q = p
-    z_hat: float
-    s_hat: float
-    I_z_hat: float
-    J_s_hat: float
-    I_z_plus: float
-    J_z_minus: float
 
     def tilde(self, sign: str) -> list[float]:
         return self.tilde_plus if sign == "+" else self.tilde_minus
 
-    def star(self, sign: str) -> list[float] | None:
-        return self.star_plus if sign == "+" else self.star_minus
 
-
-def _sequence_entry(p: float, weight_I: float, I_val: float, weight_J: float, J_val: float) -> float:
-    return (p - 1.0) / p * (weight_I * I_val + weight_J * J_val) ** p
-
-
-def _arch_weights(n: int, sign: str) -> tuple[int, int]:
-    """(positive arches, negative arches) of class S_n^sign, doubled later."""
-    sc = SolutionClass(n, sign)
-    return sc.n_pos, sc.n_neg
-
-
-def bifurcation_table(
-    nl: Nonlinearity,
-    p: float,
-    N: int,
-    tol: float = 1e-11,
-    minimizers: Minimizers | None = None,
-) -> BifurcationTable:
-    """Closed-formula thresholds for n = 1..N.
+def bifurcation_table(nl: Nonlinearity, p: float, N: int, tol: float = 1e-11) -> BifurcationTable:
+    """Thresholds for n = 1..N.
 
     Flat-core ("tilde") entries are +inf for p <= 2, matching the divergence
     of I(z+)/J(z-) there; star entries exist only for q > p.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    lv = endpoint_levels(nl, p)
     idx = list(range(1, N + 1))
+    plus = [SolutionClass(n, "+") for n in idx]
+    minus = [SolutionClass(n, "-") for n in idx]
 
     if p > 2.0:
-        i_hat, j_hat, i_zp, j_zm = endpoint_integrals(nl, p, lv, tol)
-        tilde_plus, tilde_minus = [], []
-        for n in idx:
-            if n == 1:
-                tilde_plus.append(_sequence_entry(p, 2.0, i_zp, 0.0, 0.0))
-                tilde_minus.append(_sequence_entry(p, 0.0, 0.0, 2.0, j_zm))
-            else:
-                np_pos, nn_pos = _arch_weights(n, "+")
-                np_neg, nn_neg = _arch_weights(n, "-")
-                tilde_plus.append(_sequence_entry(p, 2.0 * np_pos, i_hat, 2.0 * nn_pos, j_hat))
-                tilde_minus.append(_sequence_entry(p, 2.0 * np_neg, i_hat, 2.0 * nn_neg, j_hat))
+        ends = endpoint_integrals(nl, p, endpoint_levels(nl, p), tol)
+        tilde_plus = [_threshold(p, _weight_at_bound(sc, ends)) for sc in plus]
+        tilde_minus = [_threshold(p, _weight_at_bound(sc, ends)) for sc in minus]
     else:
-        i_zp = j_zm = i_hat = j_hat = np.inf
         tilde_plus = [np.inf] * N
         tilde_minus = [np.inf] * N
 
     star_plus = star_minus = None
     if nl.q > p:
-        mins = minimizers if minimizers is not None else find_minimizers(nl, p, tol)
-        star_plus, star_minus = [], []
-        for n in idx:
-            if n == 1:
-                star_plus.append(_sequence_entry(p, 2.0, mins.I_a_star, 0.0, 0.0))
-                star_minus.append(_sequence_entry(p, 0.0, 0.0, 2.0, mins.J_b_star))
-            elif n % 2 == 0:
-                entry = _sequence_entry(p, float(n), mins.I_e, 0.0, 0.0)
-                star_plus.append(entry)
-                star_minus.append(entry)
-            else:
-                k = (n + 1) // 2
-                star_plus.append(
-                    _sequence_entry(p, 2.0 * k, mins.I_o_plus, 2.0 * (k - 1), mins.J_o_plus)
-                )
-                star_minus.append(
-                    _sequence_entry(p, 2.0 * (k - 1), mins.I_o_minus, 2.0 * k, mins.J_o_minus)
-                )
+        folds = _fold_weights(nl, p, plus + minus, tol)
+        star_plus = [_threshold(p, w) for w in folds[:N]]
+        star_minus = [_threshold(p, w) for w in folds[N:]]
 
     classical = None
     if nl.q == p:
@@ -285,12 +178,6 @@ def bifurcation_table(
         star_plus=star_plus,
         star_minus=star_minus,
         classical=classical,
-        z_hat=lv.z_hat,
-        s_hat=lv.s_hat,
-        I_z_hat=float(i_hat),
-        J_s_hat=float(j_hat),
-        I_z_plus=float(i_zp),
-        J_z_minus=float(j_zm),
     )
 
 
@@ -354,42 +241,36 @@ def structure(
     """Per-class cardinality tags for classes 1..N at the problem's lambda.
 
     For q <= p the tags follow the threshold sequences exactly (monotone time
-    maps).  For q > p the single/pair tags come from the solver's root scan
-    and are advisory: the scan certifies "at least", not "exactly".
+    maps).  For q > p each class is tagged from its own descriptors: flat
+    when it has a flat-core descriptor, otherwise by its count of regular
+    roots; those tags are advisory, as the root scan certifies "at least",
+    not "exactly".
     """
     nl = problem.nl
     p, q, lam = problem.p, problem.q, problem.lam
     regime = "q=p" if q == p else ("q<p" if q < p else "q>p")
     relation = area_relation(nl)
-    table = bifurcation_table(nl, p, N, max(quad_tol, 1e-11))
     report = StructureReport(lam=lam, regime=regime, area_relation=relation)
-
-    cache = None
     if regime == "q>p":
-        cache = _ProblemCache(problem, quad_tol, scan_points)
+        descs = enumerate_solutions(problem, N, scan_points=scan_points, quad_tol=quad_tol)
+    else:
+        table = bifurcation_table(nl, p, N, max(quad_tol, 1e-11))
 
     for j in range(1, N + 1):
         for sign in ("+", "-"):
             sclass = SolutionClass(j, sign)
-            tilde = table.tilde(sign)[j - 1]
             dim = continuum_dimension(sclass, relation)
             side = flat_core_side(sclass, relation)
             if regime == "q>p":
-                descs = solve_class(
-                    problem, sclass, scan_points=scan_points, quad_tol=quad_tol, _shared=cache
-                )
-                regular = [d for d in descs if d.kind == "regular"]
-                if lam > tilde:
+                kinds = [d.kind for d in descs if (d.j, d.sign) == (j, sign)]
+                flat = "flat_core" in kinds
+                if flat:
                     tag = "single" if dim == 0 else "continuum"
-                    flat = True
-                elif not regular:
-                    tag, flat = "empty", False
-                elif len(regular) == 1:
-                    tag, flat = "single", False
                 else:
-                    tag, flat = "pair", False
+                    tag = ("empty", "single", "pair")[min(kinds.count("regular"), 2)]
                 entry = ClassEntry(j, sign, tag, dim, flat, True, side if flat else "")
             else:
+                tilde = table.tilde(sign)[j - 1]
                 birth = table.classical[j - 1] if regime == "q=p" else 0.0
                 if lam <= birth:
                     entry = ClassEntry(j, sign, "empty", dim, False, False, "")

@@ -140,6 +140,38 @@ def continuum_dimension(sclass: SolutionClass, relation: str) -> int:
     return flat_core_count(sclass, relation) - 1
 
 
+def _class_bound(sclass: SolutionClass, pos: float, neg: float) -> float:
+    """The class's admissible upper end, from the bounds of the two arch signs
+    (slopes or areas): a single arch has its own sign's, any other class the
+    smaller one."""
+    if sclass.j == 1:
+        return pos if sclass.sign == SIGN_POS else neg
+    return min(pos, neg)
+
+
+def _weight_at_bound(sclass: SolutionClass, ends: tuple[float, float, float, float]) -> float:
+    """``n_pos * I + n_neg * J`` with every arch launched at the class's bound.
+
+    ``ends`` is ``timemap.endpoint_integrals``' (I(z_hat), J(s_hat), I(z_plus),
+    J(z_minus)); a single arch reaches its own zero, any other class the
+    levels at r_star.
+    """
+    i_hat, j_hat, i_zp, j_zm = ends
+    i_val, j_val = (i_zp, j_zm) if sclass.j == 1 else (i_hat, j_hat)
+    return sclass.n_pos * i_val + sclass.n_neg * j_val
+
+
+def _golden_min(fun, grid: np.ndarray, i: int) -> tuple[float, float]:
+    """(argmin, min) of ``fun`` by golden section from the bracket grid[i-1:i+2]."""
+    opt = minimize_scalar(
+        fun,
+        bracket=(float(grid[i - 1]), float(grid[i]), float(grid[i + 1])),
+        method="golden",
+        options={"xtol": 1e-12},
+    )
+    return float(opt.x), float(opt.fun)
+
+
 class _ProblemCache:
     """Shared per-problem quantities reused across classes in one enumeration."""
 
@@ -161,9 +193,7 @@ class _ProblemCache:
         return self._endpoint_integrals
 
     def bound_for(self, sclass: SolutionClass) -> float:
-        if sclass.j == 1:
-            return self.bounds.r_pos if sclass.sign == SIGN_POS else self.bounds.r_neg
-        return self.bounds.r_star
+        return _class_bound(sclass, self.bounds.r_pos, self.bounds.r_neg)
 
     def grid_maps(self, sclass: SolutionClass):
         """(r grid, theta grid, alpha grid) on the class's admissible interval;
@@ -195,19 +225,13 @@ class _ProblemCache:
 
     def arch_total_at_bound(self, sclass: SolutionClass) -> float:
         """Total arch width when every arch launches at the class's bound."""
-        kappa = self.problem.kappa
-        i_hat, j_hat, i_zp, j_zm = self.endpoint_integrals()
-        if sclass.j == 1:
-            return 2.0 * kappa * (i_zp if sclass.sign == SIGN_POS else j_zm)
-        return 2.0 * kappa * (sclass.n_pos * i_hat + sclass.n_neg * j_hat)
+        return 2.0 * self.problem.kappa * _weight_at_bound(sclass, self.endpoint_integrals())
 
 
 def matching_residual(problem: Problem, sclass: SolutionClass, r: float, tol: float = 1e-10) -> float:
     """Left side of the class's matching condition minus 1."""
-    bound = slope_bounds(problem)
-    upper = bound.r_pos if (sclass.j == 1 and sclass.sign == SIGN_POS) else (
-        bound.r_neg if (sclass.j == 1 and sclass.sign == SIGN_NEG) else bound.r_star
-    )
+    bounds = slope_bounds(problem)
+    upper = _class_bound(sclass, bounds.r_pos, bounds.r_neg)
     if not 0.0 < r < upper:
         raise OutOfRange(f"r = {r} outside (0, {upper}) for class {sclass}")
     total = 0.0
@@ -292,13 +316,7 @@ def solve_class(
         for i in interior:
             if res[i] > 0.05 or any(grid[i - 1] <= r <= grid[i + 1] for r, _, _ in roots):
                 continue
-            opt = minimize_scalar(
-                residual,
-                bracket=(float(grid[i - 1]), float(grid[i]), float(grid[i + 1])),
-                method="golden",
-                options={"xtol": 1e-12},
-            )
-            r_min, f_min = float(opt.x), float(opt.fun)
+            r_min, f_min = _golden_min(residual, grid, i)
             if abs(f_min) <= _TANGENT_TOL:
                 roots.append((r_min, f_min, True))
             elif f_min < 0.0:

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from plap.bifurcation import bifurcation_table, eigenvalue_base, find_minimizers, structure
+from plap.bifurcation import bifurcation_table, eigenvalue_base, structure
 from plap.cli import main
 from plap.nonlinearity import areas, eval_m
 from plap.profile import classify_regularity, energy_residual, reconstruct, shoot
@@ -206,8 +206,7 @@ def _min_matching_residual(nl, lam):
 
 def test_criterion_6_pair_birth(qgtp):
     p = 2.0
-    mins = find_minimizers(qgtp, p, tol=1e-12)
-    lam_formula = (p - 1.0) / p * (2.0 * mins.I_a_star) ** p
+    lam_formula = bifurcation_table(qgtp, p, 1, tol=1e-12).star_plus[0]
 
     lo, hi = 0.98 * lam_formula, 1.02 * lam_formula
     while hi - lo > 1e-9 * hi:

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from plap.bifurcation import (
-    bifurcation_table,
-    eigenvalue_base,
-    find_minimizers,
-    structure,
-)
+from scipy.optimize import minimize_scalar
+
+from plap.bifurcation import bifurcation_table, eigenvalue_base, structure
 from plap.nonlinearity import build_nonlinearity
+from plap.solver import SolutionClass, solve_class
 from plap.timemap import Problem, flat_core_half_widths, integral_I, integral_J
 
 from oracles import brute_force_I, sine_integral_closed_form
@@ -27,33 +25,66 @@ class TestEigenvalueBase:
             eigenvalue_base(1.0)
 
 
+def _lam(p, weight):
+    return (p - 1) / p * (2 * weight) ** p
+
+
 class TestMinimizers:
+    """Star entries: per-class minima of the time map (q > p)."""
+
     def test_marker_when_not_applicable(self, cubic_odd):
-        mins = find_minimizers(cubic_odd, 2.0)
-        assert not mins.applicable
-        assert mins.a_star is None
+        tab = bifurcation_table(cubic_odd, 2.0, 2)
+        assert tab.star_plus is None
+        assert tab.star_minus is None
 
     def test_odd_symmetry(self, qgtp):
-        mins = find_minimizers(qgtp, 2.0)
-        assert mins.applicable
-        assert mins.b_star == pytest.approx(-mins.a_star, rel=1e-6)
-        assert mins.J_b_star == pytest.approx(mins.I_a_star, rel=1e-9)
-        # odd f: the even objective is 2 I(z), minimized at the same level
-        assert mins.I_e == pytest.approx(2 * mins.I_a_star, rel=1e-9)
-        assert mins.I_o_plus == pytest.approx(mins.I_a_star, rel=1e-7)
+        p = 2.0
+        tab = bifurcation_table(qgtp, p, 6)
+        # odd f: W = n I, so every class folds where I does
+        for n, (plus, minus) in enumerate(zip(tab.star_plus, tab.star_minus), start=1):
+            assert minus == pytest.approx(plus, rel=1e-9)
+            assert plus == pytest.approx(n**p * tab.star_plus[0], rel=1e-9)
 
     def test_a_star_is_grid_minimum(self, qgtp):
-        mins = find_minimizers(qgtp, 2.0)
+        p = 2.0
+        lam1 = bifurcation_table(qgtp, p, 1).star_plus[0]
         grid = np.linspace(0.02, 0.98, 97) * qgtp.z_plus
-        vals = [integral_I(qgtp, 2.0, float(a)) for a in grid]
-        assert mins.I_a_star <= min(vals) + 1e-12
+        vals = [integral_I(qgtp, p, float(a)) for a in grid]
+        assert lam1 <= _lam(p, min(vals) + 1e-12)
 
     def test_a_star_matches_independent_scan(self, qgtp):
-        # coarse independent scan of the same objective via the brute oracle
-        mins = find_minimizers(qgtp, 2.0)
+        # the brute oracle's minimum within 0.02 of its own coarse argmin
+        # is the global minimum
+        p = 2.0
+        lam1 = bifurcation_table(qgtp, p, 1).star_plus[0]
         grid = np.linspace(0.4, 0.95, 56) * qgtp.z_plus
-        vals = [brute_force_I(qgtp, 2.0, float(a), panels=20_000) for a in grid]
-        assert abs(grid[int(np.argmin(vals))] - mins.a_star) < 0.02
+        vals = [brute_force_I(qgtp, p, float(a), panels=20_000) for a in grid]
+        a_brute = grid[int(np.argmin(vals))]
+        window = minimize_scalar(
+            lambda a: brute_force_I(qgtp, p, a, panels=20_000),
+            bounds=(a_brute - 0.02, a_brute + 0.02),
+            method="bounded",
+        )
+        assert lam1 <= _lam(p, min(vals)) * (1 + 1e-8)
+        assert _lam(p, window.fun) == pytest.approx(lam1, rel=1e-8)
+
+    def test_asymmetric_entries_bracket_solver(self):
+        # each class's pairs are born at its own fold: no regular root just
+        # below the entry, two just above
+        p = 2.0
+        nl = build_nonlinearity("power_asym", 3.0, {"b_plus": 1.5, "b_minus": 1.0, "r_exp": 5.0})
+        tab = bifurcation_table(nl, p, 6)
+        assert tab.star_plus[0] != pytest.approx(tab.star_minus[0], rel=1e-3)
+        for sign, stars in (("+", tab.star_plus), ("-", tab.star_minus)):
+            for n, lam in enumerate(stars, start=1):
+                counts = [
+                    sum(
+                        d.kind == "regular"
+                        for d in solve_class(Problem(p=p, nl=nl, lam=lam * f), SolutionClass(n, sign))
+                    )
+                    for f in (1 - 1e-5, 1 + 1e-5)
+                ]
+                assert counts == [0, 2], (n, sign)
 
 
 class TestBifurcationTable:

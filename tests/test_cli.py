@@ -74,6 +74,19 @@ class TestDiagram:
         assert float(rows[0][3]) > 0
         assert float(rows[0][3]) == pytest.approx(float(rows[0][4]), rel=1e-11)
 
+    def test_star_columns_for_asymmetric_f(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            q=3.0,
+            nonlinearity={"kind": "power_asym", "b_plus": 1.5, "b_minus": 1.0, "r_exp": 5.0},
+        )
+        out = tmp_path / "diagram.csv"
+        assert main(["diagram", "--config", cfg, "--n", "6", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        stars = np.array([[float(r[3]), float(r[4])] for r in rows])
+        assert stars.shape == (6, 2)
+        assert np.all(np.isfinite(stars)) and np.all(stars > 0)
+
     def test_bad_n_exit_1(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["diagram", "--config", cfg, "--n", "65"]) == 1

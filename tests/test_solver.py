@@ -181,14 +181,23 @@ class TestEnumerate:
 
 class TestStructureConsistency:
     def test_counts_match_report(self, cubic_odd):
-        lam = 6.5 * np.pi**2
-        prob = Problem(p=2.0, nl=cubic_odd, lam=lam)
-        rep = structure(prob, 4)
-        descs = enumerate_solutions(prob, 4)
+        qgtp_asym = build_nonlinearity(
+            "power_asym", 3.0, {"b_plus": 1.5, "b_minus": 1.0, "r_exp": 5.0}
+        )
+        quintic_q4 = build_nonlinearity(
+            "power_asym", 4.0, {"b_plus": 1.0, "b_minus": 1.0, "r_exp": 6.0}
+        )
         minimum = {"empty": 0, "single": 1, "pair": 2, "continuum": 1}
-        for e in rep.entries:
-            found = [d for d in descs if (d.j, d.sign) == (e.j, e.sign)]
-            assert len(found) >= minimum[e.tag]
+        for prob in (
+            Problem(p=2.0, nl=cubic_odd, lam=6.5 * np.pi**2),
+            Problem(p=2.0, nl=qgtp_asym, lam=300.0),
+            Problem(p=3.0, nl=quintic_q4, lam=1000.0),  # above tilde_1 (about 296)
+        ):
+            rep = structure(prob, 4)
+            descs = enumerate_solutions(prob, 4)
+            for e in rep.entries:
+                found = [d for d in descs if (d.j, d.sign) == (e.j, e.sign)]
+                assert len(found) >= minimum[e.tag]
 
     def test_flat_core_classes_match_report(self, asym):
         tab = bifurcation_table(asym, 3.0, 4)
