@@ -42,19 +42,6 @@ class Nonlinearity:
     z_plus: float
     z_minus: float
 
-    def f(self, s):
-        return eval_f(self, s)
-
-    def F(self, s):
-        return eval_F(self, s)
-
-    def g(self, s):
-        return eval_g(self, s)
-
-    def m(self, s):
-        """The defining map ``|s|^{q-2} s - f(s)``."""
-        return eval_m(self, s)
-
     @property
     def odd(self) -> bool:
         """True when the family is exactly odd (``f(-s) = -f(s)``)."""
@@ -62,11 +49,6 @@ class Nonlinearity:
             return self.params["b_plus"] == self.params["b_minus"]
         coeffs = self.params["coeffs"]
         return all(c == 0.0 for k, c in enumerate(coeffs, start=1) if k % 2 == 0)
-
-    def to_json_dict(self) -> dict:
-        out = {"kind": self.kind, "q": self.q}
-        out.update(self.params)
-        return out
 
 
 @dataclass

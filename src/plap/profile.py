@@ -259,9 +259,12 @@ def _scalar_f(nl: Nonlinearity):
     return f
 
 
-def shoot(problem: Problem, r0: float, sign: str, n_steps: int) -> Profile:
+def shoot(problem: Problem, r0: float, sign: str, n_steps: int, end: float = 1.0) -> Profile:
     """Independent oracle: fixed-step RK4 for phi' = sgn(w)|w|^(1/(p-1)),
-    w' = -lam (|phi|^{q-2} phi - f(phi)), w(0) = +/- r0^(p-1)."""
+    w' = -lam (|phi|^{q-2} phi - f(phi)), w(0) = +/- r0^(p-1).
+
+    Steps of 1/n_steps run from 0 to the first grid point at or past ``end``,
+    so a shorter run is a prefix of the full one."""
     if r0 <= 0.0:
         raise ValueError(f"r0 must be positive, got {r0}")
     p, q, lam = problem.p, problem.q, problem.lam
@@ -270,6 +273,9 @@ def shoot(problem: Problem, r0: float, sign: str, n_steps: int) -> Profile:
     qm1 = q - 1.0
     cap = 10.0 * max(problem.nl.z_plus, -problem.nl.z_minus)
     dx = 1.0 / n_steps
+    x = np.linspace(0.0, 1.0, n_steps + 1)
+    steps = min(n_steps, int(np.searchsorted(x, end)))
+    x = x[: steps + 1]
 
     def fphi(w: float) -> float:
         return abs(w) ** e if w >= 0.0 else -((-w) ** e)
@@ -278,12 +284,12 @@ def shoot(problem: Problem, r0: float, sign: str, n_steps: int) -> Profile:
         m = abs(phi) ** qm1 - f(phi) if phi >= 0.0 else -(abs(phi) ** qm1) - f(phi)
         return -lam * m
 
-    phi_arr = np.empty(n_steps + 1)
-    w_arr = np.empty(n_steps + 1)
+    phi_arr = np.empty(steps + 1)
+    w_arr = np.empty(steps + 1)
     phi = 0.0
     w = r0 ** (p - 1.0) if sign == SIGN_POS else -(r0 ** (p - 1.0))
     phi_arr[0], w_arr[0] = phi, w
-    for i in range(n_steps):
+    for i in range(steps):
         k1p, k1w = fphi(w), fw(phi)
         k2p, k2w = fphi(w + 0.5 * dx * k1w), fw(phi + 0.5 * dx * k1p)
         k3p, k3w = fphi(w + 0.5 * dx * k2w), fw(phi + 0.5 * dx * k2p)
@@ -295,13 +301,12 @@ def shoot(problem: Problem, r0: float, sign: str, n_steps: int) -> Profile:
         phi_arr[i + 1], w_arr[i + 1] = phi, w
 
     dphi = np.sign(w_arr) * np.abs(w_arr) ** e
-    x = np.linspace(0.0, 1.0, n_steps + 1)
     crossings = np.where(np.sign(phi_arr[1:]) * np.sign(phi_arr[:-1]) < 0)[0]
     nodes = [
         float(x[i] - phi_arr[i] * dx / (phi_arr[i + 1] - phi_arr[i])) for i in crossings
     ]
     sign_runs = np.sign(dphi)
-    breaks = [0] + list(np.where(np.diff(sign_runs) != 0)[0] + 1) + [n_steps]
+    breaks = [0] + list(np.where(np.diff(sign_runs) != 0)[0] + 1) + [steps]
     segments = [(breaks[k], breaks[k + 1]) for k in range(len(breaks) - 1)]
     return Profile(x, phi_arr, dphi, [], nodes, segments, [], r0, None)
 
@@ -315,16 +320,19 @@ def shoot_compare(
     uniqueness (w = 0 and h(phi) = 0 together) and the fixed-step oracle
     creeps into the degenerate equilibrium with algebraic lag, so the
     comparison also excludes the approach layer where the profile is within
-    1% of the plateau level."""
+    1% of the plateau level.  The oracle is integrated only that far: past
+    the equilibrium its trajectory can escape and blow up."""
     d = prof.descriptor
-    sh = shoot(problem, d.r, d.sign, n_steps)
+    end = 1.0
     mask = np.ones(prof.x.size, dtype=bool)
     if prof.flat_intervals:
-        mask &= prof.x <= prof.flat_intervals[0][0]
+        end = prof.flat_intervals[0][0]
+        mask &= prof.x <= end
         level = next(
             tp["phi"] for tp in prof.turning_points if tp["kind"] == "plateau_edge"
         )
         mask &= np.abs(prof.phi - level) > 0.01 * abs(level)
+    sh = shoot(problem, d.r, d.sign, n_steps, end=end)
     interp = np.interp(prof.x[mask], sh.x, sh.phi)
     return float(np.max(np.abs(interp - prof.phi[mask])))
 

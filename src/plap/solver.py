@@ -8,7 +8,10 @@ widths fill ``[0, 1]``:
 
 For ``q <= p`` the left side is monotone in ``r`` (0 or 1 root per class);
 for ``q > p`` it diverges as ``r -> 0`` and dips to an interior minimum, so
-roots appear in pairs born at a tangency.  For ``p > 2`` the left side stays
+roots appear in pairs born at a tangency.  Such a pair can hide between scan
+points, so a scanned minimum in [-delta, 0.05] (delta: a hundred times the
+scan tolerance) is refined by golden section; a deeper dip already has its
+roots bracketed by sign changes.  For ``p > 2`` the left side stays
 finite at the slope bound; when it is still below 1 there, the remaining
 length is absorbed by flat plateaus at ``z_plus``/``z_minus`` and the class
 carries a continuum of solutions, represented by a single descriptor with
@@ -178,6 +181,7 @@ class _ProblemCache:
     def __init__(self, problem: Problem, quad_tol: float, scan_points: int):
         self.problem = problem
         self.quad_tol = quad_tol
+        self.scan_tol = max(1e-8, quad_tol)
         self.scan_points = scan_points
         self.bounds = slope_bounds(problem)
         self.relation = area_relation(problem.nl)
@@ -216,7 +220,7 @@ class _ProblemCache:
             th, al = theta_alpha_grids(
                 self.problem,
                 grid,
-                tol=max(1e-8, self.quad_tol),
+                tol=self.scan_tol,
                 need_theta=arch_sign == SIGN_POS,
                 need_alpha=arch_sign == SIGN_NEG,
             )
@@ -270,14 +274,17 @@ def solve_class(
     *,
     scan_points: int = 1024,
     quad_tol: float = 1e-10,
-    _shared: _ProblemCache | None = None,
 ) -> list[SolutionDescriptor]:
     """All solutions in one class: regular matching roots, a tangent root at
     a fold, and the flat-core continuum descriptor when the budget is open.
 
     Returns an empty list when the class has no solutions at this lambda.
     """
-    cache = _shared if _shared is not None else _ProblemCache(problem, quad_tol, scan_points)
+    return _solve(_ProblemCache(problem, quad_tol, scan_points), sclass)
+
+
+def _solve(cache: _ProblemCache, sclass: SolutionClass) -> list[SolutionDescriptor]:
+    problem = cache.problem
     grid, th, al = cache.grid_maps(sclass)
     res = -np.ones_like(grid)
     if sclass.n_pos:
@@ -285,13 +292,17 @@ def solve_class(
     if sclass.n_neg:
         res += 2.0 * sclass.n_neg * al
 
-    refine_tol = 0.1 * min(quad_tol, 1e-11)  # grid noise must not mask the root residual
+    refine_tol = 0.1 * min(cache.quad_tol, 1e-11)  # grid noise must not mask the root residual
 
     def residual(r: float) -> float:
         return matching_residual(problem, sclass, r, refine_tol)
 
     bound = cache.bound_for(sclass)
     roots: list[tuple[float, float, bool]] = []  # (r, residual, degenerate)
+
+    def refine(lo: float, hi: float) -> None:
+        r0 = brentq(residual, lo, hi, xtol=1e-15 * bound, rtol=8.9e-16)
+        roots.append((float(r0), float(residual(r0)), False))
 
     # strict crossings only: exact zeros over a run of grid points happen when
     # lambda sits on a birth threshold (the residual flattens onto 0 at the
@@ -306,15 +317,18 @@ def solve_class(
         f_hi = residual(float(grid[i + 1]))
         if f_lo * f_hi >= 0.0 or min(abs(f_lo), abs(f_hi)) < noise_floor:
             continue
-        r0 = brentq(residual, grid[i], grid[i + 1], xtol=1e-15 * bound, rtol=8.9e-16)
-        roots.append((float(r0), float(residual(r0)), False))
+        refine(grid[i], grid[i + 1])
 
     if problem.q > problem.p:
-        # interior minima without a sign change can hide a tangency or a
-        # just-born root pair; refine them before deciding
+        # an interior minimum can hide a tangency or a just-born root pair
+        # between grid points; one the scan shows below -delta, far beyond
+        # its error, already has its roots bracketed by sign changes
+        delta = 100.0 * cache.scan_tol
         interior = np.where((res[1:-1] < res[:-2]) & (res[1:-1] <= res[2:]))[0] + 1
         for i in interior:
-            if res[i] > 0.05 or any(grid[i - 1] <= r <= grid[i + 1] for r, _, _ in roots):
+            if not -delta <= res[i] <= 0.05 or any(
+                grid[i - 1] <= r <= grid[i + 1] for r, _, _ in roots
+            ):
                 continue
             r_min, f_min = _golden_min(residual, grid, i)
             if abs(f_min) <= _TANGENT_TOL:
@@ -322,8 +336,7 @@ def solve_class(
             elif f_min < 0.0:
                 for lo, hi in ((grid[i - 1], r_min), (r_min, grid[i + 1])):
                     if residual(float(lo)) * residual(float(hi)) < 0.0:
-                        r0 = brentq(residual, lo, hi, xtol=1e-15 * bound, rtol=8.9e-16)
-                        roots.append((float(r0), float(residual(r0)), False))
+                        refine(lo, hi)
 
     roots.sort()
     merged: list[tuple[float, float, bool]] = []
@@ -360,15 +373,7 @@ def enumerate_solutions(
     out = [TRIVIAL]
     for j in range(1, j_max + 1):
         for sign in (SIGN_POS, SIGN_NEG):
-            out.extend(
-                solve_class(
-                    problem,
-                    SolutionClass(j, sign),
-                    scan_points=scan_points,
-                    quad_tol=quad_tol,
-                    _shared=cache,
-                )
-            )
+            out.extend(_solve(cache, SolutionClass(j, sign)))
     return out
 
 

@@ -188,6 +188,21 @@ class TestSolveRoundTrip:
         )
         assert code == 1
 
+    def test_verify_flat_core_past_equilibrium(self, tmp_path, capsys):
+        # S1+ flat core of p = q = 3, f = s^5 at lambda = 300: the RK4 oracle
+        # escapes after the first flat point, so it must stop there
+        cfg = write_config(
+            tmp_path,
+            p=3.0,
+            q=3.0,
+            nonlinearity={"kind": "power_asym", "b_plus": 1.0, "b_minus": 1.0, "r_exp": 6.0},
+            **{"lambda": 300.0},
+        )
+        assert main(["verify", "--config", cfg, "--id", "b5f909b193f3", "--jmax", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["oracle_ok"] is True
+        assert report["oracle_note"] == "compared up to the first flat point only"
+
     def test_solve_deterministic(self, tmp_path):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "s1.json", tmp_path / "s2.json"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from plap.bifurcation import bifurcation_table
+from plap.cli import ORACLE_TOL
 from plap.errors import Blowup, BudgetMismatch, ShapeError
 from plap.profile import (
     classify_regularity,
@@ -185,6 +186,23 @@ class TestShoot:
             d = solve_class(prob, SolutionClass(3, sign))[0]
             prof = reconstruct(prob, d, M=2048)
             assert shoot_compare(prob, prof, n_steps=100_000) < 1e-6
+
+    @pytest.mark.parametrize("factor", [1.2, 3.0, 5.0, 17.0])
+    def test_oracle_stops_at_first_flat_point(self, quintic_q3, factor):
+        # past the degenerate equilibrium the RK4 trajectory can escape and
+        # blow up, so the oracle must stop where the comparison does
+        tab = bifurcation_table(quintic_q3, 3.0, 1)
+        prob = Problem(p=3.0, nl=quintic_q3, lam=factor * tab.tilde_plus[0])
+        d = solve_class(prob, SolutionClass(1, "+"))[0]
+        assert d.kind == "flat_core"
+        assert shoot_compare(prob, reconstruct(prob, d)) < ORACLE_TOL
+
+    def test_end_point_run_is_prefix(self, ci_prob, ci_first):
+        full = shoot(ci_prob, ci_first.r, "+", 5_000)
+        part = shoot(ci_prob, ci_first.r, "+", 5_000, end=0.3)
+        n = part.x.size
+        assert part.x[-1] >= 0.3 > part.x[-2]
+        assert np.array_equal(part.x, full.x[:n]) and np.array_equal(part.phi, full.phi[:n])
 
     def test_supercritical_slope_blows_up(self, ci_prob):
         b = slope_bounds(ci_prob)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from plap.bifurcation import bifurcation_table, structure
+from plap import solver
 from plap.errors import OutOfRange
 from plap.nonlinearity import build_nonlinearity
 from plap.solver import (
@@ -96,6 +97,23 @@ class TestSolveClass:
         assert len(at) == 1 and at[0].degenerate
         below = solve_class(Problem(p=2.0, nl=qgtp, lam=0.95 * lam_star), SolutionClass(1, "+"))
         assert below == []
+
+    @pytest.mark.parametrize("factor, searches", [(1 + 1e-6, 1), (1.05, 0), (2.0, 0)])
+    def test_golden_search_only_on_unresolved_dips(self, qgtp, monkeypatch, factor, searches):
+        # a dip the scan already shows below zero has both roots bracketed by
+        # sign changes; only one at the scan's resolution needs the fold search
+        calls = []
+        golden = solver._golden_min
+
+        def counted(*args):
+            calls.append(args)
+            return golden(*args)
+
+        monkeypatch.setattr(solver, "_golden_min", counted)
+        lam_star = bifurcation_table(qgtp, 2.0, 1).star_plus[0]
+        descs = solve_class(Problem(p=2.0, nl=qgtp, lam=factor * lam_star), SolutionClass(1, "+"))
+        assert len(calls) == searches
+        assert [(d.kind, d.degenerate) for d in descs] == [("regular", False)] * 2
 
     def test_fold_and_continuum_coexist(self):
         # q = 4 > p = 3: pairs born at the fold, continuum past the flat-core
