@@ -11,8 +11,8 @@ class's own time map: star_n^± is the minimum over rho in (0, A_class) of
 otherwise.  f need not be odd.  Both sequences are lambda-free because the
 levels entering them solve equations in which lambda cancels.
 
-For q > p the structure report tags each class from the solver's
-descriptors and computes no threshold.
+The structure report tags every class from these thresholds alone, in every
+regime; it never enumerates roots.
 """
 
 from __future__ import annotations
@@ -22,16 +22,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NoZeroFound
 from .nonlinearity import Nonlinearity, areas, reflected
 from .quadrature import tanh_sinh
 from .solver import (
+    _SCAN_EPS,
     SolutionClass,
     _class_bound,
     _golden_min,
     _weight_at_bound,
     area_relation,
     continuum_dimension,
-    enumerate_solutions,
     flat_core_side,
 )
 from .timemap import (
@@ -86,7 +87,9 @@ def _fold_weights(nl: Nonlinearity, p: float, classes: list[SolutionClass], tol:
 
     ``A_class`` is the area bound matching the class's slope bound.  W depends
     on the class only through its area and the ratio n_pos : n_neg, so there is
-    one scan per side and area and one golden search per reduced ratio.
+    one scan per side and area and one golden search per reduced ratio.  A
+    fold below the scan's first point is searched for on a deeper scan, down
+    to the solver's own depth: rho ~ r^p, so rho/A = _SCAN_EPS^p.
     """
     a_plus, a_minus = areas(nl)
     # the negative side is the positive side of the reflection; an odd f is its
@@ -96,17 +99,26 @@ def _fold_weights(nl: Nonlinearity, p: float, classes: list[SolutionClass], tol:
     scans: dict[tuple[int, float], np.ndarray] = {}
     minima: dict[tuple[int, int, float], float] = {}
 
-    def scanned(k: int, area: float, grid: np.ndarray) -> np.ndarray:
-        if (k, area) not in scans:
-            side = sides[k]
-            scans[k, area] = _integral_many(side, p, _level_many(side, grid), tol_scan)
-        return scans[k, area]
+    def scan(k: int, grid: np.ndarray) -> np.ndarray:
+        return _integral_many(sides[k], p, _level_many(sides[k], grid), tol_scan)
 
-    def minimum(w_pos: int, w_neg: int, area: float) -> float:
+    def minimum(sc: SolutionClass, w_pos: int, w_neg: int, area: float) -> float:
         if (w_pos, w_neg, area) not in minima:
             terms = [(w, k) for k, w in enumerate((w_pos, w_neg)) if w]
             grid = _interior_grid(0.0, area, 512)
-            vals = sum(w * scanned(k, area, grid) for w, k in terms)
+            for _, k in terms:
+                if (k, area) not in scans:
+                    scans[k, area] = scan(k, grid)
+            vals = sum(w * scans[k, area] for w, k in terms)
+            if np.argmin(vals) == 0:
+                deep = np.geomspace(_SCAN_EPS**p * area, grid[0], 257)[:-1]
+                grid = np.concatenate([deep, grid])
+                vals = np.concatenate([sum(w * scan(k, deep) for w, k in terms), vals])
+                if np.argmin(vals) == 0:
+                    raise NoZeroFound(
+                        f"fold of class S_{sc.j}^{sc.sign} lies below "
+                        f"rho/A = {_SCAN_EPS**p:.3g}, the deepest scanned level"
+                    )
 
             def weight(rho: float) -> float:
                 return sum(
@@ -121,7 +133,7 @@ def _fold_weights(nl: Nonlinearity, p: float, classes: list[SolutionClass], tol:
     for sc in classes:
         n_pos, n_neg = (sc.j, 0) if nl.odd else (sc.n_pos, sc.n_neg)
         g = math.gcd(n_pos, n_neg)
-        out.append(g * minimum(n_pos // g, n_neg // g, _class_bound(sc, a_plus, a_minus)))
+        out.append(g * minimum(sc, n_pos // g, n_neg // g, _class_bound(sc, a_plus, a_minus)))
     return out
 
 
@@ -138,6 +150,9 @@ class BifurcationTable:
 
     def tilde(self, sign: str) -> list[float]:
         return self.tilde_plus if sign == "+" else self.tilde_minus
+
+    def star(self, sign: str) -> list[float] | None:
+        return self.star_plus if sign == "+" else self.star_minus
 
 
 def bifurcation_table(nl: Nonlinearity, p: float, N: int, tol: float = 1e-11) -> BifurcationTable:
@@ -231,53 +246,44 @@ class StructureReport:
         }
 
 
-def structure(
-    problem: Problem,
-    N: int,
-    *,
-    scan_points: int = 1024,
-    quad_tol: float = 1e-10,
-) -> StructureReport:
-    """Per-class cardinality tags for classes 1..N at the problem's lambda.
+def structure(problem: Problem, N: int, *, quad_tol: float = 1e-10) -> StructureReport:
+    """Per-class cardinality tags for classes 1..N at the problem's lambda,
+    from each class's lambda-free thresholds alone.
 
-    For q <= p the tags follow the threshold sequences exactly (monotone time
-    maps).  For q > p each class is tagged from its own descriptors: flat
-    when it has a flat-core descriptor, otherwise by its count of regular
-    roots; those tags are advisory, as the root scan certifies "at least",
-    not "exactly".
+    Above its flat-core entry lambda~_n a class is flat: "single" or
+    "continuum" by its continuum dimension.  Otherwise it is "empty" below its
+    birth threshold: lambda*_n for q > p, n^p lambda_1 for q = p, 0 for q < p.
+    Above birth a q <= p class is "single" (a monotone time map; birth itself
+    stays "empty") and a q > p class is a "pair" ("single" at lambda*_n
+    exactly: the tangent root).
+
+    For q > p the time map diverges as r -> 0, and at the class's bound it is
+    infinite (p <= 2) or at least the matching constant (p > 2, lambda at most
+    lambda~_n).  So a fold below the constant gives at least two roots, by the
+    intermediate value theorem.  ``advisory`` marks every q > p tag as such a
+    lower bound: "pair" means at least two.
     """
     nl = problem.nl
     p, q, lam = problem.p, problem.q, problem.lam
     regime = "q=p" if q == p else ("q<p" if q < p else "q>p")
+    fold = regime == "q>p"
     relation = area_relation(nl)
     report = StructureReport(lam=lam, regime=regime, area_relation=relation)
-    if regime == "q>p":
-        descs = enumerate_solutions(problem, N, scan_points=scan_points, quad_tol=quad_tol)
-    else:
-        table = bifurcation_table(nl, p, N, max(quad_tol, 1e-11))
+    table = bifurcation_table(nl, p, N, max(quad_tol, 1e-11))
+    zero = [0.0] * N
 
     for j in range(1, N + 1):
         for sign in ("+", "-"):
             sclass = SolutionClass(j, sign)
             dim = continuum_dimension(sclass, relation)
-            side = flat_core_side(sclass, relation)
-            if regime == "q>p":
-                kinds = [d.kind for d in descs if (d.j, d.sign) == (j, sign)]
-                flat = "flat_core" in kinds
-                if flat:
-                    tag = "single" if dim == 0 else "continuum"
-                else:
-                    tag = ("empty", "single", "pair")[min(kinds.count("regular"), 2)]
-                entry = ClassEntry(j, sign, tag, dim, flat, True, side if flat else "")
+            birth = (table.star(sign) if fold else table.classical or zero)[j - 1]
+            flat = lam > table.tilde(sign)[j - 1]
+            if flat:
+                tag = "single" if dim == 0 else "continuum"
+            elif lam < birth or (lam == birth and not fold):
+                tag = "empty"
             else:
-                tilde = table.tilde(sign)[j - 1]
-                birth = table.classical[j - 1] if regime == "q=p" else 0.0
-                if lam <= birth:
-                    entry = ClassEntry(j, sign, "empty", dim, False, False, "")
-                elif lam <= tilde:
-                    entry = ClassEntry(j, sign, "single", dim, False, False, "")
-                else:
-                    tag = "single" if dim == 0 else "continuum"
-                    entry = ClassEntry(j, sign, tag, dim, True, False, side)
-            report.entries.append(entry)
+                tag = "pair" if fold and lam > birth else "single"
+            side = flat_core_side(sclass, relation) if flat else ""
+            report.entries.append(ClassEntry(j, sign, tag, dim, flat, fold, side))
     return report

@@ -254,9 +254,7 @@ def cmd_structure(cfg: RunConfig, args) -> int:
         print("--n must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     problem = cfg.build_problem()
-    rep = bifurcation.structure(
-        problem, n, scan_points=cfg.numerics.scan_points, quad_tol=cfg.numerics.quad_tol
-    )
+    rep = bifurcation.structure(problem, n, quad_tol=cfg.numerics.quad_tol)
     _emit(_json_text(rep.to_json_dict()), args.out)
     return EXIT_OK
 

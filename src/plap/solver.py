@@ -293,9 +293,14 @@ def _solve(cache: _ProblemCache, sclass: SolutionClass) -> list[SolutionDescript
         res += 2.0 * sclass.n_neg * al
 
     refine_tol = 0.1 * min(cache.quad_tol, 1e-11)  # grid noise must not mask the root residual
+    # bracket checks and Brent evaluate the same grid ends: evaluate each once
+    evaluated: dict[float, float] = {}
 
     def residual(r: float) -> float:
-        return matching_residual(problem, sclass, r, refine_tol)
+        r = float(r)
+        if r not in evaluated:
+            evaluated[r] = matching_residual(problem, sclass, r, refine_tol)
+        return evaluated[r]
 
     bound = cache.bound_for(sclass)
     roots: list[tuple[float, float, bool]] = []  # (r, residual, degenerate)

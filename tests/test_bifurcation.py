@@ -4,8 +4,9 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from plap.bifurcation import bifurcation_table, eigenvalue_base, structure
+from plap.errors import NoZeroFound
 from plap.nonlinearity import build_nonlinearity
-from plap.solver import SolutionClass, solve_class
+from plap.solver import SolutionClass, enumerate_solutions, solve_class
 from plap.timemap import Problem, flat_core_half_widths, integral_I, integral_J
 
 from oracles import brute_force_I, sine_integral_closed_form
@@ -85,6 +86,12 @@ class TestMinimizers:
                     for f in (1 - 1e-5, 1 + 1e-5)
                 ]
                 assert counts == [0, 2], (n, sign)
+
+    def test_unresolved_fold_is_typed(self):
+        # the S_1^+ fold lies below rho/A = (1e-12)^p, the solver's own depth
+        nl = build_nonlinearity("power_asym", 2.01, {"b_plus": 1.5, "b_minus": 1.0, "r_exp": 2.06})
+        with pytest.raises(NoZeroFound, match=r"S_1\^\+.*1e-24"):
+            bifurcation_table(nl, 2.0, 4)
 
 
 class TestBifurcationTable:
@@ -178,6 +185,33 @@ class TestStructure:
         rep = structure(Problem(p=2.0, nl=qgtp, lam=lam), 1)
         assert rep.entry(1, "+").tag == "pair"
         assert rep.entry(1, "+").advisory
+
+    def test_q_above_p_tangent_at_star(self, qgtp):
+        star = bifurcation_table(qgtp, 2.0, 1).star_plus[0]
+        tags = [
+            structure(Problem(p=2.0, nl=qgtp, lam=lam), 1, quad_tol=1e-11).entry(1, "+").tag
+            for lam in (star * (1 - 1e-9), star, star * (1 + 1e-9))
+        ]
+        assert tags == ["empty", "single", "pair"]
+
+    def test_q_above_p_pair_near_slope_bound(self, qgtp):
+        # at lambda = 600 the S_1 root pair's outer root lies within the
+        # scan's clamp of the slope bound; the tag comes from lambda*_1 alone
+        rep = structure(Problem(p=2.0, nl=qgtp, lam=600.0), 2)
+        for sign in "+-":
+            assert rep.entry(1, sign).tag == "pair"
+            assert rep.entry(1, sign).advisory
+
+    def test_q_above_p_deep_fold_pair(self):
+        p = 3.0
+        nl = build_nonlinearity("power_asym", 3.1, {"b_plus": 1.0, "b_minus": 1.0, "r_exp": 3.15})
+        prob = Problem(p=p, nl=nl, lam=2 * bifurcation_table(nl, p, 1).star_plus[0])
+        rep = structure(prob, 1)
+        descs = enumerate_solutions(prob, 1)
+        for sign in "+-":
+            assert rep.entry(1, sign).tag == "pair"
+            regular = [d for d in descs if (d.sign, d.kind) == (sign, "regular")]
+            assert len(regular) == 2
 
     @pytest.mark.parametrize("lam", [100.0, 1000.0])
     def test_q_above_p_non_integer_q(self, lam):

@@ -87,6 +87,20 @@ class TestDiagram:
         assert stars.shape == (6, 2)
         assert np.all(np.isfinite(stars)) and np.all(stars > 0)
 
+    def test_fold_below_first_scan_point(self, tmp_path):
+        # the S_1 fold sits at rho/A ~ 4e-10, below the fold scan's 1e-7 start
+        cfg = write_config(
+            tmp_path,
+            p=3.0,
+            q=3.1,
+            nonlinearity={"kind": "power_asym", "b_plus": 1.0, "b_minus": 1.0, "r_exp": 3.15},
+        )
+        out = tmp_path / "diagram.csv"
+        assert main(["diagram", "--config", cfg, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert len(rows) == 8
+        assert all(0 < float(r[3]) < float(r[1]) for r in rows)
+
     def test_bad_n_exit_1(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["diagram", "--config", cfg, "--n", "65"]) == 1

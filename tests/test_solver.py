@@ -198,7 +198,7 @@ class TestEnumerate:
 
 
 class TestStructureConsistency:
-    def test_counts_match_report(self, cubic_odd):
+    def test_counts_match_report(self, cubic_odd, qgtp):
         qgtp_asym = build_nonlinearity(
             "power_asym", 3.0, {"b_plus": 1.5, "b_minus": 1.0, "r_exp": 5.0}
         )
@@ -210,6 +210,7 @@ class TestStructureConsistency:
             Problem(p=2.0, nl=cubic_odd, lam=6.5 * np.pi**2),
             Problem(p=2.0, nl=qgtp_asym, lam=300.0),
             Problem(p=3.0, nl=quintic_q4, lam=1000.0),  # above tilde_1 (about 296)
+            *(Problem(p=2.0, nl=qgtp, lam=lam) for lam in (50.0, 200.0, 400.0)),
         ):
             rep = structure(prob, 4)
             descs = enumerate_solutions(prob, 4)
