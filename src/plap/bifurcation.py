@@ -168,7 +168,7 @@ def bifurcation_table(nl: Nonlinearity, p: float, N: int, tol: float = 1e-11) ->
     minus = [SolutionClass(n, "-") for n in idx]
 
     if p > 2.0:
-        ends = endpoint_integrals(nl, p, endpoint_levels(nl, p), tol)
+        ends = endpoint_integrals(nl, p, endpoint_levels(nl), tol)
         tilde_plus = [_threshold(p, _weight_at_bound(sc, ends)) for sc in plus]
         tilde_minus = [_threshold(p, _weight_at_bound(sc, ends)) for sc in minus]
     else:

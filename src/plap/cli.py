@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -39,8 +40,8 @@ class Numerics:
     ode_steps: int = 100_000
 
     def validate(self):
-        if self.quad_tol <= 0.0:
-            raise ConfigError("quad_tol must be positive")
+        if not 0.0 < self.quad_tol < math.inf:
+            raise ConfigError("quad_tol must be positive and finite")
         if min(self.scan_points, self.grid, self.ode_steps) <= 0:
             raise ConfigError("scan_points, grid, and ode_steps must be positive")
 
@@ -67,26 +68,21 @@ class RunConfig:
         try:
             nl_spec = dict(raw["nonlinearity"])
             q = float(raw.get("q", nl_spec.get("q")))
+            num = raw.get("numerics", {})
             cfg = cls(
                 p=float(raw["p"]),
                 q=q,
                 lam=float(raw.get("lambda", 1.0)),
                 nonlinearity=nl_spec,
+                numerics=Numerics(**{k: type(v)(num.get(k, v)) for k, v in vars(Numerics()).items()}),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
-        num = raw.get("numerics", {})
-        cfg.numerics = Numerics(
-            quad_tol=float(num.get("quad_tol", 1e-10)),
-            scan_points=int(num.get("scan_points", 1024)),
-            grid=int(num.get("grid", 2048)),
-            ode_steps=int(num.get("ode_steps", 100_000)),
-        )
         cfg.numerics.validate()
-        if cfg.p <= 1.0 or cfg.q <= 1.0:
-            raise ConfigError("p and q must exceed 1")
-        if cfg.lam <= 0.0:
-            raise ConfigError("lambda must be positive")
+        if not (1.0 < cfg.p < math.inf and 1.0 < cfg.q < math.inf):
+            raise ConfigError("p and q must be finite and exceed 1")
+        if not 0.0 < cfg.lam < math.inf:
+            raise ConfigError("lambda must be positive and finite")
         return cfg
 
     def build_nl(self):

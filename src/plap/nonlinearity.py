@@ -1,54 +1,83 @@
-"""Built-in nonlinearity families and their structural validation.
+"""The nonlinearity ``f`` as one signed series, and its structural validation.
 
 A nonlinearity ``f`` enters the equation through the map
-``m(s) = |s|^{q-2} s - f(s)``.  Admissible families have ``m`` vanishing at 0,
-a first positive zero ``z_plus``, a first negative zero ``z_minus``, and a
-quotient ``g(s) = f(s) / (|s|^{q-2} s)`` that tends to 0 at the origin, is
+``m(s) = |s|^{q-2} s - f(s)``.  Admissible nonlinearities have ``m`` vanishing
+at 0, a first positive zero ``z_plus``, a first negative zero ``z_minus``, and
+a quotient ``g(s) = f(s) / (|s|^{q-2} s)`` that tends to 0 at the origin, is
 strictly increasing on ``(0, z_plus)`` and strictly decreasing on
-``(z_minus, 0)``.  Two families are supported, both with exact analytic
-antiderivatives:
+``(z_minus, 0)``.
+
+Every ``f`` is one signed series ``f(s) = sgn(s) |s|^e sum_k c_k s^k``, with
+coefficients ``c_plus`` for ``s >= 0`` and ``c_minus`` for ``s < 0``.  ``F``
+and ``f'`` are series of the same form, so one Horner loop in the signed ``s``
+evaluates all three.  ``build_nonlinearity`` translates the two JSON kinds:
 
 * ``power_asym``: ``f(s) = b_plus * s^(r-1)`` for ``s >= 0`` and
-  ``f(s) = -b_minus * |s|^(r-1)`` for ``s < 0`` (asymmetric unless
-  ``b_plus == b_minus``).
-* ``polynomial``: ``f(s) = sum_k c_k s^k`` with coefficients given from
-  ``k = 1`` upward, even powers taken literally.
+  ``f(s) = -b_minus * |s|^(r-1)`` for ``s < 0``: ``e = r - 1``,
+  ``c_plus, c_minus = (b_plus,), (b_minus,)``.
+* ``polynomial``: ``f(s) = sum_k a_k s^k`` with coefficients given from
+  ``k = 1`` upward, even powers taken literally: ``e = 1``,
+  ``c_plus = c_minus = (a_1, a_2, ...)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DomainError, HypothesisViolated, NoZeroFound
 
-KIND_POWER_ASYM = "power_asym"
-KIND_POLYNOMIAL = "polynomial"
-
 _ZERO_TOL = 1e-12
 _BRACKET_START = 1e-3
 _BRACKET_DOUBLINGS = 40
 
 
+def _alt(c: tuple) -> tuple:
+    """Coefficients of ``s -> sum_k c_k (-s)^k``."""
+    return tuple(-v if k % 2 else v for k, v in enumerate(c))
+
+
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Validated nonlinearity with located zeros of ``|s|^{q-2}s - f(s)``."""
+    """Validated ``f(s) = sgn(s) |s|^e sum_k c_k s^k`` with located zeros of
+    ``|s|^{q-2}s - f(s)``; ``c_plus`` applies for ``s >= 0``, ``c_minus``
+    for ``s < 0``, both from ``k = 0`` upward."""
 
-    kind: str
     q: float
-    params: dict
+    e: float
+    c_plus: tuple
+    c_minus: tuple
     z_plus: float
     z_minus: float
 
     @property
     def odd(self) -> bool:
-        """True when the family is exactly odd (``f(-s) = -f(s)``)."""
-        if self.kind == KIND_POWER_ASYM:
-            return self.params["b_plus"] == self.params["b_minus"]
-        coeffs = self.params["coeffs"]
-        return all(c == 0.0 for k, c in enumerate(coeffs, start=1) if k % 2 == 0)
+        """True when ``f`` is exactly odd (``f(-s) = -f(s)``)."""
+        return self.c_plus == _alt(self.c_minus)
+
+    @cached_property
+    def _tables(self) -> dict:
+        """Per quantity, the series coefficients for ``s >= 0`` and for
+        ``s < 0``, highest power first (see ``eval_f``, ``eval_F``, ``eval_df``)."""
+        e, sides = self.e, (self.c_plus, self.c_minus)
+        F = [c[:1] + tuple(v * (e + 1.0) / (e + 1.0 + k) for k, v in enumerate(c) if k) for c in sides]
+        df = [tuple((e + k) * v for k, v in enumerate(c)) for c in sides]
+        return {name: (pm[0][::-1], pm[1][::-1]) for name, pm in (("f", sides), ("F", F), ("df", df))}
+
+    @cached_property
+    def _reflected(self) -> Nonlinearity:
+        c_plus, c_minus = _alt(self.c_minus), _alt(self.c_plus)
+        return replace(self, c_plus=c_plus, c_minus=c_minus, z_plus=-self.z_minus, z_minus=-self.z_plus)
+
+    @cached_property
+    def _areas(self) -> tuple[float, float]:
+        a_plus = self.z_plus**self.q / self.q - eval_F(self, self.z_plus)
+        a_minus = abs(self.z_minus) ** self.q / self.q - eval_F(self, self.z_minus)
+        return float(a_plus), float(a_minus)
 
 
 @dataclass
@@ -103,55 +132,41 @@ class HypothesisReport:
         }
 
 
-def eval_f(nl: Nonlinearity, s):
-    """Evaluate ``f`` (scalar or ndarray)."""
-    s = np.asarray(s, dtype=float)
-    if nl.kind == KIND_POWER_ASYM:
-        r = nl.params["r_exp"]
-        mag = np.abs(s) ** (r - 1.0)
-        out = np.where(s >= 0.0, nl.params["b_plus"] * mag, -nl.params["b_minus"] * mag)
+def _horner(nl: Nonlinearity, quantity: str, s):
+    """``s`` as a float or a float ndarray, and ``sum_k c_k s^k`` by Horner's
+    rule with the coefficient table of the sign of ``s``."""
+    plus, minus = nl._tables[quantity]
+    if np.ndim(s):
+        s = np.asarray(s, dtype=float)
+        coeffs = plus if plus == minus else [np.where(s >= 0.0, a, b) for a, b in zip(plus, minus)]
     else:
-        coeffs = nl.params["coeffs"]
-        out = np.zeros_like(s)
-        for k in range(len(coeffs), 0, -1):
-            out = out * s + coeffs[k - 1]
-        out = out * s
-    return out if out.ndim else float(out)
+        s = float(s)
+        coeffs = plus if s >= 0.0 else minus
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * s + c
+    return s, acc
+
+
+def eval_f(nl: Nonlinearity, s):
+    """Evaluate ``f = sgn(s) |s|^e sum_k c_k s^k`` (scalar or ndarray)."""
+    s, h = _horner(nl, "f", s)
+    out = np.copysign(abs(s) ** nl.e, s) * h
+    return out if np.ndim(out) else float(out)
 
 
 def eval_F(nl: Nonlinearity, s):
-    """Evaluate the exact antiderivative ``F(s) = int_0^s f``."""
-    s = np.asarray(s, dtype=float)
-    if nl.kind == KIND_POWER_ASYM:
-        r = nl.params["r_exp"]
-        mag = np.abs(s) ** r / r
-        out = np.where(s >= 0.0, nl.params["b_plus"] * mag, nl.params["b_minus"] * mag)
-    else:
-        coeffs = nl.params["coeffs"]
-        out = np.zeros_like(s)
-        for k in range(len(coeffs), 0, -1):
-            out = out * s + coeffs[k - 1] / (k + 1.0)
-        out = out * s * s
-    return out if out.ndim else float(out)
+    """Evaluate the exact antiderivative ``F(s) = int_0^s f``, which is
+    ``|s|^{e+1}/(e+1) sum_k d_k s^k`` with ``d_0 = c_0``, ``d_k = c_k (e+1)/(e+1+k)``."""
+    s, h = _horner(nl, "F", s)
+    return abs(s) ** (nl.e + 1.0) / (nl.e + 1.0) * h
 
 
 def eval_df(nl: Nonlinearity, s):
-    """Evaluate ``f'`` away from 0 (used by quadrature local models)."""
-    s = np.asarray(s, dtype=float)
-    if nl.kind == KIND_POWER_ASYM:
-        r = nl.params["r_exp"]
-        out = np.where(
-            s >= 0.0,
-            nl.params["b_plus"] * (r - 1.0) * np.abs(s) ** (r - 2.0),
-            nl.params["b_minus"] * (r - 1.0) * np.abs(s) ** (r - 2.0),
-        )
-    else:
-        coeffs = nl.params["coeffs"]
-        out = np.zeros_like(s)
-        for k in range(len(coeffs), 1, -1):
-            out = out * s + coeffs[k - 1] * k
-        out = out * s + (coeffs[0] if coeffs else 0.0)
-    return out if out.ndim else float(out)
+    """Evaluate ``f' = |s|^{e-1} sum_k (e+k) c_k s^k`` away from 0 (used by
+    quadrature local models)."""
+    s, h = _horner(nl, "df", s)
+    return abs(s) ** (nl.e - 1.0) * h
 
 
 def eval_g(nl: Nonlinearity, s):
@@ -197,40 +212,40 @@ def _first_positive_zero(m, start: float) -> float:
 
 
 def build_nonlinearity(kind: str, q: float, params: dict) -> Nonlinearity:
-    """Construct and validate a nonlinearity.
+    """Translate a JSON family into the signed series, then locate and validate.
 
     Raises
     ------
     ValueError
-        Family parameters outside their declared ranges.
+        Family parameters outside their declared ranges, or not finite.
     NoZeroFound
         The map ``|s|^{q-2}s - f(s)`` never changes sign.
     HypothesisViolated
         Structural validation failed (the report rides on the exception).
     """
-    if q <= 1.0:
-        raise ValueError(f"q must exceed 1, got {q}")
-    if kind == KIND_POWER_ASYM:
-        b_plus = float(params["b_plus"])
-        b_minus = float(params["b_minus"])
-        r_exp = float(params["r_exp"])
-        if b_plus <= 0.0 or b_minus <= 0.0:
-            raise ValueError("b_plus and b_minus must be positive")
-        if r_exp <= 1.0:
-            raise ValueError(f"r_exp must exceed 1, got {r_exp}")
-        norm = {"b_plus": b_plus, "b_minus": b_minus, "r_exp": r_exp}
-    elif kind == KIND_POLYNOMIAL:
-        coeffs = [float(c) for c in params["coeffs"]]
+    if not 1.0 < q < math.inf:
+        raise ValueError(f"q must be finite and exceed 1, got {q}")
+    if kind == "power_asym":
+        b_plus, b_minus, r_exp = (float(params[k]) for k in ("b_plus", "b_minus", "r_exp"))
+        if not (0.0 < b_plus < math.inf and 0.0 < b_minus < math.inf):
+            raise ValueError("b_plus and b_minus must be positive and finite")
+        if not 1.0 < r_exp < math.inf:
+            raise ValueError(f"r_exp must be finite and exceed 1, got {r_exp}")
+        e, c_plus, c_minus = r_exp - 1.0, (b_plus,), (b_minus,)
+    elif kind == "polynomial":
+        coeffs = tuple(float(c) for c in params["coeffs"])
+        if not all(math.isfinite(c) for c in coeffs):
+            raise ValueError(f"polynomial coefficients must be finite, got {list(coeffs)}")
         if not coeffs or all(c == 0.0 for c in coeffs):
             raise ValueError("polynomial family needs at least one nonzero coefficient")
-        norm = {"coeffs": coeffs}
+        e, c_plus, c_minus = 1.0, coeffs, coeffs
     else:
         raise ValueError(f"unknown nonlinearity kind {kind!r}")
 
-    probe = Nonlinearity(kind=kind, q=float(q), params=norm, z_plus=1.0, z_minus=-1.0)
+    probe = Nonlinearity(q=float(q), e=e, c_plus=c_plus, c_minus=c_minus, z_plus=1.0, z_minus=-1.0)
     z_plus = _first_positive_zero(lambda s: eval_m(probe, s), _BRACKET_START)
     z_minus = -_first_positive_zero(lambda u: -eval_m(probe, -u), _BRACKET_START)
-    nl = Nonlinearity(kind=kind, q=float(q), params=norm, z_plus=z_plus, z_minus=z_minus)
+    nl = replace(probe, z_plus=z_plus, z_minus=z_minus)
 
     report = validate_hypotheses(nl)
     if not report.passed:
@@ -240,25 +255,20 @@ def build_nonlinearity(kind: str, q: float, params: dict) -> Nonlinearity:
 
 def reflected(nl: Nonlinearity) -> Nonlinearity:
     """The nonlinearity ``f~(s) = -f(-s)``, which maps the negative side onto
-    the positive one.
+    the positive one: ``c~_plus = alt(c_minus)``, ``c~_minus = alt(c_plus)``
+    with ``alt(c)_k = (-1)^k c_k``.
 
-    ``F~(s) = F(-s)`` and ``m~(s) = -m(-s)``, so the zeros map to
-    ``(-z_minus, -z_plus)`` and the areas swap.  The hypotheses are
-    symmetric under the reflection, so the result is not validated again.
+    ``F~(s) = F(-s)`` and ``m~(s) = -m(-s)`` exactly in floating point, so the
+    zeros map to ``(-z_minus, -z_plus)`` and the areas swap.  The hypotheses
+    are symmetric under the reflection, so the result is not validated again.
     """
-    if nl.kind == KIND_POWER_ASYM:
-        params = dict(nl.params, b_plus=nl.params["b_minus"], b_minus=nl.params["b_plus"])
-    else:
-        coeffs = nl.params["coeffs"]
-        params = {"coeffs": [-c if k % 2 == 0 else c for k, c in enumerate(coeffs, start=1)]}
-    return Nonlinearity(kind=nl.kind, q=nl.q, params=params, z_plus=-nl.z_minus, z_minus=-nl.z_plus)
+    return nl._reflected
 
 
 def areas(nl: Nonlinearity) -> tuple[float, float]:
-    """Areas ``A(z^+) = (z^+)^q/q - F(z^+)`` and ``A(z^-) = |z^-|^q/q - F(z^-)``."""
-    a_plus = nl.z_plus**nl.q / nl.q - eval_F(nl, nl.z_plus)
-    a_minus = abs(nl.z_minus) ** nl.q / nl.q - eval_F(nl, nl.z_minus)
-    return float(a_plus), float(a_minus)
+    """Areas ``A(z^+) = (z^+)^q/q - F(z^+)`` and ``A(z^-) = |z^-|^q/q - F(z^-)``,
+    computed once per nonlinearity."""
+    return nl._areas
 
 
 def _two_sided_geometric_grid(lo: float, hi: float, n: int) -> np.ndarray:

@@ -121,7 +121,7 @@ def reconstruct(
                 raise BudgetMismatch(
                     f"core lengths sum to {sum(lengths)}, budget is {descriptor.core_budget}"
                 )
-        levels = endpoint_levels(nl, problem.p)
+        levels = endpoint_levels(nl)
     else:
         need_pos = sign == SIGN_POS or j > 1
         need_neg = sign != SIGN_POS or j > 1
@@ -238,25 +238,21 @@ def energy_residual(problem: Problem, prof: Profile) -> float:
     return worst / r_ref**p
 
 
-def _scalar_f(nl: Nonlinearity):
-    if nl.kind == "power_asym":
-        b_p = nl.params["b_plus"]
-        b_m = nl.params["b_minus"]
-        rm1 = nl.params["r_exp"] - 1.0
+def _scalar_dw(nl: Nonlinearity, lam: float):
+    """w' = -lam (|s|^{q-2}s - f(s)) with f = sgn(s) |s|^e sum_k c_k s^k, in
+    pure-Python scalar code, so the oracle evaluates f apart from eval_f."""
+    qm1, e = nl.q - 1.0, nl.e
+    # per sign of s: -lam sgn(s), sgn(s), the leading coefficient, the rest
+    plus, minus = ((-lam * sgn, sgn, c[-1], c[-2::-1]) for sgn, c in ((1.0, nl.c_plus), (-1.0, nl.c_minus)))
 
-        def f(s: float) -> float:
-            return b_p * s**rm1 if s >= 0.0 else -b_m * (-s) ** rm1
+    def dw(s: float) -> float:
+        scale, sgn, acc, rest = plus if s >= 0.0 else minus
+        for c in rest:
+            acc = acc * s + c
+        a = sgn * s
+        return scale * (a**qm1 - a**e * acc)
 
-    else:
-        coeffs = tuple(nl.params["coeffs"][::-1])
-
-        def f(s: float) -> float:
-            acc = 0.0
-            for c in coeffs:
-                acc = acc * s + c
-            return acc * s
-
-    return f
+    return dw
 
 
 def shoot(problem: Problem, r0: float, sign: str, n_steps: int, end: float = 1.0) -> Profile:
@@ -267,10 +263,9 @@ def shoot(problem: Problem, r0: float, sign: str, n_steps: int, end: float = 1.0
     so a shorter run is a prefix of the full one."""
     if r0 <= 0.0:
         raise ValueError(f"r0 must be positive, got {r0}")
-    p, q, lam = problem.p, problem.q, problem.lam
-    f = _scalar_f(problem.nl)
+    p = problem.p
+    fw = _scalar_dw(problem.nl, problem.lam)
     e = 1.0 / (p - 1.0)
-    qm1 = q - 1.0
     cap = 10.0 * max(problem.nl.z_plus, -problem.nl.z_minus)
     dx = 1.0 / n_steps
     x = np.linspace(0.0, 1.0, n_steps + 1)
@@ -279,10 +274,6 @@ def shoot(problem: Problem, r0: float, sign: str, n_steps: int, end: float = 1.0
 
     def fphi(w: float) -> float:
         return abs(w) ** e if w >= 0.0 else -((-w) ** e)
-
-    def fw(phi: float) -> float:
-        m = abs(phi) ** qm1 - f(phi) if phi >= 0.0 else -(abs(phi) ** qm1) - f(phi)
-        return -lam * m
 
     phi_arr = np.empty(steps + 1)
     w_arr = np.empty(steps + 1)

@@ -192,7 +192,7 @@ class _ProblemCache:
         """(I at z_hat, J at s_hat, I at z_plus, J at z_minus); p > 2 only."""
         if self._endpoint_integrals is None:
             nl, p = self.problem.nl, self.problem.p
-            levels = endpoint_levels(nl, p)
+            levels = endpoint_levels(nl)
             self._endpoint_integrals = endpoint_integrals(nl, p, levels, self.quad_tol)
         return self._endpoint_integrals
 

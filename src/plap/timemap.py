@@ -25,6 +25,7 @@ mirrored arch gives ``alpha(r) = kappa * J(S(r))``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +49,10 @@ class Problem:
     lam: float
 
     def __post_init__(self):
-        if self.p <= 1.0:
-            raise ValueError(f"p must exceed 1, got {self.p}")
-        if self.lam <= 0.0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
+        if not 1.0 < self.p < math.inf:
+            raise ValueError(f"p must be finite and exceed 1, got {self.p}")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
 
     @property
     def q(self) -> float:
@@ -151,7 +152,7 @@ def s_of_r(problem: Problem, r: float) -> float:
     return level_neg(problem.nl, float(_rho_of_r(problem, r)))
 
 
-def endpoint_levels(nl: Nonlinearity, p: float) -> EndpointLevels:
+def endpoint_levels(nl: Nonlinearity) -> EndpointLevels:
     """Levels attained at r_star; the smaller-area side sits exactly at its zero.
 
     Dividing the level equations by lambda shows these are independent of

@@ -14,36 +14,25 @@ LD = np.longdouble
 
 
 def family_f_F(nl):
-    """(f, F) evaluators in extended precision, written from the family spec."""
-    if nl.kind == "power_asym":
-        b_p = LD(nl.params["b_plus"])
-        b_m = LD(nl.params["b_minus"])
-        r = LD(nl.params["r_exp"])
+    """(f, F) evaluators in extended precision, term by term from
+    f(s) = sgn(s) |s|^e sum_k c_k s^k, each term its own power of |s|:
+    f = sum_k c_k sgn^(k+1) |s|^(e+k) and F = sum_k c_k sgn^k |s|^(e+k+1)/(e+k+1)."""
+    e = LD(nl.e)
 
-        def f(s):
-            s = np.asarray(s, dtype=LD)
-            return np.where(s >= 0, b_p * np.abs(s) ** (r - 1), -b_m * np.abs(s) ** (r - 1))
+    def terms(s):
+        s = np.asarray(s, dtype=LD)
+        neg = s < 0
+        sgn = np.where(neg, LD(-1), LD(1))
+        coeffs = [np.where(neg, LD(cm), LD(cp)) for cp, cm in zip(nl.c_plus, nl.c_minus)]
+        return sgn, np.abs(s), enumerate(coeffs)
 
-        def F(s):
-            s = np.asarray(s, dtype=LD)
-            return np.where(s >= 0, b_p, b_m) * np.abs(s) ** r / r
+    def f(s):
+        sgn, a, coeffs = terms(s)
+        return sum(c * sgn ** (k + 1) * a ** (e + k) for k, c in coeffs)
 
-    else:
-        coeffs = [LD(c) for c in nl.params["coeffs"]]
-
-        def f(s):
-            s = np.asarray(s, dtype=LD)
-            out = np.zeros_like(s)
-            for k in range(len(coeffs), 0, -1):
-                out = out * s + coeffs[k - 1]
-            return out * s
-
-        def F(s):
-            s = np.asarray(s, dtype=LD)
-            out = np.zeros_like(s)
-            for k in range(len(coeffs), 0, -1):
-                out = out * s + coeffs[k - 1] / LD(k + 1)
-            return out * s * s
+    def F(s):
+        sgn, a, coeffs = terms(s)
+        return sum(c * sgn**k * a ** (e + k + 1) / (e + k + 1) for k, c in coeffs)
 
     return f, F
 
@@ -59,12 +48,12 @@ def _double_sine_map(panels: int):
 
 
 def _radicand_power(nl, a: float, v: np.ndarray) -> np.ndarray:
-    """G(a*v) = F(a v) - F(a) + (|a|^q - |a v|^q)/q for the power family,
-    v in [0, 1], through expm1(x*log v) so each power difference keeps full
-    relative precision near v = 1."""
+    """G(a*v) = F(a v) - F(a) + (|a|^q - |a v|^q)/q for a one-coefficient f
+    (F = c_0 |s|^r / r with r = e + 1), v in [0, 1], through expm1(x*log v)
+    so each power difference keeps full relative precision near v = 1."""
     q = LD(nl.q)
-    r = LD(nl.params["r_exp"])
-    b = LD(nl.params["b_plus"] if a > 0 else nl.params["b_minus"])
+    r = LD(nl.e) + 1
+    b = LD(nl.c_plus[0] if a > 0 else nl.c_minus[0])
     aq = np.abs(LD(a)) ** q / q
     ar = b * np.abs(LD(a)) ** r / r
     out = np.empty_like(v)
@@ -79,7 +68,7 @@ def _radicand_power(nl, a: float, v: np.ndarray) -> np.ndarray:
 def brute_force_I(nl, p: float, a: float, panels: int = 1_000_000) -> float:
     """I(a) by transformed trapezoid: t = a*sin(pi/2*sin(pi/2*u))."""
     v, dv = _double_sine_map(panels)
-    if nl.kind == "power_asym":
+    if len(nl.c_plus) == 1:
         G = _radicand_power(nl, a, v)
     else:
         _, F = family_f_F(nl)
@@ -94,7 +83,7 @@ def brute_force_I(nl, p: float, a: float, panels: int = 1_000_000) -> float:
 def brute_force_J(nl, p: float, a: float, panels: int = 1_000_000) -> float:
     """J(a) for a < 0 by the mirrored substitution t = a*sin(...)."""
     v, dv = _double_sine_map(panels)
-    if nl.kind == "power_asym":
+    if len(nl.c_plus) == 1:
         G = _radicand_power(nl, a, v)
     else:
         _, F = family_f_F(nl)

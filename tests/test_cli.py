@@ -45,6 +45,9 @@ class TestValidate:
         bad.write_text(json.dumps({"q": 2.0}))
         assert main(["validate", "--config", str(bad)]) == 1
 
+    def test_numerics_not_an_object_exit_1(self, tmp_path):
+        assert main(["validate", "--config", write_config(tmp_path, numerics=5)]) == 1
+
 
 class TestDiagram:
     def test_q_equals_p_has_classical_column(self, tmp_path):
@@ -243,3 +246,30 @@ class TestStructureAndRegularity:
         assert main(["regularity", "--config", cfg, "--id", d0["id"], "--jmax", "1"]) == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["smoothness_class"] == "C2"
+
+
+class TestNonFinite:
+    NAN, INF = float("nan"), float("inf")
+
+    @pytest.mark.parametrize("command", ["structure", "solve", "diagram"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"p": NAN},
+            {"q": INF},
+            {"lambda": INF},
+            {"lambda": NAN},
+            {"numerics": {"quad_tol": NAN}},
+            {"nonlinearity": {"kind": "power_asym", "b_plus": NAN, "b_minus": 1.0, "r_exp": 4.0}},
+            {"nonlinearity": {"kind": "power_asym", "b_plus": 1.0, "b_minus": INF, "r_exp": 4.0}},
+            {"nonlinearity": {"kind": "power_asym", "b_plus": 1.0, "b_minus": 1.0, "r_exp": INF}},
+            {"nonlinearity": {"kind": "polynomial", "coeffs": [0.0, 0.0, 1.0, -INF]}},
+        ],
+        ids=["p", "q", "lambda-inf", "lambda-nan", "quad_tol", "b_plus", "b_minus", "r_exp", "coeffs"],
+    )
+    def test_rejected_with_error(self, tmp_path, capsys, command, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        assert main([command, "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -8,6 +8,7 @@ from plap.errors import DomainError, HypothesisViolated, NoZeroFound
 from plap.nonlinearity import (
     areas,
     build_nonlinearity,
+    eval_df,
     eval_F,
     eval_f,
     eval_g,
@@ -15,6 +16,33 @@ from plap.nonlinearity import (
     reflected,
     validate_hypotheses,
 )
+
+LD = np.longdouble
+
+
+@st.composite
+def family_specs(draw):
+    """(kind, q, params) of either JSON kind; odd ones come up about half the time."""
+    if draw(st.booleans()):
+        q = draw(st.floats(1.5, 3.5))
+        b_plus = draw(st.floats(0.5, 2.0))
+        b_minus = b_plus if draw(st.booleans()) else draw(st.floats(0.5, 2.0))
+        return "power_asym", q, {"b_plus": b_plus, "b_minus": b_minus, "r_exp": q + draw(st.floats(0.5, 3.0))}
+    return "polynomial", draw(st.floats(1.2, 2.8)), {"coeffs": polynomial_coeffs(draw)}
+
+
+def polynomial_coeffs(draw) -> list:
+    """f = a3 s^3 + a4 s^4 + a5 s^5; a4 = 0 (odd f) about half the time."""
+    a4 = 0.0 if draw(st.booleans()) else draw(st.floats(-0.5, 0.5))
+    return [0.0, 0.0, draw(st.floats(0.5, 2.0)), a4, draw(st.floats(0.0, 0.3))]
+
+
+def admissible(kind, q, params):
+    """Build the spec, discarding the hypothesis example if it is not admissible."""
+    try:
+        return build_nonlinearity(kind, q, params)
+    except (HypothesisViolated, NoZeroFound):
+        assume(False)
 
 
 class TestBuild:
@@ -83,6 +111,51 @@ class TestEval:
     def test_asym_F_branches(self, asym):
         assert eval_F(asym, 0.5) == pytest.approx(2 * 0.5**4 / 4)
         assert eval_F(asym, -0.5) == pytest.approx(0.5**4 / 4)
+
+
+class TestTranslation:
+    """The series (e, c_plus, c_minus) against f, F and f' written from the
+    JSON parameters in extended precision."""
+
+    @staticmethod
+    def spec_f_F_df(kind, params):
+        if kind == "power_asym":
+            r = LD(params["r_exp"])
+
+            def b(s):
+                return np.where(s >= 0, LD(params["b_plus"]), LD(params["b_minus"]))
+
+            return (
+                lambda s: np.sign(s) * b(s) * np.abs(s) ** (r - 1),
+                lambda s: b(s) * np.abs(s) ** r / r,
+                lambda s: b(s) * (r - 1) * np.abs(s) ** (r - 2),
+            )
+        a = list(enumerate((LD(c) for c in params["coeffs"]), start=1))
+        return (
+            lambda s: sum(c * s**k for k, c in a),
+            lambda s: sum(c * s ** (k + 1) / (k + 1) for k, c in a),
+            lambda s: sum(k * c * s ** (k - 1) for k, c in a),
+        )
+
+    @pytest.mark.parametrize(
+        "kind, q, params",
+        [
+            ("power_asym", 2.0, {"b_plus": 2.0, "b_minus": 1.0, "r_exp": 4.0}),
+            ("power_asym", 2.5, {"b_plus": 1.5, "b_minus": 0.7, "r_exp": 4.3}),
+            ("power_asym", 3.0, {"b_plus": 1.0, "b_minus": 1.0, "r_exp": 5.5}),
+            ("polynomial", 2.0, {"coeffs": [0.0, 0.0, 1.0, -0.3]}),
+            ("polynomial", 2.0, {"coeffs": [0.0, 0.0, 1.0, 0.25]}),
+            ("polynomial", 1.6, {"coeffs": [0.0, 0.0, 1.2, 0.1, 0.05]}),
+        ],
+    )
+    def test_series_matches_spec(self, kind, q, params):
+        nl = build_nonlinearity(kind, q, params)
+        s = np.linspace(1.2 * nl.z_minus, 1.2 * nl.z_plus, 241)
+        for ev, ref in zip((eval_f, eval_F, eval_df), self.spec_f_F_df(kind, params)):
+            want = ref(s.astype(LD))
+            assert np.all(np.abs(ev(nl, s) - want) <= 1e-14 * np.abs(want)), ev.__name__
+            for v, w in zip(s[::40], want[::40]):
+                assert abs(ev(nl, float(v)) - w) <= 1e-14 * abs(w), ev.__name__
 
 
 class TestAreas:
@@ -180,3 +253,18 @@ class TestReflected:
         assert (nr.z_plus, nr.z_minus) == (-nl.z_minus, -nl.z_plus)
         assert validate_hypotheses(nr).passed
         assert reflected(nr) == nl
+
+    @given(spec=family_specs())
+    @settings(max_examples=40, deadline=None)
+    def test_random_specs(self, spec):
+        nl = admissible(*spec)
+        nr = reflected(nl)
+        u = np.linspace(-1.2, 1.2, 97) * max(nl.z_plus, -nl.z_minus)
+        assert np.array_equal(eval_f(nr, u), -eval_f(nl, -u))
+        assert np.array_equal(eval_F(nr, u), eval_F(nl, -u))
+        with np.errstate(divide="ignore", invalid="ignore"):  # m(0) = 0 * inf = nan for q < 2
+            assert np.array_equal(eval_m(nr, u), -eval_m(nl, -u), equal_nan=True)
+        assert areas(nr) == areas(nl)[::-1]
+        assert (nr.z_plus, nr.z_minus) == (-nl.z_minus, -nl.z_plus)
+        assert reflected(nr) == nl
+        assert nl.odd == (nr == nl)

@@ -135,7 +135,7 @@ class TestReconstructFlatCore:
         d = [x for x in solve_class(prob, SolutionClass(2, "+")) if x.kind == "flat_core"][0]
         assert d.core_side == "negative" and d.core_count == 1
         prof = reconstruct(prob, d, M=1024)
-        lv = endpoint_levels(nl, 3.0)
+        lv = endpoint_levels(nl)
         mid = 0.5 * sum(prof.flat_intervals[0])
         i_mid = int(np.argmin(np.abs(prof.x - mid)))
         assert prof.phi[i_mid] == nl.z_minus

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from plap.errors import Divergent, DomainError, OutOfRange
+from plap.errors import Divergent, DomainError, HypothesisViolated, NoZeroFound, OutOfRange
 from plap.nonlinearity import areas, build_nonlinearity, reflected
 from plap.timemap import (
     Problem,
@@ -191,6 +191,29 @@ class TestOracleProperty:
             brute_force_J(nl, p, b, panels=100_000), rel=rel
         )
 
+    @given(
+        q=st.floats(1.2, 2.8),
+        a3=st.floats(0.5, 2.0),
+        a4=st.floats(-0.5, 0.5),
+        a5=st.floats(0.0, 0.3),
+        p=st.floats(1.5, 4.0),
+        frac=st.floats(0.05, 0.95),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_I_and_J_match_oracle_polynomial(self, q, a3, a4, a5, p, frac):
+        try:
+            nl = build_nonlinearity("polynomial", q, {"coeffs": [0.0, 0.0, a3, a4, a5]})
+        except (HypothesisViolated, NoZeroFound):
+            assume(False)
+        rel = 1e-8 if p >= 2.0 else 1e-6
+        a, b = frac * nl.z_plus, frac * nl.z_minus
+        assert integral_I(nl, p, a, tol=1e-12) == pytest.approx(
+            brute_force_I(nl, p, a, panels=100_000), rel=rel
+        )
+        assert integral_J(nl, p, b, tol=1e-12) == pytest.approx(
+            brute_force_J(nl, p, b, panels=100_000), rel=rel
+        )
+
 
 class TestTimeMaps:
     def test_theta_limit_q_equals_p(self, cubic_odd):
@@ -251,19 +274,19 @@ class TestFlatCoreWidths:
 
 class TestEndpointLevels:
     def test_odd(self, cubic_odd):
-        lv = endpoint_levels(cubic_odd, 3.0)
+        lv = endpoint_levels(cubic_odd)
         assert lv.z_hat == cubic_odd.z_plus
         assert lv.s_hat == cubic_odd.z_minus
 
     def test_asymmetric_closed_form(self, asym):
         # A+ = 1/8 < A- = 1/4: s_hat solves S^2/2 - S^4/4 = 1/8
-        lv = endpoint_levels(asym, 3.0)
+        lv = endpoint_levels(asym)
         assert lv.z_hat == asym.z_plus
         assert lv.s_hat == pytest.approx(-np.sqrt(1 - np.sqrt(0.5)), rel=1e-12)
 
     def test_mirror_case(self):
         nl = build_nonlinearity("power_asym", 2.0, {"b_plus": 1.0, "b_minus": 2.0, "r_exp": 4.0})
-        lv = endpoint_levels(nl, 3.0)
+        lv = endpoint_levels(nl)
         assert lv.s_hat == nl.z_minus
         assert lv.z_hat == pytest.approx(np.sqrt(1 - np.sqrt(0.5)), rel=1e-12)
 
