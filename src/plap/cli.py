@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bifurcation, profile, solver, timemap
 from .errors import ConfigError, HypothesisViolated, PlapError
-from .nonlinearity import build_nonlinearity
+from .nonlinearity import build_nonlinearity, locate_nonlinearity, validate_hypotheses
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -85,13 +85,17 @@ class RunConfig:
             raise ConfigError("lambda must be positive and finite")
         return cfg
 
-    def build_nl(self):
+    def family(self) -> tuple[str, float, dict]:
+        """(kind, q, params) of the nonlinearity spec."""
         spec = dict(self.nonlinearity)
         kind = spec.pop("kind", None)
         if kind is None:
             raise ConfigError("nonlinearity.kind missing")
         spec.pop("q", None)
-        return build_nonlinearity(kind, self.q, spec)
+        return kind, self.q, spec
+
+    def build_nl(self):
+        return build_nonlinearity(*self.family())
 
     def build_problem(self) -> timemap.Problem:
         return timemap.Problem(p=self.p, nl=self.build_nl(), lam=self.lam)
@@ -118,17 +122,11 @@ def _json_text(obj) -> str:
 
 
 def cmd_validate(cfg: RunConfig, args) -> int:
-    try:
-        nl = cfg.build_nl()
-    except HypothesisViolated as exc:
-        report = exc.report.to_json_dict() if exc.report else {"passed": False}
-        _emit(_json_text(report), args.out)
-        return EXIT_HYPOTHESIS
-    from .nonlinearity import validate_hypotheses
-
+    nl = locate_nonlinearity(*cfg.family())
     report = validate_hypotheses(nl).to_json_dict()
-    report["z_plus"] = nl.z_plus
-    report["z_minus"] = nl.z_minus
+    if report["passed"]:
+        report["z_plus"] = nl.z_plus
+        report["z_minus"] = nl.z_minus
     _emit(_json_text(report), args.out)
     return EXIT_OK if report["passed"] else EXIT_HYPOTHESIS
 

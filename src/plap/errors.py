@@ -42,7 +42,7 @@ class ShapeError(PlapError):
 
 
 class Blowup(PlapError):
-    """Shooting trajectory left the bounded region."""
+    """Shooting trajectory left the bounded region or exhausted its step budget."""
 
 
 class ConfigError(PlapError):

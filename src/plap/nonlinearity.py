@@ -34,6 +34,8 @@ from .errors import DomainError, HypothesisViolated, NoZeroFound
 _ZERO_TOL = 1e-12
 _BRACKET_START = 1e-3
 _BRACKET_DOUBLINGS = 40
+# the JSON families and the keys each one requires
+_FAMILY_KEYS = {"power_asym": ("b_plus", "b_minus", "r_exp"), "polynomial": ("coeffs",)}
 
 
 def _alt(c: tuple) -> tuple:
@@ -211,42 +213,57 @@ def _first_positive_zero(m, start: float) -> float:
     )
 
 
-def build_nonlinearity(kind: str, q: float, params: dict) -> Nonlinearity:
-    """Translate a JSON family into the signed series, then locate and validate.
+def locate_nonlinearity(kind: str, q: float, params: dict) -> Nonlinearity:
+    """Translate a JSON family into the signed series and locate its zeros,
+    without validating the hypotheses.
 
     Raises
     ------
     ValueError
-        Family parameters outside their declared ranges, or not finite.
+        Unknown family, a missing family key, or parameters outside their
+        declared ranges or not finite.
     NoZeroFound
         The map ``|s|^{q-2}s - f(s)`` never changes sign.
-    HypothesisViolated
-        Structural validation failed (the report rides on the exception).
     """
     if not 1.0 < q < math.inf:
         raise ValueError(f"q must be finite and exceed 1, got {q}")
+    if kind not in _FAMILY_KEYS:
+        raise ValueError(f"unknown nonlinearity kind {kind!r}")
+    missing = [k for k in _FAMILY_KEYS[kind] if k not in params]
+    if missing:
+        raise ValueError(f"{kind} nonlinearity needs {', '.join(missing)}")
     if kind == "power_asym":
-        b_plus, b_minus, r_exp = (float(params[k]) for k in ("b_plus", "b_minus", "r_exp"))
+        b_plus, b_minus, r_exp = (float(params[k]) for k in _FAMILY_KEYS[kind])
         if not (0.0 < b_plus < math.inf and 0.0 < b_minus < math.inf):
             raise ValueError("b_plus and b_minus must be positive and finite")
         if not 1.0 < r_exp < math.inf:
             raise ValueError(f"r_exp must be finite and exceed 1, got {r_exp}")
         e, c_plus, c_minus = r_exp - 1.0, (b_plus,), (b_minus,)
-    elif kind == "polynomial":
+    else:
         coeffs = tuple(float(c) for c in params["coeffs"])
         if not all(math.isfinite(c) for c in coeffs):
             raise ValueError(f"polynomial coefficients must be finite, got {list(coeffs)}")
         if not coeffs or all(c == 0.0 for c in coeffs):
             raise ValueError("polynomial family needs at least one nonzero coefficient")
         e, c_plus, c_minus = 1.0, coeffs, coeffs
-    else:
-        raise ValueError(f"unknown nonlinearity kind {kind!r}")
 
     probe = Nonlinearity(q=float(q), e=e, c_plus=c_plus, c_minus=c_minus, z_plus=1.0, z_minus=-1.0)
     z_plus = _first_positive_zero(lambda s: eval_m(probe, s), _BRACKET_START)
     z_minus = -_first_positive_zero(lambda u: -eval_m(probe, -u), _BRACKET_START)
-    nl = replace(probe, z_plus=z_plus, z_minus=z_minus)
+    return replace(probe, z_plus=z_plus, z_minus=z_minus)
 
+
+def build_nonlinearity(kind: str, q: float, params: dict) -> Nonlinearity:
+    """Translate a JSON family into the signed series, then locate and validate.
+
+    Raises
+    ------
+    ValueError, NoZeroFound
+        As ``locate_nonlinearity``.
+    HypothesisViolated
+        Structural validation failed (the report rides on the exception).
+    """
+    nl = locate_nonlinearity(kind, q, params)
     report = validate_hypotheses(nl)
     if not report.passed:
         raise HypothesisViolated("; ".join(report.messages) or "validation failed", report)

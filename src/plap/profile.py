@@ -5,9 +5,11 @@ the inverse of ``s -> x(s) = kappa * int_s^a G_a(t)^(-1/p) dt`` sampled on an
 extremum-clustered grid, then reflected about the arch midpoint.  The
 derivative comes from the conservation law ``|phi_x|^p = (lam p/(p-1)) G``
 rather than from differencing, so the energy residual measures pure grid
-consistency.  An independent fixed-step RK4 shooter provides positional
-verification; for p > 2 it is trustworthy only up to the first flat point,
-where the ODE loses uniqueness (which is exactly why flat cores exist).
+consistency.  An independent adaptive Dormand-Prince 5(4) shooter, compared
+through its dense output at the profile's own abscissae, provides
+positional verification; for p > 2 it is trustworthy only up to the first
+flat point, where the ODE loses uniqueness (which is exactly why flat cores
+exist).
 """
 
 from __future__ import annotations
@@ -255,49 +257,129 @@ def _scalar_dw(nl: Nonlinearity, lam: float):
     return dw
 
 
-def shoot(problem: Problem, r0: float, sign: str, n_steps: int, end: float = 1.0) -> Profile:
-    """Independent oracle: fixed-step RK4 for phi' = sgn(w)|w|^(1/(p-1)),
-    w' = -lam (|phi|^{q-2} phi - f(phi)), w(0) = +/- r0^(p-1).
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.4-5):
+# stage weights, the error weights b5 - b4 and the dense-output weights.
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
+_D1, _D3, _D4 = -12715105075 / 11282082432, 87487479700 / 32700410799, -10690763975 / 1880347072
+_D5, _D6, _D7 = 701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423
+# Local error bound per step, relative to each component's scale.  A bound
+# of 1e-12 leaves oracle errors up to 4e-7 on p = 2 roots next to the slope
+# bound, where the arches are longest.
+_ODE_TOL = 1e-14
+_FIRST_STEP = 1e-4
 
-    Steps of 1/n_steps run from 0 to the first grid point at or past ``end``,
-    so a shorter run is a prefix of the full one."""
+
+def _dopri(fphi, fw, w0: float, x_stop: float, max_steps: int, scale_phi: float, cap: float):
+    """Adaptive Dormand-Prince 5(4) for phi' = fphi(w), w' = fw(phi) from
+    (0, w0) until a step ends past ``x_stop``; no step is shortened to end
+    there, so a run to a smaller ``x_stop`` is a prefix of a longer one.
+
+    Returns one row per accepted step: its start, its width and the
+    coefficients of the fourth-order dense output of phi and of w."""
+    tol_phi, tol_w = _ODE_TOL * scale_phi, _ODE_TOL * abs(w0)
+    x, h, phi, w = 0.0, _FIRST_STEP, 0.0, w0
+    k1p, k1w = fphi(w), fw(phi)
+    rows: list[tuple] = []
+    grow = 5.0
+    while x <= x_stop:
+        if len(rows) == max_steps:
+            raise Blowup(f"step budget of {max_steps} exhausted at x = {x}")
+        if x + h == x:
+            raise Blowup(f"step size underflow at x = {x}")
+        k2p = fphi(w + h * _A21 * k1w)
+        k2w = fw(phi + h * _A21 * k1p)
+        k3p = fphi(w + h * (_A31 * k1w + _A32 * k2w))
+        k3w = fw(phi + h * (_A31 * k1p + _A32 * k2p))
+        k4p = fphi(w + h * (_A41 * k1w + _A42 * k2w + _A43 * k3w))
+        k4w = fw(phi + h * (_A41 * k1p + _A42 * k2p + _A43 * k3p))
+        k5p = fphi(w + h * (_A51 * k1w + _A52 * k2w + _A53 * k3w + _A54 * k4w))
+        k5w = fw(phi + h * (_A51 * k1p + _A52 * k2p + _A53 * k3p + _A54 * k4p))
+        k6p = fphi(w + h * (_A61 * k1w + _A62 * k2w + _A63 * k3w + _A64 * k4w + _A65 * k5w))
+        k6w = fw(phi + h * (_A61 * k1p + _A62 * k2p + _A63 * k3p + _A64 * k4p + _A65 * k5p))
+        phi1 = phi + h * (_B1 * k1p + _B3 * k3p + _B4 * k4p + _B5 * k5p + _B6 * k6p)
+        w1 = w + h * (_B1 * k1w + _B3 * k3w + _B4 * k4w + _B5 * k5w + _B6 * k6w)
+        k7p, k7w = fphi(w1), fw(phi1)
+        err = max(
+            abs(h * (_E1 * k1p + _E3 * k3p + _E4 * k4p + _E5 * k5p + _E6 * k6p + _E7 * k7p)) / tol_phi,
+            abs(h * (_E1 * k1w + _E3 * k3w + _E4 * k4w + _E5 * k5w + _E6 * k6w + _E7 * k7w)) / tol_w,
+        )
+        if not err <= 1.0:  # also rejects a NaN estimate
+            h *= max(0.2, 0.9 * err**-0.2)
+            grow = 1.0  # no growth right after a rejection
+            continue
+        dp, dw = phi1 - phi, w1 - w
+        bp, bw = h * k1p - dp, h * k1w - dw
+        rows.append((
+            x, h,
+            phi, dp, bp, dp - h * k7p - bp,
+            h * (_D1 * k1p + _D3 * k3p + _D4 * k4p + _D5 * k5p + _D6 * k6p + _D7 * k7p),
+            w, dw, bw, dw - h * k7w - bw,
+            h * (_D1 * k1w + _D3 * k3w + _D4 * k4w + _D5 * k5w + _D6 * k6w + _D7 * k7w),
+        ))
+        x += h
+        phi, w, k1p, k1w = phi1, w1, k7p, k7w
+        if abs(phi) > cap:
+            raise Blowup(f"|phi| exceeded {cap} at x = {x}")
+        h *= min(grow, 0.9 * err**-0.2) if err > 0.0 else grow
+        grow = 5.0
+    return np.array(rows)
+
+
+def _dense(steps: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi and w at abscissae x from the steps' dense-output rows."""
+    i = np.clip(np.searchsorted(steps[:, 0], x, side="right") - 1, 0, len(steps) - 1)
+    c = steps[i]
+    t = (x - c[:, 0]) / c[:, 1]
+    u = 1.0 - t
+    phi = c[:, 2] + t * (c[:, 3] + u * (c[:, 4] + t * (c[:, 5] + u * c[:, 6])))
+    w = c[:, 7] + t * (c[:, 8] + u * (c[:, 9] + t * (c[:, 10] + u * c[:, 11])))
+    return phi, w
+
+
+def shoot(
+    problem: Problem, r0: float, sign: str, n_steps: int, end: float = 1.0, at=None
+) -> Profile:
+    """Independent oracle: adaptive Dormand-Prince 5(4) for
+    phi' = sgn(w)|w|^(1/(p-1)), w' = -lam (|phi|^{q-2} phi - f(phi)),
+    w(0) = +/- r0^(p-1), sampled through its dense output.
+
+    Samples lie at the increasing abscissae ``at`` or, by default, on the
+    grid k/n_steps from 0 to the first grid point at or past ``end``; a
+    shorter run is a prefix of the full one.  ``n_steps`` also caps the
+    accepted steps: exhausting it raises ``Blowup``, as does |phi| leaving
+    10 max(z+, |z-|)."""
     if r0 <= 0.0:
         raise ValueError(f"r0 must be positive, got {r0}")
-    p = problem.p
-    fw = _scalar_dw(problem.nl, problem.lam)
+    p, nl = problem.p, problem.nl
+    if at is None:
+        x = np.linspace(0.0, 1.0, n_steps + 1)
+        x = x[: min(n_steps, int(np.searchsorted(x, end))) + 1]
+    else:
+        x = np.asarray(at, dtype=float)
     e = 1.0 / (p - 1.0)
-    cap = 10.0 * max(problem.nl.z_plus, -problem.nl.z_minus)
-    dx = 1.0 / n_steps
-    x = np.linspace(0.0, 1.0, n_steps + 1)
-    steps = min(n_steps, int(np.searchsorted(x, end)))
-    x = x[: steps + 1]
 
     def fphi(w: float) -> float:
         return abs(w) ** e if w >= 0.0 else -((-w) ** e)
 
-    phi_arr = np.empty(steps + 1)
-    w_arr = np.empty(steps + 1)
-    phi = 0.0
-    w = r0 ** (p - 1.0) if sign == SIGN_POS else -(r0 ** (p - 1.0))
-    phi_arr[0], w_arr[0] = phi, w
-    for i in range(steps):
-        k1p, k1w = fphi(w), fw(phi)
-        k2p, k2w = fphi(w + 0.5 * dx * k1w), fw(phi + 0.5 * dx * k1p)
-        k3p, k3w = fphi(w + 0.5 * dx * k2w), fw(phi + 0.5 * dx * k2p)
-        k4p, k4w = fphi(w + dx * k3w), fw(phi + dx * k3p)
-        phi += dx / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        w += dx / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        if abs(phi) > cap:
-            raise Blowup(f"|phi| exceeded {cap} at x = {(i + 1) * dx}")
-        phi_arr[i + 1], w_arr[i + 1] = phi, w
+    scale = max(nl.z_plus, -nl.z_minus)
+    w0 = r0 ** (p - 1.0) if sign == SIGN_POS else -(r0 ** (p - 1.0))
+    steps = _dopri(fphi, _scalar_dw(nl, problem.lam), w0, x[-1], n_steps, scale, 10.0 * scale)
+    phi_arr, w_arr = _dense(steps, x)
 
     dphi = np.sign(w_arr) * np.abs(w_arr) ** e
     crossings = np.where(np.sign(phi_arr[1:]) * np.sign(phi_arr[:-1]) < 0)[0]
     nodes = [
-        float(x[i] - phi_arr[i] * dx / (phi_arr[i + 1] - phi_arr[i])) for i in crossings
+        float(x[i] - phi_arr[i] * (x[i + 1] - x[i]) / (phi_arr[i + 1] - phi_arr[i]))
+        for i in crossings
     ]
     sign_runs = np.sign(dphi)
-    breaks = [0] + list(np.where(np.diff(sign_runs) != 0)[0] + 1) + [steps]
+    breaks = [0] + list(np.where(np.diff(sign_runs) != 0)[0] + 1) + [x.size - 1]
     segments = [(breaks[k], breaks[k + 1]) for k in range(len(breaks) - 1)]
     return Profile(x, phi_arr, dphi, [], nodes, segments, [], r0, None)
 
@@ -305,27 +387,26 @@ def shoot(problem: Problem, r0: float, sign: str, n_steps: int, end: float = 1.0
 def shoot_compare(
     problem: Problem, prof: Profile, n_steps: int = 100_000
 ) -> float:
-    """Sup difference between a reconstructed profile and the RK4 oracle.
+    """Sup difference between a reconstructed profile and the shooting
+    oracle, taken at the profile's own abscissae (``n_steps`` is the
+    oracle's step budget).
 
     Stops at the first flat point: there the right-hand side loses
-    uniqueness (w = 0 and h(phi) = 0 together) and the fixed-step oracle
-    creeps into the degenerate equilibrium with algebraic lag, so the
-    comparison also excludes the approach layer where the profile is within
-    1% of the plateau level.  The oracle is integrated only that far: past
-    the equilibrium its trajectory can escape and blow up."""
+    uniqueness (w = 0 and h(phi) = 0 together) and the oracle creeps into
+    the degenerate equilibrium with algebraic lag, so the comparison also
+    excludes the approach layer where the profile is within 1% of the
+    plateau level.  The oracle is integrated only that far: past the
+    equilibrium its trajectory can escape and blow up."""
     d = prof.descriptor
-    end = 1.0
     mask = np.ones(prof.x.size, dtype=bool)
     if prof.flat_intervals:
-        end = prof.flat_intervals[0][0]
-        mask &= prof.x <= end
+        mask &= prof.x <= prof.flat_intervals[0][0]
         level = next(
             tp["phi"] for tp in prof.turning_points if tp["kind"] == "plateau_edge"
         )
         mask &= np.abs(prof.phi - level) > 0.01 * abs(level)
-    sh = shoot(problem, d.r, d.sign, n_steps, end=end)
-    interp = np.interp(prof.x[mask], sh.x, sh.phi)
-    return float(np.max(np.abs(interp - prof.phi[mask])))
+    sh = shoot(problem, d.r, d.sign, n_steps, at=prof.x[mask])
+    return float(np.max(np.abs(sh.phi - prof.phi[mask])))
 
 
 @dataclass

@@ -48,6 +48,34 @@ class TestValidate:
     def test_numerics_not_an_object_exit_1(self, tmp_path):
         assert main(["validate", "--config", write_config(tmp_path, numerics=5)]) == 1
 
+    @pytest.mark.parametrize(
+        "nonlinearity, key",
+        [
+            ({"kind": "power_asym", "b_plus": 1.0, "r_exp": 4.0}, "b_minus"),
+            ({"kind": "polynomial"}, "coeffs"),
+        ],
+    )
+    def test_missing_family_key_exit_1(self, tmp_path, capsys, nonlinearity, key):
+        assert main(["validate", "--config", write_config(tmp_path, nonlinearity=nonlinearity)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+
+    def test_validates_once(self, tmp_path, monkeypatch):
+        import plap.cli
+        import plap.nonlinearity
+
+        calls = []
+        real = plap.nonlinearity.validate_hypotheses
+
+        def counting(nl):
+            calls.append(nl)
+            return real(nl)
+
+        monkeypatch.setattr(plap.nonlinearity, "validate_hypotheses", counting)
+        monkeypatch.setattr(plap.cli, "validate_hypotheses", counting)
+        assert main(["validate", "--config", write_config(tmp_path)]) == 0
+        assert len(calls) == 1
+
 
 class TestDiagram:
     def test_q_equals_p_has_classical_column(self, tmp_path):
@@ -219,6 +247,31 @@ class TestSolveRoundTrip:
         report = json.loads(capsys.readouterr().out)
         assert report["oracle_ok"] is True
         assert report["oracle_note"] == "compared up to the first flat point only"
+
+    def test_verify_arch_top_near_slope_bound(self, tmp_path, capsys):
+        # S2- of p = 3, q = 2, f = 2s^3 / -|s|^3 at lambda = 300 has r 3.4e-4
+        # below its slope bound; for p > 2 phi' is not Lipschitz at the arch
+        # tops, which a fixed-step oracle resolves only at first order
+        cfg = write_config(
+            tmp_path,
+            p=3.0,
+            q=2.0,
+            nonlinearity={"kind": "power_asym", "b_plus": 2.0, "b_minus": 1.0, "r_exp": 4.0},
+            **{"lambda": 300.0},
+        )
+        assert main(["verify", "--config", cfg, "--id", "985cb80e9c04"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["oracle_sup_diff"] < 1e-7
+
+    def test_verify_step_budget_too_small_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, numerics={"ode_steps": 20})
+        assert main(["solve", "--config", cfg, "--jmax", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        d0 = [d for d in payload["descriptors"] if d["kind"] == "regular"][0]
+        assert main(["verify", "--config", cfg, "--id", d0["id"], "--jmax", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "step budget" in captured.err
 
     def test_solve_deterministic(self, tmp_path):
         cfg = write_config(tmp_path)

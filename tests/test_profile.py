@@ -4,6 +4,7 @@ import pytest
 from plap.bifurcation import bifurcation_table
 from plap.cli import ORACLE_TOL
 from plap.errors import Blowup, BudgetMismatch, ShapeError
+from plap.nonlinearity import build_nonlinearity, eval_F
 from plap.profile import (
     classify_regularity,
     energy_residual,
@@ -217,6 +218,35 @@ class TestShoot:
     def test_rejects_bad_slope(self, ci_prob):
         with pytest.raises(ValueError):
             shoot(ci_prob, -1.0, "+", 100)
+
+    def test_step_budget_exhausted_raises(self, ci_prob, ci_first):
+        with pytest.raises(Blowup, match="step budget"):
+            shoot(ci_prob, ci_first.r, "+", 20)
+
+    @pytest.mark.parametrize(
+        "p, q, params",
+        [
+            (1.5, 2.5, {"b_plus": 1.0, "b_minus": 1.0, "r_exp": 4.5}),
+            (1.5, 2.0, {"b_plus": 2.0, "b_minus": 1.0, "r_exp": 4.0}),
+            (2.0, 2.0, {"b_plus": 1.0, "b_minus": 1.0, "r_exp": 4.0}),
+            (2.0, 2.0, {"b_plus": 2.0, "b_minus": 1.0, "r_exp": 4.0}),
+            (3.0, 3.0, {"b_plus": 1.0, "b_minus": 1.0, "r_exp": 6.0}),
+            (3.0, 2.0, {"b_plus": 2.0, "b_minus": 1.0, "r_exp": 4.0}),
+        ],
+        ids=["p1.5-odd", "p1.5-asym", "p2-odd", "p2-asym", "p3-odd", "p3-asym"],
+    )
+    @pytest.mark.parametrize("sign", "+-")
+    def test_first_integral_conserved(self, p, q, params, sign):
+        # (p-1)/p |w|^{p/(p-1)} + lam (|phi|^q/q - F(phi)) is constant along
+        # every trajectory, and |w|^{p/(p-1)} = |phi'|^p; below the slope
+        # bound the trajectory stays bounded and never reaches a flat point
+        nl = build_nonlinearity("power_asym", q, params)
+        prob = Problem(p=p, nl=nl, lam=50.0)
+        sh = shoot(prob, 0.9 * slope_bounds(prob).r_star, sign, 100_000)
+        energy = (p - 1.0) / p * np.abs(sh.dphi) ** p + prob.lam * (
+            np.abs(sh.phi) ** q / q - eval_F(nl, sh.phi)
+        )
+        assert np.max(np.abs(energy - energy[0])) <= 1e-9 * energy[0]
 
 
 class TestRegularity:
