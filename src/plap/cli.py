@@ -153,20 +153,12 @@ def cmd_diagram(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _enumerate(cfg: RunConfig, j_max: int):
-    problem = cfg.build_problem()
-    descs = solver.enumerate_solutions(
-        problem,
-        j_max,
-        scan_points=cfg.numerics.scan_points,
-        quad_tol=cfg.numerics.quad_tol,
-    )
-    return problem, descs
-
-
 def cmd_solve(cfg: RunConfig, args) -> int:
     j_max = args.jmax if args.jmax is not None else 4
-    problem, descs = _enumerate(cfg, j_max)
+    problem = cfg.build_problem()
+    descs = solver.enumerate_solutions(
+        problem, j_max, scan_points=cfg.numerics.scan_points, quad_tol=cfg.numerics.quad_tol
+    )
     payload = {
         "lambda": problem.lam,
         "p": problem.p,
@@ -178,10 +170,15 @@ def cmd_solve(cfg: RunConfig, args) -> int:
 
 
 def _find_descriptor(cfg: RunConfig, args):
+    """The descriptor named by ``--id``, searched in ``solve``'s order; the
+    classes after the one holding it are never solved."""
     if not args.id:
         raise ConfigError("--id is required for this command")
     j_max = args.jmax if args.jmax is not None else 8
-    problem, descs = _enumerate(cfg, j_max)
+    problem = cfg.build_problem()
+    descs = solver.iter_solutions(
+        problem, j_max, scan_points=cfg.numerics.scan_points, quad_tol=cfg.numerics.quad_tol
+    )
     d = solver.find_descriptor(descs, args.id)
     if d is None:
         raise ConfigError(f"unknown descriptor id {args.id}")

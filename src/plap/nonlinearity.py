@@ -27,9 +27,9 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, HypothesisViolated, NoZeroFound
+from .roots import brentq
 
 _ZERO_TOL = 1e-12
 _BRACKET_START = 1e-3
@@ -220,8 +220,8 @@ def locate_nonlinearity(kind: str, q: float, params: dict) -> Nonlinearity:
     Raises
     ------
     ValueError
-        Unknown family, a missing family key, or parameters outside their
-        declared ranges or not finite.
+        Unknown family, a missing family key, or parameters that are not
+        numbers, lie outside their declared ranges or are not finite.
     NoZeroFound
         The map ``|s|^{q-2}s - f(s)`` never changes sign.
     """
@@ -232,20 +232,26 @@ def locate_nonlinearity(kind: str, q: float, params: dict) -> Nonlinearity:
     missing = [k for k in _FAMILY_KEYS[kind] if k not in params]
     if missing:
         raise ValueError(f"{kind} nonlinearity needs {', '.join(missing)}")
+    try:
+        if kind == "power_asym":
+            values = tuple(float(params[k]) for k in _FAMILY_KEYS[kind])
+        else:
+            values = tuple(float(c) for c in params["coeffs"])
+    except TypeError as exc:
+        raise ValueError(f"{kind} parameters must be numbers: {exc}") from exc
     if kind == "power_asym":
-        b_plus, b_minus, r_exp = (float(params[k]) for k in _FAMILY_KEYS[kind])
+        b_plus, b_minus, r_exp = values
         if not (0.0 < b_plus < math.inf and 0.0 < b_minus < math.inf):
             raise ValueError("b_plus and b_minus must be positive and finite")
         if not 1.0 < r_exp < math.inf:
             raise ValueError(f"r_exp must be finite and exceed 1, got {r_exp}")
         e, c_plus, c_minus = r_exp - 1.0, (b_plus,), (b_minus,)
     else:
-        coeffs = tuple(float(c) for c in params["coeffs"])
-        if not all(math.isfinite(c) for c in coeffs):
-            raise ValueError(f"polynomial coefficients must be finite, got {list(coeffs)}")
-        if not coeffs or all(c == 0.0 for c in coeffs):
+        if not all(math.isfinite(c) for c in values):
+            raise ValueError(f"polynomial coefficients must be finite, got {list(values)}")
+        if not values or all(c == 0.0 for c in values):
             raise ValueError("polynomial family needs at least one nonzero coefficient")
-        e, c_plus, c_minus = 1.0, coeffs, coeffs
+        e, c_plus, c_minus = 1.0, values, values
 
     probe = Nonlinearity(q=float(q), e=e, c_plus=c_plus, c_minus=c_minus, z_plus=1.0, z_minus=-1.0)
     z_plus = _first_positive_zero(lambda s: eval_m(probe, s), _BRACKET_START)

@@ -21,13 +21,15 @@ the plateau budget and the continuum dimension.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import OutOfRange
 from .nonlinearity import areas
+from .roots import brentq, golden_min
 from .timemap import (
     Problem,
     endpoint_integrals,
@@ -166,13 +168,8 @@ def _weight_at_bound(sclass: SolutionClass, ends: tuple[float, float, float, flo
 
 def _golden_min(fun, grid: np.ndarray, i: int) -> tuple[float, float]:
     """(argmin, min) of ``fun`` by golden section from the bracket grid[i-1:i+2]."""
-    opt = minimize_scalar(
-        fun,
-        bracket=(float(grid[i - 1]), float(grid[i]), float(grid[i + 1])),
-        method="golden",
-        options={"xtol": 1e-12},
-    )
-    return float(opt.x), float(opt.fun)
+    x, f = golden_min(fun, float(grid[i - 1]), float(grid[i]), float(grid[i + 1]), xtol=1e-12)
+    return float(x), float(f)
 
 
 class _ProblemCache:
@@ -364,6 +361,27 @@ def _solve(cache: _ProblemCache, sclass: SolutionClass) -> list[SolutionDescript
     return out
 
 
+def iter_solutions(
+    problem: Problem,
+    j_max: int,
+    *,
+    scan_points: int = 1024,
+    quad_tol: float = 1e-10,
+) -> Iterator[SolutionDescriptor]:
+    """Trivial marker, then the descriptors of S_1^+, S_1^-, ..., S_jmax^-.
+
+    Each class is solved only when the iteration reaches it, so a caller
+    that stops early solves no later class.  The classes share one cache
+    whose grids are keyed by (bound, sign), so no value depends on how many
+    classes were solved before.
+    """
+    if j_max < 1:
+        raise ValueError(f"j_max must be >= 1, got {j_max}")
+    cache = _ProblemCache(problem, quad_tol, scan_points)
+    classes = (SolutionClass(j, sign) for j in range(1, j_max + 1) for sign in (SIGN_POS, SIGN_NEG))
+    return chain([TRIVIAL], chain.from_iterable(_solve(cache, sclass) for sclass in classes))
+
+
 def enumerate_solutions(
     problem: Problem,
     j_max: int,
@@ -372,17 +390,10 @@ def enumerate_solutions(
     quad_tol: float = 1e-10,
 ) -> list[SolutionDescriptor]:
     """Trivial marker plus every descriptor of every class with j <= j_max."""
-    if j_max < 1:
-        raise ValueError(f"j_max must be >= 1, got {j_max}")
-    cache = _ProblemCache(problem, quad_tol, scan_points)
-    out = [TRIVIAL]
-    for j in range(1, j_max + 1):
-        for sign in (SIGN_POS, SIGN_NEG):
-            out.extend(_solve(cache, SolutionClass(j, sign)))
-    return out
+    return list(iter_solutions(problem, j_max, scan_points=scan_points, quad_tol=quad_tol))
 
 
-def find_descriptor(descriptors: list[SolutionDescriptor], descriptor_id: str):
+def find_descriptor(descriptors: Iterable[SolutionDescriptor], descriptor_id: str):
     for d in descriptors:
         if d.descriptor_id == descriptor_id:
             return d

@@ -29,11 +29,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import Divergent, DomainError, OutOfRange
 from .nonlinearity import Nonlinearity, areas, eval_F, eval_df, eval_m, reflected
 from .quadrature import tanh_sinh, tanh_sinh_batch
+from .roots import brentq
 
 _TAIL_FRAC = 1e-2  # switch from the direct formula to the tail integral
 _MODEL_FRAC = 1e-8  # switch from the tail integral to the local quadratic model

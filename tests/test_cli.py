@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import plap
 from plap.cli import main
 
 
@@ -59,6 +64,20 @@ class TestValidate:
         assert main(["validate", "--config", write_config(tmp_path, nonlinearity=nonlinearity)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
+
+    @pytest.mark.parametrize(
+        "nonlinearity",
+        [
+            {"kind": "power_asym", "b_plus": None, "b_minus": 1.0, "r_exp": 4.0},
+            {"kind": "polynomial", "coeffs": 5},
+        ],
+        ids=["b_plus_null", "coeffs_int"],
+    )
+    def test_family_value_of_wrong_type_exit_1(self, tmp_path, capsys, nonlinearity):
+        assert main(["validate", "--config", write_config(tmp_path, nonlinearity=nonlinearity)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "must be numbers" in captured.err
 
     def test_validates_once(self, tmp_path, monkeypatch):
         import plap.cli
@@ -199,6 +218,29 @@ class TestSolveRoundTrip:
         assert main(["profile", "--config", cfg, "--id", trivial["id"], "--out", str(out)]) == 0
         assert main(["verify", "--config", cfg, "--id", trivial["id"]]) == 0
 
+    def test_lookup_stops_at_the_class_of_the_id(self, tmp_path, capsys, monkeypatch):
+        import plap.solver
+
+        cfg = write_config(tmp_path)
+        assert main(["solve", "--config", cfg, "--jmax", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        d0 = [d for d in payload["descriptors"] if d["kind"] == "regular"][0]
+        assert d0["sign"] == "+"
+        solved = []
+        real = plap.solver._solve
+
+        def counting(cache, sclass):
+            solved.append(sclass)
+            return real(cache, sclass)
+
+        monkeypatch.setattr(plap.solver, "_solve", counting)
+        assert main(["profile", "--config", cfg, "--id", d0["id"]]) == 0
+        assert capsys.readouterr().out.startswith("x,phi,dphi")
+        assert solved == [plap.solver.SolutionClass(1, "+")]
+        solved.clear()
+        assert main(["profile", "--config", cfg, "--id", "deadbeef0000", "--jmax", "3"]) == 1
+        assert len(solved) == 6  # an unknown id still searches every class
+
     def test_missing_id_exit_1(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["profile", "--config", cfg]) == 1
@@ -326,3 +368,13 @@ class TestNonFinite:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency: the package and its CLI run on numpy alone
+    code = "import sys, plap, plap.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(plap.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True
+    )
+    assert proc.stdout.strip() == "[]"
