@@ -25,11 +25,11 @@ import numpy as np
 from .errors import NoZeroFound
 from .nonlinearity import Nonlinearity, areas, reflected
 from .quadrature import tanh_sinh
+from .roots import golden_min
 from .solver import (
     _SCAN_EPS,
     SolutionClass,
     _class_bound,
-    _golden_min,
     _weight_at_bound,
     area_relation,
     continuum_dimension,
@@ -126,7 +126,7 @@ def _fold_weights(nl: Nonlinearity, p: float, classes: list[SolutionClass], tol:
                 )
 
             i = min(max(int(np.argmin(vals)), 1), vals.size - 2)
-            minima[w_pos, w_neg, area] = _golden_min(weight, grid, i)[1]
+            minima[w_pos, w_neg, area] = golden_min(weight, grid, i)[1]
         return minima[w_pos, w_neg, area]
 
     out = []

@@ -206,7 +206,7 @@ def _first_positive_zero(m, start: float) -> float:
         if v == 0.0:
             return s
         if v * v_prev < 0.0:
-            return brentq(m, s_prev, s, xtol=5e-324, rtol=8.9e-16)
+            return brentq(m, s_prev, s, xtol=5e-324)
         s_prev, v_prev = s, v
     raise NoZeroFound(
         f"no sign change of the map within the bracket expansion from {start}"
@@ -237,7 +237,7 @@ def locate_nonlinearity(kind: str, q: float, params: dict) -> Nonlinearity:
             values = tuple(float(params[k]) for k in _FAMILY_KEYS[kind])
         else:
             values = tuple(float(c) for c in params["coeffs"])
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"{kind} parameters must be numbers: {exc}") from exc
     if kind == "power_asym":
         b_plus, b_minus, r_exp = values

@@ -10,8 +10,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import NoZeroFound
 
+_RTOL = 8.9e-16  # relative bracket width at which brentq stops
+_MAXITER = 100  # brentq iterations before NoZeroFound
+_GOLDEN_XTOL = 1e-12  # relative bracket width at which golden_min stops
 _GR = 0.61803399  # golden ratio conjugate, to SciPy's eight digits
 _GC = 1.0 - _GR
 
@@ -23,17 +28,17 @@ def _value(f, x: float) -> float:
     return fx
 
 
-def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+def brentq(f, a: float, b: float, xtol: float) -> float:
     """A zero of ``f`` in ``[a, b]``, where ``f(a)`` and ``f(b)`` differ in sign.
 
-    Stops when the bracket is narrower than ``xtol + rtol * |x|``.
+    Stops when the bracket is narrower than ``xtol + _RTOL * |x|``.
 
     Raises
     ------
     ValueError
         ``f(a)`` and ``f(b)`` have the same sign, or ``f`` returned NaN.
     NoZeroFound
-        ``maxiter`` iterations did not converge.
+        ``_MAXITER`` iterations did not converge.
     """
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
@@ -45,7 +50,7 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) 
         return xcur
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -53,7 +58,7 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) 
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2.0
+        delta = (xtol + _RTOL * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -81,26 +86,35 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) 
         else:
             xcur += delta if sbis > 0.0 else -delta
         fcur = _value(f, xcur)
-    raise NoZeroFound(f"Brent's method did not converge in {maxiter} iterations, last x = {xcur}")
+    raise NoZeroFound(f"Brent's method did not converge in {_MAXITER} iterations, last x = {xcur}")
 
 
-def golden_min(fun, xa: float, xb: float, xc: float, xtol: float):
-    """(argmin, min) of ``fun`` by golden section from the bracket ``xa < xb < xc``.
+def golden_min(fun, grid: np.ndarray, i: int) -> tuple[float, float]:
+    """(argmin, min) of ``fun`` by golden section from the bracket grid[i-1:i+2].
 
-    Stops when the bracket is narrower than ``xtol`` relative to its inner
-    points, or after SciPy's 5000 iterations.  A bracket whose middle value
-    is not below both ends has no interior minimum to refine; the best of
-    its three points is returned.
+    Stops when the bracket is narrower than ``_GOLDEN_XTOL`` relative to its
+    inner points, or after SciPy's 5000 iterations.
+
+    Raises
+    ------
+    ValueError
+        The bracket is not ordered, or its middle value is not below both
+        ends (a NaN value included).
     """
-    if not xa < xb < xc:
-        raise ValueError("bracket must satisfy xa < xb < xc")
+    xa, xb, xc = (float(x) for x in grid[i - 1 : i + 2])
+    if xa > xc:
+        xa, xc = xc, xa
+    if not (xa < xb and xb < xc):
+        raise ValueError(
+            "Bracketing values (xa, xb, xc) do not fulfill this requirement:"
+            " (xa < xb) and (xb < xc)"
+        )
     fa, fb, fc = fun(xa), fun(xb), fun(xc)
     if not (fb < fa and fb < fc):
-        if any(math.isnan(v) for v in (xa, xb, xc, fa, fb, fc)):
-            return math.nan, math.nan
-        fs = (fa, fb, fc)
-        best = fs.index(min(fs))
-        return (xa, xb, xc)[best], fs[best]
+        raise ValueError(
+            "Bracketing values (xa, xb, xc) do not fulfill this requirement:"
+            " (f(xb) < f(xa)) and (f(xb) < f(xc))"
+        )
 
     x0, x3 = xa, xc
     if abs(xc - xb) > abs(xb - xa):
@@ -111,7 +125,7 @@ def golden_min(fun, xa: float, xb: float, xc: float, xtol: float):
         x1 = xb - _GC * (xb - xa)
     f1, f2 = fun(x1), fun(x2)
     for _ in range(5000):
-        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
+        if abs(x3 - x0) <= _GOLDEN_XTOL * (abs(x1) + abs(x2)):
             break
         if f2 < f1:
             x0, x1 = x1, x2
@@ -121,4 +135,4 @@ def golden_min(fun, xa: float, xb: float, xc: float, xtol: float):
             x3, x2 = x2, x1
             x1 = _GR * x2 + _GC * x0
             f2, f1 = f1, fun(x1)
-    return (x1, f1) if f1 < f2 else (x2, f2)
+    return (float(x1), float(f1)) if f1 < f2 else (float(x2), float(f2))

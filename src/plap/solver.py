@@ -166,12 +166,6 @@ def _weight_at_bound(sclass: SolutionClass, ends: tuple[float, float, float, flo
     return sclass.n_pos * i_val + sclass.n_neg * j_val
 
 
-def _golden_min(fun, grid: np.ndarray, i: int) -> tuple[float, float]:
-    """(argmin, min) of ``fun`` by golden section from the bracket grid[i-1:i+2]."""
-    x, f = golden_min(fun, float(grid[i - 1]), float(grid[i]), float(grid[i + 1]), xtol=1e-12)
-    return float(x), float(f)
-
-
 class _ProblemCache:
     """Shared per-problem quantities reused across classes in one enumeration."""
 
@@ -303,7 +297,7 @@ def _solve(cache: _ProblemCache, sclass: SolutionClass) -> list[SolutionDescript
     roots: list[tuple[float, float, bool]] = []  # (r, residual, degenerate)
 
     def refine(lo: float, hi: float) -> None:
-        r0 = brentq(residual, lo, hi, xtol=1e-15 * bound, rtol=8.9e-16)
+        r0 = brentq(residual, lo, hi, xtol=1e-15 * bound)
         roots.append((float(r0), float(residual(r0)), False))
 
     # strict crossings only: exact zeros over a run of grid points happen when
@@ -332,7 +326,7 @@ def _solve(cache: _ProblemCache, sclass: SolutionClass) -> list[SolutionDescript
                 grid[i - 1] <= r <= grid[i + 1] for r, _, _ in roots
             ):
                 continue
-            r_min, f_min = _golden_min(residual, grid, i)
+            r_min, f_min = golden_min(residual, grid, i)
             if abs(f_min) <= _TANGENT_TOL:
                 roots.append((r_min, f_min, True))
             elif f_min < 0.0:

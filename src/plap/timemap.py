@@ -111,7 +111,6 @@ def level_pos(nl: Nonlinearity, rho: float) -> float:
         0.0,
         nl.z_plus,
         xtol=1e-17 + 1e-16 * nl.z_plus,
-        rtol=8.9e-16,
     )
 
 
@@ -381,4 +380,4 @@ def invert_arch_distance(
     hi = w_max * (1.0 - 1e-13)
     if fun(hi) < 0.0:
         raise OutOfRange(f"target distance {target} exceeds the arch half-width")
-    return brentq(fun, 0.0, hi, xtol=1e-15 * w_max, rtol=8.9e-16)
+    return brentq(fun, 0.0, hi, xtol=1e-15 * w_max)

@@ -70,8 +70,9 @@ class TestValidate:
         [
             {"kind": "power_asym", "b_plus": None, "b_minus": 1.0, "r_exp": 4.0},
             {"kind": "polynomial", "coeffs": 5},
+            {"kind": "power_asym", "b_plus": 10**400, "b_minus": 1.0, "r_exp": 4.0},
         ],
-        ids=["b_plus_null", "coeffs_int"],
+        ids=["b_plus_null", "coeffs_int", "b_plus_overflow"],
     )
     def test_family_value_of_wrong_type_exit_1(self, tmp_path, capsys, nonlinearity):
         assert main(["validate", "--config", write_config(tmp_path, nonlinearity=nonlinearity)]) == 1

@@ -3,12 +3,14 @@ return the very floats that ``scipy.optimize`` returns."""
 
 import math
 
+import numpy as np
 import pytest
 from scipy.optimize import brentq as scipy_brentq
 from scipy.optimize import minimize_scalar
 
+from plap import roots
 from plap.errors import NoZeroFound
-from plap.roots import brentq, golden_min
+from plap.roots import _GOLDEN_XTOL, _RTOL, brentq, golden_min
 
 ROOT_CASES = {
     "cubic": (lambda x: x**3 - 2.0 * x - 5.0, [(2.0, 3.0), (-1.0, 5.0), (2.09, 2.1)]),
@@ -33,18 +35,18 @@ def test_brentq_bit_identical_to_scipy(name):
     f, brackets = ROOT_CASES[name]
     for a, b in brackets:
         for xtol in _xtols(max(abs(a), abs(b))):
-            ours = brentq(f, a, b, xtol=xtol, rtol=8.9e-16)
-            assert ours == scipy_brentq(f, a, b, xtol=xtol, rtol=8.9e-16), (a, b, xtol)
+            ours = brentq(f, a, b, xtol=xtol)
+            assert ours == scipy_brentq(f, a, b, xtol=xtol, rtol=_RTOL), (a, b, xtol)
 
 
 def test_brentq_endpoint_zero_returned_as_is():
-    assert brentq(lambda x: x - 1.0, 1.0, 3.0, 1e-12, 8.9e-16) == 1.0
-    assert brentq(lambda x: x - 3.0, 1.0, 3.0, 1e-12, 8.9e-16) == 3.0
+    assert brentq(lambda x: x - 1.0, 1.0, 3.0, 1e-12) == 1.0
+    assert brentq(lambda x: x - 3.0, 1.0, 3.0, 1e-12) == 3.0
 
 
 def test_brentq_same_sign_raises():
     with pytest.raises(ValueError, match="different signs"):
-        brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 8.9e-16)
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
 
 
 @pytest.mark.parametrize(
@@ -54,17 +56,18 @@ def test_brentq_same_sign_raises():
 )
 def test_brentq_nan_raises(f):
     with pytest.raises(ValueError, match="NaN"):
-        brentq(f, 0.0, 1.0, 1e-12, 8.9e-16)
+        brentq(f, 0.0, 1.0, 1e-12)
     with pytest.raises(ValueError, match="NaN"):
-        scipy_brentq(f, 0.0, 1.0, xtol=1e-12, rtol=8.9e-16)
+        scipy_brentq(f, 0.0, 1.0, xtol=1e-12, rtol=_RTOL)
 
 
-def test_brentq_maxiter_exhausted():
+def test_brentq_maxiter_exhausted(monkeypatch):
     f = lambda x: math.cos(x) - x
+    monkeypatch.setattr(roots, "_MAXITER", 3)
     with pytest.raises(NoZeroFound):
-        brentq(f, -3.0, 4.0, 1e-12, 8.9e-16, maxiter=3)
+        brentq(f, -3.0, 4.0, 1e-12)
     with pytest.raises(RuntimeError):
-        scipy_brentq(f, -3.0, 4.0, xtol=1e-12, rtol=8.9e-16, maxiter=3)
+        scipy_brentq(f, -3.0, 4.0, xtol=1e-12, rtol=_RTOL, maxiter=3)
 
 
 GOLDEN_CASES = {
@@ -74,26 +77,38 @@ GOLDEN_CASES = {
 }
 
 
+def _scipy_golden(f, bracket):
+    opt = minimize_scalar(f, bracket=bracket, method="golden", options={"xtol": _GOLDEN_XTOL})
+    return float(opt.x), float(opt.fun)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-@pytest.mark.parametrize("xtol", [1e-12, 1e-8])
-def test_golden_min_bit_identical_to_scipy(name, xtol):
+def test_golden_min_bit_identical_to_scipy(name):
     f, brackets = GOLDEN_CASES[name]
     for bracket in brackets:
-        opt = minimize_scalar(f, bracket=bracket, method="golden", options={"xtol": xtol})
-        assert golden_min(f, *bracket, xtol=xtol) == (float(opt.x), float(opt.fun)), bracket
+        grid = np.array([-9.0, *bracket, 9.0])
+        assert golden_min(f, grid, 2) == _scipy_golden(f, bracket), bracket
 
 
-def test_golden_min_invalid_bracket_returns_best_point():
-    # minimize_scalar's bracket-error recovery: the best of the three points.
-    # (SciPy applies it to brackets it searched for itself; an explicit
-    # three-point bracket makes SciPy 1.17 raise ValueError instead.)
-    f = lambda x: (x - 5.0) ** 2
-    assert golden_min(f, 0.0, 1.0, 2.0, 1e-12) == (2.0, 9.0)
-    assert golden_min(lambda x: 1.0, 0.0, 1.0, 2.0, 1e-12) == (0.0, 1.0)
-    assert all(math.isnan(v) for v in golden_min(lambda x: math.nan, 0.0, 1.0, 2.0, 1e-12))
+@pytest.mark.parametrize(
+    "f",
+    [lambda x: (x - 5.0) ** 2, lambda x: 1.0, lambda x: math.nan],
+    ids=["min_at_end", "flat", "nan"],
+)
+def test_golden_min_invalid_bracket_raises(f):
+    # no interior minimum to refine: an error, as SciPy gives for an
+    # explicit three-point bracket, not a silent best point
+    with pytest.raises(ValueError, match=r"f\(xb\) < f\(xa\)"):
+        golden_min(f, np.array([0.0, 1.0, 2.0]), 1)
+    with pytest.raises(ValueError, match=r"f\(xb\) < f\(xa\)"):
+        _scipy_golden(f, (0.0, 1.0, 2.0))
 
 
-@pytest.mark.parametrize("bracket", [(0.0, 3.0, 2.0), (2.0, 1.0, 0.0)])
-def test_golden_min_unordered_bracket_raises(bracket):
-    with pytest.raises(ValueError):
-        golden_min(lambda x: x * x, *bracket, 1e-12)
+def test_golden_min_unordered_bracket_raises():
+    with pytest.raises(ValueError, match=r"\(xa < xb\)"):
+        golden_min(lambda x: x * x, np.array([0.0, 3.0, 2.0]), 1)
+
+
+def test_golden_min_descending_bracket_as_scipy():
+    f = lambda x: (x - 1.3) ** 2
+    assert golden_min(f, np.array([2.0, 1.0, 0.0]), 1) == _scipy_golden(f, (2.0, 1.0, 0.0))

@@ -103,13 +103,13 @@ class TestSolveClass:
         # a dip the scan already shows below zero has both roots bracketed by
         # sign changes; only one at the scan's resolution needs the fold search
         calls = []
-        golden = solver._golden_min
+        golden = solver.golden_min
 
         def counted(*args):
             calls.append(args)
             return golden(*args)
 
-        monkeypatch.setattr(solver, "_golden_min", counted)
+        monkeypatch.setattr(solver, "golden_min", counted)
         lam_star = bifurcation_table(qgtp, 2.0, 1).star_plus[0]
         descs = solve_class(Problem(p=2.0, nl=qgtp, lam=factor * lam_star), SolutionClass(1, "+"))
         assert len(calls) == searches
