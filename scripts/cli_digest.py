@@ -1,0 +1,99 @@
+"""One sha256 per plap CLI call, over a fixed set of configs and lambdas.
+
+    PYTHONPATH=src python scripts/cli_digest.py > digest.txt
+
+Runs every command (validate, diagram, solve, structure, profile, verify,
+regularity) on the five fixture families of ``tests/conftest.py`` and the
+configs of ``perfbench/workloads.py``, at three lambdas each, and prints one
+line per call: the sha256 of its exit code, stdout and stderr, then the call.
+``profile``, ``verify`` and ``regularity`` run on the first regular and the
+first flat-core descriptor that ``solve`` lists at that lambda.
+
+The CLI promises byte-identical output for identical configs, so two source
+trees produce the same CLI output exactly when their digests are equal:
+run the script against each (``PYTHONPATH=<tree>/src``) and diff the two.
+All calls run in one process, in a fixed order, through ``plap.cli.main``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from plap.cli import main  # noqa: E402
+from workloads import (  # noqa: E402
+    ASYM_Q2,
+    CUBIC_P2,
+    FLAT_Q3,
+    POLY_Q2,
+    QGTP_ASYM,
+    QGTP_REALP,
+    QGTP_REALQ,
+    QGTP_SYM,
+    REALQ_Q25,
+    Config,
+    _power,
+)
+
+# the tests/conftest.py fixtures, each with the p the tests pair it with
+FIXTURES = (
+    Config("cubic_odd", 2.0, 2.0, _power(1.0, 1.0, 4.0), (12.0, 200.0)),
+    Config("asym", 3.0, 2.0, _power(2.0, 1.0, 4.0), (20.0, 2000.0)),
+    Config("quintic_q3", 3.0, 3.0, _power(1.0, 1.0, 6.0), (30.0, 3000.0)),
+    Config("qgtp", 2.0, 3.0, _power(1.0, 1.0, 5.0), (40.0, 800.0)),
+    Config("quartic_q4", 4.0, 4.0, _power(1.0, 1.0, 6.0), (50.0, 5000.0)),
+)
+BENCH = (QGTP_SYM, QGTP_REALP, QGTP_ASYM, QGTP_REALQ, FLAT_Q3, ASYM_Q2, POLY_Q2, CUBIC_P2, REALQ_Q25)
+POSITIONS = (0.2, 0.5, 0.8)  # lambdas at these log-fractions of each range
+
+
+def call(argv: list[str]) -> tuple[str, str]:
+    """(sha256 of exit code, stdout and stderr; stdout) of one CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    blob = f"{code}\n{out.getvalue()}\n{err.getvalue()}"
+    return hashlib.sha256(blob.encode()).hexdigest(), out.getvalue()
+
+
+def digest_config(cfg: Config, work: Path) -> None:
+    lo, hi = cfg.lam_range
+    for k, t in enumerate(POSITIONS):
+        lam = lo * (hi / lo) ** t
+        path = work / f"{cfg.name}_{k}.json"
+        path.write_text(json.dumps(cfg.spec(lam)))
+        spec = ["--config", str(path)]
+        label = f"{cfg.name} lambda={lam!r}"
+        commands = [["structure", "--n", "6"], ["solve"]]
+        if k == 0:  # lambda-free
+            commands = [["validate"], ["diagram", "--n", "6"]] + commands
+        for cmd in commands:
+            digest, out = call(cmd + spec)
+            print(f"{digest}  {' '.join(cmd)} {label}")
+        try:
+            descriptors = json.loads(out)["descriptors"]
+        except (ValueError, KeyError):
+            continue
+        picks = [next((d for d in descriptors if d["kind"] == kind), None) for kind in ("regular", "flat_core")]
+        for d in filter(None, picks):
+            for cmd in ("profile", "verify", "regularity"):
+                digest, _ = call([cmd, "--id", d["id"]] + spec)
+                print(f"{digest}  {cmd} --id {d['id']} {label}")
+
+
+def main_digest() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for cfg in FIXTURES + BENCH:
+            digest_config(cfg, Path(tmp))
+
+
+if __name__ == "__main__":
+    main_digest()

@@ -50,6 +50,7 @@ from .solver import (
     enumerate_solutions,
     matching_residual,
     solve_class,
+    sweep,
 )
 from .timemap import (
     EndpointLevels,

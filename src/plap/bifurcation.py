@@ -27,7 +27,6 @@ from .nonlinearity import Nonlinearity, areas, reflected
 from .quadrature import tanh_sinh
 from .roots import golden_min
 from .solver import (
-    _SCAN_EPS,
     SolutionClass,
     _class_bound,
     _weight_at_bound,
@@ -36,9 +35,9 @@ from .solver import (
     flat_core_side,
 )
 from .timemap import (
+    _SCAN_EPS,
     Problem,
-    _integral_many,
-    _level_many,
+    _scan,
     endpoint_integrals,
     endpoint_levels,
     integral_I,
@@ -100,7 +99,7 @@ def _fold_weights(nl: Nonlinearity, p: float, classes: list[SolutionClass], tol:
     minima: dict[tuple[int, int, float], float] = {}
 
     def scan(k: int, grid: np.ndarray) -> np.ndarray:
-        return _integral_many(sides[k], p, _level_many(sides[k], grid), tol_scan)
+        return _scan(sides[k], p, grid, tol_scan)
 
     def minimum(sc: SolutionClass, w_pos: int, w_neg: int, area: float) -> float:
         if (w_pos, w_neg, area) not in minima:

@@ -1,9 +1,10 @@
 """Command-line interface.
 
     plap <command> --config spec.json [--out path] [--n N]
-                   [--jmax J] [--id ID] [--cores a1,a2,...]
+                   [--jmax J] [--id ID] [--cores a1,a2,...] [--lambdas l1,l2,...]
 
-Commands: validate, diagram, solve, profile, verify, structure, regularity.
+Commands: validate, diagram, solve, sweep, profile, verify, structure,
+regularity.
 Exit codes: 0 ok, 1 usage/config error, 2 hypothesis failure, 3 verification
 failure.  Outputs are deterministic: identical configs yield byte-identical
 files (floats are printed with 17 significant digits).
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import bifurcation, profile, solver, timemap
 from .errors import ConfigError, HypothesisViolated, PlapError
-from .nonlinearity import build_nonlinearity, locate_nonlinearity, validate_hypotheses
+from .nonlinearity import build_nonlinearity, locate_nonlinearity, real_number, validate_hypotheses
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,6 +47,15 @@ class Numerics:
             raise ConfigError("scan_points, grid, and ode_steps must be positive")
 
 
+def _count(value, what: str) -> int:
+    """``value`` as an int; a number with a fractional part raises rather
+    than being truncated."""
+    number = real_number(value, what)
+    if not number.is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(number)
+
+
 @dataclass
 class RunConfig:
     p: float
@@ -67,14 +77,17 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         try:
             nl_spec = dict(raw["nonlinearity"])
-            q = float(raw.get("q", nl_spec.get("q")))
             num = raw.get("numerics", {})
+            numerics = {
+                k: _count(num.get(k, v), k) if isinstance(v, int) else real_number(num.get(k, v), k)
+                for k, v in vars(Numerics()).items()
+            }
             cfg = cls(
-                p=float(raw["p"]),
-                q=q,
-                lam=float(raw.get("lambda", 1.0)),
+                p=real_number(raw["p"], "p"),
+                q=real_number(raw.get("q", nl_spec.get("q")), "q"),
+                lam=real_number(raw.get("lambda", 1.0), "lambda"),
                 nonlinearity=nl_spec,
-                numerics=Numerics(**{k: type(v)(num.get(k, v)) for k, v in vars(Numerics()).items()}),
+                numerics=Numerics(**numerics),
             )
         except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
@@ -153,19 +166,40 @@ def cmd_diagram(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _solve_payload(cfg: RunConfig, lam: float, descs) -> dict:
+    return {"lambda": lam, "p": cfg.p, "q": cfg.q, "descriptors": [d.to_json_dict() for d in descs]}
+
+
 def cmd_solve(cfg: RunConfig, args) -> int:
     j_max = args.jmax if args.jmax is not None else 4
     problem = cfg.build_problem()
     descs = solver.enumerate_solutions(
         problem, j_max, scan_points=cfg.numerics.scan_points, quad_tol=cfg.numerics.quad_tol
     )
-    payload = {
-        "lambda": problem.lam,
-        "p": problem.p,
-        "q": problem.q,
-        "descriptors": [d.to_json_dict() for d in descs],
-    }
-    _emit(_json_text(payload), args.out)
+    _emit(_json_text(_solve_payload(cfg, problem.lam, descs)), args.out)
+    return EXIT_OK
+
+
+def _parse_lambdas(arg: str | None) -> list[float]:
+    try:
+        lams = [float(v) for v in (arg or "").split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad --lambdas list: {exc}") from exc
+    if not lams:
+        raise ConfigError("--lambdas is required for sweep")
+    return lams
+
+
+def cmd_sweep(cfg: RunConfig, args) -> int:
+    """``solve`` at every lambda of ``--lambdas`` in one process, as a JSON
+    list of ``solve``'s payloads; the config's own lambda is not used."""
+    lams = _parse_lambdas(args.lambdas)
+    j_max = args.jmax if args.jmax is not None else 4
+    results = solver.sweep(
+        cfg.build_nl(), cfg.p, lams, j_max,
+        scan_points=cfg.numerics.scan_points, quad_tol=cfg.numerics.quad_tol,
+    )
+    _emit(_json_text([_solve_payload(cfg, lam, descs) for lam, descs in zip(lams, results)]), args.out)
     return EXIT_OK
 
 
@@ -264,6 +298,7 @@ _COMMANDS = {
     "validate": cmd_validate,
     "diagram": cmd_diagram,
     "solve": cmd_solve,
+    "sweep": cmd_sweep,
     "profile": cmd_profile,
     "verify": cmd_verify,
     "structure": cmd_structure,
@@ -280,6 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--jmax", type=int, default=None, help="largest class index")
     ap.add_argument("--id", default=None, help="descriptor id from a solve run")
     ap.add_argument("--cores", default=None, help="comma-separated plateau lengths")
+    ap.add_argument("--lambdas", default=None, help="comma-separated lambdas for sweep")
     return ap
 
 

@@ -23,6 +23,7 @@ evaluates all three.  ``build_nonlinearity`` translates the two JSON kinds:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -188,6 +189,14 @@ def eval_m(nl: Nonlinearity, s):
     return out if out.ndim else float(out)
 
 
+def real_number(value, what: str) -> float:
+    """``value`` as a float; strings, booleans and other non-numbers raise
+    TypeError rather than being read by ``float()``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _first_positive_zero(m, start: float) -> float:
     """First zero of ``m`` on (0, inf) by geometric bracket expansion.
 
@@ -234,9 +243,12 @@ def locate_nonlinearity(kind: str, q: float, params: dict) -> Nonlinearity:
         raise ValueError(f"{kind} nonlinearity needs {', '.join(missing)}")
     try:
         if kind == "power_asym":
-            values = tuple(float(params[k]) for k in _FAMILY_KEYS[kind])
+            values = tuple(real_number(params[k], k) for k in _FAMILY_KEYS[kind])
         else:
-            values = tuple(float(c) for c in params["coeffs"])
+            coeffs = params["coeffs"]
+            if not isinstance(coeffs, (list, tuple, np.ndarray)):
+                raise TypeError(f"coeffs must be a list, got {coeffs!r}")
+            values = tuple(real_number(c, "each coefficient") for c in coeffs)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"{kind} parameters must be numbers: {exc}") from exc
     if kind == "power_asym":

@@ -28,22 +28,13 @@ from itertools import chain
 import numpy as np
 
 from .errors import OutOfRange
-from .nonlinearity import areas
+from .nonlinearity import Nonlinearity, areas
 from .roots import brentq, golden_min
-from .timemap import (
-    Problem,
-    endpoint_integrals,
-    endpoint_levels,
-    slope_bounds,
-    theta,
-    alpha,
-    theta_alpha_grids,
-)
+from .timemap import Problem, alpha, slope_bounds, theta, time_map_curves
 
 SIGN_POS = "+"
 SIGN_NEG = "-"
 
-_SCAN_EPS = 1e-12  # relative clamp of the open slope interval
 _TANGENT_TOL = 1e-9  # |residual| at a refined minimum below this is a tangency
 _MERGE_TOL = 1e-9  # roots closer than this (relative to the bound) merge
 
@@ -166,26 +157,17 @@ def _weight_at_bound(sclass: SolutionClass, ends: tuple[float, float, float, flo
     return sclass.n_pos * i_val + sclass.n_neg * j_val
 
 
-class _ProblemCache:
-    """Shared per-problem quantities reused across classes in one enumeration."""
+class _LambdaView:
+    """One lambda's view of the (f, p) store: the slope bounds and kappa that
+    turn the store's lambda-free scans into r, theta and alpha grids."""
 
     def __init__(self, problem: Problem, quad_tol: float, scan_points: int):
         self.problem = problem
         self.quad_tol = quad_tol
         self.scan_tol = max(1e-8, quad_tol)
-        self.scan_points = scan_points
+        self.curves = time_map_curves(problem.nl, problem.p, scan_points, self.scan_tol)
         self.bounds = slope_bounds(problem)
         self.relation = area_relation(problem.nl)
-        self._endpoint_integrals = None
-        self._grids: dict[tuple[float, str], np.ndarray] = {}
-
-    def endpoint_integrals(self):
-        """(I at z_hat, J at s_hat, I at z_plus, J at z_minus); p > 2 only."""
-        if self._endpoint_integrals is None:
-            nl, p = self.problem.nl, self.problem.p
-            levels = endpoint_levels(nl)
-            self._endpoint_integrals = endpoint_integrals(nl, p, levels, self.quad_tol)
-        return self._endpoint_integrals
 
     def bound_for(self, sclass: SolutionClass) -> float:
         return _class_bound(sclass, self.bounds.r_pos, self.bounds.r_neg)
@@ -193,34 +175,17 @@ class _ProblemCache:
     def grid_maps(self, sclass: SolutionClass):
         """(r grid, theta grid, alpha grid) on the class's admissible interval;
         a half the class does not use is None.  Classes with the same bound
-        share its grids."""
-        bound = self.bound_for(sclass)
-        half = np.geomspace(_SCAN_EPS, 0.5, self.scan_points // 2)
-        grid = bound * np.unique(np.concatenate([half, 1.0 - half[::-1]]))
-        th = self._half_periods(bound, grid, SIGN_POS) if sclass.n_pos else None
-        al = self._half_periods(bound, grid, SIGN_NEG) if sclass.n_neg else None
-        return grid, th, al
-
-    def _half_periods(self, bound: float, grid: np.ndarray, arch_sign: str) -> np.ndarray:
-        """Half-periods of the arches of one sign (theta for '+', alpha for '-')."""
-        # an odd f is its own reflection, so its alpha grid is its theta grid
-        if self.problem.nl.odd:
-            arch_sign = SIGN_POS
-        key = (bound, arch_sign)
-        if key not in self._grids:
-            th, al = theta_alpha_grids(
-                self.problem,
-                grid,
-                tol=self.scan_tol,
-                need_theta=arch_sign == SIGN_POS,
-                need_alpha=arch_sign == SIGN_NEG,
-            )
-            self._grids[key] = th if arch_sign == SIGN_POS else al
-        return self._grids[key]
+        share the store's scans."""
+        area = _class_bound(sclass, *areas(self.problem.nl))
+        kappa = self.problem.kappa
+        th = kappa * self.curves.integrals(area, negative=False) if sclass.n_pos else None
+        al = kappa * self.curves.integrals(area, negative=True) if sclass.n_neg else None
+        return self.bound_for(sclass) * self.curves.fractions, th, al
 
     def arch_total_at_bound(self, sclass: SolutionClass) -> float:
         """Total arch width when every arch launches at the class's bound."""
-        return 2.0 * self.problem.kappa * _weight_at_bound(sclass, self.endpoint_integrals())
+        ends = self.curves.endpoint_integrals(self.quad_tol)
+        return 2.0 * self.problem.kappa * _weight_at_bound(sclass, ends)
 
 
 def matching_residual(problem: Problem, sclass: SolutionClass, r: float, tol: float = 1e-10) -> float:
@@ -240,22 +205,22 @@ def matching_residual(problem: Problem, sclass: SolutionClass, r: float, tol: fl
     return total - 1.0
 
 
-def _flat_core_descriptor(cache: _ProblemCache, sclass: SolutionClass) -> SolutionDescriptor | None:
-    problem = cache.problem
+def _flat_core_descriptor(view: _LambdaView, sclass: SolutionClass) -> SolutionDescriptor | None:
+    problem = view.problem
     if problem.p <= 2.0:
         return None
-    budget = 1.0 - cache.arch_total_at_bound(sclass)
+    budget = 1.0 - view.arch_total_at_bound(sclass)
     if budget <= 0.0:
         return None
     return SolutionDescriptor(
         j=sclass.j,
         sign=sclass.sign,
         kind="flat_core",
-        r=cache.bound_for(sclass),
+        r=view.bound_for(sclass),
         core_budget=budget,
-        core_count=flat_core_count(sclass, cache.relation),
-        core_side=flat_core_side(sclass, cache.relation),
-        continuum_dim=continuum_dimension(sclass, cache.relation),
+        core_count=flat_core_count(sclass, view.relation),
+        core_side=flat_core_side(sclass, view.relation),
+        continuum_dim=continuum_dimension(sclass, view.relation),
     )
 
 
@@ -271,19 +236,19 @@ def solve_class(
 
     Returns an empty list when the class has no solutions at this lambda.
     """
-    return _solve(_ProblemCache(problem, quad_tol, scan_points), sclass)
+    return _solve(_LambdaView(problem, quad_tol, scan_points), sclass)
 
 
-def _solve(cache: _ProblemCache, sclass: SolutionClass) -> list[SolutionDescriptor]:
-    problem = cache.problem
-    grid, th, al = cache.grid_maps(sclass)
+def _solve(view: _LambdaView, sclass: SolutionClass) -> list[SolutionDescriptor]:
+    problem = view.problem
+    grid, th, al = view.grid_maps(sclass)
     res = -np.ones_like(grid)
     if sclass.n_pos:
         res += 2.0 * sclass.n_pos * th
     if sclass.n_neg:
         res += 2.0 * sclass.n_neg * al
 
-    refine_tol = 0.1 * min(cache.quad_tol, 1e-11)  # grid noise must not mask the root residual
+    refine_tol = 0.1 * min(view.quad_tol, 1e-11)  # grid noise must not mask the root residual
     # bracket checks and Brent evaluate the same grid ends: evaluate each once
     evaluated: dict[float, float] = {}
 
@@ -293,7 +258,7 @@ def _solve(cache: _ProblemCache, sclass: SolutionClass) -> list[SolutionDescript
             evaluated[r] = matching_residual(problem, sclass, r, refine_tol)
         return evaluated[r]
 
-    bound = cache.bound_for(sclass)
+    bound = view.bound_for(sclass)
     roots: list[tuple[float, float, bool]] = []  # (r, residual, degenerate)
 
     def refine(lo: float, hi: float) -> None:
@@ -319,7 +284,7 @@ def _solve(cache: _ProblemCache, sclass: SolutionClass) -> list[SolutionDescript
         # an interior minimum can hide a tangency or a just-born root pair
         # between grid points; one the scan shows below -delta, far beyond
         # its error, already has its roots bracketed by sign changes
-        delta = 100.0 * cache.scan_tol
+        delta = 100.0 * view.scan_tol
         interior = np.where((res[1:-1] < res[:-2]) & (res[1:-1] <= res[2:]))[0] + 1
         for i in interior:
             if not -delta <= res[i] <= 0.05 or any(
@@ -349,7 +314,7 @@ def _solve(cache: _ProblemCache, sclass: SolutionClass) -> list[SolutionDescript
         )
         for r0, f0, deg in merged
     ]
-    fc = _flat_core_descriptor(cache, sclass)
+    fc = _flat_core_descriptor(view, sclass)
     if fc is not None:
         out.append(fc)
     return out
@@ -365,15 +330,15 @@ def iter_solutions(
     """Trivial marker, then the descriptors of S_1^+, S_1^-, ..., S_jmax^-.
 
     Each class is solved only when the iteration reaches it, so a caller
-    that stops early solves no later class.  The classes share one cache
-    whose grids are keyed by (bound, sign), so no value depends on how many
-    classes were solved before.
+    that stops early solves no later class.  Every class reads the scans of
+    the lambda-free (f, p) store, so no value depends on how many classes,
+    or which lambdas, were solved before.
     """
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
-    cache = _ProblemCache(problem, quad_tol, scan_points)
+    view = _LambdaView(problem, quad_tol, scan_points)
     classes = (SolutionClass(j, sign) for j in range(1, j_max + 1) for sign in (SIGN_POS, SIGN_NEG))
-    return chain([TRIVIAL], chain.from_iterable(_solve(cache, sclass) for sclass in classes))
+    return chain([TRIVIAL], chain.from_iterable(_solve(view, sclass) for sclass in classes))
 
 
 def enumerate_solutions(
@@ -385,6 +350,23 @@ def enumerate_solutions(
 ) -> list[SolutionDescriptor]:
     """Trivial marker plus every descriptor of every class with j <= j_max."""
     return list(iter_solutions(problem, j_max, scan_points=scan_points, quad_tol=quad_tol))
+
+
+def sweep(
+    nl: Nonlinearity,
+    p: float,
+    lams: Iterable[float],
+    j_max: int,
+    *,
+    scan_points: int = 1024,
+    quad_tol: float = 1e-10,
+) -> list[list[SolutionDescriptor]]:
+    """``enumerate_solutions`` at each lambda of ``lams``, in order.  The scans
+    are built at the first lambda and read at every later one."""
+    return [
+        enumerate_solutions(Problem(p=p, nl=nl, lam=lam), j_max, scan_points=scan_points, quad_tol=quad_tol)
+        for lam in lams
+    ]
 
 
 def find_descriptor(descriptors: Iterable[SolutionDescriptor], descriptor_id: str):

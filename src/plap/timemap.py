@@ -25,6 +25,7 @@ mirrored arch gives ``alpha(r) = kappa * J(S(r))``.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +39,8 @@ from .roots import brentq
 _TAIL_FRAC = 1e-2  # switch from the direct formula to the tail integral
 _MODEL_FRAC = 1e-8  # switch from the tail integral to the local quadratic model
 _ENDPOINT_SNAP = 1e-14  # levels this close to z+/z- are treated as the endpoint
+_SCAN_EPS = 1e-12  # relative clamp of the open slope interval in scans
+_CURVES_CAP = 64  # (f, p, scan) stores kept by time_map_curves
 
 
 @dataclass(frozen=True)
@@ -285,6 +288,11 @@ def _integral_many(nl: Nonlinearity, p: float, levels: np.ndarray, tol: float):
     return tanh_sinh_batch(lambda w, idx: _psi(nl, p, levels[idx][:, None], w, False), uppers, tol)
 
 
+def _scan(nl: Nonlinearity, p: float, rho: np.ndarray, tol: float) -> np.ndarray:
+    """Batched I at the levels z(rho) of a grid of areas rho; lambda-free."""
+    return _integral_many(nl, p, _level_many(nl, rho), tol)
+
+
 def theta(problem: Problem, r: float, tol: float = 1e-10) -> float:
     """Half-width of the positive arch launched with slope r."""
     return problem.kappa * integral_I(problem.nl, problem.p, z_of_r(problem, r), tol)
@@ -311,7 +319,7 @@ def theta_alpha_grids(
     rho = _rho_of_r(problem, np.asarray(r_grid, dtype=float))
 
     def half_periods(nl):
-        return problem.kappa * _integral_many(nl, problem.p, _level_many(nl, rho), tol)
+        return problem.kappa * _scan(nl, problem.p, rho, tol)
 
     th = half_periods(problem.nl) if need_theta else None
     al = half_periods(reflected(problem.nl)) if need_alpha else None
@@ -337,6 +345,64 @@ def endpoint_integrals(
     i_hat = i_zp if levels.z_hat == nl.z_plus else integral_I(nl, p, levels.z_hat, tol)
     j_hat = j_zm if levels.s_hat == nl.z_minus else integral_J(nl, p, levels.s_hat, tol)
     return i_hat, j_hat, i_zp, j_zm
+
+
+# ---------------------------------------------------------------------------
+# the lambda-free store of one (f, p)
+# ---------------------------------------------------------------------------
+
+
+class TimeMapCurves:
+    """The lambda-free part of every scan of one (f, p).
+
+    A class with area bound ``A`` (``A(z+)``, ``A(z-)`` or their minimum) has
+    slope bound ``r_A = (lambda p A/(p-1))^(1/p)``, and the slope ``r_A * g``
+    reaches the area ``rho = A g^p`` at every lambda.  So on the scan grid
+    ``r_A * fractions`` the half-periods are ``kappa * I(z(A g^p))`` (and the
+    same with J), where only ``kappa`` depends on lambda.  This store holds
+    the fractions ``g`` and fills in, on first use, I or J at those levels per
+    area bound, and the endpoint integrals per tolerance.
+
+    Every value is a pure function of the store's key and its own arguments,
+    so the order in which lambdas fill it never shows in a result, and two
+    threads racing to fill one entry write equal arrays.  The arrays are
+    shared by every caller, so they are read-only.
+    """
+
+    def __init__(self, nl: Nonlinearity, p: float, scan_points: int, scan_tol: float):
+        self.nl, self.p, self.scan_tol = nl, p, scan_tol
+        half = np.geomspace(_SCAN_EPS, 0.5, scan_points // 2)
+        self.fractions = np.unique(np.concatenate([half, 1.0 - half[::-1]]))
+        self.fractions.flags.writeable = False
+        self._scans: dict[tuple[float, bool], np.ndarray] = {}
+        self._ends: dict[float, tuple[float, float, float, float]] = {}
+
+    def integrals(self, area: float, negative: bool) -> np.ndarray:
+        """I (J when ``negative``) at the levels of area ``area * fractions^p``."""
+        # an odd f is its own reflection, so there J's scan is I's
+        negative = negative and not self.nl.odd
+        key = (area, negative)
+        if key not in self._scans:
+            nl = reflected(self.nl) if negative else self.nl
+            scan = _scan(nl, self.p, area * self.fractions**self.p, self.scan_tol)
+            scan.flags.writeable = False
+            self._scans[key] = scan
+        return self._scans[key]
+
+    def endpoint_integrals(self, tol: float) -> tuple[float, float, float, float]:
+        """``endpoint_integrals`` at ``endpoint_levels(nl)``; p > 2 only."""
+        if tol not in self._ends:
+            levels = endpoint_levels(self.nl)
+            self._ends[tol] = endpoint_integrals(self.nl, self.p, levels, tol)
+        return self._ends[tol]
+
+
+@functools.lru_cache(maxsize=_CURVES_CAP)
+def time_map_curves(nl: Nonlinearity, p: float, scan_points: int, scan_tol: float) -> TimeMapCurves:
+    """The store of (nl, p) for ``scan_points``-point scans at ``scan_tol``,
+    built once and kept among the last ``_CURVES_CAP`` used; lambda is not
+    part of the key."""
+    return TimeMapCurves(nl, p, scan_points, scan_tol)
 
 
 # ---------------------------------------------------------------------------

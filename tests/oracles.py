@@ -1,9 +1,10 @@
 """Independent brute-force oracles for the test suite.
 
-Deliberately disjoint from the library's numerics: sine-composition
-substitutions instead of the power substitution, fixed-panel composite
-trapezoid instead of tanh-sinh, and extended-precision expm1-based
-evaluation of the radicand instead of the tail-integral trick.
+Deliberately disjoint from the library's numerics: sine-based
+substitutions that carry the distance to the singular end exactly, instead
+of the power substitution; fixed-panel composite trapezoid instead of
+tanh-sinh; and extended-precision expm1-based evaluation of the radicand
+instead of the tail-integral trick.
 """
 
 from __future__ import annotations
@@ -13,86 +14,58 @@ import numpy as np
 LD = np.longdouble
 
 
-def family_f_F(nl):
-    """(f, F) evaluators in extended precision, term by term from
-    f(s) = sgn(s) |s|^e sum_k c_k s^k, each term its own power of |s|:
-    f = sum_k c_k sgn^(k+1) |s|^(e+k) and F = sum_k c_k sgn^k |s|^(e+k+1)/(e+k+1)."""
-    e = LD(nl.e)
+def _endpoint_map(p: float, panels: int):
+    """u in [0, 1] -> (d, dv/du) for the abscissa v = 1 - d of t = a v.
 
-    def terms(s):
-        s = np.asarray(s, dtype=LD)
-        neg = s < 0
-        sgn = np.where(neg, LD(-1), LD(1))
-        coeffs = [np.where(neg, LD(cm), LD(cp)) for cp, cm in zip(nl.c_plus, nl.c_minus)]
-        return sgn, np.abs(s), enumerate(coeffs)
-
-    def f(s):
-        sgn, a, coeffs = terms(s)
-        return sum(c * sgn ** (k + 1) * a ** (e + k) for k, c in coeffs)
-
-    def F(s):
-        sgn, a, coeffs = terms(s)
-        return sum(c * sgn**k * a ** (e + k + 1) / (e + k + 1) for k, c in coeffs)
-
-    return f, F
-
-
-def _double_sine_map(panels: int):
-    """u in [0,1] -> v in [0,1] with quartically vanishing derivative at 1."""
+    With s = sin(pi/2 u), ``d = (1 - s^3)^m``; ``1 - s = 2 sin^2(pi/4 (1 - u))``
+    is formed without cancellation, so d keeps its full relative precision
+    however close v is to 1.  At u = 0, v ~ u^3, so the trapezoid's end
+    correction there is O(h^4).  Near u = 1, d ~ (1 - u)^(2m), and the simple
+    zero of the radicand at t = a leaves the integrand
+    ~ (1 - u)^(2m(p-1)/p - 1); the order m = ceil(2p/(p-1)) grows as p -> 1
+    and keeps that exponent at least 3, so the end correction there is
+    O(h^4) as well, for every p > 1.
+    """
+    m = int(np.ceil(2.0 * p / (p - 1.0)))
     u = np.linspace(LD(0), LD(1), panels + 1)
     half_pi = LD(np.pi) / 2
-    inner = np.sin(half_pi * u)
-    v = np.sin(half_pi * inner)
-    dv = (half_pi**2) * np.cos(half_pi * inner) * np.cos(half_pi * u)
-    return v, dv
+    s = np.sin(half_pi * u)
+    base = 2 * np.sin(half_pi * (1 - u) / 2) ** 2 * (1 + s + s * s)  # 1 - s^3
+    d = base**m
+    dv = m * base ** (m - 1) * 3 * s * s * half_pi * np.cos(half_pi * u)
+    return d, dv
 
 
-def _radicand_power(nl, a: float, v: np.ndarray) -> np.ndarray:
-    """G(a*v) = F(a v) - F(a) + (|a|^q - |a v|^q)/q for a one-coefficient f
-    (F = c_0 |s|^r / r with r = e + 1), v in [0, 1], through expm1(x*log v)
-    so each power difference keeps full relative precision near v = 1."""
-    q = LD(nl.q)
-    r = LD(nl.e) + 1
-    b = LD(nl.c_plus[0] if a > 0 else nl.c_minus[0])
-    aq = np.abs(LD(a)) ** q / q
-    ar = b * np.abs(LD(a)) ** r / r
-    out = np.empty_like(v)
-    pos = v > 0
-    logv = np.log(v[pos])
-    # |a|^x - |a v|^x = -|a|^x * expm1(x log v)
-    out[pos] = -aq * np.expm1(q * logv) + ar * np.expm1(r * logv)
-    out[~pos] = aq - ar
-    return out
+def _radicand(nl, a: float, log_v: np.ndarray) -> np.ndarray:
+    """G(a v) = F(a v) - F(a) + (|a|^q - |a v|^q)/q at log v = ``log_v``.
+
+    F is summed term by term from f(s) = sgn(s) |s|^e sum_k c_k s^k, i.e.
+    F(s) = sum_k c_k sgn^k |s|^x_k / x_k with x_k = e + k + 1, and every power
+    difference is taken as |a|^x - |a v|^x = -|a|^x expm1(x log v), so each
+    keeps full relative precision near v = 1."""
+    q, e, abs_a = LD(nl.q), LD(nl.e), np.abs(LD(a))
+    sgn, coeffs = (LD(1), nl.c_plus) if a > 0 else (LD(-1), nl.c_minus)
+    G = -(abs_a**q) / q * np.expm1(q * log_v)
+    for k, c in enumerate(coeffs):
+        x = e + k + 1
+        G += LD(c) * sgn**k * abs_a**x / x * np.expm1(x * log_v)
+    return G
 
 
 def brute_force_I(nl, p: float, a: float, panels: int = 1_000_000) -> float:
-    """I(a) by transformed trapezoid: t = a*sin(pi/2*sin(pi/2*u))."""
-    v, dv = _double_sine_map(panels)
-    if len(nl.c_plus) == 1:
-        G = _radicand_power(nl, a, v)
-    else:
-        _, F = family_f_F(nl)
-        t = LD(a) * v
-        G = F(t) - F(LD(a)) + (LD(a) ** LD(nl.q) - t ** LD(nl.q)) / LD(nl.q)
-    vals = np.zeros_like(G)
-    pos = G > 0
-    vals[pos] = G[pos] ** (-1 / LD(p)) * LD(a) * dv[pos]
-    return float(np.trapezoid(vals) / LD(panels))
-
-
-def brute_force_J(nl, p: float, a: float, panels: int = 1_000_000) -> float:
-    """J(a) for a < 0 by the mirrored substitution t = a*sin(...)."""
-    v, dv = _double_sine_map(panels)
-    if len(nl.c_plus) == 1:
-        G = _radicand_power(nl, a, v)
-    else:
-        _, F = family_f_F(nl)
-        t = LD(a) * v
-        G = F(t) - F(LD(a)) + (np.abs(LD(a)) ** LD(nl.q) - np.abs(t) ** LD(nl.q)) / LD(nl.q)
+    """I(a) for a > 0 by the transformed trapezoid t = a (1 - d(u))."""
+    d, dv = _endpoint_map(p, panels)
+    with np.errstate(divide="ignore"):  # d = 1 at u = 0: log v = -inf
+        G = _radicand(nl, a, np.log1p(-d))
     vals = np.zeros_like(G)
     pos = G > 0
     vals[pos] = G[pos] ** (-1 / LD(p)) * np.abs(LD(a)) * dv[pos]
     return float(np.trapezoid(vals) / LD(panels))
+
+
+def brute_force_J(nl, p: float, a: float, panels: int = 1_000_000) -> float:
+    """J(a) for a < 0: the same substitution, t = a (1 - d(u))."""
+    return brute_force_I(nl, p, a, panels)
 
 
 def sine_integral_closed_form(p: float) -> float:

@@ -371,6 +371,70 @@ class TestNonFinite:
         assert captured.err.startswith("error:")
 
 
+class TestStrictTypes:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"nonlinearity": {"kind": "polynomial", "coeffs": "0010"}},
+            {"nonlinearity": {"kind": "polynomial", "coeffs": [0.0, 0.0, "1"]}},
+            {"nonlinearity": {"kind": "power_asym", "b_plus": "2", "b_minus": 1.0, "r_exp": 4.0}},
+            {"nonlinearity": {"kind": "power_asym", "b_plus": 1.0, "b_minus": True, "r_exp": 4.0}},
+            {"p": "2"},
+            {"q": True},
+            {"lambda": "20"},
+            {"numerics": {"quad_tol": "1e-10"}},
+            {"numerics": {"scan_points": 1.7}},
+            {"numerics": {"grid": "2048"}},
+            {"numerics": {"ode_steps": True}},
+        ],
+        ids=["coeffs-string", "coeff-string", "b_plus-string", "b_minus-bool", "p-string", "q-bool",
+             "lambda-string", "quad_tol-string", "scan_points-fraction", "grid-string", "ode_steps-bool"],
+    )
+    def test_rejected_with_error(self, tmp_path, capsys, overrides):
+        assert main(["validate", "--config", write_config(tmp_path, **overrides)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_whole_float_count_is_a_count(self, tmp_path, capsys):
+        outputs = []
+        for scan_points in (256, 256.0):
+            cfg = write_config(tmp_path, numerics={"scan_points": scan_points})
+            assert main(["solve", "--config", cfg, "--jmax", "2"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
+class TestSweep:
+    SPEC = {
+        "p": 3.0,
+        "q": 2.0,
+        "nonlinearity": {"kind": "power_asym", "b_plus": 2.0, "b_minus": 1.0, "r_exp": 4.0},
+    }
+
+    def test_entries_are_solve_payloads_byte_for_byte(self, tmp_path, capsys):
+        from plap.timemap import time_map_curves
+
+        lams = [25.0, 4000.0, 137.5]
+        cfg = write_config(tmp_path, **self.SPEC)
+        assert main(["sweep", "--config", cfg, "--lambdas", ",".join(map(repr, lams)), "--jmax", "3"]) == 0
+        entries = json.loads(capsys.readouterr().out)
+        assert [e["lambda"] for e in entries] == lams
+        for lam, entry in zip(lams, entries):
+            time_map_curves.cache_clear()  # as in a fresh process
+            one = write_config(tmp_path, name="one.json", **self.SPEC, **{"lambda": lam})
+            assert main(["solve", "--config", one, "--jmax", "3"]) == 0
+            assert capsys.readouterr().out == json.dumps(entry, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("lambdas", [None, "", "20,x", "20,-1", "nan"])
+    def test_bad_lambdas_exit_1(self, tmp_path, capsys, lambdas):
+        argv = ["sweep", "--config", write_config(tmp_path, **self.SPEC)]
+        assert main(argv + (["--lambdas", lambdas] if lambdas is not None else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
 def test_import_loads_no_scipy():
     # scipy is a test-only dependency: the package and its CLI run on numpy alone
     code = "import sys, plap, plap.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -10,8 +10,18 @@ from plap.solver import (
     enumerate_solutions,
     matching_residual,
     solve_class,
+    sweep,
 )
-from plap.timemap import Problem, alpha, flat_core_half_widths, slope_bounds, theta
+from plap.timemap import (
+    Problem,
+    _CURVES_CAP,
+    alpha,
+    flat_core_half_widths,
+    slope_bounds,
+    theta,
+    theta_alpha_grids,
+    time_map_curves,
+)
 
 
 class TestMatchingResidual:
@@ -232,3 +242,72 @@ class TestStructureConsistency:
                 assert len(match) == 1
                 assert match[0].continuum_dim == e.continuum_dim
                 assert match[0].core_side == e.core_side
+
+
+class TestTimeMapCurves:
+    """The lambda-free (f, p) store behind every scan."""
+
+    @pytest.mark.parametrize("family, p, lams", [
+        ("asym", 3.0, (40.0, 300.0, 5000.0)),  # q < p, asymmetric, flat cores at the last two
+        ("qgtp", 2.0, (60.0, 400.0, 1200.0)),  # q > p: dips and root pairs
+    ])
+    def test_results_do_not_depend_on_what_filled_the_store(self, request, family, p, lams):
+        nl = request.getfixturevalue(family)
+        other = build_nonlinearity("power_asym", nl.q, {"b_plus": 1.2, "b_minus": 0.9, "r_exp": nl.q + 2.0})
+        lam1, lam2, lam3 = lams
+
+        def at(lam, f=nl):
+            return enumerate_solutions(Problem(p=p, nl=f, lam=lam), j_max=4)
+
+        time_map_curves.cache_clear()
+        fresh = at(lam2)
+        assert any(d.kind == "regular" for d in fresh)
+        time_map_curves.cache_clear()
+        at(lam1), at(lam3)
+        assert at(lam2) == fresh  # residual floats included
+        time_map_curves.cache_clear()
+        at(lam2, other)
+        assert at(lam2) == fresh
+
+    def test_theta_alpha_are_kappa_times_the_store(self, asym):
+        prob = Problem(p=3.0, nl=asym, lam=700.0)
+        view = solver._LambdaView(prob, 1e-10, 256)
+        for sclass in (SolutionClass(1, "+"), SolutionClass(1, "-"), SolutionClass(2, "+")):
+            grid, th, al = view.grid_maps(sclass)
+            # the same scan from the per-lambda areas (p-1) r^p / (lambda p);
+            # they differ from the store's A g^p by rounding, which the level
+            # map amplifies to ~sqrt(1e-16) next to the bound, where m(z) -> 0
+            th_ref, al_ref = theta_alpha_grids(prob, grid, tol=view.scan_tol)
+            lower = view.curves.fractions <= 0.5
+            for got, ref in ((th, th_ref), (al, al_ref)):
+                if got is not None:
+                    np.testing.assert_allclose(got[lower], ref[lower], rtol=1e-12)
+                    np.testing.assert_allclose(got, ref, rtol=1e-6)
+
+    def test_entries_are_not_shared(self, asym):
+        # p and either side of f are part of the key; lambda is not
+        time_map_curves.cache_clear()
+        mirror = build_nonlinearity("power_asym", 2.0, {"b_plus": 2.0, "b_minus": 1.5, "r_exp": 4.0})
+        assert mirror.c_plus == asym.c_plus and mirror.c_minus != asym.c_minus
+        stores = [time_map_curves(f, p, 1024, 1e-8) for f in (asym, mirror) for p in (2.5, 3.0)]
+        assert len({id(s) for s in stores}) == 4
+        assert time_map_curves.cache_info().currsize == 4
+        for lam in (50.0, 900.0):
+            enumerate_solutions(Problem(p=3.0, nl=asym, lam=lam), j_max=2)
+        assert time_map_curves.cache_info().currsize == 4
+        area = min(*solver.areas(asym))
+        J_asym = stores[1].integrals(area, negative=True)
+        J_mirror = stores[3].integrals(area, negative=True)
+        assert not np.array_equal(J_asym, J_mirror)
+
+    def test_store_is_bounded(self, cubic_odd):
+        time_map_curves.cache_clear()
+        for k in range(3 * _CURVES_CAP):
+            time_map_curves(cubic_odd, 1.5 + 0.01 * k, 64, 1e-8)
+        info = time_map_curves.cache_info()
+        assert info.currsize == info.maxsize == _CURVES_CAP
+
+    def test_sweep_is_enumerate_per_lambda(self, asym):
+        lams = [2000.0, 45.0, 310.0]
+        got = sweep(asym, 3.0, lams, 3)
+        assert got == [enumerate_solutions(Problem(p=3.0, nl=asym, lam=lam), 3) for lam in lams]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plap.errors import Divergent, DomainError, HypothesisViolated, NoZeroFound, OutOfRange
@@ -180,9 +180,9 @@ class TestOracleProperty:
         nl = build_nonlinearity(
             "power_asym", q, {"b_plus": b_plus, "b_minus": b_minus, "r_exp": q + dr}
         )
-        # the oracle's trapezoid converges slowly for p < 2: against a 30-digit
-        # quadrature it was off by 4.5e-8 at p = 1.6 and 3e-7 at p = 1.5
-        rel = 1e-8 if p >= 2.0 else 1e-6
+        # the oracle agrees with 50-digit quadrature to about 1e-15 for p in
+        # [1.5, 4] (see test_oracle_matches_mpmath)
+        rel = 1e-10
         a, b = frac * nl.z_plus, frac * nl.z_minus
         assert integral_I(nl, p, a, tol=1e-12) == pytest.approx(
             brute_force_I(nl, p, a, panels=100_000), rel=rel
@@ -200,12 +200,15 @@ class TestOracleProperty:
         frac=st.floats(0.05, 0.95),
     )
     @settings(max_examples=20, deadline=None)
+    # p = 1.5 near z_plus: the integrand ~ (a - t)^(-2/3) needs the oracle's
+    # endpoint map of order m = 6
+    @example(q=2.0, a3=1.5, a4=0.125, a5=0.25, p=1.5, frac=0.9375)
     def test_I_and_J_match_oracle_polynomial(self, q, a3, a4, a5, p, frac):
         try:
             nl = build_nonlinearity("polynomial", q, {"coeffs": [0.0, 0.0, a3, a4, a5]})
         except (HypothesisViolated, NoZeroFound):
             assume(False)
-        rel = 1e-8 if p >= 2.0 else 1e-6
+        rel = 1e-10
         a, b = frac * nl.z_plus, frac * nl.z_minus
         assert integral_I(nl, p, a, tol=1e-12) == pytest.approx(
             brute_force_I(nl, p, a, panels=100_000), rel=rel
@@ -213,6 +216,35 @@ class TestOracleProperty:
         assert integral_J(nl, p, b, tol=1e-12) == pytest.approx(
             brute_force_J(nl, p, b, panels=100_000), rel=rel
         )
+
+
+def _mpmath_I(nl, p: float, a: float) -> float:
+    """I(a) (J for a < 0) by mpmath's tanh-sinh at 50 digits, the radicand
+    summed term by term from f's series."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    q, e, a = mp.mpf(nl.q), mp.mpf(nl.e), mp.mpf(a)
+    coeffs = nl.c_plus if a > 0 else nl.c_minus
+
+    def G(t):
+        sgn = 1 if t >= 0 else -1
+        F = sum(mp.mpf(c) * sgn**k * (abs(t) ** (e + k + 1) - abs(a) ** (e + k + 1)) / (e + k + 1)
+                for k, c in enumerate(coeffs))
+        # G rounds to <= 0 only within 1e-50 of the singular end
+        return max(F + (abs(a) ** q - abs(t) ** q) / q, mp.mpf(10) ** -60)
+
+    ends = [0, a] if a > 0 else [a, 0]
+    return float(mp.quad(lambda t: G(t) ** (-1 / mp.mpf(p)), ends))
+
+
+@pytest.mark.parametrize("p", [1.5, 1.6, 1.75, 1.9])
+def test_oracle_matches_mpmath(p):
+    # p < 2 leaves the integrand ~ (a - t)^(-1/p), the case the trapezoid
+    # oracle's endpoint map must be strong enough for
+    nl = build_nonlinearity("polynomial", 2.0, {"coeffs": [0.0, 0.0, 1.5, 0.125, 0.25]})
+    for a, oracle in ((0.6 * nl.z_plus, brute_force_I), (0.6 * nl.z_minus, brute_force_J)):
+        assert oracle(nl, p, a, panels=100_000) == pytest.approx(_mpmath_I(nl, p, a), rel=1e-9)
 
 
 class TestTimeMaps:
