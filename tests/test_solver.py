@@ -300,6 +300,32 @@ class TestTimeMapCurves:
         J_mirror = stores[3].integrals(area, negative=True)
         assert not np.array_equal(J_asym, J_mirror)
 
+    def test_threads_racing_to_fill_agree(self, asym):
+        import sys
+        import threading
+
+        lams = [60.0, 300.0, 2500.0, 900.0]
+        time_map_curves.cache_clear()
+        serial = [enumerate_solutions(Problem(p=3.0, nl=asym, lam=lam), j_max=3) for lam in lams]
+        time_map_curves.cache_clear()
+        results = [None] * len(lams)
+
+        def work(i):
+            results[i] = enumerate_solutions(Problem(p=3.0, nl=asym, lam=lams[i]), j_max=3)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(lams))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == serial
+
     def test_store_is_bounded(self, cubic_odd):
         time_map_curves.cache_clear()
         for k in range(3 * _CURVES_CAP):
