@@ -34,15 +34,9 @@ from .solver import (
     continuum_dimension,
     flat_core_side,
 )
-from .timemap import (
-    _SCAN_EPS,
-    Problem,
-    _scan,
-    endpoint_integrals,
-    endpoint_levels,
-    integral_I,
-    level_pos,
-)
+from .timemap import Problem, TimeMapCurves, integral_I, level_pos, time_map_curves
+
+_FOLD_SCAN_POINTS = 512  # size of the (f, p) store that brackets the fold searches
 
 
 def eigenvalue_base(p: float, tol: float = 1e-12) -> float:
@@ -69,70 +63,53 @@ def eigenvalue_base(p: float, tol: float = 1e-12) -> float:
     return (p - 1.0) * (2.0 * integral) ** p
 
 
-def _interior_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    width = hi - lo
-    half = np.geomspace(1e-7, 0.5, n // 2)
-    return np.unique(np.concatenate([lo + width * half, hi - width * half[::-1]]))
-
-
 def _threshold(p: float, weight: float) -> float:
     """lambda at which arches of total weight n_pos I + n_neg J fill [0, 1]."""
     return (p - 1.0) / p * (2.0 * weight) ** p
 
 
-def _fold_weights(nl: Nonlinearity, p: float, classes: list[SolutionClass], tol: float) -> list[float]:
+def _fold_weights(curves: TimeMapCurves, classes: list[SolutionClass], tol: float) -> list[float]:
     """Per class, the minimum over rho in (0, A_class) of
     ``W(rho) = n_pos I(z(rho)) + n_neg J(S(rho))`` (q > p).
 
     ``A_class`` is the area bound matching the class's slope bound.  W depends
-    on the class only through its area and the ratio n_pos : n_neg, so there is
-    one scan per side and area and one golden search per reduced ratio.  A
-    fold below the scan's first point is searched for on a deeper scan, down
-    to the solver's own depth: rho ~ r^p, so rho/A = _SCAN_EPS^p.
+    on the class only through its area and the ratio n_pos : n_neg, so the
+    store's scans at rho = A_class g^p bracket one golden search in g per
+    reduced ratio.  A scanned minimum at the store's first fraction, the
+    solver's own depth, raises ``NoZeroFound``: the fold may lie deeper.
     """
+    nl, p, fractions = curves.nl, curves.p, curves.fractions
     a_plus, a_minus = areas(nl)
     # the negative side is the positive side of the reflection; an odd f is its
     # own reflection, so there W = (n_pos + n_neg) I and one search serves all
     sides = (nl, reflected(nl))
-    tol_scan = max(1e-9, tol)
-    scans: dict[tuple[int, float], np.ndarray] = {}
     minima: dict[tuple[int, int, float], float] = {}
-
-    def scan(k: int, grid: np.ndarray) -> np.ndarray:
-        return _scan(sides[k], p, grid, tol_scan)
 
     def minimum(sc: SolutionClass, w_pos: int, w_neg: int, area: float) -> float:
         if (w_pos, w_neg, area) not in minima:
             terms = [(w, k) for k, w in enumerate((w_pos, w_neg)) if w]
-            grid = _interior_grid(0.0, area, 512)
-            for _, k in terms:
-                if (k, area) not in scans:
-                    scans[k, area] = scan(k, grid)
-            vals = sum(w * scans[k, area] for w, k in terms)
-            if np.argmin(vals) == 0:
-                deep = np.geomspace(_SCAN_EPS**p * area, grid[0], 257)[:-1]
-                grid = np.concatenate([deep, grid])
-                vals = np.concatenate([sum(w * scan(k, deep) for w, k in terms), vals])
-                if np.argmin(vals) == 0:
-                    raise NoZeroFound(
-                        f"fold of class S_{sc.j}^{sc.sign} lies below "
-                        f"rho/A = {_SCAN_EPS**p:.3g}, the deepest scanned level"
-                    )
+            vals = sum(w * curves.integrals(area, negative=k == 1) for w, k in terms)
+            i = int(np.argmin(vals))
+            if i == 0:
+                raise NoZeroFound(
+                    f"fold of class S_{sc.j}^{sc.sign} lies below "
+                    f"rho/A = {fractions[0] ** p:.3g}, the deepest scanned level"
+                )
 
-            def weight(rho: float) -> float:
+            def weight(g: float) -> float:
+                rho = area * g**p
                 return sum(
                     w * integral_I(sides[k], p, level_pos(sides[k], rho), tol) for w, k in terms
                 )
 
-            i = min(max(int(np.argmin(vals)), 1), vals.size - 2)
-            minima[w_pos, w_neg, area] = golden_min(weight, grid, i)[1]
+            minima[w_pos, w_neg, area] = golden_min(weight, fractions, min(i, vals.size - 2))[1]
         return minima[w_pos, w_neg, area]
 
     out = []
     for sc in classes:
         n_pos, n_neg = (sc.j, 0) if nl.odd else (sc.n_pos, sc.n_neg)
-        g = math.gcd(n_pos, n_neg)
-        out.append(g * minimum(sc, n_pos // g, n_neg // g, _class_bound(sc, a_plus, a_minus)))
+        d = math.gcd(n_pos, n_neg)
+        out.append(d * minimum(sc, n_pos // d, n_neg // d, _class_bound(sc, a_plus, a_minus)))
     return out
 
 
@@ -166,8 +143,9 @@ def bifurcation_table(nl: Nonlinearity, p: float, N: int, tol: float = 1e-11) ->
     plus = [SolutionClass(n, "+") for n in idx]
     minus = [SolutionClass(n, "-") for n in idx]
 
+    curves = time_map_curves(nl, p, _FOLD_SCAN_POINTS, max(1e-8, tol))
     if p > 2.0:
-        ends = endpoint_integrals(nl, p, endpoint_levels(nl), tol)
+        ends = curves.endpoint_integrals(tol)
         tilde_plus = [_threshold(p, _weight_at_bound(sc, ends)) for sc in plus]
         tilde_minus = [_threshold(p, _weight_at_bound(sc, ends)) for sc in minus]
     else:
@@ -176,7 +154,7 @@ def bifurcation_table(nl: Nonlinearity, p: float, N: int, tol: float = 1e-11) ->
 
     star_plus = star_minus = None
     if nl.q > p:
-        folds = _fold_weights(nl, p, plus + minus, tol)
+        folds = _fold_weights(curves, plus + minus, tol)
         star_plus = [_threshold(p, w) for w in folds[:N]]
         star_minus = [_threshold(p, w) for w in folds[N:]]
 

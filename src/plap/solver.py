@@ -148,9 +148,9 @@ def _class_bound(sclass: SolutionClass, pos: float, neg: float) -> float:
 def _weight_at_bound(sclass: SolutionClass, ends: tuple[float, float, float, float]) -> float:
     """``n_pos * I + n_neg * J`` with every arch launched at the class's bound.
 
-    ``ends`` is ``timemap.endpoint_integrals``' (I(z_hat), J(s_hat), I(z_plus),
-    J(z_minus)); a single arch reaches its own zero, any other class the
-    levels at r_star.
+    ``ends`` is ``TimeMapCurves.endpoint_integrals``' (I(z_hat), J(s_hat),
+    I(z_plus), J(z_minus)); a single arch reaches its own zero, any other
+    class the levels at r_star.
     """
     i_hat, j_hat, i_zp, j_zm = ends
     i_val, j_val = (i_zp, j_zm) if sclass.j == 1 else (i_hat, j_hat)

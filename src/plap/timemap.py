@@ -303,29 +303,6 @@ def alpha(problem: Problem, r: float, tol: float = 1e-10) -> float:
     return problem.kappa * integral_J(problem.nl, problem.p, s_of_r(problem, r), tol)
 
 
-def theta_alpha_grids(
-    problem: Problem,
-    r_grid: np.ndarray,
-    tol: float = 1e-8,
-    need_theta: bool = True,
-    need_alpha: bool = True,
-):
-    """Vectorized (theta, alpha) along a grid of admissible slopes.
-
-    Either array may be requested alone; the other comes back as None.
-    Intended for bracketing scans; refined roots re-evaluate scalars at full
-    tolerance.
-    """
-    rho = _rho_of_r(problem, np.asarray(r_grid, dtype=float))
-
-    def half_periods(nl):
-        return problem.kappa * _scan(nl, problem.p, rho, tol)
-
-    th = half_periods(problem.nl) if need_theta else None
-    al = half_periods(reflected(problem.nl)) if need_alpha else None
-    return th, al
-
-
 def flat_core_half_widths(problem: Problem, tol: float = 1e-10) -> tuple[float, float]:
     """x(lambda) and y(lambda): half-widths of the saturated arches (p > 2)."""
     if problem.p <= 2.0:
@@ -334,17 +311,6 @@ def flat_core_half_widths(problem: Problem, tol: float = 1e-10) -> tuple[float, 
     x_lam = problem.kappa * integral_I(nl, problem.p, nl.z_plus, tol)
     y_lam = problem.kappa * integral_J(nl, problem.p, nl.z_minus, tol)
     return x_lam, y_lam
-
-
-def endpoint_integrals(
-    nl: Nonlinearity, p: float, levels: EndpointLevels, tol: float
-) -> tuple[float, float, float, float]:
-    """(I(z_hat), J(s_hat), I(z_plus), J(z_minus)) for the levels at r_star; p > 2."""
-    i_zp = integral_I(nl, p, nl.z_plus, tol)
-    j_zm = integral_J(nl, p, nl.z_minus, tol)
-    i_hat = i_zp if levels.z_hat == nl.z_plus else integral_I(nl, p, levels.z_hat, tol)
-    j_hat = j_zm if levels.s_hat == nl.z_minus else integral_J(nl, p, levels.s_hat, tol)
-    return i_hat, j_hat, i_zp, j_zm
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +356,16 @@ class TimeMapCurves:
         return self._scans[key]
 
     def endpoint_integrals(self, tol: float) -> tuple[float, float, float, float]:
-        """``endpoint_integrals`` at ``endpoint_levels(nl)``; p > 2 only."""
+        """(I(z_hat), J(s_hat), I(z_plus), J(z_minus)) at the levels
+        ``endpoint_levels(nl)`` reached at r_star; p > 2 only."""
         if tol not in self._ends:
-            levels = endpoint_levels(self.nl)
-            self._ends[tol] = endpoint_integrals(self.nl, self.p, levels, tol)
+            nl, p = self.nl, self.p
+            levels = endpoint_levels(nl)
+            i_zp = integral_I(nl, p, nl.z_plus, tol)
+            j_zm = integral_J(nl, p, nl.z_minus, tol)
+            i_hat = i_zp if levels.z_hat == nl.z_plus else integral_I(nl, p, levels.z_hat, tol)
+            j_hat = j_zm if levels.s_hat == nl.z_minus else integral_J(nl, p, levels.s_hat, tol)
+            self._ends[tol] = (i_hat, j_hat, i_zp, j_zm)
         return self._ends[tol]
 
 

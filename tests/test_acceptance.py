@@ -28,7 +28,7 @@ from plap.timemap import (
     slope_bounds,
     theta,
     alpha,
-    theta_alpha_grids,
+    time_map_curves,
 )
 
 from oracles import brute_force_I, brute_force_J, takeuchi_yamada_tilde1
@@ -188,11 +188,10 @@ def _min_matching_residual(nl, lam):
     from scipy.optimize import minimize_scalar
 
     prob = Problem(p=2.0, nl=nl, lam=lam)
-    bound = slope_bounds(prob).r_pos
-    half = np.geomspace(1e-10, 0.5, 128)
-    grid = bound * np.unique(np.concatenate([half, 1.0 - half[::-1]]))
-    th, _ = theta_alpha_grids(prob, grid, tol=1e-9, need_alpha=False)
-    res = 2.0 * th - 1.0
+    # the lambda-free store brackets the minimum at every lambda of the bisection
+    curves = time_map_curves(nl, prob.p, 256, 1e-9)
+    grid = slope_bounds(prob).r_pos * curves.fractions
+    res = 2.0 * prob.kappa * curves.integrals(areas(nl)[0], negative=False) - 1.0
     i = int(np.argmin(res))
     i = min(max(i, 1), res.size - 2)
     opt = minimize_scalar(

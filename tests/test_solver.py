@@ -4,7 +4,7 @@ import pytest
 from plap.bifurcation import bifurcation_table, structure
 from plap import solver
 from plap.errors import OutOfRange
-from plap.nonlinearity import build_nonlinearity
+from plap.nonlinearity import build_nonlinearity, reflected
 from plap.solver import (
     SolutionClass,
     enumerate_solutions,
@@ -15,11 +15,11 @@ from plap.solver import (
 from plap.timemap import (
     Problem,
     _CURVES_CAP,
+    _scan,
     alpha,
     flat_core_half_widths,
     slope_bounds,
     theta,
-    theta_alpha_grids,
     time_map_curves,
 )
 
@@ -277,7 +277,10 @@ class TestTimeMapCurves:
             # the same scan from the per-lambda areas (p-1) r^p / (lambda p);
             # they differ from the store's A g^p by rounding, which the level
             # map amplifies to ~sqrt(1e-16) next to the bound, where m(z) -> 0
-            th_ref, al_ref = theta_alpha_grids(prob, grid, tol=view.scan_tol)
+            rho = (prob.p - 1.0) * grid**prob.p / (prob.lam * prob.p)
+            th_ref, al_ref = (
+                prob.kappa * _scan(nl, prob.p, rho, view.scan_tol) for nl in (asym, reflected(asym))
+            )
             lower = view.curves.fractions <= 0.5
             for got, ref in ((th, th_ref), (al, al_ref)):
                 if got is not None:

@@ -17,7 +17,7 @@ from plap.timemap import (
     s_of_r,
     slope_bounds,
     theta,
-    theta_alpha_grids,
+    time_map_curves,
     z_of_r,
 )
 
@@ -275,13 +275,21 @@ class TestTimeMaps:
         t2 = theta(prob2, 2 ** (1 / p) * r, tol=1e-12)
         assert t1 == pytest.approx(2 ** (1 / p) * t2, rel=1e-11)
 
-    def test_grid_matches_scalars(self, ci_problem):
-        b = slope_bounds(ci_problem)
-        r = np.linspace(0.1, 0.9, 7) * b.r_pos
-        th, al = theta_alpha_grids(ci_problem, r, tol=1e-10)
-        for i, v in enumerate(r):
-            assert th[i] == pytest.approx(theta(ci_problem, float(v)), rel=1e-9)
-            assert al[i] == pytest.approx(alpha(ci_problem, float(v)), rel=1e-9)
+    def test_grid_matches_scalars(self, ci_problem, asym):
+        # kappa times the store's scans at A g^p are theta and alpha at the
+        # slopes r_A g, for an odd f (where J's scan is I's) and an asymmetric one
+        for prob in (ci_problem, Problem(p=3.0, nl=asym, lam=40.0)):
+            curves = time_map_curves(prob.nl, prob.p, 256, 1e-10)
+            a_plus, a_minus = areas(prob.nl)
+            b = slope_bounds(prob)
+            th = prob.kappa * curves.integrals(a_plus, negative=False)
+            al = prob.kappa * curves.integrals(a_minus, negative=True)
+            inner = np.flatnonzero((curves.fractions >= 0.1) & (curves.fractions <= 0.9))
+            assert inner.size >= 10
+            for i in inner:
+                g = float(curves.fractions[i])
+                assert th[i] == pytest.approx(theta(prob, g * b.r_pos), rel=1e-9)
+                assert al[i] == pytest.approx(alpha(prob, g * b.r_neg), rel=1e-9)
 
 
 class TestFlatCoreWidths:
