@@ -2,12 +2,13 @@
 
     PYTHONPATH=src python scripts/cli_digest.py > digest.txt
 
-Runs every command (validate, diagram, solve, structure, profile, verify,
-regularity) on the five fixture families of ``tests/conftest.py`` and the
-configs of ``perfbench/workloads.py``, at three lambdas each, and prints one
-line per call: the sha256 of its exit code, stdout and stderr, then the call.
-``profile``, ``verify`` and ``regularity`` run on the first regular and the
-first flat-core descriptor that ``solve`` lists at that lambda.
+Runs every command (validate, diagram, solve, sweep, structure, profile,
+verify, regularity) on the five fixture families of ``tests/conftest.py`` and
+the configs of ``perfbench/workloads.py``, at three lambdas each, and prints
+one line per call: the sha256 of its exit code, stdout and stderr, then the
+call.  ``profile``, ``verify`` and ``regularity`` run on the first regular and
+the first flat-core descriptor that ``solve`` lists at that lambda; one
+``sweep`` per config runs over all three lambdas.
 
 The CLI promises byte-identical output for identical configs, so two source
 trees produce the same CLI output exactly when their digests are equal:
@@ -66,8 +67,8 @@ def call(argv: list[str]) -> tuple[str, str]:
 
 def digest_config(cfg: Config, work: Path) -> None:
     lo, hi = cfg.lam_range
-    for k, t in enumerate(POSITIONS):
-        lam = lo * (hi / lo) ** t
+    lams = [lo * (hi / lo) ** t for t in POSITIONS]
+    for k, lam in enumerate(lams):
         path = work / f"{cfg.name}_{k}.json"
         path.write_text(json.dumps(cfg.spec(lam)))
         spec = ["--config", str(path)]
@@ -87,6 +88,9 @@ def digest_config(cfg: Config, work: Path) -> None:
             for cmd in ("profile", "verify", "regularity"):
                 digest, _ = call([cmd, "--id", d["id"]] + spec)
                 print(f"{digest}  {cmd} --id {d['id']} {label}")
+    sweep = ["sweep", "--lambdas", ",".join(map(repr, lams))]
+    digest, _ = call(sweep + ["--config", str(work / f"{cfg.name}_0.json")])
+    print(f"{digest}  {' '.join(sweep)} {cfg.name}")
 
 
 def main_digest() -> None:

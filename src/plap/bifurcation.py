@@ -36,8 +36,6 @@ from .solver import (
 )
 from .timemap import Problem, TimeMapCurves, integral_I, level_pos, time_map_curves
 
-_FOLD_SCAN_POINTS = 512  # size of the (f, p) store that brackets the fold searches
-
 
 def eigenvalue_base(p: float, tol: float = 1e-12) -> float:
     """First Dirichlet eigenvalue of the one-dimensional p-Laplacian:
@@ -143,7 +141,7 @@ def bifurcation_table(nl: Nonlinearity, p: float, N: int, tol: float = 1e-11) ->
     plus = [SolutionClass(n, "+") for n in idx]
     minus = [SolutionClass(n, "-") for n in idx]
 
-    curves = time_map_curves(nl, p, _FOLD_SCAN_POINTS, max(1e-8, tol))
+    curves = time_map_curves(nl, p, max(1e-8, tol))
     if p > 2.0:
         ends = curves.endpoint_integrals(tol)
         tilde_plus = [_threshold(p, _weight_at_bound(sc, ends)) for sc in plus]

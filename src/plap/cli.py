@@ -36,15 +36,14 @@ ORACLE_TOL = 1e-6
 @dataclass
 class Numerics:
     quad_tol: float = 1e-10
-    scan_points: int = 1024
     grid: int = 2048
     ode_steps: int = 100_000
 
     def validate(self):
         if not 0.0 < self.quad_tol < math.inf:
             raise ConfigError("quad_tol must be positive and finite")
-        if min(self.scan_points, self.grid, self.ode_steps) <= 0:
-            raise ConfigError("scan_points, grid, and ode_steps must be positive")
+        if min(self.grid, self.ode_steps) <= 0:
+            raise ConfigError("grid and ode_steps must be positive")
 
 
 def _count(value, what: str) -> int:
@@ -82,6 +81,9 @@ class RunConfig:
                 k: _count(num.get(k, v), k) if isinstance(v, int) else real_number(num.get(k, v), k)
                 for k, v in vars(Numerics()).items()
             }
+            unknown = sorted(set(num) - set(numerics))
+            if unknown:
+                raise ConfigError(f"unknown numerics key(s): {', '.join(unknown)}")
             cfg = cls(
                 p=real_number(raw["p"], "p"),
                 q=real_number(raw.get("q", nl_spec.get("q")), "q"),
@@ -173,9 +175,7 @@ def _solve_payload(cfg: RunConfig, lam: float, descs) -> dict:
 def cmd_solve(cfg: RunConfig, args) -> int:
     j_max = args.jmax if args.jmax is not None else 4
     problem = cfg.build_problem()
-    descs = solver.enumerate_solutions(
-        problem, j_max, scan_points=cfg.numerics.scan_points, quad_tol=cfg.numerics.quad_tol
-    )
+    descs = solver.enumerate_solutions(problem, j_max, quad_tol=cfg.numerics.quad_tol)
     _emit(_json_text(_solve_payload(cfg, problem.lam, descs)), args.out)
     return EXIT_OK
 
@@ -195,10 +195,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     list of ``solve``'s payloads; the config's own lambda is not used."""
     lams = _parse_lambdas(args.lambdas)
     j_max = args.jmax if args.jmax is not None else 4
-    results = solver.sweep(
-        cfg.build_nl(), cfg.p, lams, j_max,
-        scan_points=cfg.numerics.scan_points, quad_tol=cfg.numerics.quad_tol,
-    )
+    results = solver.sweep(cfg.build_nl(), cfg.p, lams, j_max, quad_tol=cfg.numerics.quad_tol)
     _emit(_json_text([_solve_payload(cfg, lam, descs) for lam, descs in zip(lams, results)]), args.out)
     return EXIT_OK
 
@@ -210,9 +207,7 @@ def _find_descriptor(cfg: RunConfig, args):
         raise ConfigError("--id is required for this command")
     j_max = args.jmax if args.jmax is not None else 8
     problem = cfg.build_problem()
-    descs = solver.iter_solutions(
-        problem, j_max, scan_points=cfg.numerics.scan_points, quad_tol=cfg.numerics.quad_tol
-    )
+    descs = solver.iter_solutions(problem, j_max, quad_tol=cfg.numerics.quad_tol)
     d = solver.find_descriptor(descs, args.id)
     if d is None:
         raise ConfigError(f"unknown descriptor id {args.id}")

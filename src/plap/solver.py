@@ -161,11 +161,11 @@ class _LambdaView:
     """One lambda's view of the (f, p) store: the slope bounds and kappa that
     turn the store's lambda-free scans into r, theta and alpha grids."""
 
-    def __init__(self, problem: Problem, quad_tol: float, scan_points: int):
+    def __init__(self, problem: Problem, quad_tol: float):
         self.problem = problem
         self.quad_tol = quad_tol
         self.scan_tol = max(1e-8, quad_tol)
-        self.curves = time_map_curves(problem.nl, problem.p, scan_points, self.scan_tol)
+        self.curves = time_map_curves(problem.nl, problem.p, self.scan_tol)
         self.bounds = slope_bounds(problem)
         self.relation = area_relation(problem.nl)
 
@@ -225,18 +225,14 @@ def _flat_core_descriptor(view: _LambdaView, sclass: SolutionClass) -> SolutionD
 
 
 def solve_class(
-    problem: Problem,
-    sclass: SolutionClass,
-    *,
-    scan_points: int = 1024,
-    quad_tol: float = 1e-10,
+    problem: Problem, sclass: SolutionClass, *, quad_tol: float = 1e-10
 ) -> list[SolutionDescriptor]:
     """All solutions in one class: regular matching roots, a tangent root at
     a fold, and the flat-core continuum descriptor when the budget is open.
 
     Returns an empty list when the class has no solutions at this lambda.
     """
-    return _solve(_LambdaView(problem, quad_tol, scan_points), sclass)
+    return _solve(_LambdaView(problem, quad_tol), sclass)
 
 
 def _solve(view: _LambdaView, sclass: SolutionClass) -> list[SolutionDescriptor]:
@@ -262,7 +258,7 @@ def _solve(view: _LambdaView, sclass: SolutionClass) -> list[SolutionDescriptor]
     roots: list[tuple[float, float, bool]] = []  # (r, residual, degenerate)
 
     def refine(lo: float, hi: float) -> None:
-        r0 = brentq(residual, lo, hi, xtol=1e-15 * bound)
+        r0 = brentq(residual, lo, hi, xtol=1e-15 * min(bound, hi))
         roots.append((float(r0), float(residual(r0)), False))
 
     # strict crossings only: exact zeros over a run of grid points happen when
@@ -321,11 +317,7 @@ def _solve(view: _LambdaView, sclass: SolutionClass) -> list[SolutionDescriptor]
 
 
 def iter_solutions(
-    problem: Problem,
-    j_max: int,
-    *,
-    scan_points: int = 1024,
-    quad_tol: float = 1e-10,
+    problem: Problem, j_max: int, *, quad_tol: float = 1e-10
 ) -> Iterator[SolutionDescriptor]:
     """Trivial marker, then the descriptors of S_1^+, S_1^-, ..., S_jmax^-.
 
@@ -336,20 +328,16 @@ def iter_solutions(
     """
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
-    view = _LambdaView(problem, quad_tol, scan_points)
+    view = _LambdaView(problem, quad_tol)
     classes = (SolutionClass(j, sign) for j in range(1, j_max + 1) for sign in (SIGN_POS, SIGN_NEG))
     return chain([TRIVIAL], chain.from_iterable(_solve(view, sclass) for sclass in classes))
 
 
 def enumerate_solutions(
-    problem: Problem,
-    j_max: int,
-    *,
-    scan_points: int = 1024,
-    quad_tol: float = 1e-10,
+    problem: Problem, j_max: int, *, quad_tol: float = 1e-10
 ) -> list[SolutionDescriptor]:
     """Trivial marker plus every descriptor of every class with j <= j_max."""
-    return list(iter_solutions(problem, j_max, scan_points=scan_points, quad_tol=quad_tol))
+    return list(iter_solutions(problem, j_max, quad_tol=quad_tol))
 
 
 def sweep(
@@ -358,13 +346,12 @@ def sweep(
     lams: Iterable[float],
     j_max: int,
     *,
-    scan_points: int = 1024,
     quad_tol: float = 1e-10,
 ) -> list[list[SolutionDescriptor]]:
     """``enumerate_solutions`` at each lambda of ``lams``, in order.  The scans
     are built at the first lambda and read at every later one."""
     return [
-        enumerate_solutions(Problem(p=p, nl=nl, lam=lam), j_max, scan_points=scan_points, quad_tol=quad_tol)
+        enumerate_solutions(Problem(p=p, nl=nl, lam=lam), j_max, quad_tol=quad_tol)
         for lam in lams
     ]
 

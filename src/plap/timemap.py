@@ -40,7 +40,8 @@ _TAIL_FRAC = 1e-2  # switch from the direct formula to the tail integral
 _MODEL_FRAC = 1e-8  # switch from the tail integral to the local quadratic model
 _ENDPOINT_SNAP = 1e-14  # levels this close to z+/z- are treated as the endpoint
 _SCAN_EPS = 1e-12  # relative clamp of the open slope interval in scans
-_CURVES_CAP = 64  # (f, p, scan) stores kept by time_map_curves
+_SCAN_POINTS = 1024  # fractions of every scan grid
+_CURVES_CAP = 64  # (f, p, scan_tol) stores kept by time_map_curves
 
 
 @dataclass(frozen=True)
@@ -109,11 +110,13 @@ def level_pos(nl: Nonlinearity, rho: float) -> float:
         raise OutOfRange(f"rho = {rho} outside (0, {a_plus}]")
     if rho >= a_plus:
         return nl.z_plus
+    # a tolerance relative to the level keeps its digits at deep levels;
+    # z ~ (q rho)^(1/q) where z^q/q dominates F, i.e. for small rho
     return brentq(
         lambda z: float(_area(nl, z)) - rho,
         0.0,
         nl.z_plus,
-        xtol=1e-17 + 1e-16 * nl.z_plus,
+        xtol=1e-16 * min(nl.z_plus, (nl.q * rho) ** (1.0 / nl.q)),
     )
 
 
@@ -335,9 +338,9 @@ class TimeMapCurves:
     shared by every caller, so they are read-only.
     """
 
-    def __init__(self, nl: Nonlinearity, p: float, scan_points: int, scan_tol: float):
+    def __init__(self, nl: Nonlinearity, p: float, scan_tol: float):
         self.nl, self.p, self.scan_tol = nl, p, scan_tol
-        half = np.geomspace(_SCAN_EPS, 0.5, scan_points // 2)
+        half = np.geomspace(_SCAN_EPS, 0.5, _SCAN_POINTS // 2)
         self.fractions = np.unique(np.concatenate([half, 1.0 - half[::-1]]))
         self.fractions.flags.writeable = False
         self._scans: dict[tuple[float, bool], np.ndarray] = {}
@@ -370,11 +373,10 @@ class TimeMapCurves:
 
 
 @functools.lru_cache(maxsize=_CURVES_CAP)
-def time_map_curves(nl: Nonlinearity, p: float, scan_points: int, scan_tol: float) -> TimeMapCurves:
-    """The store of (nl, p) for ``scan_points``-point scans at ``scan_tol``,
-    built once and kept among the last ``_CURVES_CAP`` used; lambda is not
-    part of the key."""
-    return TimeMapCurves(nl, p, scan_points, scan_tol)
+def time_map_curves(nl: Nonlinearity, p: float, scan_tol: float) -> TimeMapCurves:
+    """The store of (nl, p) for scans at ``scan_tol``, built once and kept
+    among the last ``_CURVES_CAP`` used; lambda is not part of the key."""
+    return TimeMapCurves(nl, p, scan_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,20 @@ class TestEigenvalueBase:
             eigenvalue_base(1.0)
 
 
+@pytest.fixture
+def scans(monkeypatch):
+    """The sizes of the batched scans run while the test runs."""
+    calls = []
+    real = timemap._integral_many
+
+    def counted(*args):
+        calls.append(args[2].size)
+        return real(*args)
+
+    monkeypatch.setattr(timemap, "_integral_many", counted)
+    return calls
+
+
 def _lam(p, weight):
     return (p - 1) / p * (2 * weight) ** p
 
@@ -94,23 +108,26 @@ class TestMinimizers:
         with pytest.raises(NoZeroFound, match=r"S_1\^\+.*1e-24"):
             bifurcation_table(nl, 2.0, 4)
 
-    def test_store_is_filled_once(self, monkeypatch):
+    def test_store_is_filled_once(self, scans):
         # a second table on the same (f, p) reads the store's scans and runs none
         nl = build_nonlinearity("power_asym", 3.0, {"b_plus": 1.5, "b_minus": 1.0, "r_exp": 5.0})
-        calls = []
-        real = timemap._integral_many
-
-        def counted(*args):
-            calls.append(args[2].size)
-            return real(*args)
-
-        monkeypatch.setattr(timemap, "_integral_many", counted)
         time_map_curves.cache_clear()
         first = bifurcation_table(nl, 2.0, 6)
-        assert len(calls) >= 3  # I and J at the class areas
-        calls.clear()
+        assert len(scans) >= 3  # I and J at the class areas
+        scans.clear()
         assert bifurcation_table(nl, 2.0, 6) == first
-        assert calls == []
+        assert scans == []
+
+    def test_solver_reads_the_store_structure_filled(self, scans):
+        # structure and enumerate_solutions on one (f, p) share one scan per (area, side)
+        nl = build_nonlinearity("power_asym", 3.0, {"b_plus": 1.5, "b_minus": 1.0, "r_exp": 5.0})
+        prob = Problem(p=2.0, nl=nl, lam=150.0)
+        time_map_curves.cache_clear()
+        structure(prob, 6)
+        assert len(scans) == 3  # I and J at the smaller area A(z+), J at S_1^-'s A(z-)
+        scans.clear()
+        enumerate_solutions(prob, j_max=6)
+        assert scans == []
 
     def test_star_values_do_not_depend_on_what_filled_the_store(self, monkeypatch):
         # the thresholds structure reads at one lambda, from a cold store, after
@@ -257,14 +274,9 @@ class TestStructure:
             regular = [d for d in descs if (d.sign, d.kind) == (sign, "regular")]
             assert len(regular) == 2
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="roots deep in the fold keep residuals above 1e-9 when q is just above p "
-        "(ROADMAP item 10: relative root tolerances and a log-level coordinate)",
-    )
     def test_q_above_p_deep_fold_inner_roots_resolve(self):
         # the config of test_q_above_p_deep_fold_pair: the inner S_1 roots sit at
-        # r ~ 8e-10, where the residual still reads about 1.03e-9
+        # r ~ 8e-10, which only Brent tolerances relative to r and the level resolve
         p = 3.0
         nl = build_nonlinearity("power_asym", 3.1, {"b_plus": 1.0, "b_minus": 1.0, "r_exp": 3.15})
         prob = Problem(p=p, nl=nl, lam=2 * bifurcation_table(nl, p, 1).star_plus[0])

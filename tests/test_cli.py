@@ -396,11 +396,23 @@ class TestStrictTypes:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "numerics", [{"scan_points": 1024}, {"quad_tl": 1e-3}], ids=["scan_points", "misspelled"]
+    )
+    def test_unknown_numerics_key_is_named(self, tmp_path, capsys, numerics):
+        (key,) = numerics
+        assert main(["validate", "--config", write_config(tmp_path, numerics=numerics)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and key in captured.err
+
     def test_whole_float_count_is_a_count(self, tmp_path, capsys):
+        assert main(["solve", "--config", write_config(tmp_path), "--jmax", "1"]) == 0
+        regular = next(d for d in json.loads(capsys.readouterr().out)["descriptors"] if d["kind"] == "regular")
         outputs = []
-        for scan_points in (256, 256.0):
-            cfg = write_config(tmp_path, numerics={"scan_points": scan_points})
-            assert main(["solve", "--config", cfg, "--jmax", "2"]) == 0
+        for grid in (256, 256.0):
+            cfg = write_config(tmp_path, numerics={"grid": grid})
+            assert main(["profile", "--config", cfg, "--id", regular["id"]]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 

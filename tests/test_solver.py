@@ -271,7 +271,7 @@ class TestTimeMapCurves:
 
     def test_theta_alpha_are_kappa_times_the_store(self, asym):
         prob = Problem(p=3.0, nl=asym, lam=700.0)
-        view = solver._LambdaView(prob, 1e-10, 256)
+        view = solver._LambdaView(prob, 1e-10)
         for sclass in (SolutionClass(1, "+"), SolutionClass(1, "-"), SolutionClass(2, "+")):
             grid, th, al = view.grid_maps(sclass)
             # the same scan from the per-lambda areas (p-1) r^p / (lambda p);
@@ -292,7 +292,7 @@ class TestTimeMapCurves:
         time_map_curves.cache_clear()
         mirror = build_nonlinearity("power_asym", 2.0, {"b_plus": 2.0, "b_minus": 1.5, "r_exp": 4.0})
         assert mirror.c_plus == asym.c_plus and mirror.c_minus != asym.c_minus
-        stores = [time_map_curves(f, p, 1024, 1e-8) for f in (asym, mirror) for p in (2.5, 3.0)]
+        stores = [time_map_curves(f, p, 1e-8) for f in (asym, mirror) for p in (2.5, 3.0)]
         assert len({id(s) for s in stores}) == 4
         assert time_map_curves.cache_info().currsize == 4
         for lam in (50.0, 900.0):
@@ -332,7 +332,7 @@ class TestTimeMapCurves:
     def test_store_is_bounded(self, cubic_odd):
         time_map_curves.cache_clear()
         for k in range(3 * _CURVES_CAP):
-            time_map_curves(cubic_odd, 1.5 + 0.01 * k, 64, 1e-8)
+            time_map_curves(cubic_odd, 1.5 + 0.01 * k, 1e-8)
         info = time_map_curves.cache_info()
         assert info.currsize == info.maxsize == _CURVES_CAP
 
