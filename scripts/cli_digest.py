@@ -8,7 +8,10 @@ the configs of ``perfbench/workloads.py``, at three lambdas each, and prints
 one line per call: the sha256 of its exit code, stdout and stderr, then the
 call.  ``profile``, ``verify`` and ``regularity`` run on the first regular and
 the first flat-core descriptor that ``solve`` lists at that lambda; one
-``sweep`` per config runs over all three lambdas.
+``sweep`` per config runs over all three lambdas.  The first of those
+descriptors in each config also gets one ``profile`` at
+``numerics.grid = 256`` and one ``verify`` at ``numerics.ode_steps = 20``
+(which exits 1), so both numerics keys are digested too.
 
 The CLI promises byte-identical output for identical configs, so two source
 trees produce the same CLI output exactly when their digests are equal:
@@ -54,6 +57,7 @@ FIXTURES = (
 )
 BENCH = (QGTP_SYM, QGTP_REALP, QGTP_ASYM, QGTP_REALQ, FLAT_Q3, ASYM_Q2, POLY_Q2, CUBIC_P2, REALQ_Q25)
 POSITIONS = (0.2, 0.5, 0.8)  # lambdas at these log-fractions of each range
+KNOBS = (("profile", {"grid": 256}), ("verify", {"ode_steps": 20}))  # non-default numerics
 
 
 def call(argv: list[str]) -> tuple[str, str]:
@@ -68,6 +72,7 @@ def call(argv: list[str]) -> tuple[str, str]:
 def digest_config(cfg: Config, work: Path) -> None:
     lo, hi = cfg.lam_range
     lams = [lo * (hi / lo) ** t for t in POSITIONS]
+    knobs_done = False
     for k, lam in enumerate(lams):
         path = work / f"{cfg.name}_{k}.json"
         path.write_text(json.dumps(cfg.spec(lam)))
@@ -88,6 +93,13 @@ def digest_config(cfg: Config, work: Path) -> None:
             for cmd in ("profile", "verify", "regularity"):
                 digest, _ = call([cmd, "--id", d["id"]] + spec)
                 print(f"{digest}  {cmd} --id {d['id']} {label}")
+            if not knobs_done:
+                knobs_done = True
+                for cmd, numerics in KNOBS:
+                    knob = work / f"{cfg.name}_{k}_knob.json"
+                    knob.write_text(json.dumps({**cfg.spec(lam), "numerics": numerics}))
+                    digest, _ = call([cmd, "--id", d["id"], "--config", str(knob)])
+                    print(f"{digest}  {cmd} --id {d['id']} {label} numerics={json.dumps(numerics)}")
     sweep = ["sweep", "--lambdas", ",".join(map(repr, lams))]
     digest, _ = call(sweep + ["--config", str(work / f"{cfg.name}_0.json")])
     print(f"{digest}  {' '.join(sweep)} {cfg.name}")

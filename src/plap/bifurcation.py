@@ -34,7 +34,7 @@ from .solver import (
     continuum_dimension,
     flat_core_side,
 )
-from .timemap import Problem, TimeMapCurves, integral_I, level_pos, time_map_curves
+from .timemap import QUAD_TOL, Problem, TimeMapCurves, integral_I, level_pos, time_map_curves
 
 
 def eigenvalue_base(p: float, tol: float = 1e-12) -> float:
@@ -129,7 +129,7 @@ class BifurcationTable:
         return self.star_plus if sign == "+" else self.star_minus
 
 
-def bifurcation_table(nl: Nonlinearity, p: float, N: int, tol: float = 1e-11) -> BifurcationTable:
+def bifurcation_table(nl: Nonlinearity, p: float, N: int, tol: float = QUAD_TOL) -> BifurcationTable:
     """Thresholds for n = 1..N.
 
     Flat-core ("tilde") entries are +inf for p <= 2, matching the divergence
@@ -141,7 +141,7 @@ def bifurcation_table(nl: Nonlinearity, p: float, N: int, tol: float = 1e-11) ->
     plus = [SolutionClass(n, "+") for n in idx]
     minus = [SolutionClass(n, "-") for n in idx]
 
-    curves = time_map_curves(nl, p, max(1e-8, tol))
+    curves = time_map_curves(nl, p)
     if p > 2.0:
         ends = curves.endpoint_integrals(tol)
         tilde_plus = [_threshold(p, _weight_at_bound(sc, ends)) for sc in plus]
@@ -221,7 +221,7 @@ class StructureReport:
         }
 
 
-def structure(problem: Problem, N: int, *, quad_tol: float = 1e-10) -> StructureReport:
+def structure(problem: Problem, N: int) -> StructureReport:
     """Per-class cardinality tags for classes 1..N at the problem's lambda,
     from each class's lambda-free thresholds alone.
 
@@ -244,7 +244,7 @@ def structure(problem: Problem, N: int, *, quad_tol: float = 1e-10) -> Structure
     fold = regime == "q>p"
     relation = area_relation(nl)
     report = StructureReport(lam=lam, regime=regime, area_relation=relation)
-    table = bifurcation_table(nl, p, N, max(quad_tol, 1e-11))
+    table = bifurcation_table(nl, p, N)
     zero = [0.0] * N
 
     for j in range(1, N + 1):

@@ -35,15 +35,26 @@ ORACLE_TOL = 1e-6
 
 @dataclass
 class Numerics:
-    quad_tol: float = 1e-10
+    """The counts a config may set; the quadrature tolerances are fixed
+    (``timemap.QUAD_TOL``)."""
+
     grid: int = 2048
     ode_steps: int = 100_000
 
     def validate(self):
-        if not 0.0 < self.quad_tol < math.inf:
-            raise ConfigError("quad_tol must be positive and finite")
         if min(self.grid, self.ode_steps) <= 0:
             raise ConfigError("grid and ode_steps must be positive")
+
+
+_TOP_KEYS = ("p", "q", "lambda", "nonlinearity", "numerics")
+
+
+def _reject_unknown(given: dict, allowed, what: str) -> None:
+    """Raise naming every key of ``given`` outside ``allowed``: a misspelled
+    key must not fall back to a default."""
+    unknown = sorted(set(given) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
 
 
 def _count(value, what: str) -> int:
@@ -77,13 +88,9 @@ class RunConfig:
         try:
             nl_spec = dict(raw["nonlinearity"])
             num = raw.get("numerics", {})
-            numerics = {
-                k: _count(num.get(k, v), k) if isinstance(v, int) else real_number(num.get(k, v), k)
-                for k, v in vars(Numerics()).items()
-            }
-            unknown = sorted(set(num) - set(numerics))
-            if unknown:
-                raise ConfigError(f"unknown numerics key(s): {', '.join(unknown)}")
+            _reject_unknown(raw, _TOP_KEYS, "config")
+            numerics = {k: _count(num.get(k, v), k) for k, v in vars(Numerics()).items()}
+            _reject_unknown(num, numerics, "numerics")
             cfg = cls(
                 p=real_number(raw["p"], "p"),
                 q=real_number(raw.get("q", nl_spec.get("q")), "q"),
@@ -152,7 +159,7 @@ def cmd_diagram(cfg: RunConfig, args) -> int:
         print(f"diagram index bound must be in 1..64, got {n}", file=sys.stderr)
         return EXIT_USAGE
     nl = cfg.build_nl()
-    table = bifurcation.bifurcation_table(nl, cfg.p, n, tol=min(cfg.numerics.quad_tol, 1e-11))
+    table = bifurcation.bifurcation_table(nl, cfg.p, n)
     header = ["n", "lambda_tilde_plus", "lambda_tilde_minus", "lambda_star_plus", "lambda_star_minus"]
     if table.classical is not None:
         header.append("lambda_n")
@@ -175,7 +182,7 @@ def _solve_payload(cfg: RunConfig, lam: float, descs) -> dict:
 def cmd_solve(cfg: RunConfig, args) -> int:
     j_max = args.jmax if args.jmax is not None else 4
     problem = cfg.build_problem()
-    descs = solver.enumerate_solutions(problem, j_max, quad_tol=cfg.numerics.quad_tol)
+    descs = solver.enumerate_solutions(problem, j_max)
     _emit(_json_text(_solve_payload(cfg, problem.lam, descs)), args.out)
     return EXIT_OK
 
@@ -195,7 +202,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     list of ``solve``'s payloads; the config's own lambda is not used."""
     lams = _parse_lambdas(args.lambdas)
     j_max = args.jmax if args.jmax is not None else 4
-    results = solver.sweep(cfg.build_nl(), cfg.p, lams, j_max, quad_tol=cfg.numerics.quad_tol)
+    results = solver.sweep(cfg.build_nl(), cfg.p, lams, j_max)
     _emit(_json_text([_solve_payload(cfg, lam, descs) for lam, descs in zip(lams, results)]), args.out)
     return EXIT_OK
 
@@ -207,7 +214,7 @@ def _find_descriptor(cfg: RunConfig, args):
         raise ConfigError("--id is required for this command")
     j_max = args.jmax if args.jmax is not None else 8
     problem = cfg.build_problem()
-    descs = solver.iter_solutions(problem, j_max, quad_tol=cfg.numerics.quad_tol)
+    descs = solver.iter_solutions(problem, j_max)
     d = solver.find_descriptor(descs, args.id)
     if d is None:
         raise ConfigError(f"unknown descriptor id {args.id}")
@@ -225,10 +232,7 @@ def _parse_cores(arg: str | None):
 
 def cmd_profile(cfg: RunConfig, args) -> int:
     problem, d = _find_descriptor(cfg, args)
-    prof = profile.reconstruct(
-        problem, d, M=cfg.numerics.grid, core_lengths=_parse_cores(args.cores),
-        quad_tol=cfg.numerics.quad_tol,
-    )
+    prof = profile.reconstruct(problem, d, M=cfg.numerics.grid, core_lengths=_parse_cores(args.cores))
     lines = ["x,phi,dphi"]
     for x, ph, dp in zip(prof.x, prof.phi, prof.dphi):
         lines.append(f"{_fmt(float(x))},{_fmt(float(ph))},{_fmt(float(dp))}")
@@ -245,9 +249,7 @@ def cmd_profile(cfg: RunConfig, args) -> int:
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     problem, d = _find_descriptor(cfg, args)
-    prof = profile.reconstruct(
-        problem, d, M=cfg.numerics.grid, quad_tol=cfg.numerics.quad_tol
-    )
+    prof = profile.reconstruct(problem, d, M=cfg.numerics.grid)
     energy = profile.energy_residual(problem, prof)
     report = {
         "id": d.descriptor_id,
@@ -274,16 +276,14 @@ def cmd_structure(cfg: RunConfig, args) -> int:
         print("--n must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     problem = cfg.build_problem()
-    rep = bifurcation.structure(problem, n, quad_tol=cfg.numerics.quad_tol)
+    rep = bifurcation.structure(problem, n)
     _emit(_json_text(rep.to_json_dict()), args.out)
     return EXIT_OK
 
 
 def cmd_regularity(cfg: RunConfig, args) -> int:
     problem, d = _find_descriptor(cfg, args)
-    prof = profile.reconstruct(
-        problem, d, M=cfg.numerics.grid, quad_tol=cfg.numerics.quad_tol
-    )
+    prof = profile.reconstruct(problem, d, M=cfg.numerics.grid)
     rep = profile.classify_regularity(problem, prof)
     _emit(_json_text(rep.to_json_dict()), args.out)
     return EXIT_OK

@@ -229,8 +229,8 @@ def locate_nonlinearity(kind: str, q: float, params: dict) -> Nonlinearity:
     Raises
     ------
     ValueError
-        Unknown family, a missing family key, or parameters that are not
-        numbers, lie outside their declared ranges or are not finite.
+        Unknown family, a missing or unknown family key, or parameters that
+        are not numbers, lie outside their declared ranges or are not finite.
     NoZeroFound
         The map ``|s|^{q-2}s - f(s)`` never changes sign.
     """
@@ -241,6 +241,9 @@ def locate_nonlinearity(kind: str, q: float, params: dict) -> Nonlinearity:
     missing = [k for k in _FAMILY_KEYS[kind] if k not in params]
     if missing:
         raise ValueError(f"{kind} nonlinearity needs {', '.join(missing)}")
+    unknown = sorted(set(params) - {"kind", "q", *_FAMILY_KEYS[kind]})
+    if unknown:
+        raise ValueError(f"unknown {kind} key(s): {', '.join(unknown)}")
     try:
         if kind == "power_asym":
             values = tuple(real_number(params[k], k) for k in _FAMILY_KEYS[kind])

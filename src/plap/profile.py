@@ -92,7 +92,6 @@ def reconstruct(
     descriptor: SolutionDescriptor,
     M: int = 2048,
     core_lengths=None,
-    quad_tol: float = 1e-10,
 ) -> Profile:
     """Pointwise profile for a descriptor; flat cores take a plateau-length
     vector (must sum to the budget; default equal split)."""
@@ -446,7 +445,7 @@ def _zero_order(problem: Problem, v: float, scale: float) -> int | None:
     return min(int(n), 5)  # 5 encodes "order > 4"
 
 
-def classify_regularity(problem: Problem, prof: Profile, quad_tol: float = 1e-11) -> RegularityReport:
+def classify_regularity(problem: Problem, prof: Profile) -> RegularityReport:
     """Classify every critical point of a reconstructed profile.
 
     Derivative limits near an isolated critical point chi follow from the
@@ -486,7 +485,7 @@ def classify_regularity(problem: Problem, prof: Profile, quad_tol: float = 1e-11
             fac = min(1.0, 0.25 * hw / 1e-2)
             for delta in (1e-2, 1e-3, 1e-4):
                 d_eff = delta * fac
-                w = invert_arch_distance(side, p, top, double, d_eff / kappa, quad_tol)
+                w = invert_arch_distance(side, p, top, double, d_eff / kappa)
                 beta = p / (p - 1.0)
                 G = radicand(side, top, top - w**beta)
                 mag = (lam * p / (p - 1.0) * float(G)) ** (1.0 / p)
@@ -504,7 +503,7 @@ def classify_regularity(problem: Problem, prof: Profile, quad_tol: float = 1e-11
         elif tp["kind"] == "plateau_edge" and p > 2.0:
             beta = p / (p - 2.0)
             for delta in (1e-3, 1e-4):
-                w = invert_arch_distance(side, p, top, True, delta / kappa, quad_tol)
+                w = invert_arch_distance(side, p, top, True, delta / kappa)
                 s = top - w**beta
                 G = radicand(side, top, s)
                 mag = (lam * p / (p - 1.0) * float(G)) ** (1.0 / p)
@@ -522,18 +521,14 @@ def classify_regularity(problem: Problem, prof: Profile, quad_tol: float = 1e-11
                 )
 
     holder = 1.0 / (p - 1.0)
-    boundary = False
+    # for p below 2(n+1), n the least order of a zero of h at a critical
+    # value, the profile is C2 at the critical points in Z too
+    edge = 2.0 * (min(z_orders) + 1) if z_orders else None
+    boundary = p == edge
     if p <= 2.0:
         label = "C2"
-    elif z_orders:
-        n_min = min(z_orders)
-        if p < 2.0 * (n_min + 1):
-            label = "C1,1/(p-1); C2 off C\\Z"
-        elif p == 2.0 * (n_min + 1):
-            label = "C1,1/(p-1); C2 off C"
-            boundary = True
-        else:
-            label = "C1,1/(p-1); C2 off C"
+    elif edge is not None and p < edge:
+        label = "C1,1/(p-1); C2 off C\\Z"
     else:
         label = "C1,1/(p-1); C2 off C"
     return RegularityReport(

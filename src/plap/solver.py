@@ -9,13 +9,13 @@ widths fill ``[0, 1]``:
 For ``q <= p`` the left side is monotone in ``r`` (0 or 1 root per class);
 for ``q > p`` it diverges as ``r -> 0`` and dips to an interior minimum, so
 roots appear in pairs born at a tangency.  Such a pair can hide between scan
-points, so a scanned minimum in [-delta, 0.05] (delta: a hundred times the
-scan tolerance) is refined by golden section; a deeper dip already has its
-roots bracketed by sign changes.  For ``p > 2`` the left side stays
-finite at the slope bound; when it is still below 1 there, the remaining
-length is absorbed by flat plateaus at ``z_plus``/``z_minus`` and the class
-carries a continuum of solutions, represented by a single descriptor with
-the plateau budget and the continuum dimension.
+points, so a scanned minimum in [-delta, 0.05] (delta = 1e-6, a hundred times
+the store's scan tolerance) is refined by golden section; a deeper dip
+already has its roots bracketed by sign changes.  For ``p > 2`` the left
+side stays finite at the slope bound; when it is still below 1 there, the
+remaining length is absorbed by flat plateaus at ``z_plus``/``z_minus`` and
+the class carries a continuum of solutions, represented by a single
+descriptor with the plateau budget and the continuum dimension.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .errors import OutOfRange
 from .nonlinearity import Nonlinearity, areas
 from .roots import brentq, golden_min
-from .timemap import Problem, alpha, slope_bounds, theta, time_map_curves
+from .timemap import QUAD_TOL, Problem, _SCAN_TOL, alpha, slope_bounds, theta, time_map_curves
 
 SIGN_POS = "+"
 SIGN_NEG = "-"
@@ -161,11 +161,9 @@ class _LambdaView:
     """One lambda's view of the (f, p) store: the slope bounds and kappa that
     turn the store's lambda-free scans into r, theta and alpha grids."""
 
-    def __init__(self, problem: Problem, quad_tol: float):
+    def __init__(self, problem: Problem):
         self.problem = problem
-        self.quad_tol = quad_tol
-        self.scan_tol = max(1e-8, quad_tol)
-        self.curves = time_map_curves(problem.nl, problem.p, self.scan_tol)
+        self.curves = time_map_curves(problem.nl, problem.p)
         self.bounds = slope_bounds(problem)
         self.relation = area_relation(problem.nl)
 
@@ -184,7 +182,7 @@ class _LambdaView:
 
     def arch_total_at_bound(self, sclass: SolutionClass) -> float:
         """Total arch width when every arch launches at the class's bound."""
-        ends = self.curves.endpoint_integrals(self.quad_tol)
+        ends = self.curves.endpoint_integrals()
         return 2.0 * self.problem.kappa * _weight_at_bound(sclass, ends)
 
 
@@ -224,15 +222,13 @@ def _flat_core_descriptor(view: _LambdaView, sclass: SolutionClass) -> SolutionD
     )
 
 
-def solve_class(
-    problem: Problem, sclass: SolutionClass, *, quad_tol: float = 1e-10
-) -> list[SolutionDescriptor]:
+def solve_class(problem: Problem, sclass: SolutionClass) -> list[SolutionDescriptor]:
     """All solutions in one class: regular matching roots, a tangent root at
     a fold, and the flat-core continuum descriptor when the budget is open.
 
     Returns an empty list when the class has no solutions at this lambda.
     """
-    return _solve(_LambdaView(problem, quad_tol), sclass)
+    return _solve(_LambdaView(problem), sclass)
 
 
 def _solve(view: _LambdaView, sclass: SolutionClass) -> list[SolutionDescriptor]:
@@ -244,7 +240,7 @@ def _solve(view: _LambdaView, sclass: SolutionClass) -> list[SolutionDescriptor]
     if sclass.n_neg:
         res += 2.0 * sclass.n_neg * al
 
-    refine_tol = 0.1 * min(view.quad_tol, 1e-11)  # grid noise must not mask the root residual
+    refine_tol = 0.1 * QUAD_TOL  # grid noise must not mask the root residual
     # bracket checks and Brent evaluate the same grid ends: evaluate each once
     evaluated: dict[float, float] = {}
 
@@ -280,7 +276,7 @@ def _solve(view: _LambdaView, sclass: SolutionClass) -> list[SolutionDescriptor]
         # an interior minimum can hide a tangency or a just-born root pair
         # between grid points; one the scan shows below -delta, far beyond
         # its error, already has its roots bracketed by sign changes
-        delta = 100.0 * view.scan_tol
+        delta = 100.0 * _SCAN_TOL
         interior = np.where((res[1:-1] < res[:-2]) & (res[1:-1] <= res[2:]))[0] + 1
         for i in interior:
             if not -delta <= res[i] <= 0.05 or any(
@@ -316,9 +312,7 @@ def _solve(view: _LambdaView, sclass: SolutionClass) -> list[SolutionDescriptor]
     return out
 
 
-def iter_solutions(
-    problem: Problem, j_max: int, *, quad_tol: float = 1e-10
-) -> Iterator[SolutionDescriptor]:
+def iter_solutions(problem: Problem, j_max: int) -> Iterator[SolutionDescriptor]:
     """Trivial marker, then the descriptors of S_1^+, S_1^-, ..., S_jmax^-.
 
     Each class is solved only when the iteration reaches it, so a caller
@@ -328,32 +322,22 @@ def iter_solutions(
     """
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
-    view = _LambdaView(problem, quad_tol)
+    view = _LambdaView(problem)
     classes = (SolutionClass(j, sign) for j in range(1, j_max + 1) for sign in (SIGN_POS, SIGN_NEG))
     return chain([TRIVIAL], chain.from_iterable(_solve(view, sclass) for sclass in classes))
 
 
-def enumerate_solutions(
-    problem: Problem, j_max: int, *, quad_tol: float = 1e-10
-) -> list[SolutionDescriptor]:
+def enumerate_solutions(problem: Problem, j_max: int) -> list[SolutionDescriptor]:
     """Trivial marker plus every descriptor of every class with j <= j_max."""
-    return list(iter_solutions(problem, j_max, quad_tol=quad_tol))
+    return list(iter_solutions(problem, j_max))
 
 
 def sweep(
-    nl: Nonlinearity,
-    p: float,
-    lams: Iterable[float],
-    j_max: int,
-    *,
-    quad_tol: float = 1e-10,
+    nl: Nonlinearity, p: float, lams: Iterable[float], j_max: int
 ) -> list[list[SolutionDescriptor]]:
     """``enumerate_solutions`` at each lambda of ``lams``, in order.  The scans
     are built at the first lambda and read at every later one."""
-    return [
-        enumerate_solutions(Problem(p=p, nl=nl, lam=lam), j_max, quad_tol=quad_tol)
-        for lam in lams
-    ]
+    return [enumerate_solutions(Problem(p=p, nl=nl, lam=lam), j_max) for lam in lams]
 
 
 def find_descriptor(descriptors: Iterable[SolutionDescriptor], descriptor_id: str):

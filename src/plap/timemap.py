@@ -41,7 +41,13 @@ _MODEL_FRAC = 1e-8  # switch from the tail integral to the local quadratic model
 _ENDPOINT_SNAP = 1e-14  # levels this close to z+/z- are treated as the endpoint
 _SCAN_EPS = 1e-12  # relative clamp of the open slope interval in scans
 _SCAN_POINTS = 1024  # fractions of every scan grid
-_CURVES_CAP = 64  # (f, p, scan_tol) stores kept by time_map_curves
+_SCAN_TOL = 1e-8  # tanh-sinh tolerance of the store's scans
+_CURVES_CAP = 64  # (f, p) stores kept by time_map_curves
+
+# Tolerance of every lambda-free scalar integral: endpoint integrals, fold
+# searches and the arch inversion.  Tanh-sinh converges double-exponentially,
+# so no CLI output moves for any tolerance from 1e-6 to 1e-11.
+QUAD_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -330,7 +336,7 @@ class TimeMapCurves:
     ``r_A * fractions`` the half-periods are ``kappa * I(z(A g^p))`` (and the
     same with J), where only ``kappa`` depends on lambda.  This store holds
     the fractions ``g`` and fills in, on first use, I or J at those levels per
-    area bound, and the endpoint integrals per tolerance.
+    area bound (at ``_SCAN_TOL``), and the endpoint integrals per tolerance.
 
     Every value is a pure function of the store's key and its own arguments,
     so the order in which lambdas fill it never shows in a result, and two
@@ -338,8 +344,8 @@ class TimeMapCurves:
     shared by every caller, so they are read-only.
     """
 
-    def __init__(self, nl: Nonlinearity, p: float, scan_tol: float):
-        self.nl, self.p, self.scan_tol = nl, p, scan_tol
+    def __init__(self, nl: Nonlinearity, p: float):
+        self.nl, self.p = nl, p
         half = np.geomspace(_SCAN_EPS, 0.5, _SCAN_POINTS // 2)
         self.fractions = np.unique(np.concatenate([half, 1.0 - half[::-1]]))
         self.fractions.flags.writeable = False
@@ -353,12 +359,12 @@ class TimeMapCurves:
         key = (area, negative)
         if key not in self._scans:
             nl = reflected(self.nl) if negative else self.nl
-            scan = _scan(nl, self.p, area * self.fractions**self.p, self.scan_tol)
+            scan = _scan(nl, self.p, area * self.fractions**self.p, _SCAN_TOL)
             scan.flags.writeable = False
             self._scans[key] = scan
         return self._scans[key]
 
-    def endpoint_integrals(self, tol: float) -> tuple[float, float, float, float]:
+    def endpoint_integrals(self, tol: float = QUAD_TOL) -> tuple[float, float, float, float]:
         """(I(z_hat), J(s_hat), I(z_plus), J(z_minus)) at the levels
         ``endpoint_levels(nl)`` reached at r_star; p > 2 only."""
         if tol not in self._ends:
@@ -373,10 +379,10 @@ class TimeMapCurves:
 
 
 @functools.lru_cache(maxsize=_CURVES_CAP)
-def time_map_curves(nl: Nonlinearity, p: float, scan_tol: float) -> TimeMapCurves:
-    """The store of (nl, p) for scans at ``scan_tol``, built once and kept
-    among the last ``_CURVES_CAP`` used; lambda is not part of the key."""
-    return TimeMapCurves(nl, p, scan_tol)
+def time_map_curves(nl: Nonlinearity, p: float) -> TimeMapCurves:
+    """The store of (nl, p), built once and kept among the last
+    ``_CURVES_CAP`` used; lambda is not part of the key."""
+    return TimeMapCurves(nl, p)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +408,7 @@ def arch_tail_cumulative(
 
 
 def arch_tail_distance(
-    nl: Nonlinearity, p: float, level: float, double: bool, w: float, tol: float = 1e-11
+    nl: Nonlinearity, p: float, level: float, double: bool, w: float, tol: float = QUAD_TOL
 ) -> float:
     """Scalar version: G-space distance from the arch extremum to offset w."""
     if w == 0.0:
@@ -411,7 +417,7 @@ def arch_tail_distance(
 
 
 def invert_arch_distance(
-    nl: Nonlinearity, p: float, level: float, double: bool, target: float, tol: float = 1e-11
+    nl: Nonlinearity, p: float, level: float, double: bool, target: float, tol: float = QUAD_TOL
 ) -> float:
     """Solve arch_tail_distance(w) = target for w (target in G-space)."""
     beta = _beta(p, double)

@@ -189,7 +189,7 @@ def _min_matching_residual(nl, lam):
 
     prob = Problem(p=2.0, nl=nl, lam=lam)
     # the lambda-free store brackets the minimum at every lambda of the bisection
-    curves = time_map_curves(nl, prob.p, 1e-9)
+    curves = time_map_curves(nl, prob.p)
     grid = slope_bounds(prob).r_pos * curves.fractions
     res = 2.0 * prob.kappa * curves.integrals(areas(nl)[0], negative=False) - 1.0
     i = int(np.argmin(res))

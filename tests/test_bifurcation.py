@@ -250,7 +250,7 @@ class TestStructure:
     def test_q_above_p_tangent_at_star(self, qgtp):
         star = bifurcation_table(qgtp, 2.0, 1).star_plus[0]
         tags = [
-            structure(Problem(p=2.0, nl=qgtp, lam=lam), 1, quad_tol=1e-11).entry(1, "+").tag
+            structure(Problem(p=2.0, nl=qgtp, lam=lam), 1).entry(1, "+").tag
             for lam in (star * (1 - 1e-9), star, star * (1 + 1e-9))
         ]
         assert tags == ["empty", "single", "pair"]

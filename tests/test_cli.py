@@ -152,6 +152,31 @@ class TestDiagram:
         assert len(rows) == 8
         assert all(0 < float(r[3]) < float(r[1]) for r in rows)
 
+    def test_endpoint_integrals_computed_once(self, tmp_path, monkeypatch):
+        # diagram, structure and solve on one p > 2 (f, p) read one endpoint entry
+        import plap.timemap
+
+        plap.timemap.time_map_curves.cache_clear()
+        real = plap.timemap.integral_I
+        endpoint_calls = []
+
+        def counting(nl, p, a, tol=1e-10):
+            if a == nl.z_plus:  # I(z_plus), or J(z_minus) through the reflection
+                endpoint_calls.append((nl, tol))
+            return real(nl, p, a, tol)
+
+        monkeypatch.setattr(plap.timemap, "integral_I", counting)
+        cfg = write_config(
+            tmp_path,
+            p=3.0,
+            q=3.0,
+            nonlinearity={"kind": "power_asym", "b_plus": 1.5, "b_minus": 1.0, "r_exp": 6.0},
+            **{"lambda": 300.0},
+        )
+        for command in ("diagram", "structure", "solve"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        assert len(endpoint_calls) == 2
+
     def test_bad_n_exit_1(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["diagram", "--config", cfg, "--n", "65"]) == 1
@@ -355,13 +380,13 @@ class TestNonFinite:
             {"q": INF},
             {"lambda": INF},
             {"lambda": NAN},
-            {"numerics": {"quad_tol": NAN}},
+            {"numerics": {"grid": NAN}},
             {"nonlinearity": {"kind": "power_asym", "b_plus": NAN, "b_minus": 1.0, "r_exp": 4.0}},
             {"nonlinearity": {"kind": "power_asym", "b_plus": 1.0, "b_minus": INF, "r_exp": 4.0}},
             {"nonlinearity": {"kind": "power_asym", "b_plus": 1.0, "b_minus": 1.0, "r_exp": INF}},
             {"nonlinearity": {"kind": "polynomial", "coeffs": [0.0, 0.0, 1.0, -INF]}},
         ],
-        ids=["p", "q", "lambda-inf", "lambda-nan", "quad_tol", "b_plus", "b_minus", "r_exp", "coeffs"],
+        ids=["p", "q", "lambda-inf", "lambda-nan", "grid", "b_plus", "b_minus", "r_exp", "coeffs"],
     )
     def test_rejected_with_error(self, tmp_path, capsys, command, overrides):
         cfg = write_config(tmp_path, **overrides)
@@ -382,13 +407,12 @@ class TestStrictTypes:
             {"p": "2"},
             {"q": True},
             {"lambda": "20"},
-            {"numerics": {"quad_tol": "1e-10"}},
             {"numerics": {"scan_points": 1.7}},
             {"numerics": {"grid": "2048"}},
             {"numerics": {"ode_steps": True}},
         ],
         ids=["coeffs-string", "coeff-string", "b_plus-string", "b_minus-bool", "p-string", "q-bool",
-             "lambda-string", "quad_tol-string", "scan_points-fraction", "grid-string", "ode_steps-bool"],
+             "lambda-string", "scan_points-fraction", "grid-string", "ode_steps-bool"],
     )
     def test_rejected_with_error(self, tmp_path, capsys, overrides):
         assert main(["validate", "--config", write_config(tmp_path, **overrides)]) == 1
@@ -397,11 +421,33 @@ class TestStrictTypes:
         assert captured.err.startswith("error:")
 
     @pytest.mark.parametrize(
-        "numerics", [{"scan_points": 1024}, {"quad_tl": 1e-3}], ids=["scan_points", "misspelled"]
+        "numerics",
+        [{"scan_points": 1024}, {"quad_tl": 1e-3}, {"quad_tol": 1e-10}],
+        ids=["scan_points", "misspelled", "quad_tol"],
     )
     def test_unknown_numerics_key_is_named(self, tmp_path, capsys, numerics):
         (key,) = numerics
         assert main(["validate", "--config", write_config(tmp_path, numerics=numerics)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and key in captured.err
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"lamda": 40.0}, "lamda"),
+            (
+                {"nonlinearity": {"kind": "power_asym", "b_plus": 1.0, "b_minus": 1.0, "r_exp": 4.0,
+                                  "b_pluss": 3.0}},
+                "b_pluss",
+            ),
+            ({"nonlinearity": {"kind": "polynomial", "coeffs": [0.0, 0.0, 1.0], "r_exp": 4.0}}, "r_exp"),
+        ],
+        ids=["top-level", "power_asym", "polynomial"],
+    )
+    def test_unknown_key_is_named(self, tmp_path, capsys, overrides, key):
+        # a misspelled key must not run on the default it leaves in place
+        assert main(["solve", "--config", write_config(tmp_path, **overrides), "--jmax", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and key in captured.err

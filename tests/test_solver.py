@@ -15,6 +15,7 @@ from plap.solver import (
 from plap.timemap import (
     Problem,
     _CURVES_CAP,
+    _SCAN_TOL,
     _scan,
     alpha,
     flat_core_half_widths,
@@ -271,7 +272,7 @@ class TestTimeMapCurves:
 
     def test_theta_alpha_are_kappa_times_the_store(self, asym):
         prob = Problem(p=3.0, nl=asym, lam=700.0)
-        view = solver._LambdaView(prob, 1e-10)
+        view = solver._LambdaView(prob)
         for sclass in (SolutionClass(1, "+"), SolutionClass(1, "-"), SolutionClass(2, "+")):
             grid, th, al = view.grid_maps(sclass)
             # the same scan from the per-lambda areas (p-1) r^p / (lambda p);
@@ -279,7 +280,7 @@ class TestTimeMapCurves:
             # map amplifies to ~sqrt(1e-16) next to the bound, where m(z) -> 0
             rho = (prob.p - 1.0) * grid**prob.p / (prob.lam * prob.p)
             th_ref, al_ref = (
-                prob.kappa * _scan(nl, prob.p, rho, view.scan_tol) for nl in (asym, reflected(asym))
+                prob.kappa * _scan(nl, prob.p, rho, _SCAN_TOL) for nl in (asym, reflected(asym))
             )
             lower = view.curves.fractions <= 0.5
             for got, ref in ((th, th_ref), (al, al_ref)):
@@ -292,7 +293,7 @@ class TestTimeMapCurves:
         time_map_curves.cache_clear()
         mirror = build_nonlinearity("power_asym", 2.0, {"b_plus": 2.0, "b_minus": 1.5, "r_exp": 4.0})
         assert mirror.c_plus == asym.c_plus and mirror.c_minus != asym.c_minus
-        stores = [time_map_curves(f, p, 1e-8) for f in (asym, mirror) for p in (2.5, 3.0)]
+        stores = [time_map_curves(f, p) for f in (asym, mirror) for p in (2.5, 3.0)]
         assert len({id(s) for s in stores}) == 4
         assert time_map_curves.cache_info().currsize == 4
         for lam in (50.0, 900.0):
@@ -332,7 +333,7 @@ class TestTimeMapCurves:
     def test_store_is_bounded(self, cubic_odd):
         time_map_curves.cache_clear()
         for k in range(3 * _CURVES_CAP):
-            time_map_curves(cubic_odd, 1.5 + 0.01 * k, 1e-8)
+            time_map_curves(cubic_odd, 1.5 + 0.01 * k)
         info = time_map_curves.cache_info()
         assert info.currsize == info.maxsize == _CURVES_CAP
 

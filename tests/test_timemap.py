@@ -279,7 +279,7 @@ class TestTimeMaps:
         # kappa times the store's scans at A g^p are theta and alpha at the
         # slopes r_A g, for an odd f (where J's scan is I's) and an asymmetric one
         for prob in (ci_problem, Problem(p=3.0, nl=asym, lam=40.0)):
-            curves = time_map_curves(prob.nl, prob.p, 1e-10)
+            curves = time_map_curves(prob.nl, prob.p)
             a_plus, a_minus = areas(prob.nl)
             b = slope_bounds(prob)
             th = prob.kappa * curves.integrals(a_plus, negative=False)
