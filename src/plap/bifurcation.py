@@ -25,7 +25,7 @@ import numpy as np
 from .errors import NoZeroFound
 from .nonlinearity import Nonlinearity, areas, reflected
 from .quadrature import tanh_sinh
-from .roots import golden_min
+from .roots import brent_min
 from .solver import (
     SolutionClass,
     _class_bound,
@@ -34,7 +34,17 @@ from .solver import (
     continuum_dimension,
     flat_core_side,
 )
-from .timemap import QUAD_TOL, Problem, TimeMapCurves, integral_I, level_pos, time_map_curves
+from .timemap import (
+    QUAD_TOL,
+    Problem,
+    TimeMapCurves,
+    _area,
+    integral_I,
+    level_pos,
+    time_map_curves,
+)
+
+_FOLD_XTOL = 1.5e-8  # sqrt(eps): relative xtol of the fold searches
 
 
 def eigenvalue_base(p: float, tol: float = 1e-12) -> float:
@@ -72,9 +82,14 @@ def _fold_weights(curves: TimeMapCurves, classes: list[SolutionClass], tol: floa
 
     ``A_class`` is the area bound matching the class's slope bound.  W depends
     on the class only through its area and the ratio n_pos : n_neg, so the
-    store's scans at rho = A_class g^p bracket one golden search in g per
-    reduced ratio.  A scanned minimum at the store's first fraction, the
-    solver's own depth, raises ``NoZeroFound``: the fold may lie deeper.
+    store's scans at rho = A_class g^p bracket one search per reduced ratio.
+    The search runs in the level z of the first term's side (the lead side),
+    where rho = A(z) = z^q/q - F(z) is explicit: only the other side of a
+    mixed class inverts a level map at each point.  Near its minimum W is
+    quadratic, so Brent's parabolic search at xtol sqrt(eps) gives the
+    minimum value to full precision.  A scanned minimum at the store's first
+    fraction, the solver's own depth, raises ``NoZeroFound``: the fold may
+    lie deeper.
     """
     nl, p, fractions = curves.nl, curves.p, curves.fractions
     a_plus, a_minus = areas(nl)
@@ -93,14 +108,19 @@ def _fold_weights(curves: TimeMapCurves, classes: list[SolutionClass], tol: floa
                     f"fold of class S_{sc.j}^{sc.sign} lies below "
                     f"rho/A = {fractions[0] ** p:.3g}, the deepest scanned level"
                 )
+            (w_lead, lead), *rest = terms
+            lead_nl = sides[lead]
 
-            def weight(g: float) -> float:
-                rho = area * g**p
-                return sum(
-                    w * integral_I(sides[k], p, level_pos(sides[k], rho), tol) for w, k in terms
-                )
+            def weight(z: float) -> float:
+                total = w_lead * integral_I(lead_nl, p, z, tol)
+                for w, k in rest:  # the other side of a mixed class, at the same area
+                    rho = float(_area(lead_nl, z))
+                    total += w * integral_I(sides[k], p, level_pos(sides[k], rho), tol)
+                return total
 
-            minima[w_pos, w_neg, area] = golden_min(weight, fractions, min(i, vals.size - 2))[1]
+            i = min(i, vals.size - 2)
+            bracket = (level_pos(lead_nl, float(area * g**p)) for g in fractions[i - 1 : i + 2])
+            minima[w_pos, w_neg, area] = brent_min(weight, *bracket, xtol=_FOLD_XTOL)[1]
         return minima[w_pos, w_neg, area]
 
     out = []

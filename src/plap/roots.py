@@ -1,9 +1,11 @@
 """Scalar root-finding and minimisation on a bracket, in pure Python.
 
-``brentq`` is Brent's (1973) zeroin in the form of SciPy's ``brentq.c``, and
-``golden_min`` is SciPy's golden-section search from a three-point bracket.
-Both follow their SciPy originals operation for operation, so they visit the
-same iterates and return the same floats.
+``brentq`` is Brent's (1973) zeroin in the form of SciPy's ``brentq.c``,
+``brent_min`` is Brent's (1973) parabolic minimizer in the form of SciPy's
+``optimize.Brent``, and ``golden_min`` is SciPy's golden-section search from a
+three-point bracket.  Each follows its SciPy original operation for
+operation, so they visit the same iterates and return the same floats;
+``brent_min`` alone departs from it, in a purely relative stop test.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ _MAXITER = 100  # brentq iterations before NoZeroFound
 _GOLDEN_XTOL = 1e-12  # relative bracket width at which golden_min stops
 _GR = 0.61803399  # golden ratio conjugate, to SciPy's eight digits
 _GC = 1.0 - _GR
+_CG = 0.3819660  # brent_min's golden-section fraction, to SciPy's seven digits
+_BRENT_MAXITER = 500  # brent_min iterations, as SciPy's default
 
 
 def _value(f, x: float) -> float:
@@ -89,19 +93,8 @@ def brentq(f, a: float, b: float, xtol: float) -> float:
     raise NoZeroFound(f"Brent's method did not converge in {_MAXITER} iterations, last x = {xcur}")
 
 
-def golden_min(fun, grid: np.ndarray, i: int) -> tuple[float, float]:
-    """(argmin, min) of ``fun`` by golden section from the bracket grid[i-1:i+2].
-
-    Stops when the bracket is narrower than ``_GOLDEN_XTOL`` relative to its
-    inner points, or after SciPy's 5000 iterations.
-
-    Raises
-    ------
-    ValueError
-        The bracket is not ordered, or its middle value is not below both
-        ends (a NaN value included).
-    """
-    xa, xb, xc = (float(x) for x in grid[i - 1 : i + 2])
+def _check_bracket(fun, xa: float, xb: float, xc: float):
+    """SciPy's three-point bracket checks; returns the ordered bracket and f(xb)."""
     if xa > xc:
         xa, xc = xc, xa
     if not (xa < xb and xb < xc):
@@ -115,7 +108,96 @@ def golden_min(fun, grid: np.ndarray, i: int) -> tuple[float, float]:
             "Bracketing values (xa, xb, xc) do not fulfill this requirement:"
             " (f(xb) < f(xa)) and (f(xb) < f(xc))"
         )
+    return xa, xb, xc, fb
 
+
+def brent_min(fun, xa: float, xb: float, xc: float, xtol: float) -> tuple[float, float]:
+    """(argmin, min) of ``fun`` by Brent's parabolic search from the bracket
+    (xa, xb, xc).
+
+    Stops when x lies within ``2 xtol |x|`` of the bracket's midpoint, less
+    half its width, or after SciPy's 500 iterations.  SciPy adds 1e-11 to that
+    tolerance, which would end a search at a small x early; here it is
+    relative only.
+
+    Raises
+    ------
+    ValueError
+        The bracket is not ordered, or its middle value is not below both
+        ends (a NaN value included).
+    """
+    xa, xb, xc, fb = _check_bracket(fun, float(xa), float(xb), float(xc))
+    x = w = v = xb
+    fw = fv = fx = fb
+    a, b = xa, xc
+    deltax = rat = 0.0
+    for _ in range(_BRENT_MAXITER):
+        tol1 = xtol * abs(x)
+        tol2 = 2.0 * tol1
+        xmid = 0.5 * (a + b)
+        if abs(x - xmid) < (tol2 - 0.5 * (b - a)):
+            break
+        if abs(deltax) <= tol1:  # golden-section step
+            deltax = a - x if x >= xmid else b - x
+            rat = _CG * deltax
+        else:  # parabolic step through x, w and v
+            tmp1 = (x - w) * (fx - fv)
+            tmp2 = (x - v) * (fx - fw)
+            p = (x - v) * tmp2 - (x - w) * tmp1
+            tmp2 = 2.0 * (tmp2 - tmp1)
+            if tmp2 > 0.0:
+                p = -p
+            tmp2 = abs(tmp2)
+            dx_temp = deltax
+            deltax = rat
+            if p > tmp2 * (a - x) and p < tmp2 * (b - x) and abs(p) < abs(0.5 * tmp2 * dx_temp):
+                rat = p / tmp2
+                u = x + rat
+                if (u - a) < tol2 or (b - u) < tol2:
+                    rat = tol1 if xmid - x >= 0 else -tol1
+            else:  # the parabola is not useful: golden-section step
+                deltax = a - x if x >= xmid else b - x
+                rat = _CG * deltax
+
+        if abs(rat) < tol1:  # move by at least tol1
+            u = x + tol1 if rat >= 0 else x - tol1
+        else:
+            u = x + rat
+        fu = fun(u)
+
+        if fu > fx:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, w = w, u
+                fv, fw = fw, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        else:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, w, x = w, x, u
+            fv, fw, fx = fw, fx, fu
+    return float(x), float(fx)
+
+
+def golden_min(fun, grid: np.ndarray, i: int) -> tuple[float, float]:
+    """(argmin, min) of ``fun`` by golden section from the bracket grid[i-1:i+2].
+
+    Stops when the bracket is narrower than ``_GOLDEN_XTOL`` relative to its
+    inner points, or after SciPy's 5000 iterations.
+
+    Raises
+    ------
+    ValueError
+        The bracket is not ordered, or its middle value is not below both
+        ends (a NaN value included).
+    """
+    xa, xb, xc, _ = _check_bracket(fun, *(float(x) for x in grid[i - 1 : i + 2]))
     x0, x3 = xa, xc
     if abs(xc - xb) > abs(xb - xa):
         x1 = xb

@@ -186,7 +186,9 @@ class _LambdaView:
         return 2.0 * self.problem.kappa * _weight_at_bound(sclass, ends)
 
 
-def matching_residual(problem: Problem, sclass: SolutionClass, r: float, tol: float = 1e-10) -> float:
+def matching_residual(
+    problem: Problem, sclass: SolutionClass, r: float, tol: float = QUAD_TOL
+) -> float:
     """Left side of the class's matching condition minus 1."""
     bounds = slope_bounds(problem)
     upper = _class_bound(sclass, bounds.r_pos, bounds.r_neg)

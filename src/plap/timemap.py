@@ -271,7 +271,7 @@ def _psi(nl: Nonlinearity, p: float, a, w: np.ndarray, double: bool) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def integral_I(nl: Nonlinearity, p: float, a: float, tol: float = 1e-10) -> float:
+def integral_I(nl: Nonlinearity, p: float, a: float, tol: float = QUAD_TOL) -> float:
     """I(a) for a in (0, z_plus]; the endpoint needs p > 2."""
     zp = nl.z_plus
     if not 0.0 < a <= zp * (1.0 + 1e-12):
@@ -285,7 +285,7 @@ def integral_I(nl: Nonlinearity, p: float, a: float, tol: float = 1e-10) -> floa
     return tanh_sinh(lambda w: _psi(nl, p, a, w, double), a ** (1.0 / beta), tol)
 
 
-def integral_J(nl: Nonlinearity, p: float, a: float, tol: float = 1e-10) -> float:
+def integral_J(nl: Nonlinearity, p: float, a: float, tol: float = QUAD_TOL) -> float:
     """J(a) for a in [z_minus, 0): I of the reflected nonlinearity at -a."""
     return integral_I(reflected(nl), p, -a, tol)
 
@@ -302,17 +302,17 @@ def _scan(nl: Nonlinearity, p: float, rho: np.ndarray, tol: float) -> np.ndarray
     return _integral_many(nl, p, _level_many(nl, rho), tol)
 
 
-def theta(problem: Problem, r: float, tol: float = 1e-10) -> float:
+def theta(problem: Problem, r: float, tol: float = QUAD_TOL) -> float:
     """Half-width of the positive arch launched with slope r."""
     return problem.kappa * integral_I(problem.nl, problem.p, z_of_r(problem, r), tol)
 
 
-def alpha(problem: Problem, r: float, tol: float = 1e-10) -> float:
+def alpha(problem: Problem, r: float, tol: float = QUAD_TOL) -> float:
     """Half-width of the negative arch launched with slope r."""
     return problem.kappa * integral_J(problem.nl, problem.p, s_of_r(problem, r), tol)
 
 
-def flat_core_half_widths(problem: Problem, tol: float = 1e-10) -> tuple[float, float]:
+def flat_core_half_widths(problem: Problem, tol: float = QUAD_TOL) -> tuple[float, float]:
     """x(lambda) and y(lambda): half-widths of the saturated arches (p > 2)."""
     if problem.p <= 2.0:
         raise Divergent("flat cores require p > 2")

@@ -108,6 +108,25 @@ class TestMinimizers:
         with pytest.raises(NoZeroFound, match=r"S_1\^\+.*1e-24"):
             bifurcation_table(nl, 2.0, 4)
 
+    def test_fold_search_cost(self, qgtp, monkeypatch):
+        # on a warm store, one search serves every class of an odd f: its
+        # bracket inverts three levels and Brent's parabolic steps in the
+        # lead level need no inversion
+        p = 2.0
+        bifurcation_table(qgtp, p, 6)
+        calls = {"integral_I": 0, "level_pos": 0}
+        for name in calls:
+            real = getattr(bifurcation, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(bifurcation, name, counted)
+        bifurcation_table(qgtp, p, 6)
+        assert calls["level_pos"] == 3
+        assert calls["integral_I"] <= 20
+
     def test_store_is_filled_once(self, scans):
         # a second table on the same (f, p) reads the store's scans and runs none
         nl = build_nonlinearity("power_asym", 3.0, {"b_plus": 1.5, "b_minus": 1.0, "r_exp": 5.0})

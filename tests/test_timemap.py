@@ -7,6 +7,7 @@ from plap.errors import Divergent, DomainError, HypothesisViolated, NoZeroFound,
 from plap.nonlinearity import areas, build_nonlinearity, reflected
 from plap.timemap import (
     Problem,
+    _area,
     alpha,
     endpoint_levels,
     flat_core_half_widths,
@@ -88,6 +89,16 @@ class TestLevelFunctions:
         z1 = z_of_r(prob1, r)
         z2 = z_of_r(prob2, 2 ** (1.0 / p) * r)
         assert z1 == pytest.approx(z2, rel=1e-12)
+
+    @pytest.mark.xfail(raises=NoZeroFound, strict=True)
+    def test_deep_level_below_a_huge_z_plus(self):
+        # z+ ~ 2.87e10 and z ~ 4.07e-5: bisecting [0, z+] down to the relative
+        # xtol 1e-16 z takes about 102 halvings, past brentq's 100 iterations.
+        # A bracket from the small-level estimate (q rho)^(1/q) would converge.
+        nl = build_nonlinearity("power_asym", 2.25, {"b_plus": 0.3, "b_minus": 1.0, "r_exp": 2.3})
+        rho = 4.1360299272990525e-11  # a fold-search bracket point at p = 2.2
+        z = level_pos(nl, rho)
+        assert float(_area(nl, z)) == pytest.approx(rho, rel=1e-12)
 
 
 class TestIntegralI:
