@@ -18,13 +18,12 @@ regime; it never enumerates roots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import NoZeroFound
 from .nonlinearity import Nonlinearity, areas, reflected
-from .quadrature import tanh_sinh
 from .roots import brent_min
 from .solver import (
     SolutionClass,
@@ -35,7 +34,6 @@ from .solver import (
     flat_core_side,
 )
 from .timemap import (
-    QUAD_TOL,
     Problem,
     TimeMapCurves,
     _area,
@@ -47,28 +45,13 @@ from .timemap import (
 _FOLD_XTOL = 1.5e-8  # sqrt(eps): relative xtol of the fold searches
 
 
-def eigenvalue_base(p: float, tol: float = 1e-12) -> float:
-    """First Dirichlet eigenvalue of the one-dimensional p-Laplacian:
-    ``lambda_1 = (p-1) * (2 * int_0^1 (1-t^p)^(-1/p) dt)^p``."""
+def eigenvalue_base(p: float) -> float:
+    """First Dirichlet eigenvalue of the one-dimensional p-Laplacian on (0, 1):
+    ``lambda_1 = (p-1) * (2 * int_0^1 (1-t^p)^(-1/p) dt)^p``, where the
+    integral is ``(pi/p) / sin(pi/p)`` (Otani; Guedda & Veron)."""
     if p <= 1.0:
         raise ValueError(f"p must exceed 1, got {p}")
-    beta = p / (p - 1.0)
-
-    def psi(w):
-        w = np.asarray(w, float)
-        with np.errstate(under="ignore"):
-            h = w**beta
-        out = np.empty_like(w)
-        tiny = h == 0.0
-        # 1-(1-h)^p without cancellation; h rounding to 1 is benign (body -> 1)
-        with np.errstate(divide="ignore"):
-            body = -np.expm1(p * np.log1p(-h[~tiny]))
-        out[~tiny] = body ** (-1.0 / p) * beta * w[~tiny] ** (beta - 1.0)
-        out[tiny] = beta * p ** (-1.0 / p)
-        return out
-
-    integral = tanh_sinh(psi, 1.0, tol)
-    return (p - 1.0) * (2.0 * integral) ** p
+    return (p - 1.0) * (2.0 * math.pi / (p * math.sin(math.pi / p))) ** p
 
 
 def _threshold(p: float, weight: float) -> float:
@@ -76,7 +59,7 @@ def _threshold(p: float, weight: float) -> float:
     return (p - 1.0) / p * (2.0 * weight) ** p
 
 
-def _fold_weights(curves: TimeMapCurves, classes: list[SolutionClass], tol: float) -> list[float]:
+def _fold_weights(curves: TimeMapCurves, classes: list[SolutionClass]) -> list[float]:
     """Per class, the minimum over rho in (0, A_class) of
     ``W(rho) = n_pos I(z(rho)) + n_neg J(S(rho))`` (q > p).
 
@@ -112,10 +95,10 @@ def _fold_weights(curves: TimeMapCurves, classes: list[SolutionClass], tol: floa
             lead_nl = sides[lead]
 
             def weight(z: float) -> float:
-                total = w_lead * integral_I(lead_nl, p, z, tol)
+                total = w_lead * integral_I(lead_nl, p, z)
                 for w, k in rest:  # the other side of a mixed class, at the same area
                     rho = float(_area(lead_nl, z))
-                    total += w * integral_I(sides[k], p, level_pos(sides[k], rho), tol)
+                    total += w * integral_I(sides[k], p, level_pos(sides[k], rho))
                 return total
 
             i = min(i, vals.size - 2)
@@ -149,7 +132,7 @@ class BifurcationTable:
         return self.star_plus if sign == "+" else self.star_minus
 
 
-def bifurcation_table(nl: Nonlinearity, p: float, N: int, tol: float = QUAD_TOL) -> BifurcationTable:
+def bifurcation_table(nl: Nonlinearity, p: float, N: int) -> BifurcationTable:
     """Thresholds for n = 1..N.
 
     Flat-core ("tilde") entries are +inf for p <= 2, matching the divergence
@@ -163,7 +146,7 @@ def bifurcation_table(nl: Nonlinearity, p: float, N: int, tol: float = QUAD_TOL)
 
     curves = time_map_curves(nl, p)
     if p > 2.0:
-        ends = curves.endpoint_integrals(tol)
+        ends = curves.endpoint_integrals()
         tilde_plus = [_threshold(p, _weight_at_bound(sc, ends)) for sc in plus]
         tilde_minus = [_threshold(p, _weight_at_bound(sc, ends)) for sc in minus]
     else:
@@ -172,7 +155,7 @@ def bifurcation_table(nl: Nonlinearity, p: float, N: int, tol: float = QUAD_TOL)
 
     star_plus = star_minus = None
     if nl.q > p:
-        folds = _fold_weights(curves, plus + minus, tol)
+        folds = _fold_weights(curves, plus + minus)
         star_plus = [_threshold(p, w) for w in folds[:N]]
         star_minus = [_threshold(p, w) for w in folds[N:]]
 
@@ -203,17 +186,6 @@ class ClassEntry:
     advisory: bool
     core_side: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "sign": self.sign,
-            "tag": self.tag,
-            "continuum_dim": self.continuum_dim,
-            "flat_core": self.flat_core,
-            "advisory": self.advisory,
-            "core_side": self.core_side,
-        }
-
 
 @dataclass
 class StructureReport:
@@ -237,7 +209,7 @@ class StructureReport:
             "lambda": self.lam,
             "regime": self.regime,
             "area_relation": self.area_relation,
-            "entries": [e.to_json_dict() for e in self.entries],
+            "entries": [asdict(e) for e in self.entries],
         }
 
 

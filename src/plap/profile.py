@@ -15,7 +15,7 @@ exist).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -116,9 +116,9 @@ def reconstruct(
                 raise BudgetMismatch(
                     f"expected {descriptor.core_count} core lengths, got {len(lengths)}"
                 )
-            if any(v <= 0.0 for v in lengths):
-                raise BudgetMismatch("core lengths must be positive")
-            if abs(sum(lengths) - descriptor.core_budget) > _BUDGET_TOL:
+            if not all(0.0 < v < math.inf for v in lengths):
+                raise BudgetMismatch("core lengths must be positive and finite")
+            if not abs(sum(lengths) - descriptor.core_budget) <= _BUDGET_TOL:
                 raise BudgetMismatch(
                     f"core lengths sum to {sum(lengths)}, budget is {descriptor.core_budget}"
                 )
@@ -203,7 +203,7 @@ def reconstruct(
         if i < j - 1:
             nodes.append(cursor)
 
-    if abs(cursor - 1.0) > _WIDTH_TOL:
+    if not abs(cursor - 1.0) <= _WIDTH_TOL:  # also rejects a NaN length
         raise ShapeError(f"assembled length {cursor} differs from 1 by {abs(cursor - 1.0):.3e}")
 
     prof = Profile(
@@ -420,14 +420,7 @@ class RegularityReport:
     second_derivative_checks: list[dict]
 
     def to_json_dict(self) -> dict:
-        return {
-            "smoothness_class": self.smoothness_class,
-            "holder_exponent": self.holder_exponent,
-            "boundary_case": self.boundary_case,
-            "c_points": self.c_points,
-            "limit_checks": self.limit_checks,
-            "second_derivative_checks": self.second_derivative_checks,
-        }
+        return asdict(self)
 
 
 def _zero_order(problem: Problem, v: float, scale: float) -> int | None:

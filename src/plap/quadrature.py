@@ -1,4 +1,4 @@
-"""Double-exponential (tanh-sinh) quadrature and Gauss-Legendre helpers.
+"""Double-exponential (tanh-sinh) quadrature and a cumulative Gauss-Legendre rule.
 
 All integrals in this package are reduced to the form ``int_0^W psi(w) dw``
 with ``psi`` bounded on ``(0, W]`` (endpoint singularities are removed by an
@@ -98,25 +98,19 @@ def tanh_sinh_batch(psi_rows, uppers: np.ndarray, tol: float) -> np.ndarray:
     return out
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)
 
 
-def gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
-
-
-def cumulative_gl(psi, grid: np.ndarray, order: int = 12) -> np.ndarray:
-    """Cumulative integral of ``psi`` along an ascending grid (panel-wise GL).
+def cumulative_gl(psi, grid: np.ndarray) -> np.ndarray:
+    """Cumulative integral of ``psi`` along an ascending grid (12-point
+    Gauss-Legendre per panel).
 
     Returns values of ``int_{grid[0]}^{grid[i]} psi`` for every i.
     """
-    xi, wi = gl_nodes(order)
     mid = 0.5 * (grid[1:] + grid[:-1])
     half = 0.5 * (grid[1:] - grid[:-1])
-    pts = mid[:, None] + half[:, None] * xi[None, :]
-    panel = (psi(pts) @ wi) * half
+    pts = mid[:, None] + half[:, None] * _GL12_X[None, :]
+    panel = (psi(pts) @ _GL12_W) * half
     out = np.empty(grid.size)
     out[0] = 0.0
     np.cumsum(panel, out=out[1:])

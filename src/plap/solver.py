@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 
 import numpy as np
@@ -30,13 +30,14 @@ import numpy as np
 from .errors import OutOfRange
 from .nonlinearity import Nonlinearity, areas
 from .roots import brentq, golden_min
-from .timemap import QUAD_TOL, Problem, _SCAN_TOL, alpha, slope_bounds, theta, time_map_curves
+from .timemap import Problem, _SCAN_TOL, alpha, slope_bounds, theta, time_map_curves
 
 SIGN_POS = "+"
 SIGN_NEG = "-"
 
 _TANGENT_TOL = 1e-9  # |residual| at a refined minimum below this is a tangency
 _MERGE_TOL = 1e-9  # roots closer than this (relative to the bound) merge
+_AREA_TOL = 1e-12  # areas A(z+), A(z-) this close (relative) are equal
 
 
 @dataclass(frozen=True)
@@ -85,28 +86,16 @@ class SolutionDescriptor:
         return hashlib.sha256(key.encode()).hexdigest()[:12]
 
     def to_json_dict(self) -> dict:
-        return {
-            "id": self.descriptor_id,
-            "j": self.j,
-            "sign": self.sign,
-            "kind": self.kind,
-            "r": self.r,
-            "degenerate": self.degenerate,
-            "residual": self.residual,
-            "core_budget": self.core_budget,
-            "core_count": self.core_count,
-            "core_side": self.core_side,
-            "continuum_dim": self.continuum_dim,
-        }
+        return {"id": self.descriptor_id, **asdict(self)}
 
 
 TRIVIAL = SolutionDescriptor(j=0, sign="0", kind="trivial", r=0.0)
 
 
-def area_relation(nl, rel_tol: float = 1e-12) -> str:
+def area_relation(nl) -> str:
     """'equal', 'plus_less', or 'plus_greater' comparison of A(z+) and A(z-)."""
     a_plus, a_minus = areas(nl)
-    if abs(a_plus - a_minus) <= rel_tol * max(a_plus, a_minus):
+    if abs(a_plus - a_minus) <= _AREA_TOL * max(a_plus, a_minus):
         return "equal"
     return "plus_less" if a_plus < a_minus else "plus_greater"
 
@@ -186,21 +175,20 @@ class _LambdaView:
         return 2.0 * self.problem.kappa * _weight_at_bound(sclass, ends)
 
 
-def matching_residual(
-    problem: Problem, sclass: SolutionClass, r: float, tol: float = QUAD_TOL
-) -> float:
-    """Left side of the class's matching condition minus 1."""
+def matching_residual(problem: Problem, sclass: SolutionClass, r: float) -> float:
+    """Left side of the class's matching condition minus 1, from theta and
+    alpha at ``timemap.RESIDUAL_TOL``."""
     bounds = slope_bounds(problem)
     upper = _class_bound(sclass, bounds.r_pos, bounds.r_neg)
     if not 0.0 < r < upper:
         raise OutOfRange(f"r = {r} outside (0, {upper}) for class {sclass}")
     total = 0.0
-    th = theta(problem, r, tol) if sclass.n_pos else None
+    th = theta(problem, r) if sclass.n_pos else None
     if sclass.n_pos:
         total += 2.0 * sclass.n_pos * th
     if sclass.n_neg:
         # an odd f is its own reflection, so there alpha(r) = theta(r) exactly
-        al = th if th is not None and problem.nl.odd else alpha(problem, r, tol)
+        al = th if th is not None and problem.nl.odd else alpha(problem, r)
         total += 2.0 * sclass.n_neg * al
     return total - 1.0
 
@@ -242,14 +230,13 @@ def _solve(view: _LambdaView, sclass: SolutionClass) -> list[SolutionDescriptor]
     if sclass.n_neg:
         res += 2.0 * sclass.n_neg * al
 
-    refine_tol = 0.1 * QUAD_TOL  # grid noise must not mask the root residual
     # bracket checks and Brent evaluate the same grid ends: evaluate each once
     evaluated: dict[float, float] = {}
 
     def residual(r: float) -> float:
         r = float(r)
         if r not in evaluated:
-            evaluated[r] = matching_residual(problem, sclass, r, refine_tol)
+            evaluated[r] = matching_residual(problem, sclass, r)
         return evaluated[r]
 
     bound = view.bound_for(sclass)

@@ -48,6 +48,9 @@ _CURVES_CAP = 64  # (f, p) stores kept by time_map_curves
 # searches and the arch inversion.  Tanh-sinh converges double-exponentially,
 # so no CLI output moves for any tolerance from 1e-6 to 1e-11.
 QUAD_TOL = 1e-11
+# Tolerance of theta and alpha, the matching residual's integrals: ten times
+# tighter than QUAD_TOL, so quadrature noise does not mask a root's residual.
+RESIDUAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -302,23 +305,23 @@ def _scan(nl: Nonlinearity, p: float, rho: np.ndarray, tol: float) -> np.ndarray
     return _integral_many(nl, p, _level_many(nl, rho), tol)
 
 
-def theta(problem: Problem, r: float, tol: float = QUAD_TOL) -> float:
+def theta(problem: Problem, r: float) -> float:
     """Half-width of the positive arch launched with slope r."""
-    return problem.kappa * integral_I(problem.nl, problem.p, z_of_r(problem, r), tol)
+    return problem.kappa * integral_I(problem.nl, problem.p, z_of_r(problem, r), RESIDUAL_TOL)
 
 
-def alpha(problem: Problem, r: float, tol: float = QUAD_TOL) -> float:
+def alpha(problem: Problem, r: float) -> float:
     """Half-width of the negative arch launched with slope r."""
-    return problem.kappa * integral_J(problem.nl, problem.p, s_of_r(problem, r), tol)
+    return problem.kappa * integral_J(problem.nl, problem.p, s_of_r(problem, r), RESIDUAL_TOL)
 
 
-def flat_core_half_widths(problem: Problem, tol: float = QUAD_TOL) -> tuple[float, float]:
+def flat_core_half_widths(problem: Problem) -> tuple[float, float]:
     """x(lambda) and y(lambda): half-widths of the saturated arches (p > 2)."""
     if problem.p <= 2.0:
         raise Divergent("flat cores require p > 2")
     nl = problem.nl
-    x_lam = problem.kappa * integral_I(nl, problem.p, nl.z_plus, tol)
-    y_lam = problem.kappa * integral_J(nl, problem.p, nl.z_minus, tol)
+    x_lam = problem.kappa * integral_I(nl, problem.p, nl.z_plus)
+    y_lam = problem.kappa * integral_J(nl, problem.p, nl.z_minus)
     return x_lam, y_lam
 
 
@@ -336,7 +339,7 @@ class TimeMapCurves:
     ``r_A * fractions`` the half-periods are ``kappa * I(z(A g^p))`` (and the
     same with J), where only ``kappa`` depends on lambda.  This store holds
     the fractions ``g`` and fills in, on first use, I or J at those levels per
-    area bound (at ``_SCAN_TOL``), and the endpoint integrals per tolerance.
+    area bound (at ``_SCAN_TOL``), and the endpoint integrals (at ``QUAD_TOL``).
 
     Every value is a pure function of the store's key and its own arguments,
     so the order in which lambdas fill it never shows in a result, and two
@@ -350,7 +353,7 @@ class TimeMapCurves:
         self.fractions = np.unique(np.concatenate([half, 1.0 - half[::-1]]))
         self.fractions.flags.writeable = False
         self._scans: dict[tuple[float, bool], np.ndarray] = {}
-        self._ends: dict[float, tuple[float, float, float, float]] = {}
+        self._ends: tuple[float, float, float, float] | None = None
 
     def integrals(self, area: float, negative: bool) -> np.ndarray:
         """I (J when ``negative``) at the levels of area ``area * fractions^p``."""
@@ -364,18 +367,18 @@ class TimeMapCurves:
             self._scans[key] = scan
         return self._scans[key]
 
-    def endpoint_integrals(self, tol: float = QUAD_TOL) -> tuple[float, float, float, float]:
+    def endpoint_integrals(self) -> tuple[float, float, float, float]:
         """(I(z_hat), J(s_hat), I(z_plus), J(z_minus)) at the levels
         ``endpoint_levels(nl)`` reached at r_star; p > 2 only."""
-        if tol not in self._ends:
+        if self._ends is None:
             nl, p = self.nl, self.p
             levels = endpoint_levels(nl)
-            i_zp = integral_I(nl, p, nl.z_plus, tol)
-            j_zm = integral_J(nl, p, nl.z_minus, tol)
-            i_hat = i_zp if levels.z_hat == nl.z_plus else integral_I(nl, p, levels.z_hat, tol)
-            j_hat = j_zm if levels.s_hat == nl.z_minus else integral_J(nl, p, levels.s_hat, tol)
-            self._ends[tol] = (i_hat, j_hat, i_zp, j_zm)
-        return self._ends[tol]
+            i_zp = integral_I(nl, p, nl.z_plus)
+            j_zm = integral_J(nl, p, nl.z_minus)
+            i_hat = i_zp if levels.z_hat == nl.z_plus else integral_I(nl, p, levels.z_hat)
+            j_hat = j_zm if levels.s_hat == nl.z_minus else integral_J(nl, p, levels.s_hat)
+            self._ends = (i_hat, j_hat, i_zp, j_zm)
+        return self._ends
 
 
 @functools.lru_cache(maxsize=_CURVES_CAP)
@@ -407,22 +410,20 @@ def arch_tail_cumulative(
     return cumulative_gl(lambda w: _psi(nl, p, level, w, double), np.asarray(w_grid, dtype=float))
 
 
-def arch_tail_distance(
-    nl: Nonlinearity, p: float, level: float, double: bool, w: float, tol: float = QUAD_TOL
-) -> float:
+def arch_tail_distance(nl: Nonlinearity, p: float, level: float, double: bool, w: float) -> float:
     """Scalar version: G-space distance from the arch extremum to offset w."""
     if w == 0.0:
         return 0.0
-    return tanh_sinh(lambda ws: _psi(nl, p, level, ws, double), w, tol)
+    return tanh_sinh(lambda ws: _psi(nl, p, level, ws, double), w, QUAD_TOL)
 
 
 def invert_arch_distance(
-    nl: Nonlinearity, p: float, level: float, double: bool, target: float, tol: float = QUAD_TOL
+    nl: Nonlinearity, p: float, level: float, double: bool, target: float
 ) -> float:
     """Solve arch_tail_distance(w) = target for w (target in G-space)."""
     beta = _beta(p, double)
     w_max = level ** (1.0 / beta)
-    fun = lambda w: arch_tail_distance(nl, p, level, double, w, tol) - target
+    fun = lambda w: arch_tail_distance(nl, p, level, double, w) - target
     hi = w_max * (1.0 - 1e-13)
     if fun(hi) < 0.0:
         raise OutOfRange(f"target distance {target} exceeds the arch half-width")

@@ -106,12 +106,12 @@ def test_criterion_3_takeuchi_yamada(quartic_q4):
 
 def test_criterion_4_flat_core_threshold(quintic_q3):
     p = 3.0
-    tab = bifurcation_table(quintic_q3, p, 1, tol=1e-12)
+    tab = bifurcation_table(quintic_q3, p, 1)
     lam_formula = tab.tilde_plus[0]
     lo, hi = 0.5 * lam_formula, 2.0 * lam_formula
     while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
-        x, _ = flat_core_half_widths(Problem(p=p, nl=quintic_q3, lam=mid), tol=1e-12)
+        x, _ = flat_core_half_widths(Problem(p=p, nl=quintic_q3, lam=mid))
         lo, hi = (mid, hi) if 2.0 * x > 1.0 else (lo, mid)
     lam_bisect = 0.5 * (lo + hi)
     rel = abs(lam_bisect - lam_formula) / lam_formula
@@ -143,7 +143,7 @@ def test_criterion_4_flat_core_threshold(quintic_q3):
 def test_criterion_5_asymmetry(asym):
     p = 3.0
     a_plus, a_minus = areas(asym)
-    tab = bifurcation_table(asym, p, 4, tol=1e-12)
+    tab = bifurcation_table(asym, p, 4)
     split = abs(tab.tilde_plus[0] - tab.tilde_minus[0]) / tab.tilde_plus[0]
 
     lam = 1.2 * max(tab.tilde_plus[3], tab.tilde_minus[3])
@@ -195,7 +195,7 @@ def _min_matching_residual(nl, lam):
     i = int(np.argmin(res))
     i = min(max(i, 1), res.size - 2)
     opt = minimize_scalar(
-        lambda r: 2.0 * theta(prob, r, 1e-12) - 1.0,
+        lambda r: 2.0 * theta(prob, r) - 1.0,
         bracket=(float(grid[i - 1]), float(grid[i]), float(grid[i + 1])),
         method="golden",
         options={"xtol": 1e-12},
@@ -205,7 +205,7 @@ def _min_matching_residual(nl, lam):
 
 def test_criterion_6_pair_birth(qgtp):
     p = 2.0
-    lam_formula = bifurcation_table(qgtp, p, 1, tol=1e-12).star_plus[0]
+    lam_formula = bifurcation_table(qgtp, p, 1).star_plus[0]
 
     lo, hi = 0.98 * lam_formula, 1.02 * lam_formula
     while hi - lo > 1e-9 * hi:
@@ -247,7 +247,7 @@ def test_criterion_7_symmetry_suite(cubic_odd, quintic_q3):
             j_val = integral_J(nl, p, float(-a), tol=1e-12)
             ij_err = max(ij_err, abs(i_val - j_val) / i_val)
 
-    tab = bifurcation_table(quintic_q3, 3.0, 8, tol=1e-12)
+    tab = bifurcation_table(quintic_q3, 3.0, 8)
     seq_err = max(
         abs(a - b) / a for a, b in zip(tab.tilde_plus, tab.tilde_minus)
     )
@@ -257,8 +257,8 @@ def test_criterion_7_symmetry_suite(cubic_odd, quintic_q3):
     ta_err = 0.0
     for frac in (0.15, 0.5, 0.85):
         r = frac * bound
-        t_v = theta(prob2, r, 1e-12)
-        a_v = alpha(prob2, r, 1e-12)
+        t_v = theta(prob2, r)
+        a_v = alpha(prob2, r)
         ta_err = max(ta_err, abs(t_v - a_v) / t_v)
 
     d2 = solve_class(prob2, SolutionClass(2, "+"))[0]

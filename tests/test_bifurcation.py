@@ -26,6 +26,23 @@ class TestEigenvalueBase:
         with pytest.raises(ValueError):
             eigenvalue_base(1.0)
 
+    @pytest.mark.parametrize("p", [1.3, 1.7, 2.5, 3.7])
+    def test_matches_mpmath_quadrature(self, p):
+        # the defining integral int_0^1 (1-t^p)^(-1/p) dt by mpmath's
+        # quadrature, apart from the closed form (pi/p)/sin(pi/p) that
+        # eigenvalue_base uses; 1 - t = w^(p/(p-1)) makes the integrand bounded
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            pm = mpmath.mpf(p)
+            beta = pm / (pm - 1)
+
+            def psi(w):
+                body = -mpmath.expm1(pm * mpmath.log1p(-(w**beta)))  # 1 - t^p
+                return beta * w ** (beta - 1) * body ** (-1 / pm)
+
+            expected = float((pm - 1) * (2 * mpmath.quad(psi, [0, 1])) ** pm)
+        assert eigenvalue_base(p) == pytest.approx(expected, rel=1e-13)
+
 
 @pytest.fixture
 def scans(monkeypatch):

@@ -160,7 +160,7 @@ class TestDiagram:
         real = plap.timemap.integral_I
         endpoint_calls = []
 
-        def counting(nl, p, a, tol=1e-10):
+        def counting(nl, p, a, tol=plap.timemap.QUAD_TOL):
             if a == nl.z_plus:  # I(z_plus), or J(z_minus) through the reflection
                 endpoint_calls.append((nl, tol))
             return real(nl, p, a, tol)
@@ -271,7 +271,9 @@ class TestSolveRoundTrip:
         cfg = write_config(tmp_path)
         assert main(["profile", "--config", cfg]) == 1
 
-    def test_bad_cores_exit_1(self, tmp_path, quintic_q3):
+    @staticmethod
+    def _profile_flat_core(tmp_path, quintic_q3, cores):
+        """Exit code of ``profile --cores cores`` on quintic_q3's S1+ flat core."""
         from plap.bifurcation import bifurcation_table
 
         tab = bifurcation_table(quintic_q3, 3.0, 1)
@@ -286,7 +288,7 @@ class TestSolveRoundTrip:
         main(["solve", "--config", cfg, "--jmax", "1", "--out", str(solve_out)])
         payload = json.loads(solve_out.read_text())
         fc = [d for d in payload["descriptors"] if d["kind"] == "flat_core"][0]
-        code = main(
+        return main(
             [
                 "profile",
                 "--config",
@@ -294,12 +296,19 @@ class TestSolveRoundTrip:
                 "--id",
                 fc["id"],
                 "--cores",
-                "0.001",
+                cores,
                 "--out",
                 str(tmp_path / "p.csv"),
             ]
         )
-        assert code == 1
+
+    def test_bad_cores_exit_1(self, tmp_path, quintic_q3):
+        assert self._profile_flat_core(tmp_path, quintic_q3, "0.001") == 1
+
+    def test_nan_cores_exit_1(self, tmp_path, quintic_q3, capsys):
+        # NaN fails no `>` test, so it must be rejected explicitly
+        assert self._profile_flat_core(tmp_path, quintic_q3, "nan") == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_verify_flat_core_past_equilibrium(self, tmp_path, capsys):
         # S1+ flat core of p = q = 3, f = s^5 at lambda = 300: the RK4 oracle

@@ -152,6 +152,13 @@ class TestReconstructFlatCore:
         with pytest.raises(BudgetMismatch):
             reconstruct(flat_prob, flat_desc, core_lengths=[-flat_desc.core_budget])
 
+    @pytest.mark.parametrize("length", [float("nan"), float("inf")])
+    def test_non_finite_core_length(self, flat_prob, flat_desc, length):
+        # every comparison with NaN is false, so a NaN length must not pass
+        # the sign and budget checks by default
+        with pytest.raises(BudgetMismatch):
+            reconstruct(flat_prob, flat_desc, core_lengths=[length])
+
 
 class TestEnergyResidual:
     def test_reconstructed_profiles_conserve(self, ci_prob, ci_first):

@@ -282,8 +282,8 @@ class TestTimeMaps:
         prob1 = Problem(p=p, nl=cubic_odd, lam=3.0)
         prob2 = Problem(p=p, nl=cubic_odd, lam=6.0)
         r = 0.4 * slope_bounds(prob1).r_pos
-        t1 = theta(prob1, r, tol=1e-12)
-        t2 = theta(prob2, 2 ** (1 / p) * r, tol=1e-12)
+        t1 = theta(prob1, r)
+        t2 = theta(prob2, 2 ** (1 / p) * r)
         assert t1 == pytest.approx(2 ** (1 / p) * t2, rel=1e-11)
 
     def test_grid_matches_scalars(self, ci_problem, asym):
