@@ -91,9 +91,12 @@ class RunConfig:
             _reject_unknown(raw, _TOP_KEYS, "config")
             numerics = {k: _count(num.get(k, v), k) for k, v in vars(Numerics()).items()}
             _reject_unknown(num, numerics, "numerics")
+            q = real_number(raw.get("q", nl_spec.get("q")), "q")
+            if "q" in nl_spec and real_number(nl_spec["q"], "nonlinearity q") != q:
+                raise ConfigError(f"q is {raw['q']!r} at the top level but {nl_spec['q']!r} in nonlinearity")
             cfg = cls(
                 p=real_number(raw["p"], "p"),
-                q=real_number(raw.get("q", nl_spec.get("q")), "q"),
+                q=q,
                 lam=real_number(raw.get("lambda", 1.0), "lambda"),
                 nonlinearity=nl_spec,
                 numerics=Numerics(**numerics),

@@ -5,7 +5,8 @@ A nonlinearity ``f`` enters the equation through the map
 at 0, a first positive zero ``z_plus``, a first negative zero ``z_minus``, and
 a quotient ``g(s) = f(s) / (|s|^{q-2} s)`` that tends to 0 at the origin, is
 strictly increasing on ``(0, z_plus)`` and strictly decreasing on
-``(z_minus, 0)``.
+``(z_minus, 0)``.  ``validate_hypotheses`` checks these exactly from the
+series, with no sampling: ``g'`` has the sign of a polynomial on each side.
 
 Every ``f`` is one signed series ``f(s) = sgn(s) |s|^e sum_k c_k s^k``, with
 coefficients ``c_plus`` for ``s >= 0`` and ``c_minus`` for ``s < 0``.  ``F``
@@ -85,10 +86,12 @@ class Nonlinearity:
 
 @dataclass
 class HypothesisReport:
-    """Outcome of the grid-based hypothesis checks.
+    """Outcome of the hypothesis checks of ``validate_hypotheses``.
 
     ``passed`` is True only when every individual check holds and both
-    one-sided endpoint limits are strictly negative.
+    one-sided endpoint limits ``L_plus``/``L_minus`` are strictly negative.
+    ``first_violation_pos``/``_neg`` is the end nearest 0 of the window nearest
+    0 where ``g`` is not strictly monotone on ``(0, z_plus)``/``(z_minus, 0)``.
     """
 
     zeros_ok: bool = False
@@ -103,12 +106,7 @@ class HypothesisReport:
 
     @property
     def limits_negative(self) -> bool:
-        return (
-            np.isfinite(self.L_plus)
-            and np.isfinite(self.L_minus)
-            and self.L_plus < 0.0
-            and self.L_minus < 0.0
-        )
+        return bool(-math.inf < self.L_plus < 0.0 and -math.inf < self.L_minus < 0.0)
 
     @property
     def passed(self) -> bool:
@@ -202,7 +200,9 @@ def _first_positive_zero(m, start: float) -> float:
 
     Starts well below ``start`` so the sign next to the origin anchors the
     search; families violating the hypotheses still get their zero located
-    (validation rejects them afterwards with a diagnosis).
+    (validation rejects them afterwards with a diagnosis).  A doubling step
+    can pass over two zeros; as ``m = s^(q-1) (1 - g)``, ``g`` is then not
+    monotone below the zero returned, which validation rejects as well.
     """
     s_prev = start * 2.0**-20
     v_prev = m(s_prev)
@@ -309,76 +309,67 @@ def areas(nl: Nonlinearity) -> tuple[float, float]:
     return nl._areas
 
 
-def _two_sided_geometric_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """n points in (lo, hi), geometrically clustered toward both endpoints."""
-    width = hi - lo
-    half = np.geomspace(1e-9, 0.5, n // 2)
-    pts = np.concatenate([lo + width * half, hi - width * half[::-1]])
-    return np.unique(pts)
+def _real_roots(Q: np.polynomial.Polynomial) -> list:
+    """The real roots of ``Q`` in ``(0, 1)``, increasing, each to within ``1e-15``.
+    ``Q`` is monotone between consecutive roots of ``Q'``, so each such piece
+    brackets at most one (not eigenvalues: their error scales with the largest root)."""
+    if Q.degree() < 1:
+        return []
+    cuts = np.array([0.0, *_real_roots(Q.deriv()), 1.0])
+    sign = np.sign(Q(cuts))
+    return [brentq(Q, cuts[i], cuts[i + 1], xtol=1e-16) for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0)]
 
 
-def _richardson_limit(values: np.ndarray) -> float:
-    """Two-level Richardson extrapolation for samples at deltas 1e-3/1e-4/1e-5."""
-    q1, q2, q3 = values
-    l1 = (10.0 * q2 - q1) / 9.0
-    l2 = (10.0 * q3 - q2) / 9.0
-    return (100.0 * l2 - l1) / 99.0
+def _side_checks(nl: Nonlinearity) -> tuple[bool, float | None, float]:
+    """The hypotheses on ``(0, z_plus)``, exactly from the series.
+
+    There ``g(s) = s^k P(s)`` with ``k = e + 1 - q`` and ``P(s) = sum_j c_j s^j``,
+    so ``g -> 0`` at ``0+`` iff ``k + j0 > 0`` (``c_j0`` the first nonzero ``c_j``),
+    and ``s^(1-k) g'(s) = Q(s) = sum_j (k + j) c_j s^j``: ``g`` increases strictly
+    iff ``Q(z_plus t) > 0`` between its consecutive real roots in ``(0, 1)``.
+    Returns whether ``g -> 0``, the left end of the first window where ``Q <= 0``
+    (None if there is none), and ``L^+ = m'(z_plus) / ((q-1) z_plus^(q-2))``.
+    """
+    k, z = nl.e + 1.0 - nl.q, nl.z_plus
+    j0 = next(j for j, c in enumerate(nl.c_plus) if c != 0.0)
+    coef = np.array([(k + j) * c * z**j for j, c in enumerate(nl.c_plus)])
+    Q = np.polynomial.Polynomial(coef[np.argmax(coef != 0.0):])  # / t^i for i zero low terms: same sign
+    cuts = np.array([0.0, *_real_roots(Q), 1.0])
+    bad = np.flatnonzero(Q(0.5 * (cuts[:-1] + cuts[1:])) <= 0.0)
+    window = float(z * cuts[bad[0]]) if bad.size else None
+    limit = 1.0 - eval_df(nl, z) / ((nl.q - 1.0) * z ** (nl.q - 2.0))
+    return k + j0 > 0.0, window, float(limit)
 
 
 def validate_hypotheses(nl: Nonlinearity) -> HypothesisReport:
-    """Grid-based surrogate for the analytic structural hypotheses.
+    """The structural hypotheses, checked exactly from the series.
 
-    Monotonicity of ``g`` is sampled on 256-point geometric grids, the
-    vanishing of ``g`` at 0 is checked on a decreasing delta sequence, and the
-    one-sided endpoint limits ``L^+``/``L^-`` are estimated by Richardson
-    extrapolation of the defining quotient (it is 0/0 at the endpoints, so
-    fixed-delta evaluation would be biased).
+    Each side is checked by ``_side_checks``, the negative one on
+    ``reflected(nl)``, whose ``g~(u) = g(-u)``.  A window where ``g`` fails
+    to be strictly monotone is reported by its end nearest 0:
+    ``first_violation_pos`` on ``(0, z_plus)`` and, negated,
+    ``first_violation_neg`` on ``(z_minus, 0)``.
     """
     report = HypothesisReport()
-    zp, zm = nl.z_plus, nl.z_minus
-
-    scale_p = abs(eval_m(nl, 0.5 * zp)) + abs(zp) ** (nl.q - 1.0)
-    scale_m = abs(eval_m(nl, 0.5 * zm)) + abs(zm) ** (nl.q - 1.0)
-    mzp = abs(eval_m(nl, zp)) / scale_p
-    mzm = abs(eval_m(nl, zm)) / scale_m
+    mzp, mzm = (abs(eval_m(nl, z)) / (abs(eval_m(nl, 0.5 * z)) + abs(z) ** (nl.q - 1.0))
+                for z in (nl.z_plus, nl.z_minus))
     report.zeros_ok = mzp < _ZERO_TOL and mzm < _ZERO_TOL
     if not report.zeros_ok:
         report.messages.append(f"map does not vanish at z+/z-: residuals {mzp:.2e}, {mzm:.2e}")
 
-    grid_p = _two_sided_geometric_grid(0.0, zp, 256)
-    g_p = eval_g(nl, grid_p)
-    diffs = np.diff(g_p)
-    report.g_increasing_pos = bool(np.all(diffs > 0.0))
-    if not report.g_increasing_pos:
-        idx = int(np.argmax(diffs <= 0.0))
-        report.first_violation_pos = float(grid_p[idx])
-        report.messages.append(f"g not strictly increasing on (0, z+) near s = {grid_p[idx]:.6g}")
-
-    grid_m = _two_sided_geometric_grid(zm, 0.0, 256)
-    g_m = eval_g(nl, grid_m)
-    diffs_m = np.diff(g_m)
-    report.g_decreasing_neg = bool(np.all(diffs_m < 0.0))
-    if not report.g_decreasing_neg:
-        idx = int(np.argmax(diffs_m >= 0.0))
-        report.first_violation_neg = float(grid_m[idx])
-        report.messages.append(f"g not strictly decreasing on (z-, 0) near s = {grid_m[idx]:.6g}")
-
-    scale = min(zp, abs(zm))
-    deltas = scale * np.array([1e-4, 1e-5, 1e-6])
-    gp = np.abs(eval_g(nl, deltas))
-    gm = np.abs(eval_g(nl, -deltas))
-    report.g_limit_zero = bool(np.all(np.diff(gp) < 0.0) and np.all(np.diff(gm) < 0.0))
+    zero_p, window_p, report.L_plus = _side_checks(nl)
+    zero_m, window_m, report.L_minus = _side_checks(reflected(nl))
+    report.g_limit_zero = zero_p and zero_m
+    report.g_increasing_pos = window_p is None
+    report.g_decreasing_neg = window_m is None
+    if window_p is not None:
+        report.first_violation_pos = window_p
+        report.messages.append(f"g not strictly increasing on (0, z+) from s = {window_p:.6g}")
+    if window_m is not None:
+        report.first_violation_neg = start = 0.0 - window_m  # +0.0 for a window from the origin
+        report.messages.append(f"g not strictly decreasing on (z-, 0) from s = {start:.6g}")
     if not report.g_limit_zero:
-        report.messages.append("|g| does not decrease toward 0 along s -> 0")
-
-    def quotient(s, z):
-        num = eval_m(nl, s) - eval_m(nl, z)
-        den = np.abs(s) ** (nl.q - 2.0) * s - abs(z) ** (nl.q - 2.0) * z
-        return num / den
-
-    ds = np.array([1e-3, 1e-4, 1e-5])
-    report.L_plus = _richardson_limit(quotient(zp - ds * abs(zp), zp))
-    report.L_minus = _richardson_limit(quotient(zm + ds * abs(zm), zm))
+        report.messages.append("g does not tend to 0 at the origin")
     if not report.limits_negative:
         report.messages.append(
             f"endpoint limits not strictly negative: L+ = {report.L_plus:.4g}, "

@@ -24,6 +24,7 @@ from .nonlinearity import Nonlinearity, eval_F, eval_m, reflected
 from .solver import SIGN_POS, SolutionDescriptor
 from .timemap import (
     Problem,
+    _beta,
     arch_tail_cumulative,
     endpoint_levels,
     invert_arch_distance,
@@ -57,11 +58,16 @@ def _upright(nl: Nonlinearity, level: float) -> tuple[Nonlinearity, float]:
     return (nl, level) if level > 0 else (reflected(nl), -level)
 
 
+def _slope(problem: Problem, G):
+    """``|phi_x|`` from the first integral ``|phi_x|^p = (lam p/(p-1)) G``."""
+    return (problem.lam * problem.p / (problem.p - 1.0) * G) ** (1.0 / problem.p)
+
+
 def _arch_half(problem: Problem, level: float, double: bool, m_half: int):
     """Rise of one arch: x offsets (from the arch start), phi, |dphi|, half width."""
     p = problem.p
     nl, top = _upright(problem.nl, level)
-    beta = p / (p - 2.0) if double else p / (p - 1.0)
+    beta = _beta(p, double)
     u = np.linspace(0.0, 1.0, m_half)
     s = top * np.sin(0.5 * np.pi * u)
     w_grid = (top - s)[::-1] ** (1.0 / beta)
@@ -69,7 +75,7 @@ def _arch_half(problem: Problem, level: float, double: bool, m_half: int):
     half_width = problem.kappa * cum[-1]
     x = problem.kappa * (cum[-1] - cum[::-1])
     G = radicand(nl, top, s)
-    mag = (problem.lam * p / (p - 1.0) * np.clip(G, 0.0, None)) ** (1.0 / p)
+    mag = _slope(problem, np.clip(G, 0.0, None))
     mag[-1] = 0.0
     return x, np.copysign(s, level), mag, half_width
 
@@ -479,9 +485,8 @@ def classify_regularity(problem: Problem, prof: Profile) -> RegularityReport:
             for delta in (1e-2, 1e-3, 1e-4):
                 d_eff = delta * fac
                 w = invert_arch_distance(side, p, top, double, d_eff / kappa)
-                beta = p / (p - 1.0)
-                G = radicand(side, top, top - w**beta)
-                mag = (lam * p / (p - 1.0) * float(G)) ** (1.0 / p)
+                G = radicand(side, top, top - w ** _beta(p, False))
+                mag = _slope(problem, float(G))
                 measured = mag / d_eff ** (1.0 / (p - 1.0))
                 limit_checks.append(
                     {
@@ -494,12 +499,11 @@ def classify_regularity(problem: Problem, prof: Profile) -> RegularityReport:
                     }
                 )
         elif tp["kind"] == "plateau_edge" and p > 2.0:
-            beta = p / (p - 2.0)
             for delta in (1e-3, 1e-4):
                 w = invert_arch_distance(side, p, top, True, delta / kappa)
-                s = top - w**beta
+                s = top - w ** _beta(p, True)
                 G = radicand(side, top, s)
-                mag = (lam * p / (p - 1.0) * float(G)) ** (1.0 / p)
+                mag = _slope(problem, float(G))
                 h_near = lam * float(eval_m(side, s))
                 psi_xx = abs(h_near) * mag ** (2.0 - p) / (p - 1.0)
                 n_here = order if order is not None else 1

@@ -461,6 +461,18 @@ class TestStrictTypes:
         assert captured.out == ""
         assert captured.err.startswith("error:") and key in captured.err
 
+    def test_conflicting_q_exits_1(self, tmp_path, capsys):
+        # a q inside nonlinearity must not be overridden silently by the top-level one
+        nonlinearity = {"kind": "power_asym", "q": 3, "b_plus": 1.0, "b_minus": 1.0, "r_exp": 4.0}
+        assert main(["structure", "--config", write_config(tmp_path, q=2, nonlinearity=nonlinearity)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "q is 2 " in captured.err and "but 3 " in captured.err
+
+    def test_agreeing_q_runs(self, tmp_path):
+        nonlinearity = {"kind": "power_asym", "q": 2, "b_plus": 1.0, "b_minus": 1.0, "r_exp": 4.0}
+        assert main(["validate", "--config", write_config(tmp_path, q=2.0, nonlinearity=nonlinearity)]) == 0
+
     def test_whole_float_count_is_a_count(self, tmp_path, capsys):
         assert main(["solve", "--config", write_config(tmp_path), "--jmax", "1"]) == 0
         regular = next(d for d in json.loads(capsys.readouterr().out)["descriptors"] if d["kind"] == "regular")

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +14,7 @@ from plap.nonlinearity import (
     eval_f,
     eval_g,
     eval_m,
+    locate_nonlinearity,
     reflected,
     validate_hypotheses,
 )
@@ -35,6 +37,23 @@ def polynomial_coeffs(draw) -> list:
     """f = a3 s^3 + a4 s^4 + a5 s^5; a4 = 0 (odd f) about half the time."""
     a4 = 0.0 if draw(st.booleans()) else draw(st.floats(-0.5, 0.5))
     return [0.0, 0.0, draw(st.floats(0.5, 2.0)), a4, draw(st.floats(0.0, 0.3))]
+
+
+def drops_above(nl, w) -> bool:
+    """Whether ``g(w + d) > g(w + 2d)`` for some ``d = z_plus 2^-i`` with
+    ``w + 2d < z_plus``, or ``g`` is constant there.  With ``g(s) = sum_j c_j
+    s^(j+k)``, ``k = e + 1 - q``, the drop is summed term by term at 50
+    digits, so that a window far below the float range of ``g`` is resolved."""
+    with mpmath.workdps(50):
+        w, z, k = mpmath.mpf(w), mpmath.mpf(nl.z_plus), nl.e + 1.0 - nl.q
+        terms = [(c, j + k) for j, c in enumerate(nl.c_plus) if j + k != 0.0]
+        drops = []
+        for d in (mpmath.ldexp(z, -i) for i in range(1, 1100)):
+            if w + 2 * d < z:
+                drops.append(sum(c * ((w + d) ** a - (w + 2 * d) ** a) for c, a in terms))
+                if drops[-1] > 0:
+                    return True
+        return not any(drops)
 
 
 def admissible(kind, q, params):
@@ -201,13 +220,78 @@ class TestValidate:
         rep = err.value.report
         assert rep is not None and not rep.passed
         assert not rep.g_increasing_pos
-        assert rep.first_violation_pos is not None
-        assert 0.0 < rep.first_violation_pos < 1.0
+        # g' = s (5 - 11 s + 4.8 s^2) is negative on (5/8, 5/3)
+        assert rep.first_violation_pos == pytest.approx(0.625, abs=1e-12)
 
     def test_asym_limits_differ_but_negative(self, asym):
         rep = validate_hypotheses(asym)
         assert rep.passed
         assert rep.L_plus < 0.0 and rep.L_minus < 0.0
+
+    @staticmethod
+    def eta_family(eta):
+        """g(s) = G(s^2) with G'(u) = (u - 1/2)^2 + eta: for eta < 0, g
+        decreases on s^2 in (1/2 - sqrt(-eta), 1/2 + sqrt(-eta))."""
+        return {"coeffs": [0.0, 0.0, 0.25 + eta, 0.0, -0.5, 0.0, 1.0 / 3.0]}
+
+    @pytest.mark.parametrize("eta", [-1e-2, -3e-3, -1e-3, -1e-4])
+    def test_narrow_decreasing_window_fails(self, eta):
+        with pytest.raises(HypothesisViolated) as err:
+            build_nonlinearity("polynomial", 2.0, self.eta_family(eta))
+        rep = err.value.report
+        assert not rep.g_increasing_pos and not rep.g_decreasing_neg
+        start = (0.5 - (-eta) ** 0.5) ** 0.5  # 0.66725, 0.68438, 0.70000 for the last three
+        assert rep.first_violation_pos == pytest.approx(start, abs=1e-9)
+        assert rep.first_violation_neg == pytest.approx(-start, abs=1e-9)
+
+    def test_positive_eta_passes(self):
+        nl = build_nonlinearity("polynomial", 2.0, self.eta_family(1e-3))
+        rep = validate_hypotheses(nl)
+        assert rep.passed
+        assert rep.first_violation_pos is None and rep.first_violation_neg is None
+
+    def test_zero_pair_passed_over_by_doubling_fails(self):
+        # g(s) = 10.5 G(s^2) with G'(u) = (u - 3/4)^2 - 1/16: g - 1 vanishes
+        # twice in (0.512, 1.024), one doubling step of the bracket search,
+        # so the zero located is a third one above 1.024
+        params = {"coeffs": [0.0, 0.0, 5.25, 0.0, -7.875, 0.0, 3.5]}
+        nl = locate_nonlinearity("polynomial", 2.0, params)
+        assert nl.z_plus > 1.024
+        assert eval_m(nl, 0.75) < 0.0 < eval_m(nl, 0.5)  # a zero of m below z_plus
+        with pytest.raises(HypothesisViolated) as err:
+            build_nonlinearity("polynomial", 2.0, params)
+        # g decreases on s^2 in (1/2, 1)
+        assert err.value.report.first_violation_pos == pytest.approx(0.5**0.5, abs=1e-12)
+
+    # subnormal coefficients are left out: a product (k + j) c_j that
+    # underflows to 0 can flip the verdict there
+    @given(
+        coeffs=st.lists(st.floats(-2.0, 2.0, allow_subnormal=False), min_size=2, max_size=6),
+        q=st.floats(1.2, 2.8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exact_checks_against_dense_sampling(self, coeffs, q):
+        try:
+            nl = locate_nonlinearity("polynomial", q, {"coeffs": coeffs})
+        except (NoZeroFound, ValueError):
+            assume(False)
+        rep = validate_hypotheses(nl)
+        # each side as the positive side of nl or of its reflection: g
+        # increases on (0, w), w = z_plus or the reported window's end (to
+        # its accuracy, 1e-15 z_plus), and when there is a window it
+        # decreases right above w
+        for side, monotone, start in (
+            (nl, rep.g_increasing_pos, rep.first_violation_pos),
+            (reflected(nl), rep.g_decreasing_neg, rep.first_violation_neg),
+        ):
+            assert monotone == (start is None)
+            z = side.z_plus
+            w = z if monotone else abs(start)
+            if w > 1e-15 * z:
+                g = eval_g(side, np.linspace(0.0, w - 1e-15 * z, 20003)[1:-1])
+                assert np.all(np.diff(g) >= -1e-14 * np.max(np.abs(g)))
+            if not monotone:
+                assert drops_above(side, w)
 
 
 class TestOddSymmetry:
