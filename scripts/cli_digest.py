@@ -6,7 +6,10 @@ Runs every command (validate, diagram, solve, sweep, structure, profile,
 verify, regularity) on the five fixture families of ``tests/conftest.py`` and
 the configs of ``perfbench/workloads.py``, at three lambdas each, and prints
 one line per call: the sha256 of its exit code, stdout and stderr, then the
-call.  ``profile``, ``verify`` and ``regularity`` run on the first regular and
+call.  ``solve`` and ``sweep`` lines end in the descriptor ids they listed,
+``ids=a,b,...`` (for ``sweep``, one list per lambda, separated by ``;``), so
+two trees whose floats differ by rounding can still be shown to agree on ids.
+``profile``, ``verify`` and ``regularity`` run on the first regular and
 the first flat-core descriptor that ``solve`` lists at that lambda; one
 ``sweep`` per config runs over all three lambdas.  The first of those
 descriptors in each config also gets one ``profile`` at
@@ -69,6 +72,16 @@ def call(argv: list[str]) -> tuple[str, str]:
     return hashlib.sha256(blob.encode()).hexdigest(), out.getvalue()
 
 
+def ids(out: str) -> str:
+    """`` ids=...`` for a ``solve`` or ``sweep`` stdout; empty if it is no JSON."""
+    try:
+        payload = json.loads(out)
+    except ValueError:
+        return ""
+    runs = payload if isinstance(payload, list) else [payload]
+    return " ids=" + ";".join(",".join(d["id"] for d in run["descriptors"]) for run in runs)
+
+
 def digest_config(cfg: Config, work: Path) -> None:
     lo, hi = cfg.lam_range
     lams = [lo * (hi / lo) ** t for t in POSITIONS]
@@ -83,7 +96,8 @@ def digest_config(cfg: Config, work: Path) -> None:
             commands = [["validate"], ["diagram", "--n", "6"]] + commands
         for cmd in commands:
             digest, out = call(cmd + spec)
-            print(f"{digest}  {' '.join(cmd)} {label}")
+            suffix = ids(out) if cmd == ["solve"] else ""
+            print(f"{digest}  {' '.join(cmd)} {label}{suffix}")
         try:
             descriptors = json.loads(out)["descriptors"]
         except (ValueError, KeyError):
@@ -101,8 +115,8 @@ def digest_config(cfg: Config, work: Path) -> None:
                     digest, _ = call([cmd, "--id", d["id"], "--config", str(knob)])
                     print(f"{digest}  {cmd} --id {d['id']} {label} numerics={json.dumps(numerics)}")
     sweep = ["sweep", "--lambdas", ",".join(map(repr, lams))]
-    digest, _ = call(sweep + ["--config", str(work / f"{cfg.name}_0.json")])
-    print(f"{digest}  {' '.join(sweep)} {cfg.name}")
+    digest, out = call(sweep + ["--config", str(work / f"{cfg.name}_0.json")])
+    print(f"{digest}  {' '.join(sweep)} {cfg.name}{ids(out)}")
 
 
 def main_digest() -> None:

@@ -97,7 +97,7 @@ def _fold_weights(curves: TimeMapCurves, classes: list[SolutionClass]) -> list[f
             def weight(z: float) -> float:
                 total = w_lead * integral_I(lead_nl, p, z)
                 for w, k in rest:  # the other side of a mixed class, at the same area
-                    rho = float(_area(lead_nl, z))
+                    rho = _area(lead_nl, z)
                     total += w * integral_I(sides[k], p, level_pos(sides[k], rho))
                 return total
 

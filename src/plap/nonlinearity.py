@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -200,16 +201,24 @@ def _first_positive_zero(m, start: float) -> float:
 
     Starts well below ``start`` so the sign next to the origin anchors the
     search; families violating the hypotheses still get their zero located
-    (validation rejects them afterwards with a diagnosis).  A doubling step
+    (validation rejects them afterwards with a diagnosis).  Where ``m < 0``
+    at the start, a zero may lie below it: halving looks for ``m > 0`` first
+    and, finding none, leaves the search to the doubling.  A doubling step
     can pass over two zeros; as ``m = s^(q-1) (1 - g)``, ``g`` is then not
     monotone below the zero returned, which validation rejects as well.
     """
-    s_prev = start * 2.0**-20
+    s_prev, steps = start * 2.0**-20, 2 * _BRACKET_DOUBLINGS + 21
     v_prev = m(s_prev)
     if v_prev == 0.0:
         return s_prev
+    if v_prev < 0.0:
+        s = s_prev
+        for _ in range(steps):
+            s *= 0.5
+            if m(s) > 0.0:
+                return brentq(m, s, 2.0 * s, xtol=5e-324)
     s = s_prev
-    for _ in range(2 * _BRACKET_DOUBLINGS + 21):
+    for _ in range(steps):
         s *= 2.0
         v = m(s)
         if v == 0.0:
@@ -254,6 +263,11 @@ def locate_nonlinearity(kind: str, q: float, params: dict) -> Nonlinearity:
             values = tuple(real_number(c, "each coefficient") for c in coeffs)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"{kind} parameters must be numbers: {exc}") from exc
+    # a subnormal value loses digits in every product and can flip a check's sign
+    names = _FAMILY_KEYS[kind] if kind == "power_asym" else [f"coeffs[{i}]" for i in range(len(values))]
+    tiny = [f"{name} = {v!r}" for name, v in zip(names, values) if 0.0 < abs(v) < sys.float_info.min]
+    if tiny:
+        raise ValueError(f"{kind} parameters below the normal float range: {', '.join(tiny)}")
     if kind == "power_asym":
         b_plus, b_minus, r_exp = values
         if not (0.0 < b_plus < math.inf and 0.0 < b_minus < math.inf):

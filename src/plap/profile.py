@@ -347,26 +347,19 @@ def _dense(steps: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phi, w
 
 
-def shoot(
-    problem: Problem, r0: float, sign: str, n_steps: int, end: float = 1.0, at=None
-) -> Profile:
+def shoot(problem: Problem, r0: float, sign: str, n_steps: int, at=None) -> Profile:
     """Independent oracle: adaptive Dormand-Prince 5(4) for
     phi' = sgn(w)|w|^(1/(p-1)), w' = -lam (|phi|^{q-2} phi - f(phi)),
     w(0) = +/- r0^(p-1), sampled through its dense output.
 
     Samples lie at the increasing abscissae ``at`` or, by default, on the
-    grid k/n_steps from 0 to the first grid point at or past ``end``; a
-    shorter run is a prefix of the full one.  ``n_steps`` also caps the
-    accepted steps: exhausting it raises ``Blowup``, as does |phi| leaving
-    10 max(z+, |z-|)."""
+    grid k/n_steps of [0, 1]; a run to a leading part of that grid is a
+    prefix of the full one.  ``n_steps`` also caps the accepted steps:
+    exhausting it raises ``Blowup``, as does |phi| leaving 10 max(z+, |z-|)."""
     if r0 <= 0.0:
         raise ValueError(f"r0 must be positive, got {r0}")
     p, nl = problem.p, problem.nl
-    if at is None:
-        x = np.linspace(0.0, 1.0, n_steps + 1)
-        x = x[: min(n_steps, int(np.searchsorted(x, end))) + 1]
-    else:
-        x = np.asarray(at, dtype=float)
+    x = np.linspace(0.0, 1.0, n_steps + 1) if at is None else np.asarray(at, dtype=float)
     e = 1.0 / (p - 1.0)
 
     def fphi(w: float) -> float:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import Divergent, DomainError, OutOfRange
 from .nonlinearity import Nonlinearity, areas, eval_F, eval_df, eval_m, reflected
-from .quadrature import tanh_sinh, tanh_sinh_batch
+from .quadrature import cumulative_gl, tanh_sinh, tanh_sinh_batch
 from .roots import brentq
 
 _TAIL_FRAC = 1e-2  # switch from the direct formula to the tail integral
@@ -109,41 +109,45 @@ def slope_bounds(problem: Problem) -> SlopeBounds:
 
 
 def _area(nl: Nonlinearity, z):
-    return np.asarray(z) ** nl.q / nl.q - eval_F(nl, z)
+    return z**nl.q / nl.q - eval_F(nl, z)
 
 
-def level_pos(nl: Nonlinearity, rho: float) -> float:
-    """The level z in (0, z_plus] with z^q/q - F(z) = rho."""
+def level_pos(nl: Nonlinearity, rho):
+    """The level z in (0, z_plus] with z^q/q - F(z) = rho, elementwise for an array.
+
+    As F > 0 on (0, z_plus), z >= (q rho)^(1/q), exact to leading order at
+    small rho.  From that bracket a float runs Brent's method to a relative
+    tolerance, and an array bisects the bit patterns of its floats
+    (piecewise linear in log z) to the least float whose area reaches rho:
+    one vectorized step per bit, not a Python loop of calls per point.
+    """
     a_plus, _ = areas(nl)
-    if rho <= 0.0 or rho > a_plus * (1.0 + 1e-12):
-        raise OutOfRange(f"rho = {rho} outside (0, {a_plus}]")
-    if rho >= a_plus:
-        return nl.z_plus
-    # a tolerance relative to the level keeps its digits at deep levels;
-    # z ~ (q rho)^(1/q) where z^q/q dominates F, i.e. for small rho
-    return brentq(
-        lambda z: float(_area(nl, z)) - rho,
-        0.0,
-        nl.z_plus,
-        xtol=1e-16 * min(nl.z_plus, (nl.q * rho) ** (1.0 / nl.q)),
-    )
+    top = a_plus * (1.0 + 1e-12)
+    if isinstance(rho, float):
+        if not 0.0 < rho <= top:
+            raise OutOfRange(f"rho = {rho} outside (0, {a_plus}]")
+        if rho >= a_plus:
+            return nl.z_plus
+        lo = min((nl.q * rho) ** (1.0 / nl.q), nl.z_plus)
+        if _area(nl, lo) >= rho:
+            return lo
+        return brentq(lambda z: _area(nl, z) - rho, lo, nl.z_plus, xtol=1e-16 * lo)
+    rho = np.asarray(rho, dtype=float)
+    ok = (rho > 0.0) & (rho <= top)
+    if not ok.all():
+        raise OutOfRange(f"rho = {rho[~ok]} outside (0, {a_plus}]")
+    lo = np.minimum((nl.q * rho) ** (1.0 / nl.q), nl.z_plus).view(np.int64) - 1
+    hi = np.full_like(rho, nl.z_plus).view(np.int64)
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        high = _area(nl, mid.view(np.float64)) >= rho
+        hi, lo = np.where(high, mid, hi), np.where(high, lo, mid)
+    return np.where(rho >= a_plus, nl.z_plus, hi.view(np.float64))
 
 
-def level_neg(nl: Nonlinearity, rho: float) -> float:
-    """The level S in [z_minus, 0) with |S|^q/q - F(S) = rho."""
+def level_neg(nl: Nonlinearity, rho):
+    """The level S in [z_minus, 0) with |S|^q/q - F(S) = rho (see ``level_pos``)."""
     return -level_pos(reflected(nl), rho)
-
-
-def _level_many(nl: Nonlinearity, rho: np.ndarray) -> np.ndarray:
-    """Vectorized bisection of the positive level map (80 halvings)."""
-    lo = np.zeros_like(rho)
-    hi = np.full_like(rho, nl.z_plus)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        high = _area(nl, mid) - rho > 0.0
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-    return 0.5 * (lo + hi)
 
 
 def _rho_of_r(problem: Problem, r) -> np.ndarray:
@@ -302,7 +306,7 @@ def _integral_many(nl: Nonlinearity, p: float, levels: np.ndarray, tol: float):
 
 def _scan(nl: Nonlinearity, p: float, rho: np.ndarray, tol: float) -> np.ndarray:
     """Batched I at the levels z(rho) of a grid of areas rho; lambda-free."""
-    return _integral_many(nl, p, _level_many(nl, rho), tol)
+    return _integral_many(nl, p, level_pos(nl, rho), tol)
 
 
 def theta(problem: Problem, r: float) -> float:
@@ -319,10 +323,8 @@ def flat_core_half_widths(problem: Problem) -> tuple[float, float]:
     """x(lambda) and y(lambda): half-widths of the saturated arches (p > 2)."""
     if problem.p <= 2.0:
         raise Divergent("flat cores require p > 2")
-    nl = problem.nl
-    x_lam = problem.kappa * integral_I(nl, problem.p, nl.z_plus)
-    y_lam = problem.kappa * integral_J(nl, problem.p, nl.z_minus)
-    return x_lam, y_lam
+    i_zp, j_zm = time_map_curves(problem.nl, problem.p).endpoint_integrals()[2:]
+    return problem.kappa * i_zp, problem.kappa * j_zm
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +407,6 @@ def arch_tail_cumulative(
     i.e. before the kappa prefactor) between the arch extremum and the point
     at ``level - t = w_grid[i]^beta``.
     """
-    from .quadrature import cumulative_gl
-
     return cumulative_gl(lambda w: _psi(nl, p, level, w, double), np.asarray(w_grid, dtype=float))
 
 

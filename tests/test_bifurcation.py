@@ -232,6 +232,14 @@ class TestBifurcationTable:
         assert np.all(np.diff(np.array(tab.star_plus)[1::2]) > 0)  # even star entries
         assert np.all(np.diff(np.array(tab.star_plus)[0::2]) > 0)  # odd star entries
 
+    def test_huge_z_plus(self):
+        # z+ ~ 2.87e10: the fold searches invert levels fifteen decades below
+        # z+ (see test_deep_level_below_a_huge_z_plus)
+        nl = build_nonlinearity("power_asym", 2.25, {"b_plus": 0.3, "b_minus": 1.0, "r_exp": 2.3})
+        tab = bifurcation_table(nl, 2.2, 4)
+        for star, tilde in ((tab.star_plus, tab.tilde_plus), (tab.star_minus, tab.tilde_minus)):
+            assert np.all(np.diff(star) > 0) and all(s < t for s, t in zip(star, tilde))
+
     def test_consistency_with_half_width_crossing(self, quintic_q3):
         # the lambda where 2 x(lambda) = 1 is the first tilde entry
         p = 3.0

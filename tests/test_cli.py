@@ -80,6 +80,14 @@ class TestValidate:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "must be numbers" in captured.err
 
+    def test_subnormal_coefficient_exit_1(self, tmp_path, capsys):
+        nonlinearity = {"kind": "polynomial", "coeffs": [0.0, -5e-324, 0.0, 5e-324, 1.0]}
+        cfg = write_config(tmp_path, q=2.5, nonlinearity=nonlinearity)
+        assert main(["validate", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "coeffs[1] = -5e-324" in captured.err
+
     def test_validates_once(self, tmp_path, monkeypatch):
         import plap.cli
         import plap.nonlinearity

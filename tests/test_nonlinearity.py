@@ -1,3 +1,5 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -57,11 +59,15 @@ def drops_above(nl, w) -> bool:
 
 
 def admissible(kind, q, params):
-    """Build the spec, discarding the hypothesis example if it is not admissible."""
+    """Build the spec, discarding the hypothesis example if it is not admissible
+    or has a subnormal coefficient, which ``locate_nonlinearity`` refuses."""
     try:
         return build_nonlinearity(kind, q, params)
     except (HypothesisViolated, NoZeroFound):
         assume(False)
+    except ValueError as exc:
+        assume("below the normal float range" not in str(exc))
+        raise
 
 
 class TestBuild:
@@ -83,6 +89,26 @@ class TestBuild:
         # f = -s^3 pushes the map s + s^3 strictly positive: no zero to find
         with pytest.raises(NoZeroFound):
             build_nonlinearity("polynomial", 2.0, {"coeffs": [0.0, 0.0, -1.0]})
+
+    def test_zero_below_the_bracket_start(self):
+        # f = 1e20 s^3: z+- = +-1e-10 lie below the first point the doubling
+        # search evaluates, so it halves down to m > 0 first
+        nl = build_nonlinearity("power_asym", 2.0, {"b_plus": 1e20, "b_minus": 1e20, "r_exp": 4.0})
+        assert nl.z_plus == pytest.approx(1e-10, rel=1e-12)
+        assert nl.z_minus == pytest.approx(-1e-10, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind, params, name",
+        [
+            ("polynomial", {"coeffs": [0.0, -5e-324, 0.0, 5e-324, 1.0]}, "coeffs[1] = -5e-324"),
+            ("power_asym", {"b_plus": 1.0, "b_minus": 1e-310, "r_exp": 4.0}, "b_minus = 1e-310"),
+        ],
+    )
+    def test_subnormal_parameters_rejected(self, kind, params, name):
+        # a product (k + j) c_j of a subnormal c_j can round to 0 and flip
+        # the side checks' verdict, so such values are refused by name
+        with pytest.raises(ValueError, match=re.escape(name)):
+            locate_nonlinearity(kind, 2.5, params)
 
     def test_bad_params(self):
         with pytest.raises(ValueError):
@@ -263,10 +289,9 @@ class TestValidate:
         # g decreases on s^2 in (1/2, 1)
         assert err.value.report.first_violation_pos == pytest.approx(0.5**0.5, abs=1e-12)
 
-    # subnormal coefficients are left out: a product (k + j) c_j that
-    # underflows to 0 can flip the verdict there
+    # subnormal coefficients raise ValueError in locate_nonlinearity
     @given(
-        coeffs=st.lists(st.floats(-2.0, 2.0, allow_subnormal=False), min_size=2, max_size=6),
+        coeffs=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=6),
         q=st.floats(1.2, 2.8),
     )
     @settings(max_examples=60, deadline=None)

@@ -207,8 +207,8 @@ class TestShoot:
 
     def test_end_point_run_is_prefix(self, ci_prob, ci_first):
         full = shoot(ci_prob, ci_first.r, "+", 5_000)
-        part = shoot(ci_prob, ci_first.r, "+", 5_000, end=0.3)
-        n = part.x.size
+        n = int(np.searchsorted(full.x, 0.3)) + 1
+        part = shoot(ci_prob, ci_first.r, "+", 5_000, at=full.x[:n])
         assert part.x[-1] >= 0.3 > part.x[-2]
         assert np.array_equal(part.x, full.x[:n]) and np.array_equal(part.phi, full.phi[:n])
 
