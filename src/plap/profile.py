@@ -14,6 +14,7 @@ exist).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -145,6 +146,7 @@ def reconstruct(
     cursor = 0.0
     count = 0
     plateau_idx = 0
+    halves: dict[tuple[float, bool], tuple] = {}  # an S_j profile repeats a few arches
 
     def _append(x, phi, dphi, skip_first):
         nonlocal count
@@ -174,7 +176,9 @@ def reconstruct(
             double = False
             plat = 0.0
 
-        x_half, s_half, mag, hw = _arch_half(problem, level, double, m_half)
+        if (level, double) not in halves:
+            halves[level, double] = _arch_half(problem, level, double, m_half)
+        x_half, s_half, mag, hw = halves[level, double]
 
         seg = _append(cursor + x_half, s_half, s_arch * mag, skip_first=i > 0)
         segments.append(seg)
@@ -451,6 +455,13 @@ def classify_regularity(problem: Problem, prof: Profile) -> RegularityReport:
     second_checks: list[dict] = []
     z_orders: list[int] = []
 
+    @functools.cache
+    def offset(v: float, double: bool, target: float) -> float:
+        """w at G-space distance ``target`` from the extremum ``v``; arch tops of
+        one sign, and the two edges of a plateau, share every inversion."""
+        side, top = _upright(nl, v)
+        return invert_arch_distance(side, p, top, double, target)
+
     for tp in prof.turning_points:
         v = tp["phi"]
         hval = lam * float(eval_m(nl, v))
@@ -477,8 +488,8 @@ def classify_regularity(problem: Problem, prof: Profile) -> RegularityReport:
             fac = min(1.0, 0.25 * hw / 1e-2)
             for delta in (1e-2, 1e-3, 1e-4):
                 d_eff = delta * fac
-                w = invert_arch_distance(side, p, top, double, d_eff / kappa)
-                G = radicand(side, top, top - w ** _beta(p, False))
+                w = offset(v, double, d_eff / kappa)
+                G = radicand(side, top, top - w ** _beta(p, double))
                 mag = _slope(problem, float(G))
                 measured = mag / d_eff ** (1.0 / (p - 1.0))
                 limit_checks.append(
@@ -493,7 +504,7 @@ def classify_regularity(problem: Problem, prof: Profile) -> RegularityReport:
                 )
         elif tp["kind"] == "plateau_edge" and p > 2.0:
             for delta in (1e-3, 1e-4):
-                w = invert_arch_distance(side, p, top, True, delta / kappa)
+                w = offset(v, True, delta / kappa)
                 s = top - w ** _beta(p, True)
                 G = radicand(side, top, s)
                 mag = _slope(problem, float(G))

@@ -31,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Divergent, DomainError, OutOfRange
+from .errors import Divergent, DomainError, NoZeroFound, OutOfRange
 from .nonlinearity import Nonlinearity, areas, eval_F, eval_df, eval_m, reflected
 from .quadrature import cumulative_gl, tanh_sinh, tanh_sinh_batch
-from .roots import brentq
+from .roots import _MAXITER, _RTOL, brentq
 
 _TAIL_FRAC = 1e-2  # switch from the direct formula to the tail integral
 _MODEL_FRAC = 1e-8  # switch from the tail integral to the local quadratic model
@@ -420,11 +420,44 @@ def arch_tail_distance(nl: Nonlinearity, p: float, level: float, double: bool, w
 def invert_arch_distance(
     nl: Nonlinearity, p: float, level: float, double: bool, target: float
 ) -> float:
-    """Solve arch_tail_distance(w) = target for w (target in G-space)."""
+    """Solve arch_tail_distance(w) = target for w (target in G-space).
+
+    The distance increases in w with derivative ``_psi``, bounded and
+    positive, so Newton's method from w = target/psi(0) takes a few
+    integrals.  Each iterate stays inside the bracket that the signs of the
+    residuals so far establish; a step that leaves it, or that fails to
+    halve the last move once residuals of both signs are in, bisects
+    instead (``rtsafe`` of Numerical Recipes).  Stops once the step or the
+    bracket is narrower than Brent's width 1e-15 w_max + _RTOL w plus the
+    w-equivalent of QUAD_TOL: the distance is known no better (its accepted
+    tanh-sinh level can switch between neighbouring w), so Newton would
+    only chase noise.  The full-arch integral is taken only if a step
+    reaches the top before any residual >= 0, since one such residual
+    already proves target <= half-width.
+    """
     beta = _beta(p, double)
     w_max = level ** (1.0 / beta)
-    fun = lambda w: arch_tail_distance(nl, p, level, double, w) - target
-    hi = w_max * (1.0 - 1e-13)
-    if fun(hi) < 0.0:
-        raise OutOfRange(f"target distance {target} exceeds the arch half-width")
-    return brentq(fun, 0.0, hi, xtol=1e-15 * w_max)
+    psi = lambda w: float(_psi(nl, p, level, np.array([w]), double)[0])
+    top = w_max * (1.0 - 1e-13)
+    lo, hi, proven = 0.0, top, False  # residual < 0 at lo; >= 0 at hi once proven
+    w, last = min(target / psi(0.0), top), math.inf
+    for _ in range(_MAXITER):
+        residual = arch_tail_distance(nl, p, level, double, w) - target
+        if residual >= 0.0:
+            hi, proven = w, True
+        elif w == top:
+            raise OutOfRange(f"target distance {target} exceeds the arch half-width")
+        else:
+            lo = w
+        slope = psi(w)
+        step = residual / slope
+        tol = 1e-15 * w_max + _RTOL * w + QUAD_TOL * target / slope
+        nxt = w - step
+        if nxt >= hi and not proven:
+            nxt = top
+        elif abs(step) < tol or (proven and hi - lo < tol):
+            return min(max(nxt, lo), hi)
+        elif not lo < nxt < hi or (proven and lo > 0.0 and abs(step) > 0.5 * last):
+            nxt = 0.5 * (lo + hi)
+        w, last = nxt, abs(nxt - w)
+    raise NoZeroFound(f"Newton's method did not converge in {_MAXITER} iterations, last w = {w}")

@@ -5,9 +5,11 @@ from plap.bifurcation import bifurcation_table
 from plap.cli import ORACLE_TOL
 from plap.errors import Blowup, BudgetMismatch, ShapeError
 from plap.nonlinearity import build_nonlinearity, eval_F
+from plap import profile
 from plap.profile import (
     classify_regularity,
     energy_residual,
+    invert_arch_distance,
     reconstruct,
     shoot,
     shoot_compare,
@@ -300,6 +302,38 @@ class TestRegularity:
             by_delta.setdefault(s["delta"], []).append(s["second_derivative"])
         ratio = max(by_delta[1e-3]) / max(by_delta[1e-4])
         assert ratio == pytest.approx(10.0, rel=0.05)
+
+
+    @pytest.mark.parametrize("kind", ["regular", "flat_core"])
+    def test_repeated_turning_points(self, cubic_odd, asym, monkeypatch, kind):
+        # regular S3+ turns at +z, -z, +z; asym's flat-core S3+ has two
+        # plateaus at z+ (four edges) around one arch top at s_hat
+        nl = cubic_odd if kind == "regular" else asym
+        tab = bifurcation_table(nl, 3.0, 3)
+        prob = Problem(p=3.0, nl=nl, lam=(0.5 if kind == "regular" else 1.3) * tab.tilde_plus[2])
+        d = [x for x in solve_class(prob, SolutionClass(3, "+")) if x.kind == kind][0]
+        prof = reconstruct(prob, d, M=1024)
+        calls = []
+
+        def counted(side, p, level, double, target):
+            calls.append((id(side), level, double, target))
+            return invert_arch_distance(side, p, level, double, target)
+
+        monkeypatch.setattr(profile, "invert_arch_distance", counted)
+        rep = classify_regularity(prob, prof)
+        per_point = {"arch_top": (rep.limit_checks, 3), "plateau_edge": (rep.second_derivative_checks, 2)}
+        blocks: dict = {}
+        for kind_, (checks, n) in per_point.items():
+            tps = [tp for tp in prof.turning_points if tp["kind"] == kind_]
+            # n entries per turning point, in turning-point order
+            assert [c["x"] for c in checks] == [tp["x"] for tp in tps for _ in range(n)]
+            for i, tp in enumerate(tps):
+                block = [{k: v for k, v in c.items() if k != "x"} for c in checks[n * i : n * (i + 1)]]
+                # turning points of one (level, double) differ only in x
+                assert blocks.setdefault((tp["phi"], tp["double"]), block) == block
+        assert len(blocks) < len(prof.turning_points)
+        # one inversion per distinct (side, level, double, target)
+        assert len(calls) == len(set(calls)) == sum(len(b) for b in blocks.values())
 
 
 class TestOracleSweep:

@@ -5,14 +5,19 @@ from hypothesis import strategies as st
 
 from plap.errors import Divergent, DomainError, HypothesisViolated, NoZeroFound, OutOfRange
 from plap.nonlinearity import areas, build_nonlinearity, eval_m, reflected
+from plap import timemap
 from plap.timemap import (
+    QUAD_TOL,
     Problem,
     _area,
+    _beta,
     alpha,
+    arch_tail_distance,
     endpoint_levels,
     flat_core_half_widths,
     integral_I,
     integral_J,
+    invert_arch_distance,
     level_neg,
     level_pos,
     s_of_r,
@@ -385,3 +390,60 @@ class TestIMonotonicity:
         interior_min = vals.min()
         assert interior_min > 0
         assert vals[0] > interior_min and vals[-1] > interior_min
+
+
+# (fixture, p, level as a fraction of z_plus, double zero at the level)
+_ARCHES = [
+    ("cubic_odd", 2.0, 0.5, False),
+    ("cubic_odd", 2.0, 0.999, False),
+    ("asym", 3.0, 0.5, False),
+    ("asym", 3.0, 0.9, False),
+    ("asym", 3.0, 0.999, False),
+    ("asym", 3.0, 1.0, True),
+    ("quintic_q3", 3.0, 1.0, True),
+]
+_TARGETS = np.geomspace(1e-8, 0.99, 12)  # fractions of the half-width
+
+
+class TestInvertArchDistance:
+    @staticmethod
+    def arch(request, name, frac, p, double, negative):
+        """(side, level, half-width) of the arch; a negative one through ``reflected``."""
+        nl = request.getfixturevalue(name)
+        side = reflected(nl) if negative else nl
+        level = frac * side.z_plus
+        return side, level, arch_tail_distance(side, p, level, double, level ** (1.0 / _beta(p, double)))
+
+    @pytest.mark.parametrize("negative", [False, True])
+    @pytest.mark.parametrize("name, p, frac, double", _ARCHES)
+    def test_round_trip(self, request, name, p, frac, double, negative):
+        side, level, hw = self.arch(request, name, frac, p, double, negative)
+        # a double zero's distance is resolved only to a few QUAD_TOL: its
+        # accepted tanh-sinh level switches between neighbouring w
+        rel = 10 * QUAD_TOL if double else 1e-12
+        for target in _TARGETS * hw:
+            w = invert_arch_distance(side, p, level, double, target)
+            assert arch_tail_distance(side, p, level, double, w) == pytest.approx(target, rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("negative", [False, True])
+    @pytest.mark.parametrize("name, p, frac, double", [("asym", 3.0, 0.9, False), ("asym", 3.0, 1.0, True)])
+    def test_out_of_range_exactly_above_the_half_width(self, request, name, p, frac, double, negative):
+        side, level, hw = self.arch(request, name, frac, p, double, negative)
+        for target in (hw * (1.0 + 1e-9), 2.0 * hw):
+            with pytest.raises(OutOfRange):
+                invert_arch_distance(side, p, level, double, target)
+        w = invert_arch_distance(side, p, level, double, hw * (1.0 - 1e-9))
+        assert 0.0 < w < level ** (1.0 / _beta(p, double))
+
+    @pytest.mark.parametrize("name, p, frac, double", _ARCHES)
+    def test_work_bound(self, request, monkeypatch, name, p, frac, double):
+        # at most 4 integrals up to a tenth of the half-width and 6 up to
+        # 0.99 of it: for a level near z_plus psi falls steeply along the
+        # arch, so Newton from target/psi(0) climbs for a few steps
+        side, level, hw = self.arch(request, name, frac, p, double, False)
+        calls = []
+        monkeypatch.setattr(timemap, "arch_tail_distance", lambda *a: calls.append(a) or arch_tail_distance(*a))
+        for t in _TARGETS:
+            calls.clear()
+            invert_arch_distance(side, p, level, double, t * hw)
+            assert len(calls) <= (4 if t <= 0.1 else 6), (t, len(calls))
