@@ -27,7 +27,6 @@ from .nonlinearity import Nonlinearity, areas, reflected
 from .roots import brent_min
 from .solver import (
     SolutionClass,
-    _class_bound,
     _weight_at_bound,
     area_relation,
     continuum_dimension,
@@ -83,15 +82,14 @@ def _fold_weights(curves: TimeMapCurves, classes: list[SolutionClass]) -> list[f
 
     def minimum(sc: SolutionClass, w_pos: int, w_neg: int, area: float) -> float:
         if (w_pos, w_neg, area) not in minima:
-            terms = [(w, k) for k, w in enumerate((w_pos, w_neg)) if w]
-            vals = sum(w * curves.integrals(area, negative=k == 1) for w, k in terms)
+            vals = curves.weights(w_pos, w_neg, area)
             i = int(np.argmin(vals))
             if i == 0:
                 raise NoZeroFound(
                     f"fold of class S_{sc.j}^{sc.sign} lies below "
                     f"rho/A = {fractions[0] ** p:.3g}, the deepest scanned level"
                 )
-            (w_lead, lead), *rest = terms
+            (w_lead, lead), *rest = [(w, k) for k, w in enumerate((w_pos, w_neg)) if w]
             lead_nl = sides[lead]
 
             def weight(z: float) -> float:
@@ -110,7 +108,7 @@ def _fold_weights(curves: TimeMapCurves, classes: list[SolutionClass]) -> list[f
     for sc in classes:
         n_pos, n_neg = (sc.j, 0) if nl.odd else (sc.n_pos, sc.n_neg)
         d = math.gcd(n_pos, n_neg)
-        out.append(d * minimum(sc, n_pos // d, n_neg // d, _class_bound(sc, a_plus, a_minus)))
+        out.append(d * minimum(sc, n_pos // d, n_neg // d, sc.bound(a_plus, a_minus)))
     return out
 
 

@@ -178,7 +178,7 @@ def cmd_diagram(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _solve_payload(cfg: RunConfig, lam: float, descs) -> dict:
+def _solutions_payload(cfg: RunConfig, lam: float, descs) -> dict:
     return {"lambda": lam, "p": cfg.p, "q": cfg.q, "descriptors": [d.to_json_dict() for d in descs]}
 
 
@@ -186,7 +186,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     j_max = args.jmax if args.jmax is not None else 4
     problem = cfg.build_problem()
     descs = solver.enumerate_solutions(problem, j_max)
-    _emit(_json_text(_solve_payload(cfg, problem.lam, descs)), args.out)
+    _emit(_json_text(_solutions_payload(cfg, problem.lam, descs)), args.out)
     return EXIT_OK
 
 
@@ -206,7 +206,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     lams = _parse_lambdas(args.lambdas)
     j_max = args.jmax if args.jmax is not None else 4
     results = solver.sweep(cfg.build_nl(), cfg.p, lams, j_max)
-    _emit(_json_text([_solve_payload(cfg, lam, descs) for lam, descs in zip(lams, results)]), args.out)
+    _emit(_json_text([_solutions_payload(cfg, lam, descs) for lam, descs in zip(lams, results)]), args.out)
     return EXIT_OK
 
 
@@ -234,8 +234,9 @@ def _parse_cores(arg: str | None):
 
 
 def cmd_profile(cfg: RunConfig, args) -> int:
+    cores = _parse_cores(args.cores)  # a bad list fails before any class is solved
     problem, d = _find_descriptor(cfg, args)
-    prof = profile.reconstruct(problem, d, M=cfg.numerics.grid, core_lengths=_parse_cores(args.cores))
+    prof = profile.reconstruct(problem, d, M=cfg.numerics.grid, core_lengths=cores)
     lines = ["x,phi,dphi"]
     for x, ph, dp in zip(prof.x, prof.phi, prof.dphi):
         lines.append(f"{_fmt(float(x))},{_fmt(float(ph))},{_fmt(float(dp))}")

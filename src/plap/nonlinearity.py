@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -120,18 +120,7 @@ class HypothesisReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "zeros_ok": bool(self.zeros_ok),
-            "g_increasing_pos": bool(self.g_increasing_pos),
-            "g_decreasing_neg": bool(self.g_decreasing_neg),
-            "g_limit_zero": bool(self.g_limit_zero),
-            "L_plus": float(self.L_plus),
-            "L_minus": float(self.L_minus),
-            "first_violation_pos": self.first_violation_pos,
-            "first_violation_neg": self.first_violation_neg,
-            "messages": list(self.messages),
-        }
+        return {"passed": self.passed, **asdict(self)}
 
 
 def _horner(nl: Nonlinearity, quantity: str, s):
@@ -326,9 +315,13 @@ def areas(nl: Nonlinearity) -> tuple[float, float]:
 def _real_roots(Q: np.polynomial.Polynomial) -> list:
     """The real roots of ``Q`` in ``(0, 1)``, increasing, each to within ``1e-15``.
     ``Q`` is monotone between consecutive roots of ``Q'``, so each such piece
-    brackets at most one (not eigenvalues: their error scales with the largest root)."""
+    brackets at most one (not eigenvalues: their error scales with the largest root).
+    ``Q`` is scaled by a power of two to a largest coefficient near 1, which changes
+    no root and no Brent iterate, but keeps Brent's steps out of underflow when all
+    coefficients are near the smallest normal float."""
     if Q.degree() < 1:
         return []
+    Q = np.polynomial.Polynomial(np.ldexp(Q.coef, -np.frexp(np.max(np.abs(Q.coef)))[1]))
     cuts = np.array([0.0, *_real_roots(Q.deriv()), 1.0])
     sign = np.sign(Q(cuts))
     return [brentq(Q, cuts[i], cuts[i + 1], xtol=1e-16) for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0)]
@@ -367,7 +360,7 @@ def validate_hypotheses(nl: Nonlinearity) -> HypothesisReport:
     report = HypothesisReport()
     mzp, mzm = (abs(eval_m(nl, z)) / (abs(eval_m(nl, 0.5 * z)) + abs(z) ** (nl.q - 1.0))
                 for z in (nl.z_plus, nl.z_minus))
-    report.zeros_ok = mzp < _ZERO_TOL and mzm < _ZERO_TOL
+    report.zeros_ok = bool(mzp < _ZERO_TOL and mzm < _ZERO_TOL)
     if not report.zeros_ok:
         report.messages.append(f"map does not vanish at z+/z-: residuals {mzp:.2e}, {mzm:.2e}")
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import Blowup, BudgetMismatch, ShapeError
 from .nonlinearity import Nonlinearity, eval_F, eval_m, reflected
-from .solver import SIGN_POS, SolutionDescriptor
+from .solver import SIGN_POS, SolutionClass, SolutionDescriptor
 from .timemap import (
     Problem,
     _beta,
@@ -81,19 +81,6 @@ def _arch_half(problem: Problem, level: float, double: bool, m_half: int):
     return x, np.copysign(s, level), mag, half_width
 
 
-def _plateau_arches(descriptor: SolutionDescriptor) -> list[bool]:
-    """Which arches (in order) carry a plateau."""
-    j, sign, side = descriptor.j, descriptor.sign, descriptor.core_side
-    out = []
-    for i in range(j):
-        arch_sign = SIGN_POS if (sign == SIGN_POS) == (i % 2 == 0) else "-"
-        if side == "alternating":
-            out.append(True)
-        else:
-            out.append(arch_sign == (SIGN_POS if side == "positive" else "-"))
-    return out
-
-
 def reconstruct(
     problem: Problem,
     descriptor: SolutionDescriptor,
@@ -107,14 +94,14 @@ def reconstruct(
         z = np.zeros(M)
         return Profile(x, z, z.copy(), [], [], [(0, M - 1)], [], 0.0, descriptor)
 
-    j, sign = descriptor.j, descriptor.sign
+    sclass = SolutionClass(descriptor.j, descriptor.sign)
+    j = sclass.j
     m_half = max(16, M // (2 * j))
     nl = problem.nl
 
-    plateau_flags = [False] * j
-    lengths: list[float] = []
+    plateau_flags = (False,) * j
     if descriptor.kind == "flat_core":
-        plateau_flags = _plateau_arches(descriptor)
+        plateau_flags = sclass.plateaus(descriptor.core_side)
         if core_lengths is None:
             lengths = [descriptor.core_budget / descriptor.core_count] * descriptor.core_count
         else:
@@ -129,12 +116,12 @@ def reconstruct(
                 raise BudgetMismatch(
                     f"core lengths sum to {sum(lengths)}, budget is {descriptor.core_budget}"
                 )
+        plats = iter(lengths)
         levels = endpoint_levels(nl)
-    else:
-        need_pos = sign == SIGN_POS or j > 1
-        need_neg = sign != SIGN_POS or j > 1
-        z_r = z_of_r(problem, descriptor.r) if need_pos else None
-        s_r = s_of_r(problem, descriptor.r) if need_neg else None
+        tops = (levels.z_hat, levels.s_hat)  # of the arches without a plateau
+    else:  # each side the class uses checks r against its own slope bound
+        r = descriptor.r
+        tops = (z_of_r(problem, r) if sclass.n_pos else None, s_of_r(problem, r) if sclass.n_neg else None)
 
     xs: list[np.ndarray] = []
     phis: list[np.ndarray] = []
@@ -145,7 +132,6 @@ def reconstruct(
     nodes: list[float] = []
     cursor = 0.0
     count = 0
-    plateau_idx = 0
     halves: dict[tuple[float, bool], tuple] = {}  # an S_j profile repeats a few arches
 
     def _append(x, phi, dphi, skip_first):
@@ -158,23 +144,12 @@ def reconstruct(
         count += x[sl].size
         return start, count - 1
 
-    for i in range(j):
-        positive_arch = (sign == SIGN_POS) == (i % 2 == 0)
+    for i, (positive_arch, plateau) in enumerate(zip(sclass.arches, plateau_flags)):
         s_arch = 1.0 if positive_arch else -1.0
-        if descriptor.kind == "flat_core":
-            if plateau_flags[i]:
-                level = nl.z_plus if positive_arch else nl.z_minus
-                double = True
-                plat = lengths[plateau_idx]
-                plateau_idx += 1
-            else:
-                level = levels.z_hat if positive_arch else levels.s_hat
-                double = False
-                plat = 0.0
+        if plateau:
+            level, double, plat = (nl.z_plus if positive_arch else nl.z_minus), True, next(plats)
         else:
-            level = z_r if positive_arch else s_r
-            double = False
-            plat = 0.0
+            level, double, plat = (tops[0] if positive_arch else tops[1]), False, 0.0
 
         if (level, double) not in halves:
             halves[level, double] = _arch_half(problem, level, double, m_half)

@@ -14,9 +14,11 @@ import numpy as np
 from .errors import QuadratureFailure
 
 _Y_MAX = 40.0  # truncate nodes once pi/2*sinh(kh) exceeds this
-_MIN_LEVEL = 3  # level 2 would only feed level 3, which may not accept
-_CHECK_LEVEL = 4  # first level at which the convergence test may accept
+_MIN_LEVEL = 3  # the first level only seeds the comparison: level 4 may accept
 _MAX_LEVEL = 16  # 2*(asinh(2*_Y_MAX/pi)/2^-16) stays below 2^20 nodes
+# nodes per block of tanh_sinh_batch; splitting a level into blocks may move a
+# row's sum by an ulp, and a 1023-row scan is split only from level 12 on
+_BATCH_NODES = 30_000_000
 _NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -54,13 +56,12 @@ def tanh_sinh(psi, upper: float, tol: float) -> float:
     """
     if upper == 0.0:
         return 0.0
-    prev = None
+    prev = np.nan  # no level agrees with it
     for level in range(_MIN_LEVEL, _MAX_LEVEL + 1):
         fr, wt = _nodes(level)
         val = upper * float(np.dot(psi(upper * fr), wt))
-        if prev is not None and level >= _CHECK_LEVEL:
-            if abs(val - prev) <= tol * max(abs(val), 1e-300):
-                return val
+        if abs(val - prev) <= tol * max(abs(val), 1e-300):
+            return val
         prev = val
     raise QuadratureFailure(f"tanh-sinh stalled at level {_MAX_LEVEL} (value {prev!r})")
 
@@ -69,33 +70,29 @@ def tanh_sinh_batch(psi_rows, uppers: np.ndarray, tol: float) -> np.ndarray:
     """Row-wise tanh-sinh for a family of integrals sharing one rule.
 
     ``psi_rows(w_matrix, row_idx)`` evaluates the integrand for the selected
-    rows at a matrix of abscissae (one row per integral).  Rows are frozen as
-    they converge; stragglers fall back to the scalar driver.
+    rows at a matrix of abscissae (one row per integral).  Each level runs
+    on the rows not yet converged, in blocks of at most ``_BATCH_NODES``
+    nodes; a row still unconverged at the node cap raises QuadratureFailure.
     """
     uppers = np.asarray(uppers, dtype=float)
-    n = uppers.size
-    out = np.empty(n)
-    prev = np.full(n, np.nan)
-    active = np.arange(n)
+    out = np.empty(uppers.size)
+    prev = np.full(uppers.size, np.nan)
+    active = np.arange(uppers.size)
     for level in range(_MIN_LEVEL, _MAX_LEVEL + 1):
         fr, wt = _nodes(level)
-        if active.size * fr.size > 30_000_000:
-            break
-        w = uppers[active, None] * fr[None, :]
-        vals = psi_rows(w, active)
-        est = uppers[active] * (vals @ wt)
-        if level >= _CHECK_LEVEL:
-            conv = np.abs(est - prev[active]) <= tol * np.maximum(np.abs(est), 1e-300)
-            out[active[conv]] = est[conv]
-            prev[active] = est
-            active = active[~conv]
-            if active.size == 0:
-                return out
-        else:
-            prev[active] = est
-    for i in active:  # deep-level stragglers, one at a time
-        out[i] = tanh_sinh(lambda ws, i=i: psi_rows(ws[None, :], np.array([i]))[0], uppers[i], tol)
-    return out
+        rows = max(1, _BATCH_NODES // fr.size)
+        for k in range(0, active.size, rows):
+            idx = active[k : k + rows]
+            out[idx] = uppers[idx] * (psi_rows(uppers[idx, None] * fr[None, :], idx) @ wt)
+        est = out[active]
+        done = np.abs(est - prev[active]) <= tol * np.maximum(np.abs(est), 1e-300)
+        prev[active] = est
+        active = active[~done]
+        if active.size == 0:
+            return out
+    raise QuadratureFailure(
+        f"tanh-sinh stalled at level {_MAX_LEVEL} in {active.size} of {uppers.size} rows"
+    )
 
 
 _GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)

@@ -21,8 +21,10 @@ descriptor with the plateau budget and the continuum dimension.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -53,13 +55,29 @@ class SolutionClass:
         if self.sign not in (SIGN_POS, SIGN_NEG):
             raise ValueError(f"sign must be '+' or '-', got {self.sign!r}")
 
-    @property
-    def n_pos(self) -> int:
-        return (self.j + 1) // 2 if self.sign == SIGN_POS else self.j // 2
+    # the layout is read at every residual evaluation, so it is computed once
+    @cached_property
+    def arches(self) -> tuple[bool, ...]:
+        """Which arch, in order, is positive: they alternate from ``sign``."""
+        return tuple((self.sign == SIGN_POS) == (i % 2 == 0) for i in range(self.j))
 
-    @property
+    @cached_property
+    def n_pos(self) -> int:
+        return sum(self.arches)
+
+    @cached_property
     def n_neg(self) -> int:
         return self.j - self.n_pos
+
+    def bound(self, pos: float, neg: float) -> float:
+        """The class's admissible upper end from the bounds of the two arch
+        signs (slopes or areas): the smaller one among the signs it uses."""
+        return min(pos if self.n_pos else math.inf, neg if self.n_neg else math.inf)
+
+    def plateaus(self, side: str) -> tuple[bool, ...]:
+        """Which arches carry a plateau when ``side`` ("positive", "negative"
+        or "alternating", see ``flat_core_side``) saturates."""
+        return tuple(side == "alternating" or pos == (side == "positive") for pos in self.arches)
 
 
 @dataclass(frozen=True)
@@ -112,26 +130,10 @@ def flat_core_side(sclass: SolutionClass, relation: str) -> str:
     }[relation]
 
 
-def flat_core_count(sclass: SolutionClass, relation: str) -> int:
-    side = flat_core_side(sclass, relation)
-    if side == "alternating":
-        return sclass.j
-    return sclass.n_pos if side == "positive" else sclass.n_neg
-
-
 def continuum_dimension(sclass: SolutionClass, relation: str) -> int:
     """Dimension of the flat-core continuum: free plateau lengths minus the
     one constraint that they sum to the budget."""
-    return flat_core_count(sclass, relation) - 1
-
-
-def _class_bound(sclass: SolutionClass, pos: float, neg: float) -> float:
-    """The class's admissible upper end, from the bounds of the two arch signs
-    (slopes or areas): a single arch has its own sign's, any other class the
-    smaller one."""
-    if sclass.j == 1:
-        return pos if sclass.sign == SIGN_POS else neg
-    return min(pos, neg)
+    return sum(sclass.plateaus(flat_core_side(sclass, relation))) - 1
 
 
 def _weight_at_bound(sclass: SolutionClass, ends: tuple[float, float, float, float]) -> float:
@@ -146,40 +148,11 @@ def _weight_at_bound(sclass: SolutionClass, ends: tuple[float, float, float, flo
     return sclass.n_pos * i_val + sclass.n_neg * j_val
 
 
-class _LambdaView:
-    """One lambda's view of the (f, p) store: the slope bounds and kappa that
-    turn the store's lambda-free scans into r, theta and alpha grids."""
-
-    def __init__(self, problem: Problem):
-        self.problem = problem
-        self.curves = time_map_curves(problem.nl, problem.p)
-        self.bounds = slope_bounds(problem)
-        self.relation = area_relation(problem.nl)
-
-    def bound_for(self, sclass: SolutionClass) -> float:
-        return _class_bound(sclass, self.bounds.r_pos, self.bounds.r_neg)
-
-    def grid_maps(self, sclass: SolutionClass):
-        """(r grid, theta grid, alpha grid) on the class's admissible interval;
-        a half the class does not use is None.  Classes with the same bound
-        share the store's scans."""
-        area = _class_bound(sclass, *areas(self.problem.nl))
-        kappa = self.problem.kappa
-        th = kappa * self.curves.integrals(area, negative=False) if sclass.n_pos else None
-        al = kappa * self.curves.integrals(area, negative=True) if sclass.n_neg else None
-        return self.bound_for(sclass) * self.curves.fractions, th, al
-
-    def arch_total_at_bound(self, sclass: SolutionClass) -> float:
-        """Total arch width when every arch launches at the class's bound."""
-        ends = self.curves.endpoint_integrals()
-        return 2.0 * self.problem.kappa * _weight_at_bound(sclass, ends)
-
-
 def matching_residual(problem: Problem, sclass: SolutionClass, r: float) -> float:
     """Left side of the class's matching condition minus 1, from theta and
     alpha at ``timemap.RESIDUAL_TOL``."""
     bounds = slope_bounds(problem)
-    upper = _class_bound(sclass, bounds.r_pos, bounds.r_neg)
+    upper = sclass.bound(bounds.r_pos, bounds.r_neg)
     if not 0.0 < r < upper:
         raise OutOfRange(f"r = {r} outside (0, {upper}) for class {sclass}")
     total = 0.0
@@ -193,22 +166,24 @@ def matching_residual(problem: Problem, sclass: SolutionClass, r: float) -> floa
     return total - 1.0
 
 
-def _flat_core_descriptor(view: _LambdaView, sclass: SolutionClass) -> SolutionDescriptor | None:
-    problem = view.problem
+def _flat_core_descriptor(problem: Problem, sclass: SolutionClass, bound: float) -> SolutionDescriptor | None:
     if problem.p <= 2.0:
         return None
-    budget = 1.0 - view.arch_total_at_bound(sclass)
+    ends = time_map_curves(problem.nl, problem.p).endpoint_integrals()
+    budget = 1.0 - 2.0 * problem.kappa * _weight_at_bound(sclass, ends)
     if budget <= 0.0:
         return None
+    relation = area_relation(problem.nl)
+    side = flat_core_side(sclass, relation)
     return SolutionDescriptor(
         j=sclass.j,
         sign=sclass.sign,
         kind="flat_core",
-        r=view.bound_for(sclass),
+        r=bound,
         core_budget=budget,
-        core_count=flat_core_count(sclass, view.relation),
-        core_side=flat_core_side(sclass, view.relation),
-        continuum_dim=continuum_dimension(sclass, view.relation),
+        core_count=sum(sclass.plateaus(side)),
+        core_side=side,
+        continuum_dim=continuum_dimension(sclass, relation),
     )
 
 
@@ -216,19 +191,16 @@ def solve_class(problem: Problem, sclass: SolutionClass) -> list[SolutionDescrip
     """All solutions in one class: regular matching roots, a tangent root at
     a fold, and the flat-core continuum descriptor when the budget is open.
 
-    Returns an empty list when the class has no solutions at this lambda.
+    The residual is scanned on the class's slope grid from the store, where
+    classes with the same area bound share the scans.  Returns an empty list
+    when the class has no solutions at this lambda.
     """
-    return _solve(_LambdaView(problem), sclass)
-
-
-def _solve(view: _LambdaView, sclass: SolutionClass) -> list[SolutionDescriptor]:
-    problem = view.problem
-    grid, th, al = view.grid_maps(sclass)
-    res = -np.ones_like(grid)
-    if sclass.n_pos:
-        res += 2.0 * sclass.n_pos * th
-    if sclass.n_neg:
-        res += 2.0 * sclass.n_neg * al
+    curves = time_map_curves(problem.nl, problem.p)
+    bounds = slope_bounds(problem)
+    bound = sclass.bound(bounds.r_pos, bounds.r_neg)
+    grid = bound * curves.fractions
+    weights = curves.weights(sclass.n_pos, sclass.n_neg, sclass.bound(*areas(problem.nl)))
+    res = 2.0 * problem.kappa * weights - 1.0
 
     # bracket checks and Brent evaluate the same grid ends: evaluate each once
     evaluated: dict[float, float] = {}
@@ -239,7 +211,6 @@ def _solve(view: _LambdaView, sclass: SolutionClass) -> list[SolutionDescriptor]
             evaluated[r] = matching_residual(problem, sclass, r)
         return evaluated[r]
 
-    bound = view.bound_for(sclass)
     roots: list[tuple[float, float, bool]] = []  # (r, residual, degenerate)
 
     def refine(lo: float, hi: float) -> None:
@@ -295,7 +266,7 @@ def _solve(view: _LambdaView, sclass: SolutionClass) -> list[SolutionDescriptor]
         )
         for r0, f0, deg in merged
     ]
-    fc = _flat_core_descriptor(view, sclass)
+    fc = _flat_core_descriptor(problem, sclass, bound)
     if fc is not None:
         out.append(fc)
     return out
@@ -311,9 +282,8 @@ def iter_solutions(problem: Problem, j_max: int) -> Iterator[SolutionDescriptor]
     """
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
-    view = _LambdaView(problem)
     classes = (SolutionClass(j, sign) for j in range(1, j_max + 1) for sign in (SIGN_POS, SIGN_NEG))
-    return chain([TRIVIAL], chain.from_iterable(_solve(view, sclass) for sclass in classes))
+    return chain([TRIVIAL], chain.from_iterable(solve_class(problem, sclass) for sclass in classes))
 
 
 def enumerate_solutions(problem: Problem, j_max: int) -> list[SolutionDescriptor]:

@@ -297,18 +297,6 @@ def integral_J(nl: Nonlinearity, p: float, a: float, tol: float = QUAD_TOL) -> f
     return integral_I(reflected(nl), p, -a, tol)
 
 
-def _integral_many(nl: Nonlinearity, p: float, levels: np.ndarray, tol: float):
-    """Batched I over interior levels."""
-    levels = np.asarray(levels, dtype=float)
-    uppers = levels ** (1.0 / _beta(p, False))
-    return tanh_sinh_batch(lambda w, idx: _psi(nl, p, levels[idx][:, None], w, False), uppers, tol)
-
-
-def _scan(nl: Nonlinearity, p: float, rho: np.ndarray, tol: float) -> np.ndarray:
-    """Batched I at the levels z(rho) of a grid of areas rho; lambda-free."""
-    return _integral_many(nl, p, level_pos(nl, rho), tol)
-
-
 def theta(problem: Problem, r: float) -> float:
     """Half-width of the positive arch launched with slope r."""
     return problem.kappa * integral_I(problem.nl, problem.p, z_of_r(problem, r), RESIDUAL_TOL)
@@ -363,11 +351,20 @@ class TimeMapCurves:
         negative = negative and not self.nl.odd
         key = (area, negative)
         if key not in self._scans:
-            nl = reflected(self.nl) if negative else self.nl
-            scan = _scan(nl, self.p, area * self.fractions**self.p, _SCAN_TOL)
+            nl, p = reflected(self.nl) if negative else self.nl, self.p
+            levels = level_pos(nl, area * self.fractions**p)
+            psi_rows = lambda w, idx: _psi(nl, p, levels[idx][:, None], w, False)
+            scan = tanh_sinh_batch(psi_rows, levels ** (1.0 / _beta(p, False)), _SCAN_TOL)
             scan.flags.writeable = False
             self._scans[key] = scan
         return self._scans[key]
+
+    def weights(self, n_pos: int, n_neg: int, area: float) -> np.ndarray:
+        """W = n_pos I + n_neg J on the scan grid of area bound ``area``; the
+        matching residual is 2 kappa W - 1 and a fold is a minimum of W.  A
+        side without arches is not scanned."""
+        terms = ((n_pos, False), (n_neg, True))
+        return sum(n * self.integrals(area, negative) for n, negative in terms if n)
 
     def endpoint_integrals(self) -> tuple[float, float, float, float]:
         """(I(z_hat), J(s_hat), I(z_plus), J(z_minus)) at the levels

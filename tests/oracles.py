@@ -9,13 +9,16 @@ instead of the tail-integral trick.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 LD = np.longdouble
 
 
+@functools.lru_cache(maxsize=2)
 def _endpoint_map(p: float, panels: int):
-    """u in [0, 1] -> (d, dv/du) for the abscissa v = 1 - d of t = a v.
+    """u in [0, 1] -> (log v, dv/du) for the abscissa v = 1 - d of t = a v.
 
     With s = sin(pi/2 u), ``d = (1 - s^3)^m``; ``1 - s = 2 sin^2(pi/4 (1 - u))``
     is formed without cancellation, so d keeps its full relative precision
@@ -25,6 +28,9 @@ def _endpoint_map(p: float, panels: int):
     ~ (1 - u)^(2m(p-1)/p - 1); the order m = ceil(2p/(p-1)) grows as p -> 1
     and keeps that exponent at least 3, so the end correction there is
     O(h^4) as well, for every p > 1.
+
+    Both arrays depend only on (p, panels), so the last two pairs are kept
+    (32 MB each at a million panels), read-only.
     """
     m = int(np.ceil(2.0 * p / (p - 1.0)))
     u = np.linspace(LD(0), LD(1), panels + 1)
@@ -33,7 +39,10 @@ def _endpoint_map(p: float, panels: int):
     base = 2 * np.sin(half_pi * (1 - u) / 2) ** 2 * (1 + s + s * s)  # 1 - s^3
     d = base**m
     dv = m * base ** (m - 1) * 3 * s * s * half_pi * np.cos(half_pi * u)
-    return d, dv
+    with np.errstate(divide="ignore"):  # d = 1 at u = 0: log v = -inf
+        log_v = np.log1p(-d)
+    log_v.flags.writeable = dv.flags.writeable = False
+    return log_v, dv
 
 
 def _radicand(nl, a: float, log_v: np.ndarray) -> np.ndarray:
@@ -54,9 +63,8 @@ def _radicand(nl, a: float, log_v: np.ndarray) -> np.ndarray:
 
 def brute_force_I(nl, p: float, a: float, panels: int = 1_000_000) -> float:
     """I(a) for a > 0 by the transformed trapezoid t = a (1 - d(u))."""
-    d, dv = _endpoint_map(p, panels)
-    with np.errstate(divide="ignore"):  # d = 1 at u = 0: log v = -inf
-        G = _radicand(nl, a, np.log1p(-d))
+    log_v, dv = _endpoint_map(p, panels)
+    G = _radicand(nl, a, log_v)
     vals = np.zeros_like(G)
     pos = G > 0
     vals[pos] = G[pos] ** (-1 / LD(p)) * np.abs(LD(a)) * dv[pos]

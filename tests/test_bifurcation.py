@@ -48,13 +48,13 @@ class TestEigenvalueBase:
 def scans(monkeypatch):
     """The sizes of the batched scans run while the test runs."""
     calls = []
-    real = timemap._integral_many
+    real = timemap.tanh_sinh_batch
 
     def counted(*args):
-        calls.append(args[2].size)
+        calls.append(args[1].size)
         return real(*args)
 
-    monkeypatch.setattr(timemap, "_integral_many", counted)
+    monkeypatch.setattr(timemap, "tanh_sinh_batch", counted)
     return calls
 
 

@@ -261,13 +261,13 @@ class TestSolveRoundTrip:
         d0 = [d for d in payload["descriptors"] if d["kind"] == "regular"][0]
         assert d0["sign"] == "+"
         solved = []
-        real = plap.solver._solve
+        real = plap.solver.solve_class
 
-        def counting(cache, sclass):
+        def counting(problem, sclass):
             solved.append(sclass)
-            return real(cache, sclass)
+            return real(problem, sclass)
 
-        monkeypatch.setattr(plap.solver, "_solve", counting)
+        monkeypatch.setattr(plap.solver, "solve_class", counting)
         assert main(["profile", "--config", cfg, "--id", d0["id"]]) == 0
         assert capsys.readouterr().out.startswith("x,phi,dphi")
         assert solved == [plap.solver.SolutionClass(1, "+")]
@@ -364,6 +364,30 @@ class TestSolveRoundTrip:
         main(["solve", "--config", cfg, "--jmax", "2", "--out", str(out1)])
         main(["solve", "--config", cfg, "--jmax", "2", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, overrides, code, message",
+    [
+        (["solve"], {"q": 3.0, "nonlinearity": {"kind": "power_asym", "b_plus": 1.0, "b_minus": 1.0,
+                                                "r_exp": 2.5}}, 2, "hypothesis failure:"),
+        (["structure", "--n", "0"], {}, 1, "--n must be >= 1"),
+        (["solve"], {"nonlinearity": {"b_plus": 1.0, "b_minus": 1.0, "r_exp": 4.0}}, 1, "nonlinearity.kind missing"),
+        (["solve"], {"numerics": {"grid": 0}}, 1, "grid and ode_steps must be positive"),
+        (["profile", "--id", "deadbeef0000", "--cores", "a,b"], {}, 1, "bad --cores list"),
+    ],
+    ids=["r_exp-below-q", "structure-n-0", "kind-missing", "grid-0", "bad-cores-unknown-id"],
+)
+def test_error_exits_before_solving(tmp_path, capsys, monkeypatch, argv, overrides, code, message):
+    import plap.solver
+
+    solved = []
+    monkeypatch.setattr(plap.solver, "solve_class", lambda problem, sclass: solved.append(sclass))
+    assert main([argv[0], "--config", write_config(tmp_path, **overrides), *argv[1:]]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err.splitlines()[0]
+    assert solved == []
 
 
 class TestStructureAndRegularity:

@@ -1,8 +1,10 @@
+from itertools import groupby
+
 import numpy as np
 import pytest
 
 from plap.bifurcation import bifurcation_table
-from plap.cli import ORACLE_TOL
+from plap.cli import ENERGY_TOL, ORACLE_TOL
 from plap.errors import Blowup, BudgetMismatch, ShapeError
 from plap.nonlinearity import build_nonlinearity, eval_F
 from plap import profile
@@ -15,7 +17,7 @@ from plap.profile import (
     shoot_compare,
 )
 from plap.solver import TRIVIAL, SolutionClass, enumerate_solutions, solve_class
-from plap.timemap import Problem, flat_core_half_widths, slope_bounds, theta, z_of_r
+from plap.timemap import Problem, flat_core_half_widths, s_of_r, slope_bounds, theta, z_of_r
 from dataclasses import replace
 
 
@@ -345,3 +347,35 @@ class TestOracleSweep:
             prof = reconstruct(prob, d, M=2048)
             assert energy_residual(prob, prof) < 1e-8
             assert shoot_compare(prob, prof, n_steps=100_000) < 1e-6
+
+    @pytest.mark.parametrize(
+        "lam, j, sign, kind",
+        [
+            (60.0, 1, "+", "regular"),
+            (60.0, 1, "-", "regular"),
+            (60.0, 2, "+", "regular"),
+            (60.0, 2, "-", "regular"),
+            (400.0, 1, "+", "flat_core"),
+            (400.0, 1, "-", "flat_core"),
+        ],
+    )
+    def test_polynomial_f(self, lam, j, sign, kind):
+        # f = s^2 - 0.3 s^3 with q = 2 and p = 3: asymmetric (z+ = 1.27,
+        # z- = -0.89), and the oracle's Horner loop runs over every coefficient
+        poly = build_nonlinearity("polynomial", 2.0, {"coeffs": [0.0, 0.0, 1.0, -0.3]})
+        prob = Problem(p=3.0, nl=poly, lam=lam)
+        sclass = SolutionClass(j, sign)
+        (d,) = [d for d in solve_class(prob, sclass) if d.kind == kind]
+        prof = reconstruct(prob, d)
+        assert energy_residual(prob, prof) < ENERGY_TOL
+        assert shoot_compare(prob, prof) < ORACLE_TOL
+        # the arches alternate from the class's sign, at z(r)/S(r) or, on a
+        # plateau (both edges at one level), at z+/z-
+        arch_levels = [level for level, _ in groupby(tp["phi"] for tp in prof.turning_points)]
+        assert [level > 0.0 for level in arch_levels] == list(sclass.arches)
+        if kind == "regular":
+            tops = {pos: (z_of_r if pos else s_of_r)(prob, d.r) for pos in sclass.arches}
+        else:
+            tops = {True: poly.z_plus, False: poly.z_minus}
+            assert len(prof.flat_intervals) == d.core_count == 1
+        assert arch_levels == [tops[positive] for positive in sclass.arches]

@@ -5,6 +5,7 @@ from plap.bifurcation import bifurcation_table, structure
 from plap import solver
 from plap.errors import OutOfRange
 from plap.nonlinearity import build_nonlinearity, reflected
+from plap.quadrature import tanh_sinh_batch
 from plap.solver import (
     SolutionClass,
     enumerate_solutions,
@@ -16,9 +17,10 @@ from plap.timemap import (
     Problem,
     _CURVES_CAP,
     _SCAN_TOL,
-    _scan,
+    _psi,
     alpha,
     flat_core_half_widths,
+    level_pos,
     slope_bounds,
     theta,
     time_map_curves,
@@ -272,17 +274,26 @@ class TestTimeMapCurves:
 
     def test_theta_alpha_are_kappa_times_the_store(self, asym):
         prob = Problem(p=3.0, nl=asym, lam=700.0)
-        view = solver._LambdaView(prob)
+        curves, bounds = time_map_curves(asym, prob.p), slope_bounds(prob)
+
+        def scan(nl, rho):  # batched I at the levels z(rho), as the store fills its scans
+            levels = level_pos(nl, rho)
+            psi_rows = lambda w, idx: _psi(nl, prob.p, levels[idx][:, None], w, False)
+            return tanh_sinh_batch(psi_rows, levels ** ((prob.p - 1.0) / prob.p), _SCAN_TOL)
+
         for sclass in (SolutionClass(1, "+"), SolutionClass(1, "-"), SolutionClass(2, "+")):
-            grid, th, al = view.grid_maps(sclass)
+            grid = sclass.bound(bounds.r_pos, bounds.r_neg) * curves.fractions
+            area = sclass.bound(*solver.areas(asym))
+            th = prob.kappa * curves.integrals(area, negative=False) if sclass.n_pos else None
+            al = prob.kappa * curves.integrals(area, negative=True) if sclass.n_neg else None
             # the same scan from the per-lambda areas (p-1) r^p / (lambda p);
             # they differ from the store's A g^p by rounding, which the level
             # map amplifies to ~sqrt(1e-16) next to the bound, where m(z) -> 0
             rho = (prob.p - 1.0) * grid**prob.p / (prob.lam * prob.p)
-            lower = view.curves.fractions <= 0.5
+            lower = curves.fractions <= 0.5
             for got, nl in ((th, asym), (al, reflected(asym))):
                 if got is not None:  # only the side the class uses: its areas stop at A of that side
-                    ref = prob.kappa * _scan(nl, prob.p, rho, _SCAN_TOL)
+                    ref = prob.kappa * scan(nl, rho)
                     np.testing.assert_allclose(got[lower], ref[lower], rtol=1e-12)
                     np.testing.assert_allclose(got, ref, rtol=1e-6)
 
