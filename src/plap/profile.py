@@ -5,11 +5,11 @@ the inverse of ``s -> x(s) = kappa * int_s^a G_a(t)^(-1/p) dt`` sampled on an
 extremum-clustered grid, then reflected about the arch midpoint.  The
 derivative comes from the conservation law ``|phi_x|^p = (lam p/(p-1)) G``
 rather than from differencing, so the energy residual measures pure grid
-consistency.  An independent adaptive Dormand-Prince 5(4) shooter, compared
-through its dense output at the profile's own abscissae, provides
-positional verification; for p > 2 it is trustworthy only up to the first
-flat point, where the ODE loses uniqueness (which is exactly why flat cores
-exist).
+consistency.  An independent shooter, the adaptive eighth-order pair DOP853
+compared through its seventh-order dense output at the profile's own
+abscissae, provides positional verification; for p > 2 it is trustworthy
+only up to the first flat point, where the ODE loses uniqueness (which is
+exactly why flat cores exist).
 """
 
 from __future__ import annotations
@@ -241,31 +241,97 @@ def _scalar_dw(nl: Nonlinearity, lam: float):
     return dw
 
 
-# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.4-5):
-# stage weights, the error weights b5 - b4 and the dense-output weights.
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
-_D1, _D3, _D4 = -12715105075 / 11282082432, 87487479700 / 32700410799, -10690763975 / 1880347072
-_D5, _D6, _D7 = 701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423
-# Local error bound per step, relative to each component's scale.  A bound
-# of 1e-12 leaves oracle errors up to 4e-7 on p = 2 roots next to the slope
-# bound, where the arches are longest.
+# DOP853, the 8(5,3) pair of Dormand and Prince with Hairer's 7th-order dense
+# output (Hairer, Norsett & Wanner, Solving ODEs I, II.10, and their dop853.f).
+# Stage i's weights _Ai_j on stage j; _B, the 8th-order weights; _E, the
+# 5th-order error weights; _BHH, the 3rd-order error weights taken off _B;
+# _D4.._D7, the dense-output weights of stages 1 and 6-16.  Stage 13 is the
+# slope at the step's end, which the next step reuses as its stage 1, and
+# stages 14-16 serve only the dense output.  The ODE is autonomous, so no
+# stage needs its node.
+_A2_1 = 0.05260015195876773
+_A3_1, _A3_2 = 0.0197250569845379, 0.0591751709536137
+_A4_1, _A4_3 = 0.02958758547680685, 0.08876275643042054
+_A5_1, _A5_3, _A5_4 = 0.2413651341592667, -0.8845494793282861, 0.924834003261792
+_A6_1, _A6_4, _A6_5 = 0.037037037037037035, 0.17082860872947386, 0.12546768756682242
+_A7_1, _A7_4, _A7_5, _A7_6 = 0.037109375, 0.17025221101954405, 0.06021653898045596, -0.017578125
+_A8_1, _A8_4, _A8_5, _A8_6, _A8_7 = (
+    0.03709200011850479, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+    0.008273789163814023,
+)
+_A9_1, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8 = (
+    0.6241109587160757, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+    20.154067550477894, -43.48988418106996,
+)
+_A10_1, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9 = (
+    0.47766253643826434, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+    15.279233632882423, -33.28821096898486, -0.020331201708508627,
+)
+_A11_1, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10 = (
+    -0.9371424300859873, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+    -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196,
+)
+_A12_1, _A12_4, _A12_5, _A12_6, _A12_7, _A12_8, _A12_9, _A12_10, _A12_11 = (
+    2.273310147516538, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+    27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+    0.6433927460157636,
+)
+_B1, _B6, _B7, _B8, _B9, _B10, _B11, _B12 = (
+    0.054293734116568765, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+    0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
+)
+_A14_1, _A14_7, _A14_8, _A14_9, _A14_10, _A14_11, _A14_12, _A14_13 = (
+    0.056167502283047954, 0.25350021021662483, -0.2462390374708025, -0.12419142326381637,
+    0.15329179827876568, 0.00820105229563469, 0.007567897660545699, -0.008298,
+)
+_A15_1, _A15_6, _A15_7, _A15_8, _A15_11, _A15_12, _A15_13, _A15_14 = (
+    0.03183464816350214, 0.028300909672366776, 0.053541988307438566, -0.05492374857139099,
+    -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325,
+)
+_A16_1, _A16_6, _A16_7, _A16_8, _A16_9, _A16_13, _A16_14, _A16_15 = (
+    -0.42889630158379194, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+    0.3567271874552811, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987,
+)
+_E1, _E6, _E7, _E8, _E9, _E10, _E11, _E12 = (
+    0.01312004499419488, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294,
+)
+_BHH1, _BHH2, _BHH3 = 0.2440944881889764, 0.7338466882816118, 0.022058823529411766
+_D4_1, _D4_6, _D4_7, _D4_8, _D4_9, _D4_10, _D4_11, _D4_12, _D4_13, _D4_14, _D4_15, _D4_16 = (
+    -8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+    2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+    -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894,
+)
+_D5_1, _D5_6, _D5_7, _D5_8, _D5_9, _D5_10, _D5_11, _D5_12, _D5_13, _D5_14, _D5_15, _D5_16 = (
+    10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+    -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+    15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408,
+)
+_D6_1, _D6_6, _D6_7, _D6_8, _D6_9, _D6_10, _D6_11, _D6_12, _D6_13, _D6_14, _D6_15, _D6_16 = (
+    19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+    -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+    -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279,
+)
+_D7_1, _D7_6, _D7_7, _D7_8, _D7_9, _D7_10, _D7_11, _D7_12, _D7_13, _D7_14, _D7_15, _D7_16 = (
+    -25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+    93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605, -43.53345659001114,
+    96.32455395918828, -39.17726167561544, -149.72683625798564,
+)
+
+# Local error bound per step, relative to each component's scale.  On the
+# p = 2 roots within 1e-4 of their slope bound, where the arches are longest,
+# the oracle errs by up to 1.9e-9 at this bound and by 7.3e-7 at 1e-12.
 _ODE_TOL = 1e-14
 _FIRST_STEP = 1e-4
 
 
 def _dopri(fphi, fw, w0: float, x_stop: float, max_steps: int, scale_phi: float, cap: float):
-    """Adaptive Dormand-Prince 5(4) for phi' = fphi(w), w' = fw(phi) from
-    (0, w0) until a step ends past ``x_stop``; no step is shortened to end
-    there, so a run to a smaller ``x_stop`` is a prefix of a longer one.
+    """Adaptive DOP853 for phi' = fphi(w), w' = fw(phi) from (0, w0) until a
+    step ends past ``x_stop``; no step is shortened to end there, so a run to
+    a smaller ``x_stop`` is a prefix of a longer one.
 
-    Returns one row per accepted step: its start, its width and the
-    coefficients of the fourth-order dense output of phi and of w."""
+    Returns one row per accepted step: its start, its width, and for phi and
+    for w the value at the start and the 7 coefficients of the dense output."""
     tol_phi, tol_w = _ODE_TOL * scale_phi, _ODE_TOL * abs(w0)
     x, h, phi, w = 0.0, _FIRST_STEP, 0.0, w0
     k1p, k1w = fphi(w), fw(phi)
@@ -276,58 +342,128 @@ def _dopri(fphi, fw, w0: float, x_stop: float, max_steps: int, scale_phi: float,
             raise Blowup(f"step budget of {max_steps} exhausted at x = {x}")
         if x + h == x:
             raise Blowup(f"step size underflow at x = {x}")
-        k2p = fphi(w + h * _A21 * k1w)
-        k2w = fw(phi + h * _A21 * k1p)
-        k3p = fphi(w + h * (_A31 * k1w + _A32 * k2w))
-        k3w = fw(phi + h * (_A31 * k1p + _A32 * k2p))
-        k4p = fphi(w + h * (_A41 * k1w + _A42 * k2w + _A43 * k3w))
-        k4w = fw(phi + h * (_A41 * k1p + _A42 * k2p + _A43 * k3p))
-        k5p = fphi(w + h * (_A51 * k1w + _A52 * k2w + _A53 * k3w + _A54 * k4w))
-        k5w = fw(phi + h * (_A51 * k1p + _A52 * k2p + _A53 * k3p + _A54 * k4p))
-        k6p = fphi(w + h * (_A61 * k1w + _A62 * k2w + _A63 * k3w + _A64 * k4w + _A65 * k5w))
-        k6w = fw(phi + h * (_A61 * k1p + _A62 * k2p + _A63 * k3p + _A64 * k4p + _A65 * k5p))
-        phi1 = phi + h * (_B1 * k1p + _B3 * k3p + _B4 * k4p + _B5 * k5p + _B6 * k6p)
-        w1 = w + h * (_B1 * k1w + _B3 * k3w + _B4 * k4w + _B5 * k5w + _B6 * k6w)
-        k7p, k7w = fphi(w1), fw(phi1)
-        err = max(
-            abs(h * (_E1 * k1p + _E3 * k3p + _E4 * k4p + _E5 * k5p + _E6 * k6p + _E7 * k7p)) / tol_phi,
-            abs(h * (_E1 * k1w + _E3 * k3w + _E4 * k4w + _E5 * k5w + _E6 * k6w + _E7 * k7w)) / tol_w,
-        )
+        k2p = fphi(w + h * (_A2_1 * k1w))
+        k2w = fw(phi + h * (_A2_1 * k1p))
+        k3p = fphi(w + h * (_A3_1 * k1w + _A3_2 * k2w))
+        k3w = fw(phi + h * (_A3_1 * k1p + _A3_2 * k2p))
+        k4p = fphi(w + h * (_A4_1 * k1w + _A4_3 * k3w))
+        k4w = fw(phi + h * (_A4_1 * k1p + _A4_3 * k3p))
+        k5p = fphi(w + h * (_A5_1 * k1w + _A5_3 * k3w + _A5_4 * k4w))
+        k5w = fw(phi + h * (_A5_1 * k1p + _A5_3 * k3p + _A5_4 * k4p))
+        k6p = fphi(w + h * (_A6_1 * k1w + _A6_4 * k4w + _A6_5 * k5w))
+        k6w = fw(phi + h * (_A6_1 * k1p + _A6_4 * k4p + _A6_5 * k5p))
+        k7p = fphi(w + h * (_A7_1 * k1w + _A7_4 * k4w + _A7_5 * k5w + _A7_6 * k6w))
+        k7w = fw(phi + h * (_A7_1 * k1p + _A7_4 * k4p + _A7_5 * k5p + _A7_6 * k6p))
+        k8p = fphi(w + h * (_A8_1 * k1w + _A8_4 * k4w + _A8_5 * k5w + _A8_6 * k6w + _A8_7 * k7w))
+        k8w = fw(phi + h * (_A8_1 * k1p + _A8_4 * k4p + _A8_5 * k5p + _A8_6 * k6p + _A8_7 * k7p))
+        k9p = fphi(w + h * (_A9_1 * k1w + _A9_4 * k4w + _A9_5 * k5w + _A9_6 * k6w + _A9_7 * k7w
+                            + _A9_8 * k8w))
+        k9w = fw(phi + h * (_A9_1 * k1p + _A9_4 * k4p + _A9_5 * k5p + _A9_6 * k6p + _A9_7 * k7p
+                            + _A9_8 * k8p))
+        k10p = fphi(w + h * (_A10_1 * k1w + _A10_4 * k4w + _A10_5 * k5w + _A10_6 * k6w
+                             + _A10_7 * k7w + _A10_8 * k8w + _A10_9 * k9w))
+        k10w = fw(phi + h * (_A10_1 * k1p + _A10_4 * k4p + _A10_5 * k5p + _A10_6 * k6p
+                             + _A10_7 * k7p + _A10_8 * k8p + _A10_9 * k9p))
+        k11p = fphi(w + h * (_A11_1 * k1w + _A11_4 * k4w + _A11_5 * k5w + _A11_6 * k6w
+                             + _A11_7 * k7w + _A11_8 * k8w + _A11_9 * k9w + _A11_10 * k10w))
+        k11w = fw(phi + h * (_A11_1 * k1p + _A11_4 * k4p + _A11_5 * k5p + _A11_6 * k6p
+                             + _A11_7 * k7p + _A11_8 * k8p + _A11_9 * k9p + _A11_10 * k10p))
+        k12p = fphi(w + h * (_A12_1 * k1w + _A12_4 * k4w + _A12_5 * k5w + _A12_6 * k6w
+                             + _A12_7 * k7w + _A12_8 * k8w + _A12_9 * k9w + _A12_10 * k10w
+                             + _A12_11 * k11w))
+        k12w = fw(phi + h * (_A12_1 * k1p + _A12_4 * k4p + _A12_5 * k5p + _A12_6 * k6p
+                             + _A12_7 * k7p + _A12_8 * k8p + _A12_9 * k9p + _A12_10 * k10p
+                             + _A12_11 * k11p))
+        sp = (_B1 * k1p + _B6 * k6p + _B7 * k7p + _B8 * k8p + _B9 * k9p + _B10 * k10p
+              + _B11 * k11p + _B12 * k12p)
+        sw = (_B1 * k1w + _B6 * k6w + _B7 * k7w + _B8 * k8w + _B9 * k9w + _B10 * k10w
+              + _B11 * k11w + _B12 * k12w)
+        e5p = (_E1 * k1p + _E6 * k6p + _E7 * k7p + _E8 * k8p + _E9 * k9p + _E10 * k10p
+               + _E11 * k11p + _E12 * k12p) / tol_phi
+        e5w = (_E1 * k1w + _E6 * k6w + _E7 * k7w + _E8 * k8w + _E9 * k9w + _E10 * k10w
+               + _E11 * k11w + _E12 * k12w) / tol_w
+        e3p = (sp - _BHH1 * k1p - _BHH2 * k9p - _BHH3 * k12p) / tol_phi
+        e3w = (sw - _BHH1 * k1w - _BHH2 * k9w - _BHH3 * k12w) / tol_w
+        e5 = e5p * e5p + e5w * e5w
+        e3 = e3p * e3p + e3w * e3w
+        # the combined estimate of dop853.f, on the scaled components
+        err = h * e5 / math.sqrt(e5 + 0.01 * e3) if e5 != 0.0 else 0.0
         if not err <= 1.0:  # also rejects a NaN estimate
-            h *= max(0.2, 0.9 * err**-0.2)
+            h *= max(0.2, 0.9 * err**-0.125)
             grow = 1.0  # no growth right after a rejection
             continue
+        phi1, w1 = phi + h * sp, w + h * sw
+        k13p, k13w = fphi(w1), fw(phi1)
+        k14p = fphi(w + h * (_A14_1 * k1w + _A14_7 * k7w + _A14_8 * k8w + _A14_9 * k9w
+                             + _A14_10 * k10w + _A14_11 * k11w + _A14_12 * k12w + _A14_13 * k13w))
+        k14w = fw(phi + h * (_A14_1 * k1p + _A14_7 * k7p + _A14_8 * k8p + _A14_9 * k9p
+                             + _A14_10 * k10p + _A14_11 * k11p + _A14_12 * k12p + _A14_13 * k13p))
+        k15p = fphi(w + h * (_A15_1 * k1w + _A15_6 * k6w + _A15_7 * k7w + _A15_8 * k8w
+                             + _A15_11 * k11w + _A15_12 * k12w + _A15_13 * k13w + _A15_14 * k14w))
+        k15w = fw(phi + h * (_A15_1 * k1p + _A15_6 * k6p + _A15_7 * k7p + _A15_8 * k8p
+                             + _A15_11 * k11p + _A15_12 * k12p + _A15_13 * k13p + _A15_14 * k14p))
+        k16p = fphi(w + h * (_A16_1 * k1w + _A16_6 * k6w + _A16_7 * k7w + _A16_8 * k8w
+                             + _A16_9 * k9w + _A16_13 * k13w + _A16_14 * k14w + _A16_15 * k15w))
+        k16w = fw(phi + h * (_A16_1 * k1p + _A16_6 * k6p + _A16_7 * k7p + _A16_8 * k8p
+                             + _A16_9 * k9p + _A16_13 * k13p + _A16_14 * k14p + _A16_15 * k15p))
         dp, dw = phi1 - phi, w1 - w
         bp, bw = h * k1p - dp, h * k1w - dw
         rows.append((
             x, h,
-            phi, dp, bp, dp - h * k7p - bp,
-            h * (_D1 * k1p + _D3 * k3p + _D4 * k4p + _D5 * k5p + _D6 * k6p + _D7 * k7p),
-            w, dw, bw, dw - h * k7w - bw,
-            h * (_D1 * k1w + _D3 * k3w + _D4 * k4w + _D5 * k5w + _D6 * k6w + _D7 * k7w),
+            phi, dp, bp, dp - h * k13p - bp,
+            h * (_D4_1 * k1p + _D4_6 * k6p + _D4_7 * k7p + _D4_8 * k8p + _D4_9 * k9p + _D4_10 * k10p
+                 + _D4_11 * k11p + _D4_12 * k12p + _D4_13 * k13p + _D4_14 * k14p + _D4_15 * k15p
+                 + _D4_16 * k16p),
+            h * (_D5_1 * k1p + _D5_6 * k6p + _D5_7 * k7p + _D5_8 * k8p + _D5_9 * k9p + _D5_10 * k10p
+                 + _D5_11 * k11p + _D5_12 * k12p + _D5_13 * k13p + _D5_14 * k14p + _D5_15 * k15p
+                 + _D5_16 * k16p),
+            h * (_D6_1 * k1p + _D6_6 * k6p + _D6_7 * k7p + _D6_8 * k8p + _D6_9 * k9p + _D6_10 * k10p
+                 + _D6_11 * k11p + _D6_12 * k12p + _D6_13 * k13p + _D6_14 * k14p + _D6_15 * k15p
+                 + _D6_16 * k16p),
+            h * (_D7_1 * k1p + _D7_6 * k6p + _D7_7 * k7p + _D7_8 * k8p + _D7_9 * k9p + _D7_10 * k10p
+                 + _D7_11 * k11p + _D7_12 * k12p + _D7_13 * k13p + _D7_14 * k14p + _D7_15 * k15p
+                 + _D7_16 * k16p),
+            w, dw, bw, dw - h * k13w - bw,
+            h * (_D4_1 * k1w + _D4_6 * k6w + _D4_7 * k7w + _D4_8 * k8w + _D4_9 * k9w + _D4_10 * k10w
+                 + _D4_11 * k11w + _D4_12 * k12w + _D4_13 * k13w + _D4_14 * k14w + _D4_15 * k15w
+                 + _D4_16 * k16w),
+            h * (_D5_1 * k1w + _D5_6 * k6w + _D5_7 * k7w + _D5_8 * k8w + _D5_9 * k9w + _D5_10 * k10w
+                 + _D5_11 * k11w + _D5_12 * k12w + _D5_13 * k13w + _D5_14 * k14w + _D5_15 * k15w
+                 + _D5_16 * k16w),
+            h * (_D6_1 * k1w + _D6_6 * k6w + _D6_7 * k7w + _D6_8 * k8w + _D6_9 * k9w + _D6_10 * k10w
+                 + _D6_11 * k11w + _D6_12 * k12w + _D6_13 * k13w + _D6_14 * k14w + _D6_15 * k15w
+                 + _D6_16 * k16w),
+            h * (_D7_1 * k1w + _D7_6 * k6w + _D7_7 * k7w + _D7_8 * k8w + _D7_9 * k9w + _D7_10 * k10w
+                 + _D7_11 * k11w + _D7_12 * k12w + _D7_13 * k13w + _D7_14 * k14w + _D7_15 * k15w
+                 + _D7_16 * k16w),
         ))
         x += h
-        phi, w, k1p, k1w = phi1, w1, k7p, k7w
+        phi, w, k1p, k1w = phi1, w1, k13p, k13w
         if abs(phi) > cap:
             raise Blowup(f"|phi| exceeded {cap} at x = {x}")
-        h *= min(grow, 0.9 * err**-0.2) if err > 0.0 else grow
+        h *= min(grow, 0.9 * err**-0.125) if err > 0.0 else grow
         grow = 5.0
     return np.array(rows)
 
 
 def _dense(steps: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """phi and w at abscissae x from the steps' dense-output rows."""
+    """phi and w at abscissae x from the steps' dense-output rows: with
+    t = (x - x0) / h, u = 1 - t and a row's coefficients y0, c1..c7,
+    y = y0 + t (c1 + u (c2 + t (c3 + u (c4 + t (c5 + u (c6 + t c7))))))."""
     i = np.clip(np.searchsorted(steps[:, 0], x, side="right") - 1, 0, len(steps) - 1)
     c = steps[i]
     t = (x - c[:, 0]) / c[:, 1]
     u = 1.0 - t
-    phi = c[:, 2] + t * (c[:, 3] + u * (c[:, 4] + t * (c[:, 5] + u * c[:, 6])))
-    w = c[:, 7] + t * (c[:, 8] + u * (c[:, 9] + t * (c[:, 10] + u * c[:, 11])))
-    return phi, w
+    phi, w = c[:, 9], c[:, 17]
+    for k in range(6):
+        s = t if k % 2 == 0 else u
+        phi = c[:, 8 - k] + s * phi
+        w = c[:, 16 - k] + s * w
+    return c[:, 2] + t * phi, c[:, 10] + t * w
 
 
 def shoot(problem: Problem, r0: float, sign: str, n_steps: int, at=None) -> Profile:
-    """Independent oracle: adaptive Dormand-Prince 5(4) for
+    """Independent oracle: adaptive DOP853 for
     phi' = sgn(w)|w|^(1/(p-1)), w' = -lam (|phi|^{q-2} phi - f(phi)),
     w(0) = +/- r0^(p-1), sampled through its dense output.
 

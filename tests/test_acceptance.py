@@ -4,7 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report lines.  All nine criteria are expected to pass.  Criterion 8a checks
 the arch-top derivative limit against the constant |h(psi(chi))|^(1/(p-1)):
 near an arch top chi the first integral (|psi_x|^{p-2} psi_x)_x = -h(psi)
-gives |psi_x|^{p-1} ~ |h| |x-chi|.  The RK4 shooter confirms that limit
+gives |psi_x|^{p-1} ~ |h| |x-chi|.  The shooting oracle confirms that limit
 independently of the arch inversion, and the check also shows that the
 constant ((1/(p-1))|h|)^(1/(p-1)) is off by the factor (p-1)^(1/(p-1)).
 """
@@ -287,7 +287,7 @@ def test_criterion_8a_arch_top_limit_as_stated(cubic_odd):
     # (|psi_x|^{p-2} psi_x)_x = -h(psi) gives |psi_x|^{p-1} ~ |h| |x-chi|, so
     # |psi_x| / |x-chi|^(1/(p-1)) tends to |h(psi(chi))|^(1/(p-1)).  The
     # constant ((1/(p-1)) |h|)^(1/(p-1)) is rejected: it is smaller by the
-    # factor (p-1)^(1/(p-1)), which the measured ratio resolves.  The RK4
+    # factor (p-1)^(1/(p-1)), which the measured ratio resolves.  The
     # shooter carries w = |psi_x|^{p-2} psi_x directly and so checks the limit
     # without the arch inversion or the energy relation.
     p = 3.0
@@ -312,27 +312,27 @@ def test_criterion_8a_arch_top_limit_as_stated(cubic_odd):
     tops = np.flatnonzero(np.diff(np.sign(sh.dphi)) != 0)
     i = int(tops[0])
     chi = sh.x[i] - w[i] * (sh.x[i + 1] - sh.x[i]) / (w[i + 1] - w[i])
-    h_rk4 = prob.lam * float(eval_m(prob.nl, float(np.interp(chi, sh.x, sh.phi))))
-    rk4_const = abs(h_rk4) ** e
-    rk4_ratios = [
+    h_shot = prob.lam * float(eval_m(prob.nl, float(np.interp(chi, sh.x, sh.phi))))
+    shot_const = abs(h_shot) ** e
+    shot_ratios = [
         abs(float(np.interp(chi + side * 1e-4, sh.x, w))) ** e / 1e-4**e
         for side in (-1.0, 1.0)
     ]
-    rk4_dev = max(abs(r / rk4_const - 1.0) for r in rk4_ratios)
+    shot_dev = max(abs(r / shot_const - 1.0) for r in shot_ratios)
 
     ok = (
         dev <= 0.02
         and predicted_err < 1e-9
         and abs(gap) <= 0.02
         and len(tops) == 1
-        and rk4_dev <= 1e-3
+        and shot_dev <= 1e-3
     )
     report(
         "8a",
         ok,
         f"measured {measured:.6f} vs first-integral |h|^(1/2) = {first_integral:.6f} "
-        f"(dev {dev:.4%}); RK4 at |x-chi| = 1e-4: {rk4_ratios[0]:.6f} / "
-        f"{rk4_ratios[1]:.6f} vs {rk4_const:.6f} (dev {rk4_dev:.4%}); rejected "
+        f"(dev {dev:.4%}); shooter at |x-chi| = 1e-4: {shot_ratios[0]:.6f} / "
+        f"{shot_ratios[1]:.6f} vs {shot_const:.6f} (dev {shot_dev:.4%}); rejected "
         f"((1/2)|h|)^(1/2) = {rejected:.6f}, measured/rejected off sqrt(2) by {gap:+.2%}",
     )
     assert dev <= 0.02, (
@@ -347,9 +347,9 @@ def test_criterion_8a_arch_top_limit_as_stated(cubic_odd):
         f"measured/rejected = {measured / rejected:.6f} is {gap:+.2%} off "
         f"(p-1)^(1/(p-1)) = {(p - 1.0) ** e:.6f}"
     )
-    assert len(tops) == 1, f"RK4 profile has {len(tops)} sign changes of psi_x, not one"
-    assert rk4_dev <= 1e-3, (
-        f"RK4 ratios {rk4_ratios} are {rk4_dev:.3%} off |h|^(1/(p-1)) = {rk4_const:.6f}"
+    assert len(tops) == 1, f"shot profile has {len(tops)} sign changes of psi_x, not one"
+    assert shot_dev <= 1e-3, (
+        f"shooter ratios {shot_ratios} are {shot_dev:.3%} off |h|^(1/(p-1)) = {shot_const:.6f}"
     )
 
 

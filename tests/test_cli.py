@@ -319,7 +319,7 @@ class TestSolveRoundTrip:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_verify_flat_core_past_equilibrium(self, tmp_path, capsys):
-        # S1+ flat core of p = q = 3, f = s^5 at lambda = 300: the RK4 oracle
+        # S1+ flat core of p = q = 3, f = s^5 at lambda = 300: the shooting oracle
         # escapes after the first flat point, so it must stop there
         cfg = write_config(
             tmp_path,
@@ -336,7 +336,7 @@ class TestSolveRoundTrip:
     def test_verify_arch_top_near_slope_bound(self, tmp_path, capsys):
         # S2- of p = 3, q = 2, f = 2s^3 / -|s|^3 at lambda = 300 has r 3.4e-4
         # below its slope bound; for p > 2 phi' is not Lipschitz at the arch
-        # tops, which a fixed-step oracle resolves only at first order
+        # tops, where the oracle's local error estimate shrinks its steps
         cfg = write_config(
             tmp_path,
             p=3.0,

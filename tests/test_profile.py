@@ -201,7 +201,7 @@ class TestShoot:
 
     @pytest.mark.parametrize("factor", [1.2, 3.0, 5.0, 17.0])
     def test_oracle_stops_at_first_flat_point(self, quintic_q3, factor):
-        # past the degenerate equilibrium the RK4 trajectory can escape and
+        # past the degenerate equilibrium the shot trajectory can escape and
         # blow up, so the oracle must stop where the comparison does
         tab = bifurcation_table(quintic_q3, 3.0, 1)
         prob = Problem(p=3.0, nl=quintic_q3, lam=factor * tab.tilde_plus[0])
@@ -233,6 +233,44 @@ class TestShoot:
     def test_step_budget_exhausted_raises(self, ci_prob, ci_first):
         with pytest.raises(Blowup, match="step budget"):
             shoot(ci_prob, ci_first.r, "+", 20)
+
+    def test_stepper_on_harmonic_oscillator(self):
+        # phi' = w, w' = -phi from (0, 1) is (sin x, cos x).  An eighth-order
+        # pair meets the local bound in a few steps and its dense output keeps
+        # that accuracy between them; a mistyped coefficient of the tableau
+        # costs either the accuracy or many more steps
+        steps = profile._dopri(lambda w: w, lambda phi: -phi, 1.0, 1.0, 1000, 1.0, 10.0)
+        x = np.linspace(0.0, 1.0, 1001)
+        phi, w = profile._dense(steps, x)
+        assert len(steps) <= 30
+        assert np.max(np.abs(phi - np.sin(x))) <= 1e-13
+        assert np.max(np.abs(w - np.cos(x))) <= 1e-13
+
+    def test_step_count(self, ci_prob, ci_first, monkeypatch):
+        dopri, accepted = profile._dopri, []
+
+        def counted(*args):
+            steps = dopri(*args)
+            accepted.append(len(steps))
+            return steps
+
+        monkeypatch.setattr(profile, "_dopri", counted)
+        assert shoot_compare(ci_prob, reconstruct(ci_prob, ci_first, M=2048)) < ORACLE_TOL
+        assert len(accepted) == 1 and accepted[0] <= 150
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_first_integral_conserved_at_roots(self, cubic_odd, p):
+        # the trajectories of the regular S1+ and S2+ roots, which return to
+        # phi = 0 at x = 1, keep the first integral to 1e-10 relative
+        prob = Problem(p=p, nl=cubic_odd, lam=60.0)
+        descs = [d for j in (1, 2) for d in solve_class(prob, SolutionClass(j, "+"))]
+        assert descs and all(d.kind == "regular" for d in descs)
+        for d in descs:
+            sh = shoot(prob, d.r, "+", 100_000)
+            energy = (p - 1.0) / p * np.abs(sh.dphi) ** p + prob.lam * (
+                sh.phi**2 / 2.0 - eval_F(cubic_odd, sh.phi)
+            )
+            assert np.max(np.abs(energy - energy[0])) <= 1e-10 * energy[0]
 
     @pytest.mark.parametrize(
         "p, q, params",
