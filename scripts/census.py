@@ -12,8 +12,9 @@ Draws ``--count`` inputs from the census box:
 
 For each input it runs ``enumerate_solutions(j_max=3)`` and
 ``structure(N=3)``; on each descriptor it runs ``reconstruct(M=512)``,
-``energy_residual`` and, where ``plap verify`` would, ``shoot_compare``.  It
-prints the failures by kind x regime x p bucket x gap bin, where
+``energy_residual`` and, where ``plap verify`` would, ``shoot_compare``, and
+on each profile that reconstructs, ``classify_regularity``.  It prints the
+failures by kind x regime x p bucket x gap bin, where
 gap = 1 - r/r_bound is a regular root's distance from its class's slope
 bound; flat-core descriptors have the bin ``flat``, and failures of a whole
 class or input the bin ``-``.  The kinds:
@@ -24,7 +25,8 @@ class or input the bin ``-``.  The kinds:
   its ``structure`` tag says (for q > p a "pair" is a lower bound, so only
   lost ones count);
 * ``energy`` / ``oracle``: ``plap verify``'s energy or oracle test fails;
-* ``<Error> in <stage>``: any other plap error, with the stage raising it.
+* ``<Error> in <stage>``: any other plap error, with the stage raising it;
+* ``untyped <Exc> in <stage>``: an exception that is not a plap error.
 
 The sample is a pure function of ``--count`` and ``--seed``, so two source
 trees give the same table exactly when they fail on the same inputs: run the
@@ -83,6 +85,12 @@ def gap_bin(d, problem) -> str:
     return "<1e-6" if gap < 1e-6 else ("<1e-3" if gap < 1e-3 else ">=1e-3")
 
 
+def failure(exc: Exception, stage: str) -> str:
+    """The kind of a failure raised in ``stage``."""
+    untyped = "" if isinstance(exc, plap.PlapError) else "untyped "
+    return f"{untyped}{type(exc).__name__} in {stage}"
+
+
 def census_one(case: dict) -> tuple[int, list[tuple[str, str]]]:
     """The number of nontrivial descriptors of one input, and a (kind, gap
     bin) pair per failure."""
@@ -96,8 +104,8 @@ def census_one(case: dict) -> tuple[int, list[tuple[str, str]]]:
         descs = [d for d in plap.enumerate_solutions(problem, j_max=J_MAX) if d.kind != "trivial"]
         stage = "structure"
         report = plap.structure(problem, N=J_MAX)
-    except plap.PlapError as exc:
-        return 0, [(f"{type(exc).__name__} in {stage}", "-")]
+    except Exception as exc:
+        return 0, [(failure(exc, stage), "-")]
 
     found = Counter((d.j, d.sign) for d in descs)
     for e in report.entries:
@@ -114,6 +122,13 @@ def census_one(case: dict) -> tuple[int, list[tuple[str, str]]]:
         stage = "reconstruct"
         try:
             prof = plap.reconstruct(problem, d, M=512)
+        except plap.ShapeError:
+            fails.append(("ShapeError", gap))
+            continue
+        except Exception as exc:
+            fails.append((failure(exc, stage), gap))
+            continue
+        try:
             stage = "energy_residual"
             energy = plap.energy_residual(problem, prof)
             if not energy < ENERGY_TOL:
@@ -123,10 +138,12 @@ def census_one(case: dict) -> tuple[int, list[tuple[str, str]]]:
                 sup = plap.shoot_compare(problem, prof)
                 if not sup < ORACLE_TOL:
                     fails.append(("oracle", gap))
-        except plap.ShapeError:
-            fails.append(("ShapeError", gap))
-        except plap.PlapError as exc:
-            fails.append((f"{type(exc).__name__} in {stage}", gap))
+        except Exception as exc:
+            fails.append((failure(exc, stage), gap))
+        try:
+            plap.classify_regularity(problem, prof)
+        except Exception as exc:
+            fails.append((failure(exc, "classify_regularity"), gap))
     return len(descs), fails
 
 

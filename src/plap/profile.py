@@ -14,29 +14,29 @@ exactly why flat cores exist).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import Blowup, BudgetMismatch, ShapeError
+from .errors import Blowup, BudgetMismatch, OutOfRange, ShapeError
 from .nonlinearity import Nonlinearity, eval_F, eval_m, reflected
 from .solver import SIGN_POS, SolutionClass, SolutionDescriptor
 from .timemap import (
     Problem,
     _beta,
+    _psi,
     arch_tail_cumulative,
+    arch_tail_distance,
     endpoint_levels,
-    invert_arch_distance,
     radicand,
+    radicand_at_offset,
     s_of_r,
     z_of_r,
 )
 
 _WIDTH_TOL = 1e-9  # assembled profiles must cover [0,1] this well
 _BUDGET_TOL = 1e-10
-_Z_MEMBER_TOL = 1e-10  # |h(phi)| below this puts the critical value in Z
 
 
 @dataclass
@@ -537,116 +537,101 @@ class RegularityReport:
         return asdict(self)
 
 
-def _zero_order(problem: Problem, v: float, scale: float) -> int | None:
-    """Order of the zero of h at v by dyadic ratio tests, capped at 4."""
-    lam = problem.lam
-    direction = -1.0 if v > 0 else 1.0  # probe into the arch
-    delta = 1e-3 * scale
-    h1 = lam * float(eval_m(problem.nl, v + direction * delta))
-    h2 = lam * float(eval_m(problem.nl, v + direction * delta / 2.0))
-    if h1 == 0.0 or h2 == 0.0:
-        return None
-    n = round(math.log2(abs(h1 / h2)))
-    if n < 1:
-        return None
-    return min(int(n), 5)  # 5 encodes "order > 4"
-
-
 def classify_regularity(problem: Problem, prof: Profile) -> RegularityReport:
     """Classify every critical point of a reconstructed profile.
 
+    Under the validated hypotheses h vanishes on [z-, z+] only at z-, 0 and
+    z+, and simply at z+/- (L+/- < 0).  So the critical set Z follows from
+    the layout: a plateau edge sits at z+/- and is in Z with order 1, and an
+    arch top never is.  A flat core with 2 < p < 4 is therefore C2 at its
+    edges, where phi_xx ~ |x - chi|^((4-p)/(p-2)) tends to 0.
+
     Derivative limits near an isolated critical point chi follow from the
     first integral (|phi_x|^{p-1})' = -h(phi): the measured ratio
-    |phi_x| / |x-chi|^(1/(p-1)) tends to |h(phi(chi))|^(1/(p-1)).
+    |phi_x| / |x-chi|^(1/(p-1)) tends to |h(phi(chi))|^(1/(p-1)).  A check
+    point sits at w = target/(kappa psi(0)), Newton's first iterate towards
+    the x-distance ``target``, and reports its forward distance as ``delta``.
     """
     p, lam, nl = problem.p, problem.lam, problem.nl
     kappa = problem.kappa
+    flat = prof.descriptor is not None and prof.descriptor.kind == "flat_core"
     c_points: list[dict] = []
     limit_checks: list[dict] = []
     second_checks: list[dict] = []
-    z_orders: list[int] = []
+    blocks: dict[tuple[float, bool], list[dict]] = {}  # turning points of one level share checks
 
-    @functools.cache
-    def offset(v: float, double: bool, target: float) -> float:
-        """w at G-space distance ``target`` from the extremum ``v``; arch tops of
-        one sign, and the two edges of a plateau, share every inversion."""
+    def checks(tp: dict) -> list[dict]:
+        v, double = tp["phi"], tp["double"]
         side, top = _upright(nl, v)
-        return invert_arch_distance(side, p, top, double, target)
+        beta = _beta(p, double)
+        w_per_x = 1.0 / (kappa * float(_psi(side, p, top, np.zeros(1), double)[0]))
 
-    for tp in prof.turning_points:
-        v = tp["phi"]
-        hval = lam * float(eval_m(nl, v))
-        in_z = abs(hval) < _Z_MEMBER_TOL
-        order = _zero_order(problem, v, min(nl.z_plus, -nl.z_minus)) if in_z else None
-        if in_z and order is not None and order <= 4:
-            z_orders.append(order)
-        c_points.append(
-            {
-                "x": tp["x"],
-                "phi": v,
-                "kind": tp["kind"],
-                "h_value": hval,
-                "in_Z": in_z,
-                "zero_order": order,
-            }
-        )
+        def at(target: float) -> tuple[float, float, float]:
+            """delta, |phi_x| and h at the check point for the x-distance ``target``."""
+            w = target * w_per_x
+            if w >= top ** (1.0 / beta):
+                raise OutOfRange(f"check distance {target} exceeds the arch half-width")
+            G, m = radicand_at_offset(side, top, w**beta, double)
+            if G == 0.0:  # w^beta underflows as p -> 2 at a plateau edge
+                raise OutOfRange(f"check distance {target} is below the float resolution of the arch")
+            return kappa * arch_tail_distance(side, p, top, double, w), _slope(problem, G), lam * m
 
-        double = tp["double"]
-        hw = tp["half_width"]
-        side, top = _upright(nl, v)
-        if tp["kind"] == "arch_top" and not in_z:
-            predicted = abs(hval) ** (1.0 / (p - 1.0))
-            fac = min(1.0, 0.25 * hw / 1e-2)
-            for delta in (1e-2, 1e-3, 1e-4):
-                d_eff = delta * fac
-                w = offset(v, double, d_eff / kappa)
-                G = radicand(side, top, top - w ** _beta(p, double))
-                mag = _slope(problem, float(G))
-                measured = mag / d_eff ** (1.0 / (p - 1.0))
-                limit_checks.append(
+        block = []
+        if tp["kind"] == "arch_top":
+            predicted = abs(lam * float(eval_m(nl, v))) ** (1.0 / (p - 1.0))
+            fac = min(1.0, 0.25 * tp["half_width"] / 1e-2)
+            for target in (1e-2 * fac, 1e-3 * fac, 1e-4 * fac):
+                delta, mag, _ = at(target)
+                measured = mag / delta ** (1.0 / (p - 1.0))
+                block.append(
                     {
-                        "x": tp["x"],
                         "phi": v,
-                        "delta": d_eff,
+                        "delta": delta,
                         "measured": measured,
                         "predicted": predicted,
                         "ratio": measured / predicted,
                     }
                 )
-        elif tp["kind"] == "plateau_edge" and p > 2.0:
-            for delta in (1e-3, 1e-4):
-                w = offset(v, True, delta / kappa)
-                s = top - w ** _beta(p, True)
-                G = radicand(side, top, s)
-                mag = _slope(problem, float(G))
-                h_near = lam * float(eval_m(side, s))
-                psi_xx = abs(h_near) * mag ** (2.0 - p) / (p - 1.0)
-                n_here = order if order is not None else 1
-                second_checks.append(
+        else:
+            for target in (1e-3, 1e-4):
+                delta, mag, h_near = at(target)
+                block.append(
                     {
-                        "x": tp["x"],
                         "phi": v,
                         "delta": delta,
-                        "second_derivative": psi_xx,
-                        "tends_to_zero": 2.0 < p < 2.0 * (n_here + 1),
+                        "second_derivative": abs(h_near) * mag ** (2.0 - p) / (p - 1.0),
+                        "tends_to_zero": 2.0 < p < 4.0,
                     }
                 )
+        return block
 
-    holder = 1.0 / (p - 1.0)
-    # for p below 2(n+1), n the least order of a zero of h at a critical
-    # value, the profile is C2 at the critical points in Z too
-    edge = 2.0 * (min(z_orders) + 1) if z_orders else None
-    boundary = p == edge
+    for tp in prof.turning_points:
+        edge = tp["kind"] == "plateau_edge"
+        c_points.append(
+            {
+                "x": tp["x"],
+                "phi": tp["phi"],
+                "kind": tp["kind"],
+                "h_value": lam * float(eval_m(nl, tp["phi"])),
+                "in_Z": edge,
+                "zero_order": 1 if edge else None,
+            }
+        )
+        key = tp["phi"], tp["double"]
+        if key not in blocks:
+            blocks[key] = checks(tp)
+        (second_checks if edge else limit_checks).extend({"x": tp["x"], **c} for c in blocks[key])
+
     if p <= 2.0:
         label = "C2"
-    elif edge is not None and p < edge:
+    elif flat and p < 4.0:
         label = "C1,1/(p-1); C2 off C\\Z"
     else:
         label = "C1,1/(p-1); C2 off C"
     return RegularityReport(
         smoothness_class=label,
-        holder_exponent=holder,
-        boundary_case=boundary,
+        holder_exponent=1.0 / (p - 1.0),
+        boundary_case=flat and p == 4.0,
         c_points=c_points,
         limit_checks=limit_checks,
         second_derivative_checks=second_checks,

@@ -31,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Divergent, DomainError, NoZeroFound, OutOfRange
+from .errors import Divergent, DomainError, OutOfRange
 from .nonlinearity import Nonlinearity, areas, eval_F, eval_df, eval_m, reflected
 from .quadrature import cumulative_gl, tanh_sinh, tanh_sinh_batch
-from .roots import _MAXITER, _RTOL, brentq
+from .roots import brentq
 
 _TAIL_FRAC = 1e-2  # switch from the direct formula to the tail integral
 _MODEL_FRAC = 1e-8  # switch from the tail integral to the local quadratic model
@@ -45,8 +45,9 @@ _SCAN_TOL = 1e-8  # tanh-sinh tolerance of the store's scans
 _CURVES_CAP = 64  # (f, p) stores kept by time_map_curves
 
 # Tolerance of every lambda-free scalar integral: endpoint integrals, fold
-# searches and the arch inversion.  Tanh-sinh converges double-exponentially,
-# so no CLI output moves for any tolerance from 1e-6 to 1e-11.
+# searches and the arch distances of regularity's check points.  Tanh-sinh
+# converges double-exponentially, so from 1e-6 to 1e-11 no CLI output moves
+# but `plap regularity`'s plateau-edge distances (< 4e-10 relative at 1e-6).
 QUAD_TOL = 1e-11
 # Tolerance of theta and alpha, the matching residual's integrals: ten times
 # tighter than QUAD_TOL, so quadrature noise does not mask a root's residual.
@@ -226,6 +227,23 @@ def radicand(nl: Nonlinearity, a, t):
     out[d] = _direct(nl, t_b[d], eval_F(nl, a_b[d]), a_b[d] ** nl.q)
     out[tail] = h[tail] * _tail_mean(nl, a_b[tail], h[tail])
     return out if out.ndim else float(out)
+
+
+def radicand_at_offset(nl: Nonlinearity, a: float, h: float, double: bool) -> tuple[float, float]:
+    """G and m at t = a - h, from the pair (a, h) rather than from a - h.
+
+    The bands are ``_psi``'s: below ``_TAIL_FRAC * a``, G is h times the
+    tail mean of m; at a double zero (m(a) = 0) below ``_MODEL_FRAC * a``,
+    G and m are the first Taylor terms |m'(a)| h^2/2 and |m'(a)| h.  Both
+    stay exact where a - h rounds to a.
+    """
+    if double and h < _MODEL_FRAC * a:
+        dm = abs(_dm(nl, a))
+        return 0.5 * dm * h * h, dm * h
+    m = float(eval_m(nl, a - h))
+    if h < _TAIL_FRAC * a:
+        return h * float(_tail_mean(nl, a, np.array(h))), m
+    return radicand(nl, a, a - h), m
 
 
 def _beta(p: float, double: bool) -> float:
@@ -412,49 +430,3 @@ def arch_tail_distance(nl: Nonlinearity, p: float, level: float, double: bool, w
     if w == 0.0:
         return 0.0
     return tanh_sinh(lambda ws: _psi(nl, p, level, ws, double), w, QUAD_TOL)
-
-
-def invert_arch_distance(
-    nl: Nonlinearity, p: float, level: float, double: bool, target: float
-) -> float:
-    """Solve arch_tail_distance(w) = target for w (target in G-space).
-
-    The distance increases in w with derivative ``_psi``, bounded and
-    positive, so Newton's method from w = target/psi(0) takes a few
-    integrals.  Each iterate stays inside the bracket that the signs of the
-    residuals so far establish; a step that leaves it, or that fails to
-    halve the last move once residuals of both signs are in, bisects
-    instead (``rtsafe`` of Numerical Recipes).  Stops once the step or the
-    bracket is narrower than Brent's width 1e-15 w_max + _RTOL w plus the
-    w-equivalent of QUAD_TOL: the distance is known no better (its accepted
-    tanh-sinh level can switch between neighbouring w), so Newton would
-    only chase noise.  The full-arch integral is taken only if a step
-    reaches the top before any residual >= 0, since one such residual
-    already proves target <= half-width.
-    """
-    beta = _beta(p, double)
-    w_max = level ** (1.0 / beta)
-    psi = lambda w: float(_psi(nl, p, level, np.array([w]), double)[0])
-    top = w_max * (1.0 - 1e-13)
-    lo, hi, proven = 0.0, top, False  # residual < 0 at lo; >= 0 at hi once proven
-    w, last = min(target / psi(0.0), top), math.inf
-    for _ in range(_MAXITER):
-        residual = arch_tail_distance(nl, p, level, double, w) - target
-        if residual >= 0.0:
-            hi, proven = w, True
-        elif w == top:
-            raise OutOfRange(f"target distance {target} exceeds the arch half-width")
-        else:
-            lo = w
-        slope = psi(w)
-        step = residual / slope
-        tol = 1e-15 * w_max + _RTOL * w + QUAD_TOL * target / slope
-        nxt = w - step
-        if nxt >= hi and not proven:
-            nxt = top
-        elif abs(step) < tol or (proven and hi - lo < tol):
-            return min(max(nxt, lo), hi)
-        elif not lo < nxt < hi or (proven and lo > 0.0 and abs(step) > 0.5 * last):
-            nxt = 0.5 * (lo + hi)
-        w, last = nxt, abs(nxt - w)
-    raise NoZeroFound(f"Newton's method did not converge in {_MAXITER} iterations, last w = {w}")

@@ -409,6 +409,26 @@ class TestStructureAndRegularity:
         rep = json.loads(capsys.readouterr().out)
         assert rep["smoothness_class"] == "C2"
 
+    def test_regularity_of_a_flat_core_near_p_2(self, tmp_path, capsys):
+        # seed-1 census input 10 of scripts/census.py: at p = 2.36 the plateau
+        # edge's check point lies within an ulp of the level z+
+        p = 2.361788756403411
+        cfg = write_config(
+            tmp_path,
+            p=p,
+            q=p,
+            **{"lambda": 698.9275363798316},
+            nonlinearity={
+                "kind": "power_asym",
+                "b_plus": 0.9627941403915965,
+                "b_minus": 1.772452361693841,
+                "r_exp": 3.8758851514918775,
+            },
+        )
+        assert main(["regularity", "--config", cfg, "--id", "c718685f7d28"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["smoothness_class"] == "C1,1/(p-1); C2 off C\\Z"
+
 
 class TestNonFinite:
     NAN, INF = float("nan"), float("inf")

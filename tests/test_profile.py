@@ -5,13 +5,12 @@ import pytest
 
 from plap.bifurcation import bifurcation_table
 from plap.cli import ENERGY_TOL, ORACLE_TOL
-from plap.errors import Blowup, BudgetMismatch, ShapeError
+from plap.errors import Blowup, BudgetMismatch, OutOfRange, ShapeError
 from plap.nonlinearity import build_nonlinearity, eval_F
 from plap import profile
 from plap.profile import (
     classify_regularity,
     energy_residual,
-    invert_arch_distance,
     reconstruct,
     shoot,
     shoot_compare,
@@ -328,7 +327,9 @@ class TestRegularity:
             assert c["in_Z"] and c["zero_order"] == 1
         # 2 < p = 3 < 2(n+1) = 4: second derivative vanishes at the edges
         assert rep.smoothness_class == "C1,1/(p-1); C2 off C\\Z"
-        finest = [s for s in rep.second_derivative_checks if s["delta"] == 1e-4]
+        finest_delta = min(s["delta"] for s in rep.second_derivative_checks)
+        finest = [s for s in rep.second_derivative_checks if s["delta"] == finest_delta]
+        assert finest
         for s in finest:
             assert s["tends_to_zero"]
             assert s["second_derivative"] < 1e-2 * flat_prob.lam
@@ -340,9 +341,18 @@ class TestRegularity:
         by_delta = {}
         for s in rep.second_derivative_checks:
             by_delta.setdefault(s["delta"], []).append(s["second_derivative"])
-        ratio = max(by_delta[1e-3]) / max(by_delta[1e-4])
-        assert ratio == pytest.approx(10.0, rel=0.05)
+        coarse, fine = max(by_delta), min(by_delta)
+        ratio = max(by_delta[coarse]) / max(by_delta[fine])
+        assert ratio == pytest.approx(coarse / fine, rel=0.05)
 
+    def test_plateau_edge_below_float_resolution_is_typed(self):
+        # at p = 2.02, beta = p/(p-2) = 101: the edge's offset w^beta underflows
+        nl = build_nonlinearity("power_asym", 2.0, {"b_plus": 1.0, "b_minus": 1.3, "r_exp": 3.5})
+        prob = Problem(p=2.02, nl=nl, lam=1e5)
+        d = [x for x in solve_class(prob, SolutionClass(1, "+")) if x.kind == "flat_core"][0]
+        prof = reconstruct(prob, d, M=512)
+        with pytest.raises(OutOfRange, match="below the float resolution"):
+            classify_regularity(prob, prof)
 
     @pytest.mark.parametrize("kind", ["regular", "flat_core"])
     def test_repeated_turning_points(self, cubic_odd, asym, monkeypatch, kind):
@@ -354,12 +364,13 @@ class TestRegularity:
         d = [x for x in solve_class(prob, SolutionClass(3, "+")) if x.kind == kind][0]
         prof = reconstruct(prob, d, M=1024)
         calls = []
+        distance = profile.arch_tail_distance
 
-        def counted(side, p, level, double, target):
-            calls.append((id(side), level, double, target))
-            return invert_arch_distance(side, p, level, double, target)
+        def counted(side, p, level, double, w):
+            calls.append((id(side), level, double, w))
+            return distance(side, p, level, double, w)
 
-        monkeypatch.setattr(profile, "invert_arch_distance", counted)
+        monkeypatch.setattr(profile, "arch_tail_distance", counted)
         rep = classify_regularity(prob, prof)
         per_point = {"arch_top": (rep.limit_checks, 3), "plateau_edge": (rep.second_derivative_checks, 2)}
         blocks: dict = {}
@@ -372,8 +383,47 @@ class TestRegularity:
                 # turning points of one (level, double) differ only in x
                 assert blocks.setdefault((tp["phi"], tp["double"]), block) == block
         assert len(blocks) < len(prof.turning_points)
-        # one inversion per distinct (side, level, double, target)
+        # one forward distance per distinct (side, level, double, w)
         assert len(calls) == len(set(calls)) == sum(len(b) for b in blocks.values())
+
+
+# seed-1 census inputs 10, 15, 26 and 83 of scripts/census.py, as
+# (p, q, r_exp, b_plus, b_minus, lam): flat cores at p = 2.36, where a
+# plateau edge's check point lies within an ulp of z+, and arch tops at
+# levels 2e-13 to 1e-5, where |h| is tiny but not 0
+_CENSUS_INPUTS = [
+    (2.361788756403411, 2.361788756403411, 3.8758851514918775, 0.9627941403915965, 1.772452361693841, 698.9275363798316),
+    (2.838998201466227, 2.7423194525850594, 4.09983957211644, 1.7200272607444596, 1.121636778258658, 10.110072032316385),
+    (3.8360787667652625, 4.194583176939274, 5.976417200434312, 0.6955866926366119, 1.3410759815430404, 3561.0656722127164),
+    (3.372249433384945, 3.4419991670522263, 6.197446804646219, 1.6974460487218948, 1.1167099014737687, 1135.265118290459),
+]
+
+
+@pytest.mark.parametrize("case", _CENSUS_INPUTS, ids=["input10", "input15", "input26", "input83"])
+def test_regularity_on_census_inputs(case):
+    p, q, r_exp, b_plus, b_minus, lam = case
+    nl = build_nonlinearity("power_asym", q, {"r_exp": r_exp, "b_plus": b_plus, "b_minus": b_minus})
+    prob = Problem(p=p, nl=nl, lam=lam)
+    descs = [d for d in enumerate_solutions(prob, j_max=3) if d.kind != "trivial"]
+    assert descs
+    for d in descs:
+        prof = reconstruct(prob, d, M=512)
+        rep = classify_regularity(prob, prof)
+        # Z is the plateau edges, zeros of order 1; arch tops are never in it
+        for c in rep.c_points:
+            edge = c["kind"] == "plateau_edge"
+            assert c["in_Z"] == edge and c["zero_order"] == (1 if edge else None), (d.descriptor_id, c)
+        for tp in prof.turning_points:
+            if tp["kind"] == "arch_top":
+                checks = [c for c in rep.limit_checks if c["x"] == tp["x"]]
+                assert checks, d.descriptor_id
+                finest = min(checks, key=lambda c: c["delta"])
+                assert finest["ratio"] == pytest.approx(1.0, abs=0.02), d.descriptor_id
+        if rep.second_derivative_checks and 2.0 < p < 4.0:
+            finest_delta = min(s["delta"] for s in rep.second_derivative_checks)
+            for s in rep.second_derivative_checks:
+                if s["delta"] == finest_delta:
+                    assert s["second_derivative"] < 1e-2 * lam, d.descriptor_id
 
 
 class TestOracleSweep:

@@ -5,21 +5,20 @@ from hypothesis import strategies as st
 
 from plap.errors import Divergent, DomainError, HypothesisViolated, NoZeroFound, OutOfRange
 from plap.nonlinearity import areas, build_nonlinearity, eval_m, reflected
-from plap import timemap
 from plap.timemap import (
-    QUAD_TOL,
     Problem,
+    _MODEL_FRAC,
     _area,
-    _beta,
+    _dm,
     alpha,
-    arch_tail_distance,
     endpoint_levels,
     flat_core_half_widths,
     integral_I,
     integral_J,
-    invert_arch_distance,
     level_neg,
     level_pos,
+    radicand,
+    radicand_at_offset,
     s_of_r,
     slope_bounds,
     theta,
@@ -392,58 +391,38 @@ class TestIMonotonicity:
         assert vals[0] > interior_min and vals[-1] > interior_min
 
 
-# (fixture, p, level as a fraction of z_plus, double zero at the level)
-_ARCHES = [
-    ("cubic_odd", 2.0, 0.5, False),
-    ("cubic_odd", 2.0, 0.999, False),
-    ("asym", 3.0, 0.5, False),
-    ("asym", 3.0, 0.9, False),
-    ("asym", 3.0, 0.999, False),
-    ("asym", 3.0, 1.0, True),
-    ("quintic_q3", 3.0, 1.0, True),
-]
-_TARGETS = np.geomspace(1e-8, 0.99, 12)  # fractions of the half-width
+class TestRadicandAtOffset:
+    @pytest.mark.parametrize("negative", [False, True])
+    @pytest.mark.parametrize("frac, double", [(0.5, False), (0.999, False), (1.0, True)])
+    def test_agrees_with_the_direct_radicand(self, asym, frac, double, negative):
+        nl = reflected(asym) if negative else asym
+        a = frac * nl.z_plus
+        for h in (1e-3 * a, 0.05 * a, 0.5 * a):  # a - h holds h to 1e-13
+            G, m = radicand_at_offset(nl, a, h, double)
+            assert G == pytest.approx(radicand(nl, a, a - h), rel=1e-10)
+            assert m == float(eval_m(nl, a - h))
 
+    @pytest.mark.parametrize("frac", [0.5, 0.999])
+    def test_simple_zero_below_an_ulp(self, asym, frac):
+        # a - h rounds to a, yet G = h m(a) to first order
+        a = frac * asym.z_plus
+        m_a = float(eval_m(asym, a))
+        for h in (1e-20 * a, 1e-40 * a):
+            G, m = radicand_at_offset(asym, a, h, False)
+            assert G == pytest.approx(h * m_a, rel=1e-12)
+            assert m == m_a
 
-class TestInvertArchDistance:
-    @staticmethod
-    def arch(request, name, frac, p, double, negative):
-        """(side, level, half-width) of the arch; a negative one through ``reflected``."""
+    @pytest.mark.parametrize("name", ["asym", "quintic_q3"])
+    def test_double_zero_below_an_ulp(self, request, name):
+        # m(z+) = 0, so G = |m'| h^2/2 and m = |m'| h, continuous across the
+        # model band's edge
         nl = request.getfixturevalue(name)
-        side = reflected(nl) if negative else nl
-        level = frac * side.z_plus
-        return side, level, arch_tail_distance(side, p, level, double, level ** (1.0 / _beta(p, double)))
-
-    @pytest.mark.parametrize("negative", [False, True])
-    @pytest.mark.parametrize("name, p, frac, double", _ARCHES)
-    def test_round_trip(self, request, name, p, frac, double, negative):
-        side, level, hw = self.arch(request, name, frac, p, double, negative)
-        # a double zero's distance is resolved only to a few QUAD_TOL: its
-        # accepted tanh-sinh level switches between neighbouring w
-        rel = 10 * QUAD_TOL if double else 1e-12
-        for target in _TARGETS * hw:
-            w = invert_arch_distance(side, p, level, double, target)
-            assert arch_tail_distance(side, p, level, double, w) == pytest.approx(target, rel=rel, abs=0.0)
-
-    @pytest.mark.parametrize("negative", [False, True])
-    @pytest.mark.parametrize("name, p, frac, double", [("asym", 3.0, 0.9, False), ("asym", 3.0, 1.0, True)])
-    def test_out_of_range_exactly_above_the_half_width(self, request, name, p, frac, double, negative):
-        side, level, hw = self.arch(request, name, frac, p, double, negative)
-        for target in (hw * (1.0 + 1e-9), 2.0 * hw):
-            with pytest.raises(OutOfRange):
-                invert_arch_distance(side, p, level, double, target)
-        w = invert_arch_distance(side, p, level, double, hw * (1.0 - 1e-9))
-        assert 0.0 < w < level ** (1.0 / _beta(p, double))
-
-    @pytest.mark.parametrize("name, p, frac, double", _ARCHES)
-    def test_work_bound(self, request, monkeypatch, name, p, frac, double):
-        # at most 4 integrals up to a tenth of the half-width and 6 up to
-        # 0.99 of it: for a level near z_plus psi falls steeply along the
-        # arch, so Newton from target/psi(0) climbs for a few steps
-        side, level, hw = self.arch(request, name, frac, p, double, False)
-        calls = []
-        monkeypatch.setattr(timemap, "arch_tail_distance", lambda *a: calls.append(a) or arch_tail_distance(*a))
-        for t in _TARGETS:
-            calls.clear()
-            invert_arch_distance(side, p, level, double, t * hw)
-            assert len(calls) <= (4 if t <= 0.1 else 6), (t, len(calls))
+        a = nl.z_plus
+        slope = abs(_dm(nl, a))
+        for h in (1e-20 * a, 1e-100 * a):
+            G, m = radicand_at_offset(nl, a, h, True)
+            assert G == pytest.approx(0.5 * slope * h * h, rel=1e-15)
+            assert m == pytest.approx(slope * h, rel=1e-15)
+        below, above = (radicand_at_offset(nl, a, f * _MODEL_FRAC * a, True) for f in (1.0 - 1e-9, 1.0))
+        assert above[0] == pytest.approx(below[0], rel=1e-6)
+        assert above[1] == pytest.approx(below[1], rel=1e-6)
