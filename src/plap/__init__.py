@@ -53,11 +53,9 @@ from .solver import (
     sweep,
 )
 from .timemap import (
-    EndpointLevels,
     Problem,
     SlopeBounds,
     alpha,
-    endpoint_levels,
     flat_core_half_widths,
     integral_I,
     integral_J,

@@ -27,7 +27,6 @@ from .nonlinearity import Nonlinearity, areas, reflected
 from .roots import brent_min
 from .solver import (
     SolutionClass,
-    _weight_at_bound,
     area_relation,
     continuum_dimension,
     flat_core_side,
@@ -144,9 +143,9 @@ def bifurcation_table(nl: Nonlinearity, p: float, N: int) -> BifurcationTable:
 
     curves = time_map_curves(nl, p)
     if p > 2.0:
-        ends = curves.endpoint_integrals()
-        tilde_plus = [_threshold(p, _weight_at_bound(sc, ends)) for sc in plus]
-        tilde_minus = [_threshold(p, _weight_at_bound(sc, ends)) for sc in minus]
+        at_bound = [curves.bound_weight(sc.n_pos, sc.n_neg, sc.bound(*areas(nl))) for sc in plus + minus]
+        tilde_plus = [_threshold(p, w) for w in at_bound[:N]]
+        tilde_minus = [_threshold(p, w) for w in at_bound[N:]]
     else:
         tilde_plus = [np.inf] * N
         tilde_minus = [np.inf] * N

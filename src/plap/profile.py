@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import Blowup, BudgetMismatch, OutOfRange, ShapeError
-from .nonlinearity import Nonlinearity, eval_F, eval_m, reflected
+from .nonlinearity import Nonlinearity, areas, eval_F, eval_m, reflected
 from .solver import SIGN_POS, SolutionClass, SolutionDescriptor
 from .timemap import (
     Problem,
@@ -28,7 +28,8 @@ from .timemap import (
     _psi,
     arch_tail_cumulative,
     arch_tail_distance,
-    endpoint_levels,
+    level_neg,
+    level_pos,
     radicand,
     radicand_at_offset,
     s_of_r,
@@ -117,8 +118,9 @@ def reconstruct(
                     f"core lengths sum to {sum(lengths)}, budget is {descriptor.core_budget}"
                 )
         plats = iter(lengths)
-        levels = endpoint_levels(nl)
-        tops = (levels.z_hat, levels.s_hat)  # of the arches without a plateau
+        # the arches without a plateau turn at the levels of the smaller area
+        rho = min(areas(nl))
+        tops = (level_pos(nl, rho), level_neg(nl, rho))
     else:  # each side the class uses checks r against its own slope bound
         r = descriptor.r
         tops = (z_of_r(problem, r) if sclass.n_pos else None, s_of_r(problem, r) if sclass.n_neg else None)

@@ -136,18 +136,6 @@ def continuum_dimension(sclass: SolutionClass, relation: str) -> int:
     return sum(sclass.plateaus(flat_core_side(sclass, relation))) - 1
 
 
-def _weight_at_bound(sclass: SolutionClass, ends: tuple[float, float, float, float]) -> float:
-    """``n_pos * I + n_neg * J`` with every arch launched at the class's bound.
-
-    ``ends`` is ``TimeMapCurves.endpoint_integrals``' (I(z_hat), J(s_hat),
-    I(z_plus), J(z_minus)); a single arch reaches its own zero, any other
-    class the levels at r_star.
-    """
-    i_hat, j_hat, i_zp, j_zm = ends
-    i_val, j_val = (i_zp, j_zm) if sclass.j == 1 else (i_hat, j_hat)
-    return sclass.n_pos * i_val + sclass.n_neg * j_val
-
-
 def matching_residual(problem: Problem, sclass: SolutionClass, r: float) -> float:
     """Left side of the class's matching condition minus 1, from theta and
     alpha at ``timemap.RESIDUAL_TOL``."""
@@ -169,8 +157,9 @@ def matching_residual(problem: Problem, sclass: SolutionClass, r: float) -> floa
 def _flat_core_descriptor(problem: Problem, sclass: SolutionClass, bound: float) -> SolutionDescriptor | None:
     if problem.p <= 2.0:
         return None
-    ends = time_map_curves(problem.nl, problem.p).endpoint_integrals()
-    budget = 1.0 - 2.0 * problem.kappa * _weight_at_bound(sclass, ends)
+    curves = time_map_curves(problem.nl, problem.p)
+    weight = curves.bound_weight(sclass.n_pos, sclass.n_neg, sclass.bound(*areas(problem.nl)))
+    budget = 1.0 - 2.0 * problem.kappa * weight
     if budget <= 0.0:
         return None
     relation = area_relation(problem.nl)

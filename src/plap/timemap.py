@@ -44,7 +44,7 @@ _SCAN_POINTS = 1024  # fractions of every scan grid
 _SCAN_TOL = 1e-8  # tanh-sinh tolerance of the store's scans
 _CURVES_CAP = 64  # (f, p) stores kept by time_map_curves
 
-# Tolerance of every lambda-free scalar integral: endpoint integrals, fold
+# Tolerance of every lambda-free scalar integral: bound weights, fold
 # searches and the arch distances of regularity's check points.  Tanh-sinh
 # converges double-exponentially, so from 1e-6 to 1e-11 no CLI output moves
 # but `plap regularity`'s plateau-edge distances (< 4e-10 relative at 1e-6).
@@ -85,14 +85,6 @@ class SlopeBounds:
     r_pos: float
     r_neg: float
     r_star: float
-
-
-@dataclass(frozen=True)
-class EndpointLevels:
-    """Lambda-independent arch levels attained at the slope bound r_star."""
-
-    z_hat: float
-    s_hat: float
 
 
 def slope_bounds(problem: Problem) -> SlopeBounds:
@@ -169,19 +161,6 @@ def s_of_r(problem: Problem, r: float) -> float:
     if not 0.0 < r < b.r_neg:
         raise OutOfRange(f"r = {r} outside (0, r-(lambda) = {b.r_neg})")
     return level_neg(problem.nl, float(_rho_of_r(problem, r)))
-
-
-def endpoint_levels(nl: Nonlinearity) -> EndpointLevels:
-    """Levels attained at r_star; the smaller-area side sits exactly at its zero.
-
-    Dividing the level equations by lambda shows these are independent of
-    lambda, so they are computed once per nonlinearity and reused.
-    """
-    a_plus, a_minus = areas(nl)
-    rho_star = min(a_plus, a_minus)
-    z_hat = nl.z_plus if a_plus <= a_minus else level_pos(nl, rho_star)
-    s_hat = nl.z_minus if a_minus <= a_plus else level_neg(nl, rho_star)
-    return EndpointLevels(z_hat=z_hat, s_hat=s_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +308,9 @@ def flat_core_half_widths(problem: Problem) -> tuple[float, float]:
     """x(lambda) and y(lambda): half-widths of the saturated arches (p > 2)."""
     if problem.p <= 2.0:
         raise Divergent("flat cores require p > 2")
-    i_zp, j_zm = time_map_curves(problem.nl, problem.p).endpoint_integrals()[2:]
-    return problem.kappa * i_zp, problem.kappa * j_zm
+    weight = time_map_curves(problem.nl, problem.p).bound_weight
+    a_plus, a_minus = areas(problem.nl)
+    return problem.kappa * weight(1, 0, a_plus), problem.kappa * weight(0, 1, a_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +327,8 @@ class TimeMapCurves:
     ``r_A * fractions`` the half-periods are ``kappa * I(z(A g^p))`` (and the
     same with J), where only ``kappa`` depends on lambda.  This store holds
     the fractions ``g`` and fills in, on first use, I or J at those levels per
-    area bound (at ``_SCAN_TOL``), and the endpoint integrals (at ``QUAD_TOL``).
+    area bound (at ``_SCAN_TOL``), and I or J at the level of the area bound
+    itself, ``g = 1`` (at ``QUAD_TOL``), for ``bound_weight``.
 
     Every value is a pure function of the store's key and its own arguments,
     so the order in which lambdas fill it never shows in a result, and two
@@ -361,7 +342,7 @@ class TimeMapCurves:
         self.fractions = np.unique(np.concatenate([half, 1.0 - half[::-1]]))
         self.fractions.flags.writeable = False
         self._scans: dict[tuple[float, bool], np.ndarray] = {}
-        self._ends: tuple[float, float, float, float] | None = None
+        self._bounds: dict[tuple[float, bool], float] = {}
 
     def integrals(self, area: float, negative: bool) -> np.ndarray:
         """I (J when ``negative``) at the levels of area ``area * fractions^p``."""
@@ -379,23 +360,28 @@ class TimeMapCurves:
 
     def weights(self, n_pos: int, n_neg: int, area: float) -> np.ndarray:
         """W = n_pos I + n_neg J on the scan grid of area bound ``area``; the
-        matching residual is 2 kappa W - 1 and a fold is a minimum of W.  A
-        side without arches is not scanned."""
-        terms = ((n_pos, False), (n_neg, True))
-        return sum(n * self.integrals(area, negative) for n, negative in terms if n)
+        matching residual is 2 kappa W - 1 and a fold is a minimum of W."""
+        return self._weigh(self.integrals, n_pos, n_neg, area)
 
-    def endpoint_integrals(self) -> tuple[float, float, float, float]:
-        """(I(z_hat), J(s_hat), I(z_plus), J(z_minus)) at the levels
-        ``endpoint_levels(nl)`` reached at r_star; p > 2 only."""
-        if self._ends is None:
-            nl, p = self.nl, self.p
-            levels = endpoint_levels(nl)
-            i_zp = integral_I(nl, p, nl.z_plus)
-            j_zm = integral_J(nl, p, nl.z_minus)
-            i_hat = i_zp if levels.z_hat == nl.z_plus else integral_I(nl, p, levels.z_hat)
-            j_hat = j_zm if levels.s_hat == nl.z_minus else integral_J(nl, p, levels.s_hat)
-            self._ends = (i_hat, j_hat, i_zp, j_zm)
-        return self._ends
+    def bound_weight(self, n_pos: int, n_neg: int, area: float) -> float:
+        """W with every arch at the level of area ``area`` itself, where a
+        class's arches launched at its slope bound turn.  ``level_pos`` gives
+        z_plus once ``area >= A(z_plus)`` (and ``level_neg`` z_minus), so a
+        single arch reaches its own zero and any other class the levels of
+        the smaller area; such a term needs p > 2."""
+        return self._weigh(self._at_bound, n_pos, n_neg, area)
+
+    def _at_bound(self, area: float, negative: bool) -> float:
+        if (area, negative) not in self._bounds:
+            nl = reflected(self.nl) if negative else self.nl
+            self._bounds[area, negative] = integral_I(nl, self.p, level_pos(nl, area))
+        return self._bounds[area, negative]
+
+    @staticmethod
+    def _weigh(term, n_pos: int, n_neg: int, area: float):
+        """n_pos term(area, False) + n_neg term(area, True); a side without
+        arches is not evaluated."""
+        return sum(n * term(area, negative) for n, negative in ((n_pos, False), (n_neg, True)) if n)
 
 
 @functools.lru_cache(maxsize=_CURVES_CAP)
@@ -427,6 +413,4 @@ def arch_tail_cumulative(
 
 def arch_tail_distance(nl: Nonlinearity, p: float, level: float, double: bool, w: float) -> float:
     """Scalar version: G-space distance from the arch extremum to offset w."""
-    if w == 0.0:
-        return 0.0
     return tanh_sinh(lambda ws: _psi(nl, p, level, ws, double), w, QUAD_TOL)

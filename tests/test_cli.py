@@ -160,8 +160,9 @@ class TestDiagram:
         assert len(rows) == 8
         assert all(0 < float(r[3]) < float(r[1]) for r in rows)
 
-    def test_endpoint_integrals_computed_once(self, tmp_path, monkeypatch):
-        # diagram, structure and solve on one p > 2 (f, p) read one endpoint entry
+    def test_bound_integrals_computed_once(self, tmp_path, monkeypatch):
+        # diagram, structure and solve on one p > 2 (f, p) compute I(z_plus)
+        # and J(z_minus) once, in the store's bound_weight entries
         import plap.timemap
 
         plap.timemap.time_map_curves.cache_clear()

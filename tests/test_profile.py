@@ -128,9 +128,9 @@ class TestReconstructFlatCore:
 
     def test_negative_side_cores(self):
         # A+ > A-: plateaus at z- inside the negative arches, positive arches
-        # turn at the interior level z_hat
-        from plap.nonlinearity import build_nonlinearity
-        from plap.timemap import endpoint_levels
+        # turn at the interior level of the smaller area A-
+        from plap.nonlinearity import areas, build_nonlinearity
+        from plap.timemap import level_pos
         from plap.profile import shoot_compare
 
         nl = build_nonlinearity("power_asym", 2.0, {"b_plus": 1.0, "b_minus": 2.0, "r_exp": 4.0})
@@ -139,11 +139,11 @@ class TestReconstructFlatCore:
         d = [x for x in solve_class(prob, SolutionClass(2, "+")) if x.kind == "flat_core"][0]
         assert d.core_side == "negative" and d.core_count == 1
         prof = reconstruct(prob, d, M=1024)
-        lv = endpoint_levels(nl)
+        z_hat = level_pos(nl, min(areas(nl)))
         mid = 0.5 * sum(prof.flat_intervals[0])
         i_mid = int(np.argmin(np.abs(prof.x - mid)))
         assert prof.phi[i_mid] == nl.z_minus
-        assert prof.phi.max() == pytest.approx(lv.z_hat, rel=1e-12)
+        assert prof.phi.max() == pytest.approx(z_hat, rel=1e-12)
         assert energy_residual(prob, prof) < 1e-8
         assert shoot_compare(prob, prof) < 1e-6
 

@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from plap.errors import Divergent, DomainError, HypothesisViolated, NoZeroFound, OutOfRange
 from plap.nonlinearity import areas, build_nonlinearity, eval_m, reflected
+from plap.solver import SolutionClass
 from plap.timemap import (
     Problem,
+    TimeMapCurves,
     _MODEL_FRAC,
     _area,
     _dm,
     alpha,
-    endpoint_levels,
     flat_core_half_widths,
     integral_I,
     integral_J,
@@ -352,23 +353,59 @@ class TestFlatCoreWidths:
             flat_core_half_widths(Problem(p=2.0, nl=cubic_odd, lam=1.0))
 
 
-class TestEndpointLevels:
+class TestBoundLevels:
+    # at the smaller area rho = min(A+, A-) its own side sits exactly at its zero
     def test_odd(self, cubic_odd):
-        lv = endpoint_levels(cubic_odd)
-        assert lv.z_hat == cubic_odd.z_plus
-        assert lv.s_hat == cubic_odd.z_minus
+        rho = min(areas(cubic_odd))
+        assert level_pos(cubic_odd, rho) == cubic_odd.z_plus
+        assert level_neg(cubic_odd, rho) == cubic_odd.z_minus
 
     def test_asymmetric_closed_form(self, asym):
-        # A+ = 1/8 < A- = 1/4: s_hat solves S^2/2 - S^4/4 = 1/8
-        lv = endpoint_levels(asym)
-        assert lv.z_hat == asym.z_plus
-        assert lv.s_hat == pytest.approx(-np.sqrt(1 - np.sqrt(0.5)), rel=1e-12)
+        # A+ = 1/8 < A- = 1/4: the negative level solves S^2/2 - S^4/4 = 1/8
+        rho = min(areas(asym))
+        assert level_pos(asym, rho) == asym.z_plus
+        assert level_neg(asym, rho) == pytest.approx(-np.sqrt(1 - np.sqrt(0.5)), rel=1e-12)
 
     def test_mirror_case(self):
         nl = build_nonlinearity("power_asym", 2.0, {"b_plus": 1.0, "b_minus": 2.0, "r_exp": 4.0})
-        lv = endpoint_levels(nl)
-        assert lv.s_hat == nl.z_minus
-        assert lv.z_hat == pytest.approx(np.sqrt(1 - np.sqrt(0.5)), rel=1e-12)
+        rho = min(areas(nl))
+        assert level_neg(nl, rho) == nl.z_minus
+        assert level_pos(nl, rho) == pytest.approx(np.sqrt(1 - np.sqrt(0.5)), rel=1e-12)
+
+
+class TestBoundWeight:
+    P = 3.0
+
+    @pytest.fixture(params=["asym", "mirror", "cubic_odd"])
+    def nl(self, request):
+        if request.param == "mirror":  # A+ > A-
+            return build_nonlinearity("power_asym", 2.0, {"b_plus": 1.0, "b_minus": 2.0, "r_exp": 4.0})
+        return request.getfixturevalue(request.param)
+
+    def test_terms_at_the_class_area(self, nl):
+        curves = TimeMapCurves(nl, self.P)
+        for j in (1, 2, 3):
+            for sign in "+-":
+                sc = SolutionClass(j, sign)
+                area = sc.bound(*areas(nl))
+                want = 0.0
+                if sc.n_pos:
+                    want += sc.n_pos * integral_I(nl, self.P, level_pos(nl, area))
+                if sc.n_neg:
+                    want += sc.n_neg * integral_J(nl, self.P, level_neg(nl, area))
+                assert curves.bound_weight(sc.n_pos, sc.n_neg, area) == want, (j, sign)
+
+    def test_single_arch_reaches_its_zero(self, nl):
+        curves = TimeMapCurves(nl, self.P)
+        a_plus, a_minus = areas(nl)
+        assert curves.bound_weight(1, 0, a_plus) == integral_I(nl, self.P, nl.z_plus)
+        assert curves.bound_weight(0, 1, a_minus) == integral_J(nl, self.P, nl.z_minus)
+
+    def test_fills_only_the_used_side(self, nl):
+        curves = TimeMapCurves(nl, self.P)
+        a_plus, _ = areas(nl)
+        curves.bound_weight(1, 0, a_plus)
+        assert list(curves._bounds) == [(a_plus, False)]
 
 
 class TestIMonotonicity:
