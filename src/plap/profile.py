@@ -20,21 +20,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import Blowup, BudgetMismatch, OutOfRange, ShapeError
-from .nonlinearity import Nonlinearity, areas, eval_F, eval_m, reflected
+from .nonlinearity import Nonlinearity, areas, eval_F, eval_m
 from .solver import SIGN_POS, SolutionClass, SolutionDescriptor
-from .timemap import (
-    Problem,
-    _beta,
-    _psi,
-    arch_tail_cumulative,
-    arch_tail_distance,
-    level_neg,
-    level_pos,
-    radicand,
-    radicand_at_offset,
-    s_of_r,
-    z_of_r,
-)
+from .timemap import Arch, Problem, level_neg, level_pos, s_of_r, z_of_r
 
 _WIDTH_TOL = 1e-9  # assembled profiles must cover [0,1] this well
 _BUDGET_TOL = 1e-10
@@ -55,11 +43,6 @@ class Profile:
     descriptor: SolutionDescriptor | None = None
 
 
-def _upright(nl: Nonlinearity, level: float) -> tuple[Nonlinearity, float]:
-    """A negative extremum as the positive one of the reflected nonlinearity."""
-    return (nl, level) if level > 0 else (reflected(nl), -level)
-
-
 def _slope(problem: Problem, G):
     """``|phi_x|`` from the first integral ``|phi_x|^p = (lam p/(p-1)) G``."""
     return (problem.lam * problem.p / (problem.p - 1.0) * G) ** (1.0 / problem.p)
@@ -67,16 +50,15 @@ def _slope(problem: Problem, G):
 
 def _arch_half(problem: Problem, level: float, double: bool, m_half: int):
     """Rise of one arch: x offsets (from the arch start), phi, |dphi|, half width."""
-    p = problem.p
-    nl, top = _upright(problem.nl, level)
-    beta = _beta(p, double)
+    arch = Arch.at(problem.nl, problem.p, level, double)
+    top = arch.top
     u = np.linspace(0.0, 1.0, m_half)
     s = top * np.sin(0.5 * np.pi * u)
-    w_grid = (top - s)[::-1] ** (1.0 / beta)
-    cum = arch_tail_cumulative(nl, p, top, double, w_grid)
+    h = top - s
+    cum = arch.cumulative(h[::-1] ** (1.0 / arch.beta))
     half_width = problem.kappa * cum[-1]
     x = problem.kappa * (cum[-1] - cum[::-1])
-    G = radicand(nl, top, s)
+    G, _ = arch.radicand(s, h)
     mag = _slope(problem, np.clip(G, 0.0, None))
     mag[-1] = 0.0
     return x, np.copysign(s, level), mag, half_width
@@ -166,17 +148,9 @@ def reconstruct(
             seg = _append(px, np.full(px.size, level), np.zeros(px.size), skip_first=False)
             segments.append(seg)
             flats.append((top_x, top_x + plat))
-            turning.append(
-                {"x": top_x, "phi": level, "kind": "plateau_edge", "double": True, "half_width": hw}
-            )
-            turning.append(
-                {
-                    "x": top_x + plat,
-                    "phi": level,
-                    "kind": "plateau_edge",
-                    "double": True,
-                    "half_width": hw,
-                }
+            turning.extend(
+                {"x": edge, "phi": level, "kind": "plateau_edge", "double": True, "half_width": hw}
+                for edge in (top_x, top_x + plat)
             )
         else:
             turning.append(
@@ -563,20 +537,21 @@ def classify_regularity(problem: Problem, prof: Profile) -> RegularityReport:
     blocks: dict[tuple[float, bool], list[dict]] = {}  # turning points of one level share checks
 
     def checks(tp: dict) -> list[dict]:
-        v, double = tp["phi"], tp["double"]
-        side, top = _upright(nl, v)
-        beta = _beta(p, double)
-        w_per_x = 1.0 / (kappa * float(_psi(side, p, top, np.zeros(1), double)[0]))
+        v = tp["phi"]
+        arch = Arch.at(nl, p, v, tp["double"])
+        top, beta = arch.top, arch.beta
+        w_per_x = 1.0 / (kappa * float(arch.psi(np.zeros(1))[0]))
 
         def at(target: float) -> tuple[float, float, float]:
             """delta, |phi_x| and h at the check point for the x-distance ``target``."""
             w = target * w_per_x
             if w >= top ** (1.0 / beta):
                 raise OutOfRange(f"check distance {target} exceeds the arch half-width")
-            G, m = radicand_at_offset(side, top, w**beta, double)
+            h = w**beta
+            G, m = arch.radicand(top - h, h)
             if G == 0.0:  # w^beta underflows as p -> 2 at a plateau edge
                 raise OutOfRange(f"check distance {target} is below the float resolution of the arch")
-            return kappa * arch_tail_distance(side, p, top, double, w), _slope(problem, G), lam * m
+            return kappa * arch.distance(w), _slope(problem, G), lam * m
 
         block = []
         if tp["kind"] == "arch_top":

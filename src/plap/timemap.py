@@ -15,9 +15,9 @@ substitution ``t = a - w^beta`` with ``beta = p/(p-1)`` (simple zero) or
 ``beta = p/(p-2)`` (double zero, requires ``p > 2``) turns the integrand into
 a bounded function of ``w``, which the tanh-sinh rule then resolves.
 
-Only the positive side is implemented.  The negative side is the positive
-side of the reflected nonlinearity ``f~(s) = -f(-s)``: ``F~(s) = F(-s)``, so
-``J_f(a) = I_f~(-a)`` and ``S_f(rho) = -z_f~(rho)``.
+Only the positive side is implemented, and ``Arch`` carries one arch of it.
+A negative arch is a positive one of ``f~(s) = -f(-s)``: ``F~(s) = F(-s)``,
+so ``J_f(a) = I_f~(-a)`` and ``S_f(rho) = -z_f~(rho)``.
 
 The half-period of one monotone arch launched with slope ``r`` is
 ``theta(r) = kappa * I(z(r))`` with ``kappa = ((p-1)/(lambda p))^(1/p)``; the
@@ -192,43 +192,6 @@ def _direct(nl: Nonlinearity, t, F_a, a_q):
     return eval_F(nl, t) - F_a + (a_q - np.abs(t) ** nl.q) / nl.q
 
 
-def radicand(nl: Nonlinearity, a, t):
-    """G(t) = F(t) - F(a) + (a^q - t^q)/q for t in [0, a], a in (0, z_plus].
-
-    Near t = a the direct formula cancels catastrophically, so the tail is
-    evaluated as h times the Gauss mean of m over [a-h, a].
-    """
-    a_b, t_b = np.broadcast_arrays(np.asarray(a, float), np.asarray(t, float))
-    h = a_b - t_b
-    out = np.empty_like(h)
-    tail = h < _TAIL_FRAC * a_b
-    d = ~tail
-    out[d] = _direct(nl, t_b[d], eval_F(nl, a_b[d]), a_b[d] ** nl.q)
-    out[tail] = h[tail] * _tail_mean(nl, a_b[tail], h[tail])
-    return out if out.ndim else float(out)
-
-
-def radicand_at_offset(nl: Nonlinearity, a: float, h: float, double: bool) -> tuple[float, float]:
-    """G and m at t = a - h, from the pair (a, h) rather than from a - h.
-
-    The bands are ``_psi``'s: below ``_TAIL_FRAC * a``, G is h times the
-    tail mean of m; at a double zero (m(a) = 0) below ``_MODEL_FRAC * a``,
-    G and m are the first Taylor terms |m'(a)| h^2/2 and |m'(a)| h.  Both
-    stay exact where a - h rounds to a.
-    """
-    if double and h < _MODEL_FRAC * a:
-        dm = abs(_dm(nl, a))
-        return 0.5 * dm * h * h, dm * h
-    m = float(eval_m(nl, a - h))
-    if h < _TAIL_FRAC * a:
-        return h * float(_tail_mean(nl, a, np.array(h))), m
-    return radicand(nl, a, a - h), m
-
-
-def _beta(p: float, double: bool) -> float:
-    return p / (p - 2.0) if double else p / (p - 1.0)
-
-
 def _psi(nl: Nonlinearity, p: float, a, w: np.ndarray, double: bool) -> np.ndarray:
     """Integrand of I after the substitution t = a - w^beta, at abscissae w.
 
@@ -238,7 +201,7 @@ def _psi(nl: Nonlinearity, p: float, a, w: np.ndarray, double: bool) -> np.ndarr
     w-prefactor cancel exactly in the tail region, so the integrand is
     bounded all the way to w = 0.
     """
-    beta = _beta(p, double)
+    beta = p / (p - 2.0) if double else p / (p - 1.0)
     with np.errstate(under="ignore"):
         h = w**beta
     out = np.empty_like(h)
@@ -271,6 +234,75 @@ def _psi(nl: Nonlinearity, p: float, a, w: np.ndarray, double: bool) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
+# one monotone arch
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Arch:
+    """A monotone arch from 0 to its extremum ``top`` > 0 on the positive
+    side ``nl``; a negative extremum is the positive one of ``reflected(nl)``.
+    ``double`` marks a double zero of G at ``top`` = z_plus (a plateau edge,
+    p > 2); otherwise the zero is simple (an arch top)."""
+
+    nl: Nonlinearity
+    p: float
+    top: float
+    double: bool
+
+    @classmethod
+    def at(cls, nl: Nonlinearity, p: float, level: float, double: bool = False) -> Arch:
+        """The arch whose extremum is the signed ``level``."""
+        return cls(nl, p, level, double) if level > 0 else cls(reflected(nl), p, -level, double)
+
+    @property
+    def beta(self) -> float:
+        """The exponent of the substitution t = top - w^beta."""
+        return self.p / (self.p - 2.0) if self.double else self.p / (self.p - 1.0)
+
+    def psi(self, w: np.ndarray) -> np.ndarray:
+        """The substituted integrand, bounded on [0, top^(1/beta)]."""
+        return _psi(self.nl, self.p, self.top, w, self.double)
+
+    def integral(self, tol: float = QUAD_TOL) -> float:
+        """I(top), the arch's half-width in G-space (before kappa)."""
+        return tanh_sinh(self.psi, self.top ** (1.0 / self.beta), tol)
+
+    def cumulative(self, w_grid: np.ndarray) -> np.ndarray:
+        """G-space distances from the extremum to the offsets ``w_grid``, ascending from 0."""
+        return cumulative_gl(self.psi, w_grid)
+
+    def distance(self, w: float) -> float:
+        """G-space distance from the extremum to the offset w."""
+        return tanh_sinh(self.psi, w, QUAD_TOL)
+
+    def radicand(self, t, h):
+        """G(t) = F(t) - F(top) + (top^q - t^q)/q and m(t) at t = top - h,
+        given as the pair (t, h) since neither is exact rebuilt from the other.
+
+        The bands are ``_psi``'s: at a double zero below ``_MODEL_FRAC * top``,
+        G and m are the Taylor terms |m'(top)| h^2/2 and |m'(top)| h; below
+        ``_TAIL_FRAC * top``, G is h times the tail mean of m; above, the
+        direct formula at t.  Floats (a check point) give (G, m); arrays (a
+        profile's grid) give (G, None), as m(0) is 0 * inf for q < 2.
+        """
+        nl, top = self.nl, self.top
+        t, h_b = np.asarray(t, dtype=float), np.asarray(h, dtype=float)
+        G = np.empty_like(h_b)
+        dm = abs(_dm(nl, top)) if self.double else 0.0
+        model = self.double & (h_b < _MODEL_FRAC * top)
+        tail = ~model & (h_b < _TAIL_FRAC * top)
+        direct = ~(model | tail)
+        G[model] = 0.5 * dm * h_b[model] * h_b[model]
+        G[tail] = h_b[tail] * _tail_mean(nl, top, h_b[tail])
+        top_1 = np.array([top])  # F(top) and top^q by numpy's pow, like F(t) and t^q
+        G[direct] = _direct(nl, t[direct], eval_F(nl, top_1), top_1**nl.q)
+        if np.ndim(h):
+            return G, None
+        return float(G), dm * h if model else float(eval_m(nl, t))
+
+
+# ---------------------------------------------------------------------------
 # the singular integrals I and J
 # ---------------------------------------------------------------------------
 
@@ -285,8 +317,7 @@ def integral_I(nl: Nonlinearity, p: float, a: float, tol: float = QUAD_TOL) -> f
         a = zp
         if p <= 2.0:
             raise Divergent("the endpoint integral diverges for p <= 2")
-    beta = _beta(p, double)
-    return tanh_sinh(lambda w: _psi(nl, p, a, w, double), a ** (1.0 / beta), tol)
+    return Arch(nl, p, a, double).integral(tol)
 
 
 def integral_J(nl: Nonlinearity, p: float, a: float, tol: float = QUAD_TOL) -> float:
@@ -346,14 +377,11 @@ class TimeMapCurves:
 
     def integrals(self, area: float, negative: bool) -> np.ndarray:
         """I (J when ``negative``) at the levels of area ``area * fractions^p``."""
-        # an odd f is its own reflection, so there J's scan is I's
-        negative = negative and not self.nl.odd
-        key = (area, negative)
+        (key, nl), p = self._side(area, negative), self.p
         if key not in self._scans:
-            nl, p = reflected(self.nl) if negative else self.nl, self.p
             levels = level_pos(nl, area * self.fractions**p)
             psi_rows = lambda w, idx: _psi(nl, p, levels[idx][:, None], w, False)
-            scan = tanh_sinh_batch(psi_rows, levels ** (1.0 / _beta(p, False)), _SCAN_TOL)
+            scan = tanh_sinh_batch(psi_rows, levels ** (1.0 / (p / (p - 1.0))), _SCAN_TOL)
             scan.flags.writeable = False
             self._scans[key] = scan
         return self._scans[key]
@@ -372,10 +400,15 @@ class TimeMapCurves:
         return self._weigh(self._at_bound, n_pos, n_neg, area)
 
     def _at_bound(self, area: float, negative: bool) -> float:
-        if (area, negative) not in self._bounds:
-            nl = reflected(self.nl) if negative else self.nl
-            self._bounds[area, negative] = integral_I(nl, self.p, level_pos(nl, area))
-        return self._bounds[area, negative]
+        key, nl = self._side(area, negative)
+        if key not in self._bounds:
+            self._bounds[key] = integral_I(nl, self.p, level_pos(nl, area))
+        return self._bounds[key]
+
+    def _side(self, area: float, negative: bool) -> tuple[tuple[float, bool], Nonlinearity]:
+        """A side's entry key and nonlinearity; an odd f is its own reflection, so J is I."""
+        negative = negative and not self.nl.odd
+        return (area, negative), reflected(self.nl) if negative else self.nl
 
     @staticmethod
     def _weigh(term, n_pos: int, n_neg: int, area: float):
@@ -391,26 +424,3 @@ def time_map_curves(nl: Nonlinearity, p: float) -> TimeMapCurves:
     return TimeMapCurves(nl, p)
 
 
-# ---------------------------------------------------------------------------
-# incomplete arch integrals (used by profile reconstruction and regularity)
-# ---------------------------------------------------------------------------
-#
-# These work on a positive arch top ``level`` in (0, z_plus]; a negative arch
-# is the positive arch of ``reflected(nl)`` at ``-level``.
-
-
-def arch_tail_cumulative(
-    nl: Nonlinearity, p: float, level: float, double: bool, w_grid: np.ndarray
-) -> np.ndarray:
-    """Cumulative integral of the substituted integrand from w = 0.
-
-    ``w_grid`` must ascend from 0; entry i is the x-distance (in G-space,
-    i.e. before the kappa prefactor) between the arch extremum and the point
-    at ``level - t = w_grid[i]^beta``.
-    """
-    return cumulative_gl(lambda w: _psi(nl, p, level, w, double), np.asarray(w_grid, dtype=float))
-
-
-def arch_tail_distance(nl: Nonlinearity, p: float, level: float, double: bool, w: float) -> float:
-    """Scalar version: G-space distance from the arch extremum to offset w."""
-    return tanh_sinh(lambda ws: _psi(nl, p, level, ws, double), w, QUAD_TOL)

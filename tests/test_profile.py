@@ -16,7 +16,7 @@ from plap.profile import (
     shoot_compare,
 )
 from plap.solver import TRIVIAL, SolutionClass, enumerate_solutions, solve_class
-from plap.timemap import Problem, flat_core_half_widths, s_of_r, slope_bounds, theta, z_of_r
+from plap.timemap import Arch, Problem, flat_core_half_widths, s_of_r, slope_bounds, theta, z_of_r
 from dataclasses import replace
 
 
@@ -364,13 +364,13 @@ class TestRegularity:
         d = [x for x in solve_class(prob, SolutionClass(3, "+")) if x.kind == kind][0]
         prof = reconstruct(prob, d, M=1024)
         calls = []
-        distance = profile.arch_tail_distance
+        distance = Arch.distance
 
-        def counted(side, p, level, double, w):
-            calls.append((id(side), level, double, w))
-            return distance(side, p, level, double, w)
+        def counted(arch, w):
+            calls.append((id(arch.nl), arch.top, arch.double, w))
+            return distance(arch, w)
 
-        monkeypatch.setattr(profile, "arch_tail_distance", counted)
+        monkeypatch.setattr(Arch, "distance", counted)
         rep = classify_regularity(prob, prof)
         per_point = {"arch_top": (rep.limit_checks, 3), "plateau_edge": (rep.second_derivative_checks, 2)}
         blocks: dict = {}
@@ -424,6 +424,21 @@ def test_regularity_on_census_inputs(case):
             for s in rep.second_derivative_checks:
                 if s["delta"] == finest_delta:
                     assert s["second_derivative"] < 1e-2 * lam, d.descriptor_id
+
+
+def test_q_below_two_profiles_cleanly():
+    # q < 2: m(s) = |s|^(q-2) s - f(s) is 0 * inf at s = 0, so no profile
+    # step may evaluate m on its grid (the suite turns RuntimeWarnings into
+    # errors)
+    nl = build_nonlinearity("power_asym", 1.5, {"b_plus": 1.0, "b_minus": 1.3, "r_exp": 2.5})
+    prob = Problem(p=1.6, nl=nl, lam=200.0)
+    descs = [d for d in enumerate_solutions(prob, j_max=3) if d.kind == "regular"]
+    assert descs
+    for d in descs:
+        prof = reconstruct(prob, d, M=512)
+        assert energy_residual(prob, prof) < ENERGY_TOL, d.descriptor_id
+        assert shoot_compare(prob, prof) < ORACLE_TOL, d.descriptor_id
+        assert classify_regularity(prob, prof).smoothness_class == "C2"
 
 
 class TestOracleSweep:

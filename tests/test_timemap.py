@@ -4,9 +4,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plap.errors import Divergent, DomainError, HypothesisViolated, NoZeroFound, OutOfRange
-from plap.nonlinearity import areas, build_nonlinearity, eval_m, reflected
+from plap.nonlinearity import areas, build_nonlinearity, eval_F, eval_m, reflected
 from plap.solver import SolutionClass
 from plap.timemap import (
+    Arch,
     Problem,
     TimeMapCurves,
     _MODEL_FRAC,
@@ -18,8 +19,6 @@ from plap.timemap import (
     integral_J,
     level_neg,
     level_pos,
-    radicand,
-    radicand_at_offset,
     s_of_r,
     slope_bounds,
     theta,
@@ -407,6 +406,13 @@ class TestBoundWeight:
         curves.bound_weight(1, 0, a_plus)
         assert list(curves._bounds) == [(a_plus, False)]
 
+    def test_odd_f_shares_one_entry(self, cubic_odd):
+        # an odd f is its own reflection, so S_1^- reads S_1^+'s integral
+        curves = TimeMapCurves(cubic_odd, self.P)
+        a_plus, a_minus = areas(cubic_odd)
+        assert curves.bound_weight(1, 0, a_plus) == curves.bound_weight(0, 1, a_minus)
+        assert len(curves._bounds) == 1
+
 
 class TestIMonotonicity:
     def test_increasing_for_q_le_p(self, cubic_odd):
@@ -434,10 +440,13 @@ class TestRadicandAtOffset:
     def test_agrees_with_the_direct_radicand(self, asym, frac, double, negative):
         nl = reflected(asym) if negative else asym
         a = frac * nl.z_plus
+        arch = Arch(nl, 3.0, a, double)
         for h in (1e-3 * a, 0.05 * a, 0.5 * a):  # a - h holds h to 1e-13
-            G, m = radicand_at_offset(nl, a, h, double)
-            assert G == pytest.approx(radicand(nl, a, a - h), rel=1e-10)
-            assert m == float(eval_m(nl, a - h))
+            t = a - h
+            G, m = arch.radicand(t, h)
+            direct = eval_F(nl, t) - eval_F(nl, a) + (a**nl.q - t**nl.q) / nl.q
+            assert G == pytest.approx(direct, rel=1e-10)
+            assert m == float(eval_m(nl, t))
 
     @pytest.mark.parametrize("frac", [0.5, 0.999])
     def test_simple_zero_below_an_ulp(self, asym, frac):
@@ -445,7 +454,7 @@ class TestRadicandAtOffset:
         a = frac * asym.z_plus
         m_a = float(eval_m(asym, a))
         for h in (1e-20 * a, 1e-40 * a):
-            G, m = radicand_at_offset(asym, a, h, False)
+            G, m = Arch(asym, 3.0, a, False).radicand(a - h, h)
             assert G == pytest.approx(h * m_a, rel=1e-12)
             assert m == m_a
 
@@ -455,11 +464,34 @@ class TestRadicandAtOffset:
         # model band's edge
         nl = request.getfixturevalue(name)
         a = nl.z_plus
+        arch = Arch(nl, 3.0, a, True)
         slope = abs(_dm(nl, a))
         for h in (1e-20 * a, 1e-100 * a):
-            G, m = radicand_at_offset(nl, a, h, True)
+            G, m = arch.radicand(a - h, h)
             assert G == pytest.approx(0.5 * slope * h * h, rel=1e-15)
             assert m == pytest.approx(slope * h, rel=1e-15)
-        below, above = (radicand_at_offset(nl, a, f * _MODEL_FRAC * a, True) for f in (1.0 - 1e-9, 1.0))
+        offsets = (f * _MODEL_FRAC * a for f in (1.0 - 1e-9, 1.0))
+        below, above = (arch.radicand(a - h, h) for h in offsets)
         assert above[0] == pytest.approx(below[0], rel=1e-6)
         assert above[1] == pytest.approx(below[1], rel=1e-6)
+
+    def test_an_array_gets_G_alone(self, asym):
+        # a profile's grid: G elementwise as at each float, and no m
+        arch = Arch(asym, 3.0, asym.z_plus, True)
+        t = asym.z_plus * np.array([0.0, 0.5, 0.995, 1.0 - 1e-12, 1.0])
+        G, m = arch.radicand(t, asym.z_plus - t)
+        assert m is None
+        assert G.tolist() == [arch.radicand(float(v), asym.z_plus - float(v))[0] for v in t]
+
+
+class TestArch:
+    def test_side_from_the_sign_of_the_level(self, asym):
+        a = 0.5 * abs(asym.z_minus)
+        arch = Arch.at(asym, 3.0, -a)
+        assert arch == Arch(reflected(asym), 3.0, a, False)
+        assert arch.integral() == integral_J(asym, 3.0, -a)
+        assert Arch.at(asym, 3.0, a) == Arch(asym, 3.0, a, False)
+
+    def test_beta_by_zero_order(self, asym):
+        assert Arch.at(asym, 3.0, asym.z_minus, True).beta == 3.0
+        assert Arch.at(asym, 3.0, 0.5 * asym.z_plus).beta == 1.5
