@@ -37,7 +37,7 @@ class Profile:
     dphi: np.ndarray
     flat_intervals: list[tuple[float, float]]
     nodes: list[float]
-    segments: list[tuple[int, int]]  # inclusive index ranges of monotone/flat pieces
+    segments: list[tuple[int, int]]  # inclusive index ranges of monotone/flat pieces (shoot: one)
     turning_points: list[dict] = field(default_factory=list)
     r_ref: float = 0.0
     descriptor: SolutionDescriptor | None = None
@@ -71,7 +71,11 @@ def reconstruct(
     core_lengths=None,
 ) -> Profile:
     """Pointwise profile for a descriptor; flat cores take a plateau-length
-    vector (must sum to the budget; default equal split)."""
+    vector (must sum to the budget; default equal split), and any other kind
+    none."""
+    lengths = None if core_lengths is None else [float(v) for v in core_lengths]
+    if lengths is not None and len(lengths) != descriptor.core_count:
+        raise BudgetMismatch(f"expected {descriptor.core_count} core lengths, got {len(lengths)}")
     if descriptor.kind == "trivial":
         x = np.linspace(0.0, 1.0, M)
         z = np.zeros(M)
@@ -85,20 +89,12 @@ def reconstruct(
     plateau_flags = (False,) * j
     if descriptor.kind == "flat_core":
         plateau_flags = sclass.plateaus(descriptor.core_side)
-        if core_lengths is None:
+        if lengths is None:
             lengths = [descriptor.core_budget / descriptor.core_count] * descriptor.core_count
-        else:
-            lengths = [float(v) for v in core_lengths]
-            if len(lengths) != descriptor.core_count:
-                raise BudgetMismatch(
-                    f"expected {descriptor.core_count} core lengths, got {len(lengths)}"
-                )
-            if not all(0.0 < v < math.inf for v in lengths):
-                raise BudgetMismatch("core lengths must be positive and finite")
-            if not abs(sum(lengths) - descriptor.core_budget) <= _BUDGET_TOL:
-                raise BudgetMismatch(
-                    f"core lengths sum to {sum(lengths)}, budget is {descriptor.core_budget}"
-                )
+        elif not all(0.0 < v < math.inf for v in lengths):
+            raise BudgetMismatch("core lengths must be positive and finite")
+        elif not abs(sum(lengths) - descriptor.core_budget) <= _BUDGET_TOL:
+            raise BudgetMismatch(f"core lengths sum to {sum(lengths)}, budget is {descriptor.core_budget}")
         plats = iter(lengths)
         # the arches without a plateau turn at the levels of the smaller area
         rho = min(areas(nl))
@@ -446,7 +442,9 @@ def shoot(problem: Problem, r0: float, sign: str, n_steps: int, at=None) -> Prof
     Samples lie at the increasing abscissae ``at`` or, by default, on the
     grid k/n_steps of [0, 1]; a run to a leading part of that grid is a
     prefix of the full one.  ``n_steps`` also caps the accepted steps:
-    exhausting it raises ``Blowup``, as does |phi| leaving 10 max(z+, |z-|)."""
+    exhausting it raises ``Blowup``, as does |phi| leaving 10 max(z+, |z-|).
+    The first integral holds along the whole run, so the profile is one
+    segment, and its zeros are not located (``nodes`` is empty)."""
     if r0 <= 0.0:
         raise ValueError(f"r0 must be positive, got {r0}")
     p, nl = problem.p, problem.nl
@@ -462,15 +460,7 @@ def shoot(problem: Problem, r0: float, sign: str, n_steps: int, at=None) -> Prof
     phi_arr, w_arr = _dense(steps, x)
 
     dphi = np.sign(w_arr) * np.abs(w_arr) ** e
-    crossings = np.where(np.sign(phi_arr[1:]) * np.sign(phi_arr[:-1]) < 0)[0]
-    nodes = [
-        float(x[i] - phi_arr[i] * (x[i + 1] - x[i]) / (phi_arr[i + 1] - phi_arr[i]))
-        for i in crossings
-    ]
-    sign_runs = np.sign(dphi)
-    breaks = [0] + list(np.where(np.diff(sign_runs) != 0)[0] + 1) + [x.size - 1]
-    segments = [(breaks[k], breaks[k + 1]) for k in range(len(breaks) - 1)]
-    return Profile(x, phi_arr, dphi, [], nodes, segments, [], r0, None)
+    return Profile(x, phi_arr, dphi, [], [], [(0, x.size - 1)], [], r0, None)
 
 
 def shoot_compare(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -164,7 +164,7 @@ def s_of_r(problem: Problem, r: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the radicand G and the substituted integrand
+# the pieces of the radicand G
 # ---------------------------------------------------------------------------
 
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
@@ -192,47 +192,6 @@ def _direct(nl: Nonlinearity, t, F_a, a_q):
     return eval_F(nl, t) - F_a + (a_q - np.abs(t) ** nl.q) / nl.q
 
 
-def _psi(nl: Nonlinearity, p: float, a, w: np.ndarray, double: bool) -> np.ndarray:
-    """Integrand of I after the substitution t = a - w^beta, at abscissae w.
-
-    ``a`` is one level (a float, for the scalar driver) or a column of
-    levels broadcasting against ``w`` (the batched driver); F(a) and a^q
-    are evaluated once per level.  The simple-zero exponent makes the
-    w-prefactor cancel exactly in the tail region, so the integrand is
-    bounded all the way to w = 0.
-    """
-    beta = p / (p - 2.0) if double else p / (p - 1.0)
-    with np.errstate(under="ignore"):
-        h = w**beta
-    out = np.empty_like(h)
-    tail = h < _TAIL_FRAC * a
-    d = ~tail
-
-    def at(level_values, mask):
-        """Per-level values at the masked nodes (a scalar stays a scalar)."""
-        if not isinstance(level_values, np.ndarray):
-            return level_values
-        return np.broadcast_to(level_values, h.shape)[mask]
-
-    if np.any(d):
-        G = _direct(nl, at(a, d) - h[d], at(eval_F(nl, a), d), at(a**nl.q, d))
-        out[d] = G ** (-1.0 / p) * beta * w[d] ** (beta - 1.0)
-    if np.any(tail):
-        ht = h[tail]
-        if double:
-            res = np.empty_like(ht)
-            model = ht < _MODEL_FRAC * a
-            res[model] = beta * (0.5 * abs(_dm(nl, a))) ** (-1.0 / p)
-            rest = ~model
-            if np.any(rest):
-                S = _tail_mean(nl, a, ht[rest])
-                res[rest] = beta * S ** (-1.0 / p) * w[tail][rest] ** (1.0 / (p - 2.0))
-        else:
-            res = beta * _tail_mean(nl, at(a, tail), ht) ** (-1.0 / p)
-        out[tail] = res
-    return out
-
-
 # ---------------------------------------------------------------------------
 # one monotone arch
 # ---------------------------------------------------------------------------
@@ -243,11 +202,13 @@ class Arch:
     """A monotone arch from 0 to its extremum ``top`` > 0 on the positive
     side ``nl``; a negative extremum is the positive one of ``reflected(nl)``.
     ``double`` marks a double zero of G at ``top`` = z_plus (a plateau edge,
-    p > 2); otherwise the zero is simple (an arch top)."""
+    p > 2); otherwise the zero is simple (an arch top).  ``top`` may also be
+    an array of simple-zero tops (``integral`` gives I at each) or a column
+    of them (``psi`` at a matrix of abscissae, one row per top)."""
 
     nl: Nonlinearity
     p: float
-    top: float
+    top: float | np.ndarray
     double: bool
 
     @classmethod
@@ -260,13 +221,51 @@ class Arch:
         """The exponent of the substitution t = top - w^beta."""
         return self.p / (self.p - 2.0) if self.double else self.p / (self.p - 1.0)
 
-    def psi(self, w: np.ndarray) -> np.ndarray:
-        """The substituted integrand, bounded on [0, top^(1/beta)]."""
-        return _psi(self.nl, self.p, self.top, w, self.double)
+    def _bands(self, h):
+        """G's bands at the offsets h = top - t, as masks (model, tail, direct):
+        at a double zero below ``_MODEL_FRAC * top``, G and m are the Taylor
+        terms |m'(top)| h^2/2 and |m'(top)| h (a simple zero has no model
+        band: None); below ``_TAIL_FRAC * top``, G is h times the tail mean of
+        m; above, the direct formula at t."""
+        near = h < _TAIL_FRAC * self.top
+        if not self.double:
+            return None, near, ~near
+        model = h < _MODEL_FRAC * self.top
+        return model, near ^ model, ~near
 
-    def integral(self, tol: float = QUAD_TOL) -> float:
-        """I(top), the arch's half-width in G-space (before kappa)."""
-        return tanh_sinh(self.psi, self.top ** (1.0 / self.beta), tol)
+    def psi(self, w: np.ndarray) -> np.ndarray:
+        """The substituted integrand at the abscissae w, bounded on [0, top^(1/beta)]:
+        in the tail band the w-prefactor cancels exactly.  A column of tops
+        broadcasts against w, with F(top) and top^q evaluated once per top."""
+        nl, p, top, beta = self.nl, self.p, self.top, self.beta
+        with np.errstate(under="ignore"):
+            h = w**beta
+        out = np.empty_like(h)
+        model, tail, direct = self._bands(h)
+
+        def at(v, mask):  # per-top values at the masked nodes; a float stays a float
+            return np.broadcast_to(v, h.shape)[mask] if isinstance(v, np.ndarray) else v
+
+        # A call covers 63-251 nodes and takes about 60 us, set by its count of
+        # numpy calls (0.6-4 us each on a 2-vCPU x86 machine, whatever the
+        # node count), so a simple zero, the scans' kind, takes no model step.
+        if np.any(direct):
+            G = _direct(nl, at(top, direct) - h[direct], at(eval_F(nl, top), direct), at(top**nl.q, direct))
+            out[direct] = G ** (-1.0 / p) * beta * w[direct] ** (beta - 1.0)
+        if np.any(tail):
+            res = beta * _tail_mean(nl, at(top, tail), h[tail]) ** (-1.0 / p)
+            out[tail] = res * w[tail] ** (1.0 / (p - 2.0)) if self.double else res
+        if model is not None:
+            out[model] = beta * (0.5 * abs(_dm(nl, top))) ** (-1.0 / p)
+        return out
+
+    def integral(self, tol: float = QUAD_TOL) -> float | np.ndarray:
+        """I(top), the arch's half-width in G-space (before kappa); for an
+        array of tops, I at each by the batched rule."""
+        upper = self.top ** (1.0 / self.beta)
+        if isinstance(self.top, np.ndarray):
+            return tanh_sinh_batch(lambda w, idx: replace(self, top=self.top[idx, None]).psi(w), upper, tol)
+        return tanh_sinh(self.psi, upper, tol)
 
     def cumulative(self, w_grid: np.ndarray) -> np.ndarray:
         """G-space distances from the extremum to the offsets ``w_grid``, ascending from 0."""
@@ -277,23 +276,18 @@ class Arch:
         return tanh_sinh(self.psi, w, QUAD_TOL)
 
     def radicand(self, t, h):
-        """G(t) = F(t) - F(top) + (top^q - t^q)/q and m(t) at t = top - h,
-        given as the pair (t, h) since neither is exact rebuilt from the other.
-
-        The bands are ``_psi``'s: at a double zero below ``_MODEL_FRAC * top``,
-        G and m are the Taylor terms |m'(top)| h^2/2 and |m'(top)| h; below
-        ``_TAIL_FRAC * top``, G is h times the tail mean of m; above, the
-        direct formula at t.  Floats (a check point) give (G, m); arrays (a
+        """G(t) = F(t) - F(top) + (top^q - t^q)/q and m(t) at t = top - h, in
+        the bands of ``_bands``, given as the pair (t, h) since neither is exact
+        rebuilt from the other.  Floats (a check point) give (G, m); arrays (a
         profile's grid) give (G, None), as m(0) is 0 * inf for q < 2.
         """
         nl, top = self.nl, self.top
         t, h_b = np.asarray(t, dtype=float), np.asarray(h, dtype=float)
         G = np.empty_like(h_b)
-        dm = abs(_dm(nl, top)) if self.double else 0.0
-        model = self.double & (h_b < _MODEL_FRAC * top)
-        tail = ~model & (h_b < _TAIL_FRAC * top)
-        direct = ~(model | tail)
-        G[model] = 0.5 * dm * h_b[model] * h_b[model]
+        model, tail, direct = self._bands(h_b)
+        if model is not None:
+            dm = abs(_dm(nl, top))
+            G[model] = 0.5 * dm * h_b[model] * h_b[model]
         G[tail] = h_b[tail] * _tail_mean(nl, top, h_b[tail])
         top_1 = np.array([top])  # F(top) and top^q by numpy's pow, like F(t) and t^q
         G[direct] = _direct(nl, t[direct], eval_F(nl, top_1), top_1**nl.q)
@@ -379,9 +373,7 @@ class TimeMapCurves:
         """I (J when ``negative``) at the levels of area ``area * fractions^p``."""
         (key, nl), p = self._side(area, negative), self.p
         if key not in self._scans:
-            levels = level_pos(nl, area * self.fractions**p)
-            psi_rows = lambda w, idx: _psi(nl, p, levels[idx][:, None], w, False)
-            scan = tanh_sinh_batch(psi_rows, levels ** (1.0 / (p / (p - 1.0))), _SCAN_TOL)
+            scan = Arch(nl, p, level_pos(nl, area * self.fractions**p), False).integral(_SCAN_TOL)
             scan.flags.writeable = False
             self._scans[key] = scan
         return self._scans[key]

@@ -319,6 +319,18 @@ class TestSolveRoundTrip:
         assert self._profile_flat_core(tmp_path, quintic_q3, "nan") == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_cores_on_a_regular_descriptor_exit_1(self, tmp_path, capsys):
+        # S1+ of p = q = 2, f = s^3 at lambda = 60 has no flat core, so any
+        # --cores list is a mismatch rather than ignored
+        cfg = write_config(tmp_path, **{"lambda": 60.0})
+        solve_out = tmp_path / "solve.json"
+        assert main(["solve", "--config", cfg, "--jmax", "1", "--out", str(solve_out)]) == 0
+        descs = json.loads(solve_out.read_text())["descriptors"]
+        d = next(d for d in descs if d["kind"] == "regular" and d["sign"] == "+")
+        capsys.readouterr()
+        assert main(["profile", "--config", cfg, "--id", d["id"], "--cores", "0.5,0.2"]) == 1
+        assert capsys.readouterr().err.startswith("error: expected 0 core lengths, got 2")
+
     def test_verify_flat_core_past_equilibrium(self, tmp_path, capsys):
         # S1+ flat core of p = q = 3, f = s^5 at lambda = 300: the shooting oracle
         # escapes after the first flat point, so it must stop there

@@ -5,7 +5,6 @@ from plap.bifurcation import bifurcation_table, structure
 from plap import solver
 from plap.errors import OutOfRange
 from plap.nonlinearity import build_nonlinearity, reflected
-from plap.quadrature import tanh_sinh_batch
 from plap.solver import (
     SolutionClass,
     enumerate_solutions,
@@ -14,10 +13,10 @@ from plap.solver import (
     sweep,
 )
 from plap.timemap import (
+    Arch,
     Problem,
     _CURVES_CAP,
     _SCAN_TOL,
-    _psi,
     alpha,
     flat_core_half_widths,
     level_pos,
@@ -277,9 +276,7 @@ class TestTimeMapCurves:
         curves, bounds = time_map_curves(asym, prob.p), slope_bounds(prob)
 
         def scan(nl, rho):  # batched I at the levels z(rho), as the store fills its scans
-            levels = level_pos(nl, rho)
-            psi_rows = lambda w, idx: _psi(nl, prob.p, levels[idx][:, None], w, False)
-            return tanh_sinh_batch(psi_rows, levels ** ((prob.p - 1.0) / prob.p), _SCAN_TOL)
+            return Arch(nl, prob.p, level_pos(nl, rho), False).integral(_SCAN_TOL)
 
         for sclass in (SolutionClass(1, "+"), SolutionClass(1, "-"), SolutionClass(2, "+")):
             grid = sclass.bound(bounds.r_pos, bounds.r_neg) * curves.fractions

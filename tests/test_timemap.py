@@ -11,6 +11,7 @@ from plap.timemap import (
     Problem,
     TimeMapCurves,
     _MODEL_FRAC,
+    _TAIL_FRAC,
     _area,
     _dm,
     alpha,
@@ -495,3 +496,28 @@ class TestArch:
     def test_beta_by_zero_order(self, asym):
         assert Arch.at(asym, 3.0, asym.z_minus, True).beta == 3.0
         assert Arch.at(asym, 3.0, 0.5 * asym.z_plus).beta == 1.5
+
+    @pytest.mark.parametrize("double", [False, True])
+    @pytest.mark.parametrize("negative", [False, True])
+    def test_integrand_and_radicand_read_one_set_of_bands(self, asym, double, negative):
+        # psi(w) = beta w^(beta-1) G(top - h)^(-1/p) with h = w^beta, in every
+        # band and on both sides of each band edge
+        level = asym.z_minus if negative else asym.z_plus
+        arch = Arch.at(asym, 3.0, level if double else 0.5 * level, double)
+        beta, top = arch.beta, arch.top
+        edges = [f * e for e in (_TAIL_FRAC, _MODEL_FRAC) for f in (1.0 - 1e-9, 1.0 + 1e-9)]
+        for frac in [0.5, 1e-4, 1e-10] + edges:
+            w = (frac * top) ** (1.0 / beta)
+            h = w**beta
+            G, _ = arch.radicand(top - h, h)
+            expected = beta * w ** (beta - 1.0) * G ** (-1.0 / 3.0)
+            assert float(arch.psi(np.array([w]))[0]) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("negative", [False, True])
+    def test_an_array_of_tops_integrates_as_each_top(self, asym, negative):
+        side = reflected(asym) if negative else asym
+        tops = side.z_plus * np.array([1e-6, 0.05, 0.5, 0.9, 1.0 - 1e-9])
+        batched = Arch(side, 3.0, tops, False).integral()
+        assert batched.shape == tops.shape
+        for top, got in zip(tops, batched):
+            assert got == pytest.approx(Arch(side, 3.0, float(top), False).integral(), rel=1e-12)
