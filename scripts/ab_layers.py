@@ -3,13 +3,18 @@
     python scripts/ab_layers.py --base <tree> [--rounds 15]
 
 Imports ``<tree>/src/plap`` and this checkout's ``src/plap`` side by side,
-as two packages of different names, and times four layers in each:
+as two packages of different names, and times seven layers in each:
 
 * ``integral_I`` at a simple level: q = 3, f = |s|^3 s, p = 2, a = z+/2;
 * ``integral_I`` at the double zero z+: q = 2, f = 2s^3 / -|s|^3, p = 3;
 * a fresh store scan: the batched 1023-level I of a new ``TimeMapCurves``
   on the latter (f, p) at the area A(z+);
-* ``reconstruct(M=2048)`` of S1+ for p = q = 2, f = s^3 at lambda = 60.
+* ``reconstruct(M=2048)`` of S1+ for p = q = 2, f = s^3 at lambda = 60;
+* ``matching_residual`` of the mixed class S2+ at r = r*/2, lambda = 50:
+  on q = 2, f = 2s^3 / -|s|^3, p = 3 (two sides) and on q = 2, f = s^3,
+  p = 2 (odd, one shared side);
+* a warm ``structure(N=6)`` at lambda = 300 for p = 2, q = 3,
+  f = 1.5 s^4 / -s^4 (r_exp = 5), whose mixed classes run fold searches.
 
 Each round times every layer over a fixed batch of calls per tree, one call
 of each tree in turn, alternating which tree goes first, so both trees see
@@ -33,7 +38,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # layer name -> calls per timing
-_BATCH = {"integral_I simple": 200, "integral_I at z+": 200, "store scan": 6, "reconstruct": 20}
+_BATCH = {
+    "integral_I simple": 200,
+    "integral_I at z+": 200,
+    "store scan": 6,
+    "reconstruct": 20,
+    "residual asym": 100,
+    "residual odd": 100,
+    "structure N=6": 4,
+}
 
 
 def _load(tree: Path, name: str):
@@ -57,11 +70,19 @@ def _layers(plap) -> dict:
     a_plus = plap.areas(asym)[0]
     problem = plap.Problem(p=2.0, nl=cubic, lam=60.0)
     descriptor = plap.solve_class(problem, plap.SolutionClass(1, "+"))[0]
+    mixed = plap.SolutionClass(2, "+")
+    on_asym, on_odd = plap.Problem(p=3.0, nl=asym, lam=50.0), plap.Problem(p=2.0, nl=cubic, lam=50.0)
+    r_asym, r_odd = (0.5 * plap.slope_bounds(prob).r_star for prob in (on_asym, on_odd))
+    qgtp_asym = plap.build_nonlinearity("power_asym", 3.0, {"b_plus": 1.5, "b_minus": 1.0, "r_exp": 5.0})
+    fold = plap.Problem(p=2.0, nl=qgtp_asym, lam=300.0)
     return {
         "integral_I simple": lambda: plap.integral_I(qgtp, 2.0, 0.5 * qgtp.z_plus),
         "integral_I at z+": lambda: plap.integral_I(asym, 3.0, asym.z_plus),
         "store scan": lambda: timemap.TimeMapCurves(asym, 3.0).integrals(a_plus, False),
         "reconstruct": lambda: plap.reconstruct(problem, descriptor, M=2048),
+        "residual asym": lambda: plap.matching_residual(on_asym, mixed, r_asym),
+        "residual odd": lambda: plap.matching_residual(on_odd, mixed, r_odd),
+        "structure N=6": lambda: plap.structure(fold, 6),
     }
 
 

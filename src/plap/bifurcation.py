@@ -31,14 +31,7 @@ from .solver import (
     continuum_dimension,
     flat_core_side,
 )
-from .timemap import (
-    Problem,
-    TimeMapCurves,
-    _area,
-    integral_I,
-    level_pos,
-    time_map_curves,
-)
+from .timemap import Problem, TimeMapCurves, _area, integral_I, level_pos, time_map_curves, weigh
 
 _FOLD_XTOL = 1.5e-8  # sqrt(eps): relative xtol of the fold searches
 
@@ -73,10 +66,6 @@ def _fold_weights(curves: TimeMapCurves, classes: list[SolutionClass]) -> list[f
     lie deeper.
     """
     nl, p, fractions = curves.nl, curves.p, curves.fractions
-    a_plus, a_minus = areas(nl)
-    # the negative side is the positive side of the reflection; an odd f is its
-    # own reflection, so there W = (n_pos + n_neg) I and one search serves all
-    sides = (nl, reflected(nl))
     minima: dict[tuple[int, int, float], float] = {}
 
     def minimum(sc: SolutionClass, w_pos: int, w_neg: int, area: float) -> float:
@@ -88,18 +77,16 @@ def _fold_weights(curves: TimeMapCurves, classes: list[SolutionClass]) -> list[f
                     f"fold of class S_{sc.j}^{sc.sign} lies below "
                     f"rho/A = {fractions[0] ** p:.3g}, the deepest scanned level"
                 )
-            (w_lead, lead), *rest = [(w, k) for k, w in enumerate((w_pos, w_neg)) if w]
-            lead_nl = sides[lead]
+            lead = nl if w_pos else reflected(nl)
 
             def weight(z: float) -> float:
-                total = w_lead * integral_I(lead_nl, p, z)
-                for w, k in rest:  # the other side of a mixed class, at the same area
-                    rho = _area(lead_nl, z)
-                    total += w * integral_I(sides[k], p, level_pos(sides[k], rho))
-                return total
+                def term(side: Nonlinearity) -> float:  # the lead side at z, the other one at its area
+                    return integral_I(side, p, z if side is lead else level_pos(side, _area(lead, z)))
+
+                return weigh(nl, term, w_pos, w_neg)
 
             i = min(i, vals.size - 2)
-            bracket = (level_pos(lead_nl, float(area * g**p)) for g in fractions[i - 1 : i + 2])
+            bracket = (level_pos(lead, float(area * g**p)) for g in fractions[i - 1 : i + 2])
             minima[w_pos, w_neg, area] = brent_min(weight, *bracket, xtol=_FOLD_XTOL)[1]
         return minima[w_pos, w_neg, area]
 
@@ -107,7 +94,7 @@ def _fold_weights(curves: TimeMapCurves, classes: list[SolutionClass]) -> list[f
     for sc in classes:
         n_pos, n_neg = (sc.j, 0) if nl.odd else (sc.n_pos, sc.n_neg)
         d = math.gcd(n_pos, n_neg)
-        out.append(d * minimum(sc, n_pos // d, n_neg // d, sc.bound(a_plus, a_minus)))
+        out.append(d * minimum(sc, n_pos // d, n_neg // d, sc.bound(*areas(nl))))
     return out
 
 

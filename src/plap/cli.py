@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -134,7 +135,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit(text: str, out: str | None):
+def _emit(text: str, out: str | Path | None):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -234,7 +235,9 @@ def _parse_cores(arg: str | None):
 
 
 def cmd_profile(cfg: RunConfig, args) -> int:
-    cores = _parse_cores(args.cores)  # a bad list fails before any class is solved
+    cores = _parse_cores(args.cores)  # a bad list or --out fails before any class is solved
+    if args.out and Path(args.out).suffix == ".json":
+        raise ConfigError(f"--out {args.out} is the path of the profile's JSON sidecar")
     problem, d = _find_descriptor(cfg, args)
     prof = profile.reconstruct(problem, d, M=cfg.numerics.grid, core_lengths=cores)
     lines = ["x,phi,dphi"]
@@ -246,7 +249,7 @@ def cmd_profile(cfg: RunConfig, args) -> int:
         "flat_intervals": [[a, b] for a, b in prof.flat_intervals],
         "nodes": list(prof.nodes),
     }
-    side_path = (args.out.rsplit(".", 1)[0] + ".json") if args.out else None
+    side_path = Path(args.out).with_suffix(".json") if args.out else None
     _emit(_json_text(sidecar), side_path)
     return EXIT_OK
 

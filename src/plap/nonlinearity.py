@@ -59,7 +59,7 @@ class Nonlinearity:
     z_plus: float
     z_minus: float
 
-    @property
+    @cached_property
     def odd(self) -> bool:
         """True when ``f`` is exactly odd (``f(-s) = -f(s)``)."""
         return self.c_plus == _alt(self.c_minus)

@@ -32,7 +32,9 @@ import numpy as np
 from .errors import OutOfRange
 from .nonlinearity import Nonlinearity, areas
 from .roots import brentq, golden_min
-from .timemap import Problem, _SCAN_TOL, alpha, slope_bounds, theta, time_map_curves
+from .timemap import (
+    RESIDUAL_TOL, Problem, _SCAN_TOL, _rho_of_r, integral_I, level_pos, slope_bounds, time_map_curves, weigh
+)
 
 SIGN_POS = "+"
 SIGN_NEG = "-"
@@ -137,21 +139,19 @@ def continuum_dimension(sclass: SolutionClass, relation: str) -> int:
 
 
 def matching_residual(problem: Problem, sclass: SolutionClass, r: float) -> float:
-    """Left side of the class's matching condition minus 1, from theta and
-    alpha at ``timemap.RESIDUAL_TOL``."""
+    """Left side of the class's matching condition minus 1: ``weigh`` of the
+    half-widths kappa I at the levels of slope r (theta on the positive side,
+    alpha on the reflected one) at ``timemap.RESIDUAL_TOL``."""
     bounds = slope_bounds(problem)
     upper = sclass.bound(bounds.r_pos, bounds.r_neg)
     if not 0.0 < r < upper:
         raise OutOfRange(f"r = {r} outside (0, {upper}) for class {sclass}")
-    total = 0.0
-    th = theta(problem, r) if sclass.n_pos else None
-    if sclass.n_pos:
-        total += 2.0 * sclass.n_pos * th
-    if sclass.n_neg:
-        # an odd f is its own reflection, so there alpha(r) = theta(r) exactly
-        al = th if th is not None and problem.nl.odd else alpha(problem, r)
-        total += 2.0 * sclass.n_neg * al
-    return total - 1.0
+    kappa, p, rho = problem.kappa, problem.p, float(_rho_of_r(problem, r))
+
+    def half_width(side: Nonlinearity) -> float:
+        return kappa * integral_I(side, p, level_pos(side, rho), RESIDUAL_TOL)
+
+    return weigh(problem.nl, half_width, 2.0 * sclass.n_pos, 2.0 * sclass.n_neg) - 1.0
 
 
 def _flat_core_descriptor(problem: Problem, sclass: SolutionClass, bound: float) -> SolutionDescriptor | None:

@@ -338,6 +338,23 @@ def flat_core_half_widths(problem: Problem) -> tuple[float, float]:
     return problem.kappa * weight(1, 0, a_plus), problem.kappa * weight(0, 1, a_minus)
 
 
+def weigh(nl: Nonlinearity, term, n_pos, n_neg):
+    """A class's time map W = n_pos term(nl) + n_neg term(reflected(nl)), the
+    one place a class's two sides are summed: ``term(side)`` is I (or a
+    multiple of it) of one side, J being I of the reflection.  A side without
+    arches is not evaluated, and an odd f is its own reflection, so there
+    ``term(nl)`` serves both sides and is evaluated once."""
+    total = 0
+    if n_pos:
+        value = term(nl)
+        total += n_pos * value
+    if n_neg:
+        if not (n_pos and nl.odd):
+            value = term(nl if nl.odd else reflected(nl))
+        total += n_neg * value
+    return total
+
+
 # ---------------------------------------------------------------------------
 # the lambda-free store of one (f, p)
 # ---------------------------------------------------------------------------
@@ -371,9 +388,10 @@ class TimeMapCurves:
 
     def integrals(self, area: float, negative: bool) -> np.ndarray:
         """I (J when ``negative``) at the levels of area ``area * fractions^p``."""
-        (key, nl), p = self._side(area, negative), self.p
+        key = (area, negative)
         if key not in self._scans:
-            scan = Arch(nl, p, level_pos(nl, area * self.fractions**p), False).integral(_SCAN_TOL)
+            nl = reflected(self.nl) if negative else self.nl
+            scan = Arch(nl, self.p, level_pos(nl, area * self.fractions**self.p), False).integral(_SCAN_TOL)
             scan.flags.writeable = False
             self._scans[key] = scan
         return self._scans[key]
@@ -381,7 +399,7 @@ class TimeMapCurves:
     def weights(self, n_pos: int, n_neg: int, area: float) -> np.ndarray:
         """W = n_pos I + n_neg J on the scan grid of area bound ``area``; the
         matching residual is 2 kappa W - 1 and a fold is a minimum of W."""
-        return self._weigh(self.integrals, n_pos, n_neg, area)
+        return weigh(self.nl, lambda side: self.integrals(area, side is not self.nl), n_pos, n_neg)
 
     def bound_weight(self, n_pos: int, n_neg: int, area: float) -> float:
         """W with every arch at the level of area ``area`` itself, where a
@@ -389,24 +407,14 @@ class TimeMapCurves:
         z_plus once ``area >= A(z_plus)`` (and ``level_neg`` z_minus), so a
         single arch reaches its own zero and any other class the levels of
         the smaller area; such a term needs p > 2."""
-        return self._weigh(self._at_bound, n_pos, n_neg, area)
 
-    def _at_bound(self, area: float, negative: bool) -> float:
-        key, nl = self._side(area, negative)
-        if key not in self._bounds:
-            self._bounds[key] = integral_I(nl, self.p, level_pos(nl, area))
-        return self._bounds[key]
+        def at_bound(side: Nonlinearity) -> float:
+            key = (area, side is not self.nl)
+            if key not in self._bounds:
+                self._bounds[key] = integral_I(side, self.p, level_pos(side, area))
+            return self._bounds[key]
 
-    def _side(self, area: float, negative: bool) -> tuple[tuple[float, bool], Nonlinearity]:
-        """A side's entry key and nonlinearity; an odd f is its own reflection, so J is I."""
-        negative = negative and not self.nl.odd
-        return (area, negative), reflected(self.nl) if negative else self.nl
-
-    @staticmethod
-    def _weigh(term, n_pos: int, n_neg: int, area: float):
-        """n_pos term(area, False) + n_neg term(area, True); a side without
-        arches is not evaluated."""
-        return sum(n * term(area, negative) for n, negative in ((n_pos, False), (n_neg, True)) if n)
+        return weigh(self.nl, at_bound, n_pos, n_neg)
 
 
 @functools.lru_cache(maxsize=_CURVES_CAP)

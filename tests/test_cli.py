@@ -319,17 +319,48 @@ class TestSolveRoundTrip:
         assert self._profile_flat_core(tmp_path, quintic_q3, "nan") == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_cores_on_a_regular_descriptor_exit_1(self, tmp_path, capsys):
-        # S1+ of p = q = 2, f = s^3 at lambda = 60 has no flat core, so any
-        # --cores list is a mismatch rather than ignored
+    @staticmethod
+    def _regular_id(tmp_path) -> tuple[str, str]:
+        """A config and the id of its S1+ regular descriptor (p = q = 2, f = s^3, lambda = 60)."""
         cfg = write_config(tmp_path, **{"lambda": 60.0})
         solve_out = tmp_path / "solve.json"
         assert main(["solve", "--config", cfg, "--jmax", "1", "--out", str(solve_out)]) == 0
         descs = json.loads(solve_out.read_text())["descriptors"]
-        d = next(d for d in descs if d["kind"] == "regular" and d["sign"] == "+")
+        return cfg, next(d["id"] for d in descs if d["kind"] == "regular" and d["sign"] == "+")
+
+    def test_cores_on_a_regular_descriptor_exit_1(self, tmp_path, capsys):
+        # S1+ of p = q = 2, f = s^3 at lambda = 60 has no flat core, so any
+        # --cores list is a mismatch rather than ignored
+        cfg, d_id = self._regular_id(tmp_path)
         capsys.readouterr()
-        assert main(["profile", "--config", cfg, "--id", d["id"], "--cores", "0.5,0.2"]) == 1
+        assert main(["profile", "--config", cfg, "--id", d_id, "--cores", "0.5,0.2"]) == 1
         assert capsys.readouterr().err.startswith("error: expected 0 core lengths, got 2")
+
+    @pytest.mark.parametrize("out, sidecar", [("run.v2/prof", "run.v2/prof.json"), ("./prof", "prof.json")])
+    def test_sidecar_replaces_the_suffix_of_the_file_name(self, tmp_path, monkeypatch, out, sidecar):
+        # the sidecar sits next to the profile, whatever dots its directories
+        # or a leading "./" hold
+        cfg, d_id = self._regular_id(tmp_path)
+        (tmp_path / "work" / "run.v2").mkdir(parents=True)
+        monkeypatch.chdir(tmp_path / "work")
+        assert main(["profile", "--config", cfg, "--id", d_id, "--out", out]) == 0
+        assert Path(out).read_text().startswith("x,phi,dphi")
+        assert json.loads(Path(sidecar).read_text())["descriptor"]["id"] == d_id
+        written = sorted(str(f.relative_to(".")) for f in Path(".").rglob("*") if f.is_file())
+        assert written == sorted({str(Path(out)), sidecar})
+
+    def test_json_out_exits_1_before_solving(self, tmp_path, capsys, monkeypatch):
+        # the sidecar would overwrite the profile itself
+        import plap.solver
+
+        cfg, d_id = self._regular_id(tmp_path)
+        solved = []
+        monkeypatch.setattr(plap.solver, "solve_class", lambda *a: solved.append(a) or [])
+        capsys.readouterr()
+        out = tmp_path / "prof.json"
+        assert main(["profile", "--config", cfg, "--id", d_id, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert solved == [] and not out.exists()
 
     def test_verify_flat_core_past_equilibrium(self, tmp_path, capsys):
         # S1+ flat core of p = q = 3, f = s^5 at lambda = 300: the shooting oracle

@@ -289,9 +289,20 @@ class TestValidate:
         # g decreases on s^2 in (1/2, 1)
         assert err.value.report.first_violation_pos == pytest.approx(0.5**0.5, abs=1e-12)
 
-    # subnormal coefficients raise ValueError in locate_nonlinearity
+    # subnormal coefficients raise ValueError in locate_nonlinearity; the
+    # drawn lists locate a zero about 32% of the time, the lists of odd
+    # length with a normal, positive last coefficient about 70%, so the
+    # mixture keeps Hypothesis' share of filtered inputs low
     @given(
-        coeffs=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=6),
+        coeffs=st.one_of(
+            st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=6),
+            st.tuples(
+                st.sampled_from([2, 4]).flatmap(
+                    lambda n: st.lists(st.floats(-2.0, 2.0, allow_subnormal=False), min_size=n, max_size=n)
+                ),
+                st.floats(0.0, 2.0, exclude_min=True, allow_subnormal=False),
+            ).map(lambda t: [*t[0], t[1]]),
+        ),
         q=st.floats(1.2, 2.8),
     )
     @settings(max_examples=60, deadline=None)

@@ -49,6 +49,43 @@ class TestMatchingResidual:
                 matching_residual(prob, SolutionClass(j, "-"), r), rel=1e-11
             )
 
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("family", ["asym", "cubic_odd"])
+    def test_residual_is_exactly_the_theta_alpha_sum(self, request, family, p):
+        # theta and alpha in the order the condition states them: the one
+        # weighted sum reproduces that float exactly, for an odd f too
+        prob = Problem(p=p, nl=request.getfixturevalue(family), lam=50.0)
+        b = slope_bounds(prob)
+        for j in (1, 2, 3, 4):
+            for sign in "+-":
+                sc = SolutionClass(j, sign)
+                for frac in (1e-6, 1e-3, 0.1, 0.37, 0.5, 0.9, 1 - 1e-6, 1 - 1e-9):
+                    r = frac * sc.bound(b.r_pos, b.r_neg)
+                    want = 0.0
+                    if sc.n_pos:
+                        want += 2.0 * sc.n_pos * theta(prob, r)
+                    if sc.n_neg:
+                        want += 2.0 * sc.n_neg * alpha(prob, r)
+                    assert matching_residual(prob, sc, r) == want - 1.0, (j, sign, frac)
+
+    @pytest.mark.parametrize("family, calls", [("cubic_odd", 1), ("asym", 2)])
+    def test_quadratures_per_mixed_class_residual(self, request, monkeypatch, family, calls):
+        # an odd f is its own reflection, so its mixed classes integrate once
+        prob = Problem(p=3.0, nl=request.getfixturevalue(family), lam=50.0)
+        r = 0.5 * slope_bounds(prob).r_star
+        seen = []
+        real = Arch.integral
+
+        def counting(arch, tol):  # one quadrature per integral_I
+            seen.append(arch.nl)
+            return real(arch, tol)
+
+        monkeypatch.setattr(Arch, "integral", counting)
+        for sc in (SolutionClass(2, "+"), SolutionClass(3, "-")):
+            seen.clear()
+            matching_residual(prob, sc, r)
+            assert len(seen) == calls, sc
+
     def test_out_of_range(self, cubic_odd):
         prob = Problem(p=2.0, nl=cubic_odd, lam=30.0)
         b = slope_bounds(prob)
