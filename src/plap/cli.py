@@ -135,10 +135,25 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _check_out(out: str | None) -> None:
+    """Raise unless ``out`` names a file in an existing directory, so a bad
+    path fails before any class is solved."""
+    if not out:
+        return
+    path = Path(out)
+    if path.is_dir():
+        raise ConfigError(f"--out {out} is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"--out {out}: no directory {path.parent}")
+
+
 def _emit(text: str, out: str | Path | None):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -325,6 +340,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig.from_file(args.config)
+        _check_out(args.out)
         return _COMMANDS[args.command](cfg, args)
     except HypothesisViolated as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)

@@ -5,22 +5,26 @@ the inverse of ``s -> x(s) = kappa * int_s^a G_a(t)^(-1/p) dt`` sampled on an
 extremum-clustered grid, then reflected about the arch midpoint.  The
 derivative comes from the conservation law ``|phi_x|^p = (lam p/(p-1)) G``
 rather than from differencing, so the energy residual measures pure grid
-consistency.  An independent shooter, the adaptive eighth-order pair DOP853
-compared through its seventh-order dense output at the profile's own
-abscissae, provides positional verification; for p > 2 it is trustworthy
-only up to the first flat point, where the ODE loses uniqueness (which is
-exactly why flat cores exist).
+consistency.  An independent shooter provides positional verification: the
+adaptive eighth-order pair DOP853 integrates the rising half of each arch
+sign the trajectory uses once, from its zero to its top, where w = 0 on the
+seventh-order dense output, and the trajectory at the profile's own
+abscissae is read off mirrored and translated copies of those halves.  For
+p > 2 it is trustworthy only up to the first flat point, where the ODE
+loses uniqueness (which is exactly why flat cores exist).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import Blowup, BudgetMismatch, OutOfRange, ShapeError
 from .nonlinearity import Nonlinearity, areas, eval_F, eval_m
+from .roots import brentq
 from .solver import SIGN_POS, SolutionClass, SolutionDescriptor
 from .timemap import Arch, Problem, level_neg, level_pos, s_of_r, z_of_r
 
@@ -299,13 +303,15 @@ _FIRST_STEP = 1e-4
 
 def _dopri(fphi, fw, w0: float, x_stop: float, max_steps: int, scale_phi: float, cap: float):
     """Adaptive DOP853 for phi' = fphi(w), w' = fw(phi) from (0, w0) until a
-    step ends past ``x_stop``; no step is shortened to end there, so a run to
-    a smaller ``x_stop`` is a prefix of a longer one.
+    step ends past ``x_stop`` or ends with w no longer of w0's sign; no step
+    is shortened to end at either, so a run to a smaller ``x_stop`` is a
+    prefix of a longer one.
 
     Returns one row per accepted step: its start, its width, and for phi and
     for w the value at the start and the 7 coefficients of the dense output."""
     tol_phi, tol_w = _ODE_TOL * scale_phi, _ODE_TOL * abs(w0)
     x, h, phi, w = 0.0, _FIRST_STEP, 0.0, w0
+    sgn = math.copysign(1.0, w0)
     k1p, k1w = fphi(w), fw(phi)
     rows: list[tuple] = []
     grow = 5.0
@@ -413,25 +419,63 @@ def _dopri(fphi, fw, w0: float, x_stop: float, max_steps: int, scale_phi: float,
         phi, w, k1p, k1w = phi1, w1, k13p, k13w
         if abs(phi) > cap:
             raise Blowup(f"|phi| exceeded {cap} at x = {x}")
+        if not sgn * w > 0.0:  # w turned: the top lies in this step
+            break
         h *= min(grow, 0.9 * err**-0.125) if err > 0.0 else grow
         grow = 5.0
     return np.array(rows)
 
 
-def _dense(steps: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """phi and w at abscissae x from the steps' dense-output rows: with
-    t = (x - x0) / h, u = 1 - t and a row's coefficients y0, c1..c7,
-    y = y0 + t (c1 + u (c2 + t (c3 + u (c4 + t (c5 + u (c6 + t c7))))))."""
-    i = np.clip(np.searchsorted(steps[:, 0], x, side="right") - 1, 0, len(steps) - 1)
-    c = steps[i]
-    t = (x - c[:, 0]) / c[:, 1]
+def _poly(c, k: int, t):
+    """The dense output of the component whose start value is ``c[k]``, with
+    coefficients c1..c7 = ``c[k + 1]``..``c[k + 7]``, at step fraction t:
+    y0 + t (c1 + u (c2 + t (c3 + u (c4 + t (c5 + u (c6 + t c7)))))) with
+    u = 1 - t.  ``c`` is one row for a float t, or the transposed rows for
+    an array of t."""
     u = 1.0 - t
-    phi, w = c[:, 9], c[:, 17]
-    for k in range(6):
-        s = t if k % 2 == 0 else u
-        phi = c[:, 8 - k] + s * phi
-        w = c[:, 16 - k] + s * w
-    return c[:, 2] + t * phi, c[:, 10] + t * w
+    y = c[k + 7]
+    for i in range(6):
+        y = c[k + 6 - i] + (t if i % 2 == 0 else u) * y
+    return c[k] + t * y
+
+
+def _dense(steps: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi and w at abscissae x from the steps' dense-output rows."""
+    i = np.clip(np.searchsorted(steps[:, 0], x, side="right") - 1, 0, len(steps) - 1)
+    c = steps[i].T
+    t = (x - c[0]) / c[1]
+    return _poly(c, 2, t), _poly(c, 10, t)
+
+
+class _Half(NamedTuple):
+    """The rising half of an arch, from its zero to its top."""
+
+    steps: np.ndarray  # ``_dopri``'s rows
+    width: float  # x at the top, where w = 0; inf if the run ended before it
+    top: float  # phi at the top; nan if the run ended before it
+
+
+def _half(problem: Problem, r0: float, positive: bool, x_stop: float, n_steps: int) -> _Half:
+    """DOP853 from (0, +/-r0^(p-1)) until w changes sign, with the top
+    located as the zero of w on that step's dense output, or until a step
+    ends past ``x_stop``.  ``n_steps`` caps the accepted steps."""
+    p, nl = problem.p, problem.nl
+    e = 1.0 / (p - 1.0)
+
+    def fphi(w: float) -> float:
+        return abs(w) ** e if w >= 0.0 else -((-w) ** e)
+
+    scale = max(nl.z_plus, -nl.z_minus)
+    w0 = r0 ** (p - 1.0) if positive else -(r0 ** (p - 1.0))
+    steps = _dopri(fphi, _scalar_dw(nl, problem.lam), w0, x_stop, n_steps, scale, 10.0 * scale)
+    row = steps[-1].tolist()
+    if math.copysign(1.0, w0) * (row[10] + row[11]) > 0.0:  # w keeps its sign at the step's end
+        if row[0] + row[1] > x_stop:
+            return _Half(steps, math.inf, math.nan)
+        t = 1.0  # w turned within the rounding of the dense output's end value
+    else:
+        t = brentq(lambda t: _poly(row, 10, t), 0.0, 1.0, 1e-16)
+    return _Half(steps, row[0] + t * row[1], _poly(row, 2, t))
 
 
 def shoot(problem: Problem, r0: float, sign: str, n_steps: int, at=None) -> Profile:
@@ -439,28 +483,49 @@ def shoot(problem: Problem, r0: float, sign: str, n_steps: int, at=None) -> Prof
     phi' = sgn(w)|w|^(1/(p-1)), w' = -lam (|phi|^{q-2} phi - f(phi)),
     w(0) = +/- r0^(p-1), sampled through its dense output.
 
+    An arch is symmetric about its top, and |phi'| = r0 at every zero, so
+    the trajectory is built from at most two rising halves, one per sign,
+    each integrated once from its zero to its top (``_half``).  An arch of
+    half width H starting at X is the rising half at x - X up to its top and
+    its mirror image phi(2H - (x - X)), w -> -w, past it; the next arch
+    starts at X + 2H with the other sign.  The tops and widths are the
+    oracle's own: no time map is used.
+
     Samples lie at the increasing abscissae ``at`` or, by default, on the
     grid k/n_steps of [0, 1]; a run to a leading part of that grid is a
-    prefix of the full one.  ``n_steps`` also caps the accepted steps:
-    exhausting it raises ``Blowup``, as does |phi| leaving 10 max(z+, |z-|).
+    prefix of the full one.  ``n_steps`` also caps the accepted steps of
+    each half: exhausting it raises ``Blowup``, as does |phi| leaving
+    10 max(z+, |z-|), which is how a slope above the half's bound shows.
     The first integral holds along the whole run, so the profile is one
-    segment, and its zeros are not located (``nodes`` is empty)."""
+    segment; ``turning_points`` lists the tops in the sampled range, with
+    their ``half_width``, and ``nodes`` the zeros strictly inside it."""
     if r0 <= 0.0:
         raise ValueError(f"r0 must be positive, got {r0}")
-    p, nl = problem.p, problem.nl
     x = np.linspace(0.0, 1.0, n_steps + 1) if at is None else np.asarray(at, dtype=float)
-    e = 1.0 / (p - 1.0)
+    phi, w = np.empty(x.size), np.empty(x.size)
+    halves: dict[bool, _Half] = {}
+    turning: list[dict] = []
+    nodes: list[float] = []
+    start, positive, lo = 0.0, sign == SIGN_POS, 0
+    while lo < x.size:
+        if positive not in halves:  # each sign's half is run only as far as the samples need
+            halves[positive] = _half(problem, r0, positive, float(x[-1]) - start, n_steps)
+        steps, width, top = halves[positive]
+        top_x = start + width
+        end = top_x + width
+        hi = int(np.searchsorted(x, end, side="right"))
+        v = x[lo:hi] - start
+        fall = v > width
+        phi[lo:hi], w_arch = _dense(steps, np.where(fall, 2.0 * width - v, v))
+        w[lo:hi] = np.where(fall, -w_arch, w_arch)
+        if x[0] <= top_x <= x[-1]:
+            turning.append({"x": top_x, "phi": top, "kind": "arch_top", "double": False, "half_width": width})
+        if x[0] < end < x[-1]:
+            nodes.append(end)
+        start, positive, lo = end, not positive, hi
 
-    def fphi(w: float) -> float:
-        return abs(w) ** e if w >= 0.0 else -((-w) ** e)
-
-    scale = max(nl.z_plus, -nl.z_minus)
-    w0 = r0 ** (p - 1.0) if sign == SIGN_POS else -(r0 ** (p - 1.0))
-    steps = _dopri(fphi, _scalar_dw(nl, problem.lam), w0, x[-1], n_steps, scale, 10.0 * scale)
-    phi_arr, w_arr = _dense(steps, x)
-
-    dphi = np.sign(w_arr) * np.abs(w_arr) ** e
-    return Profile(x, phi_arr, dphi, [], [], [(0, x.size - 1)], [], r0, None)
+    dphi = np.sign(w) * np.abs(w) ** (1.0 / (problem.p - 1.0))
+    return Profile(x, phi, dphi, [], nodes, [(0, x.size - 1)], turning, r0, None)
 
 
 def shoot_compare(

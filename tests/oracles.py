@@ -4,14 +4,18 @@ Deliberately disjoint from the library's numerics: sine-based
 substitutions that carry the distance to the singular end exactly, instead
 of the power substitution; fixed-panel composite trapezoid instead of
 tanh-sinh; and extended-precision expm1-based evaluation of the radicand
-instead of the tail-integral trick.
+instead of the tail-integral trick.  ``ode_residual`` reads the matching
+condition off the shooting oracle's half arches instead of the time map.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
+
+from plap import profile
 
 LD = np.longdouble
 
@@ -114,3 +118,15 @@ def takeuchi_yamada_tilde1(p: float, q: float, qr: float, panels: int = 1_000_00
     )
     integral = np.trapezoid(vals) / LD(panels)
     return float((pL - 1) / pL * (2 * integral) ** pL)
+
+
+def ode_residual(problem, sclass, r: float, n_steps: int = 100_000) -> float:
+    """X_j(r) - 1 for the j-th zero X_j(r) = 2 n+ H+ + 2 n- H- of the
+    trajectory launched with slope r, where H+/- are the half widths of the
+    oracle's rising half of each sign the class uses: the matching residual
+    obtained by integrating the ODE, with no level map or quadrature."""
+    total = 0.0
+    for n, positive in ((sclass.n_pos, True), (sclass.n_neg, False)):
+        if n:
+            total += 2.0 * n * profile._half(problem, r, positive, math.inf, n_steps).width
+    return total - 1.0

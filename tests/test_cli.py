@@ -362,6 +362,15 @@ class TestSolveRoundTrip:
         assert capsys.readouterr().err.startswith("error:")
         assert solved == [] and not out.exists()
 
+    def test_unwritable_sidecar_exits_1(self, tmp_path, capsys):
+        # a write that fails after the checks of --out is an error line too
+        cfg, d_id = self._regular_id(tmp_path)
+        (tmp_path / "prof.json").mkdir()
+        capsys.readouterr()
+        assert main(["profile", "--config", cfg, "--id", d_id, "--out", str(tmp_path / "prof")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {tmp_path / 'prof.json'}")
+
     def test_verify_flat_core_past_equilibrium(self, tmp_path, capsys):
         # S1+ flat core of p = q = 3, f = s^5 at lambda = 300: the shooting oracle
         # escapes after the first flat point, so it must stop there
@@ -432,6 +441,37 @@ def test_error_exits_before_solving(tmp_path, capsys, monkeypatch, argv, overrid
     assert captured.out == ""
     assert message in captured.err.splitlines()[0]
     assert solved == []
+
+
+_OUT_ARGS = {
+    "validate": [],
+    "diagram": ["--n", "2"],
+    "solve": ["--jmax", "1"],
+    "sweep": ["--lambdas", "20,40"],
+    "profile": ["--id", "deadbeef0000"],
+    "verify": ["--id", "deadbeef0000"],
+    "structure": ["--n", "2"],
+    "regularity": ["--id", "deadbeef0000"],
+}
+
+
+@pytest.mark.parametrize("target", ["missing", "directory"])
+@pytest.mark.parametrize("command", sorted(_OUT_ARGS))
+def test_unwritable_out_exits_1_before_solving(tmp_path, capsys, monkeypatch, command, target):
+    # a missing directory or a directory as --out used to end, after every
+    # class was solved, in a traceback from the write
+    import plap.solver
+
+    solved = []
+    monkeypatch.setattr(plap.solver, "solve_class", lambda problem, sclass: solved.append(sclass))
+    out = tmp_path / "missing_dir" / "x.out" if target == "missing" else tmp_path
+    argv = [command, "--config", write_config(tmp_path), *_OUT_ARGS[command], "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and str(out) in captured.err
+    assert solved == []
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json"]
 
 
 class TestStructureAndRegularity:

@@ -15,9 +15,41 @@ from plap.profile import (
     shoot,
     shoot_compare,
 )
-from plap.solver import TRIVIAL, SolutionClass, enumerate_solutions, solve_class
+from plap.solver import TRIVIAL, SolutionClass, enumerate_solutions, matching_residual, solve_class
 from plap.timemap import Arch, Problem, flat_core_half_widths, s_of_r, slope_bounds, theta, z_of_r
 from dataclasses import replace
+
+from oracles import ode_residual
+
+
+# (fixture, p, c): at lambda = c j^p every S_j with j <= 6 has regular roots
+# of both signs, above j^p lambda_1 (q = p) or lambda*_j (q > p) and below
+# lambda~_j (p > 2)
+_ARCH_CASES = [
+    ("cubic_odd", 2.0, 2 * np.pi**2),
+    ("asym", 3.0, 30.0),
+    ("asym", 1.5, 20.0),
+    ("quintic_q3", 3.0, 70.0),
+    ("qgtp", 2.0, 60.0),
+    ("quartic_q4", 4.0, 190.0),
+]
+_ARCH_IDS = ["cubic_odd-p2", "asym-p3", "asym-p1.5", "quintic_q3-p3", "qgtp-p2", "quartic_q4-p4"]
+
+
+def _regular_roots(nl, p, c, j, sign):
+    """S_j^sign's regular, non-degenerate roots at lambda = c j^p that lie
+    more than 1e-4 (relative) below the class's slope bound."""
+    prob = Problem(p=p, nl=nl, lam=c * j**p)
+    sclass = SolutionClass(j, sign)
+    b = slope_bounds(prob)
+    r_max = (1.0 - 1e-4) * sclass.bound(b.r_pos, b.r_neg)
+    roots = [d for d in solve_class(prob, sclass) if d.kind == "regular" and not d.degenerate and d.r < r_max]
+    assert roots, (p, j, sign)
+    return prob, sclass, roots
+
+
+def _classes():
+    return [(j, sign) for j in range(1, 7) for sign in "+-"]
 
 
 @pytest.fixture(scope="module")
@@ -245,17 +277,60 @@ class TestShoot:
         assert np.max(np.abs(phi - np.sin(x))) <= 1e-13
         assert np.max(np.abs(w - np.cos(x))) <= 1e-13
 
-    def test_step_count(self, ci_prob, ci_first, monkeypatch):
-        dopri, accepted = profile._dopri, []
+    def test_step_count(self, ci_prob, ci_first, asym, monkeypatch):
+        dopri, runs = profile._dopri, []
 
-        def counted(*args):
-            steps = dopri(*args)
-            accepted.append(len(steps))
+        def counted(fphi, fw, *args):
+            evals = [0]
+
+            def fw_counted(s):
+                evals[0] += 1
+                return fw(s)
+
+            steps = dopri(fphi, fw_counted, *args)
+            runs.append((len(steps), evals[0]))
             return steps
 
         monkeypatch.setattr(profile, "_dopri", counted)
         assert shoot_compare(ci_prob, reconstruct(ci_prob, ci_first, M=2048)) < ORACLE_TOL
-        assert len(accepted) == 1 and accepted[0] <= 150
+        assert len(runs) == 1 and runs[0][0] <= 150
+        # an S_j trajectory is made of at most two halves, one per sign,
+        # whatever j, and for an asymmetric f the two differ.  For p > 2,
+        # phi' = |w|^(1/(p-1)) is not smooth at an arch top, so the error
+        # estimate rejects steps there; without rejections a step takes 15
+        # evaluations of w'.  A run of the whole trajectory crossed j tops
+        # (19.5 evaluations per accepted step on asym at p = 3); each half
+        # meets its top once, at its end, so a class costs at most two
+        # halves of evaluations
+        for j, sign in _classes():
+            prob, _, roots = _regular_roots(asym, 3.0, 30.0, j, sign)
+            for d in roots:
+                runs.clear()
+                assert shoot_compare(prob, reconstruct(prob, d)) < ORACLE_TOL
+                accepted, evals = map(sum, zip(*runs))
+                assert len(runs) <= 2, (j, sign, runs)
+                assert evals <= 24 * accepted and evals <= 3400, (j, sign, runs)
+
+    @pytest.mark.parametrize("name, p, c", _ARCH_CASES, ids=_ARCH_IDS)
+    def test_own_tops_and_zeros(self, request, name, p, c):
+        # the oracle locates its tops and zeros on its own half arches, so
+        # its half widths H+ and H- check theta and alpha apart from the
+        # time map
+        nl = request.getfixturevalue(name)
+        for j, sign in _classes():
+            prob, _, roots = _regular_roots(nl, p, c, j, sign)
+            for d in roots:
+                prof = reconstruct(prob, d, M=512)
+                sh = shoot(prob, d.r, d.sign, 100_000, at=prof.x)
+                assert len(sh.turning_points) == j
+                for own, ref in zip(sh.turning_points, prof.turning_points):
+                    assert own["kind"] == ref["kind"] == "arch_top"
+                    assert own["half_width"] == pytest.approx(ref["half_width"], rel=1e-9)
+                    assert own["phi"] == pytest.approx(ref["phi"], rel=1e-9)
+                    assert own["x"] == pytest.approx(ref["x"], abs=1e-9)
+                # the j-th zero lies within rounding of x = 1, on either side
+                assert len(sh.nodes) in (j - 1, j)
+                assert sh.nodes[: j - 1] == pytest.approx(prof.nodes, abs=1e-9)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_first_integral_conserved_at_roots(self, cubic_odd, p):
@@ -295,6 +370,21 @@ class TestShoot:
             np.abs(sh.phi) ** q / q - eval_F(nl, sh.phi)
         )
         assert np.max(np.abs(energy - energy[0])) <= 1e-9 * energy[0]
+
+
+@pytest.mark.parametrize("name, p, c", _ARCH_CASES, ids=_ARCH_IDS)
+def test_ode_residual_matches_matching_residual(request, name, p, c):
+    # 2 n+ H+ + 2 n- H- - 1 from the oracle's half widths is the matching
+    # residual, so it agrees with the time map's and brackets every root
+    nl = request.getfixturevalue(name)
+    for j, sign in _classes():
+        prob, sclass, roots = _regular_roots(nl, p, c, j, sign)
+        for d in roots:
+            slopes = (d.r * (1.0 - 1e-6), d.r, d.r * (1.0 + 1e-6))
+            ode = [ode_residual(prob, sclass, r) for r in slopes]
+            for r, value in zip(slopes, ode):
+                assert abs(value - matching_residual(prob, sclass, r)) <= 1e-9, (j, sign, r)
+            assert ode[0] * ode[2] < 0.0, (j, sign, ode)
 
 
 class TestRegularity:
