@@ -14,7 +14,10 @@ the first flat-core descriptor that ``solve`` lists at that lambda; one
 ``sweep`` per config runs over all three lambdas.  The first of those
 descriptors in each config also gets one ``profile`` at
 ``numerics.grid = 256`` and one ``verify`` at ``numerics.ode_steps = 20``
-(which exits 1), so both numerics keys are digested too.
+(which exits 1), so both numerics keys are digested too.  Last, on the qgtp
+fixture, ``structure --n 1`` and ``solve --jmax 1`` run at lambda*_1 read
+from ``bifurcation_table``, where S_1^+ has its tangent root, so the
+solver's fold search is digested down to a root.
 
 The CLI promises byte-identical output for identical configs, so two source
 trees produce the same CLI output exactly when their digests are equal:
@@ -35,6 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+from plap.bifurcation import bifurcation_table  # noqa: E402
 from plap.cli import main  # noqa: E402
 from workloads import (  # noqa: E402
     ASYM_Q2,
@@ -119,10 +123,22 @@ def digest_config(cfg: Config, work: Path) -> None:
     print(f"{digest}  {' '.join(sweep)} {cfg.name}{ids(out)}")
 
 
+def digest_tangency(cfg: Config, work: Path) -> None:
+    """``structure --n 1`` and ``solve --jmax 1`` at the config's lambda*_1."""
+    lam = bifurcation_table(cfg.build(), cfg.p, 1).star_plus[0]
+    path = work / f"{cfg.name}_star.json"
+    path.write_text(json.dumps(cfg.spec(lam)))
+    for cmd in (["structure", "--n", "1"], ["solve", "--jmax", "1"]):
+        digest, out = call(cmd + ["--config", str(path)])
+        suffix = ids(out) if cmd[0] == "solve" else ""
+        print(f"{digest}  {' '.join(cmd)} {cfg.name} lambda={lam!r}{suffix}")
+
+
 def main_digest() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for cfg in FIXTURES + BENCH:
             digest_config(cfg, Path(tmp))
+        digest_tangency(FIXTURES[3], Path(tmp))
 
 
 if __name__ == "__main__":

@@ -23,17 +23,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import NoZeroFound
-from .nonlinearity import Nonlinearity, areas, reflected
-from .roots import brent_min
+from .nonlinearity import Nonlinearity, areas
 from .solver import (
     SolutionClass,
     area_relation,
     continuum_dimension,
     flat_core_side,
 )
-from .timemap import Problem, TimeMapCurves, _area, integral_I, level_pos, time_map_curves, weigh
-
-_FOLD_XTOL = 1.5e-8  # sqrt(eps): relative xtol of the fold searches
+from .timemap import Problem, TimeMapCurves, time_map_curves
 
 
 def eigenvalue_base(p: float) -> float:
@@ -55,46 +52,27 @@ def _fold_weights(curves: TimeMapCurves, classes: list[SolutionClass]) -> list[f
     ``W(rho) = n_pos I(z(rho)) + n_neg J(S(rho))`` (q > p).
 
     ``A_class`` is the area bound matching the class's slope bound.  W depends
-    on the class only through its area and the ratio n_pos : n_neg, so the
-    store's scans at rho = A_class g^p bracket one search per reduced ratio.
-    The search runs in the level z of the first term's side (the lead side),
-    where rho = A(z) = z^q/q - F(z) is explicit: only the other side of a
-    mixed class inverts a level map at each point.  Near its minimum W is
-    quadratic, so Brent's parabolic search at xtol sqrt(eps) gives the
-    minimum value to full precision.  A scanned minimum at the store's first
-    fraction, the solver's own depth, raises ``NoZeroFound``: the fold may
-    lie deeper.
+    on the class only through its area and reduced ratio n_pos : n_neg, so
+    the store's scans at rho = A_class g^p bracket one ``curves.fold`` per
+    (area, reduced ratio) in the table.  A scanned minimum at the store's
+    first fraction, the solver's own depth, raises ``NoZeroFound``: the fold
+    may lie deeper.
     """
-    nl, p, fractions = curves.nl, curves.p, curves.fractions
+    nl, fractions = curves.nl, curves.fractions
     minima: dict[tuple[int, int, float], float] = {}
-
-    def minimum(sc: SolutionClass, w_pos: int, w_neg: int, area: float) -> float:
-        if (w_pos, w_neg, area) not in minima:
-            vals = curves.weights(w_pos, w_neg, area)
-            i = int(np.argmin(vals))
+    out = []
+    for sc in classes:
+        area = sc.bound(*areas(nl))
+        d, n_pos, n_neg = curves.reduce(sc.n_pos, sc.n_neg)
+        if (n_pos, n_neg, area) not in minima:
+            i = int(np.argmin(curves.weights(n_pos, n_neg, area)))
             if i == 0:
                 raise NoZeroFound(
                     f"fold of class S_{sc.j}^{sc.sign} lies below "
-                    f"rho/A = {fractions[0] ** p:.3g}, the deepest scanned level"
+                    f"rho/A = {fractions[0] ** curves.p:.3g}, the deepest scanned level"
                 )
-            lead = nl if w_pos else reflected(nl)
-
-            def weight(z: float) -> float:
-                def term(side: Nonlinearity) -> float:  # the lead side at z, the other one at its area
-                    return integral_I(side, p, z if side is lead else level_pos(side, _area(lead, z)))
-
-                return weigh(nl, term, w_pos, w_neg)
-
-            i = min(i, vals.size - 2)
-            bracket = (level_pos(lead, float(area * g**p)) for g in fractions[i - 1 : i + 2])
-            minima[w_pos, w_neg, area] = brent_min(weight, *bracket, xtol=_FOLD_XTOL)[1]
-        return minima[w_pos, w_neg, area]
-
-    out = []
-    for sc in classes:
-        n_pos, n_neg = (sc.j, 0) if nl.odd else (sc.n_pos, sc.n_neg)
-        d = math.gcd(n_pos, n_neg)
-        out.append(d * minimum(sc, n_pos // d, n_neg // d, sc.bound(*areas(nl))))
+            minima[n_pos, n_neg, area] = curves.fold(n_pos, n_neg, area, min(i, fractions.size - 2))[1]
+        out.append(d * minima[n_pos, n_neg, area])
     return out
 
 

@@ -175,8 +175,7 @@ def cmd_validate(cfg: RunConfig, args) -> int:
 def cmd_diagram(cfg: RunConfig, args) -> int:
     n = args.n if args.n is not None else 8
     if n < 1 or n > 64:
-        print(f"diagram index bound must be in 1..64, got {n}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"diagram index bound must be in 1..64, got {n}")
     nl = cfg.build_nl()
     table = bifurcation.bifurcation_table(nl, cfg.p, n)
     header = ["n", "lambda_tilde_plus", "lambda_tilde_minus", "lambda_star_plus", "lambda_star_minus"]
@@ -295,8 +294,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 def cmd_structure(cfg: RunConfig, args) -> int:
     n = args.n if args.n is not None else 4
     if n < 1:
-        print("--n must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("--n must be >= 1")
     problem = cfg.build_problem()
     rep = bifurcation.structure(problem, n)
     _emit(_json_text(rep.to_json_dict()), args.out)

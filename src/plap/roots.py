@@ -1,26 +1,21 @@
 """Scalar root-finding and minimisation on a bracket, in pure Python.
 
-``brentq`` is Brent's (1973) zeroin in the form of SciPy's ``brentq.c``,
+``brentq`` is Brent's (1973) zeroin in the form of SciPy's ``brentq.c``, and
 ``brent_min`` is Brent's (1973) parabolic minimizer in the form of SciPy's
-``optimize.Brent``, and ``golden_min`` is SciPy's golden-section search from a
-three-point bracket.  Each follows its SciPy original operation for
-operation, so they visit the same iterates and return the same floats;
-``brent_min`` alone departs from it, in a purely relative stop test.
+``optimize.Brent`` from a three-point bracket.  Both follow their SciPy
+originals operation for operation, so they visit the same iterates and
+return the same floats; ``brent_min`` alone departs from its original, in a
+purely relative stop test.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import NoZeroFound
 
 _RTOL = 8.9e-16  # relative bracket width at which brentq stops
 _MAXITER = 100  # brentq iterations before NoZeroFound
-_GOLDEN_XTOL = 1e-12  # relative bracket width at which golden_min stops
-_GR = 0.61803399  # golden ratio conjugate, to SciPy's eight digits
-_GC = 1.0 - _GR
 _CG = 0.3819660  # brent_min's golden-section fraction, to SciPy's seven digits
 _BRENT_MAXITER = 500  # brent_min iterations, as SciPy's default
 
@@ -93,24 +88,6 @@ def brentq(f, a: float, b: float, xtol: float) -> float:
     raise NoZeroFound(f"Brent's method did not converge in {_MAXITER} iterations, last x = {xcur}")
 
 
-def _check_bracket(fun, xa: float, xb: float, xc: float):
-    """SciPy's three-point bracket checks; returns the ordered bracket and f(xb)."""
-    if xa > xc:
-        xa, xc = xc, xa
-    if not (xa < xb and xb < xc):
-        raise ValueError(
-            "Bracketing values (xa, xb, xc) do not fulfill this requirement:"
-            " (xa < xb) and (xb < xc)"
-        )
-    fa, fb, fc = fun(xa), fun(xb), fun(xc)
-    if not (fb < fa and fb < fc):
-        raise ValueError(
-            "Bracketing values (xa, xb, xc) do not fulfill this requirement:"
-            " (f(xb) < f(xa)) and (f(xb) < f(xc))"
-        )
-    return xa, xb, xc, fb
-
-
 def brent_min(fun, xa: float, xb: float, xc: float, xtol: float) -> tuple[float, float]:
     """(argmin, min) of ``fun`` by Brent's parabolic search from the bracket
     (xa, xb, xc).
@@ -126,7 +103,20 @@ def brent_min(fun, xa: float, xb: float, xc: float, xtol: float) -> tuple[float,
         The bracket is not ordered, or its middle value is not below both
         ends (a NaN value included).
     """
-    xa, xb, xc, fb = _check_bracket(fun, float(xa), float(xb), float(xc))
+    xa, xb, xc = float(xa), float(xb), float(xc)
+    if xa > xc:
+        xa, xc = xc, xa
+    if not (xa < xb and xb < xc):
+        raise ValueError(
+            "Bracketing values (xa, xb, xc) do not fulfill this requirement:"
+            " (xa < xb) and (xb < xc)"
+        )
+    fa, fb, fc = fun(xa), fun(xb), fun(xc)
+    if not (fb < fa and fb < fc):
+        raise ValueError(
+            "Bracketing values (xa, xb, xc) do not fulfill this requirement:"
+            " (f(xb) < f(xa)) and (f(xb) < f(xc))"
+        )
     x = w = v = xb
     fw = fv = fx = fb
     a, b = xa, xc
@@ -183,38 +173,3 @@ def brent_min(fun, xa: float, xb: float, xc: float, xtol: float) -> tuple[float,
             v, w, x = w, x, u
             fv, fw, fx = fw, fx, fu
     return float(x), float(fx)
-
-
-def golden_min(fun, grid: np.ndarray, i: int) -> tuple[float, float]:
-    """(argmin, min) of ``fun`` by golden section from the bracket grid[i-1:i+2].
-
-    Stops when the bracket is narrower than ``_GOLDEN_XTOL`` relative to its
-    inner points, or after SciPy's 5000 iterations.
-
-    Raises
-    ------
-    ValueError
-        The bracket is not ordered, or its middle value is not below both
-        ends (a NaN value included).
-    """
-    xa, xb, xc, _ = _check_bracket(fun, *(float(x) for x in grid[i - 1 : i + 2]))
-    x0, x3 = xa, xc
-    if abs(xc - xb) > abs(xb - xa):
-        x1 = xb
-        x2 = xb + _GC * (xc - xb)
-    else:
-        x2 = xb
-        x1 = xb - _GC * (xb - xa)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(5000):
-        if abs(x3 - x0) <= _GOLDEN_XTOL * (abs(x1) + abs(x2)):
-            break
-        if f2 < f1:
-            x0, x1 = x1, x2
-            x2 = _GR * x1 + _GC * x3
-            f1, f2 = f2, fun(x2)
-        else:
-            x3, x2 = x2, x1
-            x1 = _GR * x2 + _GC * x0
-            f2, f1 = f1, fun(x1)
-    return (float(x1), float(f1)) if f1 < f2 else (float(x2), float(f2))

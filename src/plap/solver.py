@@ -10,7 +10,8 @@ For ``q <= p`` the left side is monotone in ``r`` (0 or 1 root per class);
 for ``q > p`` it diverges as ``r -> 0`` and dips to an interior minimum, so
 roots appear in pairs born at a tangency.  Such a pair can hide between scan
 points, so a scanned minimum in [-delta, 0.05] (delta = 1e-6, a hundred times
-the store's scan tolerance) is refined by golden section; a deeper dip
+the store's scan tolerance) is located by the store's lambda-free fold
+search, the one that gives ``bifurcation``'s thresholds; a deeper dip
 already has its roots bracketed by sign changes.  For ``p > 2`` the left
 side stays finite at the slope bound; when it is still below 1 there, the
 remaining length is absorbed by flat plateaus at ``z_plus``/``z_minus`` and
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import OutOfRange
 from .nonlinearity import Nonlinearity, areas
-from .roots import brentq, golden_min
+from .roots import brentq
 from .timemap import (
     RESIDUAL_TOL, Problem, _SCAN_TOL, _rho_of_r, integral_I, level_pos, slope_bounds, time_map_curves, weigh
 )
@@ -188,7 +189,8 @@ def solve_class(problem: Problem, sclass: SolutionClass) -> list[SolutionDescrip
     bounds = slope_bounds(problem)
     bound = sclass.bound(bounds.r_pos, bounds.r_neg)
     grid = bound * curves.fractions
-    weights = curves.weights(sclass.n_pos, sclass.n_neg, sclass.bound(*areas(problem.nl)))
+    area = sclass.bound(*areas(problem.nl))
+    weights = curves.weights(sclass.n_pos, sclass.n_neg, area)
     res = 2.0 * problem.kappa * weights - 1.0
 
     # bracket checks and Brent evaluate the same grid ends: evaluate each once
@@ -232,7 +234,9 @@ def solve_class(problem: Problem, sclass: SolutionClass) -> list[SolutionDescrip
                 grid[i - 1] <= r <= grid[i + 1] for r, _, _ in roots
             ):
                 continue
-            r_min, f_min = golden_min(residual, grid, i)
+            rho, _ = curves.fold(sclass.n_pos, sclass.n_neg, area, i)
+            r_min = (problem.lam * problem.p * rho / (problem.p - 1.0)) ** (1.0 / problem.p)
+            f_min = residual(r_min)
             if abs(f_min) <= _TANGENT_TOL:
                 roots.append((r_min, f_min, True))
             elif f_min < 0.0:

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import Divergent, DomainError, OutOfRange
 from .nonlinearity import Nonlinearity, areas, eval_F, eval_df, eval_m, reflected
 from .quadrature import cumulative_gl, tanh_sinh, tanh_sinh_batch
-from .roots import brentq
+from .roots import brent_min, brentq
 
 _TAIL_FRAC = 1e-2  # switch from the direct formula to the tail integral
 _MODEL_FRAC = 1e-8  # switch from the tail integral to the local quadratic model
@@ -43,6 +43,7 @@ _SCAN_EPS = 1e-12  # relative clamp of the open slope interval in scans
 _SCAN_POINTS = 1024  # fractions of every scan grid
 _SCAN_TOL = 1e-8  # tanh-sinh tolerance of the store's scans
 _CURVES_CAP = 64  # (f, p) stores kept by time_map_curves
+_FOLD_XTOL = 1.5e-8  # sqrt(eps): relative xtol of the fold searches
 
 # Tolerance of every lambda-free scalar integral: bound weights, fold
 # searches and the arch distances of regularity's check points.  Tanh-sinh
@@ -370,7 +371,8 @@ class TimeMapCurves:
     same with J), where only ``kappa`` depends on lambda.  This store holds
     the fractions ``g`` and fills in, on first use, I or J at those levels per
     area bound (at ``_SCAN_TOL``), and I or J at the level of the area bound
-    itself, ``g = 1`` (at ``QUAD_TOL``), for ``bound_weight``.
+    itself, ``g = 1`` (at ``QUAD_TOL``), for ``bound_weight``.  ``fold``
+    searches between the scan points and keeps nothing.
 
     Every value is a pure function of the store's key and its own arguments,
     so the order in which lambdas fill it never shows in a result, and two
@@ -415,6 +417,41 @@ class TimeMapCurves:
             return self._bounds[key]
 
         return weigh(self.nl, at_bound, n_pos, n_neg)
+
+    def reduce(self, n_pos: int, n_neg: int) -> tuple[int, int, int]:
+        """(d, n_pos/d, n_neg/d): W of n_pos : n_neg arches is d times W of the
+        reduced ratio.  An odd f counts every arch on the positive side, so
+        S_j^+ and S_j^- reduce alike."""
+        if self.nl.odd:
+            n_pos, n_neg = n_pos + n_neg, 0
+        d = math.gcd(n_pos, n_neg)
+        return d, n_pos // d, n_neg // d
+
+    def fold(self, n_pos: int, n_neg: int, area: float, i: int) -> tuple[float, float]:
+        """(rho, W) at the fold of the class with ``n_pos`` positive and
+        ``n_neg`` negative arches (q > p): the local minimum of W bracketed by
+        the points i-1..i+1 of the scan grid of area bound ``area``.
+
+        The search runs for the reduced ratio (``reduce``), in the level z of
+        its first term's side (the lead side), where rho = A(z) = z^q/q - F(z)
+        is explicit: only the other side of a mixed class inverts a level map
+        at each point.  Near its minimum W is quadratic, so Brent's parabolic
+        search at xtol sqrt(eps) gives the minimum value to full precision.
+        The result is not kept: a caller that needs it twice keeps it.
+        """
+        d, n_pos, n_neg = self.reduce(n_pos, n_neg)
+        nl, p = self.nl, self.p
+        lead = nl if n_pos else reflected(nl)
+
+        def weight(z: float) -> float:
+            def term(side: Nonlinearity) -> float:  # the lead side at z, the other one at its area
+                return integral_I(side, p, z if side is lead else level_pos(side, _area(lead, z)))
+
+            return weigh(nl, term, n_pos, n_neg)
+
+        bracket = (level_pos(lead, float(area * g**p)) for g in self.fractions[i - 1 : i + 2])
+        z, w = brent_min(weight, *bracket, xtol=_FOLD_XTOL)
+        return float(_area(lead, z)), d * w
 
 
 @functools.lru_cache(maxsize=_CURVES_CAP)

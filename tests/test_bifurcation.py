@@ -133,13 +133,13 @@ class TestMinimizers:
         bifurcation_table(qgtp, p, 6)
         calls = {"integral_I": 0, "level_pos": 0}
         for name in calls:
-            real = getattr(bifurcation, name)
+            real = getattr(timemap, name)
 
             def counted(*args, _name=name, _real=real):
                 calls[_name] += 1
                 return _real(*args)
 
-            monkeypatch.setattr(bifurcation, name, counted)
+            monkeypatch.setattr(timemap, name, counted)
         bifurcation_table(qgtp, p, 6)
         assert calls["level_pos"] == 3
         assert calls["integral_I"] <= 20

@@ -3,15 +3,13 @@ return the very floats that ``scipy.optimize`` returns."""
 
 import math
 
-import numpy as np
 import pytest
 from scipy.optimize import brentq as scipy_brentq
-from scipy.optimize import minimize_scalar
 from scipy.optimize._optimize import Brent
 
 from plap import roots
 from plap.errors import NoZeroFound
-from plap.roots import _GOLDEN_XTOL, _RTOL, brent_min, brentq, golden_min
+from plap.roots import _RTOL, brent_min, brentq
 
 ROOT_CASES = {
     "cubic": (lambda x: x**3 - 2.0 * x - 5.0, [(2.0, 3.0), (-1.0, 5.0), (2.09, 2.1)]),
@@ -71,54 +69,12 @@ def test_brentq_maxiter_exhausted(monkeypatch):
         scipy_brentq(f, -3.0, 4.0, xtol=1e-12, rtol=_RTOL, maxiter=3)
 
 
-GOLDEN_CASES = {
+# three-point brackets of smooth and cusped minima, one at the 1e-9 scale
+# and one of I(z)'s shape (z^(-1/2) + z^2) near a fold
+BRENT_CASES = {
     "parabola": (lambda x: (x - 1.3) ** 2, [(0.0, 1.0, 2.0), (1.2, 1.31, 5.0), (-4.0, 1.0, 1.7)]),
     "cosh": (lambda x: math.cosh(x - 0.2) + 0.1 * x, [(-1.0, 0.0, 1.0), (-3.0, 0.5, 0.6)]),
     "cusp": (lambda x: abs(x - 0.5) ** 1.5 - 1.0, [(0.0, 0.5001, 1.0), (0.45, 0.505, 0.52)]),
-}
-
-
-def _scipy_golden(f, bracket):
-    opt = minimize_scalar(f, bracket=bracket, method="golden", options={"xtol": _GOLDEN_XTOL})
-    return float(opt.x), float(opt.fun)
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-def test_golden_min_bit_identical_to_scipy(name):
-    f, brackets = GOLDEN_CASES[name]
-    for bracket in brackets:
-        grid = np.array([-9.0, *bracket, 9.0])
-        assert golden_min(f, grid, 2) == _scipy_golden(f, bracket), bracket
-
-
-@pytest.mark.parametrize(
-    "f",
-    [lambda x: (x - 5.0) ** 2, lambda x: 1.0, lambda x: math.nan],
-    ids=["min_at_end", "flat", "nan"],
-)
-def test_golden_min_invalid_bracket_raises(f):
-    # no interior minimum to refine: an error, as SciPy gives for an
-    # explicit three-point bracket, not a silent best point
-    with pytest.raises(ValueError, match=r"f\(xb\) < f\(xa\)"):
-        golden_min(f, np.array([0.0, 1.0, 2.0]), 1)
-    with pytest.raises(ValueError, match=r"f\(xb\) < f\(xa\)"):
-        _scipy_golden(f, (0.0, 1.0, 2.0))
-
-
-def test_golden_min_unordered_bracket_raises():
-    with pytest.raises(ValueError, match=r"\(xa < xb\)"):
-        golden_min(lambda x: x * x, np.array([0.0, 3.0, 2.0]), 1)
-
-
-def test_golden_min_descending_bracket_as_scipy():
-    f = lambda x: (x - 1.3) ** 2
-    assert golden_min(f, np.array([2.0, 1.0, 0.0]), 1) == _scipy_golden(f, (2.0, 1.0, 0.0))
-
-
-# the golden cases, plus a minimum at the 1e-9 scale and one of I(z)'s shape
-# (z^(-1/2) + z^2) near a fold
-BRENT_CASES = {
-    **GOLDEN_CASES,
     "deep": (lambda x: (x / 3e-9 - 1.0) ** 2 + math.sin(x * 1e8), [(1e-9, 2.5e-9, 6e-9)]),
     "fold_like": (lambda z: z**-0.5 + z * z, [(0.1, 0.6, 2.0), (0.5, 0.58, 0.7)]),
 }

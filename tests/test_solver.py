@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from plap.solver import (
 from plap.timemap import (
     Arch,
     Problem,
+    TimeMapCurves,
     _CURVES_CAP,
     _SCAN_TOL,
     alpha,
@@ -148,21 +151,60 @@ class TestSolveClass:
         assert below == []
 
     @pytest.mark.parametrize("factor, searches", [(1 + 1e-6, 1), (1.05, 0), (2.0, 0)])
-    def test_golden_search_only_on_unresolved_dips(self, qgtp, monkeypatch, factor, searches):
+    def test_fold_search_only_on_unresolved_dips(self, qgtp, monkeypatch, factor, searches):
         # a dip the scan already shows below zero has both roots bracketed by
         # sign changes; only one at the scan's resolution needs the fold search
-        calls = []
-        golden = solver.golden_min
-
-        def counted(*args):
-            calls.append(args)
-            return golden(*args)
-
-        monkeypatch.setattr(solver, "golden_min", counted)
         lam_star = bifurcation_table(qgtp, 2.0, 1).star_plus[0]
+        calls = []
+        fold = TimeMapCurves.fold
+
+        def counted(self, *args):
+            calls.append(args)
+            return fold(self, *args)
+
+        monkeypatch.setattr(TimeMapCurves, "fold", counted)
         descs = solve_class(Problem(p=2.0, nl=qgtp, lam=factor * lam_star), SolutionClass(1, "+"))
         assert len(calls) == searches
         assert [(d.kind, d.degenerate) for d in descs] == [("regular", False)] * 2
+
+    @pytest.mark.parametrize(
+        "b_plus, q, r_exp, p, j, sign",
+        [
+            (1.0, 3.0, 5.0, 2.0, 1, "+"),
+            (1.0, 3.0, 5.0, 2.0, 2, "-"),
+            (1.5, 3.0, 5.0, 2.0, 1, "-"),
+            (1.0, 4.0, 6.0, 3.0, 1, "+"),
+        ],
+        ids=["qgtp-S1+", "qgtp-S2-", "qgtp_asym-S1-", "p3q4-S1+"],
+    )
+    def test_tangent_root_keeps_its_id_near_the_fold(self, monkeypatch, b_plus, q, r_exp, p, j, sign):
+        # within 3 ulps of lambda*_j the tangent root sits at the fold of the
+        # lambda-free W, so its r, and so its id, does not move with the dip
+        nl = build_nonlinearity("power_asym", q, {"b_plus": b_plus, "b_minus": 1.0, "r_exp": r_exp})
+        lam_star = bifurcation_table(nl, p, j).star(sign)[j - 1]
+        folds = []
+        fold = TimeMapCurves.fold
+
+        def recorded(self, *args):
+            folds.append(fold(self, *args))
+            return folds[-1]
+
+        monkeypatch.setattr(TimeMapCurves, "fold", recorded)
+        ids = set()
+        for k in range(-3, 4):
+            lam = lam_star
+            for _ in range(abs(k)):
+                lam = float(np.nextafter(lam, math.inf if k > 0 else 0.0))
+            folds.clear()
+            descs = solve_class(Problem(p=p, nl=nl, lam=lam), SolutionClass(j, sign))
+            assert [(d.kind, d.degenerate) for d in descs] == [("regular", True)], k
+            (rho, _), = folds
+            assert descs[0].r == (lam * p * rho / (p - 1.0)) ** (1.0 / p)
+            ids.add(descs[0].descriptor_id)
+            if nl.odd:  # S_j^+ and S_j^- reduce to one ratio: one fold, one r
+                twin = SolutionClass(j, "-" if sign == "+" else "+")
+                assert [d.r for d in solve_class(Problem(p=p, nl=nl, lam=lam), twin)] == [descs[0].r]
+        assert len(ids) == 1
 
     def test_fold_and_continuum_coexist(self):
         # q = 4 > p = 3: pairs born at the fold, continuum past the flat-core
