@@ -3,7 +3,7 @@
     python scripts/ab_layers.py --base <tree> [--rounds 15]
 
 Imports ``<tree>/src/plap`` and this checkout's ``src/plap`` side by side,
-as two packages of different names, and times seven layers in each:
+as two packages of different names, and times eight layers in each:
 
 * ``integral_I`` at a simple level: q = 3, f = |s|^3 s, p = 2, a = z+/2;
 * ``integral_I`` at the double zero z+: q = 2, f = 2s^3 / -|s|^3, p = 3;
@@ -14,7 +14,8 @@ as two packages of different names, and times seven layers in each:
   on q = 2, f = 2s^3 / -|s|^3, p = 3 (two sides) and on q = 2, f = s^3,
   p = 2 (odd, one shared side);
 * a warm ``structure(N=6)`` at lambda = 300 for p = 2, q = 3,
-  f = 1.5 s^4 / -s^4 (r_exp = 5), whose mixed classes run fold searches.
+  f = 1.5 s^4 / -s^4 (r_exp = 5), whose mixed classes run seven fold searches;
+* the same on the odd f = |s|^3 s, where one fold search serves every class.
 
 Each round times every layer over a fixed batch of calls per tree, one call
 of each tree in turn, alternating which tree goes first, so both trees see
@@ -46,6 +47,7 @@ _BATCH = {
     "residual asym": 100,
     "residual odd": 100,
     "structure N=6": 4,
+    "structure N=6 odd": 10,
 }
 
 
@@ -74,7 +76,7 @@ def _layers(plap) -> dict:
     on_asym, on_odd = plap.Problem(p=3.0, nl=asym, lam=50.0), plap.Problem(p=2.0, nl=cubic, lam=50.0)
     r_asym, r_odd = (0.5 * plap.slope_bounds(prob).r_star for prob in (on_asym, on_odd))
     qgtp_asym = plap.build_nonlinearity("power_asym", 3.0, {"b_plus": 1.5, "b_minus": 1.0, "r_exp": 5.0})
-    fold = plap.Problem(p=2.0, nl=qgtp_asym, lam=300.0)
+    fold, fold_odd = (plap.Problem(p=2.0, nl=nl, lam=300.0) for nl in (qgtp_asym, qgtp))
     return {
         "integral_I simple": lambda: plap.integral_I(qgtp, 2.0, 0.5 * qgtp.z_plus),
         "integral_I at z+": lambda: plap.integral_I(asym, 3.0, asym.z_plus),
@@ -83,6 +85,7 @@ def _layers(plap) -> dict:
         "residual asym": lambda: plap.matching_residual(on_asym, mixed, r_asym),
         "residual odd": lambda: plap.matching_residual(on_odd, mixed, r_odd),
         "structure N=6": lambda: plap.structure(fold, 6),
+        "structure N=6 odd": lambda: plap.structure(fold_odd, 6),
     }
 
 

@@ -41,7 +41,6 @@ SIGN_POS = "+"
 SIGN_NEG = "-"
 
 _TANGENT_TOL = 1e-9  # |residual| at a refined minimum below this is a tangency
-_MERGE_TOL = 1e-9  # roots closer than this (relative to the bound) merge
 _AREA_TOL = 1e-12  # areas A(z+), A(z-) this close (relative) are equal
 
 
@@ -244,20 +243,11 @@ def solve_class(problem: Problem, sclass: SolutionClass) -> list[SolutionDescrip
                     if residual(float(lo)) * residual(float(hi)) < 0.0:
                         refine(lo, hi)
 
-    roots.sort()
-    merged: list[tuple[float, float, bool]] = []
-    for r0, f0, deg in roots:
-        if merged and abs(r0 - merged[-1][0]) <= _MERGE_TOL * bound:
-            prev = merged.pop()
-            merged.append(((r0 + prev[0]) / 2.0, min(f0, prev[1]), True))
-        else:
-            merged.append((r0, f0, deg))
-
     out = [
         SolutionDescriptor(
             j=sclass.j, sign=sclass.sign, kind="regular", r=r0, residual=f0, degenerate=deg
         )
-        for r0, f0, deg in merged
+        for r0, f0, deg in sorted(roots)
     ]
     fc = _flat_core_descriptor(problem, sclass, bound)
     if fc is not None:

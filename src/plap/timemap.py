@@ -13,7 +13,10 @@ whose integrand has a simple zero at the moving endpoint for interior levels
 and a double zero when the level sits exactly at ``z_plus``/``z_minus``.  The
 substitution ``t = a - w^beta`` with ``beta = p/(p-1)`` (simple zero) or
 ``beta = p/(p-2)`` (double zero, requires ``p > 2``) turns the integrand into
-a bounded function of ``w``, which the tanh-sinh rule then resolves.
+a bounded function of ``w``, which the tanh-sinh rule then resolves.  The
+same substitution bounds dI/da at a simple zero (``Arch.derivative``), so a
+fold of a class's time map, where pairs of solutions are born, is an
+ordinary zero of W' for the one bracketed root-finder.
 
 Only the positive side is implemented, and ``Arch`` carries one arch of it.
 A negative arch is a positive one of ``f~(s) = -f(-s)``: ``F~(s) = F(-s)``,
@@ -32,9 +35,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import Divergent, DomainError, OutOfRange
-from .nonlinearity import Nonlinearity, areas, eval_F, eval_df, eval_m, reflected
+from .nonlinearity import Nonlinearity, areas, eval_F, eval_df, eval_f, eval_m, reflected
 from .quadrature import cumulative_gl, tanh_sinh, tanh_sinh_batch
-from .roots import brent_min, brentq
+from .roots import brentq
 
 _TAIL_FRAC = 1e-2  # switch from the direct formula to the tail integral
 _MODEL_FRAC = 1e-8  # switch from the tail integral to the local quadratic model
@@ -43,7 +46,7 @@ _SCAN_EPS = 1e-12  # relative clamp of the open slope interval in scans
 _SCAN_POINTS = 1024  # fractions of every scan grid
 _SCAN_TOL = 1e-8  # tanh-sinh tolerance of the store's scans
 _CURVES_CAP = 64  # (f, p) stores kept by time_map_curves
-_FOLD_XTOL = 1.5e-8  # sqrt(eps): relative xtol of the fold searches
+_FOLD_XTOL = 1e-10  # relative xtol of the fold searches, the zeros of W'
 
 # Tolerance of every lambda-free scalar integral: bound weights, fold
 # searches and the arch distances of regularity's check points.  Tanh-sinh
@@ -173,15 +176,20 @@ _GL4_SIGMA = 0.5 * (_GL4_X + 1.0)
 _GL4_WBAR = 0.5 * _GL4_W
 
 
-def _dm(nl: Nonlinearity, s: float) -> float:
-    """Derivative of the map m(s) = |s|^{q-2}s - f(s)."""
-    return (nl.q - 1.0) * abs(s) ** (nl.q - 2.0) - float(eval_df(nl, s))
+def _dm(nl: Nonlinearity, s):
+    """Derivative of the map m(s) = |s|^{q-2}s - f(s), elementwise for an array."""
+    return (nl.q - 1.0) * abs(s) ** (nl.q - 2.0) - eval_df(nl, s)
+
+
+def _tail_nodes(a, h):
+    """The GL4 nodes of [a-h, a] along a new last axis: a map's values there
+    ``@ _GL4_WBAR`` are its mean over the interval."""
+    return np.asarray(a)[..., None] - h[..., None] * _GL4_SIGMA
 
 
 def _tail_mean(nl: Nonlinearity, a, h):
     """Mean of m over [a-h, a]; G = h * mean, free of cancellation."""
-    pts = np.asarray(a)[..., None] - h[..., None] * _GL4_SIGMA
-    return eval_m(nl, pts) @ _GL4_WBAR
+    return eval_m(nl, _tail_nodes(a, h)) @ _GL4_WBAR
 
 
 def _direct(nl: Nonlinearity, t, F_a, a_q):
@@ -267,6 +275,34 @@ class Arch:
         if isinstance(self.top, np.ndarray):
             return tanh_sinh_batch(lambda w, idx: replace(self, top=self.top[idx, None]).psi(w), upper, tol)
         return tanh_sinh(self.psi, upper, tol)
+
+    def dpsi(self, w: np.ndarray) -> np.ndarray:
+        """The substituted integrand of dI/dtop, less its end term, for a
+        simple zero at a float top: -(1/p) G^(-1-1/p) (m(top) - m(t)) at
+        t = top - w^beta, times beta w^(beta-1), bounded as ``psi`` is.  In
+        the tail band m(top) - m(t) is h times the mean of m' and the
+        w-prefactor cancels; above it the difference is taken as
+        (top^(q-1) - |t|^(q-1)) - (f(top) - f(t)), as m(0) is 0 * inf for q < 2."""
+        nl, p, top, beta = self.nl, self.p, self.top, self.beta
+        with np.errstate(under="ignore"):
+            h = w**beta
+        out = np.empty_like(h)
+        _, tail, direct = self._bands(h)
+        if direct.any():
+            t = top - h[direct]
+            G = _direct(nl, t, eval_F(nl, top), top**nl.q)
+            dm = top ** (nl.q - 1.0) - np.abs(t) ** (nl.q - 1.0) - (eval_f(nl, top) - eval_f(nl, t))
+            out[direct] = G ** (-1.0 - 1.0 / p) * dm * w[direct] ** (beta - 1.0)
+        if tail.any():
+            pts = _tail_nodes(top, h[tail])  # G = h * mean of m, m(top) - m(t) = h * mean of m'
+            out[tail] = (eval_m(nl, pts) @ _GL4_WBAR) ** (-1.0 - 1.0 / p) * (_dm(nl, pts) @ _GL4_WBAR)
+        return -beta / p * out
+
+    def derivative(self) -> float:
+        """dI/dtop for a simple zero at a float top: the integral of ``dpsi``
+        plus the moving limit's end term A(top)^(-1/p), at ``QUAD_TOL``."""
+        upper = self.top ** (1.0 / self.beta)
+        return tanh_sinh(self.dpsi, upper, QUAD_TOL) + _area(self.nl, self.top) ** (-1.0 / self.p)
 
     def cumulative(self, w_grid: np.ndarray) -> np.ndarray:
         """G-space distances from the extremum to the offsets ``w_grid``, ascending from 0."""
@@ -429,28 +465,34 @@ class TimeMapCurves:
 
     def fold(self, n_pos: int, n_neg: int, area: float, i: int) -> tuple[float, float]:
         """(rho, W) at the fold of the class with ``n_pos`` positive and
-        ``n_neg`` negative arches (q > p): the local minimum of W bracketed by
-        the points i-1..i+1 of the scan grid of area bound ``area``.
+        ``n_neg`` negative arches (q > p): the zero of W' = dW/drho between
+        the points i-1 and i+1 of the scan grid of area bound ``area``.
 
         The search runs for the reduced ratio (``reduce``), in the level z of
         its first term's side (the lead side), where rho = A(z) = z^q/q - F(z)
         is explicit: only the other side of a mixed class inverts a level map
-        at each point.  Near its minimum W is quadratic, so Brent's parabolic
-        search at xtol sqrt(eps) gives the minimum value to full precision.
-        The result is not kept: a caller that needs it twice keeps it.
+        at each point.  Each side's dI/drho is ``Arch.derivative`` over
+        m = dA/dz at its level; Brent's method places the zero to the
+        relative xtol ``_FOLD_XTOL``, and W is evaluated once, there.  The
+        result is not kept: a caller that needs it twice keeps it.
         """
         d, n_pos, n_neg = self.reduce(n_pos, n_neg)
         nl, p = self.nl, self.p
         lead = nl if n_pos else reflected(nl)
 
-        def weight(z: float) -> float:
-            def term(side: Nonlinearity) -> float:  # the lead side at z, the other one at its area
-                return integral_I(side, p, z if side is lead else level_pos(side, _area(lead, z)))
+        def level(side: Nonlinearity, z: float) -> float:  # the lead side at z, the other one at its area
+            return z if side is lead else level_pos(side, _area(lead, z))
+
+        def slope(z: float) -> float:
+            def term(side: Nonlinearity) -> float:
+                top = level(side, z)
+                return Arch(side, p, top, False).derivative() / eval_m(side, top)
 
             return weigh(nl, term, n_pos, n_neg)
 
-        bracket = (level_pos(lead, float(area * g**p)) for g in self.fractions[i - 1 : i + 2])
-        z, w = brent_min(weight, *bracket, xtol=_FOLD_XTOL)
+        lo, hi = (level_pos(lead, float(area * g**p)) for g in self.fractions[[i - 1, i + 1]])
+        z = brentq(slope, lo, hi, xtol=_FOLD_XTOL * lo)
+        w = weigh(nl, lambda side: integral_I(side, p, level(side, z)), n_pos, n_neg)
         return float(_area(lead, z)), d * w
 
 

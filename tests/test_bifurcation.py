@@ -127,22 +127,23 @@ class TestMinimizers:
 
     def test_fold_search_cost(self, qgtp, monkeypatch):
         # on a warm store, one search serves every class of an odd f: its
-        # bracket inverts three levels and Brent's parabolic steps in the
-        # lead level need no inversion
+        # bracket inverts two levels, Brent's steps on W' in the lead level
+        # need no inversion, and W is one integral, at the zero
         p = 2.0
         bifurcation_table(qgtp, p, 6)
-        calls = {"integral_I": 0, "level_pos": 0}
-        for name in calls:
-            real = getattr(timemap, name)
+        calls = {"integral_I": 0, "level_pos": 0, "derivative": 0}
+        for owner, name in ((timemap, "integral_I"), (timemap, "level_pos"), (timemap.Arch, "derivative")):
+            real = getattr(owner, name)
 
             def counted(*args, _name=name, _real=real):
                 calls[_name] += 1
                 return _real(*args)
 
-            monkeypatch.setattr(timemap, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         bifurcation_table(qgtp, p, 6)
-        assert calls["level_pos"] == 3
-        assert calls["integral_I"] <= 20
+        assert calls["level_pos"] == 2
+        assert calls["integral_I"] == 1
+        assert calls["integral_I"] + calls["derivative"] <= 20
 
     def test_store_is_filled_once(self, scans):
         # a second table on the same (f, p) reads the store's scans and runs none

@@ -7,6 +7,7 @@ from plap.errors import Divergent, DomainError, HypothesisViolated, NoZeroFound,
 from plap.nonlinearity import areas, build_nonlinearity, eval_F, eval_m, reflected
 from plap.solver import SolutionClass
 from plap.timemap import (
+    QUAD_TOL,
     Arch,
     Problem,
     TimeMapCurves,
@@ -24,6 +25,7 @@ from plap.timemap import (
     slope_bounds,
     theta,
     time_map_curves,
+    weigh,
     z_of_r,
 )
 
@@ -415,6 +417,37 @@ class TestBoundWeight:
         assert len(curves._bounds) == 1
 
 
+class TestFold:
+    @pytest.mark.parametrize(
+        "q, r_exp, b_plus, p, j",
+        [
+            (3.0, 5.0, 1.5, 2.0, 3),  # qgtp_asym, the 2:1 class S_3^+
+            (4.0, 6.0, 1.0, 3.0, 1),
+            (3.02, 3.5, 1.0, 3.0, 1),  # a deep fold: rho*/A = 1.9e-8
+            (2.05, 2.3, 1.0, 2.0, 1),
+        ],
+        ids=["qgtp_asym-2:1", "p3q4", "deep", "p2q2.05"],
+    )
+    def test_fold_is_a_zero_of_W_prime(self, q, r_exp, b_plus, p, j):
+        # rho* is where the central difference of W vanishes: its ratio to W''
+        # places the zero relative to the fold's own scale, however deep
+        nl = build_nonlinearity("power_asym", q, {"b_plus": b_plus, "b_minus": 1.0, "r_exp": r_exp})
+        curves = TimeMapCurves(nl, p)
+        sc = SolutionClass(j, "+")
+        area = sc.bound(*areas(nl))
+        i = int(np.argmin(curves.weights(sc.n_pos, sc.n_neg, area)))
+        rho, w = curves.fold(sc.n_pos, sc.n_neg, area, i)
+
+        def W(r, tol=1e-14):
+            return weigh(nl, lambda side: integral_I(side, p, level_pos(side, r), tol), sc.n_pos, sc.n_neg)
+
+        h = 1e-4 * rho
+        below, at, above = W(rho - h), W(rho), W(rho + h)
+        slope, curvature = (above - below) / (2.0 * h), (above - 2.0 * at + below) / h**2
+        assert abs(slope / curvature) <= 1e-8 * rho
+        assert w == W(rho, QUAD_TOL)
+
+
 class TestIMonotonicity:
     def test_increasing_for_q_le_p(self, cubic_odd):
         a = np.linspace(0.05, 0.999, 64)
@@ -521,3 +554,21 @@ class TestArch:
         assert batched.shape == tops.shape
         for top, got in zip(tops, batched):
             assert got == pytest.approx(Arch(side, 3.0, float(top), False).integral(), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "q, b_plus, b_minus, r_exp, p",
+        [(2.0, 2.0, 1.0, 4.0, 3.0), (3.0, 1.5, 1.0, 5.0, 2.0), (1.5, 1.0, 2.0, 3.0, 1.6), (2.5, 1.0, 2.0, 4.5, 1.5)],
+        ids=["asym-p3", "qgtp_asym-p2", "q1.5-p1.6", "q2.5-p1.5"],
+    )
+    @pytest.mark.parametrize("negative", [False, True])
+    def test_derivative_matches_the_oracle(self, q, b_plus, b_minus, r_exp, p, negative):
+        # fourth-order central differences of the brute-force I, with a step
+        # that shrinks near z_plus, where I' grows
+        nl = build_nonlinearity("power_asym", q, {"b_plus": b_plus, "b_minus": b_minus, "r_exp": r_exp})
+        side = reflected(nl) if negative else nl
+        for frac in (1e-3, 0.5, 0.99):
+            a = frac * side.z_plus
+            h = 1e-4 * a * min(1.0, 10.0 * (1.0 - frac))
+            I = lambda x: brute_force_I(side, p, x, panels=50_000)
+            expected = (8.0 * (I(a + h) - I(a - h)) - (I(a + 2.0 * h) - I(a - 2.0 * h))) / (12.0 * h)
+            assert Arch(side, p, a, False).derivative() == pytest.approx(expected, rel=1e-9), frac
