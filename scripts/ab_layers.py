@@ -3,7 +3,7 @@
     python scripts/ab_layers.py --base <tree> [--rounds 15]
 
 Imports ``<tree>/src/plap`` and this checkout's ``src/plap`` side by side,
-as two packages of different names, and times eight layers in each:
+as two packages of different names, and times ten layers in each:
 
 * ``integral_I`` at a simple level: q = 3, f = |s|^3 s, p = 2, a = z+/2;
 * ``integral_I`` at the double zero z+: q = 2, f = 2s^3 / -|s|^3, p = 3;
@@ -15,7 +15,11 @@ as two packages of different names, and times eight layers in each:
   p = 2 (odd, one shared side);
 * a warm ``structure(N=6)`` at lambda = 300 for p = 2, q = 3,
   f = 1.5 s^4 / -s^4 (r_exp = 5), whose mixed classes run seven fold searches;
-* the same on the odd f = |s|^3 s, where one fold search serves every class.
+* the same on the odd f = |s|^3 s, where one fold search serves every class;
+* a warm ``enumerate_solutions(j_max=6)``, the op of the q <= p sweep, on the
+  odd f = s^3 with p = q = 2 and on f = 2s^3 / -|s|^3 with p = 3, q = 2, each
+  call at the next of five lambdas in turn, so only a twin class S_j^- reads
+  the solver's memo of root searches.
 
 Each round times every layer over a fixed batch of calls per tree, one call
 of each tree in turn, alternating which tree goes first, so both trees see
@@ -31,6 +35,7 @@ import argparse
 import gc
 import importlib
 import importlib.util
+import itertools
 import statistics
 import sys
 import time
@@ -48,7 +53,11 @@ _BATCH = {
     "residual odd": 100,
     "structure N=6": 4,
     "structure N=6 odd": 10,
+    "enumerate odd": 5,
+    "enumerate asym": 5,
 }
+
+_ENUMERATE_LAMS = (50.0, 80.0, 130.0, 210.0, 340.0)
 
 
 def _load(tree: Path, name: str):
@@ -77,6 +86,10 @@ def _layers(plap) -> dict:
     r_asym, r_odd = (0.5 * plap.slope_bounds(prob).r_star for prob in (on_asym, on_odd))
     qgtp_asym = plap.build_nonlinearity("power_asym", 3.0, {"b_plus": 1.5, "b_minus": 1.0, "r_exp": 5.0})
     fold, fold_odd = (plap.Problem(p=2.0, nl=nl, lam=300.0) for nl in (qgtp_asym, qgtp))
+    sweep_odd, sweep_asym = (
+        itertools.cycle([plap.Problem(p=p, nl=nl, lam=lam) for lam in _ENUMERATE_LAMS])
+        for p, nl in ((2.0, cubic), (3.0, asym))
+    )
     return {
         "integral_I simple": lambda: plap.integral_I(qgtp, 2.0, 0.5 * qgtp.z_plus),
         "integral_I at z+": lambda: plap.integral_I(asym, 3.0, asym.z_plus),
@@ -86,6 +99,8 @@ def _layers(plap) -> dict:
         "residual odd": lambda: plap.matching_residual(on_odd, mixed, r_odd),
         "structure N=6": lambda: plap.structure(fold, 6),
         "structure N=6 odd": lambda: plap.structure(fold_odd, 6),
+        "enumerate odd": lambda: plap.enumerate_solutions(next(sweep_odd), 6),
+        "enumerate asym": lambda: plap.enumerate_solutions(next(sweep_asym), 6),
     }
 
 

@@ -17,10 +17,18 @@ side stays finite at the slope bound; when it is still below 1 there, the
 remaining length is absorbed by flat plateaus at ``z_plus``/``z_minus`` and
 the class carries a continuum of solutions, represented by a single
 descriptor with the plateau budget and the continuum dimension.
+
+A class is solved in two parts: the root search (scan, brackets, Brent and
+the fold path) and the descriptors.  S_j^+ and S_j^- have one matching
+equation when j is even (n_pos = n_neg) or f is odd (J = I), so such an
+S_j^- takes the roots of the search of S_j^+, kept in a small memo keyed on
+every input of the search; its roots are bit-identical to a search of its
+own, and only its sign and flat-core descriptor are its own.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from collections.abc import Iterable, Iterator
@@ -176,19 +184,19 @@ def _flat_core_descriptor(problem: Problem, sclass: SolutionClass, bound: float)
     )
 
 
-def solve_class(problem: Problem, sclass: SolutionClass) -> list[SolutionDescriptor]:
-    """All solutions in one class: regular matching roots, a tangent root at
-    a fold, and the flat-core continuum descriptor when the budget is open.
+# four entries: ``iter_solutions`` solves S_j^- right after S_j^+
+@functools.lru_cache(maxsize=4)
+def _roots(
+    problem: Problem, sclass: SolutionClass, bound: float, area: float
+) -> tuple[tuple[float, float, bool], ...]:
+    """The sorted (r, residual, degenerate) matching roots of ``sclass`` below
+    the slope bound ``bound``, whose scan grid has the area bound ``area``.
 
-    The residual is scanned on the class's slope grid from the store, where
-    classes with the same area bound share the scans.  Returns an empty list
-    when the class has no solutions at this lambda.
+    The key holds every input the search reads, so a class and its twin
+    share an entry only where their equations, grids and bounds coincide.
     """
     curves = time_map_curves(problem.nl, problem.p)
-    bounds = slope_bounds(problem)
-    bound = sclass.bound(bounds.r_pos, bounds.r_neg)
     grid = bound * curves.fractions
-    area = sclass.bound(*areas(problem.nl))
     weights = curves.weights(sclass.n_pos, sclass.n_neg, area)
     res = 2.0 * problem.kappa * weights - 1.0
 
@@ -201,7 +209,7 @@ def solve_class(problem: Problem, sclass: SolutionClass) -> list[SolutionDescrip
             evaluated[r] = matching_residual(problem, sclass, r)
         return evaluated[r]
 
-    roots: list[tuple[float, float, bool]] = []  # (r, residual, degenerate)
+    roots: list[tuple[float, float, bool]] = []
 
     def refine(lo: float, hi: float) -> None:
         r0 = brentq(residual, lo, hi, xtol=1e-15 * min(bound, hi))
@@ -242,12 +250,32 @@ def solve_class(problem: Problem, sclass: SolutionClass) -> list[SolutionDescrip
                 for lo, hi in ((grid[i - 1], r_min), (r_min, grid[i + 1])):
                     if residual(float(lo)) * residual(float(hi)) < 0.0:
                         refine(lo, hi)
+    return tuple(sorted(roots))
 
+
+def solve_class(problem: Problem, sclass: SolutionClass) -> list[SolutionDescriptor]:
+    """All solutions in one class: regular matching roots, a tangent root at
+    a fold, and the flat-core continuum descriptor when the budget is open.
+
+    The residual is scanned on the class's slope grid from the store, where
+    classes with the same area bound share the scans.  S_j^- searches the
+    equation of S_j^+ when the two have one: j even (equal arch counts) or
+    f odd (J = I).  The last four root searches are kept, so S_j^- right
+    after S_j^+ does no quadrature.  Its roots are the floats of a search of
+    its own, not close ones: equal counts evaluate one sum, and an odd f
+    reads one side's integrals, whose a v + b v is b v + a v in IEEE
+    arithmetic.  The flat-core descriptor is the class's own.  Returns an
+    empty list when the class has no solutions at this lambda.
+    """
+    bounds = slope_bounds(problem)
+    bound = sclass.bound(bounds.r_pos, bounds.r_neg)
+    area = sclass.bound(*areas(problem.nl))
+    searched = SolutionClass(sclass.j, SIGN_POS) if sclass.j % 2 == 0 or problem.nl.odd else sclass
     out = [
         SolutionDescriptor(
             j=sclass.j, sign=sclass.sign, kind="regular", r=r0, residual=f0, degenerate=deg
         )
-        for r0, f0, deg in sorted(roots)
+        for r0, f0, deg in _roots(problem, searched, bound, area)
     ]
     fc = _flat_core_descriptor(problem, sclass, bound)
     if fc is not None:
@@ -261,7 +289,9 @@ def iter_solutions(problem: Problem, j_max: int) -> Iterator[SolutionDescriptor]
     Each class is solved only when the iteration reaches it, so a caller
     that stops early solves no later class.  Every class reads the scans of
     the lambda-free (f, p) store, so no value depends on how many classes,
-    or which lambdas, were solved before.
+    or which lambdas, were solved before.  S_j^- comes right after S_j^+,
+    so where the two share one root search (``solve_class``) the second
+    class reads it from the memo.
     """
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")

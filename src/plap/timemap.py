@@ -258,10 +258,10 @@ class Arch:
         # A call covers 63-251 nodes and takes about 60 us, set by its count of
         # numpy calls (0.6-4 us each on a 2-vCPU x86 machine, whatever the
         # node count), so a simple zero, the scans' kind, takes no model step.
-        if np.any(direct):
+        if direct.any():
             G = _direct(nl, at(top, direct) - h[direct], at(eval_F(nl, top), direct), at(top**nl.q, direct))
             out[direct] = G ** (-1.0 / p) * beta * w[direct] ** (beta - 1.0)
-        if np.any(tail):
+        if tail.any():
             res = beta * _tail_mean(nl, at(top, tail), h[tail]) ** (-1.0 / p)
             out[tail] = res * w[tail] ** (1.0 / (p - 2.0)) if self.double else res
         if model is not None:

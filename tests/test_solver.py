@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from plap.bifurcation import bifurcation_table, structure
 from plap import solver
 from plap.errors import OutOfRange
-from plap.nonlinearity import build_nonlinearity, reflected
+from plap.nonlinearity import areas, build_nonlinearity, reflected
 from plap.solver import (
     SolutionClass,
     enumerate_solutions,
@@ -231,6 +232,118 @@ class TestSolveClass:
                         if d.kind == "regular"
                     ]
                     assert len(regs) in (0, 1)
+
+
+class TestTwinClasses:
+    """S_j^- reads the root search of S_j^+ where the two have one matching
+    equation: j even (n_pos = n_neg), or f odd (J = I)."""
+
+    @staticmethod
+    def _work(monkeypatch) -> list:
+        """Records "integral" per quadrature and "fold" per fold search."""
+        work = []
+        integral, fold = Arch.integral, TimeMapCurves.fold
+
+        def counted_integral(arch, *args):
+            work.append("integral")
+            return integral(arch, *args)
+
+        def counted_fold(curves, *args):
+            work.append("fold")
+            return fold(curves, *args)
+
+        monkeypatch.setattr(Arch, "integral", counted_integral)
+        monkeypatch.setattr(TimeMapCurves, "fold", counted_fold)
+        return work
+
+    @pytest.mark.parametrize(
+        "family, p, lam",
+        [
+            ("cubic_odd", 2.0, 30.0),
+            ("cubic_odd", 2.0, 400.0),
+            ("asym", 3.0, 50.0),
+            ("asym", 3.0, 2000.0),
+            ("quintic_q3", 3.0, 3000.0),
+            ("qgtp", 2.0, 300.0),
+        ],
+    )
+    def test_twin_is_its_partner_with_the_sign_replaced(self, request, family, p, lam):
+        nl = request.getfixturevalue(family)
+        prob = Problem(p=p, nl=nl, lam=lam)
+        b = slope_bounds(prob)
+        found = 0
+        for j in range(1, 5):
+            if j % 2 and not nl.odd:
+                continue
+            plus, minus = (solve_class(prob, SolutionClass(j, sign)) for sign in "+-")
+            regular = [d for d in minus if d.kind == "regular"]
+            assert regular == [replace(d, sign="-") for d in plus if d.kind == "regular"], j
+            # the same floats as a root search of the class's own equation
+            sc = SolutionClass(j, "-")
+            own = solver._roots.__wrapped__(prob, sc, sc.bound(b.r_pos, b.r_neg), sc.bound(*areas(nl)))
+            assert [(d.r, d.residual, d.degenerate) for d in regular] == list(own), j
+            found += len(regular)
+        assert found
+
+    @pytest.mark.parametrize(
+        "family, p, lam, j",
+        [
+            ("cubic_odd", 2.0, 400.0, 1),
+            ("cubic_odd", 2.0, 400.0, 3),
+            ("asym", 3.0, 50.0, 2),
+            ("quintic_q3", 3.0, 3000.0, 3),
+        ],
+    )
+    def test_twin_after_its_partner_does_no_quadrature(self, request, monkeypatch, family, p, lam, j):
+        prob = Problem(p=p, nl=request.getfixturevalue(family), lam=lam)
+        solver._roots.cache_clear()
+        work = self._work(monkeypatch)
+        assert solve_class(prob, SolutionClass(j, "+"))
+        assert "integral" in work
+        work.clear()
+        assert solve_class(prob, SolutionClass(j, "-"))
+        assert work == []
+
+    def test_twin_skips_the_fold_search(self, qgtp, monkeypatch):
+        # q > p on an odd f, just above lambda*_1: S_1^+ finds its pair by
+        # the fold search, and S_1^- reads that search's roots
+        prob = Problem(p=2.0, nl=qgtp, lam=(1 + 1e-6) * bifurcation_table(qgtp, 2.0, 1).star_plus[0])
+        solver._roots.cache_clear()
+        work = self._work(monkeypatch)
+        assert len(solve_class(prob, SolutionClass(1, "+"))) == 2
+        assert work.count("fold") == 1
+        work.clear()
+        assert len(solve_class(prob, SolutionClass(1, "-"))) == 2
+        assert work == []
+
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_asymmetric_odd_classes_each_integrate(self, asym, monkeypatch, j):
+        # n_pos != n_neg and J != I: S_j^+ and S_j^- are two equations
+        prob = Problem(p=3.0, nl=asym, lam=50.0)
+        solver._roots.cache_clear()
+        work = self._work(monkeypatch)
+        roots = []
+        for sign in "+-":
+            work.clear()
+            roots.append([d.r for d in solve_class(prob, SolutionClass(j, sign)) if d.kind == "regular"])
+            assert "integral" in work, sign
+        assert roots[0] and roots[1] and roots[0] != roots[1]
+
+    def test_new_lambda_is_searched_again(self, cubic_odd, monkeypatch):
+        lam = 400.0
+        solve_class(Problem(p=2.0, nl=cubic_odd, lam=lam), SolutionClass(1, "+"))
+        work = self._work(monkeypatch)
+        for sign in "+-":  # one ulp away, neither sign is served from the memo
+            work.clear()
+            nearby = Problem(p=2.0, nl=cubic_odd, lam=float(np.nextafter(lam, math.inf)))
+            solve_class(nearby, SolutionClass(1, sign))
+            assert ("integral" in work) == (sign == "+"), sign
+
+    def test_memo_is_bounded(self, cubic_odd):
+        for lam in (30.0, 60.0, 90.0, 120.0, 150.0, 180.0):
+            solve_class(Problem(p=2.0, nl=cubic_odd, lam=lam), SolutionClass(2, "+"))
+        info = solver._roots.cache_info()
+        assert info.currsize == info.maxsize == 4
 
 
 class TestEnumerate:
