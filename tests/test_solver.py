@@ -333,7 +333,7 @@ class TestTwinClasses:
         lam = 400.0
         solve_class(Problem(p=2.0, nl=cubic_odd, lam=lam), SolutionClass(1, "+"))
         work = self._work(monkeypatch)
-        for sign in "+-":  # one ulp away, neither sign is served from the memo
+        for sign in "+-":  # one ulp away S_1^+ searches again, and S_1^- reads that search
             work.clear()
             nearby = Problem(p=2.0, nl=cubic_odd, lam=float(np.nextafter(lam, math.inf)))
             solve_class(nearby, SolutionClass(1, sign))
