@@ -184,8 +184,8 @@ def _flat_core_descriptor(problem: Problem, sclass: SolutionClass, bound: float)
     )
 
 
-# four entries: ``iter_solutions`` solves S_j^- right after S_j^+
-@functools.lru_cache(maxsize=4)
+# one entry: ``iter_solutions`` solves S_j^- right after S_j^+
+@functools.lru_cache(maxsize=1)
 def _roots(
     problem: Problem, sclass: SolutionClass, bound: float, area: float
 ) -> tuple[tuple[float, float, bool], ...]:
@@ -260,8 +260,8 @@ def solve_class(problem: Problem, sclass: SolutionClass) -> list[SolutionDescrip
     The residual is scanned on the class's slope grid from the store, where
     classes with the same area bound share the scans.  S_j^- searches the
     equation of S_j^+ when the two have one: j even (equal arch counts) or
-    f odd (J = I).  The last four root searches are kept, so S_j^- right
-    after S_j^+ does no quadrature.  Its roots are the floats of a search of
+    f odd (J = I).  The last root search is kept, so S_j^- right after
+    S_j^+ does no quadrature.  Its roots are the floats of a search of
     its own, not close ones: equal counts evaluate one sum, and an odd f
     reads one side's integrals, whose a v + b v is b v + a v in IEEE
     arithmetic.  The flat-core descriptor is the class's own.  Returns an
