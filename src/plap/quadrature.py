@@ -5,6 +5,11 @@ with ``psi`` bounded on ``(0, W]`` (endpoint singularities are removed by an
 explicit substitution before the rule is applied).  The tanh-sinh rule then
 converges double-exponentially even when higher derivatives of ``psi`` blow
 up at the endpoints.
+
+A level's nodes are the even-k nodes of the next level, bit for bit
+(k 2^-L = 2k 2^-(L+1)), so the first integrand pass, on level
+``_MIN_LEVEL + 1``, gives the sums of the first two levels; every later
+level is one more pass.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ import numpy as np
 from .errors import QuadratureFailure
 
 _Y_MAX = 40.0  # truncate nodes once pi/2*sinh(kh) exceeds this
-_MIN_LEVEL = 3  # the first level only seeds the comparison: level 4 may accept
+# the first level only seeds the comparison; the first pass, on level 4's
+# nodes, gives its sum and level 4's, which may accept
+_MIN_LEVEL = 3
 _MAX_LEVEL = 16  # 2*(asinh(2*_Y_MAX/pi)/2^-16) stays below 2^20 nodes
 # nodes per block of tanh_sinh_batch; splitting a level into blocks may move a
 # row's sum by an ulp, and a 1023-row scan is split only from level 12 on
@@ -47,19 +54,30 @@ def _nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     return fracs, weights
 
 
+def _even_k(vals: np.ndarray) -> np.ndarray:
+    """The values at the even-k nodes of a level (last axis), which are the
+    values at the nodes of the level below: a contiguous copy, so that a
+    product with that level's weights adds in the order of a pass of its own."""
+    return np.ascontiguousarray(vals[..., (vals.shape[-1] // 2) % 2 :: 2])  # k = 0 is the middle
+
+
 def tanh_sinh(psi, upper: float, tol: float) -> float:
     """Integrate ``psi`` over ``(0, upper)`` by level doubling.
 
     ``psi`` must accept an ndarray of abscissae.  Refinement stops when two
     successive levels agree to relative ``tol``; exceeding the node cap
-    raises QuadratureFailure.
+    raises QuadratureFailure.  The first call of ``psi`` gives the first
+    two levels, so an integral that accepts at level 4 takes one call of
+    125 nodes.
     """
     if upper == 0.0:
         return 0.0
-    prev = np.nan  # no level agrees with it
-    for level in range(_MIN_LEVEL, _MAX_LEVEL + 1):
+    for level in range(_MIN_LEVEL + 1, _MAX_LEVEL + 1):
         fr, wt = _nodes(level)
-        val = upper * float(np.dot(psi(upper * fr), wt))
+        vals = psi(upper * fr)
+        if level == _MIN_LEVEL + 1:
+            prev = upper * float(np.dot(_even_k(vals), _nodes(_MIN_LEVEL)[1]))
+        val = upper * float(np.dot(vals, wt))
         if abs(val - prev) <= tol * max(abs(val), 1e-300):
             return val
         prev = val
@@ -72,18 +90,23 @@ def tanh_sinh_batch(psi_rows, uppers: np.ndarray, tol: float) -> np.ndarray:
     ``psi_rows(w_matrix, row_idx)`` evaluates the integrand for the selected
     rows at a matrix of abscissae (one row per integral).  Each level runs
     on the rows not yet converged, in blocks of at most ``_BATCH_NODES``
-    nodes; a row still unconverged at the node cap raises QuadratureFailure.
+    nodes; the first pass, on level 4's nodes, gives each block the sums of
+    levels 3 and 4 in one ``psi_rows`` call.  A row still unconverged at the
+    node cap raises QuadratureFailure.
     """
     uppers = np.asarray(uppers, dtype=float)
     out = np.empty(uppers.size)
-    prev = np.full(uppers.size, np.nan)
+    prev = np.empty(uppers.size)
     active = np.arange(uppers.size)
-    for level in range(_MIN_LEVEL, _MAX_LEVEL + 1):
+    for level in range(_MIN_LEVEL + 1, _MAX_LEVEL + 1):
         fr, wt = _nodes(level)
         rows = max(1, _BATCH_NODES // fr.size)
         for k in range(0, active.size, rows):
             idx = active[k : k + rows]
-            out[idx] = uppers[idx] * (psi_rows(uppers[idx, None] * fr[None, :], idx) @ wt)
+            vals = psi_rows(uppers[idx, None] * fr[None, :], idx)
+            if level == _MIN_LEVEL + 1:
+                prev[idx] = uppers[idx] * (_even_k(vals) @ _nodes(_MIN_LEVEL)[1])
+            out[idx] = uppers[idx] * (vals @ wt)
         est = out[active]
         done = np.abs(est - prev[active]) <= tol * np.maximum(np.abs(est), 1e-300)
         prev[active] = est

@@ -255,7 +255,7 @@ class Arch:
         def at(v, mask):  # per-top values at the masked nodes; a float stays a float
             return np.broadcast_to(v, h.shape)[mask] if isinstance(v, np.ndarray) else v
 
-        # A call covers 63-251 nodes and takes about 60 us, set by its count of
+        # A call covers 125-251 nodes and takes about 60 us, set by its count of
         # numpy calls (0.6-4 us each on a 2-vCPU x86 machine, whatever the
         # node count), so a simple zero, the scans' kind, takes no model step.
         if direct.any():

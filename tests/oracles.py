@@ -6,6 +6,11 @@ of the power substitution; fixed-panel composite trapezoid instead of
 tanh-sinh; and extended-precision expm1-based evaluation of the radicand
 instead of the tail-integral trick.  ``ode_residual`` reads the matching
 condition off the shooting oracle's half arches instead of the time map.
+
+The one exception is ``tanh_sinh_by_level`` (and its batch form): the
+library's own tanh-sinh rule, run as one integrand pass per level.  It is an
+exact reference, not an independent one: the library gets its first two
+levels from one pass, and must give the same floats bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ import math
 
 import numpy as np
 
-from plap import profile
+from plap import profile, quadrature
+from plap.errors import QuadratureFailure
 
 LD = np.longdouble
 
@@ -130,3 +136,42 @@ def ode_residual(problem, sclass, r: float, n_steps: int = 100_000) -> float:
         if n:
             total += 2.0 * n * profile._half(problem, r, positive, math.inf, n_steps).width
     return total - 1.0
+
+
+def tanh_sinh_by_level(psi, upper: float, tol: float) -> float:
+    """``quadrature.tanh_sinh`` with one call of ``psi`` per level, from
+    level ``_MIN_LEVEL`` on."""
+    if upper == 0.0:
+        return 0.0
+    prev = np.nan  # no level agrees with it
+    for level in range(quadrature._MIN_LEVEL, quadrature._MAX_LEVEL + 1):
+        fr, wt = quadrature._nodes(level)
+        val = upper * float(np.dot(psi(upper * fr), wt))
+        if abs(val - prev) <= tol * max(abs(val), 1e-300):
+            return val
+        prev = val
+    raise QuadratureFailure(f"tanh-sinh stalled at level {quadrature._MAX_LEVEL} (value {prev!r})")
+
+
+def tanh_sinh_batch_by_level(psi_rows, uppers: np.ndarray, tol: float) -> np.ndarray:
+    """``quadrature.tanh_sinh_batch`` with one call of ``psi_rows`` per level
+    and block, from level ``_MIN_LEVEL`` on."""
+    uppers = np.asarray(uppers, dtype=float)
+    out = np.empty(uppers.size)
+    prev = np.full(uppers.size, np.nan)
+    active = np.arange(uppers.size)
+    for level in range(quadrature._MIN_LEVEL, quadrature._MAX_LEVEL + 1):
+        fr, wt = quadrature._nodes(level)
+        rows = max(1, quadrature._BATCH_NODES // fr.size)
+        for k in range(0, active.size, rows):
+            idx = active[k : k + rows]
+            out[idx] = uppers[idx] * (psi_rows(uppers[idx, None] * fr[None, :], idx) @ wt)
+        est = out[active]
+        done = np.abs(est - prev[active]) <= tol * np.maximum(np.abs(est), 1e-300)
+        prev[active] = est
+        active = active[~done]
+        if active.size == 0:
+            return out
+    raise QuadratureFailure(
+        f"tanh-sinh stalled at level {quadrature._MAX_LEVEL} in {active.size} of {uppers.size} rows"
+    )

@@ -2,10 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from oracles import tanh_sinh_batch_by_level, tanh_sinh_by_level
 
-from plap import quadrature
+from plap import quadrature, timemap
 from plap.errors import QuadratureFailure
-from plap.quadrature import cumulative_gl, tanh_sinh, tanh_sinh_batch
+from plap.quadrature import _MAX_LEVEL, _MIN_LEVEL, cumulative_gl, tanh_sinh, tanh_sinh_batch
+from plap.timemap import QUAD_TOL, Arch, TimeMapCurves
+
+_CLOSED_FORMS = [
+    (np.sin, math.pi, 2.0),
+    (lambda w: 1.0 / (1.0 + w * w), 1.0, math.pi / 4.0),
+    (lambda w: w**-0.5, 2.0, 2.0 * math.sqrt(2.0)),  # singular at 0
+    (np.log, 1.0, -1.0),  # singular at 0
+]
 
 
 def _power_rows(exponents):
@@ -14,16 +23,22 @@ def _power_rows(exponents):
     return lambda w, idx: w ** exponents[idx][:, None]
 
 
+def _sizes(psi, log):
+    """``psi``, logging the shape of each array it is called with."""
+
+    def logged(w, *idx):
+        log.append(w.shape)
+        return psi(w, *idx)
+
+    return logged
+
+
+def _oscillation(w, *idx):
+    return np.cos(1e8 * w)
+
+
 class TestTanhSinh:
-    @pytest.mark.parametrize(
-        "psi, upper, exact",
-        [
-            (np.sin, math.pi, 2.0),
-            (lambda w: 1.0 / (1.0 + w * w), 1.0, math.pi / 4.0),
-            (lambda w: w**-0.5, 2.0, 2.0 * math.sqrt(2.0)),  # singular at 0
-            (np.log, 1.0, -1.0),  # singular at 0
-        ],
-    )
+    @pytest.mark.parametrize("psi, upper, exact", _CLOSED_FORMS)
     def test_closed_forms(self, psi, upper, exact):
         assert tanh_sinh(psi, upper, 1e-12) == pytest.approx(exact, rel=1e-12)
 
@@ -32,7 +47,7 @@ class TestTanhSinh:
 
     def test_unresolved_oscillation_fails(self):
         with pytest.raises(QuadratureFailure):
-            tanh_sinh(lambda w: np.cos(1e8 * w), 1.0, 1e-10)
+            tanh_sinh(_oscillation, 1.0, 1e-10)
 
 
 class TestTanhSinhBatch:
@@ -71,9 +86,75 @@ class TestTanhSinhBatch:
         assert tanh_sinh_batch(_power_rows([]), np.array([]), 1e-12).size == 0
 
     def test_unresolved_oscillation_fails(self):
-        psi_rows = lambda w, idx: np.cos(1e8 * w)
         with pytest.raises(QuadratureFailure):
-            tanh_sinh_batch(psi_rows, np.array([1.0, 0.5]), 1e-10)
+            tanh_sinh_batch(_oscillation, np.array([1.0, 0.5]), 1e-10)
+
+
+class TestFirstPass:
+    """The first integrand pass, on level ``_MIN_LEVEL + 1``'s nodes, gives
+    the sums of the first two levels, with the floats of one pass per level."""
+
+    first = quadrature._nodes(_MIN_LEVEL + 1)[0].size  # 125 nodes
+
+    @pytest.mark.parametrize("level", range(_MIN_LEVEL, _MAX_LEVEL))
+    def test_a_level_is_the_even_k_nodes_of_the_next(self, level):
+        coarse = quadrature._nodes(level)[0]
+        even_k = quadrature._even_k(quadrature._nodes(level + 1)[0])
+        assert even_k.view(np.uint64).tolist() == coarse.view(np.uint64).tolist()
+
+    def test_a_level_4_integral_is_one_call(self):
+        new, ref = [], []
+        assert tanh_sinh(_sizes(np.sin, new), math.pi, 1e-12) == tanh_sinh_by_level(_sizes(np.sin, ref), math.pi, 1e-12)
+        assert ref == [(quadrature._nodes(_MIN_LEVEL)[0].size,), (self.first,)]  # it accepts at level 4
+        assert new == [(self.first,)]
+
+    @pytest.mark.parametrize("batch_nodes", [quadrature._BATCH_NODES, 1000])
+    def test_a_level_4_batch_is_one_call_per_block(self, monkeypatch, batch_nodes):
+        monkeypatch.setattr(quadrature, "_BATCH_NODES", batch_nodes)
+        exponents = np.linspace(0.0, 3.0, 20)
+        shapes = []
+        got = tanh_sinh_batch(_sizes(_power_rows(exponents), shapes), np.full(20, 1.5), 1e-12)
+        block = max(1, batch_nodes // self.first)
+        assert shapes == [(min(block, 20 - k), self.first) for k in range(0, 20, block)]
+        if block >= 20:  # one block, as the reference's levels: the same floats
+            assert got.tolist() == tanh_sinh_batch_by_level(_power_rows(exponents), np.full(20, 1.5), 1e-12).tolist()
+
+    @pytest.mark.parametrize("psi, upper, exact", _CLOSED_FORMS)
+    def test_closed_forms_equal_one_pass_per_level(self, psi, upper, exact):
+        assert tanh_sinh(psi, upper, 1e-12) == tanh_sinh_by_level(psi, upper, 1e-12)
+
+    def test_a_level_6_integral_equals_one_pass_per_level(self):
+        psi = lambda w: np.cos(50.0 * w)  # noqa: E731
+        new, ref = [], []
+        assert tanh_sinh(_sizes(psi, new), 1.0, 1e-12) == tanh_sinh_by_level(_sizes(psi, ref), 1.0, 1e-12)
+        assert len(ref) == 4 and ref[-1] == quadrature._nodes(6)[0].shape  # levels 3 to 6
+        assert new == ref[1:]
+
+    @pytest.mark.parametrize("fixture", ["asym", "cubic_odd"])
+    @pytest.mark.parametrize("at_z_plus", [False, True], ids=["simple", "z_plus"])
+    def test_arch_integrals_equal_one_pass_per_level(self, request, fixture, at_z_plus):
+        nl = request.getfixturevalue(fixture)
+        arch = Arch(nl, 3.0, nl.z_plus if at_z_plus else 0.5 * nl.z_plus, at_z_plus)
+        upper = arch.top ** (1.0 / arch.beta)
+        assert tanh_sinh(arch.psi, upper, QUAD_TOL) == tanh_sinh_by_level(arch.psi, upper, QUAD_TOL)
+
+    @pytest.mark.parametrize("negative", [False, True])
+    def test_a_store_scan_equals_one_pass_per_level(self, asym, monkeypatch, negative):
+        area = timemap._area(asym, asym.z_plus)
+        got = TimeMapCurves(asym, 3.0).integrals(area, negative)
+        monkeypatch.setattr(timemap, "tanh_sinh_batch", tanh_sinh_batch_by_level)
+        assert got.tolist() == TimeMapCurves(asym, 3.0).integrals(area, negative).tolist()
+
+    def test_failures_equal_one_pass_per_level(self):
+        for driver, reference, upper in [
+            (tanh_sinh, tanh_sinh_by_level, 1.0),
+            (tanh_sinh_batch, tanh_sinh_batch_by_level, np.array([1.0, 0.5])),
+        ]:
+            with pytest.raises(QuadratureFailure) as new:
+                driver(_oscillation, upper, 1e-10)
+            with pytest.raises(QuadratureFailure) as ref:
+                reference(_oscillation, upper, 1e-10)
+            assert str(new.value) == str(ref.value)
 
 
 def test_cumulative_gl_closed_form():
