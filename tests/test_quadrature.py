@@ -9,13 +9,6 @@ from plap.errors import QuadratureFailure
 from plap.quadrature import _MAX_LEVEL, _MIN_LEVEL, cumulative_gl, tanh_sinh, tanh_sinh_batch
 from plap.timemap import QUAD_TOL, Arch, TimeMapCurves
 
-_CLOSED_FORMS = [
-    (np.sin, math.pi, 2.0),
-    (lambda w: 1.0 / (1.0 + w * w), 1.0, math.pi / 4.0),
-    (lambda w: w**-0.5, 2.0, 2.0 * math.sqrt(2.0)),  # singular at 0
-    (np.log, 1.0, -1.0),  # singular at 0
-]
-
 
 def _power_rows(exponents):
     """psi_rows for the rows w^e_i, one exponent per row."""
@@ -38,16 +31,28 @@ def _oscillation(w, *idx):
 
 
 class TestTanhSinh:
-    @pytest.mark.parametrize("psi, upper, exact", _CLOSED_FORMS)
+    @pytest.mark.parametrize(
+        "psi, upper, exact",
+        [
+            (np.sin, math.pi, 2.0),
+            (lambda w: 1.0 / (1.0 + w * w), 1.0, math.pi / 4.0),
+            (lambda w: w**-0.5, 2.0, 2.0 * math.sqrt(2.0)),  # singular at 0
+            (np.log, 1.0, -1.0),  # singular at 0
+        ],
+    )
     def test_closed_forms(self, psi, upper, exact):
         assert tanh_sinh(psi, upper, 1e-12) == pytest.approx(exact, rel=1e-12)
+        assert tanh_sinh(psi, upper, 1e-12) == tanh_sinh_by_level(psi, upper, 1e-12)
 
     def test_empty_interval(self):
         assert tanh_sinh(np.exp, 0.0, 1e-12) == 0.0
 
     def test_unresolved_oscillation_fails(self):
-        with pytest.raises(QuadratureFailure):
+        with pytest.raises(QuadratureFailure) as failure:
             tanh_sinh(_oscillation, 1.0, 1e-10)
+        with pytest.raises(QuadratureFailure) as reference:  # stalled at the same value
+            tanh_sinh_by_level(_oscillation, 1.0, 1e-10)
+        assert str(failure.value) == str(reference.value)
 
 
 class TestTanhSinhBatch:
@@ -86,8 +91,11 @@ class TestTanhSinhBatch:
         assert tanh_sinh_batch(_power_rows([]), np.array([]), 1e-12).size == 0
 
     def test_unresolved_oscillation_fails(self):
-        with pytest.raises(QuadratureFailure):
+        with pytest.raises(QuadratureFailure) as failure:
             tanh_sinh_batch(_oscillation, np.array([1.0, 0.5]), 1e-10)
+        with pytest.raises(QuadratureFailure) as reference:
+            tanh_sinh_batch_by_level(_oscillation, np.array([1.0, 0.5]), 1e-10)
+        assert str(failure.value) == str(reference.value)
 
 
 class TestFirstPass:
@@ -104,7 +112,8 @@ class TestFirstPass:
 
     def test_a_level_4_integral_is_one_call(self):
         new, ref = [], []
-        assert tanh_sinh(_sizes(np.sin, new), math.pi, 1e-12) == tanh_sinh_by_level(_sizes(np.sin, ref), math.pi, 1e-12)
+        got = tanh_sinh(_sizes(np.sin, new), math.pi, 1e-12)
+        assert got == tanh_sinh_by_level(_sizes(np.sin, ref), math.pi, 1e-12)
         assert ref == [(quadrature._nodes(_MIN_LEVEL)[0].size,), (self.first,)]  # it accepts at level 4
         assert new == [(self.first,)]
 
@@ -113,18 +122,14 @@ class TestFirstPass:
         monkeypatch.setattr(quadrature, "_BATCH_NODES", batch_nodes)
         exponents = np.linspace(0.0, 3.0, 20)
         shapes = []
-        got = tanh_sinh_batch(_sizes(_power_rows(exponents), shapes), np.full(20, 1.5), 1e-12)
+        tanh_sinh_batch(_sizes(_power_rows(exponents), shapes), np.full(20, 1.5), 1e-12)
         block = max(1, batch_nodes // self.first)
         assert shapes == [(min(block, 20 - k), self.first) for k in range(0, 20, block)]
-        if block >= 20:  # one block, as the reference's levels: the same floats
-            assert got.tolist() == tanh_sinh_batch_by_level(_power_rows(exponents), np.full(20, 1.5), 1e-12).tolist()
-
-    @pytest.mark.parametrize("psi, upper, exact", _CLOSED_FORMS)
-    def test_closed_forms_equal_one_pass_per_level(self, psi, upper, exact):
-        assert tanh_sinh(psi, upper, 1e-12) == tanh_sinh_by_level(psi, upper, 1e-12)
 
     def test_a_level_6_integral_equals_one_pass_per_level(self):
-        psi = lambda w: np.cos(50.0 * w)  # noqa: E731
+        def psi(w):
+            return np.cos(50.0 * w)
+
         new, ref = [], []
         assert tanh_sinh(_sizes(psi, new), 1.0, 1e-12) == tanh_sinh_by_level(_sizes(psi, ref), 1.0, 1e-12)
         assert len(ref) == 4 and ref[-1] == quadrature._nodes(6)[0].shape  # levels 3 to 6
@@ -144,17 +149,6 @@ class TestFirstPass:
         got = TimeMapCurves(asym, 3.0).integrals(area, negative)
         monkeypatch.setattr(timemap, "tanh_sinh_batch", tanh_sinh_batch_by_level)
         assert got.tolist() == TimeMapCurves(asym, 3.0).integrals(area, negative).tolist()
-
-    def test_failures_equal_one_pass_per_level(self):
-        for driver, reference, upper in [
-            (tanh_sinh, tanh_sinh_by_level, 1.0),
-            (tanh_sinh_batch, tanh_sinh_batch_by_level, np.array([1.0, 0.5])),
-        ]:
-            with pytest.raises(QuadratureFailure) as new:
-                driver(_oscillation, upper, 1e-10)
-            with pytest.raises(QuadratureFailure) as ref:
-                reference(_oscillation, upper, 1e-10)
-            assert str(new.value) == str(ref.value)
 
 
 def test_cumulative_gl_closed_form():
