@@ -3,8 +3,10 @@
     python scripts/ab_layers.py --base <tree> [--rounds 15]
 
 Imports ``<tree>/src/plap`` and this checkout's ``src/plap`` side by side,
-as two packages of different names, and times ten layers in each:
+as two packages of different names, and times eleven layers in each:
 
+* the scalar level map ``level_pos`` on q = 2, f = 2s^3 / -|s|^3 at
+  rho = 0.3 A(z+): the Brent inversion inside every matching residual;
 * ``integral_I`` at a simple level: q = 3, f = |s|^3 s, p = 2, a = z+/2;
 * ``integral_I`` at the double zero z+: q = 2, f = 2s^3 / -|s|^3, p = 3;
 * a fresh store scan: the batched 1023-level I of a new ``TimeMapCurves``
@@ -45,6 +47,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # layer name -> calls per timing
 _BATCH = {
+    "level_pos scalar": 200,
     "integral_I simple": 200,
     "integral_I at z+": 200,
     "store scan": 6,
@@ -91,6 +94,7 @@ def _layers(plap) -> dict:
         for p, nl in ((2.0, cubic), (3.0, asym))
     )
     return {
+        "level_pos scalar": lambda: timemap.level_pos(asym, 0.3 * a_plus),
         "integral_I simple": lambda: plap.integral_I(qgtp, 2.0, 0.5 * qgtp.z_plus),
         "integral_I at z+": lambda: plap.integral_I(asym, 3.0, asym.z_plus),
         "store scan": lambda: timemap.TimeMapCurves(asym, 3.0).integrals(a_plus, False),

@@ -19,6 +19,17 @@ evaluates all three.  ``build_nonlinearity`` translates the two JSON kinds:
 * ``polynomial``: ``f(s) = sum_k a_k s^k`` with coefficients given from
   ``k = 1`` upward, even powers taken literally: ``e = 1``,
   ``c_plus = c_minus = (a_1, a_2, ...)``.
+
+Two implementations of ``**`` meet here, and they differ in the last bit at
+about 5% of (x, y) on x86 with AVX-512.  Python's ``**`` on floats and
+numpy's on ``np.float64`` scalars call the C library's pow; numpy's on an
+ndarray, a 0-d one included, runs numpy's own loop, with fast paths for the
+exponents 0, +-1, 0.5 and 2.  A float, an ``np.float64`` or a 0-d array
+takes the scalar branch of ``_horner`` as a Python float, so scalar f, F and
+f' use the library's pow, and so does the scalar ``eval_m``, whose |s| is an
+``np.float64``; an array uses numpy's pow throughout.  A faster path for
+either kind must keep every expression on the pow it uses, or the last bits
+of levels, integrals and roots move.
 """
 
 from __future__ import annotations
@@ -124,15 +135,17 @@ class HypothesisReport:
 
 
 def _horner(nl: Nonlinearity, quantity: str, s):
-    """``s`` as a float or a float ndarray, and ``sum_k c_k s^k`` by Horner's
-    rule with the coefficient table of the sign of ``s``."""
+    """``s`` as a Python float or a float ndarray, and ``sum_k c_k s^k`` by
+    Horner's rule with the coefficient table of the sign of ``s``.  A float
+    (``np.float64`` too) is tested first, as the level maps' Brent iterates
+    come one float at a time."""
     plus, minus = nl._tables[quantity]
-    if np.ndim(s):
-        s = np.asarray(s, dtype=float)
-        coeffs = plus if plus == minus else [np.where(s >= 0.0, a, b) for a, b in zip(plus, minus)]
-    else:
+    if isinstance(s, float) or not np.ndim(s):
         s = float(s)
         coeffs = plus if s >= 0.0 else minus
+    else:
+        s = np.asarray(s, dtype=float)
+        coeffs = plus if plus == minus else [np.where(s >= 0.0, a, b) for a, b in zip(plus, minus)]
     acc = coeffs[0]
     for c in coeffs[1:]:
         acc = acc * s + c
@@ -142,8 +155,9 @@ def _horner(nl: Nonlinearity, quantity: str, s):
 def eval_f(nl: Nonlinearity, s):
     """Evaluate ``f = sgn(s) |s|^e sum_k c_k s^k`` (scalar or ndarray)."""
     s, h = _horner(nl, "f", s)
-    out = np.copysign(abs(s) ** nl.e, s) * h
-    return out if np.ndim(out) else float(out)
+    if isinstance(s, float):
+        return math.copysign(abs(s) ** nl.e, s) * h
+    return np.copysign(abs(s) ** nl.e, s) * h
 
 
 def eval_F(nl: Nonlinearity, s):
@@ -171,7 +185,12 @@ def eval_g(nl: Nonlinearity, s):
 
 
 def eval_m(nl: Nonlinearity, s):
-    """Evaluate ``m(s) = |s|^{q-2} s - f(s)``."""
+    """Evaluate ``m(s) = |s|^{q-2} s - f(s)``.
+
+    A scalar goes through a 0-d array, whose ``np.abs`` is an ``np.float64``:
+    |s|^{q-2} then takes the C library's pow, as f does, and q < 2 gives
+    m(0) = 0 * inf = nan with numpy's warnings rather than a Python
+    ZeroDivisionError.  An array takes numpy's pow (module docstring)."""
     s = np.asarray(s, dtype=float)
     out = np.abs(s) ** (nl.q - 2.0) * s - eval_f(nl, s)
     return out if out.ndim else float(out)

@@ -154,6 +154,13 @@ def matching_residual(problem: Problem, sclass: SolutionClass, r: float) -> floa
     upper = sclass.bound(bounds.r_pos, bounds.r_neg)
     if not 0.0 < r < upper:
         raise OutOfRange(f"r = {r} outside (0, {upper}) for class {sclass}")
+    return _residual(problem, sclass, r)
+
+
+def _residual(problem: Problem, sclass: SolutionClass, r: float) -> float:
+    """``matching_residual`` without its range check, for an r the caller
+    already holds in (0, the class's slope bound): a root search's grid
+    points, brackets and Brent iterates."""
     kappa, p, rho = problem.kappa, problem.p, float(_rho_of_r(problem, r))
 
     def half_width(side: Nonlinearity) -> float:
@@ -206,7 +213,7 @@ def _roots(
     def residual(r: float) -> float:
         r = float(r)
         if r not in evaluated:
-            evaluated[r] = matching_residual(problem, sclass, r)
+            evaluated[r] = _residual(problem, sclass, r)
         return evaluated[r]
 
     roots: list[tuple[float, float, bool]] = []

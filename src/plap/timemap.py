@@ -255,9 +255,10 @@ class Arch:
         def at(v, mask):  # per-top values at the masked nodes; a float stays a float
             return np.broadcast_to(v, h.shape)[mask] if isinstance(v, np.ndarray) else v
 
-        # A call covers 125-251 nodes and takes about 60 us, set by its count of
-        # numpy calls (0.6-4 us each on a 2-vCPU x86 machine, whatever the
-        # node count), so a simple zero, the scans' kind, takes no model step.
+        # A call covers 125-251 nodes and takes 55-80 us at a float top (best of
+        # seven timeit runs, four families, on a 2-vCPU x86 machine), set by its
+        # count of numpy calls (0.5-4 us each, whatever the node count), so a
+        # simple zero, the scans' kind, takes no model step.
         if direct.any():
             G = _direct(nl, at(top, direct) - h[direct], at(eval_F(nl, top), direct), at(top**nl.q, direct))
             out[direct] = G ** (-1.0 / p) * beta * w[direct] ** (beta - 1.0)

@@ -1,3 +1,4 @@
+import math
 import re
 
 import mpmath
@@ -20,6 +21,7 @@ from plap.nonlinearity import (
     reflected,
     validate_hypotheses,
 )
+from plap.timemap import _area
 
 LD = np.longdouble
 
@@ -156,6 +158,74 @@ class TestEval:
     def test_asym_F_branches(self, asym):
         assert eval_F(asym, 0.5) == pytest.approx(2 * 0.5**4 / 4)
         assert eval_F(asym, -0.5) == pytest.approx(0.5**4 / 4)
+
+
+# families whose q, and for the power ones r_exp, is neither an integer nor a
+# half, beside the fixtures: there Python's pow and numpy's array pow
+# disagree in the last bit at some points
+_REAL_Q = {
+    "q2.5": ("power_asym", 2.5, {"b_plus": 1.0, "b_minus": 2.0, "r_exp": 4.5}),
+    "q2.7": ("power_asym", 2.7, {"b_plus": 1.5, "b_minus": 1.0, "r_exp": 3.9}),
+    "poly_q2.7": ("polynomial", 2.7, {"coeffs": [0.0, 0.0, 1.0, 0.2, 0.1]}),
+}
+_FAMILIES = ["cubic_odd", "asym", "quintic_q3", "qgtp", "quartic_q4", *_REAL_Q]
+
+
+def _family(request, name):
+    return build_nonlinearity(*_REAL_Q[name]) if name in _REAL_Q else request.getfixturevalue(name)
+
+
+def _scalar_points(nl) -> list:
+    """Signed zeros, tiny and negative values, the zeros z+- and their float
+    neighbours, and a grid across (1.2 z-, 1.2 z+)."""
+    ends = [z for zero in (nl.z_plus, nl.z_minus) for z in (zero, math.nextafter(zero, 0.0), 0.5 * zero)]
+    tiny = [s * v for s in (1.0, -1.0) for v in (5e-324, 1e-310, 1e-300, 1e-8)]
+    grid = np.linspace(1.2 * nl.z_minus, 1.2 * nl.z_plus, 61).tolist()
+    return [0.0, -0.0, *ends, *tiny, *grid]
+
+
+class TestScalarKernels:
+    """A float or ``np.float64`` argument takes the scalar branch that a 0-d
+    array takes, and scalar f, F, f' and m's |s|^(q-2) keep the C library's
+    pow, not numpy's array pow (see the module docstring)."""
+
+    @pytest.mark.parametrize("name", _FAMILIES)
+    @pytest.mark.parametrize("kernel", [eval_f, eval_F, eval_df, eval_m])
+    def test_float_is_the_zero_d_branch(self, request, name, kernel):
+        nl = _family(request, name)
+        for x in _scalar_points(nl):
+            want = kernel(nl, np.asarray(x))
+            assert type(want) is float
+            for arg in (x, np.float64(x)):
+                got = kernel(nl, arg)
+                assert type(got) is float and got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (
+                    kernel.__name__, x
+                )
+
+    @pytest.mark.parametrize("name", _FAMILIES)
+    def test_area_of_a_float(self, request, name):
+        nl = _family(request, name)
+        for x in (x for x in _scalar_points(nl) if math.copysign(1.0, x) > 0.0):  # the area of a level z >= 0
+            want = x**nl.q / nl.q - eval_F(nl, np.asarray(x))
+            assert _area(nl, x) == _area(nl, np.float64(x)) == want, x
+
+    @pytest.mark.parametrize("name", [name for name in _FAMILIES if name != "poly_q2.7"])
+    def test_which_pow(self, request, name):
+        # the power families' one-term series, with each pow named
+        nl = _family(request, name)
+        for x in _scalar_points(nl):
+            c = nl.c_plus[0] if x >= 0.0 else nl.c_minus[0]
+            assert eval_f(nl, x) == math.copysign(abs(x) ** nl.e, x) * c, x
+            assert eval_F(nl, x) == abs(x) ** (nl.e + 1.0) / (nl.e + 1.0) * c, x
+            assert eval_df(nl, x) == abs(x) ** (nl.e - 1.0) * (nl.e * c), x
+            assert eval_m(nl, x) == abs(x) ** (nl.q - 2.0) * x - eval_f(nl, x), x
+
+    @pytest.mark.parametrize("name", ["q2.5", "q2.7"])
+    def test_points_tell_the_pows_apart(self, request, name):
+        # else the tests above could not see a pow swapped for the other
+        nl = _family(request, name)
+        for exponent in (nl.e, nl.e + 1.0, nl.e - 1.0, nl.q - 2.0, nl.q):
+            assert any(abs(x) ** exponent != np.asarray(abs(x)) ** exponent for x in _scalar_points(nl)), exponent
 
 
 class TestTranslation:

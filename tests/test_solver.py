@@ -90,6 +90,42 @@ class TestMatchingResidual:
             matching_residual(prob, sc, r)
             assert len(seen) == calls, sc
 
+    @pytest.mark.parametrize(
+        "family, p, lams",
+        [
+            ("cubic_odd", 2.0, (30.0, 300.0, 3000.0)),
+            ("asym", 3.0, (30.0, 300.0, 3000.0)),
+            ("quintic_q3", 3.0, (30.0, 300.0, 3000.0)),
+            ("qgtp", 2.0, (30.0, 300.0, 3000.0)),
+            ("quartic_q4", 4.0, (300.0, 3000.0, 30000.0)),
+            ("asym", 2.5, (20.0, 50.0, 150.0)),
+            ("qgtp", 1.8, (30.0, 300.0, 3000.0)),
+        ],
+    )
+    def test_root_search_reports_the_checked_residual(self, request, family, p, lams):
+        # the root search evaluates the residual without the range check,
+        # and reports the floats of the public, checked entry point and of
+        # the theta and alpha sum (whose slope-to-level map is z_of_r's)
+        nl = request.getfixturevalue(family)
+        for lam in lams:
+            prob = Problem(p=p, nl=nl, lam=lam)
+            b = slope_bounds(prob)
+            found = 0
+            for j in range(1, 5):
+                for sign in "+-":
+                    sc = SolutionClass(j, sign)
+                    roots = solver._roots(prob, sc, sc.bound(b.r_pos, b.r_neg), sc.bound(*areas(nl)))
+                    for r, res, _ in roots:
+                        assert res == matching_residual(prob, sc, r), (lam, j, sign, r)
+                        want = 0.0
+                        if sc.n_pos:
+                            want += 2.0 * sc.n_pos * theta(prob, r)
+                        if sc.n_neg:
+                            want += 2.0 * sc.n_neg * alpha(prob, r)
+                        assert res == want - 1.0, (lam, j, sign, r)
+                    found += len(roots)
+            assert found, lam
+
     def test_out_of_range(self, cubic_odd):
         prob = Problem(p=2.0, nl=cubic_odd, lam=30.0)
         b = slope_bounds(prob)
