@@ -3,12 +3,14 @@
     python scripts/ab_layers.py --base <tree> [--rounds 15]
 
 Imports ``<tree>/src/plap`` and this checkout's ``src/plap`` side by side,
-as two packages of different names, and times eleven layers in each:
+as two packages of different names, and times twelve layers in each:
 
 * the scalar level map ``level_pos`` on q = 2, f = 2s^3 / -|s|^3 at
   rho = 0.3 A(z+): the Brent inversion inside every matching residual;
 * ``integral_I`` at a simple level: q = 3, f = |s|^3 s, p = 2, a = z+/2;
 * ``integral_I`` at the double zero z+: q = 2, f = 2s^3 / -|s|^3, p = 3;
+* ``Arch.derivative``, dI/dtop, on the latter (f, p) at top = z+/2: the
+  integral of every fold search's W';
 * a fresh store scan: the batched 1023-level I of a new ``TimeMapCurves``
   on the latter (f, p) at the area A(z+);
 * ``reconstruct(M=2048)`` of S1+ for p = q = 2, f = s^3 at lambda = 60;
@@ -27,8 +29,9 @@ Each round times every layer over a fixed batch of calls per tree, one call
 of each tree in turn, alternating which tree goes first, so both trees see
 the same drifts of a shared machine's speed.  The script prints, per layer,
 the median microseconds per call of each tree over the rounds and their
-ratio (this checkout over the base), so a ratio near 1 means no change.  Only public ``plap`` names are used, so any two trees that
-keep them compare.
+ratio (this checkout over the base), so a ratio near 1 means no change.
+Only public ``plap`` names and ``plap.timemap``'s ``level_pos``, ``Arch`` and
+``TimeMapCurves`` are used, so any two trees that keep them compare.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ _BATCH = {
     "level_pos scalar": 200,
     "integral_I simple": 200,
     "integral_I at z+": 200,
+    "derivative": 200,
     "store scan": 6,
     "reconstruct": 20,
     "residual asym": 100,
@@ -97,6 +101,7 @@ def _layers(plap) -> dict:
         "level_pos scalar": lambda: timemap.level_pos(asym, 0.3 * a_plus),
         "integral_I simple": lambda: plap.integral_I(qgtp, 2.0, 0.5 * qgtp.z_plus),
         "integral_I at z+": lambda: plap.integral_I(asym, 3.0, asym.z_plus),
+        "derivative": lambda: timemap.Arch(asym, 3.0, 0.5 * asym.z_plus, False).derivative(),
         "store scan": lambda: timemap.TimeMapCurves(asym, 3.0).integrals(a_plus, False),
         "reconstruct": lambda: plap.reconstruct(problem, descriptor, M=2048),
         "residual asym": lambda: plap.matching_residual(on_asym, mixed, r_asym),

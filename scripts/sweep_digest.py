@@ -1,0 +1,56 @@
+"""One sha256 per (sweep workload, seed) over the outputs of all its candidates.
+
+    PYTHONPATH=src python scripts/sweep_digest.py > sweeps.txt
+
+Draws the candidates of the benchmark's ``sweep_qgtp`` (``structure(N=6)``)
+and ``sweep_qlep`` (``enumerate_solutions(j_max=6)``) workloads of
+``perfbench/workloads.py`` at seeds 1-3, runs each once through the
+workload's own ``run``, and prints one line per (workload, seed): the sha256
+of the reprs of every candidate's output (or of the exception it raised),
+one per line in candidate order, then the workload, the seed and the count
+of candidates.  That is 216 calls, the screened-out candidates included.
+
+A repr prints every float to the last bit, so two source trees give equal
+lines exactly when every sweep output is identical: run the script against
+each (``PYTHONPATH=<tree>/src``) and diff the two.  A ``StructureReport``
+holds lambda and the class tags, not the fold levels behind them, so the
+``sweep_qgtp`` lines show a changed tag but not a moved fold; the
+``structure`` and ``diagram`` calls of ``cli_digest.py`` show that.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import SweepQgtp, SweepQlep  # noqa: E402
+
+SEEDS = (1, 2, 3)
+
+
+def outcome(workload, args) -> str:
+    """The repr of one candidate's output, or its exception's type and message."""
+    try:
+        return repr(workload.run(args))
+    except Exception as exc:  # a failing candidate is part of the digest
+        return f"{type(exc).__name__}: {exc}"
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for cls in (SweepQgtp, SweepQlep):
+            for seed in SEEDS:
+                workload = cls()
+                workload.setup(seed, Path(tmp))
+                blob = "\n".join(outcome(workload, args) for args in workload.candidates)
+                digest = hashlib.sha256(blob.encode()).hexdigest()
+                print(f"{digest}  {workload.name} seed={seed} candidates={len(workload.candidates)}")
+
+
+if __name__ == "__main__":
+    main()

@@ -187,11 +187,6 @@ def _tail_nodes(a, h):
     return np.asarray(a)[..., None] - h[..., None] * _GL4_SIGMA
 
 
-def _tail_mean(nl: Nonlinearity, a, h):
-    """Mean of m over [a-h, a]; G = h * mean, free of cancellation."""
-    return eval_m(nl, _tail_nodes(a, h)) @ _GL4_WBAR
-
-
 def _direct(nl: Nonlinearity, t, F_a, a_q):
     """The direct formula for G at t, given F(a) and a^q.
 
@@ -213,7 +208,9 @@ class Arch:
     ``double`` marks a double zero of G at ``top`` = z_plus (a plateau edge,
     p > 2); otherwise the zero is simple (an arch top).  ``top`` may also be
     an array of simple-zero tops (``integral`` gives I at each) or a column
-    of them (``psi`` at a matrix of abscissae, one row per top)."""
+    of them (``psi`` at a matrix of abscissae, one row per top).  dI/dtop
+    (``derivative``, and ``psi``'s derivative integrand) is served for a
+    simple zero at a float top only."""
 
     nl: Nonlinearity
     p: float
@@ -242,32 +239,43 @@ class Arch:
         model = h < _MODEL_FRAC * self.top
         return model, near ^ model, ~near
 
-    def psi(self, w: np.ndarray) -> np.ndarray:
+    def psi(self, w: np.ndarray, derivative: bool = False) -> np.ndarray:
         """The substituted integrand at the abscissae w, bounded on [0, top^(1/beta)]:
         in the tail band the w-prefactor cancels exactly.  A column of tops
-        broadcasts against w, with F(top) and top^q evaluated once per top."""
+        broadcasts against w, with F(top) and top^q evaluated once per top.
+        With ``derivative``, at a simple zero and a float top, it is that of
+        dI/dtop less its end term, -(beta/p) w^(beta-1) G^(-1-1/p) (m(top) - m(t)),
+        where m(top) - m(t) is h times the mean of m' in the tail band."""
         nl, p, top, beta = self.nl, self.p, self.top, self.beta
         with np.errstate(under="ignore"):
             h = w**beta
         out = np.empty_like(h)
         model, tail, direct = self._bands(h)
+        power = -1.0 / p - derivative  # -1/p, or -1 - 1/p to the same double
 
         def at(v, mask):  # per-top values at the masked nodes; a float stays a float
             return np.broadcast_to(v, h.shape)[mask] if isinstance(v, np.ndarray) else v
 
-        # A call covers 125-251 nodes and takes 55-80 us at a float top (best of
-        # seven timeit runs, four families, on a 2-vCPU x86 machine), set by its
-        # count of numpy calls (0.5-4 us each, whatever the node count), so a
-        # simple zero, the scans' kind, takes no model step.
+        # A call covers 125-251 nodes and takes 30-40 us at a float top, 45-60 us
+        # with ``derivative`` (best of seven timeit runs, four families, on a
+        # 2-vCPU x86 machine), set by its count of numpy calls (0.5-4 us each,
+        # whatever the node count), so a simple zero, the scans' kind, takes
+        # no model step.
         if direct.any():
-            G = _direct(nl, at(top, direct) - h[direct], at(eval_F(nl, top), direct), at(top**nl.q, direct))
-            out[direct] = G ** (-1.0 / p) * beta * w[direct] ** (beta - 1.0)
+            t = at(top, direct) - h[direct]
+            G = _direct(nl, t, at(eval_F(nl, top), direct), at(top**nl.q, direct))
+            factor = beta
+            if derivative:  # m(top) - m(t) in two differences, as m(0) is 0 * inf for q < 2
+                factor = top ** (nl.q - 1.0) - np.abs(t) ** (nl.q - 1.0) - (eval_f(nl, top) - eval_f(nl, t))
+            out[direct] = G**power * factor * w[direct] ** (beta - 1.0)
         if tail.any():
-            res = beta * _tail_mean(nl, at(top, tail), h[tail]) ** (-1.0 / p)
+            pts = _tail_nodes(at(top, tail), h[tail])  # G = h * mean of m, m(top) - m(t) = h * mean of m'
+            factor = _dm(nl, pts) @ _GL4_WBAR if derivative else beta
+            res = (eval_m(nl, pts) @ _GL4_WBAR) ** power * factor
             out[tail] = res * w[tail] ** (1.0 / (p - 2.0)) if self.double else res
         if model is not None:
             out[model] = beta * (0.5 * abs(_dm(nl, top))) ** (-1.0 / p)
-        return out
+        return -beta / p * out if derivative else out
 
     def integral(self, tol: float = QUAD_TOL) -> float | np.ndarray:
         """I(top), the arch's half-width in G-space (before kappa); for an
@@ -277,33 +285,15 @@ class Arch:
             return tanh_sinh_batch(lambda w, idx: replace(self, top=self.top[idx, None]).psi(w), upper, tol)
         return tanh_sinh(self.psi, upper, tol)
 
-    def dpsi(self, w: np.ndarray) -> np.ndarray:
-        """The substituted integrand of dI/dtop, less its end term, for a
-        simple zero at a float top: -(1/p) G^(-1-1/p) (m(top) - m(t)) at
-        t = top - w^beta, times beta w^(beta-1), bounded as ``psi`` is.  In
-        the tail band m(top) - m(t) is h times the mean of m' and the
-        w-prefactor cancels; above it the difference is taken as
-        (top^(q-1) - |t|^(q-1)) - (f(top) - f(t)), as m(0) is 0 * inf for q < 2."""
-        nl, p, top, beta = self.nl, self.p, self.top, self.beta
-        with np.errstate(under="ignore"):
-            h = w**beta
-        out = np.empty_like(h)
-        _, tail, direct = self._bands(h)
-        if direct.any():
-            t = top - h[direct]
-            G = _direct(nl, t, eval_F(nl, top), top**nl.q)
-            dm = top ** (nl.q - 1.0) - np.abs(t) ** (nl.q - 1.0) - (eval_f(nl, top) - eval_f(nl, t))
-            out[direct] = G ** (-1.0 - 1.0 / p) * dm * w[direct] ** (beta - 1.0)
-        if tail.any():
-            pts = _tail_nodes(top, h[tail])  # G = h * mean of m, m(top) - m(t) = h * mean of m'
-            out[tail] = (eval_m(nl, pts) @ _GL4_WBAR) ** (-1.0 - 1.0 / p) * (_dm(nl, pts) @ _GL4_WBAR)
-        return -beta / p * out
-
     def derivative(self) -> float:
-        """dI/dtop for a simple zero at a float top: the integral of ``dpsi``
-        plus the moving limit's end term A(top)^(-1/p), at ``QUAD_TOL``."""
+        """dI/dtop for a simple zero at a float top: the integral of ``psi``'s
+        derivative integrand plus the moving limit's end term A(top)^(-1/p),
+        at ``QUAD_TOL``.  At a double zero I' diverges like eps^(-2/p) as the
+        level nears it, so there it raises ``Divergent``."""
+        if self.double:
+            raise Divergent("dI/dtop diverges at a double zero")
         upper = self.top ** (1.0 / self.beta)
-        return tanh_sinh(self.dpsi, upper, QUAD_TOL) + _area(self.nl, self.top) ** (-1.0 / self.p)
+        return tanh_sinh(lambda w: self.psi(w, True), upper, QUAD_TOL) + _area(self.nl, self.top) ** (-1.0 / self.p)
 
     def cumulative(self, w_grid: np.ndarray) -> np.ndarray:
         """G-space distances from the extremum to the offsets ``w_grid``, ascending from 0."""
@@ -326,7 +316,7 @@ class Arch:
         if model is not None:
             dm = abs(_dm(nl, top))
             G[model] = 0.5 * dm * h_b[model] * h_b[model]
-        G[tail] = h_b[tail] * _tail_mean(nl, top, h_b[tail])
+        G[tail] = h_b[tail] * (eval_m(nl, _tail_nodes(top, h_b[tail])) @ _GL4_WBAR)
         top_1 = np.array([top])  # F(top) and top^q by numpy's pow, like F(t) and t^q
         G[direct] = _direct(nl, t[direct], eval_F(nl, top_1), top_1**nl.q)
         if np.ndim(h):

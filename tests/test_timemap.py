@@ -530,21 +530,41 @@ class TestArch:
         assert Arch.at(asym, 3.0, asym.z_minus, True).beta == 3.0
         assert Arch.at(asym, 3.0, 0.5 * asym.z_plus).beta == 1.5
 
-    @pytest.mark.parametrize("double", [False, True])
+    @pytest.mark.parametrize(
+        "double, derivative", [(False, False), (True, False), (False, True)], ids=["False", "True", "derivative"]
+    )
     @pytest.mark.parametrize("negative", [False, True])
-    def test_integrand_and_radicand_read_one_set_of_bands(self, asym, double, negative):
-        # psi(w) = beta w^(beta-1) G(top - h)^(-1/p) with h = w^beta, in every
-        # band and on both sides of each band edge
+    def test_integrand_and_radicand_read_one_set_of_bands(self, asym, double, derivative, negative):
+        # psi(w) = beta w^(beta-1) G(top - h)^(-1/p) with h = w^beta, and its
+        # derivative integrand -(beta/p) w^(beta-1) G^(-1-1/p) (m(top) - m) at
+        # a simple zero, in every band and on both sides of each band edge
         level = asym.z_minus if negative else asym.z_plus
         arch = Arch.at(asym, 3.0, level if double else 0.5 * level, double)
         beta, top = arch.beta, arch.top
-        edges = [f * e for e in (_TAIL_FRAC, _MODEL_FRAC) for f in (1.0 - 1e-9, 1.0 + 1e-9)]
-        for frac in [0.5, 1e-4, 1e-10] + edges:
+        bands = (_TAIL_FRAC,) if derivative else (_TAIL_FRAC, _MODEL_FRAC)
+        edges = [f * e for e in bands for f in (1.0 - 1e-9, 1.0 + 1e-9)]
+        m_top = float(eval_m(arch.nl, top))
+        for frac in ([0.5, 0.05, 1e-3] if derivative else [0.5, 1e-4, 1e-10]) + edges:
             w = (frac * top) ** (1.0 / beta)
             h = w**beta
-            G, _ = arch.radicand(top - h, h)
-            expected = beta * w ** (beta - 1.0) * G ** (-1.0 / 3.0)
-            assert float(arch.psi(np.array([w]))[0]) == pytest.approx(expected, rel=1e-12)
+            G, m = arch.radicand(top - h, h)
+            got = float(arch.psi(np.array([w]), derivative)[0])
+            if derivative:
+                expected = -beta / 3.0 * w ** (beta - 1.0) * G ** (-1.0 - 1.0 / 3.0) * (m_top - m)
+                assert got == pytest.approx(expected, rel=1e-10), frac
+            else:
+                assert got == pytest.approx(beta * w ** (beta - 1.0) * G ** (-1.0 / 3.0), rel=1e-12), frac
+
+    @pytest.mark.parametrize("negative", [False, True])
+    def test_derivative_diverges_at_a_double_zero(self, asym, monkeypatch, negative):
+        # I' grows like eps^(-2/p) as the level nears z+: no integrand is read
+        def unread(self, w, derivative=False):
+            raise AssertionError("psi evaluated")
+
+        monkeypatch.setattr(Arch, "psi", unread)
+        level = asym.z_minus if negative else asym.z_plus
+        with pytest.raises(Divergent):
+            Arch.at(asym, 3.0, level, True).derivative()
 
     @pytest.mark.parametrize("negative", [False, True])
     def test_an_array_of_tops_integrates_as_each_top(self, asym, negative):
