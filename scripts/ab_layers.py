@@ -6,7 +6,8 @@ Imports ``<tree>/src/plap`` and this checkout's ``src/plap`` side by side,
 as two packages of different names, and times twelve layers in each:
 
 * the scalar level map ``level_pos`` on q = 2, f = 2s^3 / -|s|^3 at
-  rho = 0.3 A(z+): the Brent inversion inside every matching residual;
+  rho = 0.3 A(z+): the Brent inversion inside ``matching_residual`` and, for
+  the other side of a class with arches of both signs, the root search;
 * ``integral_I`` at a simple level: q = 3, f = |s|^3 s, p = 2, a = z+/2;
 * ``integral_I`` at the double zero z+: q = 2, f = 2s^3 / -|s|^3, p = 3;
 * ``Arch.derivative``, dI/dtop, on the latter (f, p) at top = z+/2: the

@@ -1,4 +1,4 @@
-"""One sha256 per (sweep workload, seed) over the outputs of all its candidates.
+"""Two sha256 per (sweep workload, seed) over the outputs of all its candidates.
 
     PYTHONPATH=src python scripts/sweep_digest.py > sweeps.txt
 
@@ -7,15 +7,20 @@ and ``sweep_qlep`` (``enumerate_solutions(j_max=6)``) workloads of
 ``perfbench/workloads.py`` at seeds 1-3, runs each once through the
 workload's own ``run``, and prints one line per (workload, seed): the sha256
 of the reprs of every candidate's output (or of the exception it raised),
-one per line in candidate order, then the workload, the seed and the count
-of candidates.  That is 216 calls, the screened-out candidates included.
+one per line in candidate order; the sha256 of the workload's own ``check``
+records of the same outputs (descriptor ids for ``sweep_qlep``, class tags
+for ``sweep_qgtp``; the exception, where one was raised), as
+``checks=<sha256>``; then the workload, the seed and the count of
+candidates.  That is 216 calls, the screened-out candidates included.
 
 A repr prints every float to the last bit, so two source trees give equal
-lines exactly when every sweep output is identical: run the script against
-each (``PYTHONPATH=<tree>/src``) and diff the two.  A ``StructureReport``
-holds lambda and the class tags, not the fold levels behind them, so the
-``sweep_qgtp`` lines show a changed tag but not a moved fold; the
-``structure`` and ``diagram`` calls of ``cli_digest.py`` show that.
+first hashes exactly when every sweep output is identical: run the script
+against each (``PYTHONPATH=<tree>/src``) and diff the two.  Two trees whose
+floats differ in the last bits can still agree on the second hash, on ids
+and tags.  A ``StructureReport`` holds lambda and the class tags, not the
+fold levels behind them, so the ``sweep_qgtp`` lines show a changed tag but
+not a moved fold; the ``structure`` and ``diagram`` calls of
+``cli_digest.py`` show that.
 """
 
 from __future__ import annotations
@@ -33,12 +38,14 @@ from workloads import SweepQgtp, SweepQlep  # noqa: E402
 SEEDS = (1, 2, 3)
 
 
-def outcome(workload, args) -> str:
-    """The repr of one candidate's output, or its exception's type and message."""
+def outcome(workload, args) -> tuple[str, str]:
+    """The repr of one candidate's output and its check record, or twice its
+    exception's type and message."""
     try:
-        return repr(workload.run(args))
+        out = workload.run(args)
     except Exception as exc:  # a failing candidate is part of the digest
-        return f"{type(exc).__name__}: {exc}"
+        return (f"{type(exc).__name__}: {exc}",) * 2
+    return repr(out), workload.check(args, out)[0].decode()
 
 
 def main() -> None:
@@ -47,9 +54,9 @@ def main() -> None:
             for seed in SEEDS:
                 workload = cls()
                 workload.setup(seed, Path(tmp))
-                blob = "\n".join(outcome(workload, args) for args in workload.candidates)
-                digest = hashlib.sha256(blob.encode()).hexdigest()
-                print(f"{digest}  {workload.name} seed={seed} candidates={len(workload.candidates)}")
+                reprs, checks = zip(*(outcome(workload, args) for args in workload.candidates))
+                digest, checked = (hashlib.sha256("\n".join(lines).encode()).hexdigest() for lines in (reprs, checks))
+                print(f"{digest}  checks={checked}  {workload.name} seed={seed} candidates={len(workload.candidates)}")
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ def brentq(f, a: float, b: float, xtol: float) -> float:
     NoZeroFound
         ``_MAXITER`` iterations did not converge.
     """
-    xpre, xcur = float(a), float(b)
+    xpre, xcur, xtol = float(a), float(b), float(xtol)  # so every iterate is a float
     xblk = fblk = spre = scur = 0.0
     fpre = _value(f, xpre)
     fcur = _value(f, xcur)

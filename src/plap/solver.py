@@ -6,17 +6,18 @@ widths fill ``[0, 1]``:
 
     2*n_pos*theta(r) + 2*n_neg*alpha(r) = 1.
 
-For ``q <= p`` the left side is monotone in ``r`` (0 or 1 root per class);
-for ``q > p`` it diverges as ``r -> 0`` and dips to an interior minimum, so
-roots appear in pairs born at a tangency.  Such a pair can hide between scan
-points, so a scanned minimum in [-delta, 0.05] (delta = 1e-6, a hundred times
-the store's scan tolerance) is located by the store's lambda-free fold
-search, the one that gives ``bifurcation``'s thresholds; a deeper dip
-already has its roots bracketed by sign changes.  For ``p > 2`` the left
-side stays finite at the slope bound; when it is still below 1 there, the
-remaining length is absorbed by flat plateaus at ``z_plus``/``z_minus`` and
-the class carries a continuum of solutions, represented by a single
-descriptor with the plateau budget and the continuum dimension.
+The left side is searched in the arch level z of the class's lead side
+(``_roots``): monotone for ``q <= p`` (0 or 1 root per class); for ``q > p``
+it diverges as ``z -> 0`` and dips to an interior minimum, so roots appear
+in pairs born at a tangency.  Such a pair can hide between scan points, so a
+scanned minimum in [-delta, 0.05] (delta = 1e-6, a hundred times the store's
+scan tolerance) is located by the store's lambda-free fold search, the one
+that gives ``bifurcation``'s thresholds; a deeper dip already has its roots
+bracketed by sign changes.  For ``p > 2`` the left side stays finite at the
+slope bound; when it is still below 1 there, the remaining length is
+absorbed by flat plateaus at ``z_plus``/``z_minus`` and the class carries a
+continuum of solutions, represented by a single descriptor with the plateau
+budget and the continuum dimension.
 
 A class is solved in two parts: the root search (scan, brackets, Brent and
 the fold path) and the descriptors.  S_j^+ and S_j^- have one matching
@@ -42,7 +43,7 @@ from .errors import OutOfRange
 from .nonlinearity import Nonlinearity, areas
 from .roots import brentq
 from .timemap import (
-    RESIDUAL_TOL, Problem, _SCAN_TOL, _rho_of_r, integral_I, level_pos, slope_bounds, time_map_curves, weigh
+    RESIDUAL_TOL, Problem, _SCAN_TOL, _area, _rho_of_r, integral_I, level_pos, slope_bounds, time_map_curves, weigh
 )
 
 SIGN_POS = "+"
@@ -99,7 +100,7 @@ class SolutionDescriptor:
     kind: str  # "regular" | "flat_core" | "trivial"
     r: float
     degenerate: bool = False
-    residual: float = 0.0
+    residual: float = 0.0  # at the root's level, where the search ran (``_roots``)
     core_budget: float = 0.0
     core_count: int = 0
     core_side: str = ""
@@ -154,13 +155,6 @@ def matching_residual(problem: Problem, sclass: SolutionClass, r: float) -> floa
     upper = sclass.bound(bounds.r_pos, bounds.r_neg)
     if not 0.0 < r < upper:
         raise OutOfRange(f"r = {r} outside (0, {upper}) for class {sclass}")
-    return _residual(problem, sclass, r)
-
-
-def _residual(problem: Problem, sclass: SolutionClass, r: float) -> float:
-    """``matching_residual`` without its range check, for an r the caller
-    already holds in (0, the class's slope bound): a root search's grid
-    points, brackets and Brent iterates."""
     kappa, p, rho = problem.kappa, problem.p, float(_rho_of_r(problem, r))
 
     def half_width(side: Nonlinearity) -> float:
@@ -169,7 +163,7 @@ def _residual(problem: Problem, sclass: SolutionClass, r: float) -> float:
     return weigh(problem.nl, half_width, 2.0 * sclass.n_pos, 2.0 * sclass.n_neg) - 1.0
 
 
-def _flat_core_descriptor(problem: Problem, sclass: SolutionClass, bound: float) -> SolutionDescriptor | None:
+def _flat_core_descriptor(problem: Problem, sclass: SolutionClass) -> SolutionDescriptor | None:
     if problem.p <= 2.0:
         return None
     curves = time_map_curves(problem.nl, problem.p)
@@ -179,11 +173,12 @@ def _flat_core_descriptor(problem: Problem, sclass: SolutionClass, bound: float)
         return None
     relation = area_relation(problem.nl)
     side = flat_core_side(sclass, relation)
+    bounds = slope_bounds(problem)
     return SolutionDescriptor(
         j=sclass.j,
         sign=sclass.sign,
         kind="flat_core",
-        r=bound,
+        r=sclass.bound(bounds.r_pos, bounds.r_neg),
         core_budget=budget,
         core_count=sum(sclass.plateaus(side)),
         core_side=side,
@@ -193,34 +188,30 @@ def _flat_core_descriptor(problem: Problem, sclass: SolutionClass, bound: float)
 
 # one entry: ``iter_solutions`` solves S_j^- right after S_j^+
 @functools.lru_cache(maxsize=1)
-def _roots(
-    problem: Problem, sclass: SolutionClass, bound: float, area: float
-) -> tuple[tuple[float, float, bool], ...]:
-    """The sorted (r, residual, degenerate) matching roots of ``sclass`` below
-    the slope bound ``bound``, whose scan grid has the area bound ``area``.
-
-    The key holds every input the search reads, so a class and its twin
-    share an entry only where their equations, grids and bounds coincide.
-    """
+def _roots(problem: Problem, sclass: SolutionClass, area: float) -> tuple[tuple[float, float, bool], ...]:
+    """The sorted (r, residual, degenerate) matching roots of ``sclass`` on the
+    scan grid of area bound ``area``, searched in the level z of its lead side:
+    the residual is 2 kappa W(z) - 1 at RESIDUAL_TOL (``TimeMapCurves.weigh_at``)
+    and r = (lambda p A(z)/(p-1))^(1/p).  The key holds every input the search
+    reads, so a class and its twin share an entry only where both coincide."""
     curves = time_map_curves(problem.nl, problem.p)
-    grid = bound * curves.fractions
-    weights = curves.weights(sclass.n_pos, sclass.n_neg, area)
-    res = 2.0 * problem.kappa * weights - 1.0
+    kappa, lam, p, n_pos, n_neg = problem.kappa, problem.lam, problem.p, sclass.n_pos, sclass.n_neg
+    lead = curves.lead(n_pos)
+    grid = curves.levels(area, lead is not curves.nl).tolist()
+    res = 2.0 * kappa * curves.weights(n_pos, n_neg, area) - 1.0
 
-    # bracket checks and Brent evaluate the same grid ends: evaluate each once
-    evaluated: dict[float, float] = {}
+    def half_width(side: Nonlinearity, top: float) -> float:
+        return kappa * integral_I(side, p, top, RESIDUAL_TOL)
 
-    def residual(r: float) -> float:
-        r = float(r)
-        if r not in evaluated:
-            evaluated[r] = _residual(problem, sclass, r)
-        return evaluated[r]
+    @functools.cache  # bracket checks and Brent evaluate the same grid ends: evaluate each once
+    def residual(z: float) -> float:
+        return curves.weigh_at(z, 2.0 * n_pos, 2.0 * n_neg, half_width) - 1.0
 
-    roots: list[tuple[float, float, bool]] = []
+    roots: list[tuple[float, float, bool]] = []  # (z, residual, degenerate)
 
     def refine(lo: float, hi: float) -> None:
-        r0 = brentq(residual, lo, hi, xtol=1e-15 * min(bound, hi))
-        roots.append((float(r0), float(residual(r0)), False))
+        z0 = brentq(residual, lo, hi, xtol=1e-15 * hi)
+        roots.append((z0, residual(z0), False))
 
     # strict crossings only: exact zeros over a run of grid points happen when
     # lambda sits on a birth threshold (the residual flattens onto 0 at the
@@ -231,40 +222,37 @@ def _roots(
         # the scan runs at a coarser tolerance; confirm the bracket before
         # Brent and reject crossings that never rise above evaluation noise
         # (the residual flattens onto 0 at a birth threshold)
-        f_lo = residual(float(grid[i]))
-        f_hi = residual(float(grid[i + 1]))
+        f_lo, f_hi = residual(grid[i]), residual(grid[i + 1])
         if f_lo * f_hi >= 0.0 or min(abs(f_lo), abs(f_hi)) < noise_floor:
             continue
         refine(grid[i], grid[i + 1])
 
-    if problem.q > problem.p:
+    if problem.q > p:
         # an interior minimum can hide a tangency or a just-born root pair
         # between grid points; one the scan shows below -delta, far beyond
         # its error, already has its roots bracketed by sign changes
         delta = 100.0 * _SCAN_TOL
         interior = np.where((res[1:-1] < res[:-2]) & (res[1:-1] <= res[2:]))[0] + 1
         for i in interior:
-            if not -delta <= res[i] <= 0.05 or any(
-                grid[i - 1] <= r <= grid[i + 1] for r, _, _ in roots
-            ):
+            lo, hi = grid[i - 1], grid[i + 1]
+            if not -delta <= res[i] <= 0.05 or any(lo <= z <= hi for z, _, _ in roots):
                 continue
-            rho, _ = curves.fold(sclass.n_pos, sclass.n_neg, area, i)
-            r_min = (problem.lam * problem.p * rho / (problem.p - 1.0)) ** (1.0 / problem.p)
-            f_min = residual(r_min)
+            z_min = curves.fold(n_pos, n_neg, area, i).level
+            f_min = residual(z_min)
             if abs(f_min) <= _TANGENT_TOL:
-                roots.append((r_min, f_min, True))
+                roots.append((z_min, f_min, True))
             elif f_min < 0.0:
-                for lo, hi in ((grid[i - 1], r_min), (r_min, grid[i + 1])):
-                    if residual(float(lo)) * residual(float(hi)) < 0.0:
-                        refine(lo, hi)
-    return tuple(sorted(roots))
+                for a, b in ((lo, z_min), (z_min, hi)):
+                    if residual(a) * residual(b) < 0.0:
+                        refine(a, b)
+    return tuple(((lam * p * _area(lead, z) / (p - 1.0)) ** (1.0 / p), f, deg) for z, f, deg in sorted(roots))
 
 
 def solve_class(problem: Problem, sclass: SolutionClass) -> list[SolutionDescriptor]:
     """All solutions in one class: regular matching roots, a tangent root at
     a fold, and the flat-core continuum descriptor when the budget is open.
 
-    The residual is scanned on the class's slope grid from the store, where
+    The residual is scanned on the class's level grid from the store, where
     classes with the same area bound share the scans.  S_j^- searches the
     equation of S_j^+ when the two have one: j even (equal arch counts) or
     f odd (J = I).  The last root search is kept, so S_j^- right after
@@ -274,17 +262,15 @@ def solve_class(problem: Problem, sclass: SolutionClass) -> list[SolutionDescrip
     arithmetic.  The flat-core descriptor is the class's own.  Returns an
     empty list when the class has no solutions at this lambda.
     """
-    bounds = slope_bounds(problem)
-    bound = sclass.bound(bounds.r_pos, bounds.r_neg)
     area = sclass.bound(*areas(problem.nl))
     searched = SolutionClass(sclass.j, SIGN_POS) if sclass.j % 2 == 0 or problem.nl.odd else sclass
     out = [
         SolutionDescriptor(
             j=sclass.j, sign=sclass.sign, kind="regular", r=r0, residual=f0, degenerate=deg
         )
-        for r0, f0, deg in _roots(problem, searched, bound, area)
+        for r0, f0, deg in _roots(problem, searched, area)
     ]
-    fc = _flat_core_descriptor(problem, sclass, bound)
+    fc = _flat_core_descriptor(problem, sclass)
     if fc is not None:
         out.append(fc)
     return out

@@ -388,6 +388,10 @@ def weigh(nl: Nonlinearity, term, n_pos, n_neg):
 # ---------------------------------------------------------------------------
 
 
+class Fold(tuple):
+    """A class's fold as the pair (rho, W); ``level``, set by ``fold``, is the lead side's z there."""
+
+
 class TimeMapCurves:
     """The lambda-free part of every scan of one (f, p).
 
@@ -396,10 +400,10 @@ class TimeMapCurves:
     reaches the area ``rho = A g^p`` at every lambda.  So on the scan grid
     ``r_A * fractions`` the half-periods are ``kappa * I(z(A g^p))`` (and the
     same with J), where only ``kappa`` depends on lambda.  This store holds
-    the fractions ``g`` and fills in, on first use, I or J at those levels per
-    area bound (at ``_SCAN_TOL``), and I or J at the level of the area bound
-    itself, ``g = 1`` (at ``QUAD_TOL``), for ``bound_weight``.  ``fold``
-    searches between the scan points and keeps nothing.
+    the fractions ``g`` and fills in, on first use, the levels and I or J at
+    them per area bound (at ``_SCAN_TOL``), and I or J at the level of the
+    area bound itself, ``g = 1`` (at ``QUAD_TOL``), for ``bound_weight``.
+    ``fold`` searches between the scan levels and keeps nothing.
 
     Every value is a pure function of the store's key and its own arguments,
     so the order in which lambdas fill it never shows in a result, and two
@@ -412,18 +416,26 @@ class TimeMapCurves:
         half = np.geomspace(_SCAN_EPS, 0.5, _SCAN_POINTS // 2)
         self.fractions = np.unique(np.concatenate([half, 1.0 - half[::-1]]))
         self.fractions.flags.writeable = False
+        self._levels: dict[tuple[float, bool], np.ndarray] = {}
         self._scans: dict[tuple[float, bool], np.ndarray] = {}
         self._bounds: dict[tuple[float, bool], float] = {}
 
+    def levels(self, area: float, negative: bool) -> np.ndarray:
+        """The levels z (-S when ``negative``) of area ``area * fractions^p``."""
+        if (area, negative) not in self._levels:
+            levels = level_pos(reflected(self.nl) if negative else self.nl, area * self.fractions**self.p)
+            levels.flags.writeable = False
+            self._levels[area, negative] = levels
+        return self._levels[area, negative]
+
     def integrals(self, area: float, negative: bool) -> np.ndarray:
-        """I (J when ``negative``) at the levels of area ``area * fractions^p``."""
-        key = (area, negative)
-        if key not in self._scans:
+        """I (J when ``negative``) at ``levels(area, negative)``."""
+        if (area, negative) not in self._scans:
             nl = reflected(self.nl) if negative else self.nl
-            scan = Arch(nl, self.p, level_pos(nl, area * self.fractions**self.p), False).integral(_SCAN_TOL)
+            scan = Arch(nl, self.p, self.levels(area, negative), False).integral(_SCAN_TOL)
             scan.flags.writeable = False
-            self._scans[key] = scan
-        return self._scans[key]
+            self._scans[area, negative] = scan
+        return self._scans[area, negative]
 
     def weights(self, n_pos: int, n_neg: int, area: float) -> np.ndarray:
         """W = n_pos I + n_neg J on the scan grid of area bound ``area``; the
@@ -454,37 +466,39 @@ class TimeMapCurves:
         d = math.gcd(n_pos, n_neg)
         return d, n_pos // d, n_neg // d
 
-    def fold(self, n_pos: int, n_neg: int, area: float, i: int) -> tuple[float, float]:
+    def lead(self, n_pos) -> Nonlinearity:
+        """A class's lead side, the first one ``weigh`` reads, whose level is its coordinate."""
+        return self.nl if n_pos or self.nl.odd else reflected(self.nl)
+
+    def weigh_at(self, z: float, n_pos, n_neg, term) -> float:
+        """``weigh`` of ``term(side, top)``, I or a multiple of it at a level: the
+        lead side's at z, the other side's at the level of the area A(z)."""
+        lead = self.lead(n_pos)
+        return weigh(self.nl, lambda s: term(s, z if s is lead else level_pos(s, _area(lead, z))), n_pos, n_neg)
+
+    def fold(self, n_pos: int, n_neg: int, area: float, i: int) -> Fold:
         """(rho, W) at the fold of the class with ``n_pos`` positive and
         ``n_neg`` negative arches (q > p): the zero of W' = dW/drho between
         the points i-1 and i+1 of the scan grid of area bound ``area``.
 
-        The search runs for the reduced ratio (``reduce``), in the level z of
-        its first term's side (the lead side), where rho = A(z) = z^q/q - F(z)
-        is explicit: only the other side of a mixed class inverts a level map
-        at each point.  Each side's dI/drho is ``Arch.derivative`` over
-        m = dA/dz at its level; Brent's method places the zero to the
-        relative xtol ``_FOLD_XTOL``, and W is evaluated once, there.  The
-        result is not kept: a caller that needs it twice keeps it.
+        The search runs for the reduced ratio (``reduce``) in the level z of
+        the lead side (``weigh_at``), between the scan levels.  Each side's
+        dI/drho is ``Arch.derivative`` over m = dA/dz at its level; Brent's
+        method places the zero to the relative xtol ``_FOLD_XTOL``, and W is
+        evaluated once, there.  The result is not kept.
         """
         d, n_pos, n_neg = self.reduce(n_pos, n_neg)
-        nl, p = self.nl, self.p
-        lead = nl if n_pos else reflected(nl)
 
-        def level(side: Nonlinearity, z: float) -> float:  # the lead side at z, the other one at its area
-            return z if side is lead else level_pos(side, _area(lead, z))
+        def slope(side: Nonlinearity, top: float) -> float:
+            return Arch(side, self.p, top, False).derivative() / eval_m(side, top)
 
-        def slope(z: float) -> float:
-            def term(side: Nonlinearity) -> float:
-                top = level(side, z)
-                return Arch(side, p, top, False).derivative() / eval_m(side, top)
-
-            return weigh(nl, term, n_pos, n_neg)
-
-        lo, hi = (level_pos(lead, float(area * g**p)) for g in self.fractions[[i - 1, i + 1]])
-        z = brentq(slope, lo, hi, xtol=_FOLD_XTOL * lo)
-        w = weigh(nl, lambda side: integral_I(side, p, level(side, z)), n_pos, n_neg)
-        return float(_area(lead, z)), d * w
+        lead = self.lead(n_pos)
+        lo, hi = map(float, self.levels(area, lead is not self.nl)[[i - 1, i + 1]])
+        z = brentq(lambda z: self.weigh_at(z, n_pos, n_neg, slope), lo, hi, xtol=_FOLD_XTOL * lo)
+        w = self.weigh_at(z, n_pos, n_neg, lambda side, top: integral_I(side, self.p, top))
+        fold = Fold((_area(lead, z), d * w))
+        fold.level = z
+        return fold
 
 
 @functools.lru_cache(maxsize=_CURVES_CAP)

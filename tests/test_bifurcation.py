@@ -127,8 +127,8 @@ class TestMinimizers:
 
     def test_fold_search_cost(self, qgtp, monkeypatch):
         # on a warm store, one search serves every class of an odd f: its
-        # bracket inverts two levels, Brent's steps on W' in the lead level
-        # need no inversion, and W is one integral, at the zero
+        # bracket ends are the store's levels, Brent's steps on W' in the lead
+        # level need no inversion, and W is one integral, at the zero
         p = 2.0
         bifurcation_table(qgtp, p, 6)
         calls = {"integral_I": 0, "level_pos": 0, "derivative": 0}
@@ -141,7 +141,7 @@ class TestMinimizers:
 
             monkeypatch.setattr(owner, name, counted)
         bifurcation_table(qgtp, p, 6)
-        assert calls["level_pos"] == 2
+        assert calls["level_pos"] == 0
         assert calls["integral_I"] == 1
         assert calls["integral_I"] + calls["derivative"] <= 20
 

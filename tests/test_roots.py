@@ -3,6 +3,7 @@ return the very floats that ``scipy.optimize.brentq`` returns."""
 
 import math
 
+import numpy as np
 import pytest
 from scipy.optimize import brentq as scipy_brentq
 
@@ -40,6 +41,13 @@ def test_brentq_bit_identical_to_scipy(name):
 def test_brentq_endpoint_zero_returned_as_is():
     assert brentq(lambda x: x - 1.0, 1.0, 3.0, 1e-12) == 1.0
     assert brentq(lambda x: x - 3.0, 1.0, 3.0, 1e-12) == 3.0
+
+
+def test_brentq_returns_a_float_for_a_numpy_xtol():
+    # a numpy xtol would make every step, and so the root, a numpy scalar
+    root = brentq(lambda x: x * x - 2.0, 0.0, 2.0, np.float64(1e-15))
+    assert type(root) is float
+    assert root == brentq(lambda x: x * x - 2.0, 0.0, 2.0, 1e-15)
 
 
 def test_brentq_same_sign_raises():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from plap.bifurcation import bifurcation_table, structure
-from plap import solver
+from plap import solver, timemap
 from plap.errors import OutOfRange
 from plap.nonlinearity import areas, build_nonlinearity, reflected
 from plap.solver import (
@@ -103,9 +103,10 @@ class TestMatchingResidual:
         ],
     )
     def test_root_search_reports_the_checked_residual(self, request, family, p, lams):
-        # the root search evaluates the residual without the range check,
-        # and reports the floats of the public, checked entry point and of
-        # the theta and alpha sum (whose slope-to-level map is z_of_r's)
+        # the root search reports the residual at the root's level, where it
+        # refined; matching_residual re-derives each level from r, whose map
+        # loses digits next to the slope bound (6.8e-7 at qgtp's S_2 root at
+        # p = 1.8, lambda = 3000, whose level residual is 5.6e-13)
         nl = request.getfixturevalue(family)
         for lam in lams:
             prob = Problem(p=p, nl=nl, lam=lam)
@@ -114,16 +115,10 @@ class TestMatchingResidual:
             for j in range(1, 5):
                 for sign in "+-":
                     sc = SolutionClass(j, sign)
-                    roots = solver._roots(prob, sc, sc.bound(b.r_pos, b.r_neg), sc.bound(*areas(nl)))
-                    for r, res, _ in roots:
-                        assert res == matching_residual(prob, sc, r), (lam, j, sign, r)
-                        want = 0.0
-                        if sc.n_pos:
-                            want += 2.0 * sc.n_pos * theta(prob, r)
-                        if sc.n_neg:
-                            want += 2.0 * sc.n_neg * alpha(prob, r)
-                        assert res == want - 1.0, (lam, j, sign, r)
-                    found += len(roots)
+                    for r, res, _ in solver._roots(prob, sc, sc.bound(*areas(nl))):
+                        assert abs(res) <= 1e-9, (lam, j, sign, r)
+                        assert 0.0 < r < sc.bound(b.r_pos, b.r_neg), (lam, j, sign, r)
+                        found += 1
             assert found, lam
 
     def test_out_of_range(self, cubic_odd):
@@ -306,7 +301,6 @@ class TestTwinClasses:
     def test_twin_is_its_partner_with_the_sign_replaced(self, request, family, p, lam):
         nl = request.getfixturevalue(family)
         prob = Problem(p=p, nl=nl, lam=lam)
-        b = slope_bounds(prob)
         found = 0
         for j in range(1, 5):
             if j % 2 and not nl.odd:
@@ -316,7 +310,7 @@ class TestTwinClasses:
             assert regular == [replace(d, sign="-") for d in plus if d.kind == "regular"], j
             # the same floats as a root search of the class's own equation
             sc = SolutionClass(j, "-")
-            own = solver._roots.__wrapped__(prob, sc, sc.bound(b.r_pos, b.r_neg), sc.bound(*areas(nl)))
+            own = solver._roots.__wrapped__(prob, sc, sc.bound(*areas(nl)))
             assert [(d.r, d.residual, d.degenerate) for d in regular] == list(own), j
             found += len(regular)
         assert found
@@ -377,6 +371,90 @@ class TestTwinClasses:
             solve_class(Problem(p=2.0, nl=cubic_odd, lam=lam), SolutionClass(2, "+"))
         info = solver._roots.cache_info()
         assert info.currsize == info.maxsize == 1
+
+
+class TestLevelSearch:
+    """The root search runs in the level of the class's lead side, where only
+    the other side of a class with arches of both signs inverts a level map."""
+
+    @staticmethod
+    def _count(monkeypatch) -> dict:
+        """Counts scalar level maps and residual evaluations (``weigh_at``
+        at RESIDUAL_TOL) once the store is warm."""
+        calls = {"level_pos": 0, "residual": 0}
+        level_pos, weigh_at = timemap.level_pos, TimeMapCurves.weigh_at
+
+        def counted_level(nl, rho):
+            calls["level_pos"] += 1
+            return level_pos(nl, rho)
+
+        def counted_weigh_at(curves, z, n_pos, n_neg, term):
+            calls["residual"] += isinstance(n_pos, float)  # the search's weights 2 n_pos, 2 n_neg
+            return weigh_at(curves, z, n_pos, n_neg, term)
+
+        monkeypatch.setattr(timemap, "level_pos", counted_level)
+        monkeypatch.setattr(TimeMapCurves, "weigh_at", counted_weigh_at)
+        return calls
+
+    @pytest.mark.parametrize(
+        "family, p, lam, j, sign",
+        [
+            ("asym", 3.0, 50.0, 1, "+"),
+            ("asym", 3.0, 50.0, 1, "-"),
+            ("cubic_odd", 2.0, 400.0, 2, "+"),
+            ("cubic_odd", 2.0, 400.0, 3, "-"),
+            ("qgtp", 2.0, 300.0, 1, "+"),
+            ("qgtp", 2.0, 300.0, 2, "-"),
+        ],
+    )
+    def test_one_sided_search_inverts_no_level(self, request, monkeypatch, family, p, lam, j, sign):
+        # j = 1, or any class of an odd f: every arch reads the lead side
+        prob, sc = Problem(p=p, nl=request.getfixturevalue(family), lam=lam), SolutionClass(j, sign)
+        assert solve_class(prob, sc)
+        solver._roots.cache_clear()
+        calls = self._count(monkeypatch)
+        assert solve_class(prob, sc)
+        assert calls["residual"] > 0
+        assert calls["level_pos"] == 0
+
+    def test_fold_path_inverts_no_level(self, qgtp, monkeypatch):
+        # just above lambda*_1 the tangent root's level is the fold's own
+        lam = (1 + 1e-6) * bifurcation_table(qgtp, 2.0, 1).star_plus[0]
+        prob, sc = Problem(p=2.0, nl=qgtp, lam=lam), SolutionClass(1, "+")
+        solve_class(prob, sc)
+        solver._roots.cache_clear()
+        calls = self._count(monkeypatch)
+        assert len(solve_class(prob, sc)) == 2
+        assert calls["level_pos"] == 0
+
+    @pytest.mark.parametrize("j, sign", [(2, "+"), (3, "+"), (3, "-"), (4, "-")])
+    def test_mixed_search_inverts_one_level_per_residual(self, asym, monkeypatch, j, sign):
+        prob, sc = Problem(p=3.0, nl=asym, lam=300.0), SolutionClass(j, sign)
+        assert solve_class(prob, sc)
+        solver._roots.cache_clear()
+        calls = self._count(monkeypatch)
+        assert solve_class(prob, sc)
+        assert calls["residual"] > 0
+        assert calls["level_pos"] == calls["residual"]
+
+    def test_an_equal_nonlinearity_reads_the_same_store(self, asym):
+        # the store is keyed on equality, so the problem's f need not be the
+        # store's object: the lead side's levels are the store's own
+        twin = build_nonlinearity("power_asym", 2.0, {"b_plus": 2.0, "b_minus": 1.0, "r_exp": 4.0})
+        assert twin == asym and twin is not asym
+        first = enumerate_solutions(Problem(p=3.0, nl=asym, lam=300.0), 4)
+        solver._roots.cache_clear()
+        assert enumerate_solutions(Problem(p=3.0, nl=twin, lam=300.0), 4) == first
+
+    @pytest.mark.parametrize("family, p", [
+        ("cubic_odd", 2.0), ("asym", 3.0), ("quintic_q3", 3.0), ("qgtp", 2.0), ("quartic_q4", 4.0),
+    ])
+    def test_descriptors_hold_python_floats(self, request, family, p):
+        # numpy scalars would leak into the JSON outputs as numpy booleans
+        nl = request.getfixturevalue(family)
+        for lam in (30.0, 300.0, 3000.0):
+            for d in enumerate_solutions(Problem(p=p, nl=nl, lam=lam), 4):
+                assert type(d.r) is float and type(d.residual) is float, d
 
 
 class TestEnumerate:

@@ -436,7 +436,8 @@ class TestFold:
         sc = SolutionClass(j, "+")
         area = sc.bound(*areas(nl))
         i = int(np.argmin(curves.weights(sc.n_pos, sc.n_neg, area)))
-        rho, w = curves.fold(sc.n_pos, sc.n_neg, area, i)
+        fold = curves.fold(sc.n_pos, sc.n_neg, area, i)
+        rho, w = fold
 
         def W(r, tol=1e-14):
             return weigh(nl, lambda side: integral_I(side, p, level_pos(side, r), tol), sc.n_pos, sc.n_neg)
@@ -445,7 +446,14 @@ class TestFold:
         below, at, above = W(rho - h), W(rho), W(rho + h)
         slope, curvature = (above - below) / (2.0 * h), (above - 2.0 * at + below) / h**2
         assert abs(slope / curvature) <= 1e-8 * rho
-        assert w == W(rho, QUAD_TOL)
+        # W at the fold's own level, the positive side's: the other side sits
+        # at its area, which a round trip through level_pos holds to an ulp only
+        assert rho == _area(nl, fold.level)
+
+        def at_fold(side):
+            return integral_I(side, p, fold.level if side is nl else level_pos(side, rho))
+
+        assert w == weigh(nl, at_fold, sc.n_pos, sc.n_neg)
 
 
 class TestIMonotonicity:
