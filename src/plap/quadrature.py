@@ -84,6 +84,43 @@ def tanh_sinh(psi, upper: float, tol: float) -> float:
     raise QuadratureFailure(f"tanh-sinh stalled at level {_MAX_LEVEL} (value {prev!r})")
 
 
+def tanh_sinh_rows(psi_rows, uppers: list[float], tol: float) -> list[float]:
+    """``tanh_sinh`` on many integrals at once, each row the float of its own
+    call: ``[tanh_sinh(psi_i, u_i, tol) for u_i in uppers]``.
+
+    ``psi_rows(w_matrix, rows)`` evaluates the integrands of the rows
+    ``rows`` (indices into ``uppers``, ascending), one row of abscissae each,
+    and must give each row the values its own ``psi_i`` gives.  Each level
+    runs on the rows not yet accepted, in one ``psi_rows`` call, and sums
+    every row by its own ``np.dot``, since a matrix product may add a row in
+    another order.  A row still unaccepted at the node cap raises the
+    scalar rule's QuadratureFailure, for the first such row.
+    """
+    out = [0.0] * len(uppers)
+    prev = [0.0] * len(uppers)
+    active = [i for i, upper in enumerate(uppers) if upper != 0.0]
+    for level in range(_MIN_LEVEL + 1, _MAX_LEVEL + 1):
+        if not active:
+            return out
+        fr, wt = _nodes(level)
+        vals = psi_rows(np.array([uppers[i] for i in active])[:, None] * fr, active)
+        if level == _MIN_LEVEL + 1:
+            even, wt_min = _even_k(vals), _nodes(_MIN_LEVEL)[1]
+            for k, i in enumerate(active):
+                prev[i] = uppers[i] * float(np.dot(even[k], wt_min))
+        still = []
+        for k, i in enumerate(active):
+            val = uppers[i] * float(np.dot(vals[k], wt))
+            if abs(val - prev[i]) > tol * max(abs(val), 1e-300):
+                still.append(i)
+                prev[i] = val
+            out[i] = val
+        active = still
+    if active:
+        raise QuadratureFailure(f"tanh-sinh stalled at level {_MAX_LEVEL} (value {prev[active[0]]!r})")
+    return out
+
+
 def tanh_sinh_batch(psi_rows, uppers: np.ndarray, tol: float) -> np.ndarray:
     """Row-wise tanh-sinh for a family of integrals sharing one rule.
 

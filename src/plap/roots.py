@@ -1,9 +1,14 @@
 """Scalar root-finding on a bracket, in pure Python.
 
-``brentq`` is Brent's (1973) zeroin in the form of SciPy's ``brentq.c``.  It
-follows its SciPy original operation for operation, so it visits the same
-iterates and returns the same floats.  It is the package's one root-finder:
-level maps, arch inversions, matching roots and the folds, as zeros of W'.
+``_zeroin`` is Brent's (1973) zeroin in the form of SciPy's ``brentq.c``, as
+a generator: it yields each abscissa it needs, the bracket's ends first, and
+is sent the function's value there.  It follows its SciPy original operation
+for operation, so it visits the same iterates and returns the same floats.
+It is the package's one root-finder, with two drivers: ``brentq`` runs one
+search on a scalar function (level maps, arch inversions and the folds, as
+zeros of W'), and ``brentq_lockstep`` runs many searches in rounds, one call
+of a batched function per round (the matching roots of every class at one
+lambda), each search visiting the iterates it would visit alone.
 """
 
 from __future__ import annotations
@@ -12,33 +17,33 @@ import math
 
 from .errors import NoZeroFound
 
-_RTOL = 8.9e-16  # relative bracket width at which brentq stops
-_MAXITER = 100  # brentq iterations before NoZeroFound
+_RTOL = 8.9e-16  # relative bracket width at which a search stops
+_MAXITER = 100  # iterations of a search before NoZeroFound
 
 
-def _value(f, x: float) -> float:
-    fx = f(x)
+def _checked(x: float, fx: float) -> float:
     if math.isnan(fx):
         raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
     return fx
 
 
-def brentq(f, a: float, b: float, xtol: float) -> float:
-    """A zero of ``f`` in ``[a, b]``, where ``f(a)`` and ``f(b)`` differ in sign.
+def _zeroin(a: float, b: float, xtol: float):
+    """Brent's iterates on ``[a, b]``: yields each abscissa, ``a`` and ``b``
+    first, is sent the function's value there, and returns the zero.
 
     Stops when the bracket is narrower than ``xtol + _RTOL * |x|``.
 
     Raises
     ------
     ValueError
-        ``f(a)`` and ``f(b)`` have the same sign, or ``f`` returned NaN.
+        The values at ``a`` and ``b`` have the same sign.
     NoZeroFound
         ``_MAXITER`` iterations did not converge.
     """
     xpre, xcur, xtol = float(a), float(b), float(xtol)  # so every iterate is a float
     xblk = fblk = spre = scur = 0.0
-    fpre = _value(f, xpre)
-    fcur = _value(f, xcur)
+    fpre = yield xpre
+    fcur = yield xcur
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -80,5 +85,51 @@ def brentq(f, a: float, b: float, xtol: float) -> float:
             xcur += scur
         else:
             xcur += delta if sbis > 0.0 else -delta
-        fcur = _value(f, xcur)
+        fcur = yield xcur
     raise NoZeroFound(f"Brent's method did not converge in {_MAXITER} iterations, last x = {xcur}")
+
+
+def brentq(f, a: float, b: float, xtol: float) -> float:
+    """A zero of ``f`` in ``[a, b]``, where ``f(a)`` and ``f(b)`` differ in sign.
+
+    Stops when the bracket is narrower than ``xtol + _RTOL * |x|``.
+
+    Raises
+    ------
+    ValueError
+        ``f(a)`` and ``f(b)`` have the same sign, or ``f`` returned NaN.
+    NoZeroFound
+        ``_MAXITER`` iterations did not converge.
+    """
+    search = _zeroin(a, b, xtol)
+    x = next(search)
+    try:
+        while True:
+            x = search.send(_checked(x, f(x)))
+    except StopIteration as stop:
+        return stop.value
+
+
+def brentq_lockstep(f, brackets) -> list[float]:
+    """The zeros of ``brentq(g_i, a_i, b_i, xtol_i)`` for every bracket
+    ``(a_i, b_i, xtol_i)`` of ``brackets``, searched in rounds.
+
+    ``f(xs, idx)`` returns the values at the abscissae ``xs`` of the searches
+    ``idx`` (bracket indices, ascending), one value per abscissa.  A round
+    calls it once, with one abscissa of every unfinished search: the left
+    ends, then the right ends, then one Brent iterate each.  Each search
+    sees only its own values, so its zero is the float of its search alone.
+    Raises as ``brentq`` does, for the first search in a round that fails.
+    """
+    searches = [_zeroin(a, b, xtol) for a, b, xtol in brackets]
+    zeros: list[float] = [0.0] * len(searches)
+    pending = {i: next(search) for i, search in enumerate(searches)}
+    while pending:
+        idx = list(pending)
+        for i, fx in zip(idx, f([pending[i] for i in idx], idx)):
+            try:
+                pending[i] = searches[i].send(_checked(pending[i], fx))
+            except StopIteration as stop:
+                zeros[i] = stop.value
+                del pending[i]
+    return zeros

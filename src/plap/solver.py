@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import OutOfRange
 from .nonlinearity import Nonlinearity, areas
-from .roots import brentq
+from .roots import brentq_lockstep
 from .timemap import (
     RESIDUAL_TOL, Problem, _SCAN_TOL, _area, _rho_of_r, integral_I, level_pos, slope_bounds, time_map_curves, weigh
 )
@@ -188,64 +188,120 @@ def _flat_core_descriptor(problem: Problem, sclass: SolutionClass) -> SolutionDe
 
 # one entry: ``iter_solutions`` solves S_j^- right after S_j^+
 @functools.lru_cache(maxsize=1)
-def _roots(problem: Problem, sclass: SolutionClass, area: float) -> tuple[tuple[float, float, bool], ...]:
-    """The sorted (r, residual, degenerate) matching roots of ``sclass`` on the
-    scan grid of area bound ``area``, searched in the level z of its lead side:
-    the residual is 2 kappa W(z) - 1 at RESIDUAL_TOL (``TimeMapCurves.weigh_at``)
-    and r = (lambda p A(z)/(p-1))^(1/p).  The key holds every input the search
-    reads, so a class and its twin share an entry only where both coincide."""
+def _roots(problem: Problem, searches: tuple[tuple[SolutionClass, float], ...]) -> tuple[tuple, ...]:
+    """Per (class, area bound) of ``searches``, the sorted (r, residual,
+    degenerate) matching roots of the class on the scan grid of that area
+    bound, searched in the level z of its lead side: the residual is
+    2 kappa W(z) - 1 at RESIDUAL_TOL and r = (lambda p A(z)/(p-1))^(1/p).
+
+    The searches run together, in rounds: one round of the residuals at the
+    ends of every scanned sign change, then one per Brent iterate
+    (``brentq_lockstep``), and for q > p the dip path after them.  A round
+    sums each residual by ``weigh`` from I at the tops of
+    ``TimeMapCurves.tops_at``, and integrates all its tops on one side by
+    one ``integral_I`` of a list of levels, whose rows are the floats of
+    calls of their own.  So each search gives the roots it gives alone.
+    The key holds every input the searches read, so a class and its twin
+    share an entry only where both coincide."""
     curves = time_map_curves(problem.nl, problem.p)
-    kappa, lam, p, n_pos, n_neg = problem.kappa, problem.lam, problem.p, sclass.n_pos, sclass.n_neg
-    lead = curves.lead(n_pos)
-    grid = curves.levels(area, lead is not curves.nl).tolist()
-    res = 2.0 * kappa * curves.weights(n_pos, n_neg, area) - 1.0
+    kappa, lam, p = problem.kappa, problem.lam, problem.p
+    weights = [(2.0 * sc.n_pos, 2.0 * sc.n_neg) for sc, _ in searches]
+    leads = [curves.lead(sc.n_pos) for sc, _ in searches]
+    grids = [curves.levels(area, lead is not curves.nl).tolist() for lead, (_, area) in zip(leads, searches)]
+    scans = [2.0 * kappa * curves.weights(sc.n_pos, sc.n_neg, area) - 1.0 for sc, area in searches]
+    known: list[dict[float, float]] = [{} for _ in searches]  # each search's residuals by level
+    roots: list[list[tuple[float, float, bool]]] = [[] for _ in searches]  # (z, residual, degenerate)
 
-    def half_width(side: Nonlinearity, top: float) -> float:
-        return kappa * integral_I(side, p, top, RESIDUAL_TOL)
+    def residuals(points: list[tuple[int, float]]) -> list[float]:
+        """The residual of search k at level z for each (k, z) of ``points``,
+        evaluating each new one once and each side's new tops in one list."""
+        tops = {}
+        for k, z in points:
+            if z not in known[k] and (k, z) not in tops:
+                tops[k, z] = curves.tops_at(z, *weights[k])
+        integrals: dict[Nonlinearity, dict[float, float]] = {}
+        for by_side in tops.values():
+            for side, top in by_side.items():
+                integrals.setdefault(side, {})[top] = 0.0
+        for side, at in integrals.items():
+            at.update(zip(at, integral_I(side, p, list(at), RESIDUAL_TOL)))
+        for (k, z), by_side in tops.items():
+            known[k][z] = weigh(curves.nl, lambda s: kappa * integrals[s][by_side[s]], *weights[k]) - 1.0
+        return [known[k][z] for k, z in points]
 
-    @functools.cache  # bracket checks and Brent evaluate the same grid ends: evaluate each once
-    def residual(z: float) -> float:
-        return curves.weigh_at(z, 2.0 * n_pos, 2.0 * n_neg, half_width) - 1.0
-
-    roots: list[tuple[float, float, bool]] = []  # (z, residual, degenerate)
-
-    def refine(lo: float, hi: float) -> None:
-        z0 = brentq(residual, lo, hi, xtol=1e-15 * hi)
-        roots.append((z0, residual(z0), False))
+    def refine(brackets: list[tuple[int, float, float]]) -> None:
+        """Brent's zero of each (k, lo, hi), all in lockstep."""
+        zeros = brentq_lockstep(
+            lambda xs, idx: residuals([(brackets[n][0], x) for n, x in zip(idx, xs)]),
+            [(lo, hi, 1e-15 * hi) for _, lo, hi in brackets],
+        )
+        for (k, _, _), z0 in zip(brackets, zeros):
+            roots[k].append((z0, known[k][z0], False))
 
     # strict crossings only: exact zeros over a run of grid points happen when
     # lambda sits on a birth threshold (the residual flattens onto 0 at the
     # interval edge) and do not correspond to class members
-    sign_change = np.where(np.sign(res[:-1]) * np.sign(res[1:]) < 0)[0]
+    crossings = [(k, i) for k, res in enumerate(scans) for i in np.where(np.sign(res[:-1]) * np.sign(res[1:]) < 0)[0]]
+    # the scan runs at a coarser tolerance; confirm each bracket before Brent
+    # and reject crossings that never rise above evaluation noise (the
+    # residual flattens onto 0 at a birth threshold)
+    ends = residuals([(k, grids[k][n]) for k, i in crossings for n in (i, i + 1)])
     noise_floor = 1e-10  # residual evaluations are only this trustworthy
-    for i in sign_change:
-        # the scan runs at a coarser tolerance; confirm the bracket before
-        # Brent and reject crossings that never rise above evaluation noise
-        # (the residual flattens onto 0 at a birth threshold)
-        f_lo, f_hi = residual(grid[i]), residual(grid[i + 1])
-        if f_lo * f_hi >= 0.0 or min(abs(f_lo), abs(f_hi)) < noise_floor:
-            continue
-        refine(grid[i], grid[i + 1])
+    refine([
+        (k, grids[k][i], grids[k][i + 1])
+        for (k, i), f_lo, f_hi in zip(crossings, ends[::2], ends[1::2])
+        if f_lo * f_hi < 0.0 and min(abs(f_lo), abs(f_hi)) >= noise_floor
+    ])
 
     if problem.q > p:
         # an interior minimum can hide a tangency or a just-born root pair
         # between grid points; one the scan shows below -delta, far beyond
         # its error, already has its roots bracketed by sign changes
         delta = 100.0 * _SCAN_TOL
-        interior = np.where((res[1:-1] < res[:-2]) & (res[1:-1] <= res[2:]))[0] + 1
-        for i in interior:
-            lo, hi = grid[i - 1], grid[i + 1]
-            if not -delta <= res[i] <= 0.05 or any(lo <= z <= hi for z, _, _ in roots):
-                continue
-            z_min = curves.fold(n_pos, n_neg, area, i).level
-            f_min = residual(z_min)
+        dips = []  # (k, lo, level of the fold, hi)
+        for k, res in enumerate(scans):
+            for i in np.where((res[1:-1] < res[:-2]) & (res[1:-1] <= res[2:]))[0] + 1:
+                lo, hi = grids[k][i - 1], grids[k][i + 1]
+                if -delta <= res[i] <= 0.05 and not any(lo <= z <= hi for z, _, _ in roots[k]):
+                    sc, area = searches[k]
+                    dips.append((k, lo, curves.fold(sc.n_pos, sc.n_neg, area, i).level, hi))
+        sides = []
+        for (k, lo, z_min, hi), f_min in zip(dips, residuals([(k, z) for k, _, z, _ in dips])):
             if abs(f_min) <= _TANGENT_TOL:
-                roots.append((z_min, f_min, True))
+                roots[k].append((z_min, f_min, True))
             elif f_min < 0.0:
-                for a, b in ((lo, z_min), (z_min, hi)):
-                    if residual(a) * residual(b) < 0.0:
-                        refine(a, b)
-    return tuple(((lam * p * _area(lead, z) / (p - 1.0)) ** (1.0 / p), f, deg) for z, f, deg in sorted(roots))
+                sides += [(k, lo, z_min), (k, z_min, hi)]
+        ends = residuals([(k, z) for k, a, b in sides for z in (a, b)])
+        refine([side for side, f_a, f_b in zip(sides, ends[::2], ends[1::2]) if f_a * f_b < 0.0])
+    return tuple(
+        tuple(((lam * p * _area(lead, z) / (p - 1.0)) ** (1.0 / p), f, deg) for z, f, deg in sorted(found))
+        for lead, found in zip(leads, roots)
+    )
+
+
+def _search(problem: Problem, sclass: SolutionClass) -> tuple[SolutionClass, float]:
+    """The (class, area bound) whose root search ``sclass`` reads: S_j^+'s
+    for S_j^- when the two have one matching equation, j even (equal arch
+    counts) or f odd (J = I).  Its roots are the floats of a search of
+    S_j^-'s own, not close ones: equal counts evaluate one sum, and an odd f
+    reads one side's integrals, whose a v + b v is b v + a v in IEEE
+    arithmetic."""
+    searched = SolutionClass(sclass.j, SIGN_POS) if sclass.j % 2 == 0 or problem.nl.odd else sclass
+    return searched, sclass.bound(*areas(problem.nl))
+
+
+def _descriptors(problem: Problem, sclass: SolutionClass, roots) -> list[SolutionDescriptor]:
+    """The class's regular descriptors at ``roots``, then its flat-core one."""
+    out = [
+        SolutionDescriptor(
+            j=sclass.j, sign=sclass.sign, kind="regular", r=r0, residual=f0, degenerate=deg
+        )
+        for r0, f0, deg in roots
+    ]
+    fc = _flat_core_descriptor(problem, sclass)
+    if fc is not None:
+        out.append(fc)
+    return out
 
 
 def solve_class(problem: Problem, sclass: SolutionClass) -> list[SolutionDescriptor]:
@@ -254,47 +310,47 @@ def solve_class(problem: Problem, sclass: SolutionClass) -> list[SolutionDescrip
 
     The residual is scanned on the class's level grid from the store, where
     classes with the same area bound share the scans.  S_j^- searches the
-    equation of S_j^+ when the two have one: j even (equal arch counts) or
-    f odd (J = I).  The last root search is kept, so S_j^- right after
-    S_j^+ does no quadrature.  Its roots are the floats of a search of
-    its own, not close ones: equal counts evaluate one sum, and an odd f
-    reads one side's integrals, whose a v + b v is b v + a v in IEEE
-    arithmetic.  The flat-core descriptor is the class's own.  Returns an
-    empty list when the class has no solutions at this lambda.
+    equation of S_j^+ when the two have one (``_search``), and the last
+    root search is kept, so S_j^- right after S_j^+ does no quadrature.
+    The flat-core descriptor is the class's own.  Returns an empty list
+    when the class has no solutions at this lambda.
     """
-    area = sclass.bound(*areas(problem.nl))
-    searched = SolutionClass(sclass.j, SIGN_POS) if sclass.j % 2 == 0 or problem.nl.odd else sclass
-    out = [
-        SolutionDescriptor(
-            j=sclass.j, sign=sclass.sign, kind="regular", r=r0, residual=f0, degenerate=deg
-        )
-        for r0, f0, deg in _roots(problem, searched, area)
-    ]
-    fc = _flat_core_descriptor(problem, sclass)
-    if fc is not None:
-        out.append(fc)
-    return out
+    (roots,) = _roots(problem, (_search(problem, sclass),))
+    return _descriptors(problem, sclass, roots)
+
+
+def _classes(j_max: int) -> list[SolutionClass]:
+    """S_1^+, S_1^-, ..., S_jmax^-."""
+    if j_max < 1:
+        raise ValueError(f"j_max must be >= 1, got {j_max}")
+    return [SolutionClass(j, sign) for j in range(1, j_max + 1) for sign in (SIGN_POS, SIGN_NEG)]
 
 
 def iter_solutions(problem: Problem, j_max: int) -> Iterator[SolutionDescriptor]:
     """Trivial marker, then the descriptors of S_1^+, S_1^-, ..., S_jmax^-.
 
-    Each class is solved only when the iteration reaches it, so a caller
-    that stops early solves no later class.  Every class reads the scans of
-    the lambda-free (f, p) store, so no value depends on how many classes,
-    or which lambdas, were solved before.  S_j^- comes right after S_j^+,
-    so where the two share one root search (``solve_class``) the second
-    class reads it from the memo.
+    Each class is solved only when the iteration reaches it, by a root
+    search of its own (``solve_class``), so a caller that stops early solves
+    no later class.  Every class reads the scans of the lambda-free (f, p)
+    store, so no value depends on how many classes, or which lambdas, were
+    solved before.  S_j^- comes right after S_j^+, so where the two share
+    one root search the second class reads it from the memo.  The
+    descriptors are those of ``enumerate_solutions``, float for float.
     """
-    if j_max < 1:
-        raise ValueError(f"j_max must be >= 1, got {j_max}")
-    classes = (SolutionClass(j, sign) for j in range(1, j_max + 1) for sign in (SIGN_POS, SIGN_NEG))
+    classes = _classes(j_max)
     return chain([TRIVIAL], chain.from_iterable(solve_class(problem, sclass) for sclass in classes))
 
 
 def enumerate_solutions(problem: Problem, j_max: int) -> list[SolutionDescriptor]:
-    """Trivial marker plus every descriptor of every class with j <= j_max."""
-    return list(iter_solutions(problem, j_max))
+    """Trivial marker plus every descriptor of every class with j <= j_max:
+    ``list(iter_solutions(problem, j_max))``, float for float, from one root
+    search of all the classes' equations together (``_roots``), whose
+    rounds integrate every class's pending residuals at once."""
+    classes = _classes(j_max)
+    keys = [_search(problem, sclass) for sclass in classes]
+    searches = tuple(dict.fromkeys(keys))
+    found = dict(zip(searches, _roots(problem, searches)))
+    return [TRIVIAL] + [d for sclass, key in zip(classes, keys) for d in _descriptors(problem, sclass, found[key])]
 
 
 def sweep(

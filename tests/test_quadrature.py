@@ -6,7 +6,7 @@ from oracles import tanh_sinh_batch_by_level, tanh_sinh_by_level
 
 from plap import quadrature, timemap
 from plap.errors import QuadratureFailure
-from plap.quadrature import _MAX_LEVEL, _MIN_LEVEL, cumulative_gl, tanh_sinh, tanh_sinh_batch
+from plap.quadrature import _MAX_LEVEL, _MIN_LEVEL, cumulative_gl, tanh_sinh, tanh_sinh_batch, tanh_sinh_rows
 from plap.timemap import QUAD_TOL, Arch, TimeMapCurves
 
 
@@ -95,6 +95,39 @@ class TestTanhSinhBatch:
             tanh_sinh_batch(_oscillation, np.array([1.0, 0.5]), 1e-10)
         with pytest.raises(QuadratureFailure) as reference:
             tanh_sinh_batch_by_level(_oscillation, np.array([1.0, 0.5]), 1e-10)
+        assert str(failure.value) == str(reference.value)
+
+
+class TestTanhSinhRows:
+    """The rows form of ``tanh_sinh``: every row is the float of its own call."""
+
+    widths = np.array([1.0, 0.3, 0.1, 0.03, 0.01, 1e-3, 0.5])  # of a peak at w = 1: levels 4 to 14
+    uppers = [1.5, 2.0, 1.2, 3.0, 1.9, 1.7, 2.5]
+
+    def test_rows_equal_the_scalar_rule(self):
+        def peaks(w, rows):
+            c = self.widths[rows][:, None] ** 2
+            return 1.0 / (c + (w - 1.0) * (w - 1.0))
+
+        shapes = []
+        got = tanh_sinh_rows(_sizes(peaks, shapes), self.uppers, 1e-12)
+        assert got == [
+            tanh_sinh(lambda w: 1.0 / (d**2 + (w - 1.0) * (w - 1.0)), upper, 1e-12)
+            for d, upper in zip(self.widths, self.uppers)
+        ]
+        assert shapes[0] == (len(self.uppers), quadrature._nodes(_MIN_LEVEL + 1)[0].size)
+        assert len(shapes) > 1  # later levels run on the rows not yet accepted
+        assert all(rows < len(self.uppers) for rows, _ in shapes[1:])
+
+    def test_an_empty_interval_and_no_rows(self):
+        assert tanh_sinh_rows(_power_rows([1.0, 2.0]), [0.0, 2.0], 1e-12) == [0.0, tanh_sinh(np.square, 2.0, 1e-12)]
+        assert tanh_sinh_rows(_power_rows([]), [], 1e-12) == []
+
+    def test_unresolved_oscillation_fails_as_the_scalar_rule(self):
+        with pytest.raises(QuadratureFailure) as failure:
+            tanh_sinh_rows(_oscillation, [1.0, 0.5], 1e-10)
+        with pytest.raises(QuadratureFailure) as reference:  # the first stalled row's own failure
+            tanh_sinh(_oscillation, 1.0, 1e-10)
         assert str(failure.value) == str(reference.value)
 
 

@@ -9,7 +9,7 @@ from scipy.optimize import brentq as scipy_brentq
 
 from plap import roots
 from plap.errors import NoZeroFound
-from plap.roots import _RTOL, brentq
+from plap.roots import _RTOL, brentq, brentq_lockstep
 
 ROOT_CASES = {
     "cubic": (lambda x: x**3 - 2.0 * x - 5.0, [(2.0, 3.0), (-1.0, 5.0), (2.09, 2.1)]),
@@ -74,3 +74,79 @@ def test_brentq_maxiter_exhausted(monkeypatch):
         brentq(f, -3.0, 4.0, 1e-12)
     with pytest.raises(RuntimeError):
         scipy_brentq(f, -3.0, 4.0, xtol=1e-12, rtol=_RTOL, maxiter=3)
+
+
+class TestLockstep:
+    """``brentq_lockstep``: many brackets searched in rounds, each one giving
+    ``brentq``'s float."""
+
+    @staticmethod
+    def _cases():
+        """Every bracket of ROOT_CASES at every xtol, as (f, a, b, xtol)."""
+        return [
+            (f, a, b, xtol)
+            for f, brackets in ROOT_CASES.values()
+            for a, b in brackets
+            for xtol in _xtols(max(abs(a), abs(b)))
+        ]
+
+    def test_every_case_in_one_call_equals_brentq(self):
+        cases = self._cases()
+        rounds = []
+
+        def batched(xs, idx):
+            rounds.append(list(idx))
+            return [cases[i][0](x) for i, x in zip(idx, xs)]
+
+        zeros = brentq_lockstep(batched, [(a, b, xtol) for _, a, b, xtol in cases])
+        for (f, a, b, xtol), zero in zip(cases, zeros):
+            assert type(zero) is float
+            assert zero == brentq(f, a, b, xtol) == scipy_brentq(f, a, b, xtol=xtol, rtol=_RTOL), (a, b, xtol)
+        assert rounds[0] == rounds[1] == list(range(len(cases)))  # the left ends, then the right ends
+        assert len(rounds) < len(cases)
+
+    def test_each_round_evaluates_the_unfinished_searches_once(self):
+        cases = self._cases()
+        calls, evaluations = [], [0] * len(cases)
+
+        def batched(xs, idx):
+            calls.append((list(xs), list(idx)))
+            return [cases[i][0](x) for i, x in zip(idx, xs)]
+
+        def counted(i):
+            def f(x):
+                evaluations[i] += 1
+                return cases[i][0](x)
+
+            return f
+
+        brentq_lockstep(batched, [(a, b, xtol) for _, a, b, xtol in cases])
+        for i, (_, a, b, xtol) in enumerate(cases):
+            brentq(counted(i), a, b, xtol)
+        for k, (xs, idx) in enumerate(calls):
+            assert idx == sorted(set(idx)) and len(xs) == len(idx)
+            # a search is in round k exactly while brentq alone still evaluates
+            assert idx == [i for i, n in enumerate(evaluations) if n > k], k
+
+    def test_no_brackets(self):
+        assert brentq_lockstep(lambda xs, idx: pytest.fail("called"), []) == []
+
+    def test_endpoint_zero_returned_as_is(self):
+        assert brentq_lockstep(lambda xs, idx: [x - 1.0 for x in xs], [(1.0, 3.0, 1e-12), (0.0, 1.0, 1e-12)]) == [1.0, 1.0]
+
+    def test_same_sign_raises(self):
+        with pytest.raises(ValueError, match="different signs"):
+            brentq_lockstep(lambda xs, idx: [x * x + c for x, c in zip(xs, (-0.5, 1.0))], [(0.0, 1.0, 1e-12)] * 2)
+
+    @pytest.mark.parametrize("at", [0.0, 0.5], ids=["at_end", "inside"])
+    def test_nan_raises(self, at):
+        def batched(xs, idx):
+            return [math.nan if i == 1 and abs(x - at) < 0.2 else x - 0.5 for i, x in zip(idx, xs)]
+
+        with pytest.raises(ValueError, match="NaN"):
+            brentq_lockstep(batched, [(0.0, 1.0, 1e-12)] * 2)
+
+    def test_maxiter_exhausted(self, monkeypatch):
+        monkeypatch.setattr(roots, "_MAXITER", 3)
+        with pytest.raises(NoZeroFound):
+            brentq_lockstep(lambda xs, idx: [math.cos(x) - x for x in xs], [(-3.0, 4.0, 1e-12)])

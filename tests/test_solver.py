@@ -108,17 +108,17 @@ class TestMatchingResidual:
         # loses digits next to the slope bound (6.8e-7 at qgtp's S_2 root at
         # p = 1.8, lambda = 3000, whose level residual is 5.6e-13)
         nl = request.getfixturevalue(family)
+        classes = [SolutionClass(j, sign) for j in range(1, 5) for sign in "+-"]
         for lam in lams:
             prob = Problem(p=p, nl=nl, lam=lam)
             b = slope_bounds(prob)
             found = 0
-            for j in range(1, 5):
-                for sign in "+-":
-                    sc = SolutionClass(j, sign)
-                    for r, res, _ in solver._roots(prob, sc, sc.bound(*areas(nl))):
-                        assert abs(res) <= 1e-9, (lam, j, sign, r)
-                        assert 0.0 < r < sc.bound(b.r_pos, b.r_neg), (lam, j, sign, r)
-                        found += 1
+            searches = tuple((sc, sc.bound(*areas(nl))) for sc in classes)
+            for sc, roots in zip(classes, solver._roots(prob, searches)):
+                for r, res, _ in roots:
+                    assert abs(res) <= 1e-9, (lam, sc, r)
+                    assert 0.0 < r < sc.bound(b.r_pos, b.r_neg), (lam, sc, r)
+                    found += 1
             assert found, lam
 
     def test_out_of_range(self, cubic_odd):
@@ -310,7 +310,7 @@ class TestTwinClasses:
             assert regular == [replace(d, sign="-") for d in plus if d.kind == "regular"], j
             # the same floats as a root search of the class's own equation
             sc = SolutionClass(j, "-")
-            own = solver._roots.__wrapped__(prob, sc, sc.bound(*areas(nl)))
+            (own,) = solver._roots.__wrapped__(prob, ((sc, sc.bound(*areas(nl))),))
             assert [(d.r, d.residual, d.degenerate) for d in regular] == list(own), j
             found += len(regular)
         assert found
@@ -379,21 +379,21 @@ class TestLevelSearch:
 
     @staticmethod
     def _count(monkeypatch) -> dict:
-        """Counts scalar level maps and residual evaluations (``weigh_at``
-        at RESIDUAL_TOL) once the store is warm."""
+        """Counts scalar level maps and residual evaluations (one ``tops_at``
+        each, with the search's float weights) once the store is warm."""
         calls = {"level_pos": 0, "residual": 0}
-        level_pos, weigh_at = timemap.level_pos, TimeMapCurves.weigh_at
+        level_pos, tops_at = timemap.level_pos, TimeMapCurves.tops_at
 
         def counted_level(nl, rho):
             calls["level_pos"] += 1
             return level_pos(nl, rho)
 
-        def counted_weigh_at(curves, z, n_pos, n_neg, term):
+        def counted_tops_at(curves, z, n_pos, n_neg):
             calls["residual"] += isinstance(n_pos, float)  # the search's weights 2 n_pos, 2 n_neg
-            return weigh_at(curves, z, n_pos, n_neg, term)
+            return tops_at(curves, z, n_pos, n_neg)
 
         monkeypatch.setattr(timemap, "level_pos", counted_level)
-        monkeypatch.setattr(TimeMapCurves, "weigh_at", counted_weigh_at)
+        monkeypatch.setattr(TimeMapCurves, "tops_at", counted_tops_at)
         return calls
 
     @pytest.mark.parametrize(
@@ -511,6 +511,67 @@ class TestEnumerate:
         regular = [d for d in descs if d.kind == "regular"]
         assert regular
         assert all(abs(d.residual) <= 1e-9 for d in regular)
+
+
+class TestLockstep:
+    """``enumerate_solutions`` searches every class's equation together, in
+    rounds that integrate all pending residuals of a side in one pass."""
+
+    @staticmethod
+    def _floats(d):
+        return (d.j, d.sign, d.kind, d.r, d.residual, d.degenerate, d.core_budget, d.core_count, d.core_side)
+
+    @pytest.mark.parametrize("family, p, lams", [
+        ("cubic_odd", 2.0, (30.0, 400.0, 3000.0)),
+        ("asym", 3.0, (30.0, 300.0, 3000.0)),
+        ("quintic_q3", 3.0, (30.0, 300.0, 3000.0)),
+        ("qgtp", 2.0, (30.0, 300.0, 3000.0)),
+        ("quartic_q4", 4.0, (300.0, 3000.0, 30000.0)),
+    ])
+    def test_enumerate_is_iter_solutions(self, request, family, p, lams):
+        nl = request.getfixturevalue(family)
+        for lam in lams:
+            prob = Problem(p=p, nl=nl, lam=lam)
+            together = enumerate_solutions(prob, 6)
+            solver._roots.cache_clear()
+            one_by_one = list(solver.iter_solutions(prob, 6))
+            assert [self._floats(d) for d in together] == [self._floats(d) for d in one_by_one], lam
+            assert together == one_by_one
+
+    def test_enumerate_is_iter_solutions_on_the_fold_path(self, qgtp):
+        # just above lambda*_1 the pairs of S_1 come from the fold search
+        lam = (1 + 1e-6) * bifurcation_table(qgtp, 2.0, 1).star_plus[0]
+        prob = Problem(p=2.0, nl=qgtp, lam=lam)
+        together = enumerate_solutions(prob, 6)
+        solver._roots.cache_clear()
+        assert [self._floats(d) for d in together] == [self._floats(d) for d in solver.iter_solutions(prob, 6)]
+        assert [(d.j, d.sign) for d in together if d.kind == "regular"][:4] == [(1, "+")] * 2 + [(1, "-")] * 2
+
+    @pytest.mark.parametrize("family, p, lam, together, one_by_one", [
+        ("asym", 3.0, 300.0, 12, 74),
+        ("asym", 3.0, 3000.0, 15, 41),
+        ("cubic_odd", 2.0, 400.0, 16, 47),
+    ])
+    def test_integrand_passes_per_enumeration(self, request, monkeypatch, family, p, lam, together, one_by_one):
+        # a warm store, so the passes are the root searches' own; one search
+        # per class took 88, 50 and 56 when each residual was its own call
+        prob = Problem(p=p, nl=request.getfixturevalue(family), lam=lam)
+        enumerate_solutions(prob, 6)
+        passes = []
+        psi = Arch.psi
+
+        def counted(arch, *args, **kwargs):
+            passes.append(arch)
+            return psi(arch, *args, **kwargs)
+
+        monkeypatch.setattr(Arch, "psi", counted)
+        solver._roots.cache_clear()
+        enumerate_solutions(prob, 6)
+        assert len(passes) == together
+        passes.clear()
+        solver._roots.cache_clear()
+        list(solver.iter_solutions(prob, 6))
+        assert len(passes) == one_by_one
 
 
 class TestStructureConsistency:

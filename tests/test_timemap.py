@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from plap.errors import Divergent, DomainError, HypothesisViolated, NoZeroFound, OutOfRange
+from plap import quadrature
+from plap.errors import Divergent, DomainError, HypothesisViolated, NoZeroFound, OutOfRange, QuadratureFailure
 from plap.nonlinearity import areas, build_nonlinearity, eval_F, eval_m, reflected
 from plap.solver import SolutionClass
 from plap.timemap import (
@@ -175,6 +176,82 @@ class TestIntegralI:
             mine = integral_I(asym, 3.0, float(a), tol=1e-12)
             ref = brute_force_I(asym, 3.0, float(a))
             assert mine == pytest.approx(ref, rel=1e-8)
+
+
+_FIXTURE_P = [("cubic_odd", 2.0), ("asym", 3.0), ("quintic_q3", 3.0), ("qgtp", 2.0), ("quartic_q4", 4.0)]
+
+
+class TestIntegralRows:
+    """``integral_I`` of a list of levels: each row is the float of the
+    scalar call at its level, whatever levels share its list."""
+
+    @staticmethod
+    def _levels(side):
+        """Levels from 1e-9 z+ up: fractions of z+ to 1 - 1e-8, and the levels
+        of area fractions to 1 - 1e-13, which for p = 2 stay clear of the
+        levels within 1e-10 of z+, where the scalar rule itself stalls."""
+        fractions = [1e-9, 1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-4, 1 - 1e-6, 1 - 1e-8]
+        area = _area(side, side.z_plus)
+        return [f * side.z_plus for f in fractions] + [
+            level_pos(side, g * area) for g in (1e-12, 1e-6, 0.5, 1 - 1e-6, 1 - 1e-10, 1 - 1e-13)
+        ]
+
+    @pytest.mark.parametrize("family, p", _FIXTURE_P)
+    @pytest.mark.parametrize("negative", [False, True])
+    @pytest.mark.parametrize("tol", [1e-12, QUAD_TOL])
+    def test_rows_equal_the_scalar_integral(self, request, family, p, negative, tol):
+        nl = request.getfixturevalue(family)
+        side = reflected(nl) if negative else nl
+        levels = self._levels(side)
+        assert integral_I(side, p, levels, tol) == [integral_I(side, p, level, tol) for level in levels]
+
+    @pytest.mark.parametrize("family, p", [("cubic_odd", 2.0), ("asym", 3.0), ("qgtp", 2.0)])
+    def test_rows_refined_past_level_6_equal_the_scalar_integral(self, request, monkeypatch, family, p):
+        nl = request.getfixturevalue(family)
+        levels = self._levels(nl)
+        rows = []
+        psi = Arch.psi
+
+        def logged(arch, w, *args, **kwargs):
+            rows.append(w.shape)
+            return psi(arch, w, *args, **kwargs)
+
+        monkeypatch.setattr(Arch, "psi", logged)
+        got = integral_I(nl, p, levels, 1e-12)
+        monkeypatch.setattr(Arch, "psi", psi)
+        assert got == [integral_I(nl, p, level, 1e-12) for level in levels]
+        level_6 = quadrature._nodes(6)[0].size
+        assert any(len(shape) == 2 and shape[1] >= level_6 for shape in rows)  # a rows pass, not a scalar call
+
+    def test_a_row_does_not_depend_on_its_companions(self, asym):
+        levels = self._levels(asym)
+        whole = integral_I(asym, 3.0, levels, 1e-12)
+        halves = integral_I(asym, 3.0, levels[::2], 1e-12) + integral_I(asym, 3.0, levels[1::2], 1e-12)
+        assert sorted(whole) == sorted(halves)
+        assert integral_I(asym, 3.0, levels[::-1], 1e-12) == whole[::-1]
+
+    def test_a_snapped_level_inside_a_list(self, asym):
+        # a level within _ENDPOINT_SNAP of z+ is the double zero's integral, by a scalar call
+        snapped = asym.z_plus * (1.0 - 1e-15)
+        levels = [0.3 * asym.z_plus, snapped, 0.6 * asym.z_plus]
+        rows = integral_I(asym, 3.0, levels, 1e-12)
+        assert rows == [integral_I(asym, 3.0, level, 1e-12) for level in levels]
+        assert rows[1] == integral_I(asym, 3.0, asym.z_plus, 1e-12)
+
+    def test_errors_are_the_scalar_calls(self, cubic_odd):
+        with pytest.raises(Divergent):
+            integral_I(cubic_odd, 2.0, [0.5, cubic_odd.z_plus, 0.7])
+        with pytest.raises(DomainError):
+            integral_I(cubic_odd, 2.0, [0.5, 1.5, 0.7])
+        stalled = (1.0 - 1e-11) * cubic_odd.z_plus  # p = 2: the rule stalls this close to z+
+        with pytest.raises(QuadratureFailure) as scalar:
+            integral_I(cubic_odd, 2.0, stalled, 1e-12)
+        with pytest.raises(QuadratureFailure) as rows:
+            integral_I(cubic_odd, 2.0, [0.5, stalled, 0.7], 1e-12)
+        assert str(rows.value) == str(scalar.value)
+
+    def test_no_levels(self, asym):
+        assert integral_I(asym, 3.0, []) == []
 
 
 class TestIntegralJ:
