@@ -10,6 +10,13 @@ A level's nodes are the even-k nodes of the next level, bit for bit
 (k 2^-L = 2k 2^-(L+1)), so the first integrand pass, on level
 ``_MIN_LEVEL + 1``, gives the sums of the first two levels; every later
 level is one more pass.
+
+The rule comes in three forms that share nodes, levels and acceptance:
+``tanh_sinh`` integrates one function; ``tanh_sinh_rows`` integrates many
+in one pass per level, each row the float of its own ``tanh_sinh`` call
+(the root searches' residuals, which must not depend on their company);
+``tanh_sinh_batch`` does the same with one matrix product per level, whose
+rows may differ from their own calls in the last bit (the store's scans).
 """
 
 from __future__ import annotations

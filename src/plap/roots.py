@@ -21,25 +21,14 @@ _RTOL = 8.9e-16  # relative bracket width at which a search stops
 _MAXITER = 100  # iterations of a search before NoZeroFound
 
 
-def _checked(x: float, fx: float) -> float:
-    if math.isnan(fx):
-        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-    return fx
+def _nan(x: float) -> ValueError:
+    return ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
 
 
 def _zeroin(a: float, b: float, xtol: float):
     """Brent's iterates on ``[a, b]``: yields each abscissa, ``a`` and ``b``
-    first, is sent the function's value there, and returns the zero.
-
-    Stops when the bracket is narrower than ``xtol + _RTOL * |x|``.
-
-    Raises
-    ------
-    ValueError
-        The values at ``a`` and ``b`` have the same sign.
-    NoZeroFound
-        ``_MAXITER`` iterations did not converge.
-    """
+    first, is sent the function's value there, and returns the zero.  It
+    stops and raises as ``brentq`` does, but for NaN, which its drivers check."""
     xpre, xcur, xtol = float(a), float(b), float(xtol)  # so every iterate is a float
     xblk = fblk = spre = scur = 0.0
     fpre = yield xpre
@@ -102,20 +91,24 @@ def brentq(f, a: float, b: float, xtol: float) -> float:
         ``_MAXITER`` iterations did not converge.
     """
     search = _zeroin(a, b, xtol)
-    x = next(search)
+    x, send, isnan = next(search), search.send, math.isnan
     try:
         while True:
-            x = search.send(_checked(x, f(x)))
+            fx = f(x)
+            if isnan(fx):
+                raise _nan(x)
+            x = send(fx)
     except StopIteration as stop:
         return stop.value
 
 
 def brentq_lockstep(f, brackets) -> list[float]:
-    """The zeros of ``brentq(g_i, a_i, b_i, xtol_i)`` for every bracket
-    ``(a_i, b_i, xtol_i)`` of ``brackets``, searched in rounds.
+    """For every bracket ``(a_i, b_i, xtol_i)`` of ``brackets``, the zero that
+    ``brentq`` finds there, all searched in rounds.
 
     ``f(xs, idx)`` returns the values at the abscissae ``xs`` of the searches
-    ``idx`` (bracket indices, ascending), one value per abscissa.  A round
+    ``idx`` (bracket indices, ascending), each of search i's own function,
+    one value per abscissa.  A round
     calls it once, with one abscissa of every unfinished search: the left
     ends, then the right ends, then one Brent iterate each.  Each search
     sees only its own values, so its zero is the float of its search alone.
@@ -127,8 +120,10 @@ def brentq_lockstep(f, brackets) -> list[float]:
     while pending:
         idx = list(pending)
         for i, fx in zip(idx, f([pending[i] for i in idx], idx)):
+            if math.isnan(fx):
+                raise _nan(pending[i])
             try:
-                pending[i] = searches[i].send(_checked(pending[i], fx))
+                pending[i] = searches[i].send(fx)
             except StopIteration as stop:
                 zeros[i] = stop.value
                 del pending[i]

@@ -20,10 +20,14 @@ continuum of solutions, represented by a single descriptor with the plateau
 budget and the continuum dimension.
 
 A class is solved in two parts: the root search (scan, brackets, Brent and
-the fold path) and the descriptors.  S_j^+ and S_j^- have one matching
-equation when j is even (n_pos = n_neg) or f is odd (J = I), so such an
-S_j^- takes the roots of the search of S_j^+, kept in a small memo keyed on
-every input of the search; its roots are bit-identical to a search of its
+the fold path) and the descriptors.  ``enumerate_solutions`` runs the
+searches of all its classes at one lambda together, in rounds that
+integrate every pending residual of a side in one pass; ``iter_solutions``
+runs one class's search at a time.  Either way a root is the float of its
+class's search alone.  S_j^+ and S_j^- have one matching equation when j
+is even (n_pos = n_neg) or f is odd (J = I), so such an S_j^- takes the
+roots of the search of S_j^+, kept in a one-entry memo keyed on the
+problem and the searches; its roots are bit-identical to a search of its
 own, and only its sign and flat-core descriptor are its own.
 """
 
@@ -194,15 +198,14 @@ def _roots(problem: Problem, searches: tuple[tuple[SolutionClass, float], ...]) 
     bound, searched in the level z of its lead side: the residual is
     2 kappa W(z) - 1 at RESIDUAL_TOL and r = (lambda p A(z)/(p-1))^(1/p).
 
-    The searches run together, in rounds: one round of the residuals at the
-    ends of every scanned sign change, then one per Brent iterate
-    (``brentq_lockstep``), and for q > p the dip path after them.  A round
-    sums each residual by ``weigh`` from I at the tops of
-    ``TimeMapCurves.tops_at``, and integrates all its tops on one side by
-    one ``integral_I`` of a list of levels, whose rows are the floats of
-    calls of their own.  So each search gives the roots it gives alone.
-    The key holds every input the searches read, so a class and its twin
-    share an entry only where both coincide."""
+    The searches run in rounds: the residuals at the ends of every scanned
+    sign change, then one Brent iterate of each search per round
+    (``brentq_lockstep``), then for q > p the dip path, whose filter reads
+    those roots.  A round integrates all its tops (``TimeMapCurves.tops_at``)
+    on one side by one ``integral_I`` of a list of levels, whose rows are
+    the floats of calls of their own, so each search's roots are those it
+    finds alone.  The key holds every input the searches read, so a class
+    and its twin share an entry only where both coincide."""
     curves = time_map_curves(problem.nl, problem.p)
     kappa, lam, p = problem.kappa, problem.lam, problem.p
     weights = [(2.0 * sc.n_pos, 2.0 * sc.n_neg) for sc, _ in searches]
@@ -240,11 +243,10 @@ def _roots(problem: Problem, searches: tuple[tuple[SolutionClass, float], ...]) 
 
     # strict crossings only: exact zeros over a run of grid points happen when
     # lambda sits on a birth threshold (the residual flattens onto 0 at the
-    # interval edge) and do not correspond to class members
+    # interval edge) and do not correspond to class members; the scan runs at
+    # a coarser tolerance, so each bracket is confirmed before Brent, and a
+    # crossing that never rises above evaluation noise is rejected
     crossings = [(k, i) for k, res in enumerate(scans) for i in np.where(np.sign(res[:-1]) * np.sign(res[1:]) < 0)[0]]
-    # the scan runs at a coarser tolerance; confirm each bracket before Brent
-    # and reject crossings that never rise above evaluation noise (the
-    # residual flattens onto 0 at a birth threshold)
     ends = residuals([(k, grids[k][n]) for k, i in crossings for n in (i, i + 1)])
     noise_floor = 1e-10  # residual evaluations are only this trustworthy
     refine([

@@ -498,19 +498,18 @@ class TimeMapCurves:
         """A class's lead side, the first one ``weigh`` reads, whose level is its coordinate."""
         return self.nl if n_pos or self.nl.odd else reflected(self.nl)
 
-    def tops_at(self, z: float, n_pos, n_neg) -> dict[Nonlinearity, float]:
-        """The top of every side ``weigh`` reads for the class at the lead
-        level z, by side: the lead side's is z, the other side's the level of
-        the area A(z)."""
-        lead, tops = self.lead(n_pos), {}
-        weigh(self.nl, lambda s: tops.setdefault(s, z if s is lead else level_pos(s, _area(lead, z))), n_pos, n_neg)
-        return tops
-
     def weigh_at(self, z: float, n_pos, n_neg, term) -> float:
-        """``weigh`` of ``term(side, top)``, I or a multiple of it at a level,
-        at the tops of ``tops_at``."""
-        tops = self.tops_at(z, n_pos, n_neg)
-        return weigh(self.nl, lambda s: term(s, tops[s]), n_pos, n_neg)
+        """``weigh`` of ``term(side, top)``, I or a multiple of it at a level: the
+        lead side's at z, the other side's at the level of the area A(z)."""
+        lead = self.lead(n_pos)
+        return weigh(self.nl, lambda s: term(s, z if s is lead else level_pos(s, _area(lead, z))), n_pos, n_neg)
+
+    def tops_at(self, z: float, n_pos, n_neg) -> dict[Nonlinearity, float]:
+        """The top of every side ``weigh_at`` reads for the class at the lead
+        level z, by side, for callers that integrate many tops at once."""
+        tops = {}
+        self.weigh_at(z, n_pos, n_neg, tops.setdefault)
+        return tops
 
     def fold(self, n_pos: int, n_neg: int, area: float, i: int) -> Fold:
         """(rho, W) at the fold of the class with ``n_pos`` positive and
