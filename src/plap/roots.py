@@ -108,11 +108,11 @@ def brentq_lockstep(f, brackets) -> list[float]:
 
     ``f(xs, idx)`` returns the values at the abscissae ``xs`` of the searches
     ``idx`` (bracket indices, ascending), each of search i's own function,
-    one value per abscissa.  A round
-    calls it once, with one abscissa of every unfinished search: the left
-    ends, then the right ends, then one Brent iterate each.  Each search
-    sees only its own values, so its zero is the float of its search alone.
-    Raises as ``brentq`` does, for the first search in a round that fails.
+    one value per abscissa.  A round calls it once, with one abscissa of
+    every unfinished search: the left ends, then the right ends, then one
+    Brent iterate each.  Each search sees only its own values, so its zero
+    is the float of its search alone.  Raises as ``brentq`` does, for the
+    first search in a round that fails.
     """
     searches = [_zeroin(a, b, xtol) for a, b, xtol in brackets]
     zeros: list[float] = [0.0] * len(searches)

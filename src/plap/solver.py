@@ -227,7 +227,8 @@ def _roots(problem: Problem, searches: tuple[tuple[SolutionClass, float], ...]) 
             for side, top in by_side.items():
                 integrals.setdefault(side, {})[top] = 0.0
         for side, at in integrals.items():
-            at.update(zip(at, integral_I(side, p, list(at), RESIDUAL_TOL)))
+            levels = list(at)
+            at.update(zip(levels, integral_I(side, p, levels, RESIDUAL_TOL)))
         for (k, z), by_side in tops.items():
             known[k][z] = weigh(curves.nl, lambda s: kappa * integrals[s][by_side[s]], *weights[k]) - 1.0
         return [known[k][z] for k, z in points]

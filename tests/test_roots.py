@@ -107,26 +107,28 @@ class TestLockstep:
 
     def test_each_round_evaluates_the_unfinished_searches_once(self):
         cases = self._cases()
-        calls, evaluations = [], [0] * len(cases)
+        calls, visits = [], [[] for _ in cases]
 
         def batched(xs, idx):
             calls.append((list(xs), list(idx)))
             return [cases[i][0](x) for i, x in zip(idx, xs)]
 
-        def counted(i):
+        def logged(i):
             def f(x):
-                evaluations[i] += 1
+                visits[i].append(x)
                 return cases[i][0](x)
 
             return f
 
         brentq_lockstep(batched, [(a, b, xtol) for _, a, b, xtol in cases])
         for i, (_, a, b, xtol) in enumerate(cases):
-            brentq(counted(i), a, b, xtol)
+            brentq(logged(i), a, b, xtol)
+        assert len(calls) == max(map(len, visits))
         for k, (xs, idx) in enumerate(calls):
-            assert idx == sorted(set(idx)) and len(xs) == len(idx)
-            # a search is in round k exactly while brentq alone still evaluates
-            assert idx == [i for i, n in enumerate(evaluations) if n > k], k
+            # round k holds the k-th abscissa of every search that brentq
+            # alone still evaluates there, each once
+            assert idx == [i for i, seen in enumerate(visits) if len(seen) > k], k
+            assert xs == [visits[i][k] for i in idx], k
 
     def test_no_brackets(self):
         assert brentq_lockstep(lambda xs, idx: pytest.fail("called"), []) == []
