@@ -53,27 +53,30 @@ def _fold_weights(curves: TimeMapCurves, classes: list[SolutionClass]) -> list[f
 
     ``A_class`` is the area bound matching the class's slope bound.  W depends
     on the class only through its area and reduced ratio n_pos : n_neg, so
-    the store's scans at rho = A_class g^p bracket one ``curves.fold`` per
-    (area, reduced ratio) in the table.  A scanned minimum at the store's
-    first fraction, the solver's own depth, raises ``NoZeroFound``: the fold
-    may lie deeper.
+    the store's scans at rho = A_class g^p bracket one fold per (area,
+    reduced ratio) in the table, and one ``curves.folds`` searches them all
+    in lockstep, with each side's dI/dtop in rows.  A scanned minimum at the
+    store's first fraction, the solver's own depth, raises ``NoZeroFound``:
+    the fold may lie deeper.
     """
     nl, fractions = curves.nl, curves.fractions
-    minima: dict[tuple[int, int, float], float] = {}
-    out = []
+    searches: dict[tuple[int, int, float], int] = {}  # (n_pos, n_neg, area) -> bracket index
+    keys = []
     for sc in classes:
         area = sc.bound(*areas(nl))
         d, n_pos, n_neg = curves.reduce(sc.n_pos, sc.n_neg)
-        if (n_pos, n_neg, area) not in minima:
+        if (n_pos, n_neg, area) not in searches:
             i = int(np.argmin(curves.weights(n_pos, n_neg, area)))
             if i == 0:
                 raise NoZeroFound(
                     f"fold of class S_{sc.j}^{sc.sign} lies below "
                     f"rho/A = {fractions[0] ** curves.p:.3g}, the deepest scanned level"
                 )
-            minima[n_pos, n_neg, area] = curves.fold(n_pos, n_neg, area, min(i, fractions.size - 2))[1]
-        out.append(d * minima[n_pos, n_neg, area])
-    return out
+            searches[n_pos, n_neg, area] = min(i, fractions.size - 2)
+        keys.append((d, (n_pos, n_neg, area)))
+    folds = curves.folds([(*key, i) for key, i in searches.items()])
+    minima = {key: w for key, (_, w) in zip(searches, folds)}
+    return [d * minima[key] for d, key in keys]
 
 
 @dataclass

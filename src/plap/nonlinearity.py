@@ -140,7 +140,7 @@ def _horner(nl: Nonlinearity, quantity: str, s):
     (``np.float64`` too) is tested first, as the level maps' Brent iterates
     come one float at a time."""
     plus, minus = nl._tables[quantity]
-    if isinstance(s, float) or not np.ndim(s):
+    if isinstance(s, float) or not (s.ndim if isinstance(s, np.ndarray) else np.ndim(s)):
         s = float(s)
         coeffs = plus if s >= 0.0 else minus
     else:
@@ -187,10 +187,14 @@ def eval_g(nl: Nonlinearity, s):
 def eval_m(nl: Nonlinearity, s):
     """Evaluate ``m(s) = |s|^{q-2} s - f(s)``.
 
-    A scalar goes through a 0-d array, whose ``np.abs`` is an ``np.float64``:
-    |s|^{q-2} then takes the C library's pow, as f does, and q < 2 gives
+    A float (``np.float64`` too) of normal size takes Python's ``**``, the
+    C library's pow, as f does.  Any other scalar goes through a 0-d array, whose ``np.abs`` is an
+    ``np.float64``: |s|^{q-2} then takes the same pow, and q < 2 gives
     m(0) = 0 * inf = nan with numpy's warnings rather than a Python
     ZeroDivisionError.  An array takes numpy's pow (module docstring)."""
+    if isinstance(s, float) and abs(s) >= sys.float_info.min:  # no 1/0 or overflow in the pow
+        s = float(s)
+        return abs(s) ** (nl.q - 2.0) * s - eval_f(nl, s)
     s = np.asarray(s, dtype=float)
     out = np.abs(s) ** (nl.q - 2.0) * s - eval_f(nl, s)
     return out if out.ndim else float(out)

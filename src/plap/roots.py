@@ -5,10 +5,11 @@ a generator: it yields each abscissa it needs, the bracket's ends first, and
 is sent the function's value there.  It follows its SciPy original operation
 for operation, so it visits the same iterates and returns the same floats.
 It is the package's one root-finder, with two drivers: ``brentq`` runs one
-search on a scalar function (level maps, arch inversions and the folds, as
-zeros of W'), and ``brentq_lockstep`` runs many searches in rounds, one call
-of a batched function per round (the matching roots of every class at one
-lambda), each search visiting the iterates it would visit alone.
+search on a scalar function (level maps and arch inversions), and
+``brentq_lockstep`` runs many searches in rounds, one call of a batched
+function per round (the matching roots of every class at one lambda, and
+the folds of a table as zeros of W', whose dI/dtop a round integrates in
+rows), each search visiting the iterates it would visit alone.
 """
 
 from __future__ import annotations
@@ -114,16 +115,17 @@ def brentq_lockstep(f, brackets) -> list[float]:
     is the float of its search alone.  Raises as ``brentq`` does, for the
     first search in a round that fails.
     """
-    searches = [_zeroin(a, b, xtol) for a, b, xtol in brackets]
-    zeros: list[float] = [0.0] * len(searches)
-    pending = {i: next(search) for i, search in enumerate(searches)}
+    sends = [_zeroin(a, b, xtol).send for a, b, xtol in brackets]
+    zeros: list[float] = [0.0] * len(sends)
+    pending = {i: send(None) for i, send in enumerate(sends)}
+    isnan = math.isnan
     while pending:
         idx = list(pending)
-        for i, fx in zip(idx, f([pending[i] for i in idx], idx)):
-            if math.isnan(fx):
+        for i, fx in zip(idx, f(list(pending.values()), idx)):
+            if isnan(fx):
                 raise _nan(pending[i])
             try:
-                pending[i] = searches[i].send(fx)
+                pending[i] = sends[i](fx)
             except StopIteration as stop:
                 zeros[i] = stop.value
                 del pending[i]

@@ -201,11 +201,13 @@ def _roots(problem: Problem, searches: tuple[tuple[SolutionClass, float], ...]) 
     The searches run in rounds: the residuals at the ends of every scanned
     sign change, then one Brent iterate of each search per round
     (``brentq_lockstep``), then for q > p the dip path, whose filter reads
-    those roots.  A round integrates all its tops (``TimeMapCurves.tops_at``)
-    on one side by one ``integral_I`` of a list of levels, whose rows are
-    the floats of calls of their own, so each search's roots are those it
-    finds alone.  The key holds every input the searches read, so a class
-    and its twin share an entry only where both coincide."""
+    those roots and whose folds are one lockstep search
+    (``TimeMapCurves.folds``).  A round weighs all its points
+    (``TimeMapCurves.weigh_at``), integrating the tops of a side by one
+    ``integral_I`` of a list of levels, whose rows are the floats of calls
+    of their own, so each search's roots are those it finds alone.  The
+    key holds every input the searches read, so a class and its twin share
+    an entry only where both coincide."""
     curves = time_map_curves(problem.nl, problem.p)
     kappa, lam, p = problem.kappa, problem.lam, problem.p
     weights = [(2.0 * sc.n_pos, 2.0 * sc.n_neg) for sc, _ in searches]
@@ -218,19 +220,13 @@ def _roots(problem: Problem, searches: tuple[tuple[SolutionClass, float], ...]) 
     def residuals(points: list[tuple[int, float]]) -> list[float]:
         """The residual of search k at level z for each (k, z) of ``points``,
         evaluating each new one once and each side's new tops in one list."""
-        tops = {}
-        for k, z in points:
-            if z not in known[k] and (k, z) not in tops:
-                tops[k, z] = curves.tops_at(z, *weights[k])
-        integrals: dict[Nonlinearity, dict[float, float]] = {}
-        for by_side in tops.values():
-            for side, top in by_side.items():
-                integrals.setdefault(side, {})[top] = 0.0
-        for side, at in integrals.items():
-            levels = list(at)
-            at.update(zip(levels, integral_I(side, p, levels, RESIDUAL_TOL)))
-        for (k, z), by_side in tops.items():
-            known[k][z] = weigh(curves.nl, lambda s: kappa * integrals[s][by_side[s]], *weights[k]) - 1.0
+        new = list(dict.fromkeys((k, z) for k, z in points if z not in known[k]))
+        half_widths = curves.weigh_at(
+            [(z, *weights[k]) for k, z in new],
+            lambda side, levels: [kappa * i for i in integral_I(side, p, levels, RESIDUAL_TOL)],
+        )
+        for (k, z), w in zip(new, half_widths):
+            known[k][z] = w - 1.0
         return [known[k][z] for k, z in points]
 
     def refine(brackets: list[tuple[int, float, float]]) -> None:
@@ -261,13 +257,14 @@ def _roots(problem: Problem, searches: tuple[tuple[SolutionClass, float], ...]) 
         # between grid points; one the scan shows below -delta, far beyond
         # its error, already has its roots bracketed by sign changes
         delta = 100.0 * _SCAN_TOL
-        dips = []  # (k, lo, level of the fold, hi)
+        dips = []  # (k, i) of each minimum that needs its fold
         for k, res in enumerate(scans):
             for i in np.where((res[1:-1] < res[:-2]) & (res[1:-1] <= res[2:]))[0] + 1:
                 lo, hi = grids[k][i - 1], grids[k][i + 1]
                 if -delta <= res[i] <= 0.05 and not any(lo <= z <= hi for z, _, _ in roots[k]):
-                    sc, area = searches[k]
-                    dips.append((k, lo, curves.fold(sc.n_pos, sc.n_neg, area, i).level, hi))
+                    dips.append((k, i))
+        folds = curves.folds([(searches[k][0].n_pos, searches[k][0].n_neg, searches[k][1], i) for k, i in dips])
+        dips = [(k, grids[k][i - 1], fold.level, grids[k][i + 1]) for (k, i), fold in zip(dips, folds)]
         sides = []
         for (k, lo, z_min, hi), f_min in zip(dips, residuals([(k, z) for k, _, z, _ in dips])):
             if abs(f_min) <= _TANGENT_TOL:

@@ -16,7 +16,9 @@ substitution ``t = a - w^beta`` with ``beta = p/(p-1)`` (simple zero) or
 a bounded function of ``w``, which the tanh-sinh rule then resolves.  The
 same substitution bounds dI/da at a simple zero (``Arch.derivative``), so a
 fold of a class's time map, where pairs of solutions are born, is an
-ordinary zero of W' for the one bracketed root-finder.
+ordinary zero of W' for the one bracketed root-finder.  The folds a caller
+needs are searched together (``TimeMapCurves.folds``), in rounds that
+integrate every pending dI/da of a side in one rows pass.
 
 Only the positive side is implemented, and ``Arch`` carries one arch of it.
 A negative arch is a positive one of ``f~(s) = -f(-s)``: ``F~(s) = F(-s)``,
@@ -38,7 +40,7 @@ import numpy as np
 from .errors import Divergent, DomainError, OutOfRange
 from .nonlinearity import Nonlinearity, areas, eval_F, eval_df, eval_f, eval_m, reflected
 from .quadrature import cumulative_gl, tanh_sinh, tanh_sinh_batch, tanh_sinh_rows
-from .roots import brentq
+from .roots import brentq, brentq_lockstep
 
 _TAIL_FRAC = 1e-2  # switch from the direct formula to the tail integral
 _MODEL_FRAC = 1e-8  # switch from the tail integral to the local quadratic model
@@ -212,8 +214,8 @@ class Arch:
     batched rule), a list of them (``integral`` gives the list of I at each,
     every one the float of its top alone) or a column of them (``psi`` at a
     matrix of abscissae, one row per top).  dI/dtop (``derivative``, and
-    ``psi``'s derivative integrand) is served for a simple zero at a float
-    top only."""
+    ``psi``'s derivative integrand) is served for a simple zero, at a float
+    top or at a list of them, every one the float of its top alone."""
 
     nl: Nonlinearity
     p: float
@@ -246,20 +248,19 @@ class Arch:
         """The substituted integrand at the abscissae w, bounded on [0, top^(1/beta)]:
         in the tail band the w-prefactor cancels exactly.  A column of tops
         broadcasts against w, with F(top) and top^q evaluated once per top,
-        or read from ``ends``, the pair of their columns.
-        With ``derivative``, at a simple zero and a float top, it is that of
-        dI/dtop less its end term, -(beta/p) w^(beta-1) G^(-1-1/p) (m(top) - m(t)),
-        where m(top) - m(t) is h times the mean of m' in the tail band."""
+        or read from ``ends``, their columns (``_ends``).
+        With ``derivative``, at a simple zero, it is that of dI/dtop less its
+        end term, -(beta/p) w^(beta-1) G^(-1-1/p) (m(top) - m(t)), where
+        m(top) - m(t) is h times the mean of m' in the tail band; ``ends``
+        then also holds the columns of top^(q-1) and f(top)."""
         nl, p, top, beta = self.nl, self.p, self.top, self.beta
-        F_top, top_q = (eval_F(nl, top), top**nl.q) if ends is None else ends
-        with np.errstate(under="ignore"):
-            h = w**beta
+        if ends is None:
+            ends = (eval_F(nl, top), top**nl.q) + ((top ** (nl.q - 1.0), eval_f(nl, top)) if derivative else ())
+        h = w**beta  # underflows to 0 near w = 0 at large beta, which numpy's default ignores
         out = np.empty_like(h)
         model, tail, direct = self._bands(h)
         power = -1.0 / p - derivative  # -1/p, or -1 - 1/p to the same double
-
-        def at(v, mask):  # per-top values at the masked nodes; a float stays a float
-            return np.broadcast_to(v, h.shape)[mask] if isinstance(v, np.ndarray) else v
+        column = isinstance(top, np.ndarray)  # then per-top values are gathered at the masked nodes
 
         # A call covers 125-251 nodes and takes 30-40 us at a float top, 45-60 us
         # with ``derivative`` (best of seven timeit runs, four families, on a
@@ -267,14 +268,15 @@ class Arch:
         # whatever the node count), so a simple zero, the scans' kind, takes
         # no model step.
         if direct.any():
-            t = at(top, direct) - h[direct]
-            G = _direct(nl, t, at(F_top, direct), at(top_q, direct))
+            at = [np.broadcast_to(v, h.shape)[direct] for v in (top, *ends)] if column else (top, *ends)
+            t = at[0] - h[direct]
+            G = _direct(nl, t, at[1], at[2])
             factor = beta
             if derivative:  # m(top) - m(t) in two differences, as m(0) is 0 * inf for q < 2
-                factor = top ** (nl.q - 1.0) - np.abs(t) ** (nl.q - 1.0) - (eval_f(nl, top) - eval_f(nl, t))
+                factor = at[3] - np.abs(t) ** (nl.q - 1.0) - (at[4] - eval_f(nl, t))
             out[direct] = G**power * factor * w[direct] ** (beta - 1.0)
-        if tail.any():
-            pts = _tail_nodes(at(top, tail), h[tail])  # G = h * mean of m, m(top) - m(t) = h * mean of m'
+        if tail.any():  # G = h * mean of m, m(top) - m(t) = h * mean of m'
+            pts = _tail_nodes(np.broadcast_to(top, h.shape)[tail] if column else top, h[tail])
             factor = _dm(nl, pts) @ _GL4_WBAR if derivative else beta
             res = (eval_m(nl, pts) @ _GL4_WBAR) ** power * factor
             out[tail] = res * w[tail] ** (1.0 / (p - 2.0)) if self.double else res
@@ -282,36 +284,59 @@ class Arch:
             out[model] = beta * (0.5 * abs(_dm(nl, top))) ** (-1.0 / p)
         return -beta / p * out if derivative else out
 
+    def _ends(self, derivative: bool) -> np.ndarray:
+        """The columns ``psi`` reads per top of a list: F(top) and top^q, and
+        with ``derivative`` top^(q-1) and f(top).  Each is its float top's
+        (Python's pow and the scalar kernels, not numpy's array pow, which
+        differs in the last bit), so a row's integrand is its top's alone."""
+        nl, tops = self.nl, self.top
+        ends = [[eval_F(nl, top) for top in tops], [top**nl.q for top in tops]]
+        if derivative:
+            ends += [[top ** (nl.q - 1.0) for top in tops], [eval_f(nl, top) for top in tops]]
+        return np.array(ends)[..., None]
+
+    def _rows(self, derivative: bool, tol: float) -> list[float]:
+        """The integral of ``psi`` (of its derivative integrand) at each top of
+        a list, by the rows form of the scalar rule: each row is the float of
+        the scalar integral at its top, whose upper limit is its float top's."""
+        column, ends = np.array(self.top)[:, None], self._ends(derivative)
+        return tanh_sinh_rows(
+            lambda w, rows: replace(self, top=column[rows]).psi(w, derivative, ends[:, rows]),
+            [top ** (1.0 / self.beta) for top in self.top],
+            tol,
+        )
+
     def integral(self, tol: float = QUAD_TOL) -> float | np.ndarray | list[float]:
         """I(top), the arch's half-width in G-space (before kappa); for an
         array of tops, I at each by the batched rule; for a list of tops, I
-        at each by the rows form of the scalar rule.  A row's upper limit,
-        F(top) and top^q are its float top's (Python's pow and the scalar
-        kernels, not numpy's array pow, which differs in the last bit), so
-        each row is the float of ``integral`` at its top alone."""
+        at each by the rows form of the scalar rule (``_rows``)."""
         if isinstance(self.top, list):
-            nl, tops = self.nl, self.top
-            column = np.array(tops)[:, None]
-            ends = np.array([[eval_F(nl, top) for top in tops], [top**nl.q for top in tops]])[..., None]
-            return tanh_sinh_rows(
-                lambda w, rows: replace(self, top=column[rows]).psi(w, ends=ends[:, rows]),
-                [top ** (1.0 / self.beta) for top in tops],
-                tol,
-            )
+            return self._rows(False, tol)
         upper = self.top ** (1.0 / self.beta)
         if isinstance(self.top, np.ndarray):
             return tanh_sinh_batch(lambda w, idx: replace(self, top=self.top[idx, None]).psi(w), upper, tol)
         return tanh_sinh(self.psi, upper, tol)
 
-    def derivative(self) -> float:
-        """dI/dtop for a simple zero at a float top: the integral of ``psi``'s
-        derivative integrand plus the moving limit's end term A(top)^(-1/p),
-        at ``QUAD_TOL``.  At a double zero I' diverges like eps^(-2/p) as the
-        level nears it, so there it raises ``Divergent``."""
+    def derivative(self) -> float | list[float]:
+        """dI/dtop for a simple zero: the integral of ``psi``'s derivative
+        integrand plus the moving limit's end term A(top)^(-1/p), at
+        ``QUAD_TOL``.  A list of tops gives the list of dI/dtop at each, every
+        one the float of its top alone: by the rows form of the rule from
+        three tops on (six rows cost 0.49 times six calls, three 0.77 times
+        three calls, two 1.04 times two calls and a lone one 1.77 times a
+        call, on f = 1.5 s^4 / -s^4 at p = 2), one call each below that.  At a
+        double zero I' diverges like eps^(-2/p) as the level nears it, so
+        there it raises ``Divergent``."""
         if self.double:
             raise Divergent("dI/dtop diverges at a double zero")
-        upper = self.top ** (1.0 / self.beta)
-        return tanh_sinh(lambda w: self.psi(w, True), upper, QUAD_TOL) + _area(self.nl, self.top) ** (-1.0 / self.p)
+        nl, p, top = self.nl, self.p, self.top
+        if not isinstance(top, list):  # A(top) = top^q/q - F(top) from psi's ends
+            ends = (eval_F(nl, top), top**nl.q, top ** (nl.q - 1.0), eval_f(nl, top))
+            rule = tanh_sinh(lambda w: self.psi(w, True, ends), top ** (1.0 / self.beta), QUAD_TOL)
+            return rule + (ends[1] / nl.q - ends[0]) ** (-1.0 / p)
+        if len(top) < 3:
+            return [Arch(nl, p, one, False).derivative() for one in top]
+        return [row + _area(nl, one) ** (-1.0 / p) for row, one in zip(self._rows(True, QUAD_TOL), top)]
 
     def cumulative(self, w_grid: np.ndarray) -> np.ndarray:
         """G-space distances from the extremum to the offsets ``w_grid``, ascending from 0."""
@@ -354,13 +379,19 @@ def integral_I(nl: Nonlinearity, p: float, a: float | list[float], tol: float = 
     (three rows cost 0.8 times three calls, two 1.08 times two calls, a lone
     one up to 1.8 times a call), and the rest, a level snapped to z_plus
     among them, one call each."""
+    if not isinstance(a, list):
+        return _integral_at(nl, p, a, tol)
     zp = nl.z_plus
-    if isinstance(a, list):
-        simple = [0.0 < level < zp * (1.0 - _ENDPOINT_SNAP) for level in a]
-        if sum(simple) < 3:
-            return [integral_I(nl, p, level, tol) for level in a]
-        rows = iter(Arch(nl, p, list(compress(a, simple)), False).integral(tol))
-        return [next(rows) if row else integral_I(nl, p, level, tol) for level, row in zip(a, simple)]
+    simple = [0.0 < level < zp * (1.0 - _ENDPOINT_SNAP) for level in a]
+    if sum(simple) < 3:
+        return [_integral_at(nl, p, level, tol) for level in a]
+    rows = iter(Arch(nl, p, list(compress(a, simple)), False).integral(tol))
+    return [next(rows) if row else _integral_at(nl, p, level, tol) for level, row in zip(a, simple)]
+
+
+def _integral_at(nl: Nonlinearity, p: float, a: float, tol: float) -> float:
+    """``integral_I`` at one level."""
+    zp = nl.z_plus
     if not 0.0 < a <= zp * (1.0 + 1e-12):
         raise DomainError(f"level {a} outside (0, {zp}]")
     double = a >= zp * (1.0 - _ENDPOINT_SNAP)
@@ -418,7 +449,7 @@ def weigh(nl: Nonlinearity, term, n_pos, n_neg):
 
 
 class Fold(tuple):
-    """A class's fold as the pair (rho, W); ``level``, set by ``fold``, is the lead side's z there."""
+    """A class's fold as the pair (rho, W); ``level``, set by ``folds``, is the lead side's z there."""
 
 
 class TimeMapCurves:
@@ -432,7 +463,7 @@ class TimeMapCurves:
     the fractions ``g`` and fills in, on first use, the levels and I or J at
     them per area bound (at ``_SCAN_TOL``), and I or J at the level of the
     area bound itself, ``g = 1`` (at ``QUAD_TOL``), for ``bound_weight``.
-    ``fold`` searches between the scan levels and keeps nothing.
+    ``folds`` searches between the scan levels and keeps nothing.
 
     Every value is a pure function of the store's key and its own arguments,
     so the order in which lambdas fill it never shows in a result, and two
@@ -499,42 +530,75 @@ class TimeMapCurves:
         """A class's lead side, the first one ``weigh`` reads, whose level is its coordinate."""
         return self.nl if n_pos or self.nl.odd else reflected(self.nl)
 
-    def weigh_at(self, z: float, n_pos, n_neg, term) -> float:
-        """``weigh`` of ``term(side, top)``, I or a multiple of it at a level: the
-        lead side's at z, the other side's at the level of the area A(z)."""
+    def tops_at(self, z: float, n_pos, n_neg) -> dict[bool, float]:
+        """The top of every side ``weigh`` reads for the class at the lead
+        level z, keyed by whether the side is the reflected one: the lead
+        side's z, and for arches of both signs of a non-odd f the other
+        side's level of the area A(z)."""
         lead = self.lead(n_pos)
-        return weigh(self.nl, lambda s: term(s, z if s is lead else level_pos(s, _area(lead, z))), n_pos, n_neg)
+        if n_pos and n_neg and not self.nl.odd:  # the lead side is nl
+            side = reflected(self.nl)
+            return {False: z, True: level_pos(side, _area(lead, z))}
+        return {lead is not self.nl: z}
 
-    def tops_at(self, z: float, n_pos, n_neg) -> dict[Nonlinearity, float]:
-        """The top of every side ``weigh_at`` reads for the class at the lead
-        level z, by side, for callers that integrate many tops at once."""
-        tops = {}
-        self.weigh_at(z, n_pos, n_neg, tops.setdefault)
-        return tops
+    def weigh_at(self, points: list[tuple[float, int, int]], term) -> list[float]:
+        """``weigh`` at each (z, n_pos, n_neg) of ``points`` of ``term(side,
+        levels)``, a side's values (I or a multiple of it) at a list of its
+        tops (``tops_at``): one call per side for every point together."""
+        nl, tops, values = self.nl, [], {}
+        for z, n_pos, n_neg in points:
+            by_side = self.tops_at(z, n_pos, n_neg)
+            tops.append(by_side)
+            for negative, top in by_side.items():
+                values.setdefault(negative, {})[top] = 0.0
+        for negative, at in values.items():
+            levels = list(at)
+            at.update(zip(levels, term(reflected(nl) if negative else nl, levels)))
+        out = []  # loops, not comprehensions: a lone search pays this per round
+        for (_, n_pos, n_neg), by_side in zip(points, tops):
+            out.append(weigh(nl, lambda s: values[s is not nl][by_side[s is not nl]], n_pos, n_neg))
+        return out
 
-    def fold(self, n_pos: int, n_neg: int, area: float, i: int) -> Fold:
-        """(rho, W) at the fold of the class with ``n_pos`` positive and
-        ``n_neg`` negative arches (q > p): the zero of W' = dW/drho between
-        the points i-1 and i+1 of the scan grid of area bound ``area``.
+    def folds(self, searches: list[tuple[int, int, float, int]]) -> list[Fold]:
+        """(rho, W) at the fold of each (n_pos, n_neg, area, i) of ``searches``
+        (q > p): the zero of W' = dW/drho of the class with ``n_pos``
+        positive and ``n_neg`` negative arches between the points i-1 and i+1
+        of the scan grid of area bound ``area``.
 
-        The search runs for the reduced ratio (``reduce``) in the level z of
-        the lead side (``weigh_at``), between the scan levels.  Each side's
-        dI/drho is ``Arch.derivative`` over m = dA/dz at its level; Brent's
-        method places the zero to the relative xtol ``_FOLD_XTOL``, and W is
-        evaluated once, there.  The result is not kept.
+        Each search runs for the reduced ratio (``reduce``) in the level z of
+        the lead side (``tops_at``), between the scan levels.  Each side's
+        dI/drho is ``Arch.derivative`` over m = dA/dz at its level.  Brent's
+        method places each zero to the relative xtol ``_FOLD_XTOL``, every
+        search in lockstep (``brentq_lockstep``): a round integrates the
+        pending dI/dtop of a side by one ``Arch.derivative`` of a list, and W
+        at the zeros is one ``integral_I`` of a list per side.  Each row is
+        the float of its top alone, so each fold is the float of its search
+        alone.  Nothing is kept.
         """
-        d, n_pos, n_neg = self.reduce(n_pos, n_neg)
+        p = self.p
+        reduced = [self.reduce(n_pos, n_neg) for n_pos, n_neg, _, _ in searches]
+        counts = [(n_pos, n_neg) for _, n_pos, n_neg in reduced]
+        leads = [self.lead(n_pos) for n_pos, _ in counts]
+        brackets = []
+        for lead, (_, _, area, i) in zip(leads, searches):
+            lo, hi = map(float, self.levels(area, lead is not self.nl)[[i - 1, i + 1]])
+            brackets.append((lo, hi, _FOLD_XTOL * lo))
 
-        def slope(side: Nonlinearity, top: float) -> float:
-            return Arch(side, self.p, top, False).derivative() / eval_m(side, top)
+        def slopes(side: Nonlinearity, tops: list[float]) -> list[float]:
+            return [d / eval_m(side, top) for d, top in zip(Arch(side, p, tops, False).derivative(), tops)]
 
-        lead = self.lead(n_pos)
-        lo, hi = map(float, self.levels(area, lead is not self.nl)[[i - 1, i + 1]])
-        z = brentq(lambda z: self.weigh_at(z, n_pos, n_neg, slope), lo, hi, xtol=_FOLD_XTOL * lo)
-        w = self.weigh_at(z, n_pos, n_neg, lambda side, top: integral_I(side, self.p, top))
-        fold = Fold((_area(lead, z), d * w))
-        fold.level = z
-        return fold
+        def slope_rows(zs: list[float], idx: list[int]) -> list[float]:
+            return self.weigh_at([(z, *counts[k]) for z, k in zip(zs, idx)], slopes)
+
+        zeros = brentq_lockstep(slope_rows, brackets)
+        points = [(z, *count) for z, count in zip(zeros, counts)]
+        weights = self.weigh_at(points, lambda side, levels: integral_I(side, p, levels))
+        out = []
+        for (d, _, _), lead, z, w in zip(reduced, leads, zeros, weights):
+            fold = Fold((_area(lead, z), d * w))
+            fold.level = z
+            out.append(fold)
+        return out
 
 
 @functools.lru_cache(maxsize=_CURVES_CAP)

@@ -145,6 +145,25 @@ class TestMinimizers:
         assert calls["integral_I"] == 1
         assert calls["integral_I"] + calls["derivative"] <= 20
 
+    def test_lockstep_fold_passes(self, monkeypatch):
+        # on a warm store, the seven folds of f = 1.5 s^4 / -s^4 (q = 3) at
+        # p = 2 are searched together: a Brent round takes one psi' pass per
+        # side for all of them, and W at the zeros one psi pass per side (one
+        # search at a time took 72 psi' passes and 12 psi passes)
+        nl = build_nonlinearity("power_asym", 3.0, {"b_plus": 1.5, "b_minus": 1.0, "r_exp": 5.0})
+        bifurcation_table(nl, 2.0, 6)
+        passes = []
+        psi = timemap.Arch.psi
+
+        def counted(arch, w, derivative=False, ends=None):
+            passes.append(derivative)
+            return psi(arch, w, derivative, ends)
+
+        monkeypatch.setattr(timemap.Arch, "psi", counted)
+        bifurcation_table(nl, 2.0, 6)
+        assert passes.count(True) <= 12
+        assert passes.count(False) <= 2
+
     def test_store_is_filled_once(self, scans):
         # a second table on the same (f, p) reads the store's scans and runs none
         nl = build_nonlinearity("power_asym", 3.0, {"b_plus": 1.5, "b_minus": 1.0, "r_exp": 5.0})

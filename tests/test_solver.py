@@ -188,13 +188,13 @@ class TestSolveClass:
         # sign changes; only one at the scan's resolution needs the fold search
         lam_star = bifurcation_table(qgtp, 2.0, 1).star_plus[0]
         calls = []
-        fold = TimeMapCurves.fold
+        folds = TimeMapCurves.folds
 
-        def counted(self, *args):
-            calls.append(args)
-            return fold(self, *args)
+        def counted(self, searched):
+            calls.extend(searched)
+            return folds(self, searched)
 
-        monkeypatch.setattr(TimeMapCurves, "fold", counted)
+        monkeypatch.setattr(TimeMapCurves, "folds", counted)
         descs = solve_class(Problem(p=2.0, nl=qgtp, lam=factor * lam_star), SolutionClass(1, "+"))
         assert len(calls) == searches
         assert [(d.kind, d.degenerate) for d in descs] == [("regular", False)] * 2
@@ -215,13 +215,14 @@ class TestSolveClass:
         nl = build_nonlinearity("power_asym", q, {"b_plus": b_plus, "b_minus": 1.0, "r_exp": r_exp})
         lam_star = bifurcation_table(nl, p, j).star(sign)[j - 1]
         folds = []
-        fold = TimeMapCurves.fold
+        search = TimeMapCurves.folds
 
-        def recorded(self, *args):
-            folds.append(fold(self, *args))
-            return folds[-1]
+        def recorded(self, searched):
+            found = search(self, searched)
+            folds.extend(found)
+            return found
 
-        monkeypatch.setattr(TimeMapCurves, "fold", recorded)
+        monkeypatch.setattr(TimeMapCurves, "folds", recorded)
         ids = set()
         for k in range(-3, 4):
             lam = lam_star
@@ -273,18 +274,18 @@ class TestTwinClasses:
     def _work(monkeypatch) -> list:
         """Records "integral" per quadrature and "fold" per fold search."""
         work = []
-        integral, fold = Arch.integral, TimeMapCurves.fold
+        integral, folds = Arch.integral, TimeMapCurves.folds
 
         def counted_integral(arch, *args):
             work.append("integral")
             return integral(arch, *args)
 
-        def counted_fold(curves, *args):
-            work.append("fold")
-            return fold(curves, *args)
+        def counted_folds(curves, searches):
+            work.extend(["fold"] * len(searches))
+            return folds(curves, searches)
 
         monkeypatch.setattr(Arch, "integral", counted_integral)
-        monkeypatch.setattr(TimeMapCurves, "fold", counted_fold)
+        monkeypatch.setattr(TimeMapCurves, "folds", counted_folds)
         return work
 
     @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from plap import quadrature
+from plap import quadrature, timemap
 from plap.errors import Divergent, DomainError, HypothesisViolated, NoZeroFound, OutOfRange, QuadratureFailure
 from plap.nonlinearity import areas, build_nonlinearity, eval_F, eval_m, reflected
 from plap.solver import SolutionClass
@@ -31,6 +31,7 @@ from plap.timemap import (
 )
 
 from oracles import brute_force_I, brute_force_J, sine_integral_closed_form
+from plap.roots import brentq
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +264,76 @@ class TestIntegralRows:
 
     def test_no_levels(self, asym):
         assert integral_I(asym, 3.0, []) == []
+
+
+class TestDerivativeRows:
+    """``Arch.derivative`` of a list of tops: each row is the float of the
+    scalar call at its top, as ``integral_I`` of a list is."""
+
+    _FRACTIONS = (1e-6, 1e-3, 0.1, 0.5, 0.9, 0.99, 1 - 1e-4, 1 - 1e-7)  # of z+, the levels of every band
+
+    @pytest.mark.parametrize("family", [family for family, _ in _FIXTURE_P])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("negative", [False, True])
+    def test_rows_equal_the_scalar_derivative(self, request, monkeypatch, family, p, negative):
+        nl = request.getfixturevalue(family)
+        side = reflected(nl) if negative else nl
+        tops = [f * side.z_plus for f in self._FRACTIONS]
+        shapes = []
+        psi = Arch.psi
+
+        def logged(arch, w, *args, **kwargs):
+            shapes.append(w.shape)
+            return psi(arch, w, *args, **kwargs)
+
+        monkeypatch.setattr(Arch, "psi", logged)
+        rows = Arch(side, p, tops, False).derivative()
+        monkeypatch.setattr(Arch, "psi", psi)
+        assert rows == [Arch(side, p, top, False).derivative() for top in tops]
+        assert shapes[0] == (len(tops), quadrature._nodes(4)[0].size)  # one rows pass holds every top
+        if p == 1.5:  # the top rows refine past tanh-sinh level 6, as rows
+            assert any(len(shape) == 2 and shape[1] >= quadrature._nodes(6)[0].size for shape in shapes)
+
+    def test_a_row_does_not_depend_on_its_companions(self, asym):
+        tops = [f * asym.z_plus for f in self._FRACTIONS]
+        whole = Arch(asym, 3.0, tops, False).derivative()
+        assert Arch(asym, 3.0, tops[::2], False).derivative() == whole[::2]
+        assert Arch(asym, 3.0, tops[::-1], False).derivative() == whole[::-1]
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_fewer_than_three_tops_take_scalar_calls(self, asym, monkeypatch, count):
+        tops = [f * asym.z_plus for f in self._FRACTIONS[2 : 2 + count]]
+        shapes = []
+        psi = Arch.psi
+
+        def logged(arch, w, *args, **kwargs):
+            shapes.append(w.shape)
+            return psi(arch, w, *args, **kwargs)
+
+        monkeypatch.setattr(Arch, "psi", logged)
+        rows = Arch(asym, 3.0, tops, False).derivative()
+        monkeypatch.setattr(Arch, "psi", psi)
+        assert all(len(shape) == 1 for shape in shapes)
+        assert rows == [Arch(asym, 3.0, top, False).derivative() for top in tops]
+
+    @pytest.mark.parametrize("negative", [False, True])
+    def test_a_double_zero_raises_as_the_scalar_call(self, asym, monkeypatch, negative):
+        # the list's arch at a double zero diverges as a lone top does, and
+        # no integrand is read for the simple tops beside it
+        def unread(self, w, derivative=False, ends=None):
+            raise AssertionError("psi evaluated")
+
+        monkeypatch.setattr(Arch, "psi", unread)
+        side = reflected(asym) if negative else asym
+        tops = [0.3 * side.z_plus, side.z_plus, 0.6 * side.z_plus, 0.9 * side.z_plus]
+        with pytest.raises(Divergent) as scalar:
+            Arch(side, 3.0, side.z_plus, True).derivative()
+        with pytest.raises(Divergent) as rows:
+            Arch(side, 3.0, tops, True).derivative()
+        assert str(rows.value) == str(scalar.value)
+
+    def test_no_tops(self, asym):
+        assert Arch(asym, 3.0, [], False).derivative() == []
 
 
 class TestIntegralJ:
@@ -505,26 +576,41 @@ class TestBoundWeight:
         assert len(curves._bounds) == 1
 
 
+_FOLD_CASES = pytest.mark.parametrize(
+    "q, r_exp, b_plus, p, j",
+    [
+        (3.0, 5.0, 1.5, 2.0, 3),  # qgtp_asym, the 2:1 class S_3^+
+        (4.0, 6.0, 1.0, 3.0, 1),
+        (3.02, 3.5, 1.0, 3.0, 1),  # a deep fold: rho*/A = 1.9e-8
+        (2.05, 2.3, 1.0, 2.0, 1),
+    ],
+    ids=["qgtp_asym-2:1", "p3q4", "deep", "p2q2.05"],
+)
+
+
 class TestFold:
-    @pytest.mark.parametrize(
-        "q, r_exp, b_plus, p, j",
-        [
-            (3.0, 5.0, 1.5, 2.0, 3),  # qgtp_asym, the 2:1 class S_3^+
-            (4.0, 6.0, 1.0, 3.0, 1),
-            (3.02, 3.5, 1.0, 3.0, 1),  # a deep fold: rho*/A = 1.9e-8
-            (2.05, 2.3, 1.0, 2.0, 1),
-        ],
-        ids=["qgtp_asym-2:1", "p3q4", "deep", "p2q2.05"],
-    )
+    @staticmethod
+    def _curves(q, r_exp, b_plus, p, b_minus=1.0):
+        coefficients = {"b_plus": b_plus, "b_minus": b_minus, "r_exp": r_exp}
+        return TimeMapCurves(build_nonlinearity("power_asym", q, coefficients), p)
+
+    @staticmethod
+    def _search(curves, sc):
+        """The (n_pos, n_neg, area, i) of the class's fold: its reduced ratio
+        and area bound, bracketed around its scanned minimum, or None when
+        that minimum is the store's first fraction (a fold below the scan)."""
+        _, n_pos, n_neg = curves.reduce(sc.n_pos, sc.n_neg)
+        area = sc.bound(*areas(curves.nl))
+        i = int(np.argmin(curves.weights(n_pos, n_neg, area)))
+        return (n_pos, n_neg, area, min(i, curves.fractions.size - 2)) if i else None
+
+    @_FOLD_CASES
     def test_fold_is_a_zero_of_W_prime(self, q, r_exp, b_plus, p, j):
         # rho* is where the central difference of W vanishes: its ratio to W''
         # places the zero relative to the fold's own scale, however deep
-        nl = build_nonlinearity("power_asym", q, {"b_plus": b_plus, "b_minus": 1.0, "r_exp": r_exp})
-        curves = TimeMapCurves(nl, p)
-        sc = SolutionClass(j, "+")
-        area = sc.bound(*areas(nl))
-        i = int(np.argmin(curves.weights(sc.n_pos, sc.n_neg, area)))
-        fold = curves.fold(sc.n_pos, sc.n_neg, area, i)
+        curves = self._curves(q, r_exp, b_plus, p)
+        nl, sc = curves.nl, SolutionClass(j, "+")
+        (fold,) = curves.folds([self._search(curves, sc)])
         rho, w = fold
 
         def W(r, tol=1e-14):
@@ -542,6 +628,70 @@ class TestFold:
             return integral_I(side, p, fold.level if side is nl else level_pos(side, rho))
 
         assert w == weigh(nl, at_fold, sc.n_pos, sc.n_neg)
+
+    @_FOLD_CASES
+    def test_lockstep_folds_are_each_search_alone(self, q, r_exp, b_plus, p, j):
+        # every fold of S_1..S_6 in one call, for the case's f with b_minus =
+        # 0.7, whose seven ratios and areas give seven searches; the rounds'
+        # rows hold the other searches' tops, yet each fold is the float of
+        # its search alone, level included, in any order of the list
+        curves = self._curves(q, r_exp, b_plus, p, b_minus=0.7)
+        classes = [SolutionClass(n, sign) for n in range(1, 7) for sign in "+-"]
+        searches = list(dict.fromkeys(self._search(curves, sc) for sc in classes))
+        assert len(searches) == 7 and None not in searches
+        alone = [curves.folds([search])[0] for search in searches]
+        for order in (searches, searches[::-1], searches[1::2] + searches[::2]):
+            together = curves.folds(order)
+            expected = [alone[searches.index(search)] for search in order]
+            assert together == expected
+            assert [fold.level for fold in together] == [fold.level for fold in expected]
+        if j == 1:  # S_1^+ reads the positive side only, which b_minus leaves alone: the case's own fold
+            case = self._curves(q, r_exp, b_plus, p)
+            (own,) = case.folds([self._search(case, SolutionClass(1, "+"))])
+            assert alone[searches.index(self._search(curves, SolutionClass(1, "+")))] == own
+
+    def test_lockstep_rounds_share_one_derivative_call_per_side(self, monkeypatch):
+        # qgtp_asym at p = 2: seven searches, and every round integrates the
+        # pending tops of a side by one call of Arch.derivative on a list
+        curves = self._curves(3.0, 5.0, 1.5, 2.0)
+        classes = [SolutionClass(n, sign) for n in range(1, 7) for sign in "+-"]
+        searches = list(dict.fromkeys(self._search(curves, sc) for sc in classes))
+        assert len(searches) == 7
+        lists, rounds = [], []
+        derivative, lockstep = Arch.derivative, timemap.brentq_lockstep
+
+        def logged(arch):
+            if isinstance(arch.top, list):
+                lists.append(arch.top)
+            return derivative(arch)
+
+        def counted(f, brackets):
+            return lockstep(lambda xs, idx: rounds.append(idx) or f(xs, idx), brackets)
+
+        monkeypatch.setattr(Arch, "derivative", logged)
+        monkeypatch.setattr(timemap, "brentq_lockstep", counted)
+        curves.folds(searches)
+        assert rounds[0] == list(range(7))  # the first round holds every search's left end
+        assert len(lists) == 2 * len(rounds)  # each round, one call per side
+        assert all(len(tops) == len(set(tops)) for tops in lists)
+        assert max(map(len, lists)) >= 3  # a rows pass, not one scalar call per top
+
+    def test_same_sign_ends_raise_as_the_scalar_search(self, qgtp):
+        # a bracket on the falling side of the minimum: W' < 0 at both ends,
+        # alone or beside a search that converges
+        curves = TimeMapCurves(qgtp, 2.0)
+        area = areas(qgtp)[0]
+        good = self._search(curves, SolutionClass(1, "+"))
+        falling = (1, 0, area, good[3] // 2)
+        with pytest.raises(ValueError) as scalar:
+            brentq(lambda z: -1.0, 0.1, 0.2, 1e-12)
+        for searches in ([falling], [good, falling], [falling, good]):
+            with pytest.raises(ValueError) as raised:
+                curves.folds(searches)
+            assert str(raised.value) == str(scalar.value)
+
+    def test_no_searches(self, qgtp):
+        assert TimeMapCurves(qgtp, 2.0).folds([]) == []
 
 
 class TestIMonotonicity:
