@@ -184,6 +184,13 @@ def _dm(nl: Nonlinearity, s):
     return (nl.q - 1.0) * abs(s) ** (nl.q - 2.0) - eval_df(nl, s)
 
 
+def _m_dm(nl: Nonlinearity, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eval_m`` and ``_dm`` at the array s, float for float, with |s|^(q-2)
+    taken once: the derivative integrand's tail band reads both."""
+    power = np.abs(s) ** (nl.q - 2.0)
+    return power * s - eval_f(nl, s), (nl.q - 1.0) * power - eval_df(nl, s)
+
+
 def _tail_nodes(a, h):
     """The GL4 nodes of [a-h, a] along a new last axis: a map's values there
     ``@ _GL4_WBAR`` are its mean over the interval."""
@@ -260,25 +267,30 @@ class Arch:
         out = np.empty_like(h)
         model, tail, direct = self._bands(h)
         power = -1.0 / p - derivative  # -1/p, or -1 - 1/p to the same double
-        column = isinstance(top, np.ndarray)  # then per-top values are gathered at the masked nodes
+
+        def at(v, mask):  # per-top values at the masked nodes, each gathered where it is used
+            return np.broadcast_to(v, h.shape)[mask] if isinstance(v, np.ndarray) else v
 
         # A call covers 125-251 nodes and takes 30-40 us at a float top, 45-60 us
         # with ``derivative`` (best of seven timeit runs, four families, on a
         # 2-vCPU x86 machine), set by its count of numpy calls (0.5-4 us each,
         # whatever the node count), so a simple zero, the scans' kind, takes
         # no model step.
-        if direct.any():
-            at = [np.broadcast_to(v, h.shape)[direct] for v in (top, *ends)] if column else (top, *ends)
-            t = at[0] - h[direct]
-            G = _direct(nl, t, at[1], at[2])
+        if np.count_nonzero(direct):  # a third of the cost of direct.any() on a pass of 125 nodes
+            t = at(top, direct) - h[direct]
+            G = _direct(nl, t, at(ends[0], direct), at(ends[1], direct))
             factor = beta
             if derivative:  # m(top) - m(t) in two differences, as m(0) is 0 * inf for q < 2
-                factor = at[3] - np.abs(t) ** (nl.q - 1.0) - (at[4] - eval_f(nl, t))
+                factor = at(ends[2], direct) - np.abs(t) ** (nl.q - 1.0) - (at(ends[3], direct) - eval_f(nl, t))
             out[direct] = G**power * factor * w[direct] ** (beta - 1.0)
-        if tail.any():  # G = h * mean of m, m(top) - m(t) = h * mean of m'
-            pts = _tail_nodes(np.broadcast_to(top, h.shape)[tail] if column else top, h[tail])
-            factor = _dm(nl, pts) @ _GL4_WBAR if derivative else beta
-            res = (eval_m(nl, pts) @ _GL4_WBAR) ** power * factor
+        if np.count_nonzero(tail):  # G = h * mean of m, m(top) - m(t) = h * mean of m'
+            pts = _tail_nodes(at(top, tail), h[tail])
+            if derivative:
+                m, dm = _m_dm(nl, pts)
+                factor = dm @ _GL4_WBAR
+            else:
+                m, factor = eval_m(nl, pts), beta
+            res = (m @ _GL4_WBAR) ** power * factor
             out[tail] = res * w[tail] ** (1.0 / (p - 2.0)) if self.double else res
         if model is not None:
             out[model] = beta * (0.5 * abs(_dm(nl, top))) ** (-1.0 / p)
@@ -535,11 +547,9 @@ class TimeMapCurves:
         level z, keyed by whether the side is the reflected one: the lead
         side's z, and for arches of both signs of a non-odd f the other
         side's level of the area A(z)."""
-        lead = self.lead(n_pos)
         if n_pos and n_neg and not self.nl.odd:  # the lead side is nl
-            side = reflected(self.nl)
-            return {False: z, True: level_pos(side, _area(lead, z))}
-        return {lead is not self.nl: z}
+            return {False: z, True: level_pos(reflected(self.nl), _area(self.nl, z))}
+        return {not (n_pos or self.nl.odd): z}  # the lead side (``lead``) alone
 
     def weigh_at(self, points: list[tuple[float, int, int]], term) -> list[float]:
         """``weigh`` at each (z, n_pos, n_neg) of ``points`` of ``term(side,

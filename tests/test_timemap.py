@@ -16,6 +16,7 @@ from plap.timemap import (
     _TAIL_FRAC,
     _area,
     _dm,
+    _m_dm,
     alpha,
     flat_core_half_widths,
     integral_I,
@@ -800,6 +801,15 @@ class TestArch:
                 assert got == pytest.approx(expected, rel=1e-10), frac
             else:
                 assert got == pytest.approx(beta * w ** (beta - 1.0) * G ** (-1.0 / 3.0), rel=1e-12), frac
+
+    @pytest.mark.parametrize("family", [family for family, _ in _FIXTURE_P])
+    def test_m_and_its_derivative_in_one_pass(self, request, family):
+        # the tail band of psi's derivative integrand reads both from one |s|^(q-2)
+        nl = request.getfixturevalue(family)
+        for side in (nl, reflected(nl)):
+            s = side.z_plus * np.geomspace(1e-9, 1.0, 200).reshape(50, 4)
+            m, dm = _m_dm(side, s)
+            assert np.array_equal(m, eval_m(side, s)) and np.array_equal(dm, _dm(side, s))
 
     @pytest.mark.parametrize("negative", [False, True])
     def test_derivative_diverges_at_a_double_zero(self, asym, monkeypatch, negative):
