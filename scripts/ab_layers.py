@@ -11,7 +11,8 @@ as two packages of different names, and times twelve layers in each:
 * ``integral_I`` at a simple level: q = 3, f = |s|^3 s, p = 2, a = z+/2;
 * ``integral_I`` at the double zero z+: q = 2, f = 2s^3 / -|s|^3, p = 3;
 * ``Arch.derivative``, dI/dtop, on the latter (f, p) at top = z+/2: the
-  integral of every fold search's W';
+  integral of the fold searches' W' (a lone search's, and below three
+  pending tops a round's);
 * a fresh store scan: the batched 1023-level I of a new ``TimeMapCurves``
   on the latter (f, p) at the area A(z+);
 * ``reconstruct(M=2048)`` of S1+ for p = q = 2, f = s^3 at lambda = 60;
@@ -19,7 +20,8 @@ as two packages of different names, and times twelve layers in each:
   on q = 2, f = 2s^3 / -|s|^3, p = 3 (two sides) and on q = 2, f = s^3,
   p = 2 (odd, one shared side);
 * a warm ``structure(N=6)`` at lambda = 300 for p = 2, q = 3,
-  f = 1.5 s^4 / -s^4 (r_exp = 5), whose mixed classes run seven fold searches;
+  f = 1.5 s^4 / -s^4 (r_exp = 5), whose mixed classes run seven fold searches
+  in lockstep;
 * the same on the odd f = |s|^3 s, where one fold search serves every class;
 * a warm ``enumerate_solutions(j_max=6)``, the op of the q <= p sweep, on the
   odd f = s^3 with p = q = 2 and on f = 2s^3 / -|s|^3 with p = 3, q = 2, each

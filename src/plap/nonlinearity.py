@@ -188,10 +188,11 @@ def eval_m(nl: Nonlinearity, s):
     """Evaluate ``m(s) = |s|^{q-2} s - f(s)``.
 
     A float (``np.float64`` too) of normal size takes Python's ``**``, the
-    C library's pow, as f does.  Any other scalar goes through a 0-d array, whose ``np.abs`` is an
-    ``np.float64``: |s|^{q-2} then takes the same pow, and q < 2 gives
-    m(0) = 0 * inf = nan with numpy's warnings rather than a Python
-    ZeroDivisionError.  An array takes numpy's pow (module docstring)."""
+    C library's pow, as f does.  Any other scalar goes through a 0-d array,
+    whose ``np.abs`` is an ``np.float64``: |s|^{q-2} then takes the same
+    pow, and q < 2 gives m(0) = 0 * inf = nan with numpy's warnings rather
+    than a Python ZeroDivisionError.  An array takes numpy's pow (module
+    docstring)."""
     if isinstance(s, float) and abs(s) >= sys.float_info.min:  # no 1/0 or overflow in the pow
         s = float(s)
         return abs(s) ** (nl.q - 2.0) * s - eval_f(nl, s)

@@ -254,12 +254,13 @@ class Arch:
     def psi(self, w: np.ndarray, derivative: bool = False, ends=None) -> np.ndarray:
         """The substituted integrand at the abscissae w, bounded on [0, top^(1/beta)]:
         in the tail band the w-prefactor cancels exactly.  A column of tops
-        broadcasts against w, with F(top) and top^q evaluated once per top,
-        or read from ``ends``, their columns (``_ends``).
+        broadcasts against w.  F(top) and top^q are evaluated once per call,
+        or read from ``ends``: their floats for a float top, their columns
+        for a column (``_ends``).
         With ``derivative``, at a simple zero, it is that of dI/dtop less its
         end term, -(beta/p) w^(beta-1) G^(-1-1/p) (m(top) - m(t)), where
         m(top) - m(t) is h times the mean of m' in the tail band; ``ends``
-        then also holds the columns of top^(q-1) and f(top)."""
+        then also holds top^(q-1) and f(top)."""
         nl, p, top, beta = self.nl, self.p, self.top, self.beta
         if ends is None:
             ends = (eval_F(nl, top), top**nl.q) + ((top ** (nl.q - 1.0), eval_f(nl, top)) if derivative else ())
