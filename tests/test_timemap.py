@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from plap import quadrature, timemap
 from plap.errors import Divergent, DomainError, HypothesisViolated, NoZeroFound, OutOfRange, QuadratureFailure
 from plap.nonlinearity import areas, build_nonlinearity, eval_F, eval_m, reflected
+from plap.roots import brentq
 from plap.solver import SolutionClass
 from plap.timemap import (
     QUAD_TOL,
@@ -32,7 +33,6 @@ from plap.timemap import (
 )
 
 from oracles import brute_force_I, brute_force_J, sine_integral_closed_form
-from plap.roots import brentq
 
 
 @pytest.fixture(scope="module")
