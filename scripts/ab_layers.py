@@ -13,8 +13,8 @@ as two packages of different names, and times twelve layers in each:
 * ``Arch.derivative``, dI/dtop, on the latter (f, p) at top = z+/2: the
   integral of the fold searches' W' (a lone search's, and below three
   pending tops a round's);
-* a fresh store scan: the batched 1023-level I of a new ``TimeMapCurves``
-  on the latter (f, p) at the area A(z+);
+* a fresh store scan: the 1023-level I of a new ``TimeMapCurves`` on the
+  latter (f, p) at the area A(z+), by the rows form of the rule;
 * ``reconstruct(M=2048)`` of S1+ for p = q = 2, f = s^3 at lambda = 60;
 * ``matching_residual`` of the mixed class S2+ at r = r*/2, lambda = 50:
   on q = 2, f = 2s^3 / -|s|^3, p = 3 (two sides) and on q = 2, f = s^3,
@@ -33,6 +33,9 @@ of each tree in turn, alternating which tree goes first, so both trees see
 the same drifts of a shared machine's speed.  The script prints, per layer,
 the median microseconds per call of each tree over the rounds and their
 ratio (this checkout over the base), so a ratio near 1 means no change.
+Beside the store scan it prints each tree's peak RSS in MB for one cold
+store scan in a fresh interpreter, and how far the scan raised that peak
+above the one after import and set-up.
 Only public ``plap`` names and ``plap.timemap``'s ``level_pos``, ``Arch`` and
 ``TimeMapCurves`` are used, so any two trees that keep them compare.
 """
@@ -44,7 +47,9 @@ import gc
 import importlib
 import importlib.util
 import itertools
+import os
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -68,6 +73,30 @@ _BATCH = {
 }
 
 _ENUMERATE_LAMS = (50.0, 80.0, 130.0, 210.0, 340.0)
+
+
+# one cold store scan of the "store scan" layer in a fresh interpreter: the
+# peak RSS in MB (Linux reports ru_maxrss in kB) before and after it
+_COLD_SCAN = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+import plap, plap.timemap as timemap
+asym = plap.build_nonlinearity("power_asym", 2.0, {"b_plus": 2.0, "b_minus": 1.0, "r_exp": 4.0})
+curves, a_plus = timemap.TimeMapCurves(asym, 3.0), plap.areas(asym)[0]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+curves.integrals(a_plus, False)
+print(before / 1024, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+def _cold_scan_rss(tree: Path) -> tuple[float, float]:
+    """(peak RSS, its rise over the scan) in MB of one cold store scan of
+    ``tree`` in a fresh interpreter."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    argv = [sys.executable, "-c", _COLD_SCAN, str(tree / "src")]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
+    before, after = map(float, out.split())
+    return after, after - before
 
 
 def _load(tree: Path, name: str):
@@ -135,7 +164,9 @@ def main(argv=None) -> int:
     ap.add_argument("--base", required=True, type=Path, help="root of the baseline source tree")
     ap.add_argument("--rounds", type=int, default=15)
     args = ap.parse_args(argv)
-    trees = {"base": _layers(_load(args.base.resolve(), "plap_base")), "this": _layers(_load(ROOT, "plap_this"))}
+    roots = {"base": args.base.resolve(), "this": ROOT}
+    rss = {tree: _cold_scan_rss(root) for tree, root in roots.items()}
+    trees = {"base": _layers(_load(roots["base"], "plap_base")), "this": _layers(_load(ROOT, "plap_this"))}
     for layers in trees.values():  # warm node caches and imports
         for fn in layers.values():
             fn()
@@ -150,6 +181,10 @@ def main(argv=None) -> int:
     for layer in _BATCH:
         base, this = (statistics.median(times[tree][layer]) for tree in ("base", "this"))
         print(f"{layer:<20}{base:>12.1f}{this:>12.1f}{this / base:>8.3f}")
+        if layer == "store scan":
+            for k, label in enumerate(("  peak RSS, MB", "  its rise, MB")):
+                base, this = rss["base"][k], rss["this"][k]
+                print(f"{label:<20}{base:>12.1f}{this:>12.1f}{this / base if base else float('nan'):>8.3f}")
     return 0
 
 

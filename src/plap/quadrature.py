@@ -11,12 +11,13 @@ A level's nodes are the even-k nodes of the next level, bit for bit
 ``_MIN_LEVEL + 1``, gives the sums of the first two levels; every later
 level is one more pass.
 
-The rule comes in three forms that share nodes, levels and acceptance:
-``tanh_sinh`` integrates one function; ``tanh_sinh_rows`` integrates many
-in one pass per level, each row the float of its own ``tanh_sinh`` call
-(the root searches' residuals, which must not depend on their company);
-``tanh_sinh_batch`` does the same with one matrix product per level, whose
-rows may differ from their own calls in the last bit (the store's scans).
+The rule comes in two forms that share nodes, levels and acceptance:
+``tanh_sinh`` integrates one function; ``tanh_sinh_rows`` integrates many,
+each row the float of its own ``tanh_sinh`` call (the root searches'
+residuals, which must not depend on their company, and the store's scans).
+It runs a level in tiles of rows of at most ``_BATCH_NODES`` nodes, so a
+1023-row scan holds a few hundred kB of integrand values at a time, not
+one level's worth, and a row's sum does not depend on its tile.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ _Y_MAX = 40.0  # truncate nodes once pi/2*sinh(kh) exceeds this
 # nodes, gives its sum and level 4's, which may accept
 _MIN_LEVEL = 3
 _MAX_LEVEL = 16  # 2*(asinh(2*_Y_MAX/pi)/2^-16) stays below 2^20 nodes
-# nodes per block of tanh_sinh_batch; splitting a level into blocks may move a
-# row's sum by an ulp, and a 1023-row scan is split only from level 12 on
-_BATCH_NODES = 30_000_000
+# nodes per tile of tanh_sinh_rows (128 kB of values, so a tile's temporaries
+# stay in cache); every row is summed alone, so the tiling moves no float
+_BATCH_NODES = 2**14
 _NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -91,75 +92,43 @@ def tanh_sinh(psi, upper: float, tol: float) -> float:
     raise QuadratureFailure(f"tanh-sinh stalled at level {_MAX_LEVEL} (value {prev!r})")
 
 
-def tanh_sinh_rows(psi_rows, uppers: list[float], tol: float) -> list[float]:
+def tanh_sinh_rows(psi_rows, uppers: list[float] | np.ndarray, tol: float) -> list[float] | np.ndarray:
     """``tanh_sinh`` on many integrals at once, each row the float of its own
-    call: ``[tanh_sinh(psi_i, u_i, tol) for u_i in uppers]``.
+    call: ``[tanh_sinh(psi_i, u_i, tol) for u_i in uppers]``, as a list for a
+    list of uppers and as an ndarray for an array.
 
     ``psi_rows(w_matrix, rows)`` evaluates the integrands of the rows
-    ``rows`` (indices into ``uppers``, ascending), one row of abscissae each,
-    and must give each row the values its own ``psi_i`` gives.  Each level
-    runs on the rows not yet accepted, in one ``psi_rows`` call, and sums
-    every row by its own ``np.dot``, since a matrix product may add a row in
-    another order.  A row still unaccepted at the node cap raises the
-    scalar rule's QuadratureFailure, for the first such row.
+    ``rows`` (an ascending index array into ``uppers``), one row of
+    abscissae each, and must give each row the values its own ``psi_i``
+    gives.  Each level runs on the rows not yet accepted, in tiles of at most
+    ``_BATCH_NODES`` nodes, one ``psi_rows`` call each, and sums every row by
+    its own dot product (``np.vecdot``, which adds a row in the order of
+    ``np.dot``; a matrix product may not), so a row does not depend on its
+    tile.  A row still unaccepted at the node cap raises the scalar rule's
+    QuadratureFailure, for the first such row.
     """
-    out = [0.0] * len(uppers)
-    prev = [0.0] * len(uppers)
-    active = [i for i, upper in enumerate(uppers) if upper != 0.0]
+    ups = np.asarray(uppers, dtype=float)
+    out = np.zeros(ups.size)
+    prev = np.empty(ups.size)
+    active = np.flatnonzero(ups != 0.0)
     for level in range(_MIN_LEVEL + 1, _MAX_LEVEL + 1):
-        if not active:
-            return out
+        if active.size == 0:
+            break
         fr, wt = _nodes(level)
-        vals = psi_rows(np.array([uppers[i] for i in active])[:, None] * fr, active)
-        if level == _MIN_LEVEL + 1:
-            even, wt_min = _even_k(vals), _nodes(_MIN_LEVEL)[1]
-            for k, i in enumerate(active):
-                prev[i] = uppers[i] * float(np.dot(even[k], wt_min))
-        still = []
-        for k, i in enumerate(active):
-            val = uppers[i] * float(np.dot(vals[k], wt))
-            if abs(val - prev[i]) > tol * max(abs(val), 1e-300):
-                still.append(i)
-                prev[i] = val
-            out[i] = val
-        active = still
-    if active:
-        raise QuadratureFailure(f"tanh-sinh stalled at level {_MAX_LEVEL} (value {prev[active[0]]!r})")
-    return out
-
-
-def tanh_sinh_batch(psi_rows, uppers: np.ndarray, tol: float) -> np.ndarray:
-    """Row-wise tanh-sinh for a family of integrals sharing one rule.
-
-    ``psi_rows(w_matrix, row_idx)`` evaluates the integrand for the selected
-    rows at a matrix of abscissae (one row per integral).  Each level runs
-    on the rows not yet converged, in blocks of at most ``_BATCH_NODES``
-    nodes; the first pass, on level 4's nodes, gives each block the sums of
-    levels 3 and 4 in one ``psi_rows`` call.  A row still unconverged at the
-    node cap raises QuadratureFailure.
-    """
-    uppers = np.asarray(uppers, dtype=float)
-    out = np.empty(uppers.size)
-    prev = np.empty(uppers.size)
-    active = np.arange(uppers.size)
-    for level in range(_MIN_LEVEL + 1, _MAX_LEVEL + 1):
-        fr, wt = _nodes(level)
-        rows = max(1, _BATCH_NODES // fr.size)
-        for k in range(0, active.size, rows):
-            idx = active[k : k + rows]
-            vals = psi_rows(uppers[idx, None] * fr[None, :], idx)
+        tile = max(1, _BATCH_NODES // fr.size)
+        for k in range(0, active.size, tile):
+            idx = active[k : k + tile]
+            vals = psi_rows(ups[idx, None] * fr, idx)
             if level == _MIN_LEVEL + 1:
-                prev[idx] = uppers[idx] * (_even_k(vals) @ _nodes(_MIN_LEVEL)[1])
-            out[idx] = uppers[idx] * (vals @ wt)
+                prev[idx] = ups[idx] * np.vecdot(_even_k(vals), _nodes(_MIN_LEVEL)[1])
+            out[idx] = ups[idx] * np.vecdot(vals, wt)
         est = out[active]
         done = np.abs(est - prev[active]) <= tol * np.maximum(np.abs(est), 1e-300)
         prev[active] = est
         active = active[~done]
-        if active.size == 0:
-            return out
-    raise QuadratureFailure(
-        f"tanh-sinh stalled at level {_MAX_LEVEL} in {active.size} of {uppers.size} rows"
-    )
+    if active.size:
+        raise QuadratureFailure(f"tanh-sinh stalled at level {_MAX_LEVEL} (value {float(prev[active[0]])!r})")
+    return out.tolist() if isinstance(uppers, list) else out
 
 
 _GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)

@@ -212,7 +212,7 @@ def _roots(problem: Problem, searches: tuple[tuple[SolutionClass, float], ...]) 
     kappa, lam, p = problem.kappa, problem.lam, problem.p
     weights = [(2.0 * sc.n_pos, 2.0 * sc.n_neg) for sc, _ in searches]
     leads = [curves.lead(sc.n_pos) for sc, _ in searches]
-    grids = [curves.levels(area, lead is not curves.nl).tolist() for lead, (_, area) in zip(leads, searches)]
+    grids = [curves.levels(area, lead is not curves.nl) for lead, (_, area) in zip(leads, searches)]
     scans = [2.0 * kappa * curves.weights(sc.n_pos, sc.n_neg, area) - 1.0 for sc, area in searches]
     known: list[dict[float, float]] = [{} for _ in searches]  # each search's residuals by level
     roots: list[list[tuple[float, float, bool]]] = [[] for _ in searches]  # (z, residual, degenerate)
@@ -244,10 +244,10 @@ def _roots(problem: Problem, searches: tuple[tuple[SolutionClass, float], ...]) 
     # a coarser tolerance, so each bracket is confirmed before Brent, and a
     # crossing that never rises above evaluation noise is rejected
     crossings = [(k, i) for k, res in enumerate(scans) for i in np.where(np.sign(res[:-1]) * np.sign(res[1:]) < 0)[0]]
-    ends = residuals([(k, grids[k][n]) for k, i in crossings for n in (i, i + 1)])
+    ends = residuals([(k, float(grids[k][n])) for k, i in crossings for n in (i, i + 1)])
     noise_floor = 1e-10  # residual evaluations are only this trustworthy
     refine([
-        (k, grids[k][i], grids[k][i + 1])
+        (k, float(grids[k][i]), float(grids[k][i + 1]))
         for (k, i), f_lo, f_hi in zip(crossings, ends[::2], ends[1::2])
         if f_lo * f_hi < 0.0 and min(abs(f_lo), abs(f_hi)) >= noise_floor
     ])
@@ -260,11 +260,11 @@ def _roots(problem: Problem, searches: tuple[tuple[SolutionClass, float], ...]) 
         dips = []  # (k, i) of each minimum that needs its fold
         for k, res in enumerate(scans):
             for i in np.where((res[1:-1] < res[:-2]) & (res[1:-1] <= res[2:]))[0] + 1:
-                lo, hi = grids[k][i - 1], grids[k][i + 1]
+                lo, hi = float(grids[k][i - 1]), float(grids[k][i + 1])
                 if -delta <= res[i] <= 0.05 and not any(lo <= z <= hi for z, _, _ in roots[k]):
                     dips.append((k, i))
         folds = curves.folds([(searches[k][0].n_pos, searches[k][0].n_neg, searches[k][1], i) for k, i in dips])
-        dips = [(k, grids[k][i - 1], fold.level, grids[k][i + 1]) for (k, i), fold in zip(dips, folds)]
+        dips = [(k, float(grids[k][i - 1]), fold.level, float(grids[k][i + 1])) for (k, i), fold in zip(dips, folds)]
         sides = []
         for (k, lo, z_min, hi), f_min in zip(dips, residuals([(k, z) for k, _, z, _ in dips])):
             if abs(f_min) <= _TANGENT_TOL:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import Divergent, DomainError, OutOfRange
 from .nonlinearity import Nonlinearity, areas, eval_F, eval_df, eval_f, eval_m, reflected
-from .quadrature import cumulative_gl, tanh_sinh, tanh_sinh_batch, tanh_sinh_rows
+from .quadrature import cumulative_gl, tanh_sinh, tanh_sinh_rows
 from .roots import brentq, brentq_lockstep
 
 _TAIL_FRAC = 1e-2  # switch from the direct formula to the tail integral
@@ -218,8 +218,8 @@ class Arch:
     ``double`` marks a double zero of G at ``top`` = z_plus (a plateau edge,
     p > 2); otherwise the zero is simple (an arch top).  ``top`` may also be
     an array of simple-zero tops (``integral`` gives I at each by the
-    batched rule), a list of them (``integral`` gives the list of I at each,
-    every one the float of its top alone) or a column of them (``psi`` at a
+    rows form of the rule), a list of them (``integral`` gives the list of
+    I at each, every one the float of its top alone) or a column of them (``psi`` at a
     matrix of abscissae, one row per top).  dI/dtop (``derivative``, and
     ``psi``'s derivative integrand) is served for a simple zero, at a float
     top or at a list of them, every one the float of its top alone."""
@@ -321,13 +321,15 @@ class Arch:
 
     def integral(self, tol: float = QUAD_TOL) -> float | np.ndarray | list[float]:
         """I(top), the arch's half-width in G-space (before kappa); for an
-        array of tops, I at each by the batched rule; for a list of tops, I
-        at each by the rows form of the scalar rule (``_rows``)."""
+        array or a list of tops, I at each by the rows form of the rule: an
+        array (a scan) with its upper limits and ends by numpy's array ops, a
+        list (``_rows``) with each row the float of the scalar integral at
+        its top."""
         if isinstance(self.top, list):
             return self._rows(False, tol)
         upper = self.top ** (1.0 / self.beta)
         if isinstance(self.top, np.ndarray):
-            return tanh_sinh_batch(lambda w, idx: replace(self, top=self.top[idx, None]).psi(w), upper, tol)
+            return tanh_sinh_rows(lambda w, idx: replace(self, top=self.top[idx, None]).psi(w), upper, tol)
         return tanh_sinh(self.psi, upper, tol)
 
     def derivative(self) -> float | list[float]:
@@ -487,7 +489,8 @@ class TimeMapCurves:
     def __init__(self, nl: Nonlinearity, p: float):
         self.nl, self.p = nl, p
         half = np.geomspace(_SCAN_EPS, 0.5, _SCAN_POINTS // 2)
-        self.fractions = np.unique(np.concatenate([half, 1.0 - half[::-1]]))
+        # ascending, with 0.5 once; np.unique would import numpy.ma on a cold CLI
+        self.fractions = np.concatenate([half, 1.0 - half[-2::-1]])
         self.fractions.flags.writeable = False
         self._levels: dict[tuple[float, bool], np.ndarray] = {}
         self._scans: dict[tuple[float, bool], np.ndarray] = {}

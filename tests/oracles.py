@@ -7,7 +7,7 @@ tanh-sinh; and extended-precision expm1-based evaluation of the radicand
 instead of the tail-integral trick.  ``ode_residual`` reads the matching
 condition off the shooting oracle's half arches instead of the time map.
 
-The one exception is ``tanh_sinh_by_level`` (and its batch form): the
+The one exception is ``tanh_sinh_by_level`` (and its rows form): the
 library's own tanh-sinh rule, run as one integrand pass per level.  It is an
 exact reference, not an independent one: the library gets its first two
 levels from one pass, and must give the same floats bit for bit.
@@ -153,25 +153,29 @@ def tanh_sinh_by_level(psi, upper: float, tol: float) -> float:
     raise QuadratureFailure(f"tanh-sinh stalled at level {quadrature._MAX_LEVEL} (value {prev!r})")
 
 
-def tanh_sinh_batch_by_level(psi_rows, uppers: np.ndarray, tol: float) -> np.ndarray:
-    """``quadrature.tanh_sinh_batch`` with one call of ``psi_rows`` per level
-    and block, from level ``_MIN_LEVEL`` on."""
-    uppers = np.asarray(uppers, dtype=float)
-    out = np.empty(uppers.size)
-    prev = np.full(uppers.size, np.nan)
-    active = np.arange(uppers.size)
+def tanh_sinh_rows_by_level(psi_rows, uppers, tol: float):
+    """``quadrature.tanh_sinh_rows`` with one call of ``psi_rows`` per level
+    and tile, from level ``_MIN_LEVEL`` on, each row summed by its own
+    ``np.dot``."""
+    ups = np.asarray(uppers, dtype=float)
+    out = np.zeros(ups.size)
+    prev = np.full(ups.size, np.nan)
+    active = np.flatnonzero(ups != 0.0)
     for level in range(quadrature._MIN_LEVEL, quadrature._MAX_LEVEL + 1):
+        if active.size == 0:
+            break
         fr, wt = quadrature._nodes(level)
-        rows = max(1, quadrature._BATCH_NODES // fr.size)
-        for k in range(0, active.size, rows):
-            idx = active[k : k + rows]
-            out[idx] = uppers[idx] * (psi_rows(uppers[idx, None] * fr[None, :], idx) @ wt)
+        tile = max(1, quadrature._BATCH_NODES // fr.size)
+        for k in range(0, active.size, tile):
+            idx = active[k : k + tile]
+            vals = psi_rows(ups[idx, None] * fr, idx)
+            out[idx] = [upper * float(np.dot(row, wt)) for upper, row in zip(ups[idx], vals)]
         est = out[active]
         done = np.abs(est - prev[active]) <= tol * np.maximum(np.abs(est), 1e-300)
         prev[active] = est
         active = active[~done]
-        if active.size == 0:
-            return out
-    raise QuadratureFailure(
-        f"tanh-sinh stalled at level {quadrature._MAX_LEVEL} in {active.size} of {uppers.size} rows"
-    )
+    if active.size:
+        raise QuadratureFailure(
+            f"tanh-sinh stalled at level {quadrature._MAX_LEVEL} (value {float(prev[active[0]])!r})"
+        )
+    return out.tolist() if isinstance(uppers, list) else out

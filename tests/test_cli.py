@@ -658,3 +658,19 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_cold_solve_loads_no_numpy_ma(tmp_path):
+    # numpy.ma costs a cold CLI command about 8 ms to import, and plap reads none of it
+    code = (
+        "import contextlib, io, sys\n"
+        "from plap.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['solve', '--config', {write_config(tmp_path)!r}, '--jmax', '2']) == 0\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    src = str(Path(plap.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True
+    )
+    assert proc.stdout.strip() == "False"

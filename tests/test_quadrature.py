@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from oracles import tanh_sinh_batch_by_level, tanh_sinh_by_level
+from oracles import tanh_sinh_by_level, tanh_sinh_rows_by_level
 
 from plap import quadrature, timemap
 from plap.errors import QuadratureFailure
-from plap.quadrature import _MAX_LEVEL, _MIN_LEVEL, cumulative_gl, tanh_sinh, tanh_sinh_batch, tanh_sinh_rows
+from plap.quadrature import _MAX_LEVEL, _MIN_LEVEL, cumulative_gl, tanh_sinh, tanh_sinh_rows
 from plap.timemap import QUAD_TOL, Arch, TimeMapCurves
 
 
@@ -56,25 +56,28 @@ class TestTanhSinh:
 
 
 class TestTanhSinhBatch:
+    """``tanh_sinh_rows`` on an array of uppers, the batch of a store scan:
+    an array back, every row the float of its own call, whatever its tile."""
+
     exponents = np.array([-0.5, -0.25, 0.0, 0.5, 1.0, 2.5, 7.0])
     uppers = np.array([0.3, 1.0, 2.0, 0.01, 5.0, 1.5, 1.1])
 
     def test_closed_forms(self):
-        got = tanh_sinh_batch(_power_rows(self.exponents), self.uppers, 1e-12)
+        got = tanh_sinh_rows(_power_rows(self.exponents), self.uppers, 1e-12)
+        assert isinstance(got, np.ndarray)
         exact = self.uppers ** (self.exponents + 1.0) / (self.exponents + 1.0)
         np.testing.assert_allclose(got, exact, rtol=1e-12)
 
     def test_rows_equal_the_scalar_driver(self):
-        got = tanh_sinh_batch(_power_rows(self.exponents), self.uppers, 1e-12)
-        for e, upper, row in zip(self.exponents, self.uppers, got):
-            # the same nodes and levels; the row's dot product may round differently
-            assert row == pytest.approx(tanh_sinh(lambda w: w**e, upper, 1e-12), rel=1e-15, abs=0.0)
+        got = tanh_sinh_rows(_power_rows(self.exponents), self.uppers, 1e-12)
+        assert got.tolist() == [tanh_sinh(lambda w: w**e, upper, 1e-12) for e, upper in zip(self.exponents, self.uppers)]
 
     def test_blocks_agree_with_one_block(self, monkeypatch):
         rng = np.random.default_rng(7)
         exponents = rng.uniform(-0.5, 3.0, 300)
         uppers = rng.uniform(0.1, 3.0, 300)
-        whole = tanh_sinh_batch(_power_rows(exponents), uppers, 1e-12)
+        monkeypatch.setattr(quadrature, "_BATCH_NODES", 30_000_000)
+        whole = tanh_sinh_rows(_power_rows(exponents), uppers, 1e-12)
         shapes = []
 
         def rows(w, idx):
@@ -82,20 +85,23 @@ class TestTanhSinhBatch:
             return w ** exponents[idx][:, None]
 
         monkeypatch.setattr(quadrature, "_BATCH_NODES", 5000)
-        blocked = tanh_sinh_batch(rows, uppers, 1e-12)
+        blocked = tanh_sinh_rows(rows, uppers, 1e-12)
         assert max(r * n for r, n in shapes) <= 5000
         assert len(shapes) > 2 * len({n for _, n in shapes})  # levels ran in several blocks
-        np.testing.assert_allclose(blocked, whole, rtol=1e-14, atol=0.0)
+        assert blocked.tolist() == whole.tolist()
 
     def test_no_rows(self):
-        assert tanh_sinh_batch(_power_rows([]), np.array([]), 1e-12).size == 0
+        assert tanh_sinh_rows(_power_rows([]), np.array([]), 1e-12).size == 0
 
     def test_unresolved_oscillation_fails(self):
         with pytest.raises(QuadratureFailure) as failure:
-            tanh_sinh_batch(_oscillation, np.array([1.0, 0.5]), 1e-10)
-        with pytest.raises(QuadratureFailure) as reference:
-            tanh_sinh_batch_by_level(_oscillation, np.array([1.0, 0.5]), 1e-10)
-        assert str(failure.value) == str(reference.value)
+            tanh_sinh_rows(_oscillation, np.array([1.0, 0.5]), 1e-10)
+        with pytest.raises(QuadratureFailure) as reference:  # the first stalled row's own failure
+            tanh_sinh(_oscillation, 1.0, 1e-10)
+        with pytest.raises(QuadratureFailure) as by_level:
+            tanh_sinh_rows_by_level(_oscillation, np.array([1.0, 0.5]), 1e-10)
+        assert str(failure.value) == str(reference.value) == str(by_level.value)
+        assert "np.float64" not in str(failure.value)
 
 
 class TestTanhSinhRows:
@@ -150,12 +156,12 @@ class TestFirstPass:
         assert ref == [(quadrature._nodes(_MIN_LEVEL)[0].size,), (self.first,)]  # it accepts at level 4
         assert new == [(self.first,)]
 
-    @pytest.mark.parametrize("batch_nodes", [quadrature._BATCH_NODES, 1000])
+    @pytest.mark.parametrize("batch_nodes", [1000, 2**14, 30_000_000])
     def test_a_level_4_batch_is_one_call_per_block(self, monkeypatch, batch_nodes):
         monkeypatch.setattr(quadrature, "_BATCH_NODES", batch_nodes)
         exponents = np.linspace(0.0, 3.0, 20)
         shapes = []
-        tanh_sinh_batch(_sizes(_power_rows(exponents), shapes), np.full(20, 1.5), 1e-12)
+        tanh_sinh_rows(_sizes(_power_rows(exponents), shapes), np.full(20, 1.5), 1e-12)
         block = max(1, batch_nodes // self.first)
         assert shapes == [(min(block, 20 - k), self.first) for k in range(0, 20, block)]
 
@@ -180,8 +186,34 @@ class TestFirstPass:
     def test_a_store_scan_equals_one_pass_per_level(self, asym, monkeypatch, negative):
         area = timemap._area(asym, asym.z_plus)
         got = TimeMapCurves(asym, 3.0).integrals(area, negative)
-        monkeypatch.setattr(timemap, "tanh_sinh_batch", tanh_sinh_batch_by_level)
+        monkeypatch.setattr(timemap, "tanh_sinh_rows", tanh_sinh_rows_by_level)
         assert got.tolist() == TimeMapCurves(asym, 3.0).integrals(area, negative).tolist()
+
+
+class TestTiles:
+    """A store scan runs each level in tiles of at most ``_BATCH_NODES``
+    nodes, and its floats do not depend on the tiling."""
+
+    @pytest.mark.parametrize("fixture", ["asym", "cubic_odd"])
+    def test_a_store_scan_does_not_depend_on_its_tiles(self, request, monkeypatch, fixture):
+        nl = request.getfixturevalue(fixture)
+        area = timemap._area(nl, nl.z_plus)
+        scans = []
+        for batch_nodes in (1000, 2**14, 30_000_000):
+            monkeypatch.setattr(quadrature, "_BATCH_NODES", batch_nodes)
+            scans.append(TimeMapCurves(nl, 3.0).integrals(area, False).tolist())
+        assert scans[0] == scans[1] == scans[2]
+
+    def test_a_cold_scan_evaluates_at_most_a_tile_per_call(self, asym, monkeypatch):
+        sizes, psi = [], Arch.psi
+
+        def logged(self, w, *args):
+            sizes.append(np.size(w))
+            return psi(self, w, *args)
+
+        monkeypatch.setattr(Arch, "psi", logged)
+        TimeMapCurves(asym, 3.0).integrals(timemap._area(asym, asym.z_plus), False)
+        assert len(sizes) > 1 and max(sizes) <= quadrature._BATCH_NODES
 
 
 def test_cumulative_gl_closed_form():

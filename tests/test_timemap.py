@@ -478,6 +478,14 @@ class TestTimeMaps:
         t2 = theta(prob2, 2 ** (1 / p) * r)
         assert t1 == pytest.approx(2 ** (1 / p) * t2, rel=1e-11)
 
+    def test_scan_fractions_are_the_sorted_union_of_two_halves(self, asym):
+        # 512 fractions from 1e-12 to 0.5 and their mirror images, 0.5 once
+        half = np.geomspace(timemap._SCAN_EPS, 0.5, timemap._SCAN_POINTS // 2)
+        union = np.unique(np.concatenate([half, 1.0 - half[::-1]]))
+        fractions = TimeMapCurves(asym, 3.0).fractions
+        assert fractions.size == 1023
+        assert fractions.view(np.uint64).tolist() == union.view(np.uint64).tolist()
+
     def test_grid_matches_scalars(self, ci_problem, asym):
         # kappa times the store's scans at A g^p are theta and alpha at the
         # slopes r_A g, for an odd f (where J's scan is I's) and an asymmetric one
