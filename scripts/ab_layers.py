@@ -166,7 +166,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     roots = {"base": args.base.resolve(), "this": ROOT}
     rss = {tree: _cold_scan_rss(root) for tree, root in roots.items()}
-    trees = {"base": _layers(_load(roots["base"], "plap_base")), "this": _layers(_load(ROOT, "plap_this"))}
+    trees = {tree: _layers(_load(root, f"plap_{tree}")) for tree, root in roots.items()}
     for layers in trees.values():  # warm node caches and imports
         for fn in layers.values():
             fn()

@@ -31,8 +31,9 @@ _Y_MAX = 40.0  # truncate nodes once pi/2*sinh(kh) exceeds this
 # nodes, gives its sum and level 4's, which may accept
 _MIN_LEVEL = 3
 _MAX_LEVEL = 16  # 2*(asinh(2*_Y_MAX/pi)/2^-16) stays below 2^20 nodes
-# nodes per tile of tanh_sinh_rows (128 kB of values, so a tile's temporaries
-# stay in cache); every row is summed alone, so the tiling moves no float
+# nodes per tile of tanh_sinh_rows: 128 kB per array of values, so a pass's
+# temporaries stay cache-sized; every row is summed alone, so the tiling
+# moves no float
 _BATCH_NODES = 2**14
 _NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
