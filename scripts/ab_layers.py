@@ -3,7 +3,7 @@
     python scripts/ab_layers.py --base <tree> [--rounds 15]
 
 Imports ``<tree>/src/plap`` and this checkout's ``src/plap`` side by side,
-as two packages of different names, and times twelve layers in each:
+as two packages of different names, and times fifteen layers in each:
 
 * the scalar level map ``level_pos`` on q = 2, f = 2s^3 / -|s|^3 at
   rho = 0.3 A(z+): the Brent inversion inside ``matching_residual`` and, for
@@ -16,6 +16,12 @@ as two packages of different names, and times twelve layers in each:
 * a fresh store scan: the 1023-level I of a new ``TimeMapCurves`` on the
   latter (f, p) at the area A(z+), by the rows form of the rule;
 * ``reconstruct(M=2048)`` of S1+ for p = q = 2, f = s^3 at lambda = 60;
+* the oracle ``shoot_compare`` on a ``reconstruct(M=2048)`` profile of S2+:
+  for p = q = 2, f = s^3 at lambda = 60 (odd: one half, reflected for the
+  negative arch) and for p = 3, q = 2, f = 2s^3 / -|s|^3 at lambda = 240
+  (two halves);
+* ``classify_regularity`` of S3+ for p = q = 2, f = s^3 at lambda = 120,
+  whose tops at +z, -z, +z share one block of checks for an odd f;
 * ``matching_residual`` of the mixed class S2+ at r = r*/2, lambda = 50:
   on q = 2, f = 2s^3 / -|s|^3, p = 3 (two sides) and on q = 2, f = s^3,
   p = 2 (odd, one shared side);
@@ -64,6 +70,9 @@ _BATCH = {
     "derivative": 200,
     "store scan": 6,
     "reconstruct": 20,
+    "oracle S2+ odd": 10,
+    "oracle S2+ asym": 4,
+    "regularity S3+": 30,
     "residual asym": 100,
     "residual odd": 100,
     "structure N=6": 4,
@@ -121,6 +130,14 @@ def _layers(plap) -> dict:
     problem = plap.Problem(p=2.0, nl=cubic, lam=60.0)
     descriptor = plap.solve_class(problem, plap.SolutionClass(1, "+"))[0]
     mixed = plap.SolutionClass(2, "+")
+    profiles = {}  # layer -> (problem, profile) of the first descriptor of a class
+    for layer, nl, p, lam, j in (
+        ("oracle S2+ odd", cubic, 2.0, 60.0, 2),
+        ("oracle S2+ asym", asym, 3.0, 240.0, 2),
+        ("regularity S3+", cubic, 2.0, 120.0, 3),
+    ):
+        prob = plap.Problem(p=p, nl=nl, lam=lam)
+        profiles[layer] = prob, plap.reconstruct(prob, plap.solve_class(prob, plap.SolutionClass(j, "+"))[0], M=2048)
     on_asym, on_odd = plap.Problem(p=3.0, nl=asym, lam=50.0), plap.Problem(p=2.0, nl=cubic, lam=50.0)
     r_asym, r_odd = (0.5 * plap.slope_bounds(prob).r_star for prob in (on_asym, on_odd))
     qgtp_asym = plap.build_nonlinearity("power_asym", 3.0, {"b_plus": 1.5, "b_minus": 1.0, "r_exp": 5.0})
@@ -136,6 +153,9 @@ def _layers(plap) -> dict:
         "derivative": lambda: timemap.Arch(asym, 3.0, 0.5 * asym.z_plus, False).derivative(),
         "store scan": lambda: timemap.TimeMapCurves(asym, 3.0).integrals(a_plus, False),
         "reconstruct": lambda: plap.reconstruct(problem, descriptor, M=2048),
+        "oracle S2+ odd": lambda: plap.shoot_compare(*profiles["oracle S2+ odd"]),
+        "oracle S2+ asym": lambda: plap.shoot_compare(*profiles["oracle S2+ asym"]),
+        "regularity S3+": lambda: plap.classify_regularity(*profiles["regularity S3+"]),
         "residual asym": lambda: plap.matching_residual(on_asym, mixed, r_asym),
         "residual odd": lambda: plap.matching_residual(on_odd, mixed, r_odd),
         "structure N=6": lambda: plap.structure(fold, 6),

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import NoZeroFound
+from .errors import NoZeroFound, ignores_underflow
 from .nonlinearity import Nonlinearity, areas
 from .solver import (
     SolutionClass,
@@ -97,6 +97,7 @@ class BifurcationTable:
         return self.star_plus if sign == "+" else self.star_minus
 
 
+@ignores_underflow
 def bifurcation_table(nl: Nonlinearity, p: float, N: int) -> BifurcationTable:
     """Thresholds for n = 1..N.
 
@@ -178,6 +179,7 @@ class StructureReport:
         }
 
 
+@ignores_underflow
 def structure(problem: Problem, N: int) -> StructureReport:
     """Per-class cardinality tags for classes 1..N at the problem's lambda,
     from each class's lambda-free thresholds alone.

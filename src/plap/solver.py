@@ -43,7 +43,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import OutOfRange
+from .errors import OutOfRange, ignores_underflow
 from .nonlinearity import Nonlinearity, areas
 from .roots import brentq_lockstep
 from .timemap import (
@@ -151,6 +151,7 @@ def continuum_dimension(sclass: SolutionClass, relation: str) -> int:
     return sum(sclass.plateaus(flat_core_side(sclass, relation))) - 1
 
 
+@ignores_underflow
 def matching_residual(problem: Problem, sclass: SolutionClass, r: float) -> float:
     """Left side of the class's matching condition minus 1: ``weigh`` of the
     half-widths kappa I at the levels of slope r (theta on the positive side,
@@ -304,6 +305,7 @@ def _descriptors(problem: Problem, sclass: SolutionClass, roots) -> list[Solutio
     return out
 
 
+@ignores_underflow
 def solve_class(problem: Problem, sclass: SolutionClass) -> list[SolutionDescriptor]:
     """All solutions in one class: regular matching roots, a tangent root at
     a fold, and the flat-core continuum descriptor when the budget is open.
@@ -341,6 +343,7 @@ def iter_solutions(problem: Problem, j_max: int) -> Iterator[SolutionDescriptor]
     return chain([TRIVIAL], chain.from_iterable(solve_class(problem, sclass) for sclass in classes))
 
 
+@ignores_underflow
 def enumerate_solutions(problem: Problem, j_max: int) -> list[SolutionDescriptor]:
     """Trivial marker plus every descriptor of every class with j <= j_max:
     ``list(iter_solutions(problem, j_max))``, float for float, from one root

@@ -37,7 +37,7 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import Divergent, DomainError, OutOfRange
+from .errors import Divergent, DomainError, OutOfRange, ignores_underflow
 from .nonlinearity import Nonlinearity, areas, eval_F, eval_df, eval_f, eval_m, reflected
 from .quadrature import cumulative_gl, tanh_sinh, tanh_sinh_rows
 from .roots import brentq, brentq_lockstep
@@ -387,6 +387,7 @@ class Arch:
 # ---------------------------------------------------------------------------
 
 
+@ignores_underflow
 def integral_I(nl: Nonlinearity, p: float, a: float | list[float], tol: float = QUAD_TOL):
     """I(a) for a in (0, z_plus]; the endpoint needs p > 2.  A list of levels
     gives the list of I at each, every one the float of its level alone: the

@@ -1,3 +1,4 @@
+import math
 from itertools import groupby
 
 import numpy as np
@@ -295,7 +296,8 @@ class TestShoot:
         assert shoot_compare(ci_prob, reconstruct(ci_prob, ci_first, M=2048)) < ORACLE_TOL
         assert len(runs) == 1 and runs[0][0] <= 150
         # an S_j trajectory is made of at most two halves, one per sign,
-        # whatever j, and for an asymmetric f the two differ.  For p > 2,
+        # whatever j: an odd f runs one and reflects it for the other sign
+        # (``_reflect``), and for an asymmetric f the two differ.  For p > 2,
         # phi' = |w|^(1/(p-1)) is not smooth at an arch top, so the error
         # estimate rejects steps there; without rejections a step takes 15
         # evaluations of w'.  A run of the whole trajectory crossed j tops
@@ -387,6 +389,100 @@ def test_ode_residual_matches_matching_residual(request, name, p, c):
             assert ode[0] * ode[2] < 0.0, (j, sign, ode)
 
 
+def _unmirrored(nl, monkeypatch):
+    """Patch ``nl.odd`` to False, so the profile layer builds every half and
+    every check block of both signs afresh."""
+    assert nl.odd
+    monkeypatch.setitem(vars(nl), "odd", False)
+
+
+def _profile_bytes(prof) -> tuple:
+    return (prof.x.tobytes(), prof.phi.tobytes(), prof.dphi.tobytes(), repr(prof.turning_points),
+            prof.flat_intervals, prof.nodes, prof.segments)
+
+
+@pytest.fixture(scope="module")
+def odd_poly():
+    """q = 2, f = s^3 - 0.1 s^5 as a polynomial: odd, with zero even-power
+    coefficients, which the reflection turns into -0.0."""
+    nl = build_nonlinearity("polynomial", 2.0, {"coeffs": [0.0, 0.0, 1.0, 0.0, -0.1]})
+    assert nl.odd
+    return nl
+
+
+class TestOddMirror:
+    """For an odd f the profile layer builds each object once per |level|
+    and reflects it for the other sign; every output equals the unmirrored
+    one bit for bit."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("name", ["cubic_odd", "odd_poly"])
+    def test_reflected_half_is_a_fresh_run(self, request, name, p):
+        nl = request.getfixturevalue(name)
+        prob = Problem(p=p, nl=nl, lam=50.0)
+        for g in (0.3, 0.9, 0.999):
+            r0 = g * slope_bounds(prob).r_star
+            pos, neg = (profile._half(prob, r0, positive, 10.0, 100_000) for positive in (True, False))
+            mirror = profile._reflect(pos)
+            assert mirror.steps.tobytes() == neg.steps.tobytes(), g
+            assert (mirror.width, mirror.top) == (neg.width, neg.top) and math.isfinite(neg.width)
+            assert math.copysign(1.0, mirror.top) == -1.0
+
+    def test_shoot_stopping_before_the_second_top(self, cubic_odd, monkeypatch):
+        # the grid ends just past the first zero: a fresh second half runs
+        # only that far and stops before its top, the reflected one is the
+        # first half's full run, and the samples agree bit for bit
+        prob = Problem(p=2.0, nl=cubic_odd, lam=6.5 * np.pi**2)
+        d = solve_class(prob, SolutionClass(2, "+"))[0]
+        at = np.linspace(0.0, 0.52, 209)
+        halves, run = [], profile._half
+        monkeypatch.setattr(profile, "_half", lambda *args: halves.append(run(*args)) or halves[-1])
+        mirrored = shoot(prob, d.r, d.sign, 100_000, at=at)
+        assert len(halves) == 1
+        halves.clear()
+        _unmirrored(cubic_odd, monkeypatch)
+        fresh = shoot(prob, d.r, d.sign, 100_000, at=at)
+        assert len(halves) == 2 and math.isinf(halves[1].width)
+        assert len(mirrored.turning_points) == 1 and mirrored.nodes == fresh.nodes == [pytest.approx(0.5)]
+        assert _profile_bytes(mirrored) == _profile_bytes(fresh)
+
+    @pytest.mark.parametrize("kind, factor", [("regular", 0.5), ("flat_core", 1.3)])
+    @pytest.mark.parametrize("name", ["cubic_odd", "quintic_q3"])
+    def test_reconstruct_and_regularity_unmirrored(self, request, name, kind, factor, monkeypatch):
+        nl = request.getfixturevalue(name)
+        tab = bifurcation_table(nl, 3.0, 3)
+        cases = []
+        for j, sign in ((2, "+"), (2, "-"), (3, "+"), (3, "-")):
+            prob = Problem(p=3.0, nl=nl, lam=factor * tab.tilde_plus[j - 1])
+            (d,) = [x for x in solve_class(prob, SolutionClass(j, sign)) if x.kind == kind]
+            cases.append((prob, d))
+        built, arch_half = [], profile._arch_half
+        monkeypatch.setattr(profile, "_arch_half", lambda *args: built.append(args[1:3]) or arch_half(*args))
+
+        def outputs():
+            out, halves = [], []
+            for prob, d in cases:
+                built.clear()
+                prof = reconstruct(prob, d, M=1024)
+                out.append((_profile_bytes(prof), repr(classify_regularity(prob, prof)),
+                            shoot_compare(prob, prof)))
+                halves.append(list(built))
+            return out, halves
+
+        mirrored, halves = outputs()
+        _unmirrored(nl, monkeypatch)
+        fresh, fresh_halves = outputs()
+        assert mirrored == fresh
+        # one arch half per (|level|, double), built at its first arch: S_2
+        # turns at +a and -a, S_3 at +a, -a, +a, and a flat core has
+        # plateaus at z+ and z- as well
+        for ours, theirs in zip(halves, fresh_halves):
+            assert [(abs(level), double) for level, double in ours] == list(
+                dict.fromkeys((abs(level), double) for level, double in theirs)
+            )
+            assert len(ours) < len(theirs)
+
+
 class TestRegularity:
     def test_p2_is_c2(self, ci_prob, ci_first):
         prof = reconstruct(ci_prob, ci_first, M=512)
@@ -473,8 +569,16 @@ class TestRegularity:
                 # turning points of one (level, double) differ only in x
                 assert blocks.setdefault((tp["phi"], tp["double"]), block) == block
         assert len(blocks) < len(prof.turning_points)
-        # one forward distance per distinct (side, level, double, w)
-        assert len(calls) == len(set(calls)) == sum(len(b) for b in blocks.values())
+        # an odd f builds one block per (|level|, double) and gives the
+        # other sign's turning points its entries with their own phi
+        built = {(abs(phi) if nl.odd else phi, double): len(b) for (phi, double), b in blocks.items()}
+        for (phi, double), block in blocks.items():
+            if nl.odd and (-phi, double) in blocks:
+                assert [{**c, "phi": -phi} for c in block] == blocks[-phi, double]
+        assert len(built) == (1 if kind == "regular" else len(blocks))
+        # one forward distance per distinct (level, double, w), the level
+        # taken as |level| for an odd f
+        assert len(calls) == len(set(calls)) == sum(built.values())
 
 
 # seed-1 census inputs 10, 15, 26 and 83 of scripts/census.py, as
