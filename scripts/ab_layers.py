@@ -31,8 +31,8 @@ as two packages of different names, and times fifteen layers in each:
 * the same on the odd f = |s|^3 s, where one fold search serves every class;
 * a warm ``enumerate_solutions(j_max=6)``, the op of the q <= p sweep, on the
   odd f = s^3 with p = q = 2 and on f = 2s^3 / -|s|^3 with p = 3, q = 2, each
-  call at the next of five lambdas in turn, so no call reads the solver's
-  memo: each runs one root search of all its classes' equations.
+  call at the next of five lambdas in turn, each one root search of all its
+  classes' equations.
 
 Each round times every layer over a fixed batch of calls per tree, one call
 of each tree in turn, alternating which tree goes first, so both trees see

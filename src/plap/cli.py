@@ -226,17 +226,16 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 
 def _find_descriptor(cfg: RunConfig, args):
-    """The descriptor named by ``--id``, searched in ``solve``'s order; the
-    classes after the one holding it are never solved."""
+    """The descriptor named by ``--id`` among those ``solve`` lists up to
+    ``--jmax`` (default 8), from one enumeration of the classes."""
     if not args.id:
         raise ConfigError("--id is required for this command")
     j_max = args.jmax if args.jmax is not None else 8
     problem = cfg.build_problem()
-    descs = solver.iter_solutions(problem, j_max)
-    d = solver.find_descriptor(descs, args.id)
-    if d is None:
-        raise ConfigError(f"unknown descriptor id {args.id}")
-    return problem, d
+    for d in solver.enumerate_solutions(problem, j_max):
+        if d.descriptor_id == args.id:
+            return problem, d
+    raise ConfigError(f"unknown descriptor id {args.id}")
 
 
 def _parse_cores(arg: str | None):

@@ -22,24 +22,22 @@ budget and the continuum dimension.
 A class is solved in two parts: the root search (scan, brackets, Brent and
 the fold path) and the descriptors.  ``enumerate_solutions`` runs the
 searches of all its classes at one lambda together, in rounds that
-integrate every pending residual of a side in one pass; ``iter_solutions``
-runs one class's search at a time.  Either way a root is the float of its
+integrate every pending residual of a side in one pass; ``solve_class``
+runs the search of one class alone.  Either way a root is the float of its
 class's search alone.  S_j^+ and S_j^- have one matching equation when j
-is even (n_pos = n_neg) or f is odd (J = I), so such an S_j^- takes the
-roots of the search of S_j^+, kept in a one-entry memo keyed on the
-problem and the searches; its roots are bit-identical to a search of its
-own, and only its sign and flat-core descriptor are its own.
+is even (n_pos = n_neg) or f is odd (J = I), so ``enumerate_solutions``
+searches it once and such an S_j^- takes the roots of S_j^+; they are
+bit-identical to a search of its own, and only its sign and flat-core
+descriptor are its own.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -191,8 +189,6 @@ def _flat_core_descriptor(problem: Problem, sclass: SolutionClass) -> SolutionDe
     )
 
 
-# one entry: ``iter_solutions`` solves S_j^- right after S_j^+
-@functools.lru_cache(maxsize=1)
 def _roots(problem: Problem, searches: tuple[tuple[SolutionClass, float], ...]) -> tuple[tuple, ...]:
     """Per (class, area bound) of ``searches``, the sorted (r, residual,
     degenerate) matching roots of the class on the scan grid of that area
@@ -206,9 +202,7 @@ def _roots(problem: Problem, searches: tuple[tuple[SolutionClass, float], ...]) 
     (``TimeMapCurves.folds``).  A round weighs all its points
     (``TimeMapCurves.weigh_at``), integrating the tops of a side by one
     ``integral_I`` of a list of levels, whose rows are the floats of calls
-    of their own, so each search's roots are those it finds alone.  The
-    key holds every input the searches read, so a class and its twin share
-    an entry only where both coincide."""
+    of their own, so each search's roots are those it finds alone."""
     curves = time_map_curves(problem.nl, problem.p)
     kappa, lam, p = problem.kappa, problem.lam, problem.p
     weights = [(2.0 * sc.n_pos, 2.0 * sc.n_neg) for sc, _ in searches]
@@ -312,9 +306,9 @@ def solve_class(problem: Problem, sclass: SolutionClass) -> list[SolutionDescrip
 
     The residual is scanned on the class's level grid from the store, where
     classes with the same area bound share the scans.  S_j^- searches the
-    equation of S_j^+ when the two have one (``_search``), and the last
-    root search is kept, so S_j^- right after S_j^+ does no quadrature.
-    The flat-core descriptor is the class's own.  Returns an empty list
+    equation of S_j^+ when the two have one (``_search``); the flat-core
+    descriptor is the class's own.  The descriptors are those of the class
+    in ``enumerate_solutions``, float for float.  Returns an empty list
     when the class has no solutions at this lambda.
     """
     (roots,) = _roots(problem, (_search(problem, sclass),))
@@ -328,27 +322,13 @@ def _classes(j_max: int) -> list[SolutionClass]:
     return [SolutionClass(j, sign) for j in range(1, j_max + 1) for sign in (SIGN_POS, SIGN_NEG)]
 
 
-def iter_solutions(problem: Problem, j_max: int) -> Iterator[SolutionDescriptor]:
-    """Trivial marker, then the descriptors of S_1^+, S_1^-, ..., S_jmax^-.
-
-    Each class is solved only when the iteration reaches it, by a root
-    search of its own (``solve_class``), so a caller that stops early solves
-    no later class.  Every class reads the scans of the lambda-free (f, p)
-    store, so no value depends on how many classes, or which lambdas, were
-    solved before.  S_j^- comes right after S_j^+, so where the two share
-    one root search the second class reads it from the memo.  The
-    descriptors are those of ``enumerate_solutions``, float for float.
-    """
-    classes = _classes(j_max)
-    return chain([TRIVIAL], chain.from_iterable(solve_class(problem, sclass) for sclass in classes))
-
-
 @ignores_underflow
 def enumerate_solutions(problem: Problem, j_max: int) -> list[SolutionDescriptor]:
-    """Trivial marker plus every descriptor of every class with j <= j_max:
-    ``list(iter_solutions(problem, j_max))``, float for float, from one root
-    search of all the classes' equations together (``_roots``), whose
-    rounds integrate every class's pending residuals at once."""
+    """Trivial marker, then the descriptors of S_1^+, S_1^-, ..., S_jmax^-,
+    from one root search of all the classes' equations together
+    (``_roots``), whose rounds integrate every class's pending residuals at
+    once.  Each equation is searched once, and each class's descriptors are
+    those ``solve_class`` gives, float for float."""
     classes = _classes(j_max)
     keys = [_search(problem, sclass) for sclass in classes]
     searches = tuple(dict.fromkeys(keys))
@@ -363,9 +343,3 @@ def sweep(
     are built at the first lambda and read at every later one."""
     return [enumerate_solutions(Problem(p=p, nl=nl, lam=lam), j_max) for lam in lams]
 
-
-def find_descriptor(descriptors: Iterable[SolutionDescriptor], descriptor_id: str):
-    for d in descriptors:
-        if d.descriptor_id == descriptor_id:
-            return d
-    return None

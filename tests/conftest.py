@@ -1,14 +1,6 @@
 import pytest
 
-from plap import solver
 from plap.nonlinearity import build_nonlinearity
-
-
-@pytest.fixture(autouse=True)
-def _fresh_root_memo():
-    """Every test starts with an empty root-search memo, so no count of
-    work or result depends on which tests ran before."""
-    solver._roots.cache_clear()
 
 
 @pytest.fixture(scope="session")

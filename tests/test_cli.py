@@ -11,6 +11,21 @@ import plap
 from plap.cli import main
 
 
+def solving_probe(monkeypatch) -> list:
+    """Records every ``Arch.psi`` pass, which every numerical path reaches
+    from an empty store (emptied here, as in a fresh process)."""
+    plap.timemap.time_map_curves.cache_clear()
+    passes = []
+    psi = plap.timemap.Arch.psi
+
+    def counted(arch, *args, **kwargs):
+        passes.append(arch)
+        return psi(arch, *args, **kwargs)
+
+    monkeypatch.setattr(plap.timemap.Arch, "psi", counted)
+    return passes
+
+
 def write_config(tmp_path, name="cfg.json", **overrides):
     cfg = {
         "p": 2.0,
@@ -253,28 +268,30 @@ class TestSolveRoundTrip:
         assert main(["profile", "--config", cfg, "--id", trivial["id"], "--out", str(out)]) == 0
         assert main(["verify", "--config", cfg, "--id", trivial["id"]]) == 0
 
-    def test_lookup_stops_at_the_class_of_the_id(self, tmp_path, capsys, monkeypatch):
+    def test_lookup_makes_one_search(self, tmp_path, capsys, monkeypatch):
+        # a known and an unknown id are each looked up in one root search
+        # of every class's equation
         import plap.solver
 
         cfg = write_config(tmp_path)
         assert main(["solve", "--config", cfg, "--jmax", "1"]) == 0
         payload = json.loads(capsys.readouterr().out)
         d0 = [d for d in payload["descriptors"] if d["kind"] == "regular"][0]
-        assert d0["sign"] == "+"
-        solved = []
-        real = plap.solver.solve_class
+        searched = []
+        roots = plap.solver._roots
 
-        def counting(problem, sclass):
-            solved.append(sclass)
-            return real(problem, sclass)
+        def counting(problem, searches):
+            searched.append(searches)
+            return roots(problem, searches)
 
-        monkeypatch.setattr(plap.solver, "solve_class", counting)
+        monkeypatch.setattr(plap.solver, "_roots", counting)
         assert main(["profile", "--config", cfg, "--id", d0["id"]]) == 0
         assert capsys.readouterr().out.startswith("x,phi,dphi")
-        assert solved == [plap.solver.SolutionClass(1, "+")]
-        solved.clear()
+        assert len(searched) == 1
+        searched.clear()
         assert main(["profile", "--config", cfg, "--id", "deadbeef0000", "--jmax", "3"]) == 1
-        assert len(solved) == 6  # an unknown id still searches every class
+        assert "unknown descriptor id deadbeef0000" in capsys.readouterr().err
+        assert len(searched) == 1
 
     def test_missing_id_exit_1(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -351,11 +368,8 @@ class TestSolveRoundTrip:
 
     def test_json_out_exits_1_before_solving(self, tmp_path, capsys, monkeypatch):
         # the sidecar would overwrite the profile itself
-        import plap.solver
-
         cfg, d_id = self._regular_id(tmp_path)
-        solved = []
-        monkeypatch.setattr(plap.solver, "solve_class", lambda *a: solved.append(a) or [])
+        solved = solving_probe(monkeypatch)
         capsys.readouterr()
         out = tmp_path / "prof.json"
         assert main(["profile", "--config", cfg, "--id", d_id, "--out", str(out)]) == 1
@@ -432,10 +446,7 @@ class TestSolveRoundTrip:
     ids=["r_exp-below-q", "structure-n-0", "kind-missing", "grid-0", "bad-cores-unknown-id"],
 )
 def test_error_exits_before_solving(tmp_path, capsys, monkeypatch, argv, overrides, code, message):
-    import plap.solver
-
-    solved = []
-    monkeypatch.setattr(plap.solver, "solve_class", lambda problem, sclass: solved.append(sclass))
+    solved = solving_probe(monkeypatch)
     assert main([argv[0], "--config", write_config(tmp_path, **overrides), *argv[1:]]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -459,19 +470,30 @@ _OUT_ARGS = {
 @pytest.mark.parametrize("command", sorted(_OUT_ARGS))
 def test_unwritable_out_exits_1_before_solving(tmp_path, capsys, monkeypatch, command, target):
     # a missing directory or a directory as --out used to end, after every
-    # class was solved, in a traceback from the write
-    import plap.solver
-
-    solved = []
-    monkeypatch.setattr(plap.solver, "solve_class", lambda problem, sclass: solved.append(sclass))
+    # class was solved, in a traceback from the write; at p = 3 every
+    # command but validate integrates, so the probe would see a solve
+    solved = solving_probe(monkeypatch)
     out = tmp_path / "missing_dir" / "x.out" if target == "missing" else tmp_path
-    argv = [command, "--config", write_config(tmp_path), *_OUT_ARGS[command], "--out", str(out)]
+    argv = [command, "--config", write_config(tmp_path, p=3.0), *_OUT_ARGS[command], "--out", str(out)]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and str(out) in captured.err
     assert solved == []
     assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command", sorted(set(_OUT_ARGS) - {"validate"}))
+def test_solving_probe_sees_every_numerical_command(tmp_path, capsys, monkeypatch, command):
+    # the control of the probes above: each command that solves reaches it
+    # (at p = 3, where diagram's thresholds lambda-tilde are integrals)
+    cfg = write_config(tmp_path, p=3.0)
+    assert main(["solve", "--config", cfg, "--jmax", "1"]) == 0
+    d_id = next(d["id"] for d in json.loads(capsys.readouterr().out)["descriptors"] if d["kind"] == "regular")
+    args = ["--id", d_id] if command in ("profile", "verify", "regularity") else _OUT_ARGS[command]
+    solved = solving_probe(monkeypatch)
+    assert main([command, "--config", cfg, *args]) == 0
+    assert solved
 
 
 class TestStructureAndRegularity:

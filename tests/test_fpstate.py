@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from plap import solver, timemap
+from plap import timemap
 from plap.bifurcation import structure
 from plap.cli import main
 from plap.nonlinearity import build_nonlinearity
@@ -32,11 +32,9 @@ def _outcome(op) -> tuple[str, list[str]]:
 
 def _raising_then_default(op):
     """``op``'s outcome under underflow "raise", then in numpy's default
-    state with the root memo and the lambda-free stores emptied, so both
-    runs integrate."""
+    state with the lambda-free stores emptied, so both runs integrate."""
     with np.errstate(under="raise"):
         first = _outcome(op)
-    solver._roots.cache_clear()
     timemap.time_map_curves.cache_clear()
     return first, _outcome(op)
 
@@ -90,7 +88,6 @@ def test_cli_cold_op(tmp_path, capsys):
     cfg.write_text(json.dumps({"p": 3.0, "q": 2.0, "lambda": 400.0, "nonlinearity": {"kind": "power_asym", **_ASYM_Q3}}))
     nl = build_nonlinearity("power_asym", 2.0, _ASYM_Q3)
     (d,) = solve_class(Problem(p=3.0, nl=nl, lam=400.0), SolutionClass(1, "+"))
-    solver._roots.cache_clear()
     timemap.time_map_curves.cache_clear()
 
     def op():

@@ -9,6 +9,7 @@ from plap import solver, timemap
 from plap.errors import OutOfRange
 from plap.nonlinearity import areas, build_nonlinearity, reflected
 from plap.solver import (
+    TRIVIAL,
     SolutionClass,
     enumerate_solutions,
     matching_residual,
@@ -267,8 +268,9 @@ class TestSolveClass:
 
 
 class TestTwinClasses:
-    """S_j^- reads the root search of S_j^+ where the two have one matching
-    equation: j even (n_pos = n_neg), or f odd (J = I)."""
+    """S_j^- takes the root search of S_j^+ where the two have one matching
+    equation: j even (n_pos = n_neg), or f odd (J = I).  One enumeration
+    searches that equation once."""
 
     @staticmethod
     def _work(monkeypatch) -> list:
@@ -311,7 +313,7 @@ class TestTwinClasses:
             assert regular == [replace(d, sign="-") for d in plus if d.kind == "regular"], j
             # the same floats as a root search of the class's own equation
             sc = SolutionClass(j, "-")
-            (own,) = solver._roots.__wrapped__(prob, ((sc, sc.bound(*areas(nl))),))
+            (own,) = solver._roots(prob, ((sc, sc.bound(*areas(nl))),))
             assert [(d.r, d.residual, d.degenerate) for d in regular] == list(own), j
             found += len(regular)
         assert found
@@ -326,24 +328,29 @@ class TestTwinClasses:
         ],
     )
     def test_twin_after_its_partner_does_no_quadrature(self, request, monkeypatch, family, p, lam, j):
+        # enumerating S_j^- after S_j^+ adds no search, so no quadrature
         prob = Problem(p=p, nl=request.getfixturevalue(family), lam=lam)
-        work = self._work(monkeypatch)
-        assert solve_class(prob, SolutionClass(j, "+"))
-        assert "integral" in work
-        work.clear()
-        assert solve_class(prob, SolutionClass(j, "-"))
-        assert work == []
+        plus, minus = SolutionClass(j, "+"), SolutionClass(j, "-")
+        searched = []
+        roots = solver._roots
+
+        def recorded(problem, searches):
+            searched.extend(sc for sc, _ in searches)
+            return roots(problem, searches)
+
+        monkeypatch.setattr(solver, "_roots", recorded)
+        descs = enumerate_solutions(prob, j)
+        assert plus in searched and minus not in searched
+        assert [d for d in descs if (d.j, d.sign) == (j, "-")]
 
     def test_twin_skips_the_fold_search(self, qgtp, monkeypatch):
         # q > p on an odd f, just above lambda*_1: S_1^+ finds its pair by
         # the fold search, and S_1^- reads that search's roots
         prob = Problem(p=2.0, nl=qgtp, lam=(1 + 1e-6) * bifurcation_table(qgtp, 2.0, 1).star_plus[0])
         work = self._work(monkeypatch)
-        assert len(solve_class(prob, SolutionClass(1, "+"))) == 2
+        descs = enumerate_solutions(prob, 1)
+        assert [(d.j, d.sign) for d in descs if d.kind == "regular"] == [(1, "+")] * 2 + [(1, "-")] * 2
         assert work.count("fold") == 1
-        work.clear()
-        assert len(solve_class(prob, SolutionClass(1, "-"))) == 2
-        assert work == []
 
     @pytest.mark.parametrize("j", [1, 3])
     def test_asymmetric_odd_classes_each_integrate(self, asym, monkeypatch, j):
@@ -358,20 +365,16 @@ class TestTwinClasses:
         assert roots[0] and roots[1] and roots[0] != roots[1]
 
     def test_new_lambda_is_searched_again(self, cubic_odd, monkeypatch):
+        # no search is kept between calls: one ulp away, and at the same
+        # lambda again, each class searches its equation itself
         lam = 400.0
         solve_class(Problem(p=2.0, nl=cubic_odd, lam=lam), SolutionClass(1, "+"))
         work = self._work(monkeypatch)
-        for sign in "+-":  # one ulp away S_1^+ searches again, and S_1^- reads that search
-            work.clear()
-            nearby = Problem(p=2.0, nl=cubic_odd, lam=float(np.nextafter(lam, math.inf)))
-            solve_class(nearby, SolutionClass(1, sign))
-            assert ("integral" in work) == (sign == "+"), sign
-
-    def test_memo_is_bounded(self, cubic_odd):
-        for lam in (30.0, 60.0, 90.0):
-            solve_class(Problem(p=2.0, nl=cubic_odd, lam=lam), SolutionClass(2, "+"))
-        info = solver._roots.cache_info()
-        assert info.currsize == info.maxsize == 1
+        for lam in (float(np.nextafter(lam, math.inf)),) * 2:
+            for sign in "+-":
+                work.clear()
+                solve_class(Problem(p=2.0, nl=cubic_odd, lam=lam), SolutionClass(1, sign))
+                assert "integral" in work, sign
 
 
 class TestLevelSearch:
@@ -412,7 +415,6 @@ class TestLevelSearch:
         # j = 1, or any class of an odd f: every arch reads the lead side
         prob, sc = Problem(p=p, nl=request.getfixturevalue(family), lam=lam), SolutionClass(j, sign)
         assert solve_class(prob, sc)
-        solver._roots.cache_clear()
         calls = self._count(monkeypatch)
         assert solve_class(prob, sc)
         assert calls["residual"] > 0
@@ -423,7 +425,6 @@ class TestLevelSearch:
         lam = (1 + 1e-6) * bifurcation_table(qgtp, 2.0, 1).star_plus[0]
         prob, sc = Problem(p=2.0, nl=qgtp, lam=lam), SolutionClass(1, "+")
         solve_class(prob, sc)
-        solver._roots.cache_clear()
         calls = self._count(monkeypatch)
         assert len(solve_class(prob, sc)) == 2
         assert calls["level_pos"] == 0
@@ -432,7 +433,6 @@ class TestLevelSearch:
     def test_mixed_search_inverts_one_level_per_residual(self, asym, monkeypatch, j, sign):
         prob, sc = Problem(p=3.0, nl=asym, lam=300.0), SolutionClass(j, sign)
         assert solve_class(prob, sc)
-        solver._roots.cache_clear()
         calls = self._count(monkeypatch)
         assert solve_class(prob, sc)
         assert calls["residual"] > 0
@@ -444,7 +444,6 @@ class TestLevelSearch:
         twin = build_nonlinearity("power_asym", 2.0, {"b_plus": 2.0, "b_minus": 1.0, "r_exp": 4.0})
         assert twin == asym and twin is not asym
         first = enumerate_solutions(Problem(p=3.0, nl=asym, lam=300.0), 4)
-        solver._roots.cache_clear()
         assert enumerate_solutions(Problem(p=3.0, nl=twin, lam=300.0), 4) == first
 
     @pytest.mark.parametrize("family, p", [
@@ -495,7 +494,6 @@ class TestEnumerate:
     def test_deterministic_ids(self, cubic_odd):
         prob = Problem(p=2.0, nl=cubic_odd, lam=2 * np.pi**2)
         ids1 = [d.descriptor_id for d in enumerate_solutions(prob, 3)]
-        solver._roots.cache_clear()  # search again rather than read the memo
         ids2 = [d.descriptor_id for d in enumerate_solutions(prob, 3)]
         assert ids1 == ids2
 
@@ -522,6 +520,11 @@ class TestLockstep:
     def _floats(d):
         return (d.j, d.sign, d.kind, d.r, d.residual, d.degenerate, d.core_budget, d.core_count, d.core_side)
 
+    @staticmethod
+    def _per_class(prob, j_max):
+        """The trivial marker, then ``solve_class`` of each class in turn."""
+        return [TRIVIAL] + [d for sc in solver._classes(j_max) for d in solve_class(prob, sc)]
+
     @pytest.mark.parametrize("family, p, lams", [
         ("cubic_odd", 2.0, (30.0, 400.0, 3000.0)),
         ("asym", 3.0, (30.0, 300.0, 3000.0)),
@@ -529,34 +532,30 @@ class TestLockstep:
         ("qgtp", 2.0, (30.0, 300.0, 3000.0)),
         ("quartic_q4", 4.0, (300.0, 3000.0, 30000.0)),
     ])
-    def test_enumerate_is_iter_solutions(self, request, family, p, lams):
+    def test_enumerate_is_solve_class_per_class(self, request, family, p, lams):
         nl = request.getfixturevalue(family)
         for lam in lams:
             prob = Problem(p=p, nl=nl, lam=lam)
             together = enumerate_solutions(prob, 6)
-            solver._roots.cache_clear()
-            one_by_one = list(solver.iter_solutions(prob, 6))
+            one_by_one = self._per_class(prob, 6)
             assert [self._floats(d) for d in together] == [self._floats(d) for d in one_by_one], lam
             assert together == one_by_one
 
-    def test_enumerate_is_iter_solutions_on_the_fold_path(self, qgtp):
+    def test_enumerate_is_solve_class_per_class_on_the_fold_path(self, qgtp):
         # just above lambda*_1 the pairs of S_1 come from the fold search
         lam = (1 + 1e-6) * bifurcation_table(qgtp, 2.0, 1).star_plus[0]
         prob = Problem(p=2.0, nl=qgtp, lam=lam)
         together = enumerate_solutions(prob, 6)
-        solver._roots.cache_clear()
-        assert [self._floats(d) for d in together] == [self._floats(d) for d in solver.iter_solutions(prob, 6)]
+        assert [self._floats(d) for d in together] == [self._floats(d) for d in self._per_class(prob, 6)]
         assert [(d.j, d.sign) for d in together if d.kind == "regular"][:4] == [(1, "+")] * 2 + [(1, "-")] * 2
 
-    @pytest.mark.parametrize("family, p, lam, together, one_by_one", [
-        ("asym", 3.0, 300.0, 14, 88),
-        ("asym", 3.0, 3000.0, 17, 50),
-        ("cubic_odd", 2.0, 400.0, 17, 56),
+    @pytest.mark.parametrize("family, p, lam, together", [
+        ("asym", 3.0, 300.0, 14),
+        ("asym", 3.0, 3000.0, 17),
+        ("cubic_odd", 2.0, 400.0, 17),
     ])
-    def test_integrand_passes_per_enumeration(self, request, monkeypatch, family, p, lam, together, one_by_one):
-        # a warm store, so the passes are the root searches' own; a search of
-        # one class rarely has three residuals of a side pending at once, so
-        # iter_solutions integrates one residual per pass
+    def test_integrand_passes_per_enumeration(self, request, monkeypatch, family, p, lam, together):
+        # a warm store, so the passes are the root searches' own
         prob = Problem(p=p, nl=request.getfixturevalue(family), lam=lam)
         enumerate_solutions(prob, 6)
         passes = []
@@ -567,13 +566,8 @@ class TestLockstep:
             return psi(arch, *args, **kwargs)
 
         monkeypatch.setattr(Arch, "psi", counted)
-        solver._roots.cache_clear()
         enumerate_solutions(prob, 6)
         assert len(passes) == together
-        passes.clear()
-        solver._roots.cache_clear()
-        list(solver.iter_solutions(prob, 6))
-        assert len(passes) == one_by_one
 
 
 class TestStructureConsistency:
