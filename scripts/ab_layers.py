@@ -3,7 +3,7 @@
     python scripts/ab_layers.py --base <tree> [--rounds 15]
 
 Imports ``<tree>/src/plap`` and this checkout's ``src/plap`` side by side,
-as two packages of different names, and times fifteen layers in each:
+as two packages of different names, and times sixteen layers in each:
 
 * the scalar level map ``level_pos`` on q = 2, f = 2s^3 / -|s|^3 at
   rho = 0.3 A(z+): the Brent inversion inside ``matching_residual`` and, for
@@ -32,7 +32,14 @@ as two packages of different names, and times fifteen layers in each:
 * a warm ``enumerate_solutions(j_max=6)``, the op of the q <= p sweep, on the
   odd f = s^3 with p = q = 2 and on f = 2s^3 / -|s|^3 with p = 3, q = 2, each
   call at the next of five lambdas in turn, each one root search of all its
-  classes' equations.
+  classes' equations, whose opening round reads the terms the store keeps
+  from the first five calls on;
+* the latter enumeration at a lambda never used before, the golden-ratio
+  sequence 30 * 300^frac(k phi) in [30, 9000], so its opening round
+  integrates the terms the store does not keep yet: 28% of those it reads
+  in the first 76 calls (15 rounds and the warm-up call), 12% in 301, since
+  the classes' crossings at one lambda fall on scan indices that others
+  used at another.
 
 Each round times every layer over a fixed batch of calls per tree, one call
 of each tree in turn, alternating which tree goes first, so both trees see
@@ -53,6 +60,7 @@ import gc
 import importlib
 import importlib.util
 import itertools
+import math
 import os
 import statistics
 import subprocess
@@ -79,6 +87,7 @@ _BATCH = {
     "structure N=6 odd": 10,
     "enumerate odd": 5,
     "enumerate asym": 5,
+    "enumerate asym, fresh λ": 5,
 }
 
 _ENUMERATE_LAMS = (50.0, 80.0, 130.0, 210.0, 340.0)
@@ -146,6 +155,8 @@ def _layers(plap) -> dict:
         itertools.cycle([plap.Problem(p=p, nl=nl, lam=lam) for lam in _ENUMERATE_LAMS])
         for p, nl in ((2.0, cubic), (3.0, asym))
     )
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    fresh_asym = (plap.Problem(p=3.0, nl=asym, lam=30.0 * 300.0 ** (k * golden % 1.0)) for k in itertools.count())
     return {
         "level_pos scalar": lambda: timemap.level_pos(asym, 0.3 * a_plus),
         "integral_I simple": lambda: plap.integral_I(qgtp, 2.0, 0.5 * qgtp.z_plus),
@@ -162,6 +173,7 @@ def _layers(plap) -> dict:
         "structure N=6 odd": lambda: plap.structure(fold_odd, 6),
         "enumerate odd": lambda: plap.enumerate_solutions(next(sweep_odd), 6),
         "enumerate asym": lambda: plap.enumerate_solutions(next(sweep_asym), 6),
+        "enumerate asym, fresh λ": lambda: plap.enumerate_solutions(next(fresh_asym), 6),
     }
 
 
@@ -197,14 +209,14 @@ def main(argv=None) -> int:
             for tree, us in _time_pair(fns, calls, "base" if k % 2 == 0 else "this").items():
                 times[tree][layer].append(us)
     print(f"{args.rounds} rounds; median us per call")
-    print(f"{'layer':<20}{'base':>12}{'this':>12}{'ratio':>8}")
+    print(f"{'layer':<24}{'base':>12}{'this':>12}{'ratio':>8}")
     for layer in _BATCH:
         base, this = (statistics.median(times[tree][layer]) for tree in ("base", "this"))
-        print(f"{layer:<20}{base:>12.1f}{this:>12.1f}{this / base:>8.3f}")
+        print(f"{layer:<24}{base:>12.1f}{this:>12.1f}{this / base:>8.3f}")
         if layer == "store scan":
             for k, label in enumerate(("  peak RSS, MB", "  its rise, MB")):
                 base, this = rss["base"][k], rss["this"][k]
-                print(f"{label:<20}{base:>12.1f}{this:>12.1f}{this / base if base else float('nan'):>8.3f}")
+                print(f"{label:<24}{base:>12.1f}{this:>12.1f}{this / base if base else float('nan'):>8.3f}")
     return 0
 
 

@@ -202,9 +202,13 @@ def _roots(problem: Problem, searches: tuple[tuple[SolutionClass, float], ...]) 
     (``TimeMapCurves.folds``).  A round weighs all its points
     (``TimeMapCurves.weigh_at``), integrating the tops of a side by one
     ``integral_I`` of a list of levels, whose rows are the floats of calls
-    of their own, so each search's roots are those it finds alone."""
+    of their own, so each search's roots are those it finds alone.  At the
+    scan points, the ends of the sign changes and the grid ends of the dip
+    path, the I per side is lambda-free, so the store keeps it
+    (``TimeMapCurves.scan_terms``) and each lambda weighs kappa times it;
+    Brent's iterates and the folds are integrated anew at every call."""
     curves = time_map_curves(problem.nl, problem.p)
-    kappa, lam, p = problem.kappa, problem.lam, problem.p
+    nl, kappa, lam, p = curves.nl, problem.kappa, problem.lam, problem.p
     weights = [(2.0 * sc.n_pos, 2.0 * sc.n_neg) for sc, _ in searches]
     leads = [curves.lead(sc.n_pos) for sc, _ in searches]
     grids = [curves.levels(area, lead is not curves.nl) for lead, (_, area) in zip(leads, searches)]
@@ -224,6 +228,18 @@ def _roots(problem: Problem, searches: tuple[tuple[SolutionClass, float], ...]) 
             known[k][z] = w - 1.0
         return [known[k][z] for k, z in points]
 
+    def scanned(points: list[tuple[int, int]]) -> list[float]:
+        """The residual of search k at point i of its scan grid for each
+        (k, i), weighing kappa times the I the store keeps there
+        (``TimeMapCurves.scan_terms``) as ``residuals`` weighs a new level,
+        which then knows it by its level."""
+        terms = curves.scan_terms([(searches[k][1], i, *weights[k]) for k, i in points])
+        out = []
+        for (k, i), term in zip(points, terms):
+            known[k][float(grids[k][i])] = f = weigh(nl, lambda side: kappa * term[side is not nl], *weights[k]) - 1.0
+            out.append(f)
+        return out
+
     def refine(brackets: list[tuple[int, float, float]]) -> None:
         """Brent's zero of each (k, lo, hi), all in lockstep."""
         zeros = brentq_lockstep(
@@ -239,7 +255,7 @@ def _roots(problem: Problem, searches: tuple[tuple[SolutionClass, float], ...]) 
     # a coarser tolerance, so each bracket is confirmed before Brent, and a
     # crossing that never rises above evaluation noise is rejected
     crossings = [(k, i) for k, res in enumerate(scans) for i in np.where(np.sign(res[:-1]) * np.sign(res[1:]) < 0)[0]]
-    ends = residuals([(k, float(grids[k][n])) for k, i in crossings for n in (i, i + 1)])
+    ends = scanned([(k, n) for k, i in crossings for n in (i, i + 1)])
     noise_floor = 1e-10  # residual evaluations are only this trustworthy
     refine([
         (k, float(grids[k][i]), float(grids[k][i + 1]))
@@ -259,15 +275,20 @@ def _roots(problem: Problem, searches: tuple[tuple[SolutionClass, float], ...]) 
                 if -delta <= res[i] <= 0.05 and not any(lo <= z <= hi for z, _, _ in roots[k]):
                     dips.append((k, i))
         folds = curves.folds([(searches[k][0].n_pos, searches[k][0].n_neg, searches[k][1], i) for k, i in dips])
-        dips = [(k, float(grids[k][i - 1]), fold.level, float(grids[k][i + 1])) for (k, i), fold in zip(dips, folds)]
-        sides = []
-        for (k, lo, z_min, hi), f_min in zip(dips, residuals([(k, z) for k, _, z, _ in dips])):
+        below = []  # (k, i, z) of each fold below zero
+        for (k, i), fold, f_min in zip(dips, folds, residuals([(k, fold.level) for (k, _), fold in zip(dips, folds)])):
             if abs(f_min) <= _TANGENT_TOL:
-                roots[k].append((z_min, f_min, True))
+                roots[k].append((fold.level, f_min, True))
             elif f_min < 0.0:
-                sides += [(k, lo, z_min), (k, z_min, hi)]
-        ends = residuals([(k, z) for k, a, b in sides for z in (a, b)])
-        refine([side for side, f_a, f_b in zip(sides, ends[::2], ends[1::2]) if f_a * f_b < 0.0])
+                below.append((k, i, fold.level))
+        ends = scanned([(k, n) for k, i, _ in below for n in (i - 1, i + 1)])
+        sides = []  # each side of a fold below zero whose grid end is above it
+        for (k, i, z_min), f_lo, f_hi in zip(below, ends[::2], ends[1::2]):
+            if f_lo > 0.0:
+                sides.append((k, float(grids[k][i - 1]), z_min))
+            if f_hi > 0.0:
+                sides.append((k, z_min, float(grids[k][i + 1])))
+        refine(sides)
     return tuple(
         tuple(((lam * p * _area(lead, z) / (p - 1.0)) ** (1.0 / p), f, deg) for z, f, deg in sorted(found))
         for lead, found in zip(leads, roots)
@@ -340,6 +361,7 @@ def sweep(
     nl: Nonlinearity, p: float, lams: Iterable[float], j_max: int
 ) -> list[list[SolutionDescriptor]]:
     """``enumerate_solutions`` at each lambda of ``lams``, in order.  The scans
-    are built at the first lambda and read at every later one."""
+    are built at the first lambda and read at every later one, and so are
+    the opening round's terms at each scan point a search has used."""
     return [enumerate_solutions(Problem(p=p, nl=nl, lam=lam), j_max) for lam in lams]
 

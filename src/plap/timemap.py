@@ -268,9 +268,11 @@ class Arch:
         out = np.empty_like(h)
         model, tail, direct = self._bands(h)
         power = -1.0 / p - derivative  # -1/p, or -1 - 1/p to the same double
+        column = isinstance(top, np.ndarray)
 
-        def at(v, mask):  # per-top values at the masked nodes, each gathered where it is used
-            return np.broadcast_to(v, h.shape)[mask] if isinstance(v, np.ndarray) else v
+        def gather(mask, values):  # each top's values repeated at its row's masked nodes, row-major as h[mask]
+            counts = mask.sum(axis=1)
+            return [v.ravel().repeat(counts) for v in values]
 
         # A call covers 125-251 nodes and takes 30-40 us at a float top, 45-60 us
         # with ``derivative`` (best of seven timeit runs, four families, on a
@@ -278,14 +280,15 @@ class Arch:
         # whatever the node count), so a simple zero, the scans' kind, takes
         # no model step.
         if np.count_nonzero(direct):  # a third of the cost of direct.any() on a pass of 125 nodes
-            t = at(top, direct) - h[direct]
-            G = _direct(nl, t, at(ends[0], direct), at(ends[1], direct))
+            a, *e = gather(direct, (top, *ends)) if column else (top, *ends)
+            t = a - h[direct]
+            G = _direct(nl, t, e[0], e[1])
             factor = beta
             if derivative:  # m(top) - m(t) in two differences, as m(0) is 0 * inf for q < 2
-                factor = at(ends[2], direct) - np.abs(t) ** (nl.q - 1.0) - (at(ends[3], direct) - eval_f(nl, t))
+                factor = e[2] - np.abs(t) ** (nl.q - 1.0) - (e[3] - eval_f(nl, t))
             out[direct] = G**power * factor * w[direct] ** (beta - 1.0)
         if np.count_nonzero(tail):  # G = h * mean of m, m(top) - m(t) = h * mean of m'
-            pts = _tail_nodes(at(top, tail), h[tail])
+            pts = _tail_nodes(gather(tail, (top,))[0] if column else top, h[tail])
             if derivative:
                 m, dm = _m_dm(nl, pts)
                 factor = dm @ _GL4_WBAR
@@ -337,11 +340,13 @@ class Arch:
         integrand plus the moving limit's end term A(top)^(-1/p), at
         ``QUAD_TOL``.  A list of tops gives the list of dI/dtop at each, every
         one the float of its top alone: by the rows form of the rule from
-        three tops on (six rows cost 0.49 times six calls, three 0.77 times
-        three calls, two 1.04 times two calls and a lone one 1.77 times a
-        call, on f = 1.5 s^4 / -s^4 at p = 2), one call each below that.  At a
-        double zero I' diverges like eps^(-2/p) as the level nears it, so
-        there it raises ``Divergent``."""
+        three tops on (six rows cost 0.42 times six calls, three 0.68 times
+        three calls, two 0.93 times two calls and a lone one 1.59 times a
+        call, on the two f of ``integral_I``), one call each below that:
+        rows from two tops on moved a warm structure(N=6) of the latter f by
+        1%, within the noise of a paired run.  At a double zero I' diverges
+        like eps^(-2/p) as the level nears it, so there it raises
+        ``Divergent``."""
         if self.double:
             raise Divergent("dI/dtop diverges at a double zero")
         nl, p, top = self.nl, self.p, self.top
@@ -392,9 +397,11 @@ def integral_I(nl: Nonlinearity, p: float, a: float | list[float], tol: float = 
     """I(a) for a in (0, z_plus]; the endpoint needs p > 2.  A list of levels
     gives the list of I at each, every one the float of its level alone: the
     simple levels by the rows form of the rule when there are three or more
-    (three rows cost 0.8 times three calls, two 1.08 times two calls, a lone
-    one up to 1.8 times a call), and the rest, a level snapped to z_plus
-    among them, one call each."""
+    (six rows cost 0.44 times six calls, three 0.75 times three calls, two
+    1.01 times two calls and a lone one 1.78 times a call, at RESIDUAL_TOL on
+    f = 2s^3 / -|s|^3 at p = 3 and f = 1.5 s^4 / -s^4 at p = 2, on a 2-vCPU
+    x86 machine), and the rest, a level snapped to z_plus among them, one
+    call each."""
     if not isinstance(a, list):
         return _integral_at(nl, p, a, tol)
     zp = nl.z_plus
@@ -477,9 +484,11 @@ class TimeMapCurves:
     ``r_A * fractions`` the half-periods are ``kappa * I(z(A g^p))`` (and the
     same with J), where only ``kappa`` depends on lambda.  This store holds
     the fractions ``g`` and fills in, on first use, the levels and I or J at
-    them per area bound (at ``_SCAN_TOL``), and I or J at the level of the
-    area bound itself, ``g = 1`` (at ``QUAD_TOL``), for ``bound_weight``.
-    ``folds`` searches between the scan levels and keeps nothing.
+    them per area bound (at ``_SCAN_TOL``), I or J at the level of the
+    area bound itself, ``g = 1`` (at ``QUAD_TOL``), for ``bound_weight``,
+    and per scan index the terms of the root search's opening round at
+    ``RESIDUAL_TOL`` (``scan_terms``).  ``folds`` searches between the scan
+    levels and keeps nothing.
 
     Every value is a pure function of the store's key and its own arguments,
     so the order in which lambdas fill it never shows in a result, and two
@@ -496,6 +505,7 @@ class TimeMapCurves:
         self._levels: dict[tuple[float, bool], np.ndarray] = {}
         self._scans: dict[tuple[float, bool], np.ndarray] = {}
         self._bounds: dict[tuple[float, bool], float] = {}
+        self._terms: dict[tuple[float, bool], np.ndarray] = {}
 
     def levels(self, area: float, negative: bool) -> np.ndarray:
         """The levels z (-S when ``negative``) of area ``area * fractions^p``."""
@@ -555,6 +565,41 @@ class TimeMapCurves:
         if n_pos and n_neg and not self.nl.odd:  # the lead side is nl
             return {False: z, True: level_pos(reflected(self.nl), _area(self.nl, z))}
         return {not (n_pos or self.nl.odd): z}  # the lead side (``lead``) alone
+
+    def scan_terms(self, points: list[tuple[float, int, int, int]]) -> list[dict[bool, float]]:
+        """I at ``RESIDUAL_TOL`` at each top ``tops_at`` gives, keyed as it
+        keys them, for each (area, i, n_pos, n_neg) of ``points``: the class
+        at point i of the scan grid of its lead side and area bound ``area``.
+
+        These terms are lambda-free, so they are kept, NaN until first used,
+        in one array per grid aligned with its levels: the lead side's I, and
+        for arches of both signs of a non-odd f the other side's top and its
+        I.  Each side's missing tops are integrated by one ``integral_I`` of a
+        list, whose rows are the floats of calls of their own, so a kept term
+        is the float a search at any lambda would compute there.
+        """
+        nl, reads, missing = self.nl, [], {}
+        for area, i, n_pos, n_neg in points:
+            negative = self.lead(n_pos) is not nl
+            terms = self._terms.get((area, negative))
+            if terms is None:  # rows: the lead side's I, the other side's top, its I
+                terms = self._terms.setdefault((area, negative), np.full((3, self.fractions.size), np.nan))
+            rows = {negative: 0}
+            if n_pos and n_neg and not nl.odd:
+                if math.isnan(terms[1, i]):
+                    terms[1, i] = self.tops_at(float(self.levels(area, negative)[i]), n_pos, n_neg)[True]
+                rows[True] = 2
+            for side, row in rows.items():
+                if math.isnan(terms[row, i]):
+                    top = float(terms[1, i] if row else self.levels(area, negative)[i])
+                    missing.setdefault(side, {}).setdefault(top, []).append((terms, row, i))
+            reads.append((terms, rows, i))
+        for side, at in missing.items():
+            levels = list(at)
+            for top, value in zip(levels, integral_I(reflected(nl) if side else nl, self.p, levels, RESIDUAL_TOL)):
+                for terms, row, i in at[top]:
+                    terms[row, i] = value
+        return [{side: float(terms[row, i]) for side, row in rows.items()} for terms, rows, i in reads]
 
     def weigh_at(self, points: list[tuple[float, int, int]], term) -> list[float]:
         """``weigh`` at each (z, n_pos, n_neg) of ``points`` of ``term(side,

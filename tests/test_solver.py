@@ -549,15 +549,22 @@ class TestLockstep:
         assert [self._floats(d) for d in together] == [self._floats(d) for d in self._per_class(prob, 6)]
         assert [(d.j, d.sign) for d in together if d.kind == "regular"][:4] == [(1, "+")] * 2 + [(1, "-")] * 2
 
-    @pytest.mark.parametrize("family, p, lam, together", [
-        ("asym", 3.0, 300.0, 14),
-        ("asym", 3.0, 3000.0, 17),
-        ("cubic_odd", 2.0, 400.0, 17),
-    ])
-    def test_integrand_passes_per_enumeration(self, request, monkeypatch, family, p, lam, together):
-        # a warm store, so the passes are the root searches' own
-        prob = Problem(p=p, nl=request.getfixturevalue(family), lam=lam)
-        enumerate_solutions(prob, 6)
+    @staticmethod
+    def _warm_scans(prob, j_max):
+        """An emptied store given the scans and bound weights of every class
+        of ``prob``, read directly, so that it keeps no root-search term."""
+        time_map_curves.cache_clear()
+        curves = time_map_curves(prob.nl, prob.p)
+        for sclass in solver._classes(j_max):
+            searched, area = solver._search(prob, sclass)
+            curves.weights(searched.n_pos, searched.n_neg, area)
+            if prob.p > 2.0:
+                curves.bound_weight(sclass.n_pos, sclass.n_neg, sclass.bound(*areas(prob.nl)))
+        assert not curves._terms
+
+    @staticmethod
+    def _passes(monkeypatch):
+        """The list of ``Arch.psi`` calls made from now on."""
         passes = []
         psi = Arch.psi
 
@@ -566,8 +573,37 @@ class TestLockstep:
             return psi(arch, *args, **kwargs)
 
         monkeypatch.setattr(Arch, "psi", counted)
+        return passes
+
+    @pytest.mark.parametrize("family, p, lam, together", [
+        ("asym", 3.0, 300.0, 14),
+        ("asym", 3.0, 3000.0, 17),
+        ("cubic_odd", 2.0, 400.0, 17),
+    ])
+    def test_integrand_passes_per_enumeration(self, request, monkeypatch, family, p, lam, together):
+        # warm scans and no kept terms, so the passes are the root searches' own
+        prob = Problem(p=p, nl=request.getfixturevalue(family), lam=lam)
+        self._warm_scans(prob, 6)
+        passes = self._passes(monkeypatch)
         enumerate_solutions(prob, 6)
         assert len(passes) == together
+
+    @pytest.mark.parametrize("family, p, lam, first, repeat", [
+        ("asym", 3.0, 300.0, 14, 12),
+        ("asym", 3.0, 3000.0, 17, 14),
+        ("cubic_odd", 2.0, 400.0, 17, 14),
+    ])
+    def test_integrand_passes_per_repeat(self, request, monkeypatch, family, p, lam, first, repeat):
+        # a repeat reads its opening round from the store: only Brent's
+        # iterates integrate
+        prob = Problem(p=p, nl=request.getfixturevalue(family), lam=lam)
+        self._warm_scans(prob, 6)
+        passes = self._passes(monkeypatch)
+        enumerate_solutions(prob, 6)
+        assert len(passes) == first
+        passes.clear()
+        enumerate_solutions(prob, 6)
+        assert len(passes) == repeat
 
 
 class TestStructureConsistency:
@@ -708,3 +744,113 @@ class TestTimeMapCurves:
         lams = [2000.0, 45.0, 310.0]
         got = sweep(asym, 3.0, lams, 3)
         assert got == [enumerate_solutions(Problem(p=3.0, nl=asym, lam=lam), 3) for lam in lams]
+
+
+class TestScanTerms:
+    """The root search's opening round reads the lambda-free terms the store
+    keeps per scan index (``TimeMapCurves.scan_terms``)."""
+
+    @staticmethod
+    def _work(monkeypatch):
+        """A list that gets, per enumeration from now on, the integral_I
+        levels and scalar level_pos calls of its opening round (the work
+        before its first Brent round) and of the store's ``scan_terms``, the
+        opening round's and the dip path's grid ends, as
+        {"opening": (levels, level_pos), "kept": (levels, level_pos)}."""
+        work, count = [], [0, 0]
+        integral, level, lockstep = timemap.integral_I, timemap.level_pos, solver.brentq_lockstep
+        scan_terms, enumerate_ = TimeMapCurves.scan_terms, solver.enumerate_solutions
+
+        def counted_integral(nl, p, a, tol=timemap.QUAD_TOL):
+            count[0] += len(a) if isinstance(a, list) else 1
+            return integral(nl, p, a, tol)
+
+        def counted_level(nl, rho):
+            count[1] += isinstance(rho, float)
+            return level(nl, rho)
+
+        def since(start):
+            return (count[0] - start[0], count[1] - start[1])
+
+        def marked(f, brackets):
+            if "opening" not in work[-1]:
+                work[-1]["opening"] = since(work[-1].pop("start"))
+            return lockstep(f, brackets)
+
+        def counted_terms(curves, points):
+            start = tuple(count)
+            out = scan_terms(curves, points)
+            kept = work[-1]["kept"]
+            work[-1]["kept"] = tuple(a + b for a, b in zip(kept, since(start)))
+            return out
+
+        def enumerate_solutions(problem, j_max):
+            work.append({"start": tuple(count), "kept": (0, 0)})
+            return enumerate_(problem, j_max)
+
+        monkeypatch.setattr(timemap, "integral_I", counted_integral)
+        monkeypatch.setattr(solver, "integral_I", counted_integral)
+        monkeypatch.setattr(timemap, "level_pos", counted_level)
+        monkeypatch.setattr(solver, "brentq_lockstep", marked)
+        monkeypatch.setattr(TimeMapCurves, "scan_terms", counted_terms)
+        return work, enumerate_solutions
+
+    @pytest.mark.parametrize("family, p", [("asym", 3.0), ("qgtp", 2.0)])
+    def test_kept_terms_give_the_floats_of_a_cold_store(self, request, monkeypatch, family, p):
+        # asym has classes with arches of both signs, so kept other-side tops;
+        # just above qgtp's lambda*_1 the pairs of S_1 come from the dip path
+        nl = request.getfixturevalue(family)
+        lam = 300.0 if family == "asym" else (1 + 1e-6) * bifurcation_table(nl, p, 1).star_plus[0]
+        near = [lam * (1 - 1e-9), lam * (1 + 1e-9)]
+        unrelated = [0.2 * lam, 7.0 * lam]
+
+        def cold(x):
+            time_map_curves.cache_clear()
+            return enumerate_solutions(Problem(p=p, nl=nl, lam=x), 6)
+
+        expected = {x: cold(x) for x in [lam, *near, *unrelated]}
+        if family == "qgtp":
+            assert [(d.j, d.sign) for d in expected[lam] if d.kind == "regular"][:2] == [(1, "+")] * 2
+        time_map_curves.cache_clear()
+        work, counted = self._work(monkeypatch)
+        for x in [lam, lam, *near, *unrelated, lam]:
+            assert counted(Problem(p=p, nl=nl, lam=x), 6) == expected[x]  # residual floats included
+        levels, level_pos = work[0]["kept"]
+        assert levels > 0 and (level_pos > 0) == (family == "asym")  # the first call fills the store
+        # the same lambda and its neighbours read it, and so does lambda after unrelated ones
+        assert [record["kept"] for record in work[1:4] + work[-1:]] == [(0, 0)] * 4
+
+    def test_a_repeat_integrates_nothing_in_its_opening_round(self, asym, monkeypatch):
+        time_map_curves.cache_clear()
+        work, counted = self._work(monkeypatch)
+        for lam in (40.0, 900.0, 40.0, 900.0):
+            counted(Problem(p=3.0, nl=asym, lam=lam), 6)
+        opening = [record["opening"] for record in work]
+        assert all(levels > 0 and level_pos > 0 for levels, level_pos in opening[:2])
+        assert opening[2:] == [(0, 0)] * 2
+
+    def test_kept_terms_are_bounded_by_the_scan_grid(self, asym):
+        p = 3.0
+        time_map_curves.cache_clear()
+        curves = time_map_curves(asym, p)
+        lams = np.geomspace(20.0, 20000.0, 200)
+        sweep(asym, p, lams[::2], 6)
+        sizes = {name: len(v) for name, v in vars(curves).items() if isinstance(v, dict)}
+        sweep(asym, p, lams[1::2], 6)
+        # a hundred new lambdas add no entry: no Brent iterate is kept
+        assert {name: len(v) for name, v in vars(curves).items() if isinstance(v, dict)} == sizes
+        assert curves._terms and set(curves._terms) <= set(curves._levels)
+        for (area, negative), terms in curves._terms.items():
+            # each kept term is the one at its scan index
+            assert terms.shape == (3, curves.fractions.size)
+            levels = curves.levels(area, negative)
+            lead = reflected(asym) if negative else asym
+            kept = np.flatnonzero(~np.isnan(terms[0]))
+            assert kept.size and terms[0, kept].tolist() == timemap.integral_I(
+                lead, p, levels[kept].tolist(), timemap.RESIDUAL_TOL
+            )
+            other = np.flatnonzero(~np.isnan(terms[1]))
+            assert np.array_equal(other, np.flatnonzero(~np.isnan(terms[2])))
+            tops = [curves.tops_at(float(levels[i]), 1, 1)[True] for i in other]
+            assert terms[1, other].tolist() == tops
+            assert terms[2, other].tolist() == timemap.integral_I(reflected(asym), p, tops, timemap.RESIDUAL_TOL)
