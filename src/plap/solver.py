@@ -211,7 +211,7 @@ def _roots(problem: Problem, searches: tuple[tuple[SolutionClass, float], ...]) 
     nl, kappa, lam, p = curves.nl, problem.kappa, problem.lam, problem.p
     weights = [(2.0 * sc.n_pos, 2.0 * sc.n_neg) for sc, _ in searches]
     leads = [curves.lead(sc.n_pos) for sc, _ in searches]
-    grids = [curves.levels(area, lead is not curves.nl) for lead, (_, area) in zip(leads, searches)]
+    grids = [curves.levels(area, lead is not nl) for lead, (_, area) in zip(leads, searches)]
     scans = [2.0 * kappa * curves.weights(sc.n_pos, sc.n_neg, area) - 1.0 for sc, area in searches]
     known: list[dict[float, float]] = [{} for _ in searches]  # each search's residuals by level
     roots: list[list[tuple[float, float, bool]]] = [[] for _ in searches]  # (z, residual, degenerate)
@@ -236,7 +236,8 @@ def _roots(problem: Problem, searches: tuple[tuple[SolutionClass, float], ...]) 
         terms = curves.scan_terms([(searches[k][1], i, *weights[k]) for k, i in points])
         out = []
         for (k, i), term in zip(points, terms):
-            known[k][float(grids[k][i])] = f = weigh(nl, lambda side: kappa * term[side is not nl], *weights[k]) - 1.0
+            f = weigh(nl, lambda side: kappa * term[side is not nl], *weights[k]) - 1.0
+            known[k][float(grids[k][i])] = f
             out.append(f)
         return out
 

@@ -342,7 +342,11 @@ class TestRaggedRows:
     nodes its own row puts in a band, in row-major order, so a row is its
     top's alone also when the rows hold different counts of a band."""
 
-    _POLY = {"coeffs": [0.0, 0.0, 1.0, -0.3]}
+    @staticmethod
+    def _side(request, family):
+        if family == "polynomial":
+            return build_nonlinearity("polynomial", 2.0, {"coeffs": [0.0, 0.0, 1.0, -0.3]})
+        return request.getfixturevalue(family)
 
     @staticmethod
     def _tops(side):
@@ -351,23 +355,22 @@ class TestRaggedRows:
     @pytest.mark.parametrize("derivative", [False, True])
     @pytest.mark.parametrize("family", ["asym", "polynomial"])
     def test_rows_of_unequal_band_counts_are_their_tops_alone(self, request, family, derivative):
-        side = request.getfixturevalue(family) if family == "asym" else build_nonlinearity("polynomial", 2.0, self._POLY)
+        side = self._side(request, family)
         tops = self._tops(side)
-        arch = Arch(side, 3.0, tops, False)
+        listed, column = Arch(side, 3.0, tops, False), Arch(side, 3.0, np.array(tops)[:, None], False)
         # row k's abscissae crowd towards 0 by the power 1 + k, so each row
         # puts its own count of nodes in the tail band
         nodes = np.linspace(1e-3, 1.0, 97)
-        w = np.array([top ** (1.0 / arch.beta) * nodes ** (1 + k) for k, top in enumerate(tops)])
-        _, tail, _ = Arch(side, 3.0, np.array(tops)[:, None], False)._bands(w**arch.beta)
+        w = np.array([top ** (1.0 / column.beta) * nodes ** (1 + k) for k, top in enumerate(tops)])
+        _, tail, _ = column._bands(w**column.beta)
         assert len(set(tail.sum(axis=1).tolist())) == len(tops)
-        column = Arch(side, 3.0, np.array(tops)[:, None], False)
-        rows = column.psi(w, derivative, arch._ends(derivative))
+        rows = column.psi(w, derivative, listed._ends(derivative))
         for row, top, at in zip(rows, tops, w):
             assert row.tolist() == Arch(side, 3.0, top, False).psi(at, derivative).tolist()
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
-    def test_rows_of_a_polynomial_f_equal_the_scalar_calls(self, p):
-        side = build_nonlinearity("polynomial", 2.0, self._POLY)
+    def test_rows_of_a_polynomial_f_equal_the_scalar_calls(self, request, p):
+        side = self._side(request, "polynomial")
         tops = self._tops(side)
         assert Arch(side, p, tops, False).integral(1e-12) == [Arch(side, p, top, False).integral(1e-12) for top in tops]
         assert Arch(side, p, tops, False).derivative() == [Arch(side, p, top, False).derivative() for top in tops]
