@@ -26,6 +26,7 @@ from .errors import NoZeroFound, ignores_underflow
 from .nonlinearity import Nonlinearity, areas
 from .solver import (
     SolutionClass,
+    _classes,
     area_relation,
     continuum_dimension,
     flat_core_side,
@@ -47,7 +48,7 @@ def _threshold(p: float, weight: float) -> float:
     return (p - 1.0) / p * (2.0 * weight) ** p
 
 
-def _fold_weights(curves: TimeMapCurves, classes: list[SolutionClass]) -> list[float]:
+def _fold_weights(curves: TimeMapCurves, classes: tuple[SolutionClass, ...]) -> list[float]:
     """Per class, the minimum over rho in (0, A_class) of
     ``W(rho) = n_pos I(z(rho)) + n_neg J(S(rho))`` (q > p).
 
@@ -55,7 +56,7 @@ def _fold_weights(curves: TimeMapCurves, classes: list[SolutionClass]) -> list[f
     on the class only through its area and reduced ratio n_pos : n_neg, so
     the store's scans at rho = A_class g^p bracket one fold per (area,
     reduced ratio) in the table, and one ``curves.folds`` searches them all
-    in lockstep, with each side's dI/dtop in rows.  A scanned minimum at the
+    in lockstep, with the dI/dtop of both sides in rows.  A scanned minimum at the
     store's first fraction, the solver's own depth, raises ``NoZeroFound``:
     the fold may lie deeper.
     """
@@ -107,8 +108,8 @@ def bifurcation_table(nl: Nonlinearity, p: float, N: int) -> BifurcationTable:
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     idx = list(range(1, N + 1))
-    plus = [SolutionClass(n, "+") for n in idx]
-    minus = [SolutionClass(n, "-") for n in idx]
+    classes = _classes(N)
+    plus, minus = classes[::2], classes[1::2]
 
     curves = time_map_curves(nl, p)
     if p > 2.0:
@@ -206,18 +207,17 @@ def structure(problem: Problem, N: int) -> StructureReport:
     table = bifurcation_table(nl, p, N)
     zero = [0.0] * N
 
-    for j in range(1, N + 1):
-        for sign in ("+", "-"):
-            sclass = SolutionClass(j, sign)
-            dim = continuum_dimension(sclass, relation)
-            birth = (table.star(sign) if fold else table.classical or zero)[j - 1]
-            flat = lam > table.tilde(sign)[j - 1]
-            if flat:
-                tag = "single" if dim == 0 else "continuum"
-            elif lam < birth or (lam == birth and not fold):
-                tag = "empty"
-            else:
-                tag = "pair" if fold and lam > birth else "single"
-            side = flat_core_side(sclass, relation) if flat else ""
-            report.entries.append(ClassEntry(j, sign, tag, dim, flat, fold, side))
+    for sclass in _classes(N):
+        j, sign = sclass.j, sclass.sign
+        dim = continuum_dimension(sclass, relation)
+        birth = (table.star(sign) if fold else table.classical or zero)[j - 1]
+        flat = lam > table.tilde(sign)[j - 1]
+        if flat:
+            tag = "single" if dim == 0 else "continuum"
+        elif lam < birth or (lam == birth and not fold):
+            tag = "empty"
+        else:
+            tag = "pair" if fold and lam > birth else "single"
+        side = flat_core_side(sclass, relation) if flat else ""
+        report.entries.append(ClassEntry(j, sign, tag, dim, flat, fold, side))
     return report

@@ -22,7 +22,7 @@ budget and the continuum dimension.
 A class is solved in two parts: the root search (scan, brackets, Brent and
 the fold path) and the descriptors.  ``enumerate_solutions`` runs the
 searches of all its classes at one lambda together, in rounds that
-integrate every pending residual of a side in one pass; ``solve_class``
+integrate every pending residual of both sides in one pass; ``solve_class``
 runs the search of one class alone.  Either way a root is the float of its
 class's search alone.  S_j^+ and S_j^- have one matching equation when j
 is even (n_pos = n_neg) or f is odd (J = I), so ``enumerate_solutions``
@@ -33,6 +33,7 @@ descriptor are its own.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from collections.abc import Iterable
@@ -53,6 +54,7 @@ SIGN_NEG = "-"
 
 _TANGENT_TOL = 1e-9  # |residual| at a refined minimum below this is a tangency
 _AREA_TOL = 1e-12  # areas A(z+), A(z-) this close (relative) are equal
+_CLASSES_CAP = 16  # class tuples kept by _classes, one per j_max
 
 
 @dataclass(frozen=True)
@@ -200,9 +202,9 @@ def _roots(problem: Problem, searches: tuple[tuple[SolutionClass, float], ...]) 
     (``brentq_lockstep``), then for q > p the dip path, whose filter reads
     those roots and whose folds are one lockstep search
     (``TimeMapCurves.folds``).  A round weighs all its points
-    (``TimeMapCurves.weigh_at``), integrating the tops of a side by one
-    ``integral_I`` of a list of levels, whose rows are the floats of calls
-    of their own, so each search's roots are those it finds alone.  At the
+    (``TimeMapCurves.weigh_at``), integrating the tops of both sides by
+    one ``integral_I`` of a signed list of levels, whose rows are the floats
+    of calls of their own, so each search's roots are those it finds alone.  At the
     scan points, the ends of the sign changes and the grid ends of the dip
     path, the I per side is lambda-free, so the store keeps it
     (``TimeMapCurves.scan_terms``) and each lambda weighs kappa times it;
@@ -212,17 +214,19 @@ def _roots(problem: Problem, searches: tuple[tuple[SolutionClass, float], ...]) 
     weights = [(2.0 * sc.n_pos, 2.0 * sc.n_neg) for sc, _ in searches]
     leads = [curves.lead(sc.n_pos) for sc, _ in searches]
     grids = [curves.levels(area, lead is not nl) for lead, (_, area) in zip(leads, searches)]
-    scans = [2.0 * kappa * curves.weights(sc.n_pos, sc.n_neg, area) - 1.0 for sc, area in searches]
+    # one (searches x scan points) pass: each element is the float of its own search's scan
+    scans = 2.0 * kappa * np.array([curves.weights(sc.n_pos, sc.n_neg, area) for sc, area in searches]) - 1.0
     known: list[dict[float, float]] = [{} for _ in searches]  # each search's residuals by level
     roots: list[list[tuple[float, float, bool]]] = [[] for _ in searches]  # (z, residual, degenerate)
 
     def residuals(points: list[tuple[int, float]]) -> list[float]:
         """The residual of search k at level z for each (k, z) of ``points``,
-        evaluating each new one once and each side's new tops in one list."""
+        evaluating each new one once and the new tops of both sides in one
+        signed list."""
         new = list(dict.fromkeys((k, z) for k, z in points if z not in known[k]))
         half_widths = curves.weigh_at(
             [(z, *weights[k]) for k, z in new],
-            lambda side, levels: [kappa * i for i in integral_I(side, p, levels, RESIDUAL_TOL)],
+            lambda levels: [kappa * i for i in integral_I(nl, p, levels, RESIDUAL_TOL)],
         )
         for (k, z), w in zip(new, half_widths):
             known[k][z] = w - 1.0
@@ -255,7 +259,8 @@ def _roots(problem: Problem, searches: tuple[tuple[SolutionClass, float], ...]) 
     # interval edge) and do not correspond to class members; the scan runs at
     # a coarser tolerance, so each bracket is confirmed before Brent, and a
     # crossing that never rises above evaluation noise is rejected
-    crossings = [(k, i) for k, res in enumerate(scans) for i in np.where(np.sign(res[:-1]) * np.sign(res[1:]) < 0)[0]]
+    signs = np.sign(scans)
+    crossings = np.argwhere(signs[:, :-1] * signs[:, 1:] < 0).tolist()  # (k, i), row-major
     ends = scanned([(k, n) for k, i in crossings for n in (i, i + 1)])
     noise_floor = 1e-10  # residual evaluations are only this trustworthy
     refine([
@@ -270,11 +275,11 @@ def _roots(problem: Problem, searches: tuple[tuple[SolutionClass, float], ...]) 
         # its error, already has its roots bracketed by sign changes
         delta = 100.0 * _SCAN_TOL
         dips = []  # (k, i) of each minimum that needs its fold
-        for k, res in enumerate(scans):
-            for i in np.where((res[1:-1] < res[:-2]) & (res[1:-1] <= res[2:]))[0] + 1:
-                lo, hi = float(grids[k][i - 1]), float(grids[k][i + 1])
-                if -delta <= res[i] <= 0.05 and not any(lo <= z <= hi for z, _, _ in roots[k]):
-                    dips.append((k, i))
+        inner = scans[:, 1:-1]
+        for k, i in (np.argwhere((inner < scans[:, :-2]) & (inner <= scans[:, 2:])) + (0, 1)).tolist():
+            lo, hi = float(grids[k][i - 1]), float(grids[k][i + 1])
+            if -delta <= scans[k, i] <= 0.05 and not any(lo <= z <= hi for z, _, _ in roots[k]):
+                dips.append((k, i))
         folds = curves.folds([(searches[k][0].n_pos, searches[k][0].n_neg, searches[k][1], i) for k, i in dips])
         below = []  # (k, i, z) of each fold below zero
         for (k, i), fold, f_min in zip(dips, folds, residuals([(k, fold.level) for (k, _), fold in zip(dips, folds)])):
@@ -303,7 +308,7 @@ def _search(problem: Problem, sclass: SolutionClass) -> tuple[SolutionClass, flo
     S_j^-'s own, not close ones: equal counts evaluate one sum, and an odd f
     reads one side's integrals, whose a v + b v is b v + a v in IEEE
     arithmetic."""
-    searched = SolutionClass(sclass.j, SIGN_POS) if sclass.j % 2 == 0 or problem.nl.odd else sclass
+    searched = _classes(sclass.j)[-2] if sclass.j % 2 == 0 or problem.nl.odd else sclass  # S_j^+
     return searched, sclass.bound(*areas(problem.nl))
 
 
@@ -337,11 +342,13 @@ def solve_class(problem: Problem, sclass: SolutionClass) -> list[SolutionDescrip
     return _descriptors(problem, sclass, roots)
 
 
-def _classes(j_max: int) -> list[SolutionClass]:
-    """S_1^+, S_1^-, ..., S_jmax^-."""
+@functools.lru_cache(maxsize=_CLASSES_CAP)
+def _classes(j_max: int) -> tuple[SolutionClass, ...]:
+    """S_1^+, S_1^-, ..., S_jmax^-, one tuple per ``j_max``, so each class's
+    cached layout (``arches``, ``n_pos``, ``n_neg``) is computed once."""
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
-    return [SolutionClass(j, sign) for j in range(1, j_max + 1) for sign in (SIGN_POS, SIGN_NEG)]
+    return tuple(SolutionClass(j, sign) for j in range(1, j_max + 1) for sign in (SIGN_POS, SIGN_NEG))
 
 
 @ignores_underflow

@@ -18,11 +18,14 @@ same substitution bounds dI/da at a simple zero (``Arch.derivative``), so a
 fold of a class's time map, where pairs of solutions are born, is an
 ordinary zero of W' for the one bracketed root-finder.  The folds a caller
 needs are searched together (``TimeMapCurves.folds``), in rounds that
-integrate every pending dI/da of a side in one rows pass.
+integrate every pending dI/da of both sides in one rows pass.
 
-Only the positive side is implemented, and ``Arch`` carries one arch of it.
 A negative arch is a positive one of ``f~(s) = -f(-s)``: ``F~(s) = F(-s)``,
-so ``J_f(a) = I_f~(-a)`` and ``S_f(rho) = -z_f~(rho)``.
+so ``J_f(a) = I_f~(-a)`` and ``S_f(rho) = -z_f~(rho)``.  The level maps and
+a lone arch (``Arch.at``) take that route.  A list of tops may also hold
+negative ones on ``nl`` itself, each integrated with t = a - sgn(a) w^beta
+to the float of the reflected arch at |a|, so one rows pass integrates
+both sides of a class (``Arch.psi``).
 
 The half-period of one monotone arch launched with slope ``r`` is
 ``theta(r) = kappa * I(z(r))`` with ``kappa = ((p-1)/(lambda p))^(1/p)``; the
@@ -220,9 +223,12 @@ class Arch:
     an array of simple-zero tops (``integral`` gives I at each by the
     rows form of the rule), a list of them (``integral`` gives the list of
     I at each, every one the float of its top alone) or a column of them (``psi`` at a
-    matrix of abscissae, one row per top).  dI/dtop (``derivative``, and
-    ``psi``'s derivative integrand) is served for a simple zero, at a float
-    top or at a list of them, every one the float of its top alone."""
+    matrix of abscissae, one row per top).  A list's or a column's tops are
+    signed: a negative one is an arch of nl's negative side, whose every
+    value is the float of the arch of ``reflected(nl)`` at its magnitude,
+    so J there.  dI/dtop (``derivative``, and ``psi``'s derivative
+    integrand) is served for a simple zero, at a float top or at a list of
+    them, every one the float of its top alone."""
 
     nl: Nonlinearity
     p: float
@@ -239,36 +245,54 @@ class Arch:
         """The exponent of the substitution t = top - w^beta."""
         return self.p / (self.p - 2.0) if self.double else self.p / (self.p - 1.0)
 
-    def _bands(self, h):
-        """G's bands at the offsets h = top - t, as masks (model, tail, direct):
-        at a double zero below ``_MODEL_FRAC * top``, G and m are the Taylor
-        terms |m'(top)| h^2/2 and |m'(top)| h (a simple zero has no model
-        band: None); below ``_TAIL_FRAC * top``, G is h times the tail mean of
-        m; above, the direct formula at t."""
-        near = h < _TAIL_FRAC * self.top
+    def _bands(self, h, top=None):
+        """G's bands at the offsets h = |top - t|, as masks (model, tail,
+        direct): at a double zero below ``_MODEL_FRAC * top``, G and m are the
+        Taylor terms |m'(top)| h^2/2 and |m'(top)| h (a simple zero has no
+        model band: None); below ``_TAIL_FRAC * top``, G is h times the tail
+        mean of m; above, the direct formula at t.  ``top`` (``self.top`` if
+        None) is the tops' magnitude."""
+        top = self.top if top is None else top
+        near = h < _TAIL_FRAC * top
         if not self.double:
             return None, near, ~near
-        model = h < _MODEL_FRAC * self.top
+        model = h < _MODEL_FRAC * top
         return model, near ^ model, ~near
 
     def psi(self, w: np.ndarray, derivative: bool = False, ends=None) -> np.ndarray:
-        """The substituted integrand at the abscissae w, bounded on [0, top^(1/beta)]:
+        """The substituted integrand at the abscissae w, bounded on [0, |top|^(1/beta)]:
         in the tail band the w-prefactor cancels exactly.  A column of tops
         broadcasts against w.  F(top) and top^q are evaluated once per call,
         or read from ``ends``: their floats for a float top, their columns
-        for a column (``_ends``).
-        With ``derivative``, at a simple zero, it is that of dI/dtop less its
-        end term, -(beta/p) w^(beta-1) G^(-1-1/p) (m(top) - m(t)), where
+        for a column (``_ends``), which for tops of both signs end in the
+        tops' magnitudes and signs.
+        With ``derivative``, at a simple zero, it is that of dI/d|top| less its
+        end term, -(beta/p) w^(beta-1) G^(-1-1/p) sgn (m(top) - m(t)), where
         m(top) - m(t) is h times the mean of m' in the tail band; ``ends``
-        then also holds top^(q-1) and f(top)."""
+        then also holds |top|^(q-1) and f(top).
+
+        A negative top a is an arch of nl's negative side, with
+        t = a - sgn(a) w^beta, so ``|t|`` and ``|top|`` enter where a
+        positive top has t and top, G's tail mean is sgn h times the mean of
+        m over [a - sgn h, a], and the derivative integrand's
+        m(top) - m(t) takes the sign sgn.  As negation is exact and
+        ``reflected`` maps F, f and f' onto the other side float for float,
+        each row is the float the arch of ``reflected(nl)`` at |a| gives."""
         nl, p, top, beta = self.nl, self.p, self.top, self.beta
         if ends is None:
             ends = (eval_F(nl, top), top**nl.q) + ((top ** (nl.q - 1.0), eval_f(nl, top)) if derivative else ())
         h = w**beta  # underflows to 0 near w = 0 at large beta, which numpy's default ignores
         out = np.empty_like(h)
-        model, tail, direct = self._bands(h)
         power = -1.0 / p - derivative  # -1/p, or -1 - 1/p to the same double
         column = isinstance(top, np.ndarray)
+        signed = len(ends) > 2 + 2 * derivative  # the magnitudes and signs of tops of both signs
+        if signed:
+            *ends, size, sign = ends
+            model, tail, direct = self._bands(h, size)
+            step = h * sign  # sgn(a) h, so that t = a - step
+        else:
+            model, tail, direct = self._bands(h)
+            step = h
 
         def gather(mask, values):  # each top's values repeated at its row's masked nodes, row-major as h[mask]
             counts = mask.sum(axis=1)
@@ -278,47 +302,55 @@ class Arch:
         # with ``derivative`` (best of seven timeit runs, four families, on a
         # 2-vCPU x86 machine), set by its count of numpy calls (0.5-4 us each,
         # whatever the node count), so a simple zero, the scans' kind, takes
-        # no model step.
+        # no model step, and tops of one sign take no sign step.
         if np.count_nonzero(direct):  # a third of the cost of direct.any() on a pass of 125 nodes
-            a, *e = gather(direct, (top, *ends)) if column else (top, *ends)
-            t = a - h[direct]
+            a, *e = gather(direct, (top, *ends, sign) if signed else (top, *ends)) if column else (top, *ends)
+            t = a - step[direct]
             G = _direct(nl, t, e[0], e[1])
             factor = beta
             if derivative:  # m(top) - m(t) in two differences, as m(0) is 0 * inf for q < 2
-                factor = e[2] - np.abs(t) ** (nl.q - 1.0) - (e[3] - eval_f(nl, t))
+                difference = e[3] - eval_f(nl, t)
+                factor = e[2] - np.abs(t) ** (nl.q - 1.0) - (e[4] * difference if signed else difference)
             out[direct] = G**power * factor * w[direct] ** (beta - 1.0)
         if np.count_nonzero(tail):  # G = h * mean of m, m(top) - m(t) = h * mean of m'
-            pts = _tail_nodes(gather(tail, (top,))[0] if column else top, h[tail])
+            a, *s = gather(tail, (top, sign) if signed else (top,)) if column else (top,)
+            pts = _tail_nodes(a, step[tail])
             if derivative:
                 m, dm = _m_dm(nl, pts)
                 factor = dm @ _GL4_WBAR
             else:
                 m, factor = eval_m(nl, pts), beta
-            res = (m @ _GL4_WBAR) ** power * factor
+            mean = m @ _GL4_WBAR
+            res = (mean * s[0] if signed else mean) ** power * factor
             out[tail] = res * w[tail] ** (1.0 / (p - 2.0)) if self.double else res
         if model is not None:
             out[model] = beta * (0.5 * abs(_dm(nl, top))) ** (-1.0 / p)
         return -beta / p * out if derivative else out
 
     def _ends(self, derivative: bool) -> np.ndarray:
-        """The columns ``psi`` reads per top of a list: F(top) and top^q, and
-        with ``derivative`` top^(q-1) and f(top).  Each is its float top's
+        """The columns ``psi`` reads per top of a list: F(top) and |top|^q,
+        with ``derivative`` |top|^(q-1) and f(top), and for a list with a
+        negative top the tops' magnitudes and signs.  Each is its float top's
         (Python's pow and the scalar kernels, not numpy's array pow, which
         differs in the last bit), so a row's integrand is its top's alone."""
         nl, tops = self.nl, self.top
-        ends = [[eval_F(nl, top) for top in tops], [top**nl.q for top in tops]]
+        sizes = [abs(top) for top in tops]
+        ends = [[eval_F(nl, top) for top in tops], [size**nl.q for size in sizes]]
         if derivative:
-            ends += [[top ** (nl.q - 1.0) for top in tops], [eval_f(nl, top) for top in tops]]
+            ends += [[size ** (nl.q - 1.0) for size in sizes], [eval_f(nl, top) for top in tops]]
+        if any(top < 0.0 for top in tops):
+            ends += [sizes, [math.copysign(1.0, top) for top in tops]]
         return np.array(ends)[..., None]
 
     def _rows(self, derivative: bool, tol: float) -> list[float]:
         """The integral of ``psi`` (of its derivative integrand) at each top of
         a list, by the rows form of the scalar rule: each row is the float of
-        the scalar integral at its top, whose upper limit is its float top's."""
+        the scalar integral at its top, whose upper limit is its float top's
+        magnitude's."""
         column, ends = np.array(self.top)[:, None], self._ends(derivative)
         return tanh_sinh_rows(
             lambda w, rows: replace(self, top=column[rows]).psi(w, derivative, ends[:, rows]),
-            [top ** (1.0 / self.beta) for top in self.top],
+            [abs(top) ** (1.0 / self.beta) for top in self.top],
             tol,
         )
 
@@ -327,7 +359,8 @@ class Arch:
         array or a list of tops, I at each by the rows form of the rule: an
         array (a scan) with its upper limits and ends by numpy's array ops, a
         list (``_rows``) with each row the float of the scalar integral at
-        its top."""
+        its top.  A list's negative top gives J there, the float of the
+        arch of ``reflected(nl)`` at its magnitude."""
         if isinstance(self.top, list):
             return self._rows(False, tol)
         upper = self.top ** (1.0 / self.beta)
@@ -338,15 +371,16 @@ class Arch:
     def derivative(self) -> float | list[float]:
         """dI/dtop for a simple zero: the integral of ``psi``'s derivative
         integrand plus the moving limit's end term A(top)^(-1/p), at
-        ``QUAD_TOL``.  A list of tops gives the list of dI/dtop at each, every
-        one the float of its top alone: by the rows form of the rule from
-        three tops on (six rows cost 0.42 times six calls, three 0.68 times
-        three calls, two 0.93 times two calls and a lone one 1.59 times a
-        call, on the two f of ``integral_I``), one call each below that:
-        rows from two tops on moved a warm structure(N=6) of the latter f by
-        1%, within the noise of a paired run.  At a double zero I' diverges
-        like eps^(-2/p) as the level nears it, so there it raises
-        ``Divergent``."""
+        ``QUAD_TOL``.  A list of tops gives the list of dI/d|top| at each,
+        every one the float of its top alone, a negative one's that of the
+        arch of ``reflected(nl)`` at its magnitude: by the rows form of the
+        rule from three tops on, either sign counted (six rows cost 0.41-0.48
+        times six calls, three 0.67-0.73 times three calls, two 0.96-1.01
+        times two calls and a lone one 1.57-1.60 times a call, tops of one
+        sign or of both, on the two f of ``integral_I``), one call each below
+        that: rows from two tops on moved a warm structure(N=6) of the
+        latter f by 1%, within the noise of a paired run.  At a double zero I' diverges like eps^(-2/p) as
+        the level nears it, so there it raises ``Divergent``."""
         if self.double:
             raise Divergent("dI/dtop diverges at a double zero")
         nl, p, top = self.nl, self.p, self.top
@@ -355,8 +389,9 @@ class Arch:
             rule = tanh_sinh(lambda w: self.psi(w, True, ends), top ** (1.0 / self.beta), QUAD_TOL)
             return rule + (ends[1] / nl.q - ends[0]) ** (-1.0 / p)
         if len(top) < 3:
-            return [Arch(nl, p, one, False).derivative() for one in top]
-        return [row + _area(nl, one) ** (-1.0 / p) for row, one in zip(self._rows(True, QUAD_TOL), top)]
+            return [Arch.at(nl, p, one).derivative() for one in top]
+        ends = [(abs(one) ** nl.q / nl.q - eval_F(nl, one)) ** (-1.0 / p) for one in top]
+        return [row + end for row, end in zip(self._rows(True, QUAD_TOL), ends)]
 
     def cumulative(self, w_grid: np.ndarray) -> np.ndarray:
         """G-space distances from the extremum to the offsets ``w_grid``, ascending from 0."""
@@ -395,21 +430,28 @@ class Arch:
 @ignores_underflow
 def integral_I(nl: Nonlinearity, p: float, a: float | list[float], tol: float = QUAD_TOL):
     """I(a) for a in (0, z_plus]; the endpoint needs p > 2.  A list of levels
-    gives the list of I at each, every one the float of its level alone: the
-    simple levels by the rows form of the rule when there are three or more
-    (six rows cost 0.44 times six calls, three 0.75 times three calls, two
-    1.01 times two calls and a lone one 1.78 times a call, at RESIDUAL_TOL on
-    f = 2s^3 / -|s|^3 at p = 3 and f = 1.5 s^4 / -s^4 at p = 2, on a 2-vCPU
-    x86 machine), and the rest, a level snapped to z_plus among them, one
-    call each."""
+    gives the list of I at each, and of J at each negative level in
+    [z_minus, 0) (``integral_J``), every one the float of its level alone:
+    the simple levels of both signs by the rows form of the rule when there
+    are three or more (six rows cost 0.42-0.47 times six calls, three
+    0.70-0.82 times three calls, two 1.00-1.16 times two calls and a lone
+    one 1.76-1.86 times a call, tops of one sign or of both, at
+    RESIDUAL_TOL on f = 2s^3 / -|s|^3 at p = 3 and f = 1.5 s^4 / -s^4 at
+    p = 2, best of seven timeit runs on a 2-vCPU x86 machine), and the
+    rest, a level snapped to z_plus or z_minus among them, one call each."""
     if not isinstance(a, list):
         return _integral_at(nl, p, a, tol)
-    zp = nl.z_plus
-    simple = [0.0 < level < zp * (1.0 - _ENDPOINT_SNAP) for level in a]
+    zp, zm = nl.z_plus * (1.0 - _ENDPOINT_SNAP), nl.z_minus * (1.0 - _ENDPOINT_SNAP)
+    simple = [zm < level < zp and level != 0.0 for level in a]
     if sum(simple) < 3:
-        return [_integral_at(nl, p, level, tol) for level in a]
+        return [_signed_integral_at(nl, p, level, tol) for level in a]
     rows = iter(Arch(nl, p, list(compress(a, simple)), False).integral(tol))
-    return [next(rows) if row else _integral_at(nl, p, level, tol) for level, row in zip(a, simple)]
+    return [next(rows) if row else _signed_integral_at(nl, p, level, tol) for level, row in zip(a, simple)]
+
+
+def _signed_integral_at(nl: Nonlinearity, p: float, a: float, tol: float) -> float:
+    """I at a level of a list: J, I of the reflection, at a negative one."""
+    return _integral_at(reflected(nl), p, -a, tol) if a < 0.0 else _integral_at(nl, p, a, tol)
 
 
 def _integral_at(nl: Nonlinearity, p: float, a: float, tol: float) -> float:
@@ -484,7 +526,8 @@ class TimeMapCurves:
     ``r_A * fractions`` the half-periods are ``kappa * I(z(A g^p))`` (and the
     same with J), where only ``kappa`` depends on lambda.  This store holds
     the fractions ``g`` and fills in, on first use, the levels and I or J at
-    them per area bound (at ``_SCAN_TOL``), I or J at the level of the
+    them per area bound (at ``_SCAN_TOL``), W on them per class and area
+    bound (``weights``), I or J at the level of the
     area bound itself, ``g = 1`` (at ``QUAD_TOL``), for ``bound_weight``,
     and per scan index the terms of the root search's opening round at
     ``RESIDUAL_TOL`` (``scan_terms``).  ``folds`` searches between the scan
@@ -504,6 +547,7 @@ class TimeMapCurves:
         self.fractions.flags.writeable = False
         self._levels: dict[tuple[float, bool], np.ndarray] = {}
         self._scans: dict[tuple[float, bool], np.ndarray] = {}
+        self._weights: dict[tuple[int, int, float], np.ndarray] = {}
         self._bounds: dict[tuple[float, bool], float] = {}
         self._terms: dict[tuple[float, bool], np.ndarray] = {}
 
@@ -527,7 +571,11 @@ class TimeMapCurves:
     def weights(self, n_pos: int, n_neg: int, area: float) -> np.ndarray:
         """W = n_pos I + n_neg J on the scan grid of area bound ``area``; the
         matching residual is 2 kappa W - 1 and a fold is a minimum of W."""
-        return weigh(self.nl, lambda side: self.integrals(area, side is not self.nl), n_pos, n_neg)
+        if (n_pos, n_neg, area) not in self._weights:
+            weights = weigh(self.nl, lambda side: self.integrals(area, side is not self.nl), n_pos, n_neg)
+            weights.flags.writeable = False
+            self._weights[n_pos, n_neg, area] = weights
+        return self._weights[n_pos, n_neg, area]
 
     def bound_weight(self, n_pos: int, n_neg: int, area: float) -> float:
         """W with every arch at the level of area ``area`` itself, where a
@@ -574,9 +622,10 @@ class TimeMapCurves:
         These terms are lambda-free, so they are kept, NaN until first used,
         in one array per grid aligned with its levels: the lead side's I, and
         for arches of both signs of a non-odd f the other side's top and its
-        I.  Each side's missing tops are integrated by one ``integral_I`` of a
-        list, whose rows are the floats of calls of their own, so a kept term
-        is the float a search at any lambda would compute there.
+        I.  The missing tops of both sides are integrated by one
+        ``integral_I`` of a signed list (the reflected side's tops negated),
+        whose rows are the floats of calls of their own, so a kept term is
+        the float a search at any lambda would compute there.
         """
         nl, reads, missing = self.nl, [], {}
         for area, i, n_pos, n_neg in points:
@@ -592,31 +641,30 @@ class TimeMapCurves:
             for side, row in rows.items():
                 if math.isnan(terms[row, i]):
                     top = float(terms[1, i] if row else self.levels(area, negative)[i])
-                    missing.setdefault(side, {}).setdefault(top, []).append((terms, row, i))
+                    missing.setdefault(-top if side else top, []).append((terms, row, i))
             reads.append((terms, rows, i))
-        for side, at in missing.items():
-            levels = list(at)
-            for top, value in zip(levels, integral_I(reflected(nl) if side else nl, self.p, levels, RESIDUAL_TOL)):
-                for terms, row, i in at[top]:
-                    terms[row, i] = value
+        levels = list(missing)
+        for top, value in zip(levels, integral_I(nl, self.p, levels, RESIDUAL_TOL)):
+            for terms, row, i in missing[top]:
+                terms[row, i] = value
         return [{side: float(terms[row, i]) for side, row in rows.items()} for terms, rows, i in reads]
 
     def weigh_at(self, points: list[tuple[float, int, int]], term) -> list[float]:
-        """``weigh`` at each (z, n_pos, n_neg) of ``points`` of ``term(side,
-        levels)``, a side's values (I or a multiple of it) at a list of its
-        tops (``tops_at``): one call per side for every point together."""
+        """``weigh`` at each (z, n_pos, n_neg) of ``points`` of ``term(tops)``,
+        the values (I or a multiple of it) at a signed list of tops: every
+        top ``tops_at`` gives, the reflected side's negated, in one call for
+        every point together."""
         nl, tops, values = self.nl, [], {}
         for z, n_pos, n_neg in points:
-            by_side = self.tops_at(z, n_pos, n_neg)
+            by_side = {negative: -top if negative else top for negative, top in self.tops_at(z, n_pos, n_neg).items()}
             tops.append(by_side)
-            for negative, top in by_side.items():
-                values.setdefault(negative, {})[top] = 0.0
-        for negative, at in values.items():
-            levels = list(at)
-            at.update(zip(levels, term(reflected(nl) if negative else nl, levels)))
+            for top in by_side.values():
+                values[top] = 0.0
+        levels = list(values)
+        values.update(zip(levels, term(levels)))
         out = []  # loops, not comprehensions: a lone search pays this per round
         for (_, n_pos, n_neg), by_side in zip(points, tops):
-            out.append(weigh(nl, lambda s: values[s is not nl][by_side[s is not nl]], n_pos, n_neg))
+            out.append(weigh(nl, lambda s: values[by_side[s is not nl]], n_pos, n_neg))
         return out
 
     def folds(self, searches: list[tuple[int, int, float, int]]) -> list[Fold]:
@@ -629,30 +677,31 @@ class TimeMapCurves:
         the lead side (``tops_at``), between the scan levels.  Each side's
         dI/drho is ``Arch.derivative`` over m = dA/dz at its level.  Brent's
         method places each zero to the relative xtol ``_FOLD_XTOL``, every
-        search in lockstep (``brentq_lockstep``): a round integrates the
-        pending dI/dtop of a side by one ``Arch.derivative`` of a list, and W
-        at the zeros is one ``integral_I`` of a list per side.  Each row is
-        the float of its top alone, so each fold is the float of its search
-        alone.  Nothing is kept.
+        search in lockstep (``brentq_lockstep``): a round integrates every
+        pending dI/dtop of both sides by one ``Arch.derivative`` of a signed
+        list, and W at the zeros is one ``integral_I`` of a signed list.
+        Each row is the float of its top alone, so each fold is the float of
+        its search alone.  Nothing is kept.
         """
-        p = self.p
+        nl, p = self.nl, self.p
         reduced = [self.reduce(n_pos, n_neg) for n_pos, n_neg, _, _ in searches]
         counts = [(n_pos, n_neg) for _, n_pos, n_neg in reduced]
         leads = [self.lead(n_pos) for n_pos, _ in counts]
         brackets = []
         for lead, (_, _, area, i) in zip(leads, searches):
-            lo, hi = map(float, self.levels(area, lead is not self.nl)[[i - 1, i + 1]])
+            lo, hi = map(float, self.levels(area, lead is not nl)[[i - 1, i + 1]])
             brackets.append((lo, hi, _FOLD_XTOL * lo))
 
-        def slopes(side: Nonlinearity, tops: list[float]) -> list[float]:
-            return [d / eval_m(side, top) for d, top in zip(Arch(side, p, tops, False).derivative(), tops)]
+        def slopes(tops: list[float]) -> list[float]:  # m of the reflected side at |top| is -m(top)
+            derivatives = Arch(nl, p, tops, False).derivative()
+            return [d / (-eval_m(nl, top) if top < 0.0 else eval_m(nl, top)) for d, top in zip(derivatives, tops)]
 
         def slope_rows(zs: list[float], idx: list[int]) -> list[float]:
             return self.weigh_at([(z, *counts[k]) for z, k in zip(zs, idx)], slopes)
 
         zeros = brentq_lockstep(slope_rows, brackets)
         points = [(z, *count) for z, count in zip(zeros, counts)]
-        weights = self.weigh_at(points, lambda side, levels: integral_I(side, p, levels))
+        weights = self.weigh_at(points, lambda levels: integral_I(nl, p, levels))
         out = []
         for (d, _, _), lead, z, w in zip(reduced, leads, zeros, weights):
             fold = Fold((_area(lead, z), d * w))

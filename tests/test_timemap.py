@@ -10,6 +10,7 @@ from plap.roots import brentq
 from plap.solver import SolutionClass
 from plap.timemap import (
     QUAD_TOL,
+    RESIDUAL_TOL,
     Arch,
     Problem,
     TimeMapCurves,
@@ -368,12 +369,129 @@ class TestRaggedRows:
         for row, top, at in zip(rows, tops, w):
             assert row.tolist() == Arch(side, 3.0, top, False).psi(at, derivative).tolist()
 
+    @pytest.mark.parametrize("derivative", [False, True])
+    @pytest.mark.parametrize("family", ["asym", "polynomial"])
+    def test_signed_rows_of_unequal_band_counts_are_their_sides_alone(self, request, family, derivative):
+        # tops of both signs in one column: a negative row is the arch of the
+        # reflection at its magnitude, also where the rows' tail bands differ
+        nl = self._side(request, family)
+        tops = [top if k % 2 else -top for k, top in enumerate(self._tops(reflected(nl)))]
+        tops[1::2] = self._tops(nl)[1::2]
+        listed, column = Arch(nl, 3.0, tops, False), Arch(nl, 3.0, np.array(tops)[:, None], False)
+        nodes = np.linspace(1e-3, 1.0, 97)
+        w = np.array([abs(top) ** (1.0 / column.beta) * nodes ** (1 + k) for k, top in enumerate(tops)])
+        _, tail, _ = column._bands(w**column.beta, np.abs(column.top))
+        assert len(set(tail.sum(axis=1).tolist())) == len(tops)
+        rows = column.psi(w, derivative, listed._ends(derivative))
+        for row, top, at in zip(rows, tops, w):
+            assert row.tolist() == Arch.at(nl, 3.0, top).psi(at, derivative).tolist()
+        # tops of one sign read no signs: the positive side's own calls
+        assert len(Arch(nl, 3.0, self._tops(nl), False)._ends(derivative)) == 2 + 2 * derivative
+
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_rows_of_a_polynomial_f_equal_the_scalar_calls(self, request, p):
         side = self._side(request, "polynomial")
         tops = self._tops(side)
         assert Arch(side, p, tops, False).integral(1e-12) == [Arch(side, p, top, False).integral(1e-12) for top in tops]
         assert Arch(side, p, tops, False).derivative() == [Arch(side, p, top, False).derivative() for top in tops]
+
+
+class TestSignedRows:
+    """``Arch`` of a list of tops of both signs on nl itself: a negative top
+    is an arch of the negative side, and each row is the float of the scalar
+    call on its own side, so one rows pass serves both sides of a class."""
+
+    _FRACTIONS = (1e-6, 1e-3, 0.1, 0.5, 0.9, 0.99, 1 - 1e-4, 1 - 1e-7)  # of z+ and z-: every band
+    _CASES = {  # (q, family parameters, p): the non-odd f of the benchmark's sweeps
+        "asym": (2.0, {"kind": "power_asym", "b_plus": 2.0, "b_minus": 1.0, "r_exp": 4.0}, 3.0),
+        "polynomial": (2.0, {"kind": "polynomial", "coeffs": [0.0, 0.0, 1.0, -0.3]}, 3.0),
+        "realq": (2.5, {"kind": "power_asym", "b_plus": 1.0, "b_minus": 2.0, "r_exp": 4.0}, 4.0),
+        "qgtp_asym": (3.0, {"kind": "power_asym", "b_plus": 1.5, "b_minus": 1.0, "r_exp": 5.0}, 2.0),
+    }
+
+    @classmethod
+    def _case(cls, name):
+        q, params, p = cls._CASES[name]
+        params = dict(params)
+        return build_nonlinearity(params.pop("kind"), q, params), p
+
+    @classmethod
+    def _tops(cls, nl):
+        return [f * z for f in cls._FRACTIONS for z in (nl.z_plus, nl.z_minus)]
+
+    @staticmethod
+    def _shapes(monkeypatch):
+        shapes = []
+        psi = Arch.psi
+
+        def logged(arch, w, *args, **kwargs):
+            shapes.append(w.shape)
+            return psi(arch, w, *args, **kwargs)
+
+        monkeypatch.setattr(Arch, "psi", logged)
+        return shapes
+
+    @pytest.mark.parametrize("name", list(_CASES))
+    def test_integral_is_I_or_J_at_each_level(self, monkeypatch, name):
+        nl, p = self._case(name)
+        tops = self._tops(nl)
+        expected = [
+            integral_I(nl, p, top, RESIDUAL_TOL) if top > 0.0 else integral_J(nl, p, top, RESIDUAL_TOL) for top in tops
+        ]
+        shapes = self._shapes(monkeypatch)
+        assert Arch(nl, p, tops, False).integral(RESIDUAL_TOL) == expected
+        assert shapes[0] == (len(tops), quadrature._nodes(4)[0].size)  # one rows pass holds both sides
+        assert integral_I(nl, p, tops, RESIDUAL_TOL) == expected
+
+    @pytest.mark.parametrize("name", list(_CASES))
+    def test_derivative_is_the_reflected_arch_at_each_top(self, monkeypatch, name):
+        nl, p = self._case(name)
+        tops = self._tops(nl)
+        expected = [Arch.at(nl, p, top).derivative() for top in tops]
+        shapes = self._shapes(monkeypatch)
+        assert Arch(nl, p, tops, False).derivative() == expected
+        assert shapes[0] == (len(tops), quadrature._nodes(4)[0].size)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_fewer_than_three_tops_of_both_sides_take_scalar_calls(self, asym, monkeypatch, count):
+        tops = [0.5 * asym.z_plus, 0.5 * asym.z_minus][:count]
+        shapes = self._shapes(monkeypatch)
+        got = Arch(asym, 3.0, tops, False).derivative(), integral_I(asym, 3.0, tops, RESIDUAL_TOL)
+        assert all(len(shape) == 1 for shape in shapes)
+        assert got == ([Arch.at(asym, 3.0, top).derivative() for top in tops],
+                       [Arch.at(asym, 3.0, top).integral(RESIDUAL_TOL) for top in tops])
+
+    @pytest.mark.parametrize("family, p", [("cubic_odd", 2.0), ("quintic_q3", 3.0), ("qgtp", 2.0)])
+    def test_an_odd_f_gives_a_negative_row_its_positive_twin(self, request, family, p):
+        nl = request.getfixturevalue(family)
+        tops = [f * nl.z_plus for f in self._FRACTIONS]
+        signed = Arch(nl, p, tops + [-top for top in tops], False)
+        for rows in (signed.integral(RESIDUAL_TOL), signed.derivative()):
+            assert rows[len(tops):] == rows[: len(tops)]
+
+    def test_a_level_snapped_to_z_minus_takes_the_scalar_call(self, asym, monkeypatch):
+        snapped = asym.z_minus * (1.0 - 1e-15)
+        levels = [0.3 * asym.z_plus, snapped, 0.6 * asym.z_minus, 0.9 * asym.z_plus]
+        shapes = self._shapes(monkeypatch)
+        rows = integral_I(asym, 3.0, levels, RESIDUAL_TOL)
+        assert shapes[0][0] == 3  # the first rows pass holds the three simple levels
+        assert rows == [
+            integral_I(asym, 3.0, levels[0], RESIDUAL_TOL),
+            integral_J(asym, 3.0, asym.z_minus, RESIDUAL_TOL),  # the double zero's integral
+            integral_J(asym, 3.0, levels[2], RESIDUAL_TOL),
+            integral_I(asym, 3.0, levels[3], RESIDUAL_TOL),
+        ]
+        assert rows[1] == integral_J(asym, 3.0, snapped, RESIDUAL_TOL)
+
+    def test_errors_are_the_scalar_calls_of_either_side(self, asym):
+        with pytest.raises(Divergent):  # J at z- diverges for p <= 2
+            integral_I(asym, 2.0, [0.5 * asym.z_plus, asym.z_minus, -0.5, 0.2])
+        with pytest.raises(DomainError):
+            integral_I(asym, 2.0, [0.5 * asym.z_plus, 1.5 * asym.z_minus, -0.5, 0.2])
+        with pytest.raises(DomainError):
+            integral_I(asym, 2.0, [0.5 * asym.z_plus, 0.0, -0.5, 0.2])
+        with pytest.raises(DomainError):  # a lone negative level is outside I's domain
+            integral_I(asym, 2.0, -0.5)
 
 
 class TestIntegralJ:
@@ -698,9 +816,10 @@ class TestFold:
             (own,) = case.folds([self._search(case, SolutionClass(1, "+"))])
             assert alone[searches.index(self._search(curves, SolutionClass(1, "+")))] == own
 
-    def test_lockstep_rounds_share_one_derivative_call_per_side(self, monkeypatch):
+    def test_lockstep_rounds_share_one_derivative_call(self, monkeypatch):
         # qgtp_asym at p = 2: seven searches, and every round integrates the
-        # pending tops of a side by one call of Arch.derivative on a list
+        # pending tops of both sides by one call of Arch.derivative on a
+        # signed list
         curves = self._curves(3.0, 5.0, 1.5, 2.0)
         classes = [SolutionClass(n, sign) for n in range(1, 7) for sign in "+-"]
         searches = list(dict.fromkeys(self._search(curves, sc) for sc in classes))
@@ -720,7 +839,8 @@ class TestFold:
         monkeypatch.setattr(timemap, "brentq_lockstep", counted)
         curves.folds(searches)
         assert rounds[0] == list(range(7))  # the first round holds every search's left end
-        assert len(lists) == 2 * len(rounds)  # each round, one call per side
+        assert len(lists) == len(rounds)  # each round, one call
+        assert all(min(tops) < 0.0 < max(tops) for tops in lists)  # the reflected side's tops negated
         assert all(len(tops) == len(set(tops)) for tops in lists)
         assert max(map(len, lists)) >= 3  # a rows pass, not one scalar call per top
 
