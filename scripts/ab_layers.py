@@ -3,7 +3,7 @@
     python scripts/ab_layers.py --base <tree> [--rounds 15]
 
 Imports ``<tree>/src/plap`` and this checkout's ``src/plap`` side by side,
-as two packages of different names, and times sixteen layers in each:
+as two packages of different names, and times seventeen layers in each:
 
 * the scalar level map ``level_pos`` on q = 2, f = 2s^3 / -|s|^3 at
   rho = 0.3 A(z+): the Brent inversion inside ``matching_residual`` and, for
@@ -29,6 +29,10 @@ as two packages of different names, and times sixteen layers in each:
   f = 1.5 s^4 / -s^4 (r_exp = 5), whose mixed classes run seven fold searches
   in lockstep;
 * the same on the odd f = |s|^3 s, where one fold search serves every class;
+* a warm ``enumerate_solutions(j_max=6)`` on the former f at
+  lambda = (1 + 1e-6) lambda*_1, just above the first fold threshold, whose
+  dip runs the fold search of the q > p root search (no perfbench workload
+  times this path);
 * a warm ``enumerate_solutions(j_max=6)``, the op of the q <= p sweep, on the
   odd f = s^3 with p = q = 2 and on f = 2s^3 / -|s|^3 with p = 3, q = 2, each
   call at the next of five lambdas in turn, each one root search of all its
@@ -85,6 +89,7 @@ _BATCH = {
     "residual odd": 100,
     "structure N=6": 4,
     "structure N=6 odd": 10,
+    "enumerate q>p dip": 20,
     "enumerate odd": 5,
     "enumerate asym": 5,
     "enumerate asym, fresh λ": 5,
@@ -151,6 +156,8 @@ def _layers(plap) -> dict:
     r_asym, r_odd = (0.5 * plap.slope_bounds(prob).r_star for prob in (on_asym, on_odd))
     qgtp_asym = plap.build_nonlinearity("power_asym", 3.0, {"b_plus": 1.5, "b_minus": 1.0, "r_exp": 5.0})
     fold, fold_odd = (plap.Problem(p=2.0, nl=nl, lam=300.0) for nl in (qgtp_asym, qgtp))
+    first = plap.bifurcation_table(qgtp_asym, 2.0, 1)
+    dip = plap.Problem(p=2.0, nl=qgtp_asym, lam=(1 + 1e-6) * min(first.star_plus[0], first.star_minus[0]))
     sweep_odd, sweep_asym = (
         itertools.cycle([plap.Problem(p=p, nl=nl, lam=lam) for lam in _ENUMERATE_LAMS])
         for p, nl in ((2.0, cubic), (3.0, asym))
@@ -171,6 +178,7 @@ def _layers(plap) -> dict:
         "residual odd": lambda: plap.matching_residual(on_odd, mixed, r_odd),
         "structure N=6": lambda: plap.structure(fold, 6),
         "structure N=6 odd": lambda: plap.structure(fold_odd, 6),
+        "enumerate q>p dip": lambda: plap.enumerate_solutions(dip, 6),
         "enumerate odd": lambda: plap.enumerate_solutions(next(sweep_odd), 6),
         "enumerate asym": lambda: plap.enumerate_solutions(next(sweep_asym), 6),
         "enumerate asym, fresh λ": lambda: plap.enumerate_solutions(next(fresh_asym), 6),

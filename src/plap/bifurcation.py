@@ -56,7 +56,10 @@ def _fold_weights(curves: TimeMapCurves, classes: tuple[SolutionClass, ...]) -> 
     on the class only through its area and reduced ratio n_pos : n_neg, so
     the store's scans at rho = A_class g^p bracket one fold per (area,
     reduced ratio) in the table, and one ``curves.folds`` searches them all
-    in lockstep, with the dI/dtop of both sides in rows.  A scanned minimum at the
+    in lockstep, with the dI/dtop of both sides in rows.  The bracket ends
+    are scan points, whose dI/drho the store keeps, so a table on a warm
+    store integrates only Brent's iterates and W at the folds; the folds
+    themselves are searched again by each table.  A scanned minimum at the
     store's first fraction, the solver's own depth, raises ``NoZeroFound``:
     the fold may lie deeper.
     """

@@ -208,7 +208,9 @@ def _roots(problem: Problem, searches: tuple[tuple[SolutionClass, float], ...]) 
     scan points, the ends of the sign changes and the grid ends of the dip
     path, the I per side is lambda-free, so the store keeps it
     (``TimeMapCurves.scan_terms``) and each lambda weighs kappa times it;
-    Brent's iterates and the folds are integrated anew at every call."""
+    it keeps dI/drho per side at the fold brackets' ends too
+    (``TimeMapCurves.scan_slopes``).  Brent's iterates and the folds are
+    integrated anew at every call."""
     curves = time_map_curves(problem.nl, problem.p)
     nl, kappa, lam, p = curves.nl, problem.kappa, problem.lam, problem.p
     weights = [(2.0 * sc.n_pos, 2.0 * sc.n_neg) for sc, _ in searches]

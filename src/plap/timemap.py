@@ -17,8 +17,9 @@ a bounded function of ``w``, which the tanh-sinh rule then resolves.  The
 same substitution bounds dI/da at a simple zero (``Arch.derivative``), so a
 fold of a class's time map, where pairs of solutions are born, is an
 ordinary zero of W' for the one bracketed root-finder.  The folds a caller
-needs are searched together (``TimeMapCurves.folds``), in rounds that
-integrate every pending dI/da of both sides in one rows pass.
+needs are searched together (``TimeMapCurves.folds``), from bracket ends
+whose dI/da the store keeps, in rounds that integrate every pending dI/da
+of both sides in one rows pass.
 
 A negative arch is a positive one of ``f~(s) = -f(-s)``: ``F~(s) = F(-s)``,
 so ``J_f(a) = I_f~(-a)`` and ``S_f(rho) = -z_f~(rho)``.  The level maps and
@@ -529,9 +530,11 @@ class TimeMapCurves:
     them per area bound (at ``_SCAN_TOL``), W on them per class and area
     bound (``weights``), I or J at the level of the
     area bound itself, ``g = 1`` (at ``QUAD_TOL``), for ``bound_weight``,
-    and per scan index the terms of the root search's opening round at
-    ``RESIDUAL_TOL`` (``scan_terms``).  ``folds`` searches between the scan
-    levels and keeps nothing.
+    and per scan index, by one routine (``_kept``), the terms of the root
+    search's opening round at ``RESIDUAL_TOL`` (``scan_terms``) and each
+    side's dI/drho at ``QUAD_TOL`` at the ends of a fold bracket
+    (``scan_slopes``).  ``folds`` searches between the scan levels and keeps
+    no fold, fold level or Brent iterate.
 
     Every value is a pure function of the store's key and its own arguments,
     so the order in which lambdas fill it never shows in a result, and two
@@ -617,53 +620,85 @@ class TimeMapCurves:
     def scan_terms(self, points: list[tuple[float, int, int, int]]) -> list[dict[bool, float]]:
         """I at ``RESIDUAL_TOL`` at each top ``tops_at`` gives, keyed as it
         keys them, for each (area, i, n_pos, n_neg) of ``points``: the class
-        at point i of the scan grid of its lead side and area bound ``area``.
+        at point i of the scan grid of its lead side and area bound ``area``
+        (``_kept``, rows 0 and 2), the root search's opening round."""
+        kept = self._kept(points, (0, 2), lambda levels: integral_I(self.nl, self.p, levels, RESIDUAL_TOL))
+        return [values for _, values in kept]
 
-        These terms are lambda-free, so they are kept, NaN until first used,
-        in one array per grid aligned with its levels: the lead side's I, and
-        for arches of both signs of a non-odd f the other side's top and its
-        I.  The missing tops of both sides are integrated by one
-        ``integral_I`` of a signed list (the reflected side's tops negated),
-        whose rows are the floats of calls of their own, so a kept term is
-        the float a search at any lambda would compute there.
+    def scan_slopes(self, points: list[tuple[float, int, int, int]]) -> list[tuple[dict, dict[bool, float]]]:
+        """(``tops_at``, ``slopes`` at them) for each (area, i, n_pos, n_neg)
+        of ``points``, each keyed by side: dI/drho per side at QUAD_TOL at
+        point i of the class's lead scan grid (``_kept``, rows 3 and 4), the
+        bracket ends of a fold search."""
+        return self._kept(points, (3, 4), self.slopes)
+
+    def _kept(self, points, rows: tuple[int, int], fill) -> list[tuple[dict[bool, float], dict[bool, float]]]:
+        """(``tops_at``, the kept value per side) at each (area, i, n_pos,
+        n_neg) of ``points``, the class at point i of the scan grid of its
+        lead side and area bound ``area``, each keyed by side; ``rows`` are
+        the lead side's row and the other side's, and ``fill`` gives the
+        values at a signed list of tops.
+
+        The values are lambda-free, so they are kept, NaN until first used,
+        in one array per grid aligned with its levels.  Its rows: the lead
+        side's I at ``RESIDUAL_TOL``, the other side's top (for arches of
+        both signs of a non-odd f) and its I, then the lead side's dI/drho
+        at ``QUAD_TOL`` and the other side's.  The missing tops of both
+        sides are filled by one ``fill`` of a signed list (the reflected
+        side's tops negated), whose rows are the floats of calls of their
+        own, so a kept value is the float a search at any lambda would
+        compute there.
         """
         nl, reads, missing = self.nl, [], {}
         for area, i, n_pos, n_neg in points:
             negative = self.lead(n_pos) is not nl
             terms = self._terms.get((area, negative))
-            if terms is None:  # rows: the lead side's I, the other side's top, its I
-                terms = self._terms.setdefault((area, negative), np.full((3, self.fractions.size), np.nan))
-            rows = {negative: 0}
+            if terms is None:
+                terms = self._terms.setdefault((area, negative), np.full((5, self.fractions.size), np.nan))
+            tops, sides = {negative: float(self.levels(area, negative)[i])}, {negative: rows[0]}
             if n_pos and n_neg and not nl.odd:
                 if math.isnan(terms[1, i]):
-                    terms[1, i] = self.tops_at(float(self.levels(area, negative)[i]), n_pos, n_neg)[True]
-                rows[True] = 2
-            for side, row in rows.items():
+                    terms[1, i] = self.tops_at(tops[False], n_pos, n_neg)[True]
+                tops[True], sides[True] = float(terms[1, i]), rows[1]
+            for side, row in sides.items():
                 if math.isnan(terms[row, i]):
-                    top = float(terms[1, i] if row else self.levels(area, negative)[i])
-                    missing.setdefault(-top if side else top, []).append((terms, row, i))
-            reads.append((terms, rows, i))
-        levels = list(missing)
-        for top, value in zip(levels, integral_I(nl, self.p, levels, RESIDUAL_TOL)):
-            for terms, row, i in missing[top]:
-                terms[row, i] = value
-        return [{side: float(terms[row, i]) for side, row in rows.items()} for terms, rows, i in reads]
+                    missing.setdefault(-tops[side] if side else tops[side], []).append((terms, row, i))
+            reads.append((tops, terms, sides, i))
+        if missing:
+            levels = list(missing)
+            for top, value in zip(levels, fill(levels)):
+                for terms, row, i in missing[top]:
+                    terms[row, i] = value
+        return [(tops, {side: float(terms[row, i]) for side, row in sides.items()}) for tops, terms, sides, i in reads]
 
-    def weigh_at(self, points: list[tuple[float, int, int]], term) -> list[float]:
+    def slopes(self, tops: list[float]) -> list[float]:
+        """dI/drho at each top of a signed list: one ``Arch.derivative`` of
+        the list over m = dA/dz at each top, m of the reflected side at |top|
+        being -m(top)."""
+        nl = self.nl
+        derivatives = Arch(nl, self.p, tops, False).derivative()
+        return [d / (-eval_m(nl, top) if top < 0.0 else eval_m(nl, top)) for d, top in zip(derivatives, tops)]
+
+    def weigh_at(self, points: list[tuple[float, int, int]], term, seen: dict | None = None) -> list[float]:
         """``weigh`` at each (z, n_pos, n_neg) of ``points`` of ``term(tops)``,
         the values (I or a multiple of it) at a signed list of tops: every
         top ``tops_at`` gives, the reflected side's negated, in one call for
-        every point together."""
-        nl, tops, values = self.nl, [], {}
-        for z, n_pos, n_neg in points:
-            by_side = {negative: -top if negative else top for negative, top in self.tops_at(z, n_pos, n_neg).items()}
-            tops.append(by_side)
+        every point together.  ``seen``, keyed by point, holds ``tops_at`` of
+        the points met before, which then invert no level, and is given that
+        of the others."""
+        nl, by_point, values = self.nl, [], {}
+        seen = {} if seen is None else seen
+        for point in points:
+            if point not in seen:
+                seen[point] = self.tops_at(*point)
+            by_side = {negative: -top if negative else top for negative, top in seen[point].items()}
+            by_point.append(by_side)
             for top in by_side.values():
                 values[top] = 0.0
         levels = list(values)
         values.update(zip(levels, term(levels)))
         out = []  # loops, not comprehensions: a lone search pays this per round
-        for (_, n_pos, n_neg), by_side in zip(points, tops):
+        for (_, n_pos, n_neg), by_side in zip(points, by_point):
             out.append(weigh(nl, lambda s: values[by_side[s is not nl]], n_pos, n_neg))
         return out
 
@@ -675,33 +710,46 @@ class TimeMapCurves:
 
         Each search runs for the reduced ratio (``reduce``) in the level z of
         the lead side (``tops_at``), between the scan levels.  Each side's
-        dI/drho is ``Arch.derivative`` over m = dA/dz at its level.  Brent's
-        method places each zero to the relative xtol ``_FOLD_XTOL``, every
-        search in lockstep (``brentq_lockstep``): a round integrates every
-        pending dI/dtop of both sides by one ``Arch.derivative`` of a signed
-        list, and W at the zeros is one ``integral_I`` of a signed list.
-        Each row is the float of its top alone, so each fold is the float of
-        its search alone.  Nothing is kept.
+        dI/drho is ``Arch.derivative`` over m = dA/dz at its level
+        (``slopes``).  Brent's method places each zero to the relative xtol
+        ``_FOLD_XTOL``, every search in lockstep (``brentq_lockstep``).  The
+        bracket ends are scan points, so their dI/drho per side and the other
+        side's top are kept in the store (``scan_slopes``), and the two
+        opening rounds weigh them as a round weighs its own: one
+        ``Arch.derivative`` of a signed list fills the missing ends of every
+        search, and on a warm store the two rounds integrate nothing.  Each
+        later round integrates every pending dI/dtop of both sides by one
+        ``Arch.derivative`` of a signed list, and W at the zeros is one
+        ``integral_I`` of a signed list, at the tops this call found for the
+        same points, since Brent returns an abscissa it evaluated.  Each row
+        is the float of its top alone, so each fold is the float of its
+        search alone.  No fold, fold level or Brent iterate is kept.
         """
         nl, p = self.nl, self.p
         reduced = [self.reduce(n_pos, n_neg) for n_pos, n_neg, _, _ in searches]
         counts = [(n_pos, n_neg) for _, n_pos, n_neg in reduced]
         leads = [self.lead(n_pos) for n_pos, _ in counts]
-        brackets = []
-        for lead, (_, _, area, i) in zip(leads, searches):
+        ends = [(area, n, *count) for count, (_, _, area, i) in zip(counts, searches) for n in (i - 1, i + 1)]
+        ends = iter(self.scan_slopes(ends))
+        brackets, known, tops = [], [], {}  # known: each search's W' by level; tops: tops_at by point
+        for lead, count, (_, _, area, i) in zip(leads, counts, searches):
             lo, hi = map(float, self.levels(area, lead is not nl)[[i - 1, i + 1]])
             brackets.append((lo, hi, _FOLD_XTOL * lo))
-
-        def slopes(tops: list[float]) -> list[float]:  # m of the reflected side at |top| is -m(top)
-            derivatives = Arch(nl, p, tops, False).derivative()
-            return [d / (-eval_m(nl, top) if top < 0.0 else eval_m(nl, top)) for d, top in zip(derivatives, tops)]
+            known.append({})
+            for z, (by_side, slope) in zip((lo, hi), ends):
+                tops[(z, *count)] = by_side
+                known[-1][z] = weigh(nl, lambda side: slope[side is not nl], *count)
 
         def slope_rows(zs: list[float], idx: list[int]) -> list[float]:
-            return self.weigh_at([(z, *counts[k]) for z, k in zip(zs, idx)], slopes)
+            new = [(z, k) for z, k in zip(zs, idx) if z not in known[k]]
+            if new:
+                for (z, k), w in zip(new, self.weigh_at([(z, *counts[k]) for z, k in new], self.slopes, tops)):
+                    known[k][z] = w
+            return [known[k][z] for z, k in zip(zs, idx)]
 
         zeros = brentq_lockstep(slope_rows, brackets)
         points = [(z, *count) for z, count in zip(zeros, counts)]
-        weights = self.weigh_at(points, lambda levels: integral_I(nl, p, levels))
+        weights = self.weigh_at(points, lambda levels: integral_I(nl, p, levels), tops)
         out = []
         for (d, _, _), lead, z, w in zip(reduced, leads, zeros, weights):
             fold = Fold((_area(lead, z), d * w))

@@ -149,23 +149,32 @@ class TestMinimizers:
 
     def test_lockstep_fold_passes(self, monkeypatch):
         # on a warm store, the seven folds of f = 1.5 s^4 / -s^4 (q = 3) at
-        # p = 2 are searched together: a Brent round takes one psi' pass for
-        # all of them, both sides in one signed list, and W at the zeros one
-        # psi pass (one search at a time took 72 psi' passes and 12 psi
-        # passes, one pass per side 12 and 2)
+        # p = 2 are searched together: the two end rounds read the store's
+        # kept dI/drho, every later Brent round takes one psi' pass for all
+        # of them, both sides in one signed list, and W at the zeros one psi
+        # pass at the tops the rounds found, so only Brent's iterates invert
+        # a level (one search at a time took 72 psi' passes and 12 psi
+        # passes, one pass per side 12 and 2, integrated end rounds 6 psi'
+        # passes and 35 level maps)
         nl = build_nonlinearity("power_asym", 3.0, {"b_plus": 1.5, "b_minus": 1.0, "r_exp": 5.0})
         bifurcation_table(nl, 2.0, 6)
-        passes = []
-        psi = timemap.Arch.psi
+        passes, levels = [], []
+        psi, level_pos = timemap.Arch.psi, timemap.level_pos
 
         def counted(arch, w, derivative=False, ends=None):
             passes.append(derivative)
             return psi(arch, w, derivative, ends)
 
+        def counted_level(side, rho):
+            levels.append(isinstance(rho, float))
+            return level_pos(side, rho)
+
         monkeypatch.setattr(timemap.Arch, "psi", counted)
+        monkeypatch.setattr(timemap, "level_pos", counted_level)
         bifurcation_table(nl, 2.0, 6)
-        assert passes.count(True) <= 6
+        assert passes.count(True) <= 4
         assert passes.count(False) <= 1
+        assert levels.count(True) <= 20
 
     def test_store_is_filled_once(self, scans):
         # a second table on the same (f, p) reads the store's scans and runs none

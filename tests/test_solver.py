@@ -7,7 +7,7 @@ import pytest
 from plap.bifurcation import bifurcation_table, structure
 from plap import solver, timemap
 from plap.errors import OutOfRange
-from plap.nonlinearity import areas, build_nonlinearity, reflected
+from plap.nonlinearity import areas, build_nonlinearity, eval_m, reflected
 from plap.solver import (
     TRIVIAL,
     SolutionClass,
@@ -707,20 +707,20 @@ class TestTimeMapCurves:
         J_mirror = stores[3].integrals(area, negative=True)
         assert not np.array_equal(J_asym, J_mirror)
 
-    def test_threads_racing_to_fill_agree(self, asym):
+    @staticmethod
+    def _race(jobs):
+        """Each job's result, all run in threads at once on an emptied store,
+        with a short switch interval, so that they race to fill its entries."""
         import sys
         import threading
 
-        lams = [60.0, 300.0, 2500.0, 900.0]
         time_map_curves.cache_clear()
-        serial = [enumerate_solutions(Problem(p=3.0, nl=asym, lam=lam), j_max=3) for lam in lams]
-        time_map_curves.cache_clear()
-        results = [None] * len(lams)
+        results = [None] * len(jobs)
 
         def work(i):
-            results[i] = enumerate_solutions(Problem(p=3.0, nl=asym, lam=lams[i]), j_max=3)
+            results[i] = jobs[i]()
 
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(lams))]
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -731,7 +731,31 @@ class TestTimeMapCurves:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert results == serial
+        return results
+
+    def test_threads_racing_to_fill_agree(self, asym):
+        lams = [60.0, 300.0, 2500.0, 900.0]
+        time_map_curves.cache_clear()
+        serial = [enumerate_solutions(Problem(p=3.0, nl=asym, lam=lam), j_max=3) for lam in lams]
+        jobs = [lambda lam=lam: enumerate_solutions(Problem(p=3.0, nl=asym, lam=lam), j_max=3) for lam in lams]
+        assert self._race(jobs) == serial
+
+    def test_threads_racing_to_fill_fold_ends_agree(self):
+        # tables of two sizes, a structure report and an enumeration whose dip
+        # runs a fold search, racing to fill the kept ends of the fold brackets
+        nl = build_nonlinearity("power_asym", 3.0, {"b_plus": 1.5, "b_minus": 1.0, "r_exp": 5.0})
+        table = bifurcation_table(nl, 2.0, 1)
+        lam = (1 + 1e-6) * min(table.star_plus[0], table.star_minus[0])  # just above lambda*_1
+        jobs = [
+            lambda: bifurcation_table(nl, 2.0, 6),
+            lambda: enumerate_solutions(Problem(p=2.0, nl=nl, lam=lam), j_max=6),
+            lambda: bifurcation_table(nl, 2.0, 3),
+            lambda: structure(Problem(p=2.0, nl=nl, lam=300.0), 6),
+        ]
+        time_map_curves.cache_clear()
+        serial = [job() for job in jobs]
+        assert self._race(jobs) == serial
+        assert self._race(jobs[::-1]) == serial[::-1]
 
     def test_store_is_bounded(self, cubic_odd):
         time_map_curves.cache_clear()
@@ -842,7 +866,7 @@ class TestScanTerms:
         assert curves._terms and set(curves._terms) <= set(curves._levels)
         for (area, negative), terms in curves._terms.items():
             # each kept term is the one at its scan index
-            assert terms.shape == (3, curves.fractions.size)
+            assert terms.shape == (5, curves.fractions.size)
             levels = curves.levels(area, negative)
             lead = reflected(asym) if negative else asym
             kept = np.flatnonzero(~np.isnan(terms[0]))
@@ -854,3 +878,111 @@ class TestScanTerms:
             tops = [curves.tops_at(float(levels[i]), 1, 1)[True] for i in other]
             assert terms[1, other].tolist() == tops
             assert terms[2, other].tolist() == timemap.integral_I(reflected(asym), p, tops, timemap.RESIDUAL_TOL)
+
+
+class TestKeptFoldEnds:
+    """A fold search's two end rounds read the dI/drho the store keeps at its
+    bracket ends, points i-1 and i+1 of the scan grid
+    (``TimeMapCurves.scan_slopes``)."""
+
+    @staticmethod
+    def _nl(b_plus):
+        return build_nonlinearity("power_asym", 3.0, {"b_plus": b_plus, "b_minus": 1.0, "r_exp": 5.0})
+
+    @staticmethod
+    def _searches(curves, j_max=6):
+        """The distinct (n_pos, n_neg, area, i) fold searches of S_1..S_jmax,
+        as ``bifurcation_table`` brackets them."""
+        searches = []
+        for sc in solver._classes(j_max):
+            _, n_pos, n_neg = curves.reduce(sc.n_pos, sc.n_neg)
+            area = sc.bound(*areas(curves.nl))
+            i = int(np.argmin(curves.weights(n_pos, n_neg, area)))
+            searches.append((n_pos, n_neg, area, min(i, curves.fractions.size - 2)))
+        return list(dict.fromkeys(searches))
+
+    @staticmethod
+    def _integrated(monkeypatch):
+        """The list of signed tops whose dI/drho the searches integrate from now on."""
+        tops, slopes = [], TimeMapCurves.slopes
+
+        def logged(curves, levels):
+            tops.extend(levels)
+            return slopes(curves, levels)
+
+        monkeypatch.setattr(TimeMapCurves, "slopes", logged)
+        return tops
+
+    @staticmethod
+    def _ends(curves, searches):
+        """The signed lead tops at the bracket ends of ``searches``."""
+        ends = set()
+        for n_pos, n_neg, area, i in searches:
+            negative = curves.lead(n_pos) is not curves.nl
+            ends.update((-1.0 if negative else 1.0) * float(curves.levels(area, negative)[n]) for n in (i - 1, i + 1))
+        return ends
+
+    @pytest.mark.parametrize("b_plus, count", [(1.0, 1), (1.5, 7)], ids=["qgtp", "qgtp_asym"])
+    def test_folds_from_kept_ends_are_those_of_a_cold_store(self, monkeypatch, b_plus, count):
+        p, nl = 2.0, self._nl(b_plus)
+        searches = self._searches(TimeMapCurves(nl, p))
+        assert len(searches) == count
+        alone = [TimeMapCurves(nl, p).folds([search])[0] for search in searches]  # each on a cold store
+        time_map_curves.cache_clear()
+        bifurcation_table(nl, p, 6)  # fills the kept ends, then unrelated tables and lambdas
+        bifurcation_table(nl, p, 3)
+        bifurcation_table(self._nl(1.2), p, 6)
+        for lam in (40.0, 900.0):
+            enumerate_solutions(Problem(p=p, nl=nl, lam=lam), 6)
+        curves = time_map_curves(nl, p)
+        integrated = self._integrated(monkeypatch)
+        for order in (searches, searches[::-1], searches[1::2] + searches[::2]):
+            together = curves.folds(order)
+            expected = [alone[searches.index(search)] for search in order]
+            assert together == expected  # rho and W
+            assert [fold.level for fold in together] == [fold.level for fold in expected]
+        assert integrated and not self._ends(curves, searches) & set(integrated)
+
+    @pytest.mark.parametrize("factor, searches", [(1 + 1e-6, 1), (1.05, 0), (2.0, 0)])
+    def test_dip_path_reads_the_kept_ends(self, qgtp, monkeypatch, factor, searches):
+        # the cases of the solver's fold-search test: the dip's fold, after a
+        # table filled the store, is that of a cold store
+        p, sc = 2.0, SolutionClass(1, "+")
+        prob = Problem(p=p, nl=qgtp, lam=factor * bifurcation_table(qgtp, p, 1).star_plus[0])
+        time_map_curves.cache_clear()
+        cold = solve_class(prob, sc)
+        time_map_curves.cache_clear()
+        bifurcation_table(qgtp, p, 6)
+        curves = time_map_curves(qgtp, p)
+        calls, folds = [], TimeMapCurves.folds
+
+        def counted(store, searched):
+            calls.extend(searched)
+            return folds(store, searched)
+
+        monkeypatch.setattr(TimeMapCurves, "folds", counted)
+        integrated = self._integrated(monkeypatch)
+        assert solve_class(prob, sc) == cold  # residual floats included
+        assert len(calls) == searches
+        assert not self._ends(curves, calls) & set(integrated)
+
+    @pytest.mark.parametrize("b_plus", [1.0, 1.5], ids=["qgtp", "qgtp_asym"])
+    def test_kept_slopes_are_the_scalar_derivative_over_m(self, b_plus):
+        p, nl = 2.0, self._nl(b_plus)
+        time_map_curves.cache_clear()
+        bifurcation_table(nl, p, 6)
+        curves = time_map_curves(nl, p)
+
+        def slope(top):  # dI/drho of the arch at a signed top, m of the reflected side being -m
+            return Arch.at(nl, p, top).derivative() / (eval_m(nl, top) if top > 0.0 else -eval_m(nl, top))
+
+        rows = others = 0
+        for (area, negative), terms in curves._terms.items():
+            sign = -1.0 if negative else 1.0
+            lead = np.flatnonzero(~np.isnan(terms[3]))
+            levels = curves.levels(area, negative)
+            assert terms[3, lead].tolist() == [slope(sign * float(levels[i])) for i in lead]
+            other = np.flatnonzero(~np.isnan(terms[4]))
+            assert terms[4, other].tolist() == [slope(-float(terms[1, i])) for i in other]
+            rows, others = rows + lead.size, others + other.size
+        assert rows > 0 and (others > 0) == (not nl.odd)

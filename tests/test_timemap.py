@@ -817,19 +817,22 @@ class TestFold:
             assert alone[searches.index(self._search(curves, SolutionClass(1, "+")))] == own
 
     def test_lockstep_rounds_share_one_derivative_call(self, monkeypatch):
-        # qgtp_asym at p = 2: seven searches, and every round integrates the
-        # pending tops of both sides by one call of Arch.derivative on a
-        # signed list
+        # qgtp_asym at p = 2: seven searches.  Their bracket ends are scan
+        # points, whose dI/drho the store keeps: on a cold store one call of
+        # Arch.derivative on a signed list fills the ends of every search
+        # before the first round, on a warm one the two end rounds make no
+        # call, and every later round integrates the pending tops of both
+        # sides by one call on a signed list
         curves = self._curves(3.0, 5.0, 1.5, 2.0)
         classes = [SolutionClass(n, sign) for n in range(1, 7) for sign in "+-"]
         searches = list(dict.fromkeys(self._search(curves, sc) for sc in classes))
         assert len(searches) == 7
-        lists, rounds = [], []
+        lists, rounds = [], []  # lists: (rounds begun before the call, its tops)
         derivative, lockstep = Arch.derivative, timemap.brentq_lockstep
 
         def logged(arch):
             if isinstance(arch.top, list):
-                lists.append(arch.top)
+                lists.append((len(rounds), arch.top))
             return derivative(arch)
 
         def counted(f, brackets):
@@ -837,12 +840,21 @@ class TestFold:
 
         monkeypatch.setattr(Arch, "derivative", logged)
         monkeypatch.setattr(timemap, "brentq_lockstep", counted)
-        curves.folds(searches)
-        assert rounds[0] == list(range(7))  # the first round holds every search's left end
-        assert len(lists) == len(rounds)  # each round, one call
-        assert all(min(tops) < 0.0 < max(tops) for tops in lists)  # the reflected side's tops negated
-        assert all(len(tops) == len(set(tops)) for tops in lists)
-        assert max(map(len, lists)) >= 3  # a rows pass, not one scalar call per top
+        cold = curves.folds(searches)
+        (begun, ends), *later = lists
+        assert begun == 0  # the ends of every search, before the first round
+        assert len(ends) > 2 * len(searches) and min(ends) < 0.0 < max(ends)
+        assert [n for n, _ in later] == list(range(3, len(rounds) + 1))
+        lists.clear()
+        rounds.clear()
+        warm = curves.folds(searches)
+        assert warm == cold and [fold.level for fold in warm] == [fold.level for fold in cold]
+        assert rounds[0] == rounds[1] == list(range(7))  # every search's left ends, then its right ends
+        assert [n for n, _ in lists] == list(range(3, len(rounds) + 1))  # none in the end rounds
+        tops = [tops for _, tops in lists]
+        assert all(min(one) < 0.0 < max(one) for one in tops)  # the reflected side's tops negated
+        assert all(len(one) == len(set(one)) for one in tops)
+        assert max(map(len, tops)) >= 3  # a rows pass, not one scalar call per top
 
     def test_same_sign_ends_raise_as_the_scalar_search(self, qgtp):
         # a bracket on the falling side of the minimum: W' < 0 at both ends,
