@@ -623,21 +623,23 @@ class TimeMapCurves:
         at point i of the scan grid of its lead side and area bound ``area``
         (``_kept``, rows 0 and 2), the root search's opening round."""
         kept = self._kept(points, (0, 2), lambda levels: integral_I(self.nl, self.p, levels, RESIDUAL_TOL))
-        return [values for _, values in kept]
+        return [values for values, _ in kept]
 
-    def scan_slopes(self, points: list[tuple[float, int, int, int]]) -> list[tuple[dict, dict[bool, float]]]:
-        """(``tops_at``, ``slopes`` at them) for each (area, i, n_pos, n_neg)
-        of ``points``, each keyed by side: dI/drho per side at QUAD_TOL at
-        point i of the class's lead scan grid (``_kept``, rows 3 and 4), the
+    def scan_slopes(self, points: list[tuple[float, int, int, int]]) -> list[tuple[dict[bool, float], float | None]]:
+        """``slopes`` at each top ``tops_at`` gives, keyed as it keys them,
+        and the other side's top (None for one side), for each (area, i,
+        n_pos, n_neg) of ``points`` (``_kept``, rows 3 and 4): dI/drho per
+        side at ``QUAD_TOL`` at point i of the class's lead scan grid, the
         bracket ends of a fold search."""
         return self._kept(points, (3, 4), self.slopes)
 
-    def _kept(self, points, rows: tuple[int, int], fill) -> list[tuple[dict[bool, float], dict[bool, float]]]:
-        """(``tops_at``, the kept value per side) at each (area, i, n_pos,
-        n_neg) of ``points``, the class at point i of the scan grid of its
-        lead side and area bound ``area``, each keyed by side; ``rows`` are
-        the lead side's row and the other side's, and ``fill`` gives the
-        values at a signed list of tops.
+    def _kept(self, points, rows: tuple[int, int], fill) -> list[tuple[dict[bool, float], float | None]]:
+        """The kept value per side, keyed as ``tops_at`` keys the tops, and
+        the other side's top (None for a class of one side) at each (area, i,
+        n_pos, n_neg) of ``points``, the class at point i of the scan grid
+        of its lead side and area bound ``area``; ``rows`` are the lead
+        side's row and the other side's, and ``fill`` gives the values at a
+        signed list of tops.
 
         The values are lambda-free, so they are kept, NaN until first used,
         in one array per grid aligned with its levels.  Its rows: the lead
@@ -655,21 +657,22 @@ class TimeMapCurves:
             terms = self._terms.get((area, negative))
             if terms is None:
                 terms = self._terms.setdefault((area, negative), np.full((5, self.fractions.size), np.nan))
-            tops, sides = {negative: float(self.levels(area, negative)[i])}, {negative: rows[0]}
+            sides, other = {negative: rows[0]}, None
             if n_pos and n_neg and not nl.odd:
                 if math.isnan(terms[1, i]):
-                    terms[1, i] = self.tops_at(tops[False], n_pos, n_neg)[True]
-                tops[True], sides[True] = float(terms[1, i]), rows[1]
+                    terms[1, i] = self.tops_at(float(self.levels(area, negative)[i]), n_pos, n_neg)[True]
+                sides[True], other = rows[1], float(terms[1, i])
             for side, row in sides.items():
                 if math.isnan(terms[row, i]):
-                    missing.setdefault(-tops[side] if side else tops[side], []).append((terms, row, i))
-            reads.append((tops, terms, sides, i))
+                    top = other if row == rows[1] else float(self.levels(area, negative)[i])
+                    missing.setdefault(-top if side else top, []).append((terms, row, i))
+            reads.append((terms, sides, i, other))
         if missing:
             levels = list(missing)
             for top, value in zip(levels, fill(levels)):
                 for terms, row, i in missing[top]:
                     terms[row, i] = value
-        return [(tops, {side: float(terms[row, i]) for side, row in sides.items()}) for tops, terms, sides, i in reads]
+        return [({side: float(terms[row, i]) for side, row in sides.items()}, top) for terms, sides, i, top in reads]
 
     def slopes(self, tops: list[float]) -> list[float]:
         """dI/drho at each top of a signed list: one ``Arch.derivative`` of
@@ -679,26 +682,22 @@ class TimeMapCurves:
         derivatives = Arch(nl, self.p, tops, False).derivative()
         return [d / (-eval_m(nl, top) if top < 0.0 else eval_m(nl, top)) for d, top in zip(derivatives, tops)]
 
-    def weigh_at(self, points: list[tuple[float, int, int]], term, seen: dict | None = None) -> list[float]:
+    def weigh_at(self, points: list[tuple[float, int, int]], term, tops_at=None) -> list[float]:
         """``weigh`` at each (z, n_pos, n_neg) of ``points`` of ``term(tops)``,
         the values (I or a multiple of it) at a signed list of tops: every
-        top ``tops_at`` gives, the reflected side's negated, in one call for
-        every point together.  ``seen``, keyed by point, holds ``tops_at`` of
-        the points met before, which then invert no level, and is given that
-        of the others."""
-        nl, by_point, values = self.nl, [], {}
-        seen = {} if seen is None else seen
-        for point in points:
-            if point not in seen:
-                seen[point] = self.tops_at(*point)
-            by_side = {negative: -top if negative else top for negative, top in seen[point].items()}
-            by_point.append(by_side)
+        top ``tops_at`` (``self.tops_at`` if None) gives, the reflected
+        side's negated, in one call for every point together."""
+        nl, tops, values = self.nl, [], {}
+        tops_at = self.tops_at if tops_at is None else tops_at
+        for z, n_pos, n_neg in points:
+            by_side = {negative: -top if negative else top for negative, top in tops_at(z, n_pos, n_neg).items()}
+            tops.append(by_side)
             for top in by_side.values():
                 values[top] = 0.0
         levels = list(values)
         values.update(zip(levels, term(levels)))
         out = []  # loops, not comprehensions: a lone search pays this per round
-        for (_, n_pos, n_neg), by_side in zip(points, by_point):
+        for (_, n_pos, n_neg), by_side in zip(points, tops):
             out.append(weigh(nl, lambda s: values[by_side[s is not nl]], n_pos, n_neg))
         return out
 
@@ -731,25 +730,32 @@ class TimeMapCurves:
         leads = [self.lead(n_pos) for n_pos, _ in counts]
         ends = [(area, n, *count) for count, (_, _, area, i) in zip(counts, searches) for n in (i - 1, i + 1)]
         ends = iter(self.scan_slopes(ends))
-        brackets, known, tops = [], [], {}  # known: each search's W' by level; tops: tops_at by point
+        brackets, known, seen = [], [], {}  # known: each search's W' by level; seen: tops_at by point
+
+        def tops_at(*point):
+            if point not in seen:
+                seen[point] = self.tops_at(*point)
+            return seen[point]
+
         for lead, count, (_, _, area, i) in zip(leads, counts, searches):
             lo, hi = map(float, self.levels(area, lead is not nl)[[i - 1, i + 1]])
             brackets.append((lo, hi, _FOLD_XTOL * lo))
             known.append({})
-            for z, (by_side, slope) in zip((lo, hi), ends):
-                tops[(z, *count)] = by_side
+            for z, (slope, other) in zip((lo, hi), ends):
                 known[-1][z] = weigh(nl, lambda side: slope[side is not nl], *count)
+                if other is not None:  # the kept other-side top, so W at a zero here inverts no level
+                    seen[(z, *count)] = {False: z, True: other}
 
         def slope_rows(zs: list[float], idx: list[int]) -> list[float]:
             new = [(z, k) for z, k in zip(zs, idx) if z not in known[k]]
             if new:
-                for (z, k), w in zip(new, self.weigh_at([(z, *counts[k]) for z, k in new], self.slopes, tops)):
+                for (z, k), w in zip(new, self.weigh_at([(z, *counts[k]) for z, k in new], self.slopes, tops_at)):
                     known[k][z] = w
             return [known[k][z] for z, k in zip(zs, idx)]
 
         zeros = brentq_lockstep(slope_rows, brackets)
         points = [(z, *count) for z, count in zip(zeros, counts)]
-        weights = self.weigh_at(points, lambda levels: integral_I(nl, p, levels), tops)
+        weights = self.weigh_at(points, lambda levels: integral_I(nl, p, levels), tops_at)
         out = []
         for (d, _, _), lead, z, w in zip(reduced, leads, zeros, weights):
             fold = Fold((_area(lead, z), d * w))
